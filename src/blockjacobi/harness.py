@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,8 +48,6 @@ FIT_HEAD_OFFSET = 5      # slope fit starts at j0 + 5
 FIT_TAIL_MARGIN = 10     # and ends at N - 10 (Dirichlet edge contamination)
 
 VARIANTS = ("continuous", "discrete", "simplified", "commuting")
-#: bounded worker pool for independent (zeta, variant) experiment jobs
-MAX_WORKERS = 4
 
 
 @dataclass
@@ -370,15 +367,6 @@ def _error_result(name: str, variant: str, zeta, n: int, exc: Exception) -> Expe
                             zeta=zeta, details={"error": f"{type(exc).__name__}: {exc}"})
 
 
-def _run_jobs(jobs) -> list:
-    """Run independent experiment closures on a bounded pool, keeping order."""
-    if len(jobs) <= 1:
-        return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(jobs))) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def verify_green_bound(cfg: ExperimentConfig) -> VerificationReport:
     """Green-block decay against the envelope for every (zeta, variant)."""
     seq = as_sequence(cfg.operator)
@@ -386,18 +374,15 @@ def verify_green_bound(cfg: ExperimentConfig) -> VerificationReport:
     report = VerificationReport(meta=_meta(cfg))
     report.meta["gap"] = [gap.r, gap.s]
 
-    def job(zeta, variant):
-        def go():
+    for zeta in cfg.zetas:
+        for variant in cfg.variants:
             name = f"green:{variant}:zeta={_fmt_zeta(zeta)}"
             try:
-                return _green_single(cfg, seq, gap, zeta, variant)
+                result = _green_single(cfg, seq, gap, zeta, variant)
             except (SingularityError, PreconditionError, DomainError,
                     ParameterError) as exc:
-                return _error_result(name, variant, zeta, cfg.n_blocks, exc)
-        return go
-
-    report.experiments.extend(_run_jobs(
-        [job(zeta, variant) for zeta in cfg.zetas for variant in cfg.variants]))
+                result = _error_result(name, variant, zeta, cfg.n_blocks, exc)
+            report.experiments.append(result)
     return report
 
 
@@ -490,20 +475,16 @@ def verify_commuting_bound(cfg: ExperimentConfig) -> VerificationReport:
         zetas=cfg.zetas, delta=cfg.delta, epsilon=cfg.epsilon, eta=cfg.eta,
         eps_prime=cfg.eps_prime, variants=("commuting",), n_blocks=cfg.n_blocks,
         rows=cfg.rows, cols=cfg.cols, gap_tol=cfg.gap_tol)
-    def job(zeta):
-        def go():
-            name = f"green:commuting:zeta={_fmt_zeta(zeta)}"
-            try:
-                result = _green_single(sub, seq, gap, zeta, "commuting")
-                result.details["direction_exponent_ratio"] = _direction_ratio(
-                    seq, result, cfg)
-                return result
-            except (SingularityError, PreconditionError, DomainError,
-                    ParameterError) as exc:
-                return _error_result(name, "commuting", zeta, cfg.n_blocks, exc)
-        return go
-
-    report.experiments.extend(_run_jobs([job(zeta) for zeta in cfg.zetas]))
+    for zeta in cfg.zetas:
+        name = f"green:commuting:zeta={_fmt_zeta(zeta)}"
+        try:
+            result = _green_single(sub, seq, gap, zeta, "commuting")
+            result.details["direction_exponent_ratio"] = _direction_ratio(
+                seq, result, cfg)
+        except (SingularityError, PreconditionError, DomainError,
+                ParameterError) as exc:
+            result = _error_result(name, "commuting", zeta, cfg.n_blocks, exc)
+        report.experiments.append(result)
     return report
 
 

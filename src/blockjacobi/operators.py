@@ -365,42 +365,55 @@ def with_prefix(seq: EntrySequence, blocks) -> EntrySequence:
 class TruncatedOperator:
     """Hermitian (N d) x (N d) finite section of the block Jacobi matrix.
 
-    Block (k, k) = B_k, (k, k+1) = A_k, (k+1, k) = A_k^*; everything else is
-    exactly zero (plain Dirichlet cut).  ``sequence`` keeps the producing rule
-    so refinements to larger N can be assembled on demand.
+    Held as block stacks: ``a_blocks[k - 1]`` = A_k (k = 1..N-1) sits at
+    block (k, k+1) and its adjoint at (k+1, k); ``b_blocks[k - 1]`` = B_k
+    (k = 1..N) on the diagonal; everything else is exactly zero (plain
+    Dirichlet cut).  The section is Hermitian by construction whenever the
+    B_k are, which :class:`EntrySequence` validates block by block.
+    ``sequence`` keeps the producing rule so refinements to larger N can be
+    assembled on demand.
     """
 
-    n_blocks: int
-    dim: int
-    matrix: np.ndarray
+    a_blocks: np.ndarray          # (N - 1, d, d)
+    b_blocks: np.ndarray          # (N, d, d)
     sequence: EntrySequence | None = None
 
-    def block_slice(self, k: int) -> slice:
-        return slice((k - 1) * self.dim, k * self.dim)
+    def __post_init__(self):
+        n, d = self.b_blocks.shape[:2]
+        if self.b_blocks.shape != (n, d, d) or self.a_blocks.shape != (n - 1, d, d):
+            raise ParameterError(
+                f"block stacks must be (N-1, d, d) and (N, d, d), got "
+                f"{self.a_blocks.shape} and {self.b_blocks.shape}")
 
-    def block(self, row: int, col: int) -> np.ndarray:
-        return self.matrix[self.block_slice(row), self.block_slice(col)]
+    @property
+    def n_blocks(self) -> int:
+        return self.b_blocks.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.b_blocks.shape[1]
+
+    def to_dense(self) -> np.ndarray:
+        """The (N d) x (N d) matrix; O((N d)^2) memory, for spectra and test oracles."""
+        n, d = self.n_blocks, self.dim
+        M = np.zeros((n, d, n, d), dtype=complex)
+        k = np.arange(n)
+        M[k, :, k, :] = self.b_blocks
+        M[k[:-1], :, k[1:], :] = self.a_blocks
+        M[k[1:], :, k[:-1], :] = self.a_blocks.conj().transpose(0, 2, 1)
+        return M.reshape(n * d, n * d)
 
 
 def assemble_truncation(seq: EntrySequence, n_blocks: int) -> TruncatedOperator:
     """Assemble the N-block Dirichlet truncation of the block Jacobi matrix."""
     if n_blocks < 2:
         raise ParameterError(f"need at least 2 blocks, got {n_blocks}")
-    d = seq.dim
-    size = n_blocks * d
-    M = np.zeros((size, size), dtype=complex)
-    for k in range(1, n_blocks + 1):
-        A, B = seq.block(k)
-        i = (k - 1) * d
-        M[i:i + d, i:i + d] = B
-        if k < n_blocks:
-            M[i:i + d, i + d:i + 2 * d] = A
-            M[i + d:i + 2 * d, i:i + d] = A.conj().T
-    dev = hermitian_deviation(M)
-    if dev > HERMITICITY_TOL:
-        raise ParameterError(f"assembled truncation deviates from Hermitian by {dev:.3e}")
-    M.flags.writeable = False
-    return TruncatedOperator(n_blocks=n_blocks, dim=d, matrix=M, sequence=seq)
+    pairs = [seq.block(k) for k in range(1, n_blocks + 1)]
+    a_blocks = np.stack([A for A, _ in pairs[:-1]])
+    b_blocks = np.stack([B for _, B in pairs])
+    a_blocks.flags.writeable = False
+    b_blocks.flags.writeable = False
+    return TruncatedOperator(a_blocks=a_blocks, b_blocks=b_blocks, sequence=seq)
 
 
 # ---------------------------------------------------------------------------

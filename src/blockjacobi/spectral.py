@@ -7,18 +7,19 @@ over the unit circle fill the essential spectrum.  Gap endpoints detected
 from symbol samples are refined by golden-section search on the eigenvalue
 functions; truncation-only gaps keep sample resolution.
 
-Green blocks G_mj(zeta) = P_m (J_N - zeta)^{-1} P_j are computed from one LU
-factorization per zeta, reused across all requested column blocks.
+Green blocks G_mj(zeta) = P_m (J_N - zeta)^{-1} P_j are computed from one
+banded LU factorization per zeta (LAPACK ``zgbtrf`` on the block-tridiagonal
+band, kl = ku = 2d - 1), reused across all requested column blocks.  Cost
+and memory are O(N d^3) and O(N d^2): no dense (N d) x (N d) matrix is built.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
@@ -54,12 +55,13 @@ def truncated_spectrum(op: TruncatedOperator) -> SpectrumEstimate:
     Residuals ||J v - lambda v|| are verified against 1e-8 * ||J|| for every
     pair; a violation means the eigensolver failed and raises.
     """
-    dev = hermitian_deviation(op.matrix)
+    M = op.to_dense()
+    dev = hermitian_deviation(M)
     if dev > HERMITICITY_TOL:
         raise ParameterError(f"matrix deviates from Hermitian by {dev:.3e}")
-    vals, vecs = np.linalg.eigh(op.matrix)
+    vals, vecs = np.linalg.eigh(M)
     norm_j = float(np.max(np.abs(vals))) if vals.size else 0.0
-    residual = float(np.max(np.linalg.norm(op.matrix @ vecs - vecs * vals, axis=0)))
+    residual = float(np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0)))
     if residual > RESIDUAL_TOL * max(norm_j, 1.0):
         raise ConvergenceError(
             f"eigensolver residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} * ||J||")
@@ -147,15 +149,16 @@ def _refine_symbol_level(est: SpectrumEstimate, level: float, side: str) -> floa
     A, B = est.symbol
     thetas = 2.0 * math.pi * np.arange(est.size) / est.size
 
-    def f(theta):
-        vals = np.linalg.eigvalsh(_symbol_matrices(A, B, np.array([theta]))[0])
+    def nearest(vals):
         if side == "below":
-            sel = vals[vals <= level]
-            return float(sel.max()) if sel.size else -math.inf
-        sel = vals[vals >= level]
-        return float(sel.min()) if sel.size else math.inf
+            return np.max(np.where(vals <= level, vals, -math.inf), axis=-1)
+        return np.min(np.where(vals >= level, vals, math.inf), axis=-1)
 
-    coarse = np.array([f(t) for t in thetas])
+    def f(theta):
+        return float(nearest(np.linalg.eigvalsh(
+            _symbol_matrices(A, B, np.array([theta]))[0])))
+
+    coarse = nearest(np.linalg.eigvalsh(_symbol_matrices(A, B, thetas)))
     k = int(np.argmax(coarse)) if side == "below" else int(np.argmin(coarse))
     h = 2.0 * math.pi / est.size
     sign = 1.0 if side == "below" else -1.0
@@ -237,17 +240,37 @@ class GreenTable:
         return self.norms[(m, j)]
 
 
-def _smallest_singular_value(lu, size: int) -> float:
-    """Inverse power iteration on (M M^H)^{-1} using an existing LU factorization."""
+def _band_storage(op: TruncatedOperator, zeta: complex) -> np.ndarray:
+    """J_N - zeta in LAPACK general band storage with kl = ku = 2d - 1.
+
+    Entry (i, j) of the matrix sits at row 2 kl + i - j, column j; the first
+    kl rows are left zero for the fill-in of partial pivoting.  Each of the
+    three block diagonals is written by one scatter over all N blocks.
+    """
+    n, d = op.n_blocks, op.dim
+    kl = 2 * d - 1
+    ab = np.zeros((3 * kl + 1, n * d), dtype=complex, order="F")
+    r, c = np.divmod(np.arange(d * d), d)      # entry (r, c) of a d x d block
+    main = 2 * kl + r - c
+    col = d * np.arange(n)[:, None] + c
+    ab[main, col] = op.b_blocks.reshape(n, d * d)
+    ab[main - d, col[:-1] + d] = op.a_blocks.reshape(n - 1, d * d)
+    ab[main + d, col[:-1]] = op.a_blocks.conj().transpose(0, 2, 1).reshape(n - 1, d * d)
+    ab[2 * kl] -= zeta
+    return ab
+
+
+def _smallest_singular_value(lu, ipiv, kl: int, size: int) -> float:
+    """Inverse power iteration on (M M^H)^{-1} using an existing band LU factorization."""
     rng = np.random.default_rng(_SIGMA_SEED)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(_POWER_ITERATIONS):
-        w = lu_solve(lu, v, check_finite=False)
+        w, _ = zgbtrs(lu, kl, kl, v, ipiv)
         if not np.all(np.isfinite(w)):
             return 0.0
-        w = lu_solve(lu, w, trans=2, check_finite=False)
+        w, _ = zgbtrs(lu, kl, kl, w, ipiv, trans=2)
         # a sum of squares that would overflow means sigma = 0; checking the
         # peak first keeps np.linalg.norm from warning about that overflow
         if not np.max(np.abs(w)) < _SQNORM_SAFE / math.sqrt(size):
@@ -262,10 +285,14 @@ def _smallest_singular_value(lu, size: int) -> float:
 def green_block(op: TruncatedOperator, zeta: complex, rows, cols) -> GreenTable:
     """Green blocks G_mj(zeta) for all (m, j) in rows x cols.
 
-    Solves (J_N - zeta I) X = E_j by LU with partial pivoting, one
-    factorization reused for all requested column blocks.  Raises
-    SingularityError when zeta is within 1e-8 of the truncated spectrum; a
-    condition estimate above 1e12 is flagged, not fatal.
+    Factors J_N - zeta I in LAPACK band storage (``zgbtrf``, LU with partial
+    pivoting, kl = ku = 2d - 1) straight from the operator's block stacks and
+    solves (J_N - zeta I) X = E_j for all requested column blocks in one
+    ``zgbtrs`` call: O(N d^3) time and O(N d^2) memory, no dense matrix.
+    Raises SingularityError on an exact zero pivot, or when the smallest
+    singular value (40 steps of inverse power iteration on the same LU)
+    puts zeta within 1e-8 of the truncated spectrum; a condition estimate
+    above 1e12 is flagged, not fatal.
     """
     zeta = complex(zeta)
     n, d = op.n_blocks, op.dim
@@ -274,30 +301,36 @@ def green_block(op: TruncatedOperator, zeta: complex, rows, cols) -> GreenTable:
     for idx in rows + cols:
         if not 1 <= idx <= n:
             raise ParameterError(f"block index {idx} outside [1, {n}]")
-    M = op.matrix - zeta * np.eye(n * d)
-    with warnings.catch_warnings():
-        # exact singularity is detected below and raised as SingularityError
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu = lu_factor(M, check_finite=False)
-    sigma = _smallest_singular_value(lu, n * d)
+    kl = 2 * d - 1
+    ab = _band_storage(op, zeta)
+    band = np.abs(ab[kl:])
+    # |J_N - zeta| is symmetric, so ||.||_1 = ||.||_inf and the upper bound
+    # sqrt(||.||_1 ||.||_inf) on the spectral norm is the largest column sum
+    norm_upper = min(float(np.max(np.sum(band, axis=0))),
+                     float(np.sqrt(np.sum(band * band))))
+    lu, ipiv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
+    if info > 0:
+        raise SingularityError(
+            f"zeta = {zeta} is an eigenvalue of the truncation "
+            f"(exact zero pivot in column {info})")
+    sigma = _smallest_singular_value(lu, ipiv, kl, n * d)
     if sigma <= SINGULARITY_TOL:
         raise SingularityError(
             f"zeta = {zeta} is within {sigma:.3e} of the truncated spectrum "
             f"(tolerance {SINGULARITY_TOL:.0e})")
-    norm_upper = min(math.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)),
-                     float(np.linalg.norm(M, "fro")))
     condition = norm_upper / sigma
-    rhs = np.zeros((n * d, len(cols) * d), dtype=complex)
-    for pos, j in enumerate(cols):
-        rhs[(j - 1) * d:j * d, pos * d:(pos + 1) * d] = np.eye(d)
-    X = lu_solve(lu, rhs)
+    rhs = np.zeros((n, d, len(cols), d), dtype=complex)
+    pos = np.arange(len(cols))
+    rhs[np.array(cols) - 1, :, pos, :] = np.eye(d)
+    X, _ = zgbtrs(lu, kl, kl, rhs.reshape(n * d, len(cols) * d), ipiv)
+    stack = X.reshape(n, d, len(cols), d)[np.array(rows) - 1].transpose(0, 2, 1, 3)
+    stack.flags.writeable = False
+    norm_stack = np.linalg.norm(stack, 2, axis=(-2, -1))
     blocks, norms = {}, {}
-    for m in rows:
-        for pos, j in enumerate(cols):
-            G = X[(m - 1) * d:m * d, pos * d:(pos + 1) * d].copy()
-            G.flags.writeable = False
-            blocks[(m, j)] = G
-            norms[(m, j)] = float(np.linalg.norm(G, 2))
+    for a, m in enumerate(rows):
+        for b, j in enumerate(cols):
+            blocks[(m, j)] = stack[a, b]
+            norms[(m, j)] = float(norm_stack[a, b])
     return GreenTable(zeta=zeta, dim=d, blocks=blocks, norms=norms,
                       sigma_min=sigma, condition=condition,
                       ill_conditioned=condition > CONDITION_LIMIT)
@@ -342,11 +375,12 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     n, d = op.n_blocks, op.dim
     margin = margin_frac * gap.width
     lo, hi = gap.r + margin, gap.s - margin
-    vals, vecs = np.linalg.eigh(op.matrix)
+    dense = op.to_dense()
+    vals, vecs = np.linalg.eigh(dense)
     candidates = np.nonzero((vals > lo) & (vals < hi))[0]
     if candidates.size == 0:
         return []
-    big = assemble_truncation(seq, 2 * n).matrix
+    big = assemble_truncation(seq, 2 * n).to_dense()
     big_vals = np.linalg.eigvalsh(big)
     # group candidates into near-degenerate clusters
     clusters, current = [], [int(candidates[0])]
@@ -370,13 +404,13 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
             if svals[i] > embed_tol * norm_scale:
                 continue
             u = U @ vh[i, :].conj()
-            theta = float(np.real(u.conj() @ (op.matrix @ u)))
+            theta = float(np.real(u.conj() @ (dense @ u)))
             if not lo < theta < hi:
                 continue
             drift = float(np.min(np.abs(big_vals - theta)))
             if drift >= drift_tol:
                 continue
-            residual = float(np.linalg.norm(op.matrix @ u - theta * u))
+            residual = float(np.linalg.norm(dense @ u - theta * u))
             if residual > RESIDUAL_TOL * norm_scale:
                 continue
             u = u / np.linalg.norm(u)

@@ -166,8 +166,8 @@ def test_green_resolvent_identity_against_dense_inverse():
     op = assemble_truncation(seq, n)
     z1, z2 = 0.4 + 0.3j, -0.2 + 0.6j
     eye = np.eye(2 * n)
-    r1o = np.linalg.inv(op.matrix - z1 * eye)
-    r2o = np.linalg.inv(op.matrix - z2 * eye)
+    r1o = np.linalg.inv(op.to_dense() - z1 * eye)
+    r2o = np.linalg.inv(op.to_dense() - z2 * eye)
     idx = range(1, n + 1)
     t1 = green_block(op, z1, idx, idx)
     t2 = green_block(op, z2, idx, idx)
@@ -250,7 +250,7 @@ def test_eigenpairs_perturbed_matches_brute_force():
     # brute-force oracle: left-localized gap eigenvalues of the dense sections
     found = {}
     for n in (200, 400):
-        vals, vecs = np.linalg.eigh(assemble_truncation(seq, n).matrix)
+        vals, vecs = np.linalg.eigh(assemble_truncation(seq, n).to_dense())
         for i in np.nonzero((vals > -0.98) & (vals < 0.98))[0]:
             u = vecs[:, i]
             if np.sum(np.abs(u[: n]) ** 2) > 0.9:  # first half of the blocks
@@ -282,6 +282,7 @@ def test_eigenpairs_genuine_diagonal_eigenvalue_found():
 
 def test_eigenpairs_requires_sequence():
     from blockjacobi import TruncatedOperator
-    op = TruncatedOperator(n_blocks=4, dim=1, matrix=np.eye(4, dtype=complex))
+    op = TruncatedOperator(a_blocks=np.zeros((3, 1, 1), dtype=complex),
+                           b_blocks=np.ones((4, 1, 1), dtype=complex), sequence=None)
     with pytest.raises(ParameterError):
         eigenpairs_in_gap(op, GapInterval(-1, 1))
