@@ -11,8 +11,7 @@ from .boundfns import (BoundParams, DecayRate, GapInterval, best_delta,
                        psi_tilde_d, w)
 from .envelopes import (CumulativeProfile, ProductProfile, commuting_check,
                         cumulative_phi, cumulative_reciprocal,
-                        discrete_envelope, operator_envelope,
-                        ordered_product_envelope, scalar_envelope)
+                        discrete_envelope, operator_envelope, scalar_envelope)
 from .errors import (ConvergenceError, DomainError, PairingError,
                      ParameterError, PreconditionError, SingularityError)
 from .harness import (EdgeStudyResult, ExperimentConfig, ExperimentResult,

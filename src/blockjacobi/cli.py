@@ -40,20 +40,30 @@ def _parse_window(text: str) -> tuple[int, int]:
     return (int(lo), int(hi or lo))
 
 
+_SHORTHAND_KEYS = {"example1": (), "example2": ("x",),   # accepted parameters
+                   "example3": ("x", "alpha", "c1", "c2")}
+
+
 def _parse_operator(text: str) -> EntrySequence:
     if Path(text).exists():
         return load_operator(text)
     family, _, rest = text.partition(":")
+    if family not in _SHORTHAND_KEYS:
+        raise ParameterError(
+            f"operator {text!r} is neither a JSON file nor a supported family "
+            "shorthand (example1/example2/example3)")
+    keys = _SHORTHAND_KEYS[family]
     params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            params[key.strip()] = float(value)
-    if family in ("example2", "example3", "example1"):
-        return EntrySequence(dim=2, family=family, params=params)
-    raise ParameterError(
-        f"operator {text!r} is neither a JSON file nor a supported family "
-        "shorthand (example1/example2/example3)")
+    for item in rest.split(",") if rest else ():
+        key, eq, value = (part.strip() for part in item.partition("="))
+        try:
+            if not eq or key not in keys:
+                raise ValueError(item)
+            params[key] = float(value)
+        except ValueError:
+            raise ParameterError(f"operator item {item!r}: {family} takes " + (
+                ", ".join(f"{k}=<number>" for k in keys) or "no parameters")) from None
+    return EntrySequence(dim=2, family=family, params=params)
 
 
 def _emit(payload, args, csv_kind=None, csv_rows=None) -> None:
@@ -110,12 +120,12 @@ def cmd_green(args) -> int:
     rows = range(args.rows[0], args.rows[1] + 1)
     cols = range(args.cols[0], args.cols[1] + 1)
     table = green_block(op, args.zeta, rows, cols)
-    csv_rows = [(m, j, args.zeta.real, args.zeta.imag, table.norms[(m, j)])
+    csv_rows = [(m, j, args.zeta.real, args.zeta.imag, table.norm(m, j))
                 for m in rows for j in cols]
     _emit({"zeta": [args.zeta.real, args.zeta.imag],
            "condition": table.condition,
            "ill_conditioned": table.ill_conditioned,
-           "norms": {f"{m},{j}": table.norms[(m, j)] for m in rows for j in cols}},
+           "norms": {f"{m},{j}": table.norm(m, j) for m in rows for j in cols}},
           args, "green", csv_rows)
     return 0
 
@@ -156,14 +166,14 @@ def cmd_example1(args) -> int:
     op = assemble_truncation(seq, args.n)
     rows = range(1, args.n + 1)
     table = green_block(op, args.zeta, rows, [args.col])
-    csv_rows = [(m, args.col, args.zeta.real, args.zeta.imag, table.norms[(m, args.col)])
+    csv_rows = [(m, args.col, args.zeta.real, args.zeta.imag, table.norm(m, args.col))
                 for m in rows]
-    off_band = max((table.norms[(m, args.col)] for m in rows
+    off_band = max((table.norm(m, args.col) for m in rows
                     if abs(m - args.col) >= 2), default=0.0)
     _emit({"zeta": [args.zeta.real, args.zeta.imag],
            "max_norm_beyond_band": off_band,
            "band_structure": off_band <= 1e-12,
-           "norms": {str(m): table.norms[(m, args.col)] for m in rows}},
+           "norms": {str(m): table.norm(m, args.col) for m in rows}},
           args, "green", csv_rows)
     return 0
 

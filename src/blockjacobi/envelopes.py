@@ -2,7 +2,8 @@
 
 Three envelope styles are provided for a window of block indices between m
 and j (the sum or product always runs over k in [min(m,j), max(m,j) - 1],
-which is empty for m = j):
+which is empty for m = j).  Each is a prefix sum over one block sequence,
+so m and j may be integer arrays, evaluated on every window they broadcast to.
 
 * scalar: exp(-gamma * sum phi_delta(||A_k||)), from a CumulativeProfile;
 * operator-valued (commuting entries): exp(+gamma * sum phi_delta(|A_k|))
@@ -15,7 +16,6 @@ which is empty for m = j):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +39,13 @@ class CumulativeProfile:
     def horizon(self) -> int:
         return len(self.terms)
 
-    def window_sum(self, m: int, j: int) -> float:
-        lo, hi = min(m, j), max(m, j)
-        if lo < 1 or hi - 1 > self.horizon:
+    def window_sum(self, m, j):
+        """Sum of the terms over each window; m and j broadcast as integer arrays."""
+        lo, hi = np.minimum(m, j), np.maximum(m, j)
+        if np.any(lo < 1) or np.any(hi - 1 > self.horizon):
             raise ParameterError(
                 f"window ({m}, {j}) outside profile horizon {self.horizon}")
-        return float(self.prefix[hi - 1] - self.prefix[lo - 1])
+        return self.prefix[hi - 1] - self.prefix[lo - 1]
 
 
 def _profile_from_terms(delta: float, terms: np.ndarray) -> CumulativeProfile:
@@ -75,9 +76,9 @@ def cumulative_reciprocal(seq: EntrySequence, upto: int,
     return _profile_from_terms(0.0, 1.0 / nrm)
 
 
-def scalar_envelope(rate: DecayRate, profile: CumulativeProfile, m: int, j: int) -> float:
+def scalar_envelope(rate: DecayRate, profile: CumulativeProfile, m, j):
     """exp(-gamma * sum_{k=min(m,j)}^{max(m,j)-1} phi_delta(||A_k||)); 1 for m = j."""
-    return math.exp(-rate.gamma * profile.window_sum(m, j))
+    return np.exp(-rate.gamma * profile.window_sum(m, j))
 
 
 # ---------------------------------------------------------------------------
@@ -86,51 +87,53 @@ def scalar_envelope(rate: DecayRate, profile: CumulativeProfile, m: int, j: int)
 def abs_block(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition (singular values s, unitary U) of |A| = (A^* A)^(1/2).
 
-    Eigenvalues of A^* A that round off slightly negative are clamped at 0.
+    A may be a (..., d, d) stack.  Eigenvalues of A^* A that round off
+    slightly negative are clamped at 0.
     """
-    H = A.conj().T @ A
-    vals, vecs = np.linalg.eigh(H)
+    vals, vecs = np.linalg.eigh(A.conj().swapaxes(-1, -2) @ A)
     return np.sqrt(np.clip(vals, 0.0, None)), vecs
 
 
 def phi_delta_spectral(delta: float, A: np.ndarray) -> np.ndarray:
-    """phi_delta applied spectrally to |A|: U diag(phi_delta(s)) U^*."""
+    """phi_delta applied spectrally to |A|: U diag(phi_delta(s)) U^*, stackwise."""
     s, U = abs_block(A)
-    return (U * phi_delta_array(delta, s)) @ U.conj().T
+    return (U * phi_delta_array(delta, s)[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
 def operator_envelope(rate: DecayRate, seq: EntrySequence, delta: float,
-                      m: int, j: int) -> np.ndarray:
-    """exp(+gamma * sum_{k=min}^{max-1} phi_delta(|A_k|)), Hermitian positive definite."""
-    d = seq.dim
-    lo, hi = min(m, j), max(m, j)
-    if lo < 1:
+                      m, j) -> np.ndarray:
+    """exp(+gamma * sum_{k=min}^{max-1} phi_delta(|A_k|)), Hermitian positive definite.
+
+    m and j broadcast as integer arrays to the leading shape of the result.
+    Window sums are differences of one prefix sum, exponentiated by one ``eigh``.
+    """
+    lo, hi = np.minimum(m, j), np.maximum(m, j)
+    if np.any(lo < 1):
         raise ParameterError(f"window ({m}, {j}) out of range")
-    S = np.zeros((d, d), dtype=complex)
-    for k in range(lo, hi):
-        S += phi_delta_spectral(delta, seq.a(k))
-    vals, vecs = np.linalg.eigh(S)
-    E = (vecs * np.exp(rate.gamma * vals)) @ vecs.conj().T
-    return 0.5 * (E + E.conj().T)
+    terms = phi_delta_spectral(delta, seq.blocks(1, int(np.max(hi)))[0])
+    prefix = np.concatenate([np.zeros((1, seq.dim, seq.dim), dtype=complex),
+                             np.cumsum(terms, axis=0)])
+    vals, vecs = np.linalg.eigh(prefix[hi - 1] - prefix[lo - 1])
+    E = (vecs * np.exp(rate.gamma * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return 0.5 * (E + E.conj().swapaxes(-1, -2))
 
 
 def commuting_check(seq: EntrySequence, upto: int) -> tuple[bool, float]:
     """Largest pairwise commutator norm among {A_k, B_k, A_k^*, k <= upto}.
 
     Returns (ok, max_commutator) with ok true iff the maximum is <= 1e-10,
-    i.e. the commuting-entry hypothesis holds on the sampled range.
+    i.e. the commuting-entry hypothesis holds on the sampled range.  Each
+    operator is commuted with all later ones in one batched product.
     """
     if upto < 1:
         raise ParameterError(f"upto must be >= 1, got {upto}")
-    ops = []
-    for k in range(1, upto + 1):
-        A, B = seq.block(k)
-        ops.extend((A, B, A.conj().T))
+    A, B = seq.blocks(1, upto + 1)
+    ops = np.stack([A, B, A.conj().swapaxes(-1, -2)], axis=1).reshape(-1, seq.dim, seq.dim)
     worst = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            comm = ops[i] @ ops[j] - ops[j] @ ops[i]
-            worst = max(worst, float(np.linalg.norm(comm, 2)))
+    for i, X in enumerate(ops[:-1]):
+        rest = ops[i + 1:]
+        comm = np.linalg.norm(X @ rest - rest @ X, 2, axis=(-2, -1))
+        worst = max(worst, float(np.max(comm)))
     return worst <= COMMUTATOR_TOL, worst
 
 
@@ -139,66 +142,44 @@ def commuting_check(seq: EntrySequence, upto: int) -> tuple[bool, float]:
 
 @dataclass(frozen=True, eq=False)
 class ProductProfile:
-    """Product envelope prod (1 - gamma/||A_k||) over [max(min(m,j), n0), max(m,j)-1]."""
+    """Product envelope prod (1 - gamma/||A_k||) over [max(min(m,j), n0), max(m,j)-1].
+
+    ``n0`` and ``value`` have the broadcast shape of the windows (m, j).
+    """
 
     gamma: float
-    n0: int
-    factors: np.ndarray   # the factors actually multiplied, each in (0, 1)
-
-    @property
-    def value(self) -> float:
-        return float(np.prod(self.factors)) if self.factors.size else 1.0
+    n0: np.ndarray
+    value: np.ndarray
 
 
-def discrete_envelope(rate: DecayRate, seq: EntrySequence, m: int, j: int,
+def discrete_envelope(rate: DecayRate, seq: EntrySequence, m, j,
                       norms=None) -> ProductProfile:
-    """Discrete envelope for the window between m and j.
+    """Discrete envelope for the windows between m and j (broadcast arrays).
 
-    n0 is the smallest index after which gamma/||A_k|| < 1 holds for every
-    sampled k (samples run through max(m,j)-1, or the single index 1 when
-    m = j = 1); factors with k < n0 are clipped away, exactly as in the
-    product bound.  If even the last sampled index violates the condition
-    there is no valid n0 and a PreconditionError is raised.
+    Per window, n0 is the smallest index after which gamma/||A_k|| < 1 holds
+    for every sampled k (samples run through max(m,j)-1, or the single index
+    1 when m = j = 1); factors with k < n0 are clipped away, exactly as in
+    the product bound.  If the last sampled index of a window violates the
+    condition there is no valid n0: PreconditionError, naming the first such
+    window in row-major order.  Values are a cumulative log1p(-gamma/||A_k||).
     """
-    if min(m, j) < 1:
+    lo, hi = np.minimum(m, j), np.maximum(m, j)
+    if np.any(lo < 1):
         raise ParameterError(f"window ({m}, {j}) out of range")
-    horizon = max(max(m, j) - 1, 1)
-    nrm = seq.norms(horizon) if norms is None else np.asarray(norms, dtype=float)[:horizon]
-    with np.errstate(divide="ignore"):
-        ratios = np.where(nrm > 0.0, rate.gamma / np.where(nrm > 0.0, nrm, 1.0), math.inf)
-    bad = np.nonzero(ratios >= 1.0)[0]
-    n0 = int(bad[-1]) + 2 if bad.size else 1
-    if n0 > horizon:
+    horizon = np.maximum(hi - 1, 1)
+    top = int(np.max(horizon))
+    nrm = seq.norms(top) if norms is None else np.asarray(norms, dtype=float)[:top]
+    with np.errstate(divide="ignore", over="ignore"):   # subnormal norms give inf
+        ratios = np.where(nrm > 0.0, rate.gamma / np.where(nrm > 0.0, nrm, 1.0), np.inf)
+    bad = ratios >= 1.0
+    last_bad = np.maximum.accumulate(np.where(bad, np.arange(1, top + 1), 0))
+    n0 = last_bad[horizon - 1] + 1
+    failed = np.flatnonzero(n0 > horizon)
+    if failed.size:
+        h = int(horizon.flat[failed[0]])
         raise PreconditionError(
             f"gamma = {rate.gamma:.6g} is not below ||A_k|| anywhere in the sampled "
-            f"range (last ||A_{horizon}|| = {nrm[-1]:.6g}); no valid n0")
-    start = max(min(m, j), n0)
-    stop = max(m, j) - 1
-    factors = 1.0 - ratios[start - 1:stop]
-    factors.flags.writeable = False
-    return ProductProfile(gamma=rate.gamma, n0=n0, factors=factors)
-
-
-def ordered_product_envelope(rate: DecayRate, seq: EntrySequence,
-                             m: int, j: int) -> np.ndarray:
-    """Experimental noncommuting analogue of the discrete envelope.
-
-    Multiplies the matrix factors (I - gamma |A_k|^{-1}) over the window in
-    chronological (increasing k) order, later factors applied on the left.
-    No decay bound is claimed for this object; it is exploratory only and
-    excluded from every verified path.
-    """
-    d = seq.dim
-    lo, hi = min(m, j), max(m, j)
-    if lo < 1:
-        raise ParameterError(f"window ({m}, {j}) out of range")
-    P = np.eye(d, dtype=complex)
-    for k in range(lo, hi):
-        s, U = abs_block(seq.a(k))
-        if np.any(s <= rate.gamma):
-            raise PreconditionError(
-                f"|A_{k}| has a singular value <= gamma; ordered product factor "
-                "would leave the contraction regime")
-        F = (U * (1.0 - rate.gamma / s)) @ U.conj().T
-        P = F @ P
-    return P
+            f"range (last ||A_{h}|| = {nrm[h - 1]:.6g}); no valid n0")
+    logs = np.concatenate([[0.0], np.cumsum(np.log1p(-np.where(bad, 0.0, ratios)))])
+    value = np.exp(logs[hi - 1] - logs[np.maximum(lo, n0) - 1])
+    return ProductProfile(gamma=rate.gamma, n0=n0, value=value)

@@ -23,13 +23,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .boundfns import (BoundParams, DecayRate, GapInterval, best_delta,
-                       decay_rate, DEFAULT_EPSILON, DEFAULT_ETA)
+                       decay_rate, phi_delta_array, DEFAULT_EPSILON, DEFAULT_ETA)
 from .envelopes import (cumulative_phi, cumulative_reciprocal,
                         commuting_check, discrete_envelope, operator_envelope,
                         phi_delta_spectral, scalar_envelope)
@@ -213,14 +214,12 @@ def resolve_gap(cfg: ExperimentConfig, seq: EntrySequence) -> GapInterval:
         return GapInterval(float(cfg.gap["r"]), float(cfg.gap["s"]))
     if source == "symbol":
         p0 = len(seq.prefix) + 1
-        blocks = [seq.block(p0 + i) for i in range(4)]
-        if all(np.allclose(blocks[0][t], blocks[1][t], atol=1e-12) for t in (0, 1)):
-            est = symbol_spectrum(blocks[0][0], blocks[0][1], cfg.symbol_grid)
-        elif all(np.allclose(blocks[i][t], blocks[i + 2][t], atol=1e-12)
-                 for i in (0, 1) for t in (0, 1)):
-            big_a, big_b = period2_symbol_blocks(blocks[0][0], blocks[1][0],
-                                                 blocks[0][1], blocks[1][1])
-            est = symbol_spectrum(big_a, big_b, cfg.symbol_grid)
+        A, B = seq.blocks(p0, p0 + 4)
+        if np.allclose(A[0], A[1], atol=1e-12) and np.allclose(B[0], B[1], atol=1e-12):
+            est = symbol_spectrum(A[0], B[0], cfg.symbol_grid)
+        elif np.allclose(A[:2], A[2:], atol=1e-12) and np.allclose(B[:2], B[2:], atol=1e-12):
+            est = symbol_spectrum(*period2_symbol_blocks(A[0], A[1], B[0], B[1]),
+                                  cfg.symbol_grid)
         else:
             raise ParameterError(
                 "symbol gap source needs constant or 2-periodic blocks past the "
@@ -261,16 +260,14 @@ def _resolve_rate(cfg: ExperimentConfig, variant: str, gap: GapInterval,
 
 
 def _make_envelope(variant: str, rate: DecayRate, seq: EntrySequence,
-                   delta: float | None, upto: int, norms: np.ndarray):
-    """Return env(m, j) giving the scalar envelope value for the window."""
+                   delta: float | None, norms: np.ndarray, m, j) -> np.ndarray:
+    """Scalar envelope on the windows (m, j) (broadcast arrays); norms cover them."""
     if variant == "simplified":
-        profile = cumulative_reciprocal(seq, upto, norms=norms)
-        return lambda m, j: scalar_envelope(rate, profile, m, j)
+        return scalar_envelope(rate, cumulative_reciprocal(seq, len(norms), norms=norms), m, j)
     if variant in ("continuous", "commuting"):
-        profile = cumulative_phi(seq, delta, upto, norms=norms)
-        return lambda m, j: scalar_envelope(rate, profile, m, j)
+        return scalar_envelope(rate, cumulative_phi(seq, delta, len(norms), norms=norms), m, j)
     if variant == "discrete":
-        return lambda m, j: discrete_envelope(rate, seq, m, j, norms=norms).value
+        return discrete_envelope(rate, seq, m, j, norms=norms).value
     raise ParameterError(f"unknown variant {variant!r}")
 
 
@@ -291,12 +288,11 @@ def _fit_slope(ms, values, lo: int, hi: int) -> tuple[float, np.ndarray]:
     return -float(coeff[0]), mask
 
 
-def _theoretical_slope(env, j0: int, ms: np.ndarray) -> float:
+def _theoretical_slope(ms: np.ndarray, env: np.ndarray) -> float:
+    """Least-squares slope of -log(env) against m."""
     if ms.size < 2:
         return math.nan
-    log_env = np.array([-math.log(env(int(m), j0)) for m in ms])
-    coeff = np.polyfit(ms.astype(float), log_env, 1)
-    return float(coeff[0])
+    return float(np.polyfit(ms.astype(float), -np.log(env), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -306,28 +302,27 @@ def _green_single(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
                   zeta: complex, variant: str,
                   check_stability: bool = True) -> ExperimentResult:
     n = cfg.n_blocks
-    rows = list(range(cfg.rows[0], cfg.rows[1] + 1))
-    cols = list(range(cfg.cols[0], cfg.cols[1] + 1))
-    j0 = cols[0]
-    upto = max(max(rows), max(cols))
+    rows = np.arange(cfg.rows[0], cfg.rows[1] + 1)
+    cols = np.arange(cfg.cols[0], cfg.cols[1] + 1)
+    j0 = int(cols[0])
+    upto = int(max(rows[-1], cols[-1]))
     norms = seq.norms(upto)
     rate, delta = _resolve_rate(cfg, variant, gap, zeta, norms[:max(upto - 1, 1)])
-    env = _make_envelope(variant, rate, seq, delta, max(upto - 1, 1), norms)
+    m, j = rows[:, None], cols[None, :]
+    env = _make_envelope(variant, rate, seq, delta, norms, m, j)    # (rows, cols)
+    if variant == "commuting":
+        op_env = operator_envelope(rate, seq, delta, m, j)        # (rows, cols, d, d)
 
-    def c_emp_for(n_blocks: int) -> tuple[float, dict, object]:
-        op = assemble_truncation(seq, n_blocks)
-        table = green_block(op, zeta, rows, cols)
-        values = {}
-        for (m, j), g_norm in table.norms.items():
-            if variant == "commuting":
-                E = operator_envelope(rate, seq, delta, m, j)
-                values[(m, j)] = float(np.linalg.norm(E @ table.block(m, j), 2))
-            else:
-                values[(m, j)] = g_norm / env(m, j)
-        return max(values.values()), values, table
+    def c_emp_for(n_blocks: int) -> tuple[float, np.ndarray, object]:
+        table = green_block(assemble_truncation(seq, n_blocks), zeta, rows, cols)
+        if variant == "commuting":
+            ratios = np.linalg.norm(op_env @ table.stack, 2, axis=(-2, -1))
+        else:
+            ratios = table.norm_stack / env
+        return float(np.max(ratios)), ratios, table
 
     c1, ratios, table = c_emp_for(n)
-    all_finite = all(math.isfinite(v) for v in ratios.values())
+    all_finite = bool(np.all(np.isfinite(ratios)))
     if check_stability:
         c2, _, _ = c_emp_for(2 * n)
         stable = (math.isfinite(c1) and math.isfinite(c2)
@@ -335,10 +330,9 @@ def _green_single(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
     else:
         c2 = math.nan
         stable = math.isfinite(c1)
-    ms = np.array(rows)
-    g_col = np.array([table.norms[(m, j0)] for m in rows])
-    slope, mask = _fit_slope(ms, g_col, j0 + FIT_HEAD_OFFSET, n - FIT_TAIL_MARGIN)
-    slope_theo = _theoretical_slope(env, j0, ms[mask])
+    slope, mask = _fit_slope(rows, table.norm_stack[:, 0], j0 + FIT_HEAD_OFFSET,
+                             n - FIT_TAIL_MARGIN)
+    slope_theo = _theoretical_slope(rows[mask], env[mask, 0])
     passed = bool(all_finite and stable and math.isfinite(slope) and slope >= slope_theo)
     details = {
         "c_emp_2n": _json_float(c2),
@@ -351,10 +345,12 @@ def _green_single(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
         "stability_checked": check_stability,
     }
     if variant == "discrete":
-        details["n0"] = discrete_envelope(rate, seq, min(rows + cols),
-                                          max(rows + cols), norms=norms).n0
-    csv_rows = tuple((m, j, zeta.real, zeta.imag, table.norms[(m, j)])
-                     for m in rows for j in cols)
+        details["n0"] = int(discrete_envelope(rate, seq, min(rows[0], cols[0]), upto,
+                                              norms=norms).n0)
+    mm, jj = np.broadcast_arrays(m, j)
+    csv_rows = tuple(zip(mm.ravel().tolist(), jj.ravel().tolist(),
+                         repeat(zeta.real), repeat(zeta.imag),
+                         table.norm_stack.ravel().tolist()))
     return ExperimentResult(
         name=f"green:{variant}:zeta={_fmt_zeta(zeta)}", variant=variant,
         branch=rate.branch, gamma=rate.gamma, delta=delta, c_emp=c1,
@@ -406,38 +402,36 @@ def verify_eigenvector_bound(cfg: ExperimentConfig) -> VerificationReport:
         return report
     pairs_2n = eigenpairs_in_gap(assemble_truncation(seq, 2 * n), gap)
     norms = seq.norms(n - 1)
+    ms = np.arange(1, 2 * n + 1)
 
     def c_b_for(pair, env):
         un = pair.block_norms
-        return max(un[m - 1] / env(1, m) for m in range(1, len(un) + 1))
+        return float(np.max(un / env[:len(un)]))
 
     for pair in pairs:
         zeta0 = pair.zeta
+        partner = next((p for p in pairs_2n if abs(p.zeta - zeta0) < DRIFT_TOL), None)
+        # envelope on the windows (1, m) up to the 2N section when it has a
+        # partner; the first N values serve the N section
+        top = n if partner is None else 2 * n
         try:
             rate, delta = _resolve_rate(cfg, variant, gap, zeta0, norms)
-            env = _make_envelope(variant, rate, seq, delta, n - 1, norms)
+            env = _make_envelope(variant, rate, seq, delta, seq.norms(top - 1), 1, ms[:top])
         except (DomainError, PreconditionError, ParameterError) as exc:
             report.experiments.append(_error_result(
                 f"eigenvector:zeta={_fmt_zeta(complex(zeta0))}", variant,
                 complex(zeta0), n, exc))
             continue
         c_b = c_b_for(pair, env)
-        partner = next((p for p in pairs_2n if abs(p.zeta - zeta0) < DRIFT_TOL), None)
-        if partner is not None:
-            env_2n = _make_envelope(variant, rate, seq, delta, 2 * n - 1,
-                                    seq.norms(2 * n - 1))
-            c_b_2n = c_b_for(partner, env_2n)
-        else:
-            c_b_2n = math.nan
+        c_b_2n = c_b_for(partner, env) if partner is not None else math.nan
         stable = (math.isfinite(c_b) and math.isfinite(c_b_2n)
                   and abs(c_b - c_b_2n) < STABILITY_REL * c_b)
         un = pair.block_norms
-        ms = np.arange(1, n + 1)
-        slope, mask = _fit_slope(ms, un, 1 + FIT_HEAD_OFFSET, n - FIT_TAIL_MARGIN)
-        slope_theo = _theoretical_slope(env, 1, ms[mask])
+        slope, mask = _fit_slope(ms[:n], un, 1 + FIT_HEAD_OFFSET, n - FIT_TAIL_MARGIN)
+        slope_theo = _theoretical_slope(ms[:n][mask], env[:n][mask])
         passed = bool(math.isfinite(c_b) and stable
                       and math.isfinite(slope) and slope >= slope_theo)
-        csv_rows = tuple((m, float(un[m - 1])) for m in range(1, n + 1))
+        csv_rows = tuple(zip(ms[:n].tolist(), un.tolist()))
         report.experiments.append(ExperimentResult(
             name=f"eigenvector:zeta={_fmt_zeta(complex(zeta0))}", variant=variant,
             branch=rate.branch, gamma=rate.gamma, delta=delta, c_emp=c_b,
@@ -498,12 +492,9 @@ def _direction_ratio(seq: EntrySequence, result: ExperimentResult,
     lo = min(cfg.rows[0], cfg.cols[0])
     hi = max(cfg.rows[1], cfg.cols[1])
     delta = result.delta if result.delta is not None else 1.0
-    S = np.zeros((seq.dim, seq.dim), dtype=complex)
-    scalar_sum = 0.0
-    for k in range(lo, hi):
-        S += phi_delta_spectral(delta, seq.a(k))
-        scalar_sum += 1.0 / max(delta, float(np.linalg.norm(seq.a(k), 2)))
-    lam_max = float(np.linalg.eigvalsh(S)[-1])
+    A = seq.blocks(lo, hi)[0]
+    lam_max = float(np.linalg.eigvalsh(np.sum(phi_delta_spectral(delta, A), axis=0))[-1])
+    scalar_sum = float(np.sum(phi_delta_array(delta, np.linalg.norm(A, 2, axis=(-2, -1)))))
     return lam_max / scalar_sum if scalar_sum > 0 else math.nan
 
 

@@ -24,8 +24,8 @@ Built-in families:
 ``custom``
     Arbitrary callable n -> (A_n, B_n); not JSON-serializable.
 
-All sequences are pure functions of n; no caching is performed here so that
-results are reproducible and safe to share across worker tasks.
+All sequences are pure functions of n (no caching, so results are
+reproducible); :meth:`EntrySequence.blocks` returns validated block stacks.
 """
 
 from __future__ import annotations
@@ -62,14 +62,38 @@ def as_block(value, dim: int | None = None, what: str = "block") -> np.ndarray:
     return arr
 
 
-def hermitian_deviation(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
+def hermitian_deviation(M: np.ndarray):
+    """max |M - M^*| of a block, or per block of a (..., d, d) stack."""
+    return np.max(np.abs(M - M.conj().swapaxes(-1, -2)), axis=(-2, -1), initial=0.0)
 
 
-def _require_hermitian(B: np.ndarray, what: str) -> None:
-    dev = hermitian_deviation(B)
-    if dev > HERMITICITY_TOL:
-        raise ParameterError(f"{what} is not Hermitian (deviation {dev:.3e} > {HERMITICITY_TOL:.0e})")
+def _require_hermitian(B: np.ndarray, what: str, first: int = 0) -> None:
+    """Raise unless B is Hermitian; block i of an (n, d, d) stack B is
+    named ``what.format(first + i)``, so errors name the first bad block."""
+    dev = np.atleast_1d(hermitian_deviation(B))
+    bad = np.flatnonzero(dev > HERMITICITY_TOL)
+    if bad.size:
+        raise ParameterError(f"{what.format(first + bad[0])} is not Hermitian "
+                             f"(deviation {dev[bad[0]]:.3e} > {HERMITICITY_TOL:.0e})")
+
+
+def _as_stack(values: list, dim: int, what: str, first: int) -> np.ndarray:
+    """Validated read-only (n, d, d) stack of ``values``, whose block i is
+    named ``what.format(first + i)`` in errors."""
+    try:
+        stack = np.asarray(values, dtype=complex)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is None or stack.shape != (len(values), dim, dim):
+        # ragged or scalar blocks: coerce one by one to report the first bad shape
+        stack = np.array([as_block(v, dim, what.format(first + i))
+                          for i, v in enumerate(values)], dtype=complex)
+        stack = stack.reshape(-1, dim, dim)
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        raise ParameterError(f"{what.format(first + bad[0])} contains non-finite entries")
+    stack.flags.writeable = False
+    return stack
 
 
 def _scalar_from_json(v):
@@ -169,13 +193,10 @@ class EntrySequence:
         validator = _VALIDATORS.get(self.family)
         if validator is not None:
             validator(self.dim, self.params)
-        prefix = []
-        for i, (A, B) in enumerate(self.prefix):
-            A = as_block(A, self.dim, f"prefix A_{i + 1}")
-            B = as_block(B, self.dim, f"prefix B_{i + 1}")
-            _require_hermitian(B, f"prefix B_{i + 1}")
-            prefix.append((A, B))
-        object.__setattr__(self, "prefix", tuple(prefix))
+        A = _as_stack([a for a, _ in self.prefix], self.dim, "prefix A_{}", 1)
+        B = _as_stack([b for _, b in self.prefix], self.dim, "prefix B_{}", 1)
+        _require_hermitian(B, "prefix B_{}", 1)
+        object.__setattr__(self, "prefix", tuple(zip(A, B)))
         if self.tail is not None:
             A, B = self.tail
             A = as_block(A, self.dim, "tail A")
@@ -185,17 +206,27 @@ class EntrySequence:
         if self.family == "explicit-list" and not self.prefix and self.tail is None:
             raise ParameterError("explicit-list sequence needs a prefix or a tail")
 
+    def blocks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (hi - lo, d, d) stacks of A_n and B_n for n in [lo, hi).
+
+        Blocks are generated per n and validated once per stack (shape,
+        finiteness, Hermitian B_n); errors name the first bad index.
+        """
+        if lo < 1:
+            raise ParameterError(f"block index must be >= 1, got {lo}")
+        if hi < lo:
+            raise ParameterError(f"block range [{lo}, {hi}) is reversed")
+        p, gen = len(self.prefix), _BLOCK_FNS[self.family]
+        pairs = [self.prefix[n - 1] if n <= p else gen(self, n) for n in range(lo, hi)]
+        A = _as_stack([a for a, _ in pairs], self.dim, "A_{}", lo)
+        B = _as_stack([b for _, b in pairs], self.dim, "B_{}", lo)
+        _require_hermitian(B, "B_{}", lo)
+        return A, B
+
     def block(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (A_n, B_n) for n >= 1."""
-        if n < 1:
-            raise ParameterError(f"block index must be >= 1, got {n}")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        A, B = _BLOCK_FNS[self.family](self, n)
-        A = as_block(A, self.dim, f"A_{n}")
-        B = as_block(B, self.dim, f"B_{n}")
-        _require_hermitian(B, f"B_{n}")
-        return A, B
+        A, B = self.blocks(n, n + 1)
+        return A[0], B[0]
 
     def a(self, n: int) -> np.ndarray:
         return self.block(n)[0]
@@ -207,8 +238,7 @@ class EntrySequence:
         """Spectral norms ||A_k|| for k = 1..upto (vectorized SVD)."""
         if upto < 1:
             raise ParameterError(f"norm horizon must be >= 1, got {upto}")
-        stack = np.stack([self.block(k)[0] for k in range(1, upto + 1)])
-        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+        return np.linalg.svd(self.blocks(1, upto + 1)[0], compute_uv=False)[:, 0]
 
 
 def _zeros(d):
@@ -368,10 +398,9 @@ class TruncatedOperator:
     Held as block stacks: ``a_blocks[k - 1]`` = A_k (k = 1..N-1) sits at
     block (k, k+1) and its adjoint at (k+1, k); ``b_blocks[k - 1]`` = B_k
     (k = 1..N) on the diagonal; everything else is exactly zero (plain
-    Dirichlet cut).  The section is Hermitian by construction whenever the
-    B_k are, which :class:`EntrySequence` validates block by block.
-    ``sequence`` keeps the producing rule so refinements to larger N can be
-    assembled on demand.
+    Dirichlet cut).  The section is Hermitian because every B_k is, which
+    construction checks on the B stack.  ``sequence`` keeps the producing
+    rule so refinements to larger N can be assembled on demand.
     """
 
     a_blocks: np.ndarray          # (N - 1, d, d)
@@ -384,6 +413,7 @@ class TruncatedOperator:
             raise ParameterError(
                 f"block stacks must be (N-1, d, d) and (N, d, d), got "
                 f"{self.a_blocks.shape} and {self.b_blocks.shape}")
+        _require_hermitian(self.b_blocks, "B_{}", 1)
 
     @property
     def n_blocks(self) -> int:
@@ -408,12 +438,8 @@ def assemble_truncation(seq: EntrySequence, n_blocks: int) -> TruncatedOperator:
     """Assemble the N-block Dirichlet truncation of the block Jacobi matrix."""
     if n_blocks < 2:
         raise ParameterError(f"need at least 2 blocks, got {n_blocks}")
-    pairs = [seq.block(k) for k in range(1, n_blocks + 1)]
-    a_blocks = np.stack([A for A, _ in pairs[:-1]])
-    b_blocks = np.stack([B for _, B in pairs])
-    a_blocks.flags.writeable = False
-    b_blocks.flags.writeable = False
-    return TruncatedOperator(a_blocks=a_blocks, b_blocks=b_blocks, sequence=seq)
+    a_blocks, b_blocks = seq.blocks(1, n_blocks + 1)
+    return TruncatedOperator(a_blocks=a_blocks[:-1], b_blocks=b_blocks, sequence=seq)
 
 
 # ---------------------------------------------------------------------------

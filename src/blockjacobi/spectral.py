@@ -16,7 +16,7 @@ and memory are O(N d^3) and O(N d^2): no dense (N d) x (N d) matrix is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs
@@ -56,9 +56,6 @@ def truncated_spectrum(op: TruncatedOperator) -> SpectrumEstimate:
     pair; a violation means the eigensolver failed and raises.
     """
     M = op.to_dense()
-    dev = hermitian_deviation(M)
-    if dev > HERMITICITY_TOL:
-        raise ParameterError(f"matrix deviates from Hermitian by {dev:.3e}")
     vals, vecs = np.linalg.eigh(M)
     norm_j = float(np.max(np.abs(vals))) if vals.size else 0.0
     residual = float(np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0)))
@@ -193,28 +190,12 @@ def band_edges(est: SpectrumEstimate, tol: float) -> np.ndarray:
 
     Refined against the symbol eigenvalue functions when available.
     """
-    gaps = detect_gap(est, tol)
-    edges = []
-    for g in gaps:
-        edges.extend((g.r, g.s))
-    lo, hi = float(est.samples[0]), float(est.samples[-1])
+    edges = [e for g in detect_gap(est, tol) for e in (g.r, g.s)]
     if est.symbol is not None:
-        A, B = est.symbol
-        thetas = 2.0 * math.pi * np.arange(est.size) / est.size
-        stack = np.linalg.eigvalsh(_symbol_matrices(A, B, thetas))
-        h = 2.0 * math.pi / est.size
-
-        def fmin(t):
-            return float(np.linalg.eigvalsh(_symbol_matrices(A, B, np.array([t]))[0])[0])
-
-        def fmax(t):
-            return float(np.linalg.eigvalsh(_symbol_matrices(A, B, np.array([t]))[0])[-1])
-
-        kmin = int(np.argmin(stack[:, 0]))
-        kmax = int(np.argmax(stack[:, -1]))
-        _, lo = _golden_extremum(fmin, thetas[kmin] - h, thetas[kmin] + h, -1.0)
-        _, hi = _golden_extremum(fmax, thetas[kmax] - h, thetas[kmax] + h, 1.0)
-    edges.extend((lo, hi))
+        edges.extend((_refine_symbol_level(est, -math.inf, "above"),
+                      _refine_symbol_level(est, math.inf, "below")))
+    else:
+        edges.extend((float(est.samples[0]), float(est.samples[-1])))
     return np.sort(np.array(edges))
 
 
@@ -223,21 +204,27 @@ def band_edges(est: SpectrumEstimate, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GreenTable:
-    """Green blocks G_mj(zeta) and their spectral norms for one zeta."""
+    """Green blocks G_mj(zeta) and their spectral norms for one zeta.
+
+    ``stack[a, b]`` is G_mj for m = rows[a], j = cols[b] (both ascending);
+    ``norm_stack`` holds the matching spectral norms.
+    """
 
     zeta: complex
     dim: int
-    blocks: dict = field(default_factory=dict)   # (m, j) -> d x d ndarray
-    norms: dict = field(default_factory=dict)    # (m, j) -> float
+    rows: tuple
+    cols: tuple
+    stack: np.ndarray        # (len(rows), len(cols), d, d)
+    norm_stack: np.ndarray   # (len(rows), len(cols))
     sigma_min: float = math.inf
     condition: float = 0.0
     ill_conditioned: bool = False
 
     def block(self, m: int, j: int) -> np.ndarray:
-        return self.blocks[(m, j)]
+        return self.stack[self.rows.index(m), self.cols.index(j)]
 
     def norm(self, m: int, j: int) -> float:
-        return self.norms[(m, j)]
+        return float(self.norm_stack[self.rows.index(m), self.cols.index(j)])
 
 
 def _band_storage(op: TruncatedOperator, zeta: complex) -> np.ndarray:
@@ -326,12 +313,9 @@ def green_block(op: TruncatedOperator, zeta: complex, rows, cols) -> GreenTable:
     stack = X.reshape(n, d, len(cols), d)[np.array(rows) - 1].transpose(0, 2, 1, 3)
     stack.flags.writeable = False
     norm_stack = np.linalg.norm(stack, 2, axis=(-2, -1))
-    blocks, norms = {}, {}
-    for a, m in enumerate(rows):
-        for b, j in enumerate(cols):
-            blocks[(m, j)] = stack[a, b]
-            norms[(m, j)] = float(norm_stack[a, b])
-    return GreenTable(zeta=zeta, dim=d, blocks=blocks, norms=norms,
+    norm_stack.flags.writeable = False
+    return GreenTable(zeta=zeta, dim=d, rows=tuple(rows), cols=tuple(cols),
+                      stack=stack, norm_stack=norm_stack,
                       sigma_min=sigma, condition=condition,
                       ill_conditioned=condition > CONDITION_LIMIT)
 

@@ -70,9 +70,7 @@ def transfer_matrix(seq: EntrySequence, n: int, zeta: complex) -> TransferMatrix
         raise ParameterError(f"transfer matrix needs n >= 2 (uses A_(n-1)), got {n}")
     zeta = complex(zeta)
     d = seq.dim
-    A_n = seq.a(n)
-    A_prev = seq.a(n - 1)
-    B_n = seq.b(n)
+    (A_prev, A_n), (_, B_n) = seq.blocks(n - 1, n + 1)
     if np.linalg.norm(B_n, 2) > 1e-12:
         raise ParameterError("transfer matrices are implemented for B_n = 0 families")
     cond = np.linalg.cond(A_n)

@@ -140,3 +140,26 @@ def test_error_paths(capsys):
     code, _ = cli(capsys, "green", "--operator", "example2:x=3", "--n", "40",
                   "--zeta", "0")  # on the zero-energy bound state
     assert code == 1
+
+
+@pytest.mark.parametrize("operator, item", [
+    ("example2:y=3", "'y=3'"),              # unknown key: used to run with x = 0
+    ("example2:x", "'x'"),                  # no '=': used to fail inside float()
+    ("example2:x=three", "'x=three'"),      # non-numeric value
+    ("example1:x=1", "'x=1'"),              # example1 takes no parameters
+    ("example3:x=0,beta=1", "'beta=1'"),
+])
+def test_operator_shorthand_rejects_bad_items(capsys, operator, item):
+    code = main(["gap", "--operator", operator, "--source", "symbol"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "ParameterError" in captured.err and item in captured.err
+
+
+def test_operator_shorthand_accepts_family_keys(capsys):
+    code, out = cli(capsys, "spectrum", "--operator",
+                    "example3:x=0.5,alpha=0.75,c1=0,c2=1", "--n", "6")
+    assert code == 0 and len(json.loads(out)["eigenvalues"]) == 12
+    code, out = cli(capsys, "spectrum", "--operator", "example1", "--n", "6")
+    assert code == 0

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from blockjacobi import (DecayRate, DomainError,
                          PreconditionError, commuting_check, constant_sequence,
                          cumulative_phi, cumulative_reciprocal, custom_sequence,
                          discrete_envelope, example2_sequence,
-                         example3_sequence, operator_envelope,
-                         ordered_product_envelope, scalar_envelope)
+                         example3_sequence, explicit_sequence,
+                         operator_envelope, scalar_envelope)
 
 
 def rate(gamma):
@@ -154,6 +155,23 @@ def test_commuting_check_scalar_multiples_of_normal():
     assert ok and worst <= 1e-10
 
 
+@given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_commuting_check_matches_pairwise_loop(d, upto, seed, diagonal):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((upto, d, d)) + 1j * rng.standard_normal((upto, d, d))
+    H = rng.standard_normal((upto, d, d))
+    B = H + H.transpose(0, 2, 1)
+    if diagonal:   # commuting family: the maximum is 0 up to rounding
+        A, B = A * np.eye(d), B * np.eye(d)
+    seq = explicit_sequence(list(zip(A, B)))
+    ops = [X for k in range(upto) for X in (A[k], B[k], A[k].conj().T)]
+    worst = max((np.linalg.norm(X @ Y - Y @ X, 2)
+                 for i, X in enumerate(ops) for Y in ops[i + 1:]), default=0.0)
+    ok, got = commuting_check(seq, upto)
+    assert got == pytest.approx(worst, rel=1e-12, abs=1e-15)
+    assert ok == (got <= 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # discrete envelope
 
@@ -177,7 +195,6 @@ def test_discrete_envelope_n0_reporting():
         lambda n: (np.array([[norms[n - 1]]]), np.array([[0.0]])), 1)
     prod = discrete_envelope(rate(1.0), seq, 1, 6)
     assert prod.n0 == 3
-    assert prod.factors.shape == (3,)  # k = 3, 4, 5
     assert prod.value == pytest.approx((1 - 1 / 5.0) * (1 - 1 / 6.0) * (1 - 1 / 7.0),
                                        rel=1e-12)
 
@@ -224,25 +241,107 @@ def test_discrete_exponent_dominates_continuous_on_growing_family():
 
 
 # ---------------------------------------------------------------------------
-# experimental ordered product
+# broadcast envelopes against per-window oracles
 
-def test_ordered_product_scalar_matches_discrete():
-    seq = custom_sequence(lambda n: (np.array([[n + 3.0]]), np.array([[0.0]])), 1)
-    P = ordered_product_envelope(rate(0.5), seq, 1, 8)
-    prod = discrete_envelope(rate(0.5), seq, 1, 8)
-    assert P[0, 0].real == pytest.approx(prod.value, rel=1e-12)
+@st.composite
+def windows(draw, top):
+    """(m, j) broadcasting to a grid of windows within blocks 1..top + 1.
+
+    The grid always holds an m = j window and, for top >= 2, a window with
+    m > j whose lower end is above 1.
+    """
+    idx = st.integers(1, top + 1)
+    ms = draw(st.lists(idx, min_size=1, max_size=6))
+    js = draw(st.lists(idx, min_size=1, max_size=6))
+    k = draw(idx)
+    ms, js = ms + [k, top + 1], js + [k, min(2, top + 1)]
+    return np.array(ms)[:, None], np.array(js)[None, :]
 
 
-def test_ordered_product_diagonal():
-    seq = diag_seq(lambda n: n + 3.0, lambda n: 2.0 * (n + 3.0))
-    g = 0.5
-    P = ordered_product_envelope(rate(g), seq, 1, 6)
-    d1 = np.prod([1 - g / (k + 3.0) for k in range(1, 6)])
-    d2 = np.prod([1 - g / (2.0 * (k + 3.0)) for k in range(1, 6)])
-    assert np.allclose(P, np.diag([d1, d2]), rtol=1e-12)
+@st.composite
+def norm_windows(draw):
+    top = draw(st.integers(1, 40))
+    norms = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 8.0),
+                                   min_size=top, max_size=top)))
+    return norms, draw(windows(top))
 
 
-def test_ordered_product_precondition():
-    seq = constant_sequence(np.array([[0.1]]), np.array([[0.0]]))
-    with pytest.raises(PreconditionError):
-        ordered_product_envelope(rate(0.5), seq, 1, 4)
+gammas = st.floats(0.05, 2.0)
+
+
+def pairs(m, j):
+    mm, jj = np.broadcast_arrays(m, j)
+    return list(zip(mm.ravel().tolist(), jj.ravel().tolist()))
+
+
+@given(norm_windows(), gammas, st.floats(0.1, 3.0))
+def test_scalar_envelope_broadcast_matches_window_sums(data, gamma, delta):
+    norms, (m, j) = data
+    prof = cumulative_phi(None, delta, len(norms), norms=norms)
+    env = scalar_envelope(rate(gamma), prof, m, j)
+    oracle = [math.exp(-gamma * sum(1.0 / max(delta, norms[k - 1])
+                                    for k in range(min(a, b), max(a, b))))
+              for a, b in pairs(m, j)]
+    assert env.shape == (m.size, j.size)
+    assert np.allclose(env.ravel(), oracle, rtol=1e-12, atol=0.0)
+
+
+def discrete_oracle(gamma, norms, m, j):
+    """(n0, value) of one window, or None when no valid n0 exists."""
+    lo, hi = min(m, j), max(m, j)
+    horizon = max(hi - 1, 1)
+    with np.errstate(over="ignore"):
+        ratios = [gamma / x if x > 0 else math.inf for x in norms[:horizon]]
+    bad = [k for k in range(1, horizon + 1) if ratios[k - 1] >= 1.0]
+    n0 = bad[-1] + 1 if bad else 1
+    if n0 > horizon:
+        return None
+    return n0, np.prod([1.0 - ratios[k - 1] for k in range(max(lo, n0), hi)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(norm_windows(), gammas)
+def test_discrete_envelope_broadcast_matches_products(data, gamma):
+    norms, (m, j) = data
+    oracle = [discrete_oracle(gamma, norms, a, b) for a, b in pairs(m, j)]
+    if any(o is None for o in oracle):
+        with pytest.raises(PreconditionError):
+            discrete_envelope(rate(gamma), None, m, j, norms=norms)
+        return
+    prod = discrete_envelope(rate(gamma), None, m, j, norms=norms)
+    assert prod.value.shape == prod.n0.shape == (m.size, j.size)
+    assert prod.n0.ravel().tolist() == [o[0] for o in oracle]
+    assert np.allclose(prod.value.ravel(), [o[1] for o in oracle],
+                       rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def block_windows(draw):
+    d = draw(st.integers(1, 3))
+    top = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = rng.uniform(0.1, 4.0, size=(top, 1, 1))
+    A = scale * (rng.standard_normal((top, d, d)) + 1j * rng.standard_normal((top, d, d)))
+    seq = explicit_sequence([(a, np.zeros((d, d))) for a in A])
+    return seq, A, draw(windows(top - 1 if top > 1 else 1))
+
+
+def hermitian_exp(S, gamma):
+    vals, vecs = np.linalg.eigh(S)
+    return (vecs * np.exp(gamma * vals)) @ vecs.conj().T
+
+
+@given(block_windows(), st.floats(0.05, 1.0), st.floats(0.5, 3.0))
+def test_operator_envelope_broadcast_matches_sequential_sums(data, gamma, delta):
+    seq, A, (m, j) = data
+    d = seq.dim
+    E = operator_envelope(rate(gamma), seq, delta, m, j)
+    assert E.shape == (m.size, j.size, d, d)
+    for (a, b), got in zip(pairs(m, j), E.reshape(-1, d, d)):
+        S = np.zeros((d, d), dtype=complex)
+        for k in range(min(a, b), max(a, b)):
+            vals, U = np.linalg.eigh(A[k - 1].conj().T @ A[k - 1])
+            s = np.sqrt(np.clip(vals, 0.0, None))
+            S += (U / np.maximum(delta, s)) @ U.conj().T
+        want = hermitian_exp(S, gamma)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(want, 2)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blockjacobi import (EntrySequence, ParameterError,
+from blockjacobi import (EntrySequence, ParameterError, TruncatedOperator,
                          assemble_truncation, carleman_check, constant_sequence,
                          custom_sequence, example1_sequence, example2_sequence,
                          example3_sequence, explicit_sequence, load_operator,
@@ -223,3 +223,63 @@ def test_block_index_validation():
     seq = example2_sequence(1.0)
     with pytest.raises(ParameterError):
         seq.block(0)
+
+
+# ---------------------------------------------------------------------------
+# block stacks
+
+def test_blocks_names_first_non_hermitian_b():
+    def fn(n):
+        B = np.array([[0.0, 1.0], [0.0, 0.0]]) if n >= 7 else np.zeros((2, 2))
+        return np.eye(2), B
+    seq = custom_sequence(fn, 2)
+    assert seq.blocks(1, 7)[1].shape == (6, 2, 2)
+    with pytest.raises(ParameterError, match=r"^B_7 is not Hermitian"):
+        seq.blocks(1, 10)
+
+
+def test_blocks_names_non_finite_a():
+    seq = custom_sequence(
+        lambda n: (np.array([[math.nan if n in (3, 5) else 1.0]]), np.zeros((1, 1))), 1)
+    with pytest.raises(ParameterError, match=r"^A_3 contains non-finite entries"):
+        seq.blocks(2, 8)
+    with pytest.raises(ParameterError, match=r"^A_3 "):
+        seq.norms(6)
+
+
+def test_blocks_shape_and_range_validation():
+    seq = custom_sequence(
+        lambda n: (np.eye(3 if n == 4 else 2), np.zeros((2, 2))), 2)
+    with pytest.raises(ParameterError, match=r"^A_4 must be 2x2"):
+        seq.blocks(1, 6)
+    ragged = custom_sequence(lambda n: (np.ones((2, 3)), np.zeros((2, 2))), 2)
+    with pytest.raises(ParameterError, match=r"^A_1 must be a square matrix"):
+        ragged.blocks(1, 3)
+    with pytest.raises(ParameterError):
+        example2_sequence(3.0).blocks(0, 4)
+    A, B = example2_sequence(3.0).blocks(5, 5)
+    assert A.shape == B.shape == (0, 2, 2)
+
+
+def test_blocks_match_block_across_prefix_and_tail():
+    rng = np.random.default_rng(11)
+    prefix = []
+    for _ in range(4):
+        H = rng.standard_normal((2, 2))
+        prefix.append((rng.standard_normal((2, 2)), H + H.T))
+    tail = (np.array([[2.0, 1.0], [0.0, 2.0]]), np.diag([1.0, -1.0]))
+    seq = explicit_sequence(prefix, tail=tail)
+    A, B = seq.blocks(2, 9)
+    assert A.shape == B.shape == (7, 2, 2)
+    assert not A.flags.writeable and not B.flags.writeable
+    for i, n in enumerate(range(2, 9)):
+        a, b = seq.block(n)
+        assert np.array_equal(A[i], a) and np.array_equal(B[i], b)
+    assert np.array_equal(B[0], prefix[1][1]) and np.array_equal(A[-1], tail[0])
+
+
+def test_truncation_rejects_non_hermitian_b_stack():
+    b_blocks = np.zeros((4, 2, 2), dtype=complex)
+    b_blocks[2, 0, 1] = 1e-6
+    with pytest.raises(ParameterError, match=r"^B_3 is not Hermitian"):
+        TruncatedOperator(a_blocks=np.ones((3, 2, 2)), b_blocks=b_blocks)
