@@ -288,6 +288,12 @@ def _fit_slope(ms, values, lo: int, hi: int) -> tuple[float, np.ndarray]:
     return -float(coeff[0]), mask
 
 
+def _noise_floor_m(ms: np.ndarray, mask: np.ndarray) -> int | None:
+    """Largest m the slope fit kept (None when it kept none)."""
+    kept = ms[mask]
+    return int(kept[-1]) if kept.size else None
+
+
 def _theoretical_slope(ms: np.ndarray, env: np.ndarray) -> float:
     """Least-squares slope of -log(env) against m."""
     if ms.size < 2:
@@ -340,6 +346,7 @@ def _green_single(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
         "condition": _json_float(table.condition),
         "ill_conditioned": table.ill_conditioned,
         "fit_points": int(np.count_nonzero(mask)),
+        "noise_floor_m": _noise_floor_m(rows, mask),
         "all_ratios_finite": all_finite,
         "c_emp_stable": bool(stable),
         "stability_checked": check_stability,
@@ -439,7 +446,8 @@ def verify_eigenvector_bound(cfg: ExperimentConfig) -> VerificationReport:
             n_blocks=n, zeta=complex(zeta0),
             details={"c_b_2n": _json_float(c_b_2n), "residual": pair.residual,
                      "drift": pair.drift, "stable_partner_found": partner is not None,
-                     "fit_points": int(np.count_nonzero(mask))},
+                     "fit_points": int(np.count_nonzero(mask)),
+                     "noise_floor_m": _noise_floor_m(ms[:n], mask)},
             table=csv_rows))
     return report
 

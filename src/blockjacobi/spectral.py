@@ -11,6 +11,12 @@ Green blocks G_mj(zeta) = P_m (J_N - zeta)^{-1} P_j are computed from one
 banded LU factorization per zeta (LAPACK ``zgbtrf`` on the block-tridiagonal
 band, kl = ku = 2d - 1), reused across all requested column blocks.  Cost
 and memory are O(N d^3) and O(N d^2): no dense (N d) x (N d) matrix is built.
+
+Gap eigenpairs are banded too: one Hermitian band eigensolve (kd = 2d - 1)
+gives the eigenvalues of J_N, block inverse iteration on the band LU gives
+the eigenvectors of the in-gap ones, and the far-edge artifact filter reads
+only the coupling A_N to block N + 1 instead of a 2N section.  Only
+``truncated_spectrum`` diagonalizes the dense truncation.
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
-from .operators import (TruncatedOperator, as_block, assemble_truncation,
-                        hermitian_deviation, HERMITICITY_TOL)
+from .operators import (TruncatedOperator, as_block, hermitian_deviation,
+                        HERMITICITY_TOL)
 
 #: zeta must stay at least this far from the truncated spectrum
 SINGULARITY_TOL = 1e-8
@@ -34,9 +41,16 @@ CONDITION_LIMIT = 1e12
 RESIDUAL_TOL = 1e-8
 
 _POWER_ITERATIONS = 40
-_SIGMA_SEED = 20260810
+#: seed of the random start vectors of both inverse iterations
+_SEED = 20260810
+#: cap on block inverse-iteration steps per eigenvalue cluster
+_INVERSE_STEPS = 40
+#: imaginary part of the inverse-iteration shift, relative to max(||J_N||, 1)
+_SHIFT_IMAG_REL = 1e-10
 #: entries of a length-n vector below this / sqrt(n) keep its sum of squares finite
 _SQNORM_SAFE = math.sqrt(np.finfo(float).max)
+#: smallest normal float
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +263,7 @@ def _band_storage(op: TruncatedOperator, zeta: complex) -> np.ndarray:
 
 def _smallest_singular_value(lu, ipiv, kl: int, size: int) -> float:
     """Inverse power iteration on (M M^H)^{-1} using an existing band LU factorization."""
-    rng = np.random.default_rng(_SIGMA_SEED)
+    rng = np.random.default_rng(_SEED)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v /= np.linalg.norm(v)
     lam = 0.0
@@ -330,11 +344,79 @@ class EigenpairInGap:
     zeta: float
     blocks: np.ndarray    # (N, d) array of the blocks u_m
     residual: float       # ||J_N u - zeta u||
-    drift: float          # eigenvalue movement between the N and 2N sections
+    drift: float          # certified upper bound on dist(zeta, spec J_2N)
 
     @property
     def block_norms(self) -> np.ndarray:
         return np.linalg.norm(self.blocks, axis=1)
+
+
+def _hermitian_band(op: TruncatedOperator) -> np.ndarray:
+    """Lower triangle of J_N in LAPACK Hermitian band storage, kd = 2d - 1.
+
+    Entry (i, j), i >= j, sits at row i - j, column j (the ``lower=True``
+    layout of ``scipy.linalg.eigvals_banded``).  The lower triangles of the
+    B_k and the A_k^* below the diagonal are each written by one scatter
+    over all N blocks.
+    """
+    n, d = op.n_blocks, op.dim
+    ab = np.zeros((2 * d, n * d), dtype=complex)
+    r, c = np.divmod(np.arange(d * d), d)      # entry (r, c) of a d x d block
+    col = d * np.arange(n)[:, None] + c
+    low = r >= c
+    ab[(r - c)[low], col[:, low]] = op.b_blocks.reshape(n, d * d)[:, low]
+    ab[d + r - c, col[:-1]] = op.a_blocks.conj().transpose(0, 2, 1).reshape(n - 1, d * d)
+    return ab
+
+
+def _apply(op: TruncatedOperator, X: np.ndarray) -> np.ndarray:
+    """J_N X for an (N d, k) array, straight from the block stacks."""
+    n, d = op.n_blocks, op.dim
+    Xb = X.reshape(n, d, -1)
+    Y = op.b_blocks @ Xb
+    Y[:-1] += op.a_blocks @ Xb[1:]
+    Y[1:] += op.a_blocks.conj().transpose(0, 2, 1) @ Xb[:-1]
+    return Y.reshape(X.shape)
+
+
+def _ritz_basis(op: TruncatedOperator, shift: complex, k: int,
+                steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz vectors U of the k eigenvalues of J_N nearest ``shift``, and J_N U.
+
+    ``steps`` steps of seeded block inverse iteration on the band LU of
+    J_N - shift, with a QR after every step, then Rayleigh-Ritz on the block.
+    """
+    n, d = op.n_blocks, op.dim
+    kl = 2 * d - 1
+    # Im shift > 0 keeps sigma_min(J_N - shift) >= Im shift: no zero pivot
+    lu, ipiv, _ = zgbtrf(_band_storage(op, shift), kl, kl, overwrite_ab=1)
+    rng = np.random.default_rng(_SEED)
+    X = rng.standard_normal((n * d, k)) + 1j * rng.standard_normal((n * d, k))
+    for _ in range(steps):
+        X, _ = zgbtrs(lu, kl, kl, X, ipiv)
+        X, _ = np.linalg.qr(X)
+    JX = _apply(op, X)
+    _, V = np.linalg.eigh(X.conj().T @ JX)
+    return X @ V, JX @ V
+
+
+def _inverse_steps(vals: np.ndarray, cluster: list, shift: complex) -> int:
+    """Inverse-iteration steps that resolve every entry above the smallest normal float.
+
+    Each step shrinks the share of the eigenvectors outside the cluster by
+    rho = max_in |lambda - shift| / min_out |lambda - shift|, uniformly in
+    every entry; after ceil(log(tiny) / log(rho)) steps, plus one for the
+    random start, what is left lies below the smallest normal float, so the
+    tiny far blocks of a localized eigenvector are resolved too, not just its
+    norm.  At most ``_INVERSE_STEPS``.
+    """
+    dist = np.abs(vals - shift)
+    rho = np.max(dist[cluster]) / np.min(np.delete(dist, cluster), initial=math.inf)
+    if rho == 0.0:
+        return 1
+    if not rho < 1.0:
+        return _INVERSE_STEPS
+    return min(_INVERSE_STEPS, 1 + math.ceil(math.log(_TINY) / math.log(rho)))
 
 
 def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
@@ -344,14 +426,27 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     """Eigenpairs of J_N strictly inside the gap, filtered of cut artifacts.
 
     Candidates are eigenvalues in (r + margin, s - margin) with margin 2% of
-    the gap width.  A Dirichlet cut manufactures spurious in-gap eigenpairs
-    localized at the far boundary; these can be perfectly N-stable (the cut
-    exists at every N), so stability of the eigenvalue alone cannot reject
-    them.  Each candidate is therefore also embedded (zero-padded) into the
-    2N section: genuine eigenvectors of the infinite operator keep a tiny
-    residual there, boundary artifacts jump to O(1).  Near-degenerate
-    candidate clusters are re-separated by an SVD of the embedded residual
-    map, so a genuine mode hiding inside a degenerate pair is still found.
+    the gap width; all N d eigenvalues come from one banded Hermitian
+    eigensolve (``eigvals_banded``, kd = 2d - 1).  Candidates within
+    ``cluster_tol`` of each other form a cluster, whose eigenvectors come
+    from block inverse iteration on the band LU of J_N - (mean + i tau),
+    tau = 1e-10 max(||J_N||, 1), followed by Rayleigh-Ritz.  The iteration
+    runs until the other eigenvectors' share is below the smallest normal
+    float, so far blocks of a localized eigenvector are resolved entrywise.
+
+    A Dirichlet cut manufactures spurious in-gap eigenpairs localized at the
+    far boundary; these can be perfectly N-stable (the cut exists at every
+    N), so stability of the eigenvalue alone cannot reject them.  Each
+    candidate is therefore also embedded (zero-padded) into the 2N section,
+    where its residual is exactly [(J_N - x) u ; A_N^* u_N ; 0], so no 2N
+    section is assembled: genuine eigenvectors of the infinite operator keep
+    a tiny residual there, boundary artifacts jump to O(1).  Near-degenerate
+    clusters are re-separated by an SVD of this embedded residual map, so a
+    genuine mode hiding inside a degenerate pair is still found.  ``drift``
+    is ||(J_2N - theta) E u|| (E = zero padding), an upper bound on
+    dist(theta, spec J_2N) because J_2N is Hermitian.  The eigensolve takes
+    O((N d)^2 d) time, each cluster O(N d^3) more; memory is O(N d^2) and no
+    dense matrix is built.
     """
     seq = op.sequence
     if seq is None:
@@ -359,13 +454,10 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     n, d = op.n_blocks, op.dim
     margin = margin_frac * gap.width
     lo, hi = gap.r + margin, gap.s - margin
-    dense = op.to_dense()
-    vals, vecs = np.linalg.eigh(dense)
+    vals = eigvals_banded(_hermitian_band(op), lower=True, check_finite=False)
     candidates = np.nonzero((vals > lo) & (vals < hi))[0]
     if candidates.size == 0:
         return []
-    big = assemble_truncation(seq, 2 * n).to_dense()
-    big_vals = np.linalg.eigvalsh(big)
     # group candidates into near-degenerate clusters
     clusters, current = [], [int(candidates[0])]
     for idx in candidates[1:]:
@@ -375,26 +467,27 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
             clusters.append(current)
             current = [int(idx)]
     clusters.append(current)
+    norm_scale = max(float(np.max(np.abs(vals))), 1.0)
+    # block (N + 1, N) of the 2N section
+    a_cut = seq.blocks(n, n + 1)[0][0].conj().T
     results = []
-    norm_scale = max(float(np.max(np.abs(big_vals))), 1.0)
     for cluster in clusters:
-        U = vecs[:, cluster]
         mean_val = float(np.mean(vals[cluster]))
-        embedded = np.zeros((2 * n * d, len(cluster)), dtype=complex)
-        embedded[: n * d, :] = U
-        W = big @ embedded - mean_val * embedded
+        shift = complex(mean_val, _SHIFT_IMAG_REL * norm_scale)
+        U, JU = _ritz_basis(op, shift, len(cluster), _inverse_steps(vals, cluster, shift))
+        W = np.vstack([JU - mean_val * U, a_cut @ U[-d:]])
         _, svals, vh = np.linalg.svd(W, full_matrices=False)
         for i in range(len(cluster) - 1, -1, -1):
             if svals[i] > embed_tol * norm_scale:
                 continue
-            u = U @ vh[i, :].conj()
-            theta = float(np.real(u.conj() @ (dense @ u)))
+            u, Ju = U @ vh[i, :].conj(), JU @ vh[i, :].conj()
+            theta = float(np.real(u.conj() @ Ju))
             if not lo < theta < hi:
                 continue
-            drift = float(np.min(np.abs(big_vals - theta)))
+            residual = float(np.linalg.norm(Ju - theta * u))
+            drift = math.hypot(residual, float(np.linalg.norm(a_cut @ u[-d:])))
             if drift >= drift_tol:
                 continue
-            residual = float(np.linalg.norm(dense @ u - theta * u))
             if residual > RESIDUAL_TOL * norm_scale:
                 continue
             u = u / np.linalg.norm(u)

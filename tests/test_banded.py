@@ -1,19 +1,37 @@
-"""Banded Green solve against the dense oracle.
+"""Banded Green solve and banded gap eigen-search against the dense oracle.
 
-``green_block`` factors J_N - zeta in LAPACK band storage and never builds
-the (N d) x (N d) matrix; ``TruncatedOperator.to_dense`` exists for the
-oracle here.  Property tests draw random Hermitian block operators with
-d = 1..4 and N = 2..40.
+``green_block`` factors J_N - zeta in LAPACK band storage and
+``eigenpairs_in_gap`` works from Hermitian band storage and band LU; neither
+builds the (N d) x (N d) matrix.  ``TruncatedOperator.to_dense`` exists for
+the oracle here.  Property tests draw random Hermitian block operators (and
+explicit-list sequences for the eigen-search, which also reads block N + 1)
+with d = 1..4 and N = 2..40.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from blockjacobi import (ParameterError, SingularityError, TruncatedOperator,
-                         assemble_truncation, example2_sequence, green_block)
+from blockjacobi import (ExperimentConfig, GapInterval, ParameterError,
+                         SingularityError, TruncatedOperator,
+                         assemble_truncation, eigenpairs_in_gap,
+                         example2_sequence, explicit_sequence, green_block,
+                         verify_eigenvector_bound, with_prefix)
+from blockjacobi.spectral import RESIDUAL_TOL, _hermitian_band
+
+A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
+
+
+def gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def hermitian(rng, *shape):
+    H = gaussian(rng, *shape)
+    return 0.5 * (H + np.swapaxes(H, -1, -2).conj())
 
 
 @st.composite
@@ -21,13 +39,20 @@ def hermitian_operators(draw):
     d = draw(st.integers(1, 4))
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b_blocks = hermitian(rng, n, d, d)
+    return TruncatedOperator(a_blocks=gaussian(rng, n - 1, d, d), b_blocks=b_blocks)
 
-    def gaussian(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    H = gaussian(n, d, d)
-    b_blocks = 0.5 * (H + H.conj().transpose(0, 2, 1))
-    return TruncatedOperator(a_blocks=gaussian(n - 1, d, d), b_blocks=b_blocks)
+@st.composite
+def hermitian_sequences(draw):
+    """(explicit-list sequence, N): a random prefix, shorter or longer than N,
+    then a constant random tail."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prefix = [(gaussian(rng, d, d), hermitian(rng, d, d))
+              for _ in range(draw(st.integers(1, 45)))]
+    return explicit_sequence(prefix, tail=(gaussian(rng, d, d), hermitian(rng, d, d))), n
 
 
 #: spectral points off the real axis, where J_N - zeta is never singular
@@ -111,3 +136,71 @@ def test_scale_far_beyond_dense_memory():
     got = np.array([big.norm(m, 1) for m in rows])
     want = np.array([ref.norm(m, 1) for m in rows])
     assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+# ---------------------------------------------------------------------------
+# banded gap eigen-search
+
+@given(hermitian_operators())
+def test_hermitian_band_is_the_lower_triangle(op):
+    ab = _hermitian_band(op)
+    size = op.n_blocks * op.dim
+    assert ab.shape == (2 * op.dim, size)
+    lower = np.zeros((size, size), dtype=complex)
+    for k in range(ab.shape[0]):
+        j = np.arange(size - k)
+        lower[j + k, j] = ab[k, j]
+    assert np.array_equal(lower, np.tril(op.to_dense()))
+
+
+@given(hermitian_sequences())
+def test_eigenpairs_match_dense_oracle(case):
+    # with the artifact filters opened every eigenpair of J_N comes back
+    seq, n = case
+    op = assemble_truncation(seq, n)
+    J = op.to_dense()
+    vals, vecs = np.linalg.eigh(J)
+    norm_j = float(np.max(np.abs(vals)))
+    scale = max(norm_j, 1.0)
+    reach = 1.1 * scale + 1.0   # the 2% margin window covers the spectrum
+    pairs = eigenpairs_in_gap(op, GapInterval(-reach, reach),
+                              drift_tol=math.inf, embed_tol=math.inf)
+    thetas = np.array([p.zeta for p in pairs])
+    assert thetas.shape == vals.shape
+    assert np.max(np.abs(thetas - vals)) <= 1e-10 * scale
+    vals_2n = np.linalg.eigvalsh(assemble_truncation(seq, 2 * n).to_dense())
+    others = np.abs(vals[:, None] - vals[None, :]) + np.diag(np.full(vals.size, np.inf))
+    for p, v, sep in zip(pairs, vecs.T, np.min(others, axis=1)):
+        u = p.blocks.ravel()
+        assert np.linalg.norm(J @ u - p.zeta * u) <= RESIDUAL_TOL * norm_j
+        assert p.drift >= np.min(np.abs(vals_2n - p.zeta)) - 1e-12 * scale
+        if sep >= 1e-4 * scale:
+            ref = np.linalg.norm(v.reshape(n, -1), axis=1)
+            assert np.max(np.abs(p.block_norms - ref)) <= 1e-8 * ref.max()
+
+
+def test_eigenvector_path_builds_no_dense_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense section built on the eigenvector path")
+
+    monkeypatch.setattr(TruncatedOperator, "to_dense", refuse)
+    seq = with_prefix(example2_sequence(3.0), [(A2, 0.5 * np.eye(2))])
+    cfg = ExperimentConfig(operator=seq, gap={"source": "symbol"}, zetas=(0.5,),
+                           n_blocks=200, experiments=("eigenvector",))
+    [res] = verify_eigenvector_bound(cfg).experiments
+    assert res.passed is True and res.details["stable_partner_found"]
+    assert len(eigenpairs_in_gap(assemble_truncation(seq, 200),
+                                 GapInterval(-1.0, 1.0))) == 1
+
+
+def test_eigenpair_far_beyond_dense_scale():
+    # the bound state of B_1 = 0.5 I at N = 1000 (a 2000 x 2000 section,
+    # embedded into 4000 x 4000) equals the one at N = 200
+    seq = with_prefix(example2_sequence(3.0), [(A2, 0.5 * np.eye(2))])
+    gap = GapInterval(-1.0, 1.0)
+    big = eigenpairs_in_gap(assemble_truncation(seq, 1000), gap)
+    ref = eigenpairs_in_gap(assemble_truncation(seq, 200), gap)
+    assert len(big) == len(ref) == 1
+    assert abs(big[0].zeta - ref[0].zeta) <= 1e-12
+    got, want = big[0].block_norms[:40], ref[0].block_norms[:40]
+    assert np.all(np.abs(got - want) <= 1e-10 * want)

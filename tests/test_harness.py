@@ -175,6 +175,22 @@ def test_eigenvector_bound_perturbed_example2():
     assert res.details["drift"] < 1e-6
 
 
+def test_noise_floor_m_is_the_last_fitted_block():
+    # the slope fits keep m in [j0 + 5, N - 10] above 1e-13 of the peak; at
+    # x = 3 both decays reach that floor well before the tail margin
+    green = verify_green_bound(example2_cfg()).experiments[0]
+    seq = with_prefix(example2_sequence(3.0), [(A2, 0.5 * np.eye(2))])
+    eig = verify_eigenvector_bound(ExperimentConfig(
+        operator=seq, gap={"source": "symbol"}, zetas=(0.5,),
+        n_blocks=120)).experiments[0]
+    for res in (green, eig):
+        ms = np.array([row[0] for row in res.table])
+        norms = np.array([row[-1] for row in res.table])
+        kept = ms[(ms >= 6) & (ms <= 110) & (norms > 1e-13 * norms.max())]
+        assert res.details["noise_floor_m"] == kept.max() < 110
+        assert res.details["fit_points"] == kept.size
+
+
 def test_eigenvector_bound_skips_when_no_pair():
     seq = with_prefix(example2_sequence(3.0), [(A2, 1.5 * np.eye(2))])
     cfg = ExperimentConfig(operator=seq, gap={"source": "symbol"},
