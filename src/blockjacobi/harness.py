@@ -16,6 +16,13 @@ N-stability of C_emp (within 5% between N and 2N), finiteness of every
 ratio, and the measured decay rate being at least the theoretical envelope
 rate; never on the magnitude of C_emp itself.  Everything is deterministic:
 identical configs produce byte-identical CSV bodies.
+
+The variants of a Green config differ only in rate and envelope, so they
+share one Green solve per (zeta, section): the N and 2N sections are
+assembled once per config, each zeta is solved once on each, and every
+variant evaluates its own envelope against those tables.  ``meta.counters``
+in the report counts that work (sections assembled, Green solves,
+eigen-searches); like everything else in the report it is deterministic.
 """
 
 from __future__ import annotations
@@ -49,6 +56,10 @@ FIT_HEAD_OFFSET = 5      # slope fit starts at j0 + 5
 FIT_TAIL_MARGIN = 10     # and ends at N - 10 (Dirichlet edge contamination)
 
 VARIANTS = ("continuous", "discrete", "simplified", "commuting")
+COUNTERS = ("sections_assembled", "green_solves", "eigen_searches")
+
+# errors that become a failed experiment in the report instead of propagating
+_REPORTED = (SingularityError, PreconditionError, DomainError, ParameterError)
 
 
 @dataclass
@@ -186,6 +197,7 @@ def _meta(cfg: ExperimentConfig) -> dict:
             "drift": DRIFT_TOL,
             "stability_rel": STABILITY_REL,
         },
+        "counters": dict.fromkeys(COUNTERS, 0),
     }
 
 
@@ -198,6 +210,19 @@ def _fmt_zeta(z: complex) -> str:
 
 def as_sequence(operator) -> EntrySequence:
     return operator if isinstance(operator, EntrySequence) else load_operator(operator)
+
+
+def _start(cfg: ExperimentConfig) -> tuple[EntrySequence, GapInterval, VerificationReport]:
+    """The sequence, the resolved gap and an empty report carrying both."""
+    seq = as_sequence(cfg.operator)
+    gap = resolve_gap(cfg, seq)
+    report = VerificationReport(meta=_meta(cfg))
+    report.meta["gap"] = [gap.r, gap.s]
+    if cfg.gap.get("source", "symbol") == "truncation":
+        # resolve_gap diagonalized the assembled N section
+        report.meta["counters"]["sections_assembled"] += 1
+        report.meta["counters"]["eigen_searches"] += 1
+    return seq, gap, report
 
 
 def resolve_gap(cfg: ExperimentConfig, seq: EntrySequence) -> GapInterval:
@@ -304,33 +329,81 @@ def _theoretical_slope(ms: np.ndarray, env: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # experiments
 
-def _green_single(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
-                  zeta: complex, variant: str,
-                  check_stability: bool = True) -> ExperimentResult:
-    n = cfg.n_blocks
-    rows = np.arange(cfg.rows[0], cfg.rows[1] + 1)
-    cols = np.arange(cfg.cols[0], cfg.cols[1] + 1)
-    j0 = int(cols[0])
-    upto = int(max(rows[-1], cols[-1]))
-    norms = seq.norms(upto)
+@dataclass(frozen=True, eq=False)
+class _VariantBound:
+    """One variant's rate and envelope on the config's (rows, cols) window."""
+
+    variant: str
+    rate: DecayRate
+    delta: float | None
+    env: np.ndarray                     # (rows, cols) scalar envelope
+    op_env: np.ndarray | None = None    # (rows, cols, d, d), commuting variant
+    n0: int | None = None               # discrete variant
+
+
+def _window(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    return (np.arange(cfg.rows[0], cfg.rows[1] + 1),
+            np.arange(cfg.cols[0], cfg.cols[1] + 1))
+
+
+def _variant_bound(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
+                   zeta: complex, variant: str, norms: np.ndarray) -> _VariantBound:
+    """The variant's own rate and envelope; norms = ||A_k|| up to the window's end."""
+    rows, cols = _window(cfg)
+    upto = len(norms)
     rate, delta = _resolve_rate(cfg, variant, gap, zeta, norms[:max(upto - 1, 1)])
     m, j = rows[:, None], cols[None, :]
-    env = _make_envelope(variant, rate, seq, delta, norms, m, j)    # (rows, cols)
-    if variant == "commuting":
-        op_env = operator_envelope(rate, seq, delta, m, j)        # (rows, cols, d, d)
+    env = _make_envelope(variant, rate, seq, delta, norms, m, j)
+    op_env = operator_envelope(rate, seq, delta, m, j) if variant == "commuting" else None
+    n0 = (int(discrete_envelope(rate, seq, min(rows[0], cols[0]), upto, norms=norms).n0)
+          if variant == "discrete" else None)
+    return _VariantBound(variant, rate, delta, env, op_env, n0)
 
-    def c_emp_for(n_blocks: int) -> tuple[float, np.ndarray, object]:
-        table = green_block(assemble_truncation(seq, n_blocks), zeta, rows, cols)
-        if variant == "commuting":
-            ratios = np.linalg.norm(op_env @ table.stack, 2, axis=(-2, -1))
+
+def _green_tables(seq: EntrySequence, sizes: tuple, sections: list, zeta: complex,
+                  rows, cols, counters: dict):
+    """Green tables of zeta on the sections of the given sizes, or the first error.
+
+    ``sections`` holds the truncations assembled so far (in ``sizes`` order)
+    and grows as the solves reach further sections.
+    """
+    tables = []
+    try:
+        for size in sizes:
+            if len(sections) == len(tables):
+                sections.append(assemble_truncation(seq, size))
+                counters["sections_assembled"] += 1
+            counters["green_solves"] += 1
+            tables.append(green_block(sections[len(tables)], zeta, rows, cols))
+    except _REPORTED as exc:
+        return exc
+    return tables
+
+
+def _green_evaluate(cfg: ExperimentConfig, zeta: complex, bound: _VariantBound,
+                    tables: list) -> ExperimentResult:
+    """C_emp, stability, slope fit and CSV rows of one variant.
+
+    ``tables`` holds the Green table of the N section and, when stability is
+    checked, that of the 2N section.
+    """
+    n = cfg.n_blocks
+    rows, cols = _window(cfg)
+    j0 = int(cols[0])
+
+    def c_emp_for(table) -> tuple[float, np.ndarray]:
+        if bound.op_env is not None:
+            ratios = np.linalg.norm(bound.op_env @ table.stack, 2, axis=(-2, -1))
         else:
-            ratios = table.norm_stack / env
-        return float(np.max(ratios)), ratios, table
+            ratios = table.norm_stack / bound.env
+        return float(np.max(ratios)), ratios
 
-    c1, ratios, table = c_emp_for(n)
+    table = tables[0]
+    c1, ratios = c_emp_for(table)
     all_finite = bool(np.all(np.isfinite(ratios)))
+    check_stability = len(tables) > 1
     if check_stability:
-        c2, _, _ = c_emp_for(2 * n)
+        c2 = c_emp_for(tables[1])[0]
         stable = (math.isfinite(c1) and math.isfinite(c2)
                   and abs(c1 - c2) < STABILITY_REL * c1)
     else:
@@ -338,7 +411,7 @@ def _green_single(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
         stable = math.isfinite(c1)
     slope, mask = _fit_slope(rows, table.norm_stack[:, 0], j0 + FIT_HEAD_OFFSET,
                              n - FIT_TAIL_MARGIN)
-    slope_theo = _theoretical_slope(rows[mask], env[mask, 0])
+    slope_theo = _theoretical_slope(rows[mask], bound.env[mask, 0])
     passed = bool(all_finite and stable and math.isfinite(slope) and slope >= slope_theo)
     details = {
         "c_emp_2n": _json_float(c2),
@@ -351,18 +424,53 @@ def _green_single(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
         "c_emp_stable": bool(stable),
         "stability_checked": check_stability,
     }
-    if variant == "discrete":
-        details["n0"] = int(discrete_envelope(rate, seq, min(rows[0], cols[0]), upto,
-                                              norms=norms).n0)
-    mm, jj = np.broadcast_arrays(m, j)
+    if bound.n0 is not None:
+        details["n0"] = bound.n0
+    mm, jj = np.broadcast_arrays(rows[:, None], cols[None, :])
     csv_rows = tuple(zip(mm.ravel().tolist(), jj.ravel().tolist(),
                          repeat(zeta.real), repeat(zeta.imag),
                          table.norm_stack.ravel().tolist()))
+    variant, rate = bound.variant, bound.rate
     return ExperimentResult(
         name=f"green:{variant}:zeta={_fmt_zeta(zeta)}", variant=variant,
-        branch=rate.branch, gamma=rate.gamma, delta=delta, c_emp=c1,
+        branch=rate.branch, gamma=rate.gamma, delta=bound.delta, c_emp=c1,
         slope_measured=slope, slope_theoretical=slope_theo, passed=passed,
         n_blocks=n, zeta=zeta, details=details, table=csv_rows)
+
+
+def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
+                       variants: tuple, counters: dict) -> list[ExperimentResult]:
+    """Every (zeta, variant) Green experiment of cfg, in that order.
+
+    Only the rate and the envelope depend on the variant, so the rest is
+    done once and shared: ||A_k|| on the window, one assembly of the N and
+    of the 2N section, and per zeta one Green solve on each.  A variant's own
+    rate or envelope error is reported before the solve's; a failed solve
+    gives every variant of its zeta the same error.
+    """
+    n = cfg.n_blocks
+    rows, cols = _window(cfg)
+    norms = None
+    sections = []
+    results = []
+    for zeta in cfg.zetas:
+        tables = None        # this zeta's Green tables, or the error of its solve
+        for variant in variants:
+            try:
+                if norms is None:
+                    norms = seq.norms(max(cfg.rows[1], cfg.cols[1]))
+                bound = _variant_bound(cfg, seq, gap, zeta, variant, norms)
+                if tables is None:
+                    tables = _green_tables(seq, (n, 2 * n), sections, zeta,
+                                           rows, cols, counters)
+                if isinstance(tables, Exception):
+                    raise tables
+                result = _green_evaluate(cfg, zeta, bound, tables)
+            except _REPORTED as exc:
+                result = _error_result(f"green:{variant}:zeta={_fmt_zeta(zeta)}",
+                                       variant, zeta, n, exc)
+            results.append(result)
+    return results
 
 
 def _error_result(name: str, variant: str, zeta, n: int, exc: Exception) -> ExperimentResult:
@@ -371,21 +479,14 @@ def _error_result(name: str, variant: str, zeta, n: int, exc: Exception) -> Expe
 
 
 def verify_green_bound(cfg: ExperimentConfig) -> VerificationReport:
-    """Green-block decay against the envelope for every (zeta, variant)."""
-    seq = as_sequence(cfg.operator)
-    gap = resolve_gap(cfg, seq)
-    report = VerificationReport(meta=_meta(cfg))
-    report.meta["gap"] = [gap.r, gap.s]
+    """Green-block decay against the envelope for every (zeta, variant).
 
-    for zeta in cfg.zetas:
-        for variant in cfg.variants:
-            name = f"green:{variant}:zeta={_fmt_zeta(zeta)}"
-            try:
-                result = _green_single(cfg, seq, gap, zeta, variant)
-            except (SingularityError, PreconditionError, DomainError,
-                    ParameterError) as exc:
-                result = _error_result(name, variant, zeta, cfg.n_blocks, exc)
-            report.experiments.append(result)
+    Each zeta is solved once per section; every variant is evaluated
+    against the same tables.
+    """
+    seq, gap, report = _start(cfg)
+    report.experiments = _green_experiments(cfg, seq, gap, cfg.variants,
+                                            report.meta["counters"])
     return report
 
 
@@ -395,19 +496,21 @@ def verify_eigenvector_bound(cfg: ExperimentConfig) -> VerificationReport:
     Reported as skipped (pass = null), not failed, when the operator has no
     genuine gap eigenpair at this truncation size.
     """
-    seq = as_sequence(cfg.operator)
-    gap = resolve_gap(cfg, seq)
+    seq, gap, report = _start(cfg)
     n = cfg.n_blocks
-    report = VerificationReport(meta=_meta(cfg))
-    report.meta["gap"] = [gap.r, gap.s]
+    counters = report.meta["counters"]
     variant = next((v for v in cfg.variants if v != "commuting"), "continuous")
     pairs = eigenpairs_in_gap(assemble_truncation(seq, n), gap)
+    counters["sections_assembled"] += 1
+    counters["eigen_searches"] += 1
     if not pairs:
         report.experiments.append(ExperimentResult(
             name="eigenvector:none", variant=variant, passed=None, n_blocks=n,
             details={"skipped": f"no N-stable gap eigenpair in ({gap.r:.6g}, {gap.s:.6g})"}))
         return report
     pairs_2n = eigenpairs_in_gap(assemble_truncation(seq, 2 * n), gap)
+    counters["sections_assembled"] += 1
+    counters["eigen_searches"] += 1
     norms = seq.norms(n - 1)
     ms = np.arange(1, 2 * n + 1)
 
@@ -458,10 +561,7 @@ def verify_commuting_bound(cfg: ExperimentConfig) -> VerificationReport:
     When the commuting hypothesis fails on the sampled range, results are
     tagged hypothesis-violated and no pass/fail is asserted.
     """
-    seq = as_sequence(cfg.operator)
-    gap = resolve_gap(cfg, seq)
-    report = VerificationReport(meta=_meta(cfg))
-    report.meta["gap"] = [gap.r, gap.s]
+    seq, gap, report = _start(cfg)
     upto = max(cfg.rows[1], cfg.cols[1])
     ok, max_comm = commuting_check(seq, upto)
     report.meta["max_commutator"] = _json_float(max_comm)
@@ -472,21 +572,12 @@ def verify_commuting_bound(cfg: ExperimentConfig) -> VerificationReport:
                 passed=None, n_blocks=cfg.n_blocks, zeta=zeta,
                 details={"hypothesis-violated": _json_float(max_comm)}))
         return report
-    sub = ExperimentConfig(
-        operator=seq, gap={"source": "explicit", "r": gap.r, "s": gap.s},
-        zetas=cfg.zetas, delta=cfg.delta, epsilon=cfg.epsilon, eta=cfg.eta,
-        eps_prime=cfg.eps_prime, variants=("commuting",), n_blocks=cfg.n_blocks,
-        rows=cfg.rows, cols=cfg.cols, gap_tol=cfg.gap_tol)
-    for zeta in cfg.zetas:
-        name = f"green:commuting:zeta={_fmt_zeta(zeta)}"
-        try:
-            result = _green_single(sub, seq, gap, zeta, "commuting")
+    report.experiments = _green_experiments(cfg, seq, gap, ("commuting",),
+                                            report.meta["counters"])
+    for result in report.experiments:
+        if "error" not in result.details:
             result.details["direction_exponent_ratio"] = _direction_ratio(
                 seq, result, cfg)
-        except (SingularityError, PreconditionError, DomainError,
-                ParameterError) as exc:
-            result = _error_result(name, "commuting", zeta, cfg.n_blocks, exc)
-        report.experiments.append(result)
     return report
 
 
@@ -513,6 +604,7 @@ class EdgeStudyResult:
     rows: list                 # dicts: eps, zeta, rate_measured, gamma, c_emp
     slope_measured: float      # log-log slope of measured rate vs eps
     slope_gamma: float         # log-log slope of gamma vs eps
+    counters: dict = field(default_factory=lambda: dict.fromkeys(COUNTERS, 0))
 
 
 def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
@@ -538,19 +630,24 @@ def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
                            gap={"source": "explicit", "r": gap.r, "s": gap.s},
                            zetas=(0.0,), delta=delta, epsilon=epsilon, eta=eta,
                            variants=("continuous",), n_blocks=n_blocks)
+    window = _window(cfg)
+    norms = seq.norms(n_blocks)
+    section = assemble_truncation(seq, n_blocks)
     rows = []
     for eps in eps_arr:
-        zeta = gap.r + eps
-        res = _green_single(cfg, seq, gap, complex(zeta), "continuous",
-                            check_stability=False)
-        rows.append({"eps": float(eps), "zeta": float(zeta),
+        zeta = complex(gap.r + eps)
+        bound = _variant_bound(cfg, seq, gap, zeta, "continuous", norms)
+        res = _green_evaluate(cfg, zeta, bound, [green_block(section, zeta, *window)])
+        rows.append({"eps": float(eps), "zeta": zeta.real,
                      "rate_measured": res.slope_measured, "gamma": res.gamma,
                      "c_emp": res.c_emp})
     log_eps = np.log(eps_arr)
     slope_meas = float(np.polyfit(log_eps, np.log([r["rate_measured"] for r in rows]), 1)[0])
     slope_gamma = float(np.polyfit(log_eps, np.log([r["gamma"] for r in rows]), 1)[0])
+    counters = {"sections_assembled": 1, "green_solves": len(rows), "eigen_searches": 0}
     return EdgeStudyResult(x=x, n_blocks=n_blocks, rows=rows,
-                           slope_measured=slope_meas, slope_gamma=slope_gamma)
+                           slope_measured=slope_meas, slope_gamma=slope_gamma,
+                           counters=counters)
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +706,15 @@ def run(config, out_dir: str | None = None) -> tuple[VerificationReport, int]:
                 slope_measured=edge_result.slope_measured,
                 slope_theoretical=edge_result.slope_gamma,
                 passed=bool(ok), n_blocks=edge_result.n_blocks,
-                details={"rows": edge_result.rows})])
+                details={"rows": edge_result.rows})],
+                meta={"counters": edge_result.counters})
         else:
             raise ParameterError(f"unknown experiment kind {kind!r}")
         report.experiments.extend(part.experiments)
         for key, value in part.meta.items():
             report.meta.setdefault(key, value)
+        for key, value in part.meta["counters"].items():
+            report.meta["counters"][key] += value
     target = out_dir or cfg.out_dir
     if target is not None:
         target = Path(target)

@@ -155,6 +155,13 @@ def test_commuting_check_scalar_multiples_of_normal():
     assert ok and worst <= 1e-10
 
 
+def pairwise_commutator(seq, upto):
+    A, B = seq.blocks(1, upto + 1)
+    ops = [X for k in range(upto) for X in (A[k], B[k], A[k].conj().T)]
+    return max((np.linalg.norm(X @ Y - Y @ X, 2)
+                for i, X in enumerate(ops) for Y in ops[i + 1:]), default=0.0)
+
+
 @given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
 def test_commuting_check_matches_pairwise_loop(d, upto, seed, diagonal):
     rng = np.random.default_rng(seed)
@@ -164,12 +171,36 @@ def test_commuting_check_matches_pairwise_loop(d, upto, seed, diagonal):
     if diagonal:   # commuting family: the maximum is 0 up to rounding
         A, B = A * np.eye(d), B * np.eye(d)
     seq = explicit_sequence(list(zip(A, B)))
-    ops = [X for k in range(upto) for X in (A[k], B[k], A[k].conj().T)]
-    worst = max((np.linalg.norm(X @ Y - Y @ X, 2)
-                 for i, X in enumerate(ops) for Y in ops[i + 1:]), default=0.0)
+    worst = pairwise_commutator(seq, upto)
     ok, got = commuting_check(seq, upto)
     assert got == pytest.approx(worst, rel=1e-12, abs=1e-15)
     assert ok == (got <= 1e-10)
+
+
+@given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+def test_commuting_check_basis_bound_against_pairwise(d, upto, seed, commuting):
+    # simultaneously diagonalizable families (A_k = U diag U^*, B_k = U diag U^*,
+    # one random unitary U) pass through the basis bound, which must cover
+    # the pairwise maximum; random families fail with the exact maximum
+    rng = np.random.default_rng(seed)
+    if commuting:
+        U = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        a = rng.standard_normal((upto, d)) + 1j * rng.standard_normal((upto, d))
+        A = (U * a[:, None, :]) @ U.conj().T
+        B = (U * rng.standard_normal((upto, 1, d))) @ U.conj().T
+        B = 0.5 * (B + B.conj().transpose(0, 2, 1))
+    else:
+        A = rng.standard_normal((upto, d, d)) + 1j * rng.standard_normal((upto, d, d))
+        H = rng.standard_normal((upto, d, d))
+        B = H + H.transpose(0, 2, 1)
+    seq = explicit_sequence(list(zip(A, B)))
+    worst = pairwise_commutator(seq, upto)
+    ok, got = commuting_check(seq, upto)
+    assert ok == (worst <= 1e-10)
+    if ok:
+        assert worst <= got <= 1e-10
+    else:
+        assert got == pytest.approx(worst, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

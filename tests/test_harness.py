@@ -3,10 +3,12 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from blockjacobi import harness
 from blockjacobi import (DomainError, ExperimentConfig, ParameterError,
                          custom_sequence, edge_scaling_study, example2_min_decay,
                          example2_sequence, example3_sequence, resolve_gap, run,
@@ -152,6 +154,64 @@ def test_green_bound_decoupled_limit():
     res = report.experiments[0]
     oracle = max(1.0 / abs(n - zeta) for n in range(1, 13))
     assert res.c_emp == pytest.approx(oracle, rel=1e-3)
+
+
+ALL_VARIANTS = ("continuous", "simplified", "discrete")
+
+
+def test_green_bound_one_solve_per_zeta_and_section(monkeypatch):
+    calls = []
+    solve = harness.green_block
+
+    def spy(op, zeta, rows, cols):
+        calls.append((zeta, op.n_blocks))
+        return solve(op, zeta, rows, cols)
+
+    monkeypatch.setattr(harness, "green_block", spy)
+    zetas = (0.5 + 0j, 0.3 + 0.2j)
+    report = verify_green_bound(example2_cfg(zetas=zetas, variants=ALL_VARIANTS))
+    assert [r.passed for r in report.experiments] == [True] * 6
+    assert calls == [(z, n) for z in zetas for n in (120, 240)]
+    assert report.meta["counters"] == {"sections_assembled": 2, "green_solves": 4,
+                                       "eigen_searches": 0}
+
+
+def test_green_bound_variants_match_single_variant_runs():
+    zetas = (0.5, 0.3 + 0.2j)
+    shared = verify_green_bound(example2_cfg(zetas=zetas, variants=ALL_VARIANTS))
+    for i, zeta in enumerate(zetas):
+        for k, variant in enumerate(ALL_VARIANTS):
+            alone = verify_green_bound(example2_cfg(zetas=(zeta,), variants=(variant,)))
+            res, ref = shared.experiments[3 * i + k], alone.experiments[0]
+            assert res.to_json() == ref.to_json()
+            assert res.table == ref.table
+
+
+def test_green_bound_singular_zeta_same_error_for_every_variant():
+    report = verify_green_bound(example2_cfg(zetas=(0.0,), variants=ALL_VARIANTS))
+    errors = [r.details["error"] for r in report.experiments]
+    assert len(errors) == 3 and len(set(errors)) == 1
+    assert errors[0].startswith("SingularityError: ")
+    # the N section's solve failed, so the 2N section was never solved
+    assert report.meta["counters"]["green_solves"] == 1
+
+
+def test_green_bound_discrete_precondition_reported_before_singularity():
+    # dimerized chain with couplings 0.2, 3 and an odd number of sites: zeta
+    # = 0 is an exact eigenvalue, and with delta = 1 the discrete rate at 0
+    # exceeds ||A_1|| = 0.2, which that variant reports first
+    seq = custom_sequence(lambda n: (np.array([[0.2 if n % 2 else 3.0]], dtype=complex),
+                                     np.zeros((1, 1))), 1)
+    cfg = ExperimentConfig(operator=seq, gap={"source": "symbol"}, zetas=(0.0,),
+                           delta=1.0, n_blocks=41, variants=ALL_VARIANTS)
+    errors = [r.details["error"] for r in verify_green_bound(cfg).experiments]
+    assert errors[0].startswith("SingularityError: ")
+    assert errors[1] == errors[0]
+    assert errors[2].startswith("PreconditionError: ")
+    # alone, the discrete variant fails before any section is solved
+    alone = verify_green_bound(replace(cfg, variants=("discrete",)))
+    assert alone.experiments[0].details["error"] == errors[2]
+    assert alone.meta["counters"]["green_solves"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +370,18 @@ def test_run_deterministic_reruns(tmp_path):
                                 for p in (tmp_path / sub).glob("*")))
         digests.append(hashlib.sha256(chunk).hexdigest())
     assert digests[0] == digests[1]
+
+
+def test_run_sums_counters_over_experiment_kinds():
+    cfg = base_config_dict()
+    cfg["experiments"] = ["green", "eigenvector", "edge"]
+    cfg["n_blocks"] = 60
+    cfg["edge"] = {"x": 3.0, "eps_list": [1e-3, 1e-2], "n_blocks": 200}
+    report, _ = run(cfg)
+    # green: N and 2N sections, one zeta solved on each; eigenvector: the N
+    # and 2N eigen-searches; edge: one section solved at both eps
+    assert report.meta["counters"] == {"sections_assembled": 5, "green_solves": 4,
+                                       "eigen_searches": 2}
 
 
 def test_run_singular_zeta_exits_nonzero(tmp_path):

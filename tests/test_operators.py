@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from blockjacobi import (EntrySequence, ParameterError, TruncatedOperator,
                          assemble_truncation, carleman_check, constant_sequence,
@@ -202,6 +203,27 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "op.json"
     path.write_text(text)
     assert np.allclose(load_operator(str(path)).a(3), seq.a(3))
+
+
+@given(st.integers(1, 4), st.integers(0, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_json_round_trip_explicit_list(d, n_prefix, with_tail, seed):
+    # random explicit-list operators with prefix and tail survive the JSON
+    # text round trip bit for bit
+    with_tail = with_tail or n_prefix == 0     # the sequence needs one of them
+    rng = np.random.default_rng(seed)
+    count = n_prefix + 1
+    A = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    H = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    B = H + H.conj().transpose(0, 2, 1)
+    tail = (A[-1], B[-1]) if with_tail else None
+    seq = explicit_sequence(list(zip(A[:n_prefix], B[:n_prefix])), tail=tail, dim=d)
+    loaded = load_operator(json.loads(json.dumps(operator_to_json(seq))))
+    assert (loaded.family, loaded.dim) == ("explicit-list", d)
+    assert len(loaded.prefix) == n_prefix
+    assert (loaded.tail is None) == (not with_tail)
+    hi = n_prefix + 1 + (3 if with_tail else 0)
+    for old, new in zip(seq.blocks(1, hi), loaded.blocks(1, hi)):
+        assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
 
 
 def test_json_complex_entries():
