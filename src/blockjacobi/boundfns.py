@@ -21,10 +21,16 @@ with free parameters delta > 0, eps in (0, 1/2), eta in (0, 1).  The
 the "simplified" variant replaces the whole expression by w (1/2 - eps') on
 the small-imaginary branch and w eps'/4 otherwise (valid when the
 off-diagonal norms grow without bound).
+
+The transcendental inverses are the principal Lambert branch W0 (Corless et
+al., Adv. Comput. Math. 5 (1996)): psi_tilde^{-1}(t) = W0(t) and
+psi^{-1}(t) = 2 W0(sqrt(t)/2).  The inverses and gamma take a float or an
+array, so ``best_delta`` scores its whole delta grid in one array pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -150,131 +156,122 @@ def w(gap: GapInterval, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# inverses
+# inverses (each takes a float or an array of t > 0 and keeps its shape)
 
-_MAX_NEWTON = 80
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+#: Newton steps allowed in :func:`_lambert_w0`; it needs at most five
+_W0_STEPS = 20
 
 
-def _invert_increasing(f, fprime, t: float, name: str) -> float:
-    """Positive root of f(x) = t for strictly increasing f with f(0+) = 0.
+def _inverse(fn):
+    """Validate 0 < t < inf elementwise; return a float for scalar input."""
+    name = fn.__name__
 
-    Brackets the root by doubling/halving from x = 1, bisects, then polishes
-    with safeguarded Newton steps.
+    @functools.wraps(fn)
+    def wrapper(t):
+        arr = np.asarray(t, dtype=float)
+        if not np.all((arr > 0) & (arr < math.inf)):   # NaN fails both
+            raise DomainError(f"{name} needs finite t > 0, got {t}")
+        x = fn(arr)
+        return float(x) if np.ndim(x) == 0 else x
+
+    return wrapper
+
+
+def _lambert_w0(t):
+    """W0(t) for finite t > 0, by Newton's method on x + log x = log t.
+
+    The update x <- x (1 + log t - log x) / (1 + x) cannot overflow; after
+    its first step the iterates increase monotonically to the root.  Each
+    entry stops at its own relative step of 1e-13, so an array gives the
+    same values as elementwise scalar calls.
     """
-    lo = hi = 1.0
-    if f(1.0) < t:
-        for _ in range(1100):
-            lo, hi = hi, 2.0 * hi
-            if f(hi) >= t:
-                break
-        else:
-            raise ConvergenceError(f"{name}: could not bracket root for t = {t}")
-    else:
-        for _ in range(1100):
-            hi, lo = lo, 0.5 * lo
-            if f(lo) <= t:
-                break
-        else:
-            raise ConvergenceError(f"{name}: could not bracket root for t = {t}")
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(_MAX_NEWTON):
-        fx = f(x)
-        if fx < t:
-            lo = max(lo, x)
-        else:
-            hi = min(hi, x)
-        dfx = fprime(x)
-        step = (fx - t) / dfx if dfx > 0 and math.isfinite(fx) else math.nan
-        x_new = x - step
-        if not (lo <= x_new <= hi) or not math.isfinite(x_new):
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * max(x, 1e-300):
-            return x_new
-        x = x_new
-    if hi - lo <= 1e-12 * max(hi, 1e-300):
-        return 0.5 * (lo + hi)
-    raise ConvergenceError(f"{name}: no convergence for t = {t}")
+    log_t = np.log(t)
+    log1p_t = np.log1p(t)
+    x = np.where(t <= math.e, log1p_t / (1.0 + np.log1p(log1p_t) / 2.0),
+                 log_t - np.log(np.maximum(log_t, 1.0)))
+    done = np.zeros(np.shape(t), dtype=bool)
+    for _ in range(_W0_STEPS):
+        x_new = x * (1.0 + log_t - np.log(x)) / (1.0 + x)
+        converged = np.abs(x_new - x) <= 1e-13 * x_new
+        x = np.where(done, x, x_new)    # a converged entry takes no more steps
+        done |= converged
+        if done.all():
+            return x
+    raise ConvergenceError(f"Lambert W0: no convergence in {_W0_STEPS} steps")
 
 
-def inv_psi(t: float) -> float:
-    """Unique positive root of x^2 e^x = t."""
-    if not t > 0:
-        raise DomainError(f"inv_psi needs t > 0, got {t}")
-    return _invert_increasing(lambda x: x * x * _safe_exp(x),
-                              lambda x: (x * x + 2.0 * x) * _safe_exp(x),
-                              t, "inv_psi")
+@_inverse
+def inv_psi(t):
+    """Unique positive root of x^2 e^x = t: 2 W0(sqrt(t)/2)."""
+    return 2.0 * _lambert_w0(np.sqrt(t) / 2.0)
 
 
-def inv_psi_tilde(t: float) -> float:
-    """Unique positive root of x e^x = t (principal Lambert branch)."""
-    if not t > 0:
-        raise DomainError(f"inv_psi_tilde needs t > 0, got {t}")
-    return _invert_increasing(lambda x: x * _safe_exp(x),
-                              lambda x: (x + 1.0) * _safe_exp(x),
-                              t, "inv_psi_tilde")
+@_inverse
+def inv_psi_tilde(t):
+    """Unique positive root of x e^x = t: W0(t)."""
+    return _lambert_w0(t)
 
 
-def inv_psi_d(t: float) -> float:
+@_inverse
+def inv_psi_d(t):
     """Root in (0, 1) of x^2/(1-x) = t, via the stable quadratic closed form."""
-    if not t > 0:
-        raise DomainError(f"inv_psi_d needs t > 0, got {t}")
-    return 2.0 * t / (t + math.sqrt(t * t + 4.0 * t))
+    root_t = np.sqrt(t)
+    return 2.0 * root_t / (root_t + np.sqrt(t + 4.0))
 
 
-def inv_psi_tilde_d(t: float) -> float:
+@_inverse
+def inv_psi_tilde_d(t):
     """Root in (0, 1) of x(2-x)/(2(1-x)) = t, via the stable closed form."""
-    if not t > 0:
-        raise DomainError(f"inv_psi_tilde_d needs t > 0, got {t}")
-    return 2.0 * t / ((1.0 + t) + math.sqrt(1.0 + t * t))
+    return t / ((0.5 + 0.5 * t) + np.hypot(0.5, 0.5 * t))
 
 
 # ---------------------------------------------------------------------------
 # decay rates
 
-def branch_for(gap: GapInterval, zeta: complex, epsilon: float) -> str:
-    """Branch test: small-imaginary iff |Im zeta| <= w(Re zeta) eps / 2."""
-    zeta = complex(zeta)
-    wx = w(gap, zeta.real)
-    return SMALL_IMAGINARY if abs(zeta.imag) <= wx * epsilon / 2.0 else LARGE_IMAGINARY
-
-
-def _gamma(params: BoundParams, gap: GapInterval, zeta: complex,
-           inv_sq, inv_lin, variant: str) -> DecayRate:
+def _geometry(gap: GapInterval, zeta: complex, epsilon: float) -> tuple[float, str]:
+    """(w(Re zeta), branch) after checking that Re zeta lies inside the gap."""
     zeta = complex(zeta)
     if not gap.contains(zeta.real):
         raise DomainError(f"Re zeta = {zeta.real} is not inside the gap ({gap.r}, {gap.s})")
-    delta, eps, eta = params.delta, params.epsilon, params.eta
     wx = w(gap, zeta.real)
-    branch = branch_for(gap, zeta, eps)
+    return wx, SMALL_IMAGINARY if abs(zeta.imag) <= wx * epsilon / 2.0 else LARGE_IMAGINARY
+
+
+def branch_for(gap: GapInterval, zeta: complex, epsilon: float) -> str:
+    """Branch test: small-imaginary iff |Im zeta| <= w(Re zeta) eps / 2."""
+    return _geometry(gap, zeta, epsilon)[1]
+
+
+_INVERSES = {"continuous": (inv_psi, inv_psi_tilde),
+             "discrete": (inv_psi_d, inv_psi_tilde_d)}
+
+
+def _gamma(delta, epsilon: float, eta: float, gap: GapInterval, zeta: complex,
+           variant: str):
+    """(gamma, branch) for a float or an array of delta; gamma has delta's shape."""
+    wx, branch = _geometry(gap, zeta, epsilon)
+    inv_sq, inv_lin = _INVERSES[variant]
     if branch == SMALL_IMAGINARY:
-        g = min(delta * inv_sq(wx * wx * eps / (2.0 * delta * gap.width)),
-                delta * inv_lin(wx * (1.0 - 2.0 * eps) / (2.0 * delta)))
+        g = np.minimum(delta * inv_sq(wx * wx * epsilon / (2.0 * delta * gap.width)),
+                       delta * inv_lin(wx * (1.0 - 2.0 * epsilon) / (2.0 * delta)))
     else:
-        g = delta * inv_lin(wx * eps * (1.0 - eta) / (4.0 * delta))
-    return DecayRate(gamma=g, branch=branch, variant=variant)
+        g = delta * inv_lin(wx * epsilon * (1.0 - eta) / (4.0 * delta))
+    return g, branch
+
+
+def _rate(params: BoundParams, gap: GapInterval, zeta: complex, variant: str) -> DecayRate:
+    g, branch = _gamma(params.delta, params.epsilon, params.eta, gap, zeta, variant)
+    return DecayRate(gamma=float(g), branch=branch, variant=variant)
 
 
 def gamma_continuous(params: BoundParams, gap: GapInterval, zeta: complex) -> DecayRate:
     """Decay rate with the transcendental inverses (psi, psi_tilde)."""
-    return _gamma(params, gap, zeta, inv_psi, inv_psi_tilde, "continuous")
+    return _rate(params, gap, zeta, "continuous")
 
 
 def gamma_discrete(params: BoundParams, gap: GapInterval, zeta: complex) -> DecayRate:
     """Decay rate with the rational inverses (psi_d, psi_tilde_d)."""
-    return _gamma(params, gap, zeta, inv_psi_d, inv_psi_tilde_d, "discrete")
+    return _rate(params, gap, zeta, "discrete")
 
 
 def gamma_simplified(gap: GapInterval, zeta: complex, eps_prime: float) -> DecayRate:
@@ -285,11 +282,7 @@ def gamma_simplified(gap: GapInterval, zeta: complex, eps_prime: float) -> Decay
     """
     if not 0.0 < eps_prime < 0.5:
         raise ParameterError(f"eps_prime must be in (0, 1/2), got {eps_prime}")
-    zeta = complex(zeta)
-    if not gap.contains(zeta.real):
-        raise DomainError(f"Re zeta = {zeta.real} is not inside the gap ({gap.r}, {gap.s})")
-    wx = w(gap, zeta.real)
-    branch = branch_for(gap, zeta, eps_prime)
+    wx, branch = _geometry(gap, zeta, eps_prime)
     if branch == SMALL_IMAGINARY:
         g = wx * (0.5 - eps_prime)
     else:
@@ -297,18 +290,15 @@ def gamma_simplified(gap: GapInterval, zeta: complex, eps_prime: float) -> Decay
     return DecayRate(gamma=g * _SIMPLIFIED_SHAVE, branch=branch, variant="simplified")
 
 
-_GAMMA_FNS = {"continuous": gamma_continuous, "discrete": gamma_discrete}
-
-
 def decay_rate(variant: str, params: BoundParams | None, gap: GapInterval,
                zeta: complex, eps_prime: float = 0.01) -> DecayRate:
     """Dispatch on variant name ("continuous", "discrete", "simplified")."""
     if variant == "simplified":
         return gamma_simplified(gap, zeta, eps_prime)
-    if variant in _GAMMA_FNS:
+    if variant in _INVERSES:
         if params is None:
             raise ParameterError(f"variant {variant!r} needs BoundParams")
-        return _GAMMA_FNS[variant](params, gap, zeta)
+        return _rate(params, gap, zeta, variant)
     raise ParameterError(f"unknown rate variant {variant!r}")
 
 
@@ -324,22 +314,29 @@ def best_delta(template: BoundParams | None, gap: GapInterval, zeta: complex,
     gamma alone improves monotonically with delta, but phi_delta caps ever
     more terms at 1/delta, so the two effects compete; the product over the
     supplied norm samples is the quantity that actually enters the bound.
-    Ties break toward smaller delta.  Returns (delta_star, exponent).
+    The whole grid is evaluated in one array pass.  The first maximal finite
+    exponent wins, so ties break toward the delta listed first (the smaller
+    one on an ascending grid).  Returns (delta_star, exponent).
     """
-    norms = np.asarray(norm_samples, dtype=float)
+    norms = np.sort(np.asarray(norm_samples, dtype=float).ravel())
     if norms.size == 0:
         raise ParameterError("best_delta needs at least one norm sample")
-    if variant not in _GAMMA_FNS:
+    if variant not in _INVERSES:
         raise ParameterError(f"best_delta variant must be continuous or discrete, got {variant!r}")
     eps = template.epsilon if template is not None else DEFAULT_EPSILON
     eta = template.eta if template is not None else DEFAULT_ETA
-    grid = default_delta_grid() if deltas is None else np.asarray(deltas, dtype=float)
-    best_exp = -math.inf
-    best_d = float(grid[0])
-    for d in grid:
-        rate = _GAMMA_FNS[variant](BoundParams(float(d), eps, eta), gap, zeta)
-        exponent = rate.gamma * float(np.sum(1.0 / np.maximum(d, norms)))
-        if exponent > best_exp:
-            best_exp = exponent
-            best_d = float(d)
-    return best_d, best_exp
+    grid = default_delta_grid() if deltas is None else np.asarray(deltas, dtype=float).ravel()
+    if grid.size == 0:
+        raise ParameterError("best_delta needs at least one delta")
+    bad = grid[~(grid > 0)]
+    if bad.size:
+        raise ParameterError(f"delta must be > 0, got {float(bad[0])}")
+    gamma, _ = _gamma(grid, eps, eta, gap, zeta, variant)
+    # sum_k 1/max(d, a_k) = count(a_k < d) / d + sum_{a_k >= d} 1/a_k over
+    # the sorted norms; norms below the smallest delta only ever enter the count
+    below = np.searchsorted(norms, grid)
+    tail = np.append(np.cumsum(1.0 / np.maximum(norms, grid.min())[::-1])[::-1], 0.0)
+    exponent = gamma * (below / grid + tail[below])
+    exponent[~np.isfinite(exponent)] = -math.inf    # never chosen
+    k = int(np.argmax(exponent))
+    return float(grid[k]), float(exponent[k])

@@ -661,17 +661,21 @@ _CSV_HEADERS = {
 }
 
 
+#: one row format per CSV kind: indices as integers, values with 17
+#: significant digits (enough to round-trip every float)
+_CSV_ROW_FORMATS = {
+    "green": "{:d},{:d},{:.17g},{:.17g},{:.17g}",
+    "eigenvector": "{:d},{:.17g}",
+    "edge": "{:.17g},{:.17g},{:.17g},{:.17g}",
+    "spectrum": "{:d},{:.17g}",
+}
+
+
 def _write_csv(path: Path, kind: str, rows) -> None:
+    fmt = _CSV_ROW_FORMATS[kind]
     lines = [f"# blockjacobi v{__version__}", _CSV_HEADERS[kind]]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+    lines.extend(fmt.format(*row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 def run(config, out_dir: str | None = None) -> tuple[VerificationReport, int]:

@@ -61,6 +61,8 @@ class SpectrumEstimate:
     samples: np.ndarray
     size: int                   # N (truncation) or theta-grid size (symbol)
     symbol: tuple | None = None  # (A, B) when method == "symbol"
+    #: (size, d) symbol eigenvalues per grid theta when method == "symbol"
+    symbol_eigvals: np.ndarray | None = None
 
 
 def truncated_spectrum(op: TruncatedOperator) -> SpectrumEstimate:
@@ -100,10 +102,11 @@ def symbol_spectrum(A, B, grid_size: int = 2048) -> SpectrumEstimate:
         raise ParameterError(f"grid size must be >= 4, got {grid_size}")
     thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
     vals = np.linalg.eigvalsh(_symbol_matrices(A, B, thetas))
+    vals.flags.writeable = False
     samples = np.sort(vals.ravel())
     samples.flags.writeable = False
     return SpectrumEstimate(method="symbol", samples=samples, size=grid_size,
-                            symbol=(A, B))
+                            symbol=(A, B), symbol_eigvals=vals)
 
 
 def period2_symbol_blocks(A1, A2, B1, B2) -> tuple[np.ndarray, np.ndarray]:
@@ -156,9 +159,9 @@ def _refine_symbol_level(est: SpectrumEstimate, level: float, side: str) -> floa
 
     side == "below": maximize the largest eigenvalue <= level;
     side == "above": minimize the smallest eigenvalue >= level.
+    The coarse bracket is read from the grid's eigenvalue table.
     """
     A, B = est.symbol
-    thetas = 2.0 * math.pi * np.arange(est.size) / est.size
 
     def nearest(vals):
         if side == "below":
@@ -169,11 +172,12 @@ def _refine_symbol_level(est: SpectrumEstimate, level: float, side: str) -> floa
         return float(nearest(np.linalg.eigvalsh(
             _symbol_matrices(A, B, np.array([theta]))[0])))
 
-    coarse = nearest(np.linalg.eigvalsh(_symbol_matrices(A, B, thetas)))
+    coarse = nearest(est.symbol_eigvals)
     k = int(np.argmax(coarse)) if side == "below" else int(np.argmin(coarse))
+    theta = 2.0 * math.pi * k / est.size
     h = 2.0 * math.pi / est.size
     sign = 1.0 if side == "below" else -1.0
-    _, val = _golden_extremum(f, thetas[k] - h, thetas[k] + h, sign)
+    _, val = _golden_extremum(f, theta - h, theta + h, sign)
     return val
 
 

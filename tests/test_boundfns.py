@@ -2,21 +2,24 @@
 
 Oracles: scipy.special.lambertw for the transcendental inverses
 (x e^x = t  <=>  x = W(t), and x^2 e^x = t  <=>  x = 2 W(sqrt(t)/2)),
-scipy.optimize.brentq root-finding for the rational inverses.
+scipy.optimize.brentq root-finding for the rational inverses, and a
+per-delta scalar loop for the grid search of ``best_delta``.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
-from blockjacobi import (BoundParams, DomainError, GapInterval, ParameterError,
-                         best_delta, branch_for, gamma_continuous,
-                         gamma_discrete, gamma_simplified, inv_psi, inv_psi_d,
-                         inv_psi_tilde, inv_psi_tilde_d, phi_delta, psi, psi_d,
-                         psi_tilde, psi_tilde_d, w)
+from blockjacobi import (BoundParams, ConvergenceError, DomainError,
+                         GapInterval, ParameterError, best_delta, branch_for,
+                         gamma_continuous, gamma_discrete, gamma_simplified,
+                         inv_psi, inv_psi_d, inv_psi_tilde, inv_psi_tilde_d,
+                         phi_delta, psi, psi_d, psi_tilde, psi_tilde_d, w)
+from blockjacobi import boundfns
 from blockjacobi.boundfns import LARGE_IMAGINARY, SMALL_IMAGINARY
 
 
@@ -26,6 +29,12 @@ def oracle_inv_psi_tilde(t):
 
 def oracle_inv_psi(t):
     return 2.0 * float(lambertw(math.sqrt(t) / 2.0).real)
+
+
+INVERSES = (inv_psi, inv_psi_tilde, inv_psi_d, inv_psi_tilde_d)
+
+#: t drawn log-uniform over [1e-300, 1e300]
+log10_t = st.floats(-300.0, 300.0)
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +129,62 @@ def test_inverse_round_trips():
         inv_psi(0.0)
     with pytest.raises(DomainError):
         inv_psi_tilde(-1.0)
+
+
+@given(log10_t)
+def test_w0_inverses_match_lambertw_over_the_full_domain(e):
+    t = 10.0 ** e
+    assert inv_psi_tilde(t) == pytest.approx(oracle_inv_psi_tilde(t), rel=1e-13)
+    assert inv_psi(t) == pytest.approx(oracle_inv_psi(t), rel=1e-13)
+
+
+@given(log10_t)
+def test_w0_inverse_round_trips_in_log_form(e):
+    # psi(x) overflows for x > ~700, so compare logarithms: the error bound is
+    # the one a relative 1e-13 in x induces, plus rounding of log t
+    t = 10.0 ** e
+    log_t = math.log(t)
+    x = inv_psi(t)
+    assert abs(2.0 * math.log(x) + x - log_t) <= 1e-13 * (2.0 + x + abs(log_t))
+    x = inv_psi_tilde(t)
+    assert abs(math.log(x) + x - log_t) <= 1e-13 * (1.0 + x + abs(log_t))
+
+
+@given(st.lists(log10_t, min_size=1, max_size=20))
+def test_inverses_on_arrays_equal_scalar_calls(exps):
+    t = 10.0 ** np.array(exps)
+    for inv in INVERSES:
+        values = inv(t)
+        assert isinstance(values, np.ndarray) and values.shape == t.shape
+        assert np.array_equal(values, [inv(float(v)) for v in t])
+        assert isinstance(inv(float(t[0])), float)
+
+
+@given(log10_t)
+def test_rational_inverses_stay_in_unit_interval(e):
+    # the roots approach 1 like 1 - 1/t and 1 - 1/(2t); beyond t ~ 1e16 the
+    # nearest float is 1.0 itself
+    t = 10.0 ** e
+    for inv in (inv_psi_d, inv_psi_tilde_d):
+        x = inv(t)
+        assert 0.0 < x <= 1.0
+        if t <= 1e15:
+            assert x < 1.0
+
+
+def test_inverse_domain_errors():
+    for inv in INVERSES:
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                inv(bad)
+        with pytest.raises(DomainError):
+            inv(np.array([1.0, 0.0]))
+
+
+def test_lambert_w0_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(boundfns, "_W0_STEPS", 1)
+    with pytest.raises(ConvergenceError):
+        inv_psi_tilde(10.0)
 
 
 def test_discrete_inverses_against_brentq():
@@ -298,3 +363,75 @@ def test_best_delta_tie_break_and_validation():
         best_delta(P0, GAP, 0.0, [])
     with pytest.raises(ParameterError):
         best_delta(P0, GAP, 0.0, [1.0], variant="simplified")
+
+
+def oracle_gamma(variant, gap, zeta, delta, eps, eta):
+    """gamma from the oracle inverses, one delta at a time."""
+    if variant == "continuous":
+        inv_sq, inv_lin = oracle_inv_psi, oracle_inv_psi_tilde
+    else:
+        def inv_sq(t):
+            return 2.0 * t / (t + math.sqrt(t * t + 4.0 * t))
+
+        def inv_lin(t):
+            return 2.0 * t / ((1.0 + t) + math.sqrt(1.0 + t * t))
+    wx = w(gap, zeta.real)
+    if abs(zeta.imag) <= wx * eps / 2.0:
+        return min(delta * inv_sq(wx * wx * eps / (2.0 * delta * gap.width)),
+                   delta * inv_lin(wx * (1.0 - 2.0 * eps) / (2.0 * delta)))
+    return delta * inv_lin(wx * eps * (1.0 - eta) / (4.0 * delta))
+
+
+def brute_best_delta(variant, gap, zeta, norms, deltas, eps, eta):
+    """The grid search as a scalar loop: first strict maximum wins."""
+    best_d, best_exp = float(deltas[0]), -math.inf
+    for d in deltas:
+        exponent = (oracle_gamma(variant, gap, zeta, float(d), eps, eta)
+                    * float(np.sum(1.0 / np.maximum(d, norms))))
+        if exponent > best_exp:
+            best_d, best_exp = float(d), exponent
+    return best_d, best_exp
+
+
+@given(variant=st.sampled_from(["continuous", "discrete"]),
+       imag=st.sampled_from([0.0, 0.25, 2.0]),    # in units of w(Re zeta) eps
+       x=st.floats(-0.95, 0.95),
+       eps=st.floats(0.01, 0.49), eta=st.floats(0.01, 0.99),
+       # delta = 10^(k/100): distinct grid points differ by at least 2.3%, so
+       # a tie is exact (a repeated delta) and rounding cannot reorder it
+       grid=st.one_of(st.none(), st.lists(st.integers(-200, 400), min_size=1, max_size=30)),
+       log10_norms=st.lists(st.floats(-3.0, 5.0), min_size=1, max_size=40),
+       picks=st.lists(st.integers(0, 120), max_size=10),
+       repeats=st.integers(0, 5))
+def test_best_delta_matches_scalar_loop(variant, imag, x, eps, eta, grid,
+                                        log10_norms, picks, repeats):
+    gap = GapInterval(-1.0, 1.0)
+    zeta = complex(x, imag * w(gap, x) * eps)
+    deltas = (np.logspace(-2.0, 4.0, 121) if grid is None
+              else 10.0 ** (np.array(grid) / 100.0))
+    norms = 10.0 ** np.array(log10_norms)
+    # norms equal to grid points, and repeated norms
+    norms = np.concatenate([norms, deltas[np.array(picks, dtype=int) % len(deltas)],
+                            norms[:repeats]])
+    got = best_delta(BoundParams(1.0, eps, eta), gap, zeta, norms, variant,
+                     deltas=None if grid is None else deltas)
+    want = brute_best_delta(variant, gap, zeta, norms, deltas, eps, eta)
+    assert got[0] == want[0]
+    assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+
+def test_best_delta_rejects_nonpositive_grid():
+    for deltas in ([1.0, 0.0], [-1.0], [2.0, math.nan]):
+        with pytest.raises(ParameterError, match="delta must be > 0"):
+            best_delta(P0, GAP, 0.0, [1.0], deltas=deltas)
+    with pytest.raises(ParameterError):
+        best_delta(P0, GAP, 0.0, [1.0], deltas=[])
+
+
+def test_best_delta_ties_go_to_the_first_listed_delta():
+    # a repeated delta is an exact tie; exponents that are not finite are
+    # never chosen, and all-NaN norms leave the first delta with -inf
+    assert best_delta(P0, GAP, 0.0, [1.0], deltas=[0.5, 0.5]) == best_delta(
+        P0, GAP, 0.0, [1.0], deltas=[0.5])
+    assert best_delta(P0, GAP, 0.0, [math.nan], deltas=[0.5, 2.0]) == (0.5, -math.inf)
+

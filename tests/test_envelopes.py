@@ -156,9 +156,13 @@ def test_commuting_check_scalar_multiples_of_normal():
 
 
 def pairwise_commutator(seq, upto):
+    # products in extended precision: a float64 matmul may round X Y and Y X
+    # differently (fused multiply-add), which leaves about 1e-15 on exactly
+    # commuting diagonal pairs and can exceed the basis bound on U diag U^*
     A, B = seq.blocks(1, upto + 1)
-    ops = [X for k in range(upto) for X in (A[k], B[k], A[k].conj().T)]
-    return max((np.linalg.norm(X @ Y - Y @ X, 2)
+    ops = [X.astype(np.clongdouble) for k in range(upto)
+           for X in (A[k], B[k], A[k].conj().T)]
+    return max((np.linalg.norm((X @ Y - Y @ X).astype(complex), 2)
                 for i, X in enumerate(ops) for Y in ops[i + 1:]), default=0.0)
 
 

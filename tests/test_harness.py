@@ -360,6 +360,36 @@ def test_run_writes_report_and_csv(tmp_path):
     assert len(lines) == 2 + 80
 
 
+def old_csv_cell(v) -> str:
+    """The per-cell formatting the row formats replace."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def test_csv_rows_match_per_cell_formatting(tmp_path):
+    # index columns get int, numpy int and bool; value columns get float,
+    # numpy float64/float32, int, numpy int, signed zero, nan and inf
+    rng = np.random.default_rng(5)
+    indices = [0, 7, 10**18 + 1, np.int64(42), np.int32(-3), True]
+    values = [0.1, -2.5e-300, 1e16, 123456789012345678.0, 3, -0.0, math.nan,
+              -math.inf, np.float64(1.0 / 3.0), np.float32(0.1), np.int64(9),
+              *rng.standard_normal(20) * 10.0 ** rng.integers(-300, 300, 20)]
+    for kind, header in harness._CSV_HEADERS.items():
+        columns = header.split(",")
+        rows = []
+        for k in range(40):
+            rows.append(tuple(
+                indices[(k + c) % len(indices)]
+                if name in ("m", "j", "index") else values[(k + c) % len(values)]
+                for c, name in enumerate(columns)))
+        path = tmp_path / f"{kind}.csv"
+        harness._write_csv(path, kind, rows)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[1] == header
+        assert lines[2:] == [",".join(old_csv_cell(v) for v in row) for row in rows]
+
+
 def test_run_deterministic_reruns(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(base_config_dict()))

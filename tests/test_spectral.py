@@ -60,6 +60,24 @@ def test_symbol_example2_bands():
     assert est.samples[-1] == pytest.approx(5.0, abs=1e-12)
 
 
+def test_symbol_eigenvalue_table_feeds_gap_refinement():
+    est = symbol_spectrum(A2, np.diag([0.3, -0.2]), 512)
+    table = est.symbol_eigvals
+    assert table.shape == (512, 2) and not table.flags.writeable
+    thetas = 2.0 * math.pi * np.arange(512) / 512
+    z = np.exp(1j * thetas)[:, None, None]
+    per_theta = np.linalg.eigvalsh(z * A2 + np.conj(z) * A2.conj().T + np.diag([0.3, -0.2]))
+    assert np.array_equal(table, per_theta)
+    assert np.array_equal(est.samples, np.sort(table.ravel()))
+    # the coarse bracket is read from the table: rolling it by a quarter
+    # period moves the bracket off the true extremum and changes the endpoints
+    gaps = detect_gap(est, 0.2)
+    shifted = SpectrumEstimate(method="symbol", samples=est.samples, size=est.size,
+                               symbol=est.symbol,
+                               symbol_eigvals=np.roll(table, 128, axis=0))
+    assert [(g.r, g.s) for g in detect_gap(shifted, 0.2)] != [(g.r, g.s) for g in gaps]
+
+
 def test_symbol_no_gap_and_point_cases():
     est = symbol_spectrum(np.eye(2), np.zeros((2, 2)), 128)
     assert est.samples[0] == pytest.approx(-2.0, abs=1e-12)
