@@ -61,8 +61,13 @@ class SpectrumEstimate:
     samples: np.ndarray
     size: int                   # N (truncation) or theta-grid size (symbol)
     symbol: tuple | None = None  # (A, B) when method == "symbol"
-    #: (size, d) symbol eigenvalues per grid theta when method == "symbol"
+    #: (size, d) symbol eigenvalues per grid theta; computed from ``symbol``
+    #: when that is given without it
     symbol_eigvals: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.symbol is not None and self.symbol_eigvals is None:
+            object.__setattr__(self, "symbol_eigvals", _symbol_table(*self.symbol, self.size))
 
 
 def truncated_spectrum(op: TruncatedOperator) -> SpectrumEstimate:
@@ -88,6 +93,14 @@ def _symbol_matrices(A: np.ndarray, B: np.ndarray, thetas: np.ndarray) -> np.nda
     return z * A + np.conj(z) * A.conj().T + B
 
 
+def _symbol_table(A: np.ndarray, B: np.ndarray, grid_size: int) -> np.ndarray:
+    """Read-only (grid_size, d) symbol eigenvalues on the uniform theta-grid."""
+    thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
+    vals = np.linalg.eigvalsh(_symbol_matrices(A, B, thetas))
+    vals.flags.writeable = False
+    return vals
+
+
 def symbol_spectrum(A, B, grid_size: int = 2048) -> SpectrumEstimate:
     """Eigenvalues of the symbol over a uniform theta-grid on [0, 2 pi).
 
@@ -100,9 +113,7 @@ def symbol_spectrum(A, B, grid_size: int = 2048) -> SpectrumEstimate:
         raise ParameterError("symbol B must be Hermitian")
     if grid_size < 4:
         raise ParameterError(f"grid size must be >= 4, got {grid_size}")
-    thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    vals = np.linalg.eigvalsh(_symbol_matrices(A, B, thetas))
-    vals.flags.writeable = False
+    vals = _symbol_table(A, B, grid_size)
     samples = np.sort(vals.ravel())
     samples.flags.writeable = False
     return SpectrumEstimate(method="symbol", samples=samples, size=grid_size,

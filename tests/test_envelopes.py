@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from blockjacobi import (DecayRate, DomainError,
                          PreconditionError, commuting_check, constant_sequence,
@@ -167,6 +167,7 @@ def pairwise_commutator(seq, upto):
 
 
 @given(st.integers(1, 3), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+@example(3, 6, 200, True)  # float64 X Y - Y X leaves about 1e-15 on this commuting family
 def test_commuting_check_matches_pairwise_loop(d, upto, seed, diagonal):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((upto, d, d)) + 1j * rng.standard_normal((upto, d, d))
@@ -182,6 +183,8 @@ def test_commuting_check_matches_pairwise_loop(d, upto, seed, diagonal):
 
 
 @given(st.integers(1, 4), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+@example(3, 1, 2**32 - 1, True)  # float64 pairwise maximum 1.58e-15 > basis bound 1.51e-15
+@example(3, 6, 200, True)
 def test_commuting_check_basis_bound_against_pairwise(d, upto, seed, commuting):
     # simultaneously diagonalizable families (A_k = U diag U^*, B_k = U diag U^*,
     # one random unitary U) pass through the basis bound, which must cover

@@ -78,6 +78,17 @@ def test_symbol_eigenvalue_table_feeds_gap_refinement():
     assert [(g.r, g.s) for g in detect_gap(shifted, 0.2)] != [(g.r, g.s) for g in gaps]
 
 
+def test_symbol_estimate_without_table_computes_it():
+    est = symbol_spectrum(A2, np.diag([0.3, -0.2]), 512)
+    bare = SpectrumEstimate(method="symbol", samples=est.samples, size=est.size,
+                            symbol=est.symbol)
+    assert np.array_equal(bare.symbol_eigvals, est.symbol_eigvals)
+    assert not bare.symbol_eigvals.flags.writeable
+    assert [(g.r, g.s) for g in detect_gap(bare, 0.2)] == \
+        [(g.r, g.s) for g in detect_gap(est, 0.2)]
+    assert np.array_equal(band_edges(bare, 0.2), band_edges(est, 0.2))
+
+
 def test_symbol_no_gap_and_point_cases():
     est = symbol_spectrum(np.eye(2), np.zeros((2, 2)), 128)
     assert est.samples[0] == pytest.approx(-2.0, abs=1e-12)

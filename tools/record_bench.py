@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Record a BENCH_<n>.json: a parent and a changed checkout, same machine.
 
-    python3 tools/record_bench.py --parent <checkout> [--change <checkout>]
-        [--pairs 10] [--seconds 4] [--ladder-repeats 3] --out BENCH_<n>.json
+    python3 tools/record_bench.py --parent <checkout> [--change <checkout>] \
+        --out BENCH_<n>.json
 
 Both checkouts are measured in alternating order (the side that goes first
-swaps every pair), so slow drift of the machine hits both alike:
+swaps every pair), so slow drift of the machine hits both alike, with
+``PAIRS`` pairs per workload, ``SECONDS`` per ``perfbench/run.py`` run and
+``LADDER_REPEATS`` pairs per ladder point:
 
 * every workload of ``perfbench/run.py`` (``--trace 0``): median and
   quartiles of ``wall_s``, ``peak_rss_mb`` and ``setup_s`` over the pairs,
@@ -16,8 +18,15 @@ swaps every pair), so slow drift of the machine hits both alike:
   on example 2 (x = 3) at zeta = 0.5, and ``verify_eigenvector_bound`` on the
   same operator with B_1 = 0.5 I (its 2N section included).
 
+Each side is labelled with its HEAD commit, plus the hash of a stash commit
+of its working tree when that has uncommitted changes, so the numbers can be
+tied to the exact code that was timed; record from clean checkouts to get
+plain commit hashes. The ``notes`` list is written empty: notes on the run
+are added by hand afterwards.
+
 Nothing is written into either checkout except what ``perfbench/run.py``
-itself keeps in its ``.perfbench/`` directory.
+itself keeps in its ``.perfbench/`` directory and, for a dirty tree, the
+unreferenced stash commit in its git object store.
 """
 
 from __future__ import annotations
@@ -36,6 +45,9 @@ END_TO_END = ("wall_s", "peak_rss_mb", "setup_s")
 TRACED = ("boundfns.best_delta.calls", "boundfns.best_delta.busy_s",
           "spectral.detect_gap.busy_s", "harness.self_s")
 LADDER = {"green": (1200, 10_000, 100_000), "eigenvector": (1000, 2000, 4000)}
+PAIRS = 10
+SECONDS = 5.0
+LADDER_REPEATS = 3
 
 #: one ladder point, run with the checkout's ``src`` on sys.path
 LADDER_POINT = """
@@ -63,9 +75,9 @@ def last_json_line(cmd, cwd: Path, env=None):
     return json.loads(out.strip().splitlines()[-1])
 
 
-def perfbench(root: Path, workload: str, seconds: float, trace: int) -> dict:
+def perfbench(root: Path, workload: str, trace: int) -> dict:
     return last_json_line([sys.executable, str(root / "perfbench" / "run.py"),
-                           "--workload", workload, "--seconds", str(seconds),
+                           "--workload", workload, "--seconds", str(SECONDS),
                            "--trace", str(trace)], root)
 
 
@@ -90,8 +102,12 @@ def alternate(sides: dict, pairs: int, measure) -> dict:
 
 
 def revision(root: Path) -> str:
-    return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
-                          capture_output=True, text=True).stdout.strip()
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    head = git("rev-parse", "HEAD")
+    stash = git("stash", "create")   # empty for a clean tree
+    return f"{head}+worktree:{stash}" if stash else head
 
 
 def machine() -> dict:
@@ -114,18 +130,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, default=Path(__file__).resolve().parents[1])
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=4.0)
-    ap.add_argument("--ladder-repeats", type=int, default=3)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     workloads = {}
     for wl in WORKLOADS:
-        runs = alternate(sides, args.pairs,
-                         lambda root: perfbench(root, wl, args.seconds, 0))
-        entry = {"pairs": args.pairs}
+        runs = alternate(sides, PAIRS, lambda root: perfbench(root, wl, 0))
+        entry = {"pairs": PAIRS}
         for name, results in runs.items():
             entry[name] = {m: summary([r["metrics"][m]["value"] for r in results])
                            for m in END_TO_END}
@@ -140,14 +152,14 @@ def main(argv=None) -> int:
 
     traced = {}
     for name, root in sides.items():
-        metrics = perfbench(root, "sweep", args.seconds, 1)["metrics"]
+        metrics = perfbench(root, "sweep", 1)["metrics"]
         traced[name] = {m: metrics[m]["value"] for m in TRACED}
 
     ladder = {}
     for kind, sizes in LADDER.items():
         ladder[kind] = {"N": list(sizes)}
         for n in sizes:
-            runs = alternate(sides, args.ladder_repeats,
+            runs = alternate(sides, LADDER_REPEATS,
                              lambda root: ladder_point(root, kind, n))
             for name, values in runs.items():
                 ladder[kind].setdefault(f"{name}_s", []).append(statistics.median(values))
@@ -157,18 +169,20 @@ def main(argv=None) -> int:
         "revisions": {name: revision(root) for name, root in sides.items()},
         "machine": machine(),
         "method": {
-            "workloads": f"perfbench/run.py --workload W --seconds {args.seconds} "
-                         f"--trace 0, {args.pairs} alternating parent/change pairs",
-            "trace": f"perfbench/run.py --workload sweep --seconds {args.seconds} "
+            "workloads": f"perfbench/run.py --workload W --seconds {SECONDS} "
+                         f"--trace 0, {PAIRS} alternating parent/change pairs",
+            "trace": f"perfbench/run.py --workload sweep --seconds {SECONDS} "
                      "--trace 1, once per side",
             "ladder": "example 2 (x = 3), zeta = 0.5, wall time of one "
                       "verify_green_bound / verify_eigenvector_bound call "
                       "(B_1 = 0.5 I) in a fresh interpreter, median of "
-                      f"{args.ladder_repeats} alternating runs per side",
+                      f"{LADDER_REPEATS} alternating runs per side",
+            "notes": "added by hand after the run, not by this tool",
         },
         "workloads": workloads,
         "trace_sweep": traced,
         "ladder_s": ladder,
+        "notes": [],
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     return 0
