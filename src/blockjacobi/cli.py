@@ -20,7 +20,7 @@ from .errors import ParameterError
 from .harness import (ExperimentConfig, edge_scaling_study, run,
                       verify_green_bound, _write_csv)
 from .operators import assemble_truncation, load_operator, EntrySequence
-from .spectral import (band_edges, detect_gap, green_block, symbol_spectrum,
+from .spectral import (band_edges, detect_gap, green_block, tail_symbol_spectrum,
                        truncated_spectrum)
 from .transfer import (classify_splitting, example3_gap, example3_rho,
                        monodromy_splitting)
@@ -91,8 +91,7 @@ def _add_io(p) -> None:
 def _spectrum_estimate(args):
     seq = _parse_operator(args.operator)
     if args.source == "symbol":
-        a1, b1 = seq.block(len(seq.prefix) + 1)
-        return symbol_spectrum(a1, b1, args.grid)
+        return tail_symbol_spectrum(seq, args.grid)
     return truncated_spectrum(assemble_truncation(seq, args.n))
 
 
@@ -132,17 +131,18 @@ def cmd_green(args) -> int:
 
 def cmd_bound(args) -> int:
     gap = GapInterval(args.gap[0], args.gap[1])
-    if args.delta == "auto":
-        if args.operator is None:
-            raise ParameterError("--delta auto needs --operator for the norm profile")
-        seq = _parse_operator(args.operator)
-        norms = seq.norms(max(args.n - 1, 1))
-        variant = args.variant if args.variant != "simplified" else "continuous"
-        delta, _ = best_delta(BoundParams(1.0, args.epsilon, args.eta), gap,
-                              args.zeta, norms, variant)
+    if args.variant == "simplified":     # its rate takes no delta
+        delta = params = None
     else:
-        delta = float(args.delta)
-    params = BoundParams(delta, args.epsilon, args.eta)
+        if args.delta != "auto":
+            delta = float(args.delta)
+        elif args.operator is None:
+            raise ParameterError("--delta auto needs --operator for the norm profile")
+        else:
+            norms = _parse_operator(args.operator).norms(max(args.n - 1, 1))
+            delta, _ = best_delta(BoundParams(1.0, args.epsilon, args.eta), gap,
+                                  args.zeta, norms, args.variant)
+        params = BoundParams(delta, args.epsilon, args.eta)
     rate = decay_rate(args.variant, params, gap, args.zeta, args.eps_prime)
     _emit({"gamma": rate.gamma, "branch": rate.branch, "variant": rate.variant,
            "delta": delta, "epsilon": args.epsilon, "eta": args.eta}, args)
@@ -211,11 +211,9 @@ def cmd_example3(args) -> int:
 
 def cmd_edge_study(args) -> int:
     res = edge_scaling_study(args.x, args.eps, n_blocks=args.n, delta=args.delta)
-    csv_rows = [(r["eps"], r["rate_measured"], r["gamma"], r["c_emp"])
-                for r in res.rows]
     _emit({"x": res.x, "n_blocks": res.n_blocks,
            "slope_measured": res.slope_measured, "slope_gamma": res.slope_gamma,
-           "rows": res.rows}, args, "edge", csv_rows)
+           "rows": res.rows}, args, "edge", res.table)
     return 0
 
 

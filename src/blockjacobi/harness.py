@@ -11,11 +11,14 @@ Each experiment evaluates one decay bound on a finite truncation:
 * ``edge``: measured decay rate and theoretical rate as the spectral point
   approaches a band edge, with log-log slopes in the distance.
 
-The bounds only assert existence of a constant, so pass/fail is defined on
-N-stability of C_emp (within 5% between N and 2N), finiteness of every
-ratio, and the measured decay rate being at least the theoretical envelope
-rate; never on the magnitude of C_emp itself.  Everything is deterministic:
-identical configs produce byte-identical CSV bodies.
+``run`` and the ``verify_*`` functions run one pipeline over the configured
+kinds: the operator and gap are resolved once, and every kind appends its
+results to one report.  The bounds only assert existence of a constant, so
+one pass rule decides every green, commuting and eigenvector result: C_emp
+is finite and agrees within 5% between N and 2N, and the measured decay
+rate is at least the theoretical envelope rate; never a threshold on the
+magnitude of C_emp itself.  Everything is deterministic: identical configs
+produce byte-identical CSV bodies.
 
 The variants of a Green config differ only in rate and envelope, so they
 share one Green solve per (zeta, section): the N and 2N sections are
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -46,17 +49,20 @@ from .errors import (DomainError, ParameterError, PreconditionError,
 from .operators import (EntrySequence, assemble_truncation, example2_sequence,
                         load_operator)
 from .spectral import (SINGULARITY_TOL, RESIDUAL_TOL, detect_gap,
-                       eigenpairs_in_gap, green_block, period2_symbol_blocks,
-                       symbol_spectrum, truncated_spectrum)
+                       eigenpairs_in_gap, green_block, tail_symbol_spectrum,
+                       truncated_spectrum)
 
 STABILITY_REL = 0.05     # C_emp(N) vs C_emp(2N) agreement required for a pass
 DRIFT_TOL = 1e-6
 NOISE_FLOOR_REL = 1e-13  # entries below this (relative) are LU solve noise
 FIT_HEAD_OFFSET = 5      # slope fit starts at j0 + 5
 FIT_TAIL_MARGIN = 10     # and ends at N - 10 (Dirichlet edge contamination)
+GAP_TOL = 0.2            # minimal gap length when gap.tol is not given
 
 VARIANTS = ("continuous", "discrete", "simplified", "commuting")
 COUNTERS = ("sections_assembled", "green_solves", "eigen_searches")
+_PARAM_KEYS = ("delta", "epsilon", "eta", "eps_prime")   # JSON "params" fields
+_EDGE_KEYS = ("x", "eps_list", "n_blocks")   # "edge" section: edge_scaling_study args
 
 # errors that become a failed experiment in the report instead of propagating
 _REPORTED = (SingularityError, PreconditionError, DomainError, ParameterError)
@@ -66,7 +72,7 @@ _REPORTED = (SingularityError, PreconditionError, DomainError, ParameterError)
 class ExperimentConfig:
     """One harness configuration (shared by all its experiments)."""
 
-    operator: EntrySequence | dict
+    operator: EntrySequence | dict = field(default_factory=dict)
     gap: dict = field(default_factory=lambda: {"source": "symbol"})
     zetas: tuple = ()
     delta: float | str = "auto"
@@ -78,7 +84,6 @@ class ExperimentConfig:
     rows: tuple | None = None
     cols: tuple = (1, 1)
     experiments: tuple = ("green",)
-    gap_tol: float = 0.2
     symbol_grid: int = 2048
     edge: dict | None = None
     out_dir: str | None = None
@@ -104,35 +109,31 @@ class ExperimentConfig:
             self.delta = float(self.delta)
         elif self.delta != "auto":
             raise ParameterError(f"delta must be a number or 'auto', got {self.delta!r}")
+        if self.edge is not None:
+            _reject_unknown("edge", self.edge, _EDGE_KEYS)
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
+        """Config from a JSON file or dict; unknown keys raise ParameterError."""
         if isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         else:
             data = dict(source)
-        params = data.get("params", {})
-        zetas = [complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z)
-                 for z in data.get("zetas", [])]
-        return cls(
-            operator=data.get("operator", {}),
-            gap=data.get("gap", {"source": "symbol"}),
-            zetas=zetas,
-            delta=params.get("delta", "auto"),
-            epsilon=params.get("epsilon", DEFAULT_EPSILON),
-            eta=params.get("eta", DEFAULT_ETA),
-            eps_prime=params.get("eps_prime", 0.01),
-            variants=data.get("variants", ["continuous"]),
-            n_blocks=data.get("n_blocks", 200),
-            rows=data.get("rows"),
-            cols=data.get("cols", (1, 1)),
-            experiments=data.get("experiments", ["green"]),
-            gap_tol=data.get("gap_tol", 0.2),
-            symbol_grid=data.get("symbol_grid", 2048),
-            edge=data.get("edge"),
-            out_dir=data.get("out_dir"),
-        )
+        params = data.pop("params", {})
+        _reject_unknown("config", data,
+                        [f.name for f in fields(cls) if f.name not in _PARAM_KEYS])
+        _reject_unknown("params", params, _PARAM_KEYS)
+        if "zetas" in data:
+            data["zetas"] = [complex(z[0], z[1]) if isinstance(z, (list, tuple))
+                             else complex(z) for z in data["zetas"]]
+        return cls(**data, **params)
+
+
+def _reject_unknown(where: str, data: dict, known) -> None:
+    if unknown := sorted(set(data) - set(known)):
+        raise ParameterError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                             f"expected {', '.join(known)}")
 
 
 @dataclass
@@ -212,48 +213,25 @@ def as_sequence(operator) -> EntrySequence:
     return operator if isinstance(operator, EntrySequence) else load_operator(operator)
 
 
-def _start(cfg: ExperimentConfig) -> tuple[EntrySequence, GapInterval, VerificationReport]:
-    """The sequence, the resolved gap and an empty report carrying both."""
-    seq = as_sequence(cfg.operator)
-    gap = resolve_gap(cfg, seq)
-    report = VerificationReport(meta=_meta(cfg))
-    report.meta["gap"] = [gap.r, gap.s]
-    if cfg.gap.get("source", "symbol") == "truncation":
-        # resolve_gap diagonalized the assembled N section
-        report.meta["counters"]["sections_assembled"] += 1
-        report.meta["counters"]["eigen_searches"] += 1
-    return seq, gap, report
-
-
 def resolve_gap(cfg: ExperimentConfig, seq: EntrySequence) -> GapInterval:
     """Resolve the configured gap source to a concrete interval.
 
-    ``explicit`` uses the given (r, s).  ``symbol`` inspects the blocks past
-    the prefix: equal consecutive blocks give a period-1 symbol, a 2-periodic
-    pattern is folded by block doubling.  ``truncation`` detects gaps in the
-    N-section spectrum.  For the spectrum-based sources, the gap containing
-    Re of the first configured zeta is selected.
+    ``explicit`` uses the given (r, s).  ``symbol`` uses the symbol of the
+    blocks past the prefix (constant, or 2-periodic folded by block
+    doubling; see ``tail_symbol_spectrum``).  ``truncation`` detects gaps in
+    the N-section spectrum.  For the spectrum-based sources, the gap
+    containing Re of the first configured zeta is selected.
     """
     source = cfg.gap.get("source", "symbol")
     if source == "explicit":
         return GapInterval(float(cfg.gap["r"]), float(cfg.gap["s"]))
     if source == "symbol":
-        p0 = len(seq.prefix) + 1
-        A, B = seq.blocks(p0, p0 + 4)
-        if np.allclose(A[0], A[1], atol=1e-12) and np.allclose(B[0], B[1], atol=1e-12):
-            est = symbol_spectrum(A[0], B[0], cfg.symbol_grid)
-        elif np.allclose(A[:2], A[2:], atol=1e-12) and np.allclose(B[:2], B[2:], atol=1e-12):
-            est = symbol_spectrum(*period2_symbol_blocks(A[0], A[1], B[0], B[1]),
-                                  cfg.symbol_grid)
-        else:
-            raise ParameterError(
-                "symbol gap source needs constant or 2-periodic blocks past the "
-                "prefix; use an explicit gap for this operator")
+        est = tail_symbol_spectrum(seq, cfg.symbol_grid)
     elif source == "truncation":
         est = truncated_spectrum(assemble_truncation(seq, cfg.n_blocks))
     else:
         raise ParameterError(f"unknown gap source {source!r}")
-    gaps = detect_gap(est, cfg.gap.get("tol", cfg.gap_tol))
+    gaps = detect_gap(est, cfg.gap.get("tol", GAP_TOL))
     if not cfg.zetas:
         if not gaps:
             raise ParameterError("no spectral gap detected")
@@ -285,14 +263,23 @@ def _resolve_rate(cfg: ExperimentConfig, variant: str, gap: GapInterval,
 
 
 def _make_envelope(variant: str, rate: DecayRate, seq: EntrySequence,
-                   delta: float | None, norms: np.ndarray, m, j) -> np.ndarray:
-    """Scalar envelope on the windows (m, j) (broadcast arrays); norms cover them."""
+                   delta: float | None, norms: np.ndarray, m, j
+                   ) -> tuple[np.ndarray, int | None]:
+    """Scalar envelope on the windows (m, j) (broadcast arrays); norms cover them.
+
+    Also returns the discrete variant's n0 (None for the others): the largest
+    over the windows, which is the widest window's, as n0 is non-decreasing
+    in a window's far end.
+    """
     if variant == "simplified":
-        return scalar_envelope(rate, cumulative_reciprocal(seq, len(norms), norms=norms), m, j)
+        profile = cumulative_reciprocal(seq, len(norms), norms=norms)
+        return scalar_envelope(rate, profile, m, j), None
     if variant in ("continuous", "commuting"):
-        return scalar_envelope(rate, cumulative_phi(seq, delta, len(norms), norms=norms), m, j)
+        profile = cumulative_phi(seq, delta, len(norms), norms=norms)
+        return scalar_envelope(rate, profile, m, j), None
     if variant == "discrete":
-        return discrete_envelope(rate, seq, m, j, norms=norms).value
+        prod = discrete_envelope(rate, seq, m, j, norms=norms)
+        return prod.value, int(np.max(prod.n0))
     raise ParameterError(f"unknown variant {variant!r}")
 
 
@@ -326,8 +313,29 @@ def _theoretical_slope(ms: np.ndarray, env: np.ndarray) -> float:
     return float(np.polyfit(ms.astype(float), -np.log(env), 1)[0])
 
 
+def _verdict(ms: np.ndarray, values: np.ndarray, env: np.ndarray, c_n: float,
+             c_2n: float | None, lo: int, hi: int) -> tuple:
+    """The pass rule of every green, commuting and eigenvector result.
+
+    Passed: C_emp c_n is finite and within STABILITY_REL of the 2N value
+    c_2n (not checked when None), and the decay rate of ``values`` over ms
+    in [lo, hi] is finite and at least the slope of ``env`` on the fitted
+    blocks.  Returns (stable, slope, slope_theo, fit mask, passed).
+    """
+    if c_2n is None:
+        stable = math.isfinite(c_n)
+    else:
+        stable = (math.isfinite(c_n) and math.isfinite(c_2n)
+                  and abs(c_n - c_2n) < STABILITY_REL * c_n)
+    slope, mask = _fit_slope(ms, values, lo, hi)
+    slope_theo = _theoretical_slope(ms[mask], env[mask])
+    passed = bool(math.isfinite(c_n) and stable
+                  and math.isfinite(slope) and slope >= slope_theo)
+    return bool(stable), slope, slope_theo, mask, passed
+
+
 # ---------------------------------------------------------------------------
-# experiments
+# experiment kinds: each is (cfg, seq, gap, meta) -> list of results
 
 @dataclass(frozen=True, eq=False)
 class _VariantBound:
@@ -350,79 +358,42 @@ def _variant_bound(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
                    zeta: complex, variant: str, norms: np.ndarray) -> _VariantBound:
     """The variant's own rate and envelope; norms = ||A_k|| up to the window's end."""
     rows, cols = _window(cfg)
-    upto = len(norms)
-    rate, delta = _resolve_rate(cfg, variant, gap, zeta, norms[:max(upto - 1, 1)])
+    rate, delta = _resolve_rate(cfg, variant, gap, zeta, norms[:max(len(norms) - 1, 1)])
     m, j = rows[:, None], cols[None, :]
-    env = _make_envelope(variant, rate, seq, delta, norms, m, j)
+    env, n0 = _make_envelope(variant, rate, seq, delta, norms, m, j)
     op_env = operator_envelope(rate, seq, delta, m, j) if variant == "commuting" else None
-    n0 = (int(discrete_envelope(rate, seq, min(rows[0], cols[0]), upto, norms=norms).n0)
-          if variant == "discrete" else None)
     return _VariantBound(variant, rate, delta, env, op_env, n0)
 
 
-def _green_tables(seq: EntrySequence, sizes: tuple, sections: list, zeta: complex,
-                  rows, cols, counters: dict):
-    """Green tables of zeta on the sections of the given sizes, or the first error.
-
-    ``sections`` holds the truncations assembled so far (in ``sizes`` order)
-    and grows as the solves reach further sections.
-    """
-    tables = []
-    try:
-        for size in sizes:
-            if len(sections) == len(tables):
-                sections.append(assemble_truncation(seq, size))
-                counters["sections_assembled"] += 1
-            counters["green_solves"] += 1
-            tables.append(green_block(sections[len(tables)], zeta, rows, cols))
-    except _REPORTED as exc:
-        return exc
-    return tables
-
-
 def _green_evaluate(cfg: ExperimentConfig, zeta: complex, bound: _VariantBound,
-                    tables: list) -> ExperimentResult:
-    """C_emp, stability, slope fit and CSV rows of one variant.
-
-    ``tables`` holds the Green table of the N section and, when stability is
-    checked, that of the 2N section.
-    """
+                    table, table_2n) -> ExperimentResult:
+    """C_emp, verdict and CSV rows of one variant against the N section's
+    Green table, with stability against the 2N table unless that is None."""
     n = cfg.n_blocks
     rows, cols = _window(cfg)
-    j0 = int(cols[0])
 
-    def c_emp_for(table) -> tuple[float, np.ndarray]:
+    def c_emp_for(t) -> float:
         if bound.op_env is not None:
-            ratios = np.linalg.norm(bound.op_env @ table.stack, 2, axis=(-2, -1))
+            ratios = np.linalg.norm(bound.op_env @ t.stack, 2, axis=(-2, -1))
         else:
-            ratios = table.norm_stack / bound.env
-        return float(np.max(ratios)), ratios
+            ratios = t.norm_stack / bound.env
+        return float(np.max(ratios))     # inf or nan if any ratio is
 
-    table = tables[0]
-    c1, ratios = c_emp_for(table)
-    all_finite = bool(np.all(np.isfinite(ratios)))
-    check_stability = len(tables) > 1
-    if check_stability:
-        c2 = c_emp_for(tables[1])[0]
-        stable = (math.isfinite(c1) and math.isfinite(c2)
-                  and abs(c1 - c2) < STABILITY_REL * c1)
-    else:
-        c2 = math.nan
-        stable = math.isfinite(c1)
-    slope, mask = _fit_slope(rows, table.norm_stack[:, 0], j0 + FIT_HEAD_OFFSET,
-                             n - FIT_TAIL_MARGIN)
-    slope_theo = _theoretical_slope(rows[mask], bound.env[mask, 0])
-    passed = bool(all_finite and stable and math.isfinite(slope) and slope >= slope_theo)
+    c1 = c_emp_for(table)
+    c2 = None if table_2n is None else c_emp_for(table_2n)
+    stable, slope, slope_theo, mask, passed = _verdict(
+        rows, table.norm_stack[:, 0], bound.env[:, 0], c1, c2,
+        int(cols[0]) + FIT_HEAD_OFFSET, n - FIT_TAIL_MARGIN)
     details = {
-        "c_emp_2n": _json_float(c2),
+        "c_emp_2n": _json_float(math.nan if c2 is None else c2),
         "sigma_min": _json_float(table.sigma_min),
         "condition": _json_float(table.condition),
         "ill_conditioned": table.ill_conditioned,
         "fit_points": int(np.count_nonzero(mask)),
         "noise_floor_m": _noise_floor_m(rows, mask),
-        "all_ratios_finite": all_finite,
-        "c_emp_stable": bool(stable),
-        "stability_checked": check_stability,
+        "all_ratios_finite": math.isfinite(c1),
+        "c_emp_stable": stable,
+        "stability_checked": table_2n is not None,
     }
     if bound.n0 is not None:
         details["n0"] = bound.n0
@@ -439,33 +410,45 @@ def _green_evaluate(cfg: ExperimentConfig, zeta: complex, bound: _VariantBound,
 
 
 def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
-                       variants: tuple, counters: dict) -> list[ExperimentResult]:
+                       meta: dict, variants: tuple | None = None) -> list[ExperimentResult]:
     """Every (zeta, variant) Green experiment of cfg, in that order.
 
     Only the rate and the envelope depend on the variant, so the rest is
     done once and shared: ||A_k|| on the window, one assembly of the N and
     of the 2N section, and per zeta one Green solve on each.  A variant's own
     rate or envelope error is reported before the solve's; a failed solve
-    gives every variant of its zeta the same error.
+    gives every variant of its zeta the same error.  ``variants`` defaults
+    to the config's.
     """
     n = cfg.n_blocks
     rows, cols = _window(cfg)
+    counters = meta["counters"]
+    sections = {}
+
+    def solve(size: int, zeta: complex):
+        if size not in sections:
+            sections[size] = assemble_truncation(seq, size)
+            counters["sections_assembled"] += 1
+        counters["green_solves"] += 1
+        return green_block(sections[size], zeta, rows, cols)
+
     norms = None
-    sections = []
     results = []
     for zeta in cfg.zetas:
-        tables = None        # this zeta's Green tables, or the error of its solve
-        for variant in variants:
+        tables = None        # this zeta's N and 2N Green tables, or their solve's error
+        for variant in variants or cfg.variants:
             try:
                 if norms is None:
                     norms = seq.norms(max(cfg.rows[1], cfg.cols[1]))
                 bound = _variant_bound(cfg, seq, gap, zeta, variant, norms)
                 if tables is None:
-                    tables = _green_tables(seq, (n, 2 * n), sections, zeta,
-                                           rows, cols, counters)
+                    try:
+                        tables = (solve(n, zeta), solve(2 * n, zeta))
+                    except _REPORTED as exc:
+                        tables = exc
                 if isinstance(tables, Exception):
                     raise tables
-                result = _green_evaluate(cfg, zeta, bound, tables)
+                result = _green_evaluate(cfg, zeta, bound, *tables)
             except _REPORTED as exc:
                 result = _error_result(f"green:{variant}:zeta={_fmt_zeta(zeta)}",
                                        variant, zeta, n, exc)
@@ -478,107 +461,70 @@ def _error_result(name: str, variant: str, zeta, n: int, exc: Exception) -> Expe
                             zeta=zeta, details={"error": f"{type(exc).__name__}: {exc}"})
 
 
-def verify_green_bound(cfg: ExperimentConfig) -> VerificationReport:
-    """Green-block decay against the envelope for every (zeta, variant).
-
-    Each zeta is solved once per section; every variant is evaluated
-    against the same tables.
-    """
-    seq, gap, report = _start(cfg)
-    report.experiments = _green_experiments(cfg, seq, gap, cfg.variants,
-                                            report.meta["counters"])
-    return report
-
-
-def verify_eigenvector_bound(cfg: ExperimentConfig) -> VerificationReport:
-    """Eigenvector decay for every N-stable gap eigenpair.
-
-    Reported as skipped (pass = null), not failed, when the operator has no
-    genuine gap eigenpair at this truncation size.
-    """
-    seq, gap, report = _start(cfg)
+def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
+                             gap: GapInterval, meta: dict) -> list[ExperimentResult]:
     n = cfg.n_blocks
-    counters = report.meta["counters"]
+    counters = meta["counters"]
     variant = next((v for v in cfg.variants if v != "commuting"), "continuous")
     pairs = eigenpairs_in_gap(assemble_truncation(seq, n), gap)
     counters["sections_assembled"] += 1
     counters["eigen_searches"] += 1
     if not pairs:
-        report.experiments.append(ExperimentResult(
+        return [ExperimentResult(
             name="eigenvector:none", variant=variant, passed=None, n_blocks=n,
-            details={"skipped": f"no N-stable gap eigenpair in ({gap.r:.6g}, {gap.s:.6g})"}))
-        return report
+            details={"skipped": f"no N-stable gap eigenpair in ({gap.r:.6g}, {gap.s:.6g})"})]
     pairs_2n = eigenpairs_in_gap(assemble_truncation(seq, 2 * n), gap)
     counters["sections_assembled"] += 1
     counters["eigen_searches"] += 1
-    norms = seq.norms(n - 1)
+    norms = seq.norms(2 * n - 1)
     ms = np.arange(1, 2 * n + 1)
-
-    def c_b_for(pair, env):
-        un = pair.block_norms
-        return float(np.max(un / env[:len(un)]))
-
+    results = []
     for pair in pairs:
-        zeta0 = pair.zeta
-        partner = next((p for p in pairs_2n if abs(p.zeta - zeta0) < DRIFT_TOL), None)
+        zeta0 = complex(pair.zeta)
+        name = f"eigenvector:zeta={_fmt_zeta(zeta0)}"
+        partner = next((p for p in pairs_2n if abs(p.zeta - pair.zeta) < DRIFT_TOL), None)
         # envelope on the windows (1, m) up to the 2N section when it has a
         # partner; the first N values serve the N section
         top = n if partner is None else 2 * n
         try:
-            rate, delta = _resolve_rate(cfg, variant, gap, zeta0, norms)
-            env = _make_envelope(variant, rate, seq, delta, seq.norms(top - 1), 1, ms[:top])
+            rate, delta = _resolve_rate(cfg, variant, gap, pair.zeta, norms[:n - 1])
+            env, _ = _make_envelope(variant, rate, seq, delta, norms[:top - 1], 1, ms[:top])
         except (DomainError, PreconditionError, ParameterError) as exc:
-            report.experiments.append(_error_result(
-                f"eigenvector:zeta={_fmt_zeta(complex(zeta0))}", variant,
-                complex(zeta0), n, exc))
+            results.append(_error_result(name, variant, zeta0, n, exc))
             continue
-        c_b = c_b_for(pair, env)
-        c_b_2n = c_b_for(partner, env) if partner is not None else math.nan
-        stable = (math.isfinite(c_b) and math.isfinite(c_b_2n)
-                  and abs(c_b - c_b_2n) < STABILITY_REL * c_b)
         un = pair.block_norms
-        slope, mask = _fit_slope(ms[:n], un, 1 + FIT_HEAD_OFFSET, n - FIT_TAIL_MARGIN)
-        slope_theo = _theoretical_slope(ms[:n][mask], env[:n][mask])
-        passed = bool(math.isfinite(c_b) and stable
-                      and math.isfinite(slope) and slope >= slope_theo)
-        csv_rows = tuple(zip(ms[:n].tolist(), un.tolist()))
-        report.experiments.append(ExperimentResult(
-            name=f"eigenvector:zeta={_fmt_zeta(complex(zeta0))}", variant=variant,
-            branch=rate.branch, gamma=rate.gamma, delta=delta, c_emp=c_b,
-            slope_measured=slope, slope_theoretical=slope_theo, passed=passed,
-            n_blocks=n, zeta=complex(zeta0),
+        c_b = float(np.max(un / env[:n]))
+        c_b_2n = math.nan if partner is None else float(np.max(partner.block_norms / env))
+        _, slope, slope_theo, mask, passed = _verdict(
+            ms[:n], un, env[:n], c_b, c_b_2n, 1 + FIT_HEAD_OFFSET, n - FIT_TAIL_MARGIN)
+        results.append(ExperimentResult(
+            name=name, variant=variant, branch=rate.branch, gamma=rate.gamma,
+            delta=delta, c_emp=c_b, slope_measured=slope,
+            slope_theoretical=slope_theo, passed=passed, n_blocks=n, zeta=zeta0,
             details={"c_b_2n": _json_float(c_b_2n), "residual": pair.residual,
                      "drift": pair.drift, "stable_partner_found": partner is not None,
                      "fit_points": int(np.count_nonzero(mask)),
                      "noise_floor_m": _noise_floor_m(ms[:n], mask)},
-            table=csv_rows))
-    return report
+            table=tuple(zip(ms[:n].tolist(), un.tolist()))))
+    return results
 
 
-def verify_commuting_bound(cfg: ExperimentConfig) -> VerificationReport:
-    """Operator-envelope bound for commuting-entry families.
-
-    When the commuting hypothesis fails on the sampled range, results are
-    tagged hypothesis-violated and no pass/fail is asserted.
-    """
-    seq, gap, report = _start(cfg)
-    upto = max(cfg.rows[1], cfg.cols[1])
-    ok, max_comm = commuting_check(seq, upto)
-    report.meta["max_commutator"] = _json_float(max_comm)
+def _commuting_experiments(cfg: ExperimentConfig, seq: EntrySequence,
+                           gap: GapInterval, meta: dict) -> list[ExperimentResult]:
+    ok, max_comm = commuting_check(seq, max(cfg.rows[1], cfg.cols[1]))
+    meta["max_commutator"] = _json_float(max_comm)
     if not ok:
-        for zeta in cfg.zetas:
-            report.experiments.append(ExperimentResult(
-                name=f"commuting:zeta={_fmt_zeta(zeta)}", variant="commuting",
-                passed=None, n_blocks=cfg.n_blocks, zeta=zeta,
-                details={"hypothesis-violated": _json_float(max_comm)}))
-        return report
-    report.experiments = _green_experiments(cfg, seq, gap, ("commuting",),
-                                            report.meta["counters"])
-    for result in report.experiments:
+        return [ExperimentResult(
+            name=f"commuting:zeta={_fmt_zeta(zeta)}", variant="commuting",
+            passed=None, n_blocks=cfg.n_blocks, zeta=zeta,
+            details={"hypothesis-violated": _json_float(max_comm)})
+            for zeta in cfg.zetas]
+    results = _green_experiments(cfg, seq, gap, meta, ("commuting",))
+    for result in results:
         if "error" not in result.details:
             result.details["direction_exponent_ratio"] = _direction_ratio(
                 seq, result, cfg)
-    return report
+    return results
 
 
 def _direction_ratio(seq: EntrySequence, result: ExperimentResult,
@@ -605,6 +551,11 @@ class EdgeStudyResult:
     slope_measured: float      # log-log slope of measured rate vs eps
     slope_gamma: float         # log-log slope of gamma vs eps
     counters: dict = field(default_factory=lambda: dict.fromkeys(COUNTERS, 0))
+
+    @property
+    def table(self) -> tuple:
+        """CSV rows (eps, rate_measured, gamma, c_emp)."""
+        return tuple((r["eps"], r["rate_measured"], r["gamma"], r["c_emp"]) for r in self.rows)
 
 
 def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
@@ -637,7 +588,7 @@ def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
     for eps in eps_arr:
         zeta = complex(gap.r + eps)
         bound = _variant_bound(cfg, seq, gap, zeta, "continuous", norms)
-        res = _green_evaluate(cfg, zeta, bound, [green_block(section, zeta, *window)])
+        res = _green_evaluate(cfg, zeta, bound, green_block(section, zeta, *window), None)
         rows.append({"eps": float(eps), "zeta": zeta.real,
                      "rate_measured": res.slope_measured, "gamma": res.gamma,
                      "c_emp": res.c_emp})
@@ -650,8 +601,79 @@ def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
                            counters=counters)
 
 
+def _edge_experiments(cfg: ExperimentConfig, seq, gap, meta: dict) -> list[ExperimentResult]:
+    """The edge study of cfg.edge with cfg's params; passes when both slopes are 1/2 +- 0.05."""
+    if not cfg.edge:
+        raise ParameterError("edge experiment needs an 'edge' config section")
+    study = edge_scaling_study(**cfg.edge, delta=cfg.delta, epsilon=cfg.epsilon,
+                               eta=cfg.eta)
+    for key, value in study.counters.items():
+        meta["counters"][key] += value
+    ok = (abs(study.slope_measured - 0.5) <= 0.05
+          and abs(study.slope_gamma - 0.5) <= 0.05)
+    return [ExperimentResult(
+        name="edge-study", variant="continuous",
+        slope_measured=study.slope_measured, slope_theoretical=study.slope_gamma,
+        passed=bool(ok), n_blocks=study.n_blocks, details={"rows": study.rows},
+        table=study.table)]
+
+
 # ---------------------------------------------------------------------------
-# top-level runner and file emission
+# the pipeline, top-level runner and file emission
+
+_KINDS = {"green": _green_experiments, "eigenvector": _eigenvector_experiments,
+          "commuting": _commuting_experiments, "edge": _edge_experiments}
+
+
+def _verify(cfg: ExperimentConfig, kinds) -> VerificationReport:
+    """One report holding the results of each experiment kind, in order.
+
+    The sequence and the gap are resolved once, when the first kind other
+    than ``edge`` needs them, so an edge-only config needs no operator.
+    """
+    report = VerificationReport(meta=_meta(cfg))
+    seq = gap = None
+    for kind in kinds:
+        if kind not in _KINDS:
+            raise ParameterError(f"unknown experiment kind {kind!r}")
+        if gap is None and kind != "edge":
+            seq = as_sequence(cfg.operator)
+            gap = resolve_gap(cfg, seq)
+            report.meta["gap"] = [gap.r, gap.s]
+            if cfg.gap.get("source", "symbol") == "truncation":
+                # resolve_gap diagonalized the assembled N section
+                report.meta["counters"]["sections_assembled"] += 1
+                report.meta["counters"]["eigen_searches"] += 1
+        report.experiments += _KINDS[kind](cfg, seq, gap, report.meta)
+    return report
+
+
+def verify_green_bound(cfg: ExperimentConfig) -> VerificationReport:
+    """Green-block decay against the envelope for every (zeta, variant).
+
+    Each zeta is solved once per section; every variant is evaluated
+    against the same tables.
+    """
+    return _verify(cfg, ("green",))
+
+
+def verify_eigenvector_bound(cfg: ExperimentConfig) -> VerificationReport:
+    """Eigenvector decay for every N-stable gap eigenpair.
+
+    Reported as skipped (pass = null), not failed, when the operator has no
+    genuine gap eigenpair at this truncation size.
+    """
+    return _verify(cfg, ("eigenvector",))
+
+
+def verify_commuting_bound(cfg: ExperimentConfig) -> VerificationReport:
+    """Operator-envelope bound for commuting-entry families.
+
+    When the commuting hypothesis fails on the sampled range, results are
+    tagged hypothesis-violated and no pass/fail is asserted.
+    """
+    return _verify(cfg, ("commuting",))
+
 
 _CSV_HEADERS = {
     "green": "m,j,re_zeta,im_zeta,norm_G",
@@ -685,40 +707,7 @@ def run(config, out_dir: str | None = None) -> tuple[VerificationReport, int]:
     experiment passed.  Fully deterministic for a given config.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_json(config)
-    report = VerificationReport(meta=_meta(cfg))
-    edge_result = None
-    for kind in cfg.experiments:
-        if kind == "green":
-            part = verify_green_bound(cfg)
-        elif kind == "eigenvector":
-            part = verify_eigenvector_bound(cfg)
-        elif kind == "commuting":
-            part = verify_commuting_bound(cfg)
-        elif kind == "edge":
-            if not cfg.edge:
-                raise ParameterError("edge experiment needs an 'edge' config section")
-            edge_result = edge_scaling_study(
-                x=float(cfg.edge["x"]), eps_list=cfg.edge["eps_list"],
-                n_blocks=int(cfg.edge.get("n_blocks", 1200)),
-                delta=cfg.edge.get("delta", cfg.delta),
-                epsilon=cfg.edge.get("epsilon", cfg.epsilon),
-                eta=cfg.edge.get("eta", cfg.eta))
-            ok = (abs(edge_result.slope_measured - 0.5) <= 0.05
-                  and abs(edge_result.slope_gamma - 0.5) <= 0.05)
-            part = VerificationReport(experiments=[ExperimentResult(
-                name="edge-study", variant="continuous",
-                slope_measured=edge_result.slope_measured,
-                slope_theoretical=edge_result.slope_gamma,
-                passed=bool(ok), n_blocks=edge_result.n_blocks,
-                details={"rows": edge_result.rows})],
-                meta={"counters": edge_result.counters})
-        else:
-            raise ParameterError(f"unknown experiment kind {kind!r}")
-        report.experiments.extend(part.experiments)
-        for key, value in part.meta.items():
-            report.meta.setdefault(key, value)
-        for key, value in part.meta["counters"].items():
-            report.meta["counters"][key] += value
+    report = _verify(cfg, cfg.experiments)
     target = out_dir or cfg.out_dir
     if target is not None:
         target = Path(target)
@@ -729,10 +718,9 @@ def run(config, out_dir: str | None = None) -> tuple[VerificationReport, int]:
         for i, res in enumerate(report.experiments):
             if res.table is None:
                 continue
-            kind = "eigenvector" if res.name.startswith("eigenvector") else "green"
-            _write_csv(target / f"{kind}_{i:02d}.csv", kind, res.table)
-        if edge_result is not None:
-            _write_csv(target / "edge.csv", "edge",
-                       [(r["eps"], r["rate_measured"], r["gamma"], r["c_emp"])
-                        for r in edge_result.rows])
+            if res.name == "edge-study":
+                _write_csv(target / "edge.csv", "edge", res.table)
+            else:
+                kind = "eigenvector" if res.name.startswith("eigenvector") else "green"
+                _write_csv(target / f"{kind}_{i:02d}.csv", kind, res.table)
     return report, report.exit_code

@@ -30,8 +30,8 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
-from .operators import (TruncatedOperator, as_block, hermitian_deviation,
-                        HERMITICITY_TOL)
+from .operators import (EntrySequence, TruncatedOperator, as_block,
+                        hermitian_deviation, HERMITICITY_TOL)
 
 #: zeta must stay at least this far from the truncated spectrum
 SINGULARITY_TOL = 1e-8
@@ -51,6 +51,10 @@ _SHIFT_IMAG_REL = 1e-10
 _SQNORM_SAFE = math.sqrt(np.finfo(float).max)
 #: smallest normal float
 _TINY = np.finfo(float).tiny
+#: gap eigenvalue candidates keep this share of the gap width from each end
+_MARGIN_FRAC = 0.02
+#: candidate eigenvalues closer than this form one cluster
+_CLUSTER_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +122,24 @@ def symbol_spectrum(A, B, grid_size: int = 2048) -> SpectrumEstimate:
     samples.flags.writeable = False
     return SpectrumEstimate(method="symbol", samples=samples, size=grid_size,
                             symbol=(A, B), symbol_eigvals=vals)
+
+
+def tail_symbol_spectrum(seq: EntrySequence, grid_size: int = 2048) -> SpectrumEstimate:
+    """Symbol spectrum of the blocks past the prefix of ``seq``.
+
+    Equal consecutive blocks give a period-1 symbol; a 2-periodic pattern is
+    folded by block doubling (:func:`period2_symbol_blocks`).  Any other
+    tail raises ParameterError.
+    """
+    p0 = len(seq.prefix) + 1
+    A, B = seq.blocks(p0, p0 + 4)
+    if np.allclose(A[0], A[1], atol=1e-12) and np.allclose(B[0], B[1], atol=1e-12):
+        return symbol_spectrum(A[0], B[0], grid_size)
+    if np.allclose(A[:2], A[2:], atol=1e-12) and np.allclose(B[:2], B[2:], atol=1e-12):
+        return symbol_spectrum(*period2_symbol_blocks(A[0], A[1], B[0], B[1]), grid_size)
+    raise ParameterError(
+        "symbol gap source needs constant or 2-periodic blocks past the "
+        "prefix; use an explicit gap for this operator")
 
 
 def period2_symbol_blocks(A1, A2, B1, B2) -> tuple[np.ndarray, np.ndarray]:
@@ -366,24 +388,6 @@ class EigenpairInGap:
         return np.linalg.norm(self.blocks, axis=1)
 
 
-def _hermitian_band(op: TruncatedOperator) -> np.ndarray:
-    """Lower triangle of J_N in LAPACK Hermitian band storage, kd = 2d - 1.
-
-    Entry (i, j), i >= j, sits at row i - j, column j (the ``lower=True``
-    layout of ``scipy.linalg.eigvals_banded``).  The lower triangles of the
-    B_k and the A_k^* below the diagonal are each written by one scatter
-    over all N blocks.
-    """
-    n, d = op.n_blocks, op.dim
-    ab = np.zeros((2 * d, n * d), dtype=complex)
-    r, c = np.divmod(np.arange(d * d), d)      # entry (r, c) of a d x d block
-    col = d * np.arange(n)[:, None] + c
-    low = r >= c
-    ab[(r - c)[low], col[:, low]] = op.b_blocks.reshape(n, d * d)[:, low]
-    ab[d + r - c, col[:-1]] = op.a_blocks.conj().transpose(0, 2, 1).reshape(n - 1, d * d)
-    return ab
-
-
 def _apply(op: TruncatedOperator, X: np.ndarray) -> np.ndarray:
     """J_N X for an (N d, k) array, straight from the block stacks."""
     n, d = op.n_blocks, op.dim
@@ -435,19 +439,19 @@ def _inverse_steps(vals: np.ndarray, cluster: list, shift: complex) -> int:
 
 
 def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
-                      margin_frac: float = 0.02, drift_tol: float = 1e-6,
-                      embed_tol: float = 1e-6,
-                      cluster_tol: float = 1e-8) -> list[EigenpairInGap]:
+                      drift_tol: float = 1e-6,
+                      embed_tol: float = 1e-6) -> list[EigenpairInGap]:
     """Eigenpairs of J_N strictly inside the gap, filtered of cut artifacts.
 
     Candidates are eigenvalues in (r + margin, s - margin) with margin 2% of
     the gap width; all N d eigenvalues come from one banded Hermitian
-    eigensolve (``eigvals_banded``, kd = 2d - 1).  Candidates within
-    ``cluster_tol`` of each other form a cluster, whose eigenvectors come
-    from block inverse iteration on the band LU of J_N - (mean + i tau),
-    tau = 1e-10 max(||J_N||, 1), followed by Rayleigh-Ritz.  The iteration
-    runs until the other eigenvectors' share is below the smallest normal
-    float, so far blocks of a localized eigenvector are resolved entrywise.
+    eigensolve (``eigvals_banded``, kd = 2d - 1, on the lower rows of the
+    LU band storage).  Candidates within 1e-8 of each other form a cluster,
+    whose eigenvectors come from block inverse iteration on the band LU of
+    J_N - (mean + i tau), tau = 1e-10 max(||J_N||, 1), followed by
+    Rayleigh-Ritz.  The iteration runs until the other eigenvectors' share is
+    below the smallest normal float, so far blocks of a localized
+    eigenvector are resolved entrywise.
 
     A Dirichlet cut manufactures spurious in-gap eigenpairs localized at the
     far boundary; these can be perfectly N-stable (the cut exists at every
@@ -467,16 +471,19 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     if seq is None:
         raise ParameterError("eigenpairs_in_gap needs a sequence-backed truncation")
     n, d = op.n_blocks, op.dim
-    margin = margin_frac * gap.width
+    margin = _MARGIN_FRAC * gap.width
     lo, hi = gap.r + margin, gap.s - margin
-    vals = eigvals_banded(_hermitian_band(op), lower=True, check_finite=False)
+    # rows 2 kl.. of the general band storage hold entry (i, j), i >= j, at
+    # row i - j: the lower Hermitian band layout, kd = kl = 2d - 1
+    vals = eigvals_banded(_band_storage(op, 0.0)[2 * (2 * d - 1):], lower=True,
+                          check_finite=False)
     candidates = np.nonzero((vals > lo) & (vals < hi))[0]
     if candidates.size == 0:
         return []
     # group candidates into near-degenerate clusters
     clusters, current = [], [int(candidates[0])]
     for idx in candidates[1:]:
-        if vals[idx] - vals[current[-1]] <= cluster_tol:
+        if vals[idx] - vals[current[-1]] <= _CLUSTER_TOL:
             current.append(int(idx))
         else:
             clusters.append(current)

@@ -1,7 +1,7 @@
 """Banded Green solve and banded gap eigen-search against the dense oracle.
 
 ``green_block`` factors J_N - zeta in LAPACK band storage and
-``eigenpairs_in_gap`` works from Hermitian band storage and band LU; neither
+``eigenpairs_in_gap`` works from the same band storage and band LU; neither
 builds the (N d) x (N d) matrix.  ``TruncatedOperator.to_dense`` exists for
 the oracle here.  Property tests draw random Hermitian block operators (and
 explicit-list sequences for the eigen-search, which also reads block N + 1)
@@ -20,7 +20,7 @@ from blockjacobi import (ExperimentConfig, GapInterval, ParameterError,
                          assemble_truncation, eigenpairs_in_gap,
                          example2_sequence, explicit_sequence, green_block,
                          verify_eigenvector_bound, with_prefix)
-from blockjacobi.spectral import RESIDUAL_TOL, _hermitian_band
+from blockjacobi.spectral import RESIDUAL_TOL, _band_storage
 
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
 
@@ -143,7 +143,10 @@ def test_scale_far_beyond_dense_memory():
 
 @given(hermitian_operators())
 def test_hermitian_band_is_the_lower_triangle(op):
-    ab = _hermitian_band(op)
+    # the lower rows of the LU band storage at zeta = 0, which
+    # eigenpairs_in_gap hands to eigvals_banded (lower=True, kd = 2d - 1)
+    kl = 2 * op.dim - 1
+    ab = _band_storage(op, 0.0)[2 * kl:]
     size = op.n_blocks * op.dim
     assert ab.shape == (2 * op.dim, size)
     lower = np.zeros((size, size), dtype=complex)

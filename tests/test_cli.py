@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from blockjacobi import gamma_continuous, BoundParams, GapInterval
+from blockjacobi import gamma_continuous, gamma_simplified, BoundParams, GapInterval
 from blockjacobi.cli import main
 
 
@@ -42,6 +42,17 @@ def test_gap_symbol(capsys):
     assert data["band_edges"] == pytest.approx([-5, -1, 1, 5], abs=1e-8)
 
 
+@pytest.mark.parametrize("command", ["gap", "spectrum"])
+def test_symbol_source_refuses_a_growing_tail(capsys, command):
+    # the symbol of one block past the prefix would show bands [-2, 2]; the
+    # example-3 tail is neither constant nor 2-periodic, as resolve_gap says
+    code = main([command, "--operator", "example3:x=0,alpha=0.75,c1=0,c2=1",
+                 "--source", "symbol"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "ParameterError: symbol gap source needs constant or 2-periodic" in captured.err
+
+
 def test_green_norms(capsys):
     code, out = cli(capsys, "green", "--operator", "example2:x=3", "--n", "40",
                     "--zeta", "0.5", "--rows", "1:10", "--cols", "1:1")
@@ -64,6 +75,13 @@ def test_bound_matches_library(capsys):
 def test_bound_auto_delta_needs_operator(capsys):
     code, _ = cli(capsys, "bound", "--gap=-1,1", "--zeta", "0", "--delta", "auto")
     assert code == 1
+    # the simplified rate takes no delta: none is reported and none is needed
+    code, out = cli(capsys, "bound", "--gap=-1,1", "--zeta", "0", "--delta", "auto",
+                    "--variant", "simplified")
+    assert code == 0
+    data = json.loads(out)
+    assert data["delta"] is None
+    assert data["gamma"] == gamma_simplified(GapInterval(-1, 1), 0.0, 0.01).gamma
 
 
 def test_verify_runs_config(tmp_path, capsys):

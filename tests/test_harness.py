@@ -7,11 +7,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from blockjacobi import harness
-from blockjacobi import (DomainError, ExperimentConfig, ParameterError,
-                         custom_sequence, edge_scaling_study, example2_min_decay,
-                         example2_sequence, example3_sequence, resolve_gap, run,
+from blockjacobi import (DomainError, ExperimentConfig, GapInterval, ParameterError,
+                         PreconditionError, custom_sequence, discrete_envelope,
+                         edge_scaling_study, example2_min_decay, example2_sequence,
+                         example3_sequence, explicit_sequence, resolve_gap, run,
                          verify_commuting_bound, verify_eigenvector_bound,
                          verify_green_bound, with_prefix)
 
@@ -51,6 +53,18 @@ def test_config_from_json():
     })
     assert cfg.zetas == (0.5 + 0j, 0.25 + 0j)
     assert cfg.rows == (1, 50)
+
+
+@pytest.mark.parametrize("level, key", [
+    (None, "gap_tol"), (None, "delta"), (None, "bogus"), ("params", "n_blocks"),
+    ("params", "bogus"), ("edge", "delta"), ("edge", "epsilon"), ("edge", "eta")])
+def test_config_from_json_rejects_unknown_keys(level, key):
+    data = base_config_dict()
+    data["edge"] = {"x": 3.0, "eps_list": [1e-3, 1e-2]}
+    ExperimentConfig.from_json(data)
+    (data if level is None else data[level])[key] = 0.5
+    with pytest.raises(ParameterError, match=repr(key)):
+        ExperimentConfig.from_json(data)
 
 
 def test_resolve_gap_symbol():
@@ -212,6 +226,31 @@ def test_green_bound_discrete_precondition_reported_before_singularity():
     alone = verify_green_bound(replace(cfg, variants=("discrete",)))
     assert alone.experiments[0].details["error"] == errors[2]
     assert alone.meta["counters"]["green_solves"] == 0
+
+
+@given(st.lists(st.floats(0.05, 0.6), min_size=4, max_size=30), st.data())
+def test_discrete_n0_detail_is_the_widest_window_n0(norms, data):
+    # with delta = 1 the discrete rate at zeta = 0 is 0.219, so some windows
+    # have a valid n0 and some have none; n0 depends only on a window's far end
+    n = len(norms)
+    r0 = data.draw(st.integers(1, n))
+    r1 = data.draw(st.integers(r0, n))
+    c0 = data.draw(st.integers(1, n))
+    c1 = data.draw(st.integers(c0, n))
+    seq = explicit_sequence([(np.array([[a]]), np.zeros((1, 1))) for a in norms])
+    gap = GapInterval(-1.0, 1.0)
+    cfg = ExperimentConfig(operator=seq, gap={"source": "explicit", "r": -1.0, "s": 1.0},
+                           zetas=(0.0,), delta=1.0, n_blocks=n, rows=(r0, r1),
+                           cols=(c0, c1), variants=("discrete",))
+    upto = max(r1, c1)
+    norm_arr = seq.norms(upto)
+    rate, _ = harness._resolve_rate(cfg, "discrete", gap, 0j, norm_arr)
+    try:
+        bound = harness._variant_bound(cfg, seq, gap, 0j, "discrete", norm_arr)
+    except PreconditionError:
+        return    # some window of the grid has no valid n0: no detail
+    widest = discrete_envelope(rate, seq, min(r0, c0), upto, norms=norm_arr)
+    assert bound.n0 == int(widest.n0)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +472,47 @@ def test_run_eigenvector_and_edge_kinds(tmp_path):
     assert names[0].startswith("eigenvector")
     assert names[-1] == "edge-study"
     assert (tmp_path / "out" / "edge.csv").exists()
+
+
+def test_truncation_gap_resolved_once_per_config(monkeypatch):
+    calls = []
+    resolve = harness.resolve_gap
+
+    def spy(cfg, seq):
+        calls.append(cfg.gap["source"])
+        return resolve(cfg, seq)
+
+    monkeypatch.setattr(harness, "resolve_gap", spy)
+    cfg = example2_cfg(n_blocks=60, gap={"source": "truncation", "tol": 0.5},
+                       experiments=("green", "eigenvector"))
+    report, _ = run(cfg)
+    assert calls == ["truncation"]
+    # the zero-energy bound state splits the gap; (0, 1) holds no eigenpair
+    assert [r.name for r in report.experiments] == [
+        "green:continuous:zeta=0.5+0j", "eigenvector:none"]
+    # the gap source: one section and one eigen-search; green: the N and 2N
+    # sections, one solve each; eigenvector: the N section's search
+    assert report.meta["counters"] == {"sections_assembled": 4, "green_solves": 2,
+                                       "eigen_searches": 2}
+
+
+def test_verdict_decides_every_result(monkeypatch):
+    seq = with_prefix(example2_sequence(3.0), [(A2, 0.5 * np.eye(2))])
+    cfgs = [ExperimentConfig(operator=seq, zetas=(0.5,), n_blocks=120,
+                             variants=("continuous", "simplified", "discrete"),
+                             experiments=("green", "eigenvector")),
+            ExperimentConfig(operator=diag_growing_seq(),
+                             gap={"source": "explicit", "r": -1.0, "s": 1.0},
+                             zetas=(0.5j,), delta=1.0, n_blocks=80, rows=(1, 51),
+                             variants=("commuting",), experiments=("commuting",))]
+    passing = [r for cfg in cfgs for r in run(cfg)[0].experiments]
+    assert [r.passed for r in passing] == [True] * 5
+    verdict = harness._verdict
+    monkeypatch.setattr(harness, "_verdict",
+                        lambda *args: (*verdict(*args)[:4], False))
+    failing = [r for cfg in cfgs for r in run(cfg)[0].experiments]
+    assert [r.name for r in failing] == [r.name for r in passing]
+    assert [r.passed for r in failing] == [False] * 5
 
 
 def test_run_rejects_unknown_experiment():
