@@ -25,7 +25,7 @@ from .operators import (CarlemanDiagnostic, EntrySequence, TruncatedOperator,
                         operator_to_json, with_prefix)
 from .spectral import (EigenpairInGap, GreenTable, SpectrumEstimate,
                        band_edges, detect_gap, eigenpairs_in_gap, green_block,
-                       period2_symbol_blocks, symbol_spectrum,
+                       green_blocks, period2_symbol_blocks, symbol_spectrum,
                        truncated_spectrum)
 from .transfer import (AsymptoticData, MonodromyResult, TransferMatrix,
                        classify_splitting, example2_eigenvalues,

@@ -22,10 +22,12 @@ produce byte-identical CSV bodies.
 
 The variants of a Green config differ only in rate and envelope, so they
 share one Green solve per (zeta, section): the N and 2N sections are
-assembled once per config, each zeta is solved once on each, and every
-variant evaluates its own envelope against those tables.  ``meta.counters``
-in the report counts that work (sections assembled, Green solves,
-eigen-searches); like everything else in the report it is deterministic.
+assembled once per config, all zetas of a section are solved by one stacked
+band LU (``green_blocks``), and every variant evaluates its own envelope
+against those tables.  ``meta.counters`` in the report counts that work
+(sections assembled, Green solves per (zeta, section), eigen-searches and
+band LU factorizations); like everything else in the report it is
+deterministic.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .errors import (DomainError, ParameterError, PreconditionError,
                      SingularityError)
 from .operators import (EntrySequence, assemble_truncation, example2_sequence,
                         load_operator)
-from .spectral import (SINGULARITY_TOL, RESIDUAL_TOL, detect_gap,
-                       eigenpairs_in_gap, green_block, tail_symbol_spectrum,
+from .spectral import (SINGULARITY_TOL, RESIDUAL_TOL, GreenTable, detect_gap,
+                       eigenpairs_in_gap, green_blocks, tail_symbol_spectrum,
                        truncated_spectrum)
 
 STABILITY_REL = 0.05     # C_emp(N) vs C_emp(2N) agreement required for a pass
@@ -60,7 +62,7 @@ FIT_TAIL_MARGIN = 10     # and ends at N - 10 (Dirichlet edge contamination)
 GAP_TOL = 0.2            # minimal gap length when gap.tol is not given
 
 VARIANTS = ("continuous", "discrete", "simplified", "commuting")
-COUNTERS = ("sections_assembled", "green_solves", "eigen_searches")
+COUNTERS = ("sections_assembled", "green_solves", "eigen_searches", "factorizations")
 _PARAM_KEYS = ("delta", "epsilon", "eta", "eps_prime")   # JSON "params" fields
 _EDGE_KEYS = ("x", "eps_list", "n_blocks")   # "edge" section: edge_scaling_study args
 
@@ -415,44 +417,55 @@ def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterv
 
     Only the rate and the envelope depend on the variant, so the rest is
     done once and shared: ||A_k|| on the window, one assembly of the N and
-    of the 2N section, and per zeta one Green solve on each.  A variant's own
-    rate or envelope error is reported before the solve's; a failed solve
-    gives every variant of its zeta the same error.  ``variants`` defaults
-    to the config's.
+    of the 2N section, and one stacked Green solve on each (``green_blocks``):
+    the N section for every zeta with at least one variant bound, the 2N
+    section for every zeta whose N solve succeeded.  A variant's own rate or
+    envelope error is reported before the solve's; a failed solve gives every
+    variant of its zeta the same error.  ``variants`` defaults to the
+    config's.
     """
     n = cfg.n_blocks
     rows, cols = _window(cfg)
     counters = meta["counters"]
-    sections = {}
-
-    def solve(size: int, zeta: complex):
-        if size not in sections:
-            sections[size] = assemble_truncation(seq, size)
-            counters["sections_assembled"] += 1
-        counters["green_solves"] += 1
-        return green_block(sections[size], zeta, rows, cols)
-
+    variants = variants or cfg.variants
     norms = None
-    results = []
-    for zeta in cfg.zetas:
-        tables = None        # this zeta's N and 2N Green tables, or their solve's error
-        for variant in variants or cfg.variants:
+    bounds = {}                 # (zeta index, variant) -> _VariantBound or its error
+    for i, zeta in enumerate(cfg.zetas):
+        for variant in variants:
             try:
                 if norms is None:
                     norms = seq.norms(max(cfg.rows[1], cfg.cols[1]))
-                bound = _variant_bound(cfg, seq, gap, zeta, variant, norms)
-                if tables is None:
-                    try:
-                        tables = (solve(n, zeta), solve(2 * n, zeta))
-                    except _REPORTED as exc:
-                        tables = exc
-                if isinstance(tables, Exception):
-                    raise tables
-                result = _green_evaluate(cfg, zeta, bound, *tables)
+                bounds[i, variant] = _variant_bound(cfg, seq, gap, zeta, variant, norms)
             except _REPORTED as exc:
-                result = _error_result(f"green:{variant}:zeta={_fmt_zeta(zeta)}",
-                                       variant, zeta, n, exc)
-            results.append(result)
+                bounds[i, variant] = exc
+
+    def solve(size: int, todo: list) -> dict:
+        """zeta index -> Green table on the size-block section, or its error."""
+        if not todo:
+            return {}
+        try:
+            section = assemble_truncation(seq, size)
+        except _REPORTED as exc:
+            return dict.fromkeys(todo, exc)
+        counters["sections_assembled"] += 1
+        counters["green_solves"] += len(todo)
+        tables = green_blocks(section, [cfg.zetas[i] for i in todo], rows, cols)
+        counters["factorizations"] += tables.factorizations
+        return dict(zip(todo, tables))
+
+    tables_n = solve(n, [i for i in range(len(cfg.zetas))
+                         if any(isinstance(bounds[i, v], _VariantBound) for v in variants)])
+    tables_2n = solve(2 * n, [i for i, t in tables_n.items() if isinstance(t, GreenTable)])
+    results = []
+    for i, zeta in enumerate(cfg.zetas):
+        for variant in variants:
+            outcome = [bounds[i, variant], tables_n.get(i), tables_2n.get(i)]
+            error = next((x for x in outcome if isinstance(x, Exception)), None)
+            if error is None:
+                results.append(_green_evaluate(cfg, zeta, *outcome))
+            else:
+                results.append(_error_result(f"green:{variant}:zeta={_fmt_zeta(zeta)}",
+                                             variant, zeta, n, error))
     return results
 
 
@@ -469,6 +482,7 @@ def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
     pairs = eigenpairs_in_gap(assemble_truncation(seq, n), gap)
     counters["sections_assembled"] += 1
     counters["eigen_searches"] += 1
+    counters["factorizations"] += pairs.factorizations
     if not pairs:
         return [ExperimentResult(
             name="eigenvector:none", variant=variant, passed=None, n_blocks=n,
@@ -476,6 +490,7 @@ def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
     pairs_2n = eigenpairs_in_gap(assemble_truncation(seq, 2 * n), gap)
     counters["sections_assembled"] += 1
     counters["eigen_searches"] += 1
+    counters["factorizations"] += pairs_2n.factorizations
     norms = seq.norms(2 * n - 1)
     ms = np.arange(1, 2 * n + 1)
     results = []
@@ -581,21 +596,23 @@ def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
                            gap={"source": "explicit", "r": gap.r, "s": gap.s},
                            zetas=(0.0,), delta=delta, epsilon=epsilon, eta=eta,
                            variants=("continuous",), n_blocks=n_blocks)
-    window = _window(cfg)
     norms = seq.norms(n_blocks)
-    section = assemble_truncation(seq, n_blocks)
+    zetas = [complex(gap.r + eps) for eps in eps_arr]
+    bounds = [_variant_bound(cfg, seq, gap, zeta, "continuous", norms) for zeta in zetas]
+    tables = green_blocks(assemble_truncation(seq, n_blocks), zetas, *_window(cfg))
     rows = []
-    for eps in eps_arr:
-        zeta = complex(gap.r + eps)
-        bound = _variant_bound(cfg, seq, gap, zeta, "continuous", norms)
-        res = _green_evaluate(cfg, zeta, bound, green_block(section, zeta, *window), None)
+    for eps, zeta, bound, table in zip(eps_arr, zetas, bounds, tables):
+        if isinstance(table, SingularityError):
+            raise table
+        res = _green_evaluate(cfg, zeta, bound, table, None)
         rows.append({"eps": float(eps), "zeta": zeta.real,
                      "rate_measured": res.slope_measured, "gamma": res.gamma,
                      "c_emp": res.c_emp})
     log_eps = np.log(eps_arr)
     slope_meas = float(np.polyfit(log_eps, np.log([r["rate_measured"] for r in rows]), 1)[0])
     slope_gamma = float(np.polyfit(log_eps, np.log([r["gamma"] for r in rows]), 1)[0])
-    counters = {"sections_assembled": 1, "green_solves": len(rows), "eigen_searches": 0}
+    counters = {"sections_assembled": 1, "green_solves": len(rows), "eigen_searches": 0,
+                "factorizations": tables.factorizations}
     return EdgeStudyResult(x=x, n_blocks=n_blocks, rows=rows,
                            slope_measured=slope_meas, slope_gamma=slope_gamma,
                            counters=counters)

@@ -8,9 +8,13 @@ from symbol samples are refined by golden-section search on the eigenvalue
 functions; truncation-only gaps keep sample resolution.
 
 Green blocks G_mj(zeta) = P_m (J_N - zeta)^{-1} P_j are computed from one
-banded LU factorization per zeta (LAPACK ``zgbtrf`` on the block-tridiagonal
-band, kl = ku = 2d - 1), reused across all requested column blocks.  Cost
-and memory are O(N d^3) and O(N d^2): no dense (N d) x (N d) matrix is built.
+banded LU factorization per section (LAPACK ``zgbtrf`` on the
+block-tridiagonal band, kl = ku = 2d - 1): the J_N - zeta of all requested
+zetas are stacked as decoupled segments of one band, factored once, and
+share one sigma_min power iteration and one solve for all requested column
+blocks.  Cost and memory are O(Z N d^3) and O(Z N d^2) for Z zetas: no
+dense (N d) x (N d) matrix is built.  ``sigma_min`` is an upper estimate of
+the distance from zeta to the truncated spectrum.
 
 Gap eigenpairs are banded too: one Hermitian band eigensolve (kd = 2d - 1)
 gives the eigenvalues of J_N, block inverse iteration on the band LU gives
@@ -278,61 +282,104 @@ class GreenTable:
         return float(self.norm_stack[self.rows.index(m), self.cols.index(j)])
 
 
-def _band_storage(op: TruncatedOperator, zeta: complex) -> np.ndarray:
+def _band_storage(op: TruncatedOperator, zetas) -> np.ndarray:
     """J_N - zeta in LAPACK general band storage with kl = ku = 2d - 1.
 
     Entry (i, j) of the matrix sits at row 2 kl + i - j, column j; the first
     kl rows are left zero for the fill-in of partial pivoting.  Each of the
-    three block diagonals is written by one scatter over all N blocks.
+    three block diagonals is written by one scatter over all N blocks.  A
+    sequence of zetas gives the stack diag(J_N - zeta_1, J_N - zeta_2, ...):
+    one segment of N d columns per zeta, with no coupling between segments.
     """
+    zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
     n, d = op.n_blocks, op.dim
+    size = n * d
     kl = 2 * d - 1
-    ab = np.zeros((3 * kl + 1, n * d), dtype=complex, order="F")
+    ab = np.zeros((3 * kl + 1, zetas.size * size), dtype=complex, order="F")
     r, c = np.divmod(np.arange(d * d), d)      # entry (r, c) of a d x d block
     main = 2 * kl + r - c
     col = d * np.arange(n)[:, None] + c
     ab[main, col] = op.b_blocks.reshape(n, d * d)
     ab[main - d, col[:-1] + d] = op.a_blocks.reshape(n - 1, d * d)
     ab[main + d, col[:-1]] = op.a_blocks.conj().transpose(0, 2, 1).reshape(n - 1, d * d)
-    ab[2 * kl] -= zeta
+    ab[:, size:] = np.tile(ab[:, :size], zetas.size - 1)
+    ab[2 * kl] -= np.repeat(zetas, size)
     return ab
 
 
-def _smallest_singular_value(lu, ipiv, kl: int, size: int) -> float:
-    """Inverse power iteration on (M M^H)^{-1} using an existing band LU factorization."""
+class FactoredResults(list):
+    """A list of results and the number of band LU factorizations behind them."""
+
+    def __init__(self, items=(), factorizations: int = 0):
+        super().__init__(items)
+        self.factorizations = factorizations
+
+
+def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
+    """Smallest singular value of every segment of a stacked band LU.
+
+    40 steps of inverse power iteration on (M M^H)^{-1}, all segments in the
+    same two ``zgbtrs`` calls per step, each segment normalized on its own
+    and started from the same seeded vector.  The result is an upper
+    estimate.  Returns None when a vector turns non-finite, an entry gets
+    large enough to overflow a sum of squares or a segment's norm is zero:
+    then some sigma is 0, and in a stack 0 x inf or 0 / 0 may have carried
+    that into the other segments.
+    """
     rng = np.random.default_rng(_SEED)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        w, _ = zgbtrs(lu, kl, kl, v, ipiv)
-        if not np.all(np.isfinite(w)):
-            return 0.0
-        w, _ = zgbtrs(lu, kl, kl, w, ipiv, trans=2)
-        # a sum of squares that would overflow means sigma = 0; checking the
-        # peak first keeps np.linalg.norm from warning about that overflow
-        if not np.max(np.abs(w)) < _SQNORM_SAFE / math.sqrt(size):
-            return 0.0
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return 1.0 / math.sqrt(lam)
+    v = np.tile(v / np.linalg.norm(v), segments)
+    safe = _SQNORM_SAFE / math.sqrt(size)
+    # a zero norm makes the next vector NaN, which the next step catches
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_POWER_ITERATIONS):
+            w, _ = zgbtrs(lu, kl, kl, v, ipiv)
+            if not np.all(np.isfinite(w)):
+                return None
+            w, _ = zgbtrs(lu, kl, kl, w, ipiv, trans=2)
+            # checking the peak first keeps the norm from overflowing
+            if not np.max(np.abs(w)) < safe:
+                return None
+            parts = w.view(float).reshape(segments, 2 * size)
+            lam = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+            parts /= lam[:, None]
+            v = w
+    if not np.all(lam > 0.0):
+        return None
+    return 1.0 / np.sqrt(lam)
 
 
-def green_block(op: TruncatedOperator, zeta: complex, rows, cols) -> GreenTable:
-    """Green blocks G_mj(zeta) for all (m, j) in rows x cols.
+def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
+    """Green blocks G_mj(zeta) for all (m, j) in rows x cols, for every zeta.
 
-    Factors J_N - zeta I in LAPACK band storage (``zgbtrf``, LU with partial
-    pivoting, kl = ku = 2d - 1) straight from the operator's block stacks and
-    solves (J_N - zeta I) X = E_j for all requested column blocks in one
-    ``zgbtrs`` call: O(N d^3) time and O(N d^2) memory, no dense matrix.
-    Raises SingularityError on an exact zero pivot, or when the smallest
-    singular value (40 steps of inverse power iteration on the same LU)
-    puts zeta within 1e-8 of the truncated spectrum; a condition estimate
-    above 1e12 is flagged, not fatal.
+    Stacks J_N - zeta I for every zeta as decoupled segments of one band
+    (LAPACK general band storage, kl = ku = 2d - 1) and factors the stack
+    with one ``zgbtrf``; partial pivoting never crosses a segment boundary,
+    so each segment's LU is the LU of its own J_N - zeta.  One 40-step
+    inverse power iteration serves every segment, and one ``zgbtrs`` call,
+    with e_j in every segment of its right-hand side, solves
+    (J_N - zeta I) X = E_j for all zetas and column blocks.  Time is
+    O(Z N d^3) and memory O(Z N d^2) for Z zetas; no dense matrix is built.
+
+    Returns one GreenTable or SingularityError per zeta, in order.  A zeta is
+    singular on an exact zero pivot, or when the smallest singular value of
+    its segment puts it within 1e-8 of the truncated spectrum; a condition
+    estimate above 1e12 is flagged, not fatal.  ``sigma_min`` is an upper
+    estimate of dist(zeta, spec J_N), since 40 steps do not separate nearly
+    equal singular values.  Relative to the exact distance it is within
+    2e-14 where the nearest eigenvalue is isolated, but high where the
+    nearest eigenvalues are nearly equidistant from zeta or form a band-edge
+    cluster: on example 2, +2.1e-3 at x = 3, N = 600, zeta = 0.5 (0.501053
+    against 0.5), +3.0e-3 at N = 1200, +7.6e-3 at x = 2.5, N = 120,
+    zeta = 0.3 and +4.5e-3 at x = 4, N = 60, zeta = 1.2.
+
+    Segments with an exact zero pivot are taken out and the rest refactored.
+    When a vector turns non-finite or nearly overflows, which one segment's
+    inf or zero pivot could carry into its neighbours inside ``zgbtrs``, the
+    zetas are solved one at a time instead.  ``factorizations`` on the
+    result counts the band LU factorizations made.
     """
-    zeta = complex(zeta)
+    zetas = [complex(z) for z in zetas]
     n, d = op.n_blocks, op.dim
     rows = sorted(set(int(m) for m in rows))
     cols = sorted(set(int(j) for j in cols))
@@ -340,35 +387,87 @@ def green_block(op: TruncatedOperator, zeta: complex, rows, cols) -> GreenTable:
         if not 1 <= idx <= n:
             raise ParameterError(f"block index {idx} outside [1, {n}]")
     kl = 2 * d - 1
-    ab = _band_storage(op, zeta)
-    band = np.abs(ab[kl:])
-    # |J_N - zeta| is symmetric, so ||.||_1 = ||.||_inf and the upper bound
-    # sqrt(||.||_1 ||.||_inf) on the spectral norm is the largest column sum
-    norm_upper = min(float(np.max(np.sum(band, axis=0))),
-                     float(np.sqrt(np.sum(band * band))))
-    lu, ipiv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
-    if info > 0:
-        raise SingularityError(
-            f"zeta = {zeta} is an eigenvalue of the truncation "
-            f"(exact zero pivot in column {info})")
-    sigma = _smallest_singular_value(lu, ipiv, kl, n * d)
-    if sigma <= SINGULARITY_TOL:
-        raise SingularityError(
-            f"zeta = {zeta} is within {sigma:.3e} of the truncated spectrum "
-            f"(tolerance {SINGULARITY_TOL:.0e})")
-    condition = norm_upper / sigma
-    rhs = np.zeros((n, d, len(cols), d), dtype=complex)
+    size = n * d
+    out = FactoredResults([None] * len(zetas))
+    live = list(range(len(zetas)))          # zetas of the current stack
+    while live:
+        ab = _band_storage(op, [zetas[i] for i in live])
+        # |J_N - zeta| is symmetric, so ||.||_1 = ||.||_inf and the upper
+        # bound sqrt(||.||_1 ||.||_inf) on the spectral norm is the largest
+        # column sum
+        band = np.abs(ab[kl:]).T.reshape(len(live), size, 2 * kl + 1)
+        norm_upper = np.minimum(np.max(np.sum(band, axis=2), axis=1),
+                                np.sqrt(np.sum(band * band, axis=(1, 2))))
+        lu, ipiv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
+        out.factorizations += 1
+        if info <= 0:
+            break
+        segment, column = divmod(info - 1, size)
+        i = live.pop(segment)
+        out[i] = SingularityError(
+            f"zeta = {zetas[i]} is an eigenvalue of the truncation "
+            f"(exact zero pivot in column {column + 1})")
+    if not live:
+        return out
+    sigma = _sigma_min(lu, ipiv, kl, len(live), size)
+    if sigma is None:
+        if len(live) > 1:
+            return _one_at_a_time(op, zetas, rows, cols, live, out)
+        sigma = np.zeros(1)
+    solved = []                             # positions in the stack
+    for k, i in enumerate(live):
+        if sigma[k] <= SINGULARITY_TOL:
+            out[i] = SingularityError(
+                f"zeta = {zetas[i]} is within {sigma[k]:.3e} of the truncated "
+                f"spectrum (tolerance {SINGULARITY_TOL:.0e})")
+        else:
+            solved.append(k)
+    if not solved:
+        return out
+    # zero right-hand sides in the singular segments give exact zeros there
+    rhs = np.zeros((len(live), n, d, len(cols), d), dtype=complex)
     pos = np.arange(len(cols))
-    rhs[np.array(cols) - 1, :, pos, :] = np.eye(d)
-    X, _ = zgbtrs(lu, kl, kl, rhs.reshape(n * d, len(cols) * d), ipiv)
-    stack = X.reshape(n, d, len(cols), d)[np.array(rows) - 1].transpose(0, 2, 1, 3)
-    stack.flags.writeable = False
-    norm_stack = np.linalg.norm(stack, 2, axis=(-2, -1))
-    norm_stack.flags.writeable = False
-    return GreenTable(zeta=zeta, dim=d, rows=tuple(rows), cols=tuple(cols),
-                      stack=stack, norm_stack=norm_stack,
-                      sigma_min=sigma, condition=condition,
-                      ill_conditioned=condition > CONDITION_LIMIT)
+    rhs[np.array(solved)[:, None], np.array(cols) - 1, :, pos, :] = np.eye(d)
+    X, _ = zgbtrs(lu, kl, kl, rhs.reshape(len(live) * size, len(cols) * d), ipiv)
+    if len(live) > 1 and not np.all(np.isfinite(X)):
+        return _one_at_a_time(op, zetas, rows, cols, live, out)
+    X = X.reshape(len(live), n, d, len(cols), d)[np.ix_(solved, np.array(rows) - 1)]
+    X.flags.writeable = False
+    norm_stacks = np.linalg.norm(X.transpose(0, 1, 3, 2, 4), 2, axis=(-2, -1))
+    norm_stacks.flags.writeable = False
+    for t, k in enumerate(solved):
+        condition = float(norm_upper[k] / sigma[k])
+        out[live[k]] = GreenTable(
+            zeta=zetas[live[k]], dim=d, rows=tuple(rows), cols=tuple(cols),
+            stack=X[t].transpose(0, 2, 1, 3), norm_stack=norm_stacks[t],
+            sigma_min=float(sigma[k]), condition=condition,
+            ill_conditioned=condition > CONDITION_LIMIT)
+    return out
+
+
+def _one_at_a_time(op, zetas, rows, cols, live, out) -> FactoredResults:
+    """Fill ``out`` for the zetas at ``live`` with one single-zeta stack each."""
+    for i in live:
+        single = green_blocks(op, [zetas[i]], rows, cols)
+        out[i] = single[0]
+        out.factorizations += single.factorizations
+    return out
+
+
+def green_block(op: TruncatedOperator, zeta: complex, rows, cols) -> GreenTable:
+    """Green blocks G_mj(zeta) for all (m, j) in rows x cols: the one-zeta
+    case of :func:`green_blocks`, a single band LU of J_N - zeta I.
+
+    O(N d^3) time and O(N d^2) memory, no dense matrix.  Raises
+    SingularityError on an exact zero pivot, or when the smallest singular
+    value (40 steps of inverse power iteration on the same LU, an upper
+    estimate) puts zeta within 1e-8 of the truncated spectrum; a condition
+    estimate above 1e12 is flagged, not fatal.
+    """
+    [table] = green_blocks(op, [zeta], rows, cols)
+    if isinstance(table, SingularityError):
+        raise table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +539,7 @@ def _inverse_steps(vals: np.ndarray, cluster: list, shift: complex) -> int:
 
 def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
                       drift_tol: float = 1e-6,
-                      embed_tol: float = 1e-6) -> list[EigenpairInGap]:
+                      embed_tol: float = 1e-6) -> FactoredResults:
     """Eigenpairs of J_N strictly inside the gap, filtered of cut artifacts.
 
     Candidates are eigenvalues in (r + margin, s - margin) with margin 2% of
@@ -465,7 +564,8 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     is ||(J_2N - theta) E u|| (E = zero padding), an upper bound on
     dist(theta, spec J_2N) because J_2N is Hermitian.  The eigensolve takes
     O((N d)^2 d) time, each cluster O(N d^3) more; memory is O(N d^2) and no
-    dense matrix is built.
+    dense matrix is built.  The pairs come sorted by eigenvalue, with
+    ``factorizations`` counting the band LU factorizations: one per cluster.
     """
     seq = op.sequence
     if seq is None:
@@ -479,7 +579,7 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
                           check_finite=False)
     candidates = np.nonzero((vals > lo) & (vals < hi))[0]
     if candidates.size == 0:
-        return []
+        return FactoredResults()
     # group candidates into near-degenerate clusters
     clusters, current = [], [int(candidates[0])]
     for idx in candidates[1:]:
@@ -492,7 +592,7 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     norm_scale = max(float(np.max(np.abs(vals))), 1.0)
     # block (N + 1, N) of the 2N section
     a_cut = seq.blocks(n, n + 1)[0][0].conj().T
-    results = []
+    results = FactoredResults(factorizations=len(clusters))
     for cluster in clusters:
         mean_val = float(np.mean(vals[cluster]))
         shift = complex(mean_val, _SHIFT_IMAG_REL * norm_scale)

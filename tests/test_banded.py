@@ -1,8 +1,9 @@
 """Banded Green solve and banded gap eigen-search against the dense oracle.
 
-``green_block`` factors J_N - zeta in LAPACK band storage and
-``eigenpairs_in_gap`` works from the same band storage and band LU; neither
-builds the (N d) x (N d) matrix.  ``TruncatedOperator.to_dense`` exists for
+``green_blocks`` factors the J_N - zeta of several zetas as one stacked LAPACK
+band LU (``green_block`` is its one-zeta case) and ``eigenpairs_in_gap``
+works from the same band storage and band LU; neither builds the
+(N d) x (N d) matrix.  ``TruncatedOperator.to_dense`` exists for
 the oracle here.  Property tests draw random Hermitian block operators (and
 explicit-list sequences for the eigen-search, which also reads block N + 1)
 with d = 1..4 and N = 2..40.
@@ -18,8 +19,9 @@ from hypothesis import assume, given, strategies as st
 from blockjacobi import (ExperimentConfig, GapInterval, ParameterError,
                          SingularityError, TruncatedOperator,
                          assemble_truncation, eigenpairs_in_gap,
-                         example2_sequence, explicit_sequence, green_block,
-                         verify_eigenvector_bound, with_prefix)
+                         GreenTable, example2_sequence, explicit_sequence,
+                         green_block, green_blocks, verify_eigenvector_bound,
+                         with_prefix)
 from blockjacobi.spectral import RESIDUAL_TOL, _band_storage
 
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
@@ -118,6 +120,68 @@ def test_eigenvalue_raises_singularity_without_warning(op, pick):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SingularityError):
             green_block(op, zeta, [1], [op.n_blocks])
+
+
+@given(hermitian_operators(), st.data())
+def test_stacked_solve_matches_dense_and_single_solves(op, data):
+    # complex zetas, real zetas clear of the spectrum, a duplicate and one
+    # zeta on a dense eigenvalue, all factored as one stack
+    n, size = op.n_blocks, op.n_blocks * op.dim
+    dense = op.to_dense()
+    vals = np.linalg.eigvalsh(dense)
+    reals = st.floats(-4.0, 4.0).filter(lambda x: np.min(np.abs(vals - x)) > 1e-3)
+    stack = data.draw(st.lists(zetas | reals.map(complex), min_size=1, max_size=2))
+    if data.draw(st.booleans()):
+        stack.append(data.draw(st.sampled_from(stack)))
+    on_eig = None
+    if data.draw(st.booleans()):
+        on_eig = data.draw(st.integers(0, len(stack)))
+        stack.insert(on_eig, complex(vals[data.draw(st.integers(0, size - 1))]))
+    idx = range(1, n + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tables = green_blocks(op, stack, idx, idx)
+    assert len(tables) == len(stack)
+    for k, (zeta, table) in enumerate(zip(stack, tables)):
+        if k == on_eig:
+            assert isinstance(table, SingularityError)
+            assert str(table).startswith(f"zeta = {zeta} ")
+            with pytest.raises(SingularityError):
+                green_block(op, zeta, [1], [1])
+            continue
+        assert isinstance(table, GreenTable) and table.zeta == zeta
+        oracle = np.linalg.inv(dense - zeta * np.eye(size))
+        scale = np.linalg.norm(oracle, 2)
+        assert np.max(np.abs(as_dense(table, n) - oracle)) <= 1e-10 * scale
+        single = full_table(op, zeta)
+        assert np.max(np.abs(table.stack - single.stack)) <= 1e-14 * np.max(np.abs(single.stack))
+        assert np.max(np.abs(table.norm_stack - single.norm_stack)) <= (
+            1e-14 * np.max(single.norm_stack))
+        assert table.sigma_min == pytest.approx(single.sigma_min, rel=1e-14)
+        assert table.condition == pytest.approx(single.condition, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, factorizations", [
+    (600, 5),    # zeta = 0 overflows: the four zetas are re-solved one at a time
+    (1200, 2),   # zeta = 0 is an exact zero pivot: the other three are refactored
+])
+def test_stacked_solve_isolates_a_singular_segment(n, factorizations):
+    op = assemble_truncation(example2_sequence(3.0), n)
+    stack = [0.5, 0.0, 0.3 + 0.2j, -0.4]
+    rows = range(1, 51)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = green_blocks(op, stack, rows, [1])
+        with pytest.raises(SingularityError) as single_error:
+            green_block(op, 0.0, rows, [1])
+        singles = [green_block(op, zeta, rows, [1]) for zeta in (0.5, 0.3 + 0.2j, -0.4)]
+    assert tables.factorizations == factorizations
+    assert isinstance(tables[1], SingularityError)
+    assert str(tables[1]) == str(single_error.value)
+    for table, single in zip(tables[:1] + tables[2:], singles):
+        assert np.array_equal(table.stack, single.stack)
+        assert np.array_equal(table.norm_stack, single.norm_stack)
+        assert table.sigma_min == pytest.approx(single.sigma_min, rel=1e-14)
 
 
 def test_stack_shapes_validated():

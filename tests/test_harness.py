@@ -175,19 +175,20 @@ ALL_VARIANTS = ("continuous", "simplified", "discrete")
 
 def test_green_bound_one_solve_per_zeta_and_section(monkeypatch):
     calls = []
-    solve = harness.green_block
+    solve = harness.green_blocks
 
-    def spy(op, zeta, rows, cols):
-        calls.append((zeta, op.n_blocks))
-        return solve(op, zeta, rows, cols)
+    def spy(op, zetas, rows, cols):
+        calls.append((tuple(zetas), op.n_blocks))
+        return solve(op, zetas, rows, cols)
 
-    monkeypatch.setattr(harness, "green_block", spy)
+    monkeypatch.setattr(harness, "green_blocks", spy)
     zetas = (0.5 + 0j, 0.3 + 0.2j)
     report = verify_green_bound(example2_cfg(zetas=zetas, variants=ALL_VARIANTS))
     assert [r.passed for r in report.experiments] == [True] * 6
-    assert calls == [(z, n) for z in zetas for n in (120, 240)]
+    # one stacked solve per section, each carrying every zeta once
+    assert calls == [(zetas, n) for n in (120, 240)]
     assert report.meta["counters"] == {"sections_assembled": 2, "green_solves": 4,
-                                       "eigen_searches": 0}
+                                       "eigen_searches": 0, "factorizations": 2}
 
 
 def test_green_bound_variants_match_single_variant_runs():
@@ -448,9 +449,10 @@ def test_run_sums_counters_over_experiment_kinds():
     cfg["edge"] = {"x": 3.0, "eps_list": [1e-3, 1e-2], "n_blocks": 200}
     report, _ = run(cfg)
     # green: N and 2N sections, one zeta solved on each; eigenvector: the N
-    # and 2N eigen-searches; edge: one section solved at both eps
+    # and 2N eigen-searches, one eigenvalue cluster each; edge: one section
+    # solved at both eps by one stacked LU
     assert report.meta["counters"] == {"sections_assembled": 5, "green_solves": 4,
-                                       "eigen_searches": 2}
+                                       "eigen_searches": 2, "factorizations": 5}
 
 
 def test_run_singular_zeta_exits_nonzero(tmp_path):
@@ -491,9 +493,10 @@ def test_truncation_gap_resolved_once_per_config(monkeypatch):
     assert [r.name for r in report.experiments] == [
         "green:continuous:zeta=0.5+0j", "eigenvector:none"]
     # the gap source: one section and one eigen-search; green: the N and 2N
-    # sections, one solve each; eigenvector: the N section's search
+    # sections, one solve each; eigenvector: the N section's search, which
+    # has no candidate to factor for
     assert report.meta["counters"] == {"sections_assembled": 4, "green_solves": 2,
-                                       "eigen_searches": 2}
+                                       "eigen_searches": 2, "factorizations": 2}
 
 
 def test_verdict_decides_every_result(monkeypatch):
