@@ -340,13 +340,13 @@ def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None
             # checking the peak first keeps the norm from overflowing
             if not np.max(np.abs(w)) < safe:
                 return None
-            parts = w.view(float).reshape(segments, 2 * size)
-            lam = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-            parts /= lam[:, None]
+            parts = w.view(float).reshape(segments, 1, 2 * size)
+            lam = np.sqrt(parts @ parts.transpose(0, 2, 1))     # (segments, 1, 1)
+            parts /= lam
             v = w
     if not np.all(lam > 0.0):
         return None
-    return 1.0 / np.sqrt(lam)
+    return 1.0 / np.sqrt(lam.ravel())
 
 
 def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
