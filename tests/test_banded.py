@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from blockjacobi import (ExperimentConfig, GapInterval, ParameterError,
-                         SingularityError, TruncatedOperator,
+from blockjacobi import (ExperimentConfig, GapInterval, GreenTable,
+                         ParameterError, SingularityError, TruncatedOperator,
                          assemble_truncation, eigenpairs_in_gap,
-                         GreenTable, example2_sequence, explicit_sequence,
-                         green_block, green_blocks, verify_eigenvector_bound,
-                         with_prefix)
+                         example2_sequence, explicit_sequence, green_block,
+                         green_blocks, verify_eigenvector_bound, with_prefix)
 from blockjacobi.spectral import RESIDUAL_TOL, _band_storage
 
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
