@@ -12,9 +12,14 @@ banded LU factorization per section (LAPACK ``zgbtrf`` on the
 block-tridiagonal band, kl = ku = 2d - 1): the J_N - zeta of all requested
 zetas are stacked as decoupled segments of one band, factored once, and
 share one sigma_min power iteration and one solve for all requested column
-blocks.  Cost and memory are O(Z N d^3) and O(Z N d^2) for Z zetas: no
-dense (N d) x (N d) matrix is built.  ``sigma_min`` is an upper estimate of
-the distance from zeta to the truncated spectrum.
+blocks.  The power iteration runs its first 30 steps on a band Cholesky
+factor (``zpbtrf``, kd = 3d - 1) of the normal equations
+(J_N - Re zeta)^2 + (Im zeta)^2 I, one cheap solve each, and its last 10 on
+the LU, which resolves singular values the squared band cannot; when
+``zpbtrf`` fails all 40 steps run on the LU.  Cost and memory are
+O(Z N d^3) and O(Z N d^2) for Z zetas: no dense (N d) x (N d) matrix is
+built.  ``sigma_min`` is an upper estimate of the distance from zeta to the
+truncated spectrum.
 
 Gap eigenpairs are banded too: one Hermitian band eigensolve (kd = 2d - 1)
 gives the eigenvalues of J_N, block inverse iteration on the band LU gives
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvals_banded
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zpbtrf, zpbtrs
 
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
@@ -45,14 +50,14 @@ CONDITION_LIMIT = 1e12
 RESIDUAL_TOL = 1e-8
 
 _POWER_ITERATIONS = 40
+#: the last power-iteration steps, which always run on the band LU
+_LU_STEPS = 10
 #: seed of the random start vectors of both inverse iterations
 _SEED = 20260810
 #: cap on block inverse-iteration steps per eigenvalue cluster
 _INVERSE_STEPS = 40
 #: imaginary part of the inverse-iteration shift, relative to max(||J_N||, 1)
 _SHIFT_IMAG_REL = 1e-10
-#: entries of a length-n vector below this / sqrt(n) keep its sum of squares finite
-_SQNORM_SAFE = math.sqrt(np.finfo(float).max)
 #: smallest normal float
 _TINY = np.finfo(float).tiny
 #: gap eigenvalue candidates keep this share of the gap width from each end
@@ -315,35 +320,93 @@ class FactoredResults(list):
         self.factorizations = factorizations
 
 
-def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
+def _entry_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Block products X_k Y_k of entry-major stacks, where X[r, c, ...] is
+    entry (r, c) of every block: a sum of d elementwise products.
+
+    Numpy's complex matmul of square-block stacks leaves scipy's band LAPACK
+    calls several times slower until a real matmul runs, so the normal band
+    is built without one.
+    """
+    return sum(X[:, k, None] * Y[None, k] for k in range(X.shape[1]))
+
+
+def _normal_band(op: TruncatedOperator, zetas) -> np.ndarray:
+    """(J_N - Re zeta)^2 + (Im zeta)^2 I in LAPACK upper band storage, kd = 3d - 1.
+
+    Entry (i, j), i <= j, of the matrix sits at row kd + i - j, column j.
+    This is M M^H for M = J_N - zeta, block pentadiagonal with, for
+    C_k = B_k - Re zeta,
+
+        D0_k = C_k^2 + (Im zeta)^2 I + A_{k-1}^* A_{k-1} + A_k A_k^*,
+        D1_k = C_k A_k + A_k C_{k+1},       D2_k = A_k A_{k+1}
+
+    at block (k, k), (k, k + 1) and (k, k + 2).  The blocks are computed
+    entry-major, over all blocks and zetas at once, and written one block
+    column entry c at a time.  A sequence of zetas gives the stack of one
+    segment of N d columns per zeta, as in :func:`_band_storage`.
+    """
+    zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
+    n, d = op.n_blocks, op.dim
+    kd = 3 * d - 1
+    eye = np.eye(d)[:, :, None, None]
+    a = np.ascontiguousarray(op.a_blocks.transpose(1, 2, 0)[:, :, None])   # (d, d, 1, n - 1)
+    ah = np.ascontiguousarray(a.conj().transpose(1, 0, 2, 3))
+    C = op.b_blocks.transpose(1, 2, 0)[:, :, None] - eye * zetas.real[:, None]
+    D0 = _entry_product(C, C) + eye * (zetas.imag ** 2)[:, None]   # (d, d, Z, n)
+    D0[..., 1:] += _entry_product(ah, a)
+    D0[..., :-1] += _entry_product(a, ah)
+    D1 = _entry_product(C[..., :-1], a) + _entry_product(a, C[..., 1:])
+    D2 = _entry_product(a[..., :-1], a[..., 1:])         # (d, d, 1, n - 2)
+    # band[z, k, c, kd + i - j] holds entry (i, j), j = k d + c, of segment z
+    band = np.zeros((zetas.size, n, d, kd + 1), dtype=complex)
+    for c in range(d):
+        top = kd - c                                     # row of entry (k d, k d + c)
+        band[:, :, c, top:kd + 1] = D0[:c + 1, c].transpose(1, 2, 0)
+        band[:, 1:, c, top - d:top] = D1[:, c].transpose(1, 2, 0)
+        band[:, 2:, c, top - 2 * d:top - d] = D2[:, c].transpose(1, 2, 0)
+    return band.reshape(zetas.size * n * d, kd + 1).T
+
+
+def _sigma_min(lu, ipiv, kl: int, chol, segments: int, size: int) -> np.ndarray | None:
     """Smallest singular value of every segment of a stacked band LU.
 
     40 steps of inverse power iteration on (M M^H)^{-1}, all segments in the
-    same two ``zgbtrs`` calls per step, each segment normalized on its own
-    and started from the same seeded vector.  The result is an upper
-    estimate.  Returns None when a vector turns non-finite, an entry gets
-    large enough to overflow a sum of squares or a segment's norm is zero:
-    then some sigma is 0, and in a stack 0 x inf or 0 / 0 may have carried
-    that into the other segments.
+    same solves, each segment normalized on its own and started from the
+    same seeded vector.  ``chol`` is the ``zpbtrf`` factor of the stacked
+    normal band M M^H (:func:`_normal_band`), or None when that
+    factorization failed.  With it, each of the first 30 steps is one
+    ``zpbtrs`` call; the last ``_LU_STEPS`` = 10 steps, and every step
+    without it, are the ``zgbtrs`` pair M^{-H} M^{-1} on the LU.  Both apply
+    (M M^H)^{-1}, but forming M M^H squares the condition number: the
+    Cholesky factor cannot tell apart singular values below about
+    sqrt(eps) ||M||.  The LU steps report the value at the LU's precision
+    and separate such a near pair: for eigenvalues at c + 2e-8 and c + 3e-8
+    and zeta = c, two LU steps leave sigma_min up to 9e-4 relative off the
+    dense distance, ten within 3e-7, as close as the LU-only iteration.  The
+    result is an upper estimate.  Returns None when a vector turns
+    non-finite, an entry gets large enough to overflow a sum of squares or
+    a segment's norm is zero: then some sigma is 0, and in a stack 0 x inf
+    or 0 / 0 may have carried that into the other segments.
     """
     rng = np.random.default_rng(_SEED)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v = np.tile(v / np.linalg.norm(v), segments)
-    safe = _SQNORM_SAFE / math.sqrt(size)
-    # a zero norm makes the next vector NaN, which the next step catches
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_POWER_ITERATIONS):
-            w, _ = zgbtrs(lu, kl, kl, v, ipiv)
-            if not np.all(np.isfinite(w)):
-                return None
-            w, _ = zgbtrs(lu, kl, kl, w, ipiv, trans=2)
-            # checking the peak first keeps the norm from overflowing
-            if not np.max(np.abs(w)) < safe:
-                return None
-            parts = w.view(float).reshape(segments, 1, 2 * size)
+    cheap = 0 if chol is None else _POWER_ITERATIONS - _LU_STEPS
+    # an overflowing sum of squares is inf and a zero norm makes the next
+    # vector NaN, both caught by the finiteness check of the next norm
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for step in range(_POWER_ITERATIONS):
+            if step < cheap:
+                v, _ = zpbtrs(chol, v, overwrite_b=1)
+            else:
+                v, _ = zgbtrs(lu, kl, kl, v, ipiv, overwrite_b=1)
+                v, _ = zgbtrs(lu, kl, kl, v, ipiv, trans=2, overwrite_b=1)
+            parts = v.view(float).reshape(segments, 1, 2 * size)
             lam = np.sqrt(parts @ parts.transpose(0, 2, 1))     # (segments, 1, 1)
+            if not np.all(np.isfinite(lam)):
+                return None
             parts /= lam
-            v = w
     if not np.all(lam > 0.0):
         return None
     return 1.0 / np.sqrt(lam.ravel())
@@ -356,10 +419,17 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
     (LAPACK general band storage, kl = ku = 2d - 1) and factors the stack
     with one ``zgbtrf``; partial pivoting never crosses a segment boundary,
     so each segment's LU is the LU of its own J_N - zeta.  One 40-step
-    inverse power iteration serves every segment, and one ``zgbtrs`` call,
-    with e_j in every segment of its right-hand side, solves
-    (J_N - zeta I) X = E_j for all zetas and column blocks.  Time is
-    O(Z N d^3) and memory O(Z N d^2) for Z zetas; no dense matrix is built.
+    inverse power iteration serves every segment: its first 30 steps solve
+    with one ``zpbtrf`` Cholesky factor of the stacked normal equations
+    (J_N - Re zeta)^2 + (Im zeta)^2 I (band kd = 3d - 1), a third to a half
+    of the cost of an LU step, and its last 10 steps use the LU, so the reported
+    value has the LU's precision even where the squared band cannot resolve
+    it (sigma below about sqrt(eps) ||J_N - zeta||, around 1e-8 to 1e-7).
+    When ``zpbtrf`` finds the squared band not positive definite, all 40
+    steps run on the LU.  One ``zgbtrs`` call, with e_j in every segment of
+    its right-hand side, solves (J_N - zeta I) X = E_j for all zetas and
+    column blocks.  Time is O(Z N d^3) and memory O(Z N d^2) for Z zetas;
+    no dense matrix is built.
 
     Returns one GreenTable or SingularityError per zeta, in order.  A zeta is
     singular on an exact zero pivot, or when the smallest singular value of
@@ -409,7 +479,8 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
             f"(exact zero pivot in column {column + 1})")
     if not live:
         return out
-    sigma = _sigma_min(lu, ipiv, kl, len(live), size)
+    chol, info = zpbtrf(_normal_band(op, [zetas[i] for i in live]), overwrite_ab=1)
+    sigma = _sigma_min(lu, ipiv, kl, chol if info == 0 else None, len(live), size)
     if sigma is None:
         if len(live) > 1:
             return _one_at_a_time(op, zetas, rows, cols, live, out)
@@ -460,8 +531,10 @@ def green_block(op: TruncatedOperator, zeta: complex, rows, cols) -> GreenTable:
 
     O(N d^3) time and O(N d^2) memory, no dense matrix.  Raises
     SingularityError on an exact zero pivot, or when the smallest singular
-    value (40 steps of inverse power iteration on the same LU, an upper
-    estimate) puts zeta within 1e-8 of the truncated spectrum; a condition
+    value (40 steps of inverse power iteration, an upper estimate: 30 on a
+    band Cholesky factor of (J_N - Re zeta)^2 + (Im zeta)^2 I and the last
+    10 on the same LU, or all 40 on the LU when that Cholesky factorization
+    fails) puts zeta within 1e-8 of the truncated spectrum; a condition
     estimate above 1e12 is flagged, not fatal.
     """
     [table] = green_blocks(op, [zeta], rows, cols)

@@ -6,7 +6,9 @@ works from the same band storage and band LU; neither builds the
 (N d) x (N d) matrix.  ``TruncatedOperator.to_dense`` exists for
 the oracle here.  Property tests draw random Hermitian block operators (and
 explicit-list sequences for the eigen-search, which also reads block N + 1)
-with d = 1..4 and N = 2..40.
+with d = 1..4 and N = 2..40.  The sigma_min power iteration, which runs its
+first steps on a band Cholesky factor of the normal equations, is checked
+against a copy of the LU-only iteration it replaced.
 """
 
 import math
@@ -14,14 +16,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
+from scipy.linalg import hessenberg
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zpbtrf
 
 from blockjacobi import (ExperimentConfig, GapInterval, GreenTable,
                          ParameterError, SingularityError, TruncatedOperator,
                          assemble_truncation, eigenpairs_in_gap,
                          example2_sequence, explicit_sequence, green_block,
                          green_blocks, verify_eigenvector_bound, with_prefix)
-from blockjacobi.spectral import RESIDUAL_TOL, _band_storage
+from blockjacobi.spectral import (RESIDUAL_TOL, SINGULARITY_TOL, _SEED,
+                                  _band_storage, _normal_band)
 
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
 
@@ -35,13 +40,16 @@ def hermitian(rng, *shape):
     return 0.5 * (H + np.swapaxes(H, -1, -2).conj())
 
 
-@st.composite
-def hermitian_operators(draw):
-    d = draw(st.integers(1, 4))
-    n = draw(st.integers(2, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def seeded_operator(d, n, seed):
+    rng = np.random.default_rng(seed)
     b_blocks = hermitian(rng, n, d, d)
     return TruncatedOperator(a_blocks=gaussian(rng, n - 1, d, d), b_blocks=b_blocks)
+
+
+@st.composite
+def hermitian_operators(draw):
+    return seeded_operator(draw(st.integers(1, 4)), draw(st.integers(2, 40)),
+                           draw(st.integers(0, 2**32 - 1)))
 
 
 @st.composite
@@ -59,6 +67,61 @@ def hermitian_sequences(draw):
 #: spectral points off the real axis, where J_N - zeta is never singular
 zetas = st.builds(complex, st.floats(-4.0, 4.0),
                   st.floats(0.05, 2.0) | st.floats(-2.0, -0.05))
+
+#: at its lowest eigenvalue the squared band of this operator is not
+#: positive definite to ``zpbtrf`` (all 40 steps run on the LU); at its
+#: highest it is, although zeta is an eigenvalue there too
+SMALL = seeded_operator(1, 3, 0)
+SMALL_EIGS = np.linalg.eigvalsh(SMALL.to_dense())
+
+
+def lu_only_sigma_min(op, zeta):
+    """The sigma_min iteration before the Cholesky steps, for one zeta: 40
+    steps of the ``zgbtrs`` pair on the band LU.  None on an exact zero pivot
+    or when the iteration breaks down, both singular verdicts."""
+    kl = 2 * op.dim - 1
+    size = op.n_blocks * op.dim
+    lu, ipiv, info = zgbtrf(_band_storage(op, zeta), kl, kl)
+    if info > 0:
+        return None
+    rng = np.random.default_rng(_SEED)
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v = v / np.linalg.norm(v)
+    safe = math.sqrt(np.finfo(float).max) / math.sqrt(size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(40):
+            w, _ = zgbtrs(lu, kl, kl, v, ipiv)
+            if not np.all(np.isfinite(w)):
+                return None
+            w, _ = zgbtrs(lu, kl, kl, w, ipiv, trans=2)
+            if not np.max(np.abs(w)) < safe:
+                return None
+            parts = w.view(float).reshape(1, 1, 2 * size)
+            lam = np.sqrt(parts @ parts.transpose(0, 2, 1))
+            parts /= lam
+            v = w
+    if not lam > 0.0:
+        return None
+    return 1.0 / math.sqrt(lam.item())
+
+
+def green_or_error(op, zeta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return green_block(op, zeta, [1], [op.n_blocks])
+        except SingularityError as err:
+            return err
+
+
+def tridiagonal_with(eigs, seed=0):
+    """A d = 1 operator with the given eigenvalues: the Hessenberg
+    (tridiagonal) form of Q diag(eigs) Q^H for a seeded unitary Q."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(gaussian(rng, len(eigs), len(eigs)))
+    T = hessenberg((Q * np.asarray(eigs)) @ Q.conj().T)
+    return TruncatedOperator(a_blocks=np.diag(T, 1).reshape(-1, 1, 1),
+                             b_blocks=np.diag(T).real.reshape(-1, 1, 1).astype(complex))
 
 
 def full_table(op, zeta):
@@ -94,6 +157,11 @@ def test_green_symmetry(op, zeta):
 
 
 @given(hermitian_operators(), zetas | st.builds(complex, st.floats(-4.0, 4.0)))
+# zeta 1e-4 from an eigenvalue, on both sides: close, yet far enough that
+# the dense SVD's own error, about eps ||M|| / sigma relative, stays below
+# the 1e-10 checked here (at sigma = 1.5e-6 it is 3.5e-10)
+@example(SMALL, complex(SMALL_EIGS[0] + 1e-4))
+@example(SMALL, complex(SMALL_EIGS[-1] - 1e-4))
 def test_sigma_min_is_an_upper_estimate(op, zeta):
     M = op.to_dense() - zeta * np.eye(op.n_blocks * op.dim)
     true_sigma = np.linalg.svd(M, compute_uv=False)[-1]
@@ -112,6 +180,8 @@ def test_norm_upper_matches_dense_formula(op, zeta):
 
 
 @given(hermitian_operators(), st.integers(0, 10**6))
+@example(SMALL, 0)      # zpbtrf fails: every step on the LU
+@example(SMALL, 2)      # zpbtrf succeeds: the LU steps must still see it
 def test_eigenvalue_raises_singularity_without_warning(op, pick):
     vals = np.linalg.eigvalsh(op.to_dense())
     zeta = float(vals[pick % vals.size])
@@ -119,6 +189,51 @@ def test_eigenvalue_raises_singularity_without_warning(op, pick):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SingularityError):
             green_block(op, zeta, [1], [op.n_blocks])
+
+
+@given(hermitian_operators(), st.data())
+def test_sigma_min_matches_lu_only_iteration(op, data):
+    # off-axis zetas, and zetas on or next to an eigenvalue, inside and
+    # around the range the squared band cannot resolve
+    vals = np.linalg.eigvalsh(op.to_dense())
+    near = st.builds(lambda lam, offset: complex(lam + offset),
+                     st.sampled_from(vals.tolist()),
+                     st.sampled_from([0.0, 5e-9, -5e-9, 2e-8, -2e-8, 1e-5, -1e-5]))
+    zeta = data.draw(zetas | near)
+    ref = lu_only_sigma_min(op, zeta)
+    got = green_or_error(op, zeta)
+    ref_singular = ref is None or ref <= SINGULARITY_TOL
+    assert isinstance(got, SingularityError) == ref_singular
+    if not ref_singular:
+        assert got.sigma_min == pytest.approx(ref, rel=1e-12)
+
+
+def test_cholesky_failure_runs_every_step_on_the_lu():
+    zeta = float(SMALL_EIGS[0])
+    kl = 2 * SMALL.dim - 1
+    assert zgbtrf(_band_storage(SMALL, zeta), kl, kl)[2] == 0   # no zero pivot
+    assert zpbtrf(_normal_band(SMALL, [zeta]))[1] > 0
+    # the message carries the LU-only iteration's value
+    assert str(green_or_error(SMALL, zeta)) == (
+        f"zeta = {complex(zeta)} is within {lu_only_sigma_min(SMALL, zeta):.3e} "
+        f"of the truncated spectrum (tolerance {SINGULARITY_TOL:.0e})")
+
+
+def test_near_pair_below_the_squared_band_resolution():
+    # eigenvalues c + 5e-9 and c + 3e-8, then c + 2e-8 and c + 3e-8: both
+    # pairs lie below sqrt(eps) ||J - c||, where the squared band cannot
+    # tell them apart, so the LU steps decide the verdict and the value
+    c = 0.25
+    spread = np.linspace(-2.0, 2.0, 24)
+    singular = tridiagonal_with(np.r_[spread, c + 5e-9, c + 3e-8])
+    assert isinstance(green_or_error(singular, c), SingularityError)
+    op = tridiagonal_with(np.r_[spread, c + 2e-8, c + 3e-8])
+    vals = np.linalg.eigvalsh(op.to_dense())
+    dist = np.min(np.abs(vals - c))
+    assert 1.9e-8 < dist < math.sqrt(np.finfo(float).eps) * np.max(np.abs(vals - c))
+    table = green_or_error(op, c)
+    assert isinstance(table, GreenTable)
+    assert table.sigma_min == pytest.approx(dist, rel=1e-6)
 
 
 @given(hermitian_operators(), st.data())

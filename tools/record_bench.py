@@ -13,7 +13,8 @@ swaps every pair), so slow drift of the machine hits both alike, with
   quartiles of ``wall_s``, ``peak_rss_mb`` and ``setup_s`` over the pairs,
   the number of pairs in which the change was faster, and the correctness
   gate (``correct``, ``failed``) of every run;
-* the sweep workload once with ``--trace 1``: the per-layer split;
+* every workload once per side with ``--trace 1``: every per-layer metric
+  it reports, under the workload's ``trace`` key, with that run's gate;
 * the N ladder, each point in a fresh interpreter: ``verify_green_bound``
   on example 2 (x = 3) at zeta = 0.5, and ``verify_eigenvector_bound`` on the
   same operator with B_1 = 0.5 I (its 2N section included).
@@ -42,8 +43,6 @@ from pathlib import Path
 
 WORKLOADS = ("green-large", "sweep", "eigvec", "commuting")
 END_TO_END = ("wall_s", "peak_rss_mb", "setup_s")
-TRACED = ("boundfns.best_delta.calls", "boundfns.best_delta.busy_s",
-          "spectral.detect_gap.busy_s", "harness.self_s")
 LADDER = {"green": (1200, 10_000, 100_000), "eigenvector": (1000, 2000, 4000)}
 PAIRS = 10
 SECONDS = 5.0
@@ -79,6 +78,12 @@ def perfbench(root: Path, workload: str, trace: int) -> dict:
     return last_json_line([sys.executable, str(root / "perfbench" / "run.py"),
                            "--workload", workload, "--seconds", str(SECONDS),
                            "--trace", str(trace)], root)
+
+
+def traced(root: Path, workload: str) -> dict:
+    res = perfbench(root, workload, 1)
+    return {"correct": res["correct"], "failed": res["failed"],
+            "metrics": {m: v["value"] for m, v in res["metrics"].items()}}
 
 
 def ladder_point(root: Path, kind: str, n: int) -> float:
@@ -146,14 +151,10 @@ def main(argv=None) -> int:
         entry["change_faster_pairs"] = sum(
             c["metrics"]["wall_s"]["value"] < p["metrics"]["wall_s"]["value"]
             for p, c in zip(runs["parent"], runs["change"]))
+        entry["trace"] = {name: traced(root, wl) for name, root in sides.items()}
         workloads[wl] = entry
         print(wl, json.dumps({k: entry[k]["wall_s"]["median"] for k in sides}),
               file=sys.stderr)
-
-    traced = {}
-    for name, root in sides.items():
-        metrics = perfbench(root, "sweep", 1)["metrics"]
-        traced[name] = {m: metrics[m]["value"] for m in TRACED}
 
     ladder = {}
     for kind, sizes in LADDER.items():
@@ -171,8 +172,8 @@ def main(argv=None) -> int:
         "method": {
             "workloads": f"perfbench/run.py --workload W --seconds {SECONDS} "
                          f"--trace 0, {PAIRS} alternating parent/change pairs",
-            "trace": f"perfbench/run.py --workload sweep --seconds {SECONDS} "
-                     "--trace 1, once per side",
+            "trace": f"perfbench/run.py --workload W --seconds {SECONDS} "
+                     "--trace 1, once per side and workload",
             "ladder": "example 2 (x = 3), zeta = 0.5, wall time of one "
                       "verify_green_bound / verify_eigenvector_bound call "
                       "(B_1 = 0.5 I) in a fresh interpreter, median of "
@@ -180,7 +181,6 @@ def main(argv=None) -> int:
             "notes": "added by hand after the run, not by this tool",
         },
         "workloads": workloads,
-        "trace_sweep": traced,
         "ladder_s": ladder,
         "notes": [],
     }
