@@ -157,9 +157,9 @@ def test_green_symmetry(op, zeta):
 
 
 @given(hermitian_operators(), zetas | st.builds(complex, st.floats(-4.0, 4.0)))
-# zeta 1e-4 from an eigenvalue, on both sides: close, yet far enough that
-# the dense SVD's own error, about eps ||M|| / sigma relative, stays below
-# the 1e-10 checked here (at sigma = 1.5e-6 it is 3.5e-10)
+# zeta 1e-4 inside the lowest and the highest eigenvalue: close, yet far
+# enough that the dense SVD's own error, about eps ||M|| / sigma relative,
+# stays below the 1e-10 checked here (at sigma = 1.5e-6 it is 3.5e-10)
 @example(SMALL, complex(SMALL_EIGS[0] + 1e-4))
 @example(SMALL, complex(SMALL_EIGS[-1] - 1e-4))
 def test_sigma_min_is_an_upper_estimate(op, zeta):
@@ -189,6 +189,23 @@ def test_eigenvalue_raises_singularity_without_warning(op, pick):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(SingularityError):
             green_block(op, zeta, [1], [op.n_blocks])
+
+
+@given(hermitian_operators(), st.lists(zetas, min_size=1, max_size=3))
+def test_normal_band_is_the_upper_triangle_of_m_mh(op, stack):
+    # one segment of (J_N - zeta)(J_N - zeta)^H per zeta, upper band layout
+    kd = 3 * op.dim - 1
+    size = op.n_blocks * op.dim
+    ab = _normal_band(op, stack)
+    assert ab.shape == (kd + 1, len(stack) * size)
+    for k, zeta in enumerate(stack):
+        M = op.to_dense() - zeta * np.eye(size)
+        S = M @ M.conj().T
+        upper = np.zeros((size, size), dtype=complex)
+        for r in range(kd + 1):
+            j = np.arange(kd - r, size)
+            upper[j - (kd - r), j] = ab[r, k * size + j]
+        assert np.max(np.abs(upper - np.triu(S))) <= 1e-13 * np.max(np.abs(S))
 
 
 @given(hermitian_operators(), st.data())
