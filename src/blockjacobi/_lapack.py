@@ -1,0 +1,227 @@
+"""The band LAPACK routines of :mod:`blockjacobi.spectral`, from numpy's own OpenBLAS.
+
+Numpy wheels bundle an ILP64 OpenBLAS (``libscipy_openblas64_``, in
+``numpy.libs/`` next to the package on Linux and Windows, in
+``numpy/.dylibs/`` on macOS) that exports all of LAPACK under names like
+``scipy_zgbtrf_64_``.  When numpy's build names that library, this module
+binds the five routines ``spectral`` needs from it with ctypes, so
+``import blockjacobi`` imports no scipy module and one OpenBLAS runtime
+serves both numpy's matmul and the band solves.  On every other numpy build
+(Accelerate, MKL, conda) the same names come from scipy.  The choice depends
+only on numpy's build and is made once, at import.
+
+The names take the arguments of scipy's wrappers that ``spectral`` uses:
+
+``zgbtrf(ab, kl, ku, overwrite_ab=0) -> (lu, ipiv, info)``
+    band LU with partial pivoting, m = n = ab.shape[1];
+``zgbtrs(ab, kl, ku, b, ipiv, trans=0, overwrite_b=0) -> (x, info)``
+    solve with that LU (trans 0, 1, 2: A, A^T, A^H);
+``zpbtrf(ab, overwrite_ab=0) -> (c, info)``
+    band Cholesky factor, upper storage, kd = ab.shape[0] - 1;
+``zpbtrs(ab, b, overwrite_b=0) -> (x, info)``
+    solve with that factor;
+``eigvals_banded(a_band, lower=False) -> w``
+    ascending eigenvalues of a Hermitian band (``zhbevd``, no vectors).
+
+``ipiv`` is opaque and only handed back to ``zgbtrs``: the binding keeps
+LAPACK's 1-based int64 pivots where scipy returns 0-based int32 ones.  Info
+> 0 of ``eigvals_banded`` raises ConvergenceError on both paths.
+
+The binding follows the ILP64 gfortran ABI: every integer, pivots included,
+is an int64 passed by address, and every character argument carries a
+hidden ``size_t`` length after the last regular argument.  Arrays are
+passed as raw addresses, and an ``overwrite_*`` input that already is a
+writeable F-contiguous complex128 array is used in place.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+
+import numpy as np
+
+from .errors import ConvergenceError
+
+_STEM = "libscipy_openblas64_"
+_SUFFIXES = (".so", ".dylib", ".dll")
+
+
+def bundled_openblas(config: dict, numpy_dir: str) -> str | None:
+    """Path of the ILP64 scipy-openblas library numpy was built with, or None.
+
+    ``config`` is ``numpy.show_config(mode="dicts")`` and ``numpy_dir`` the
+    numpy package directory.  The build must name ``scipy-openblas`` as its
+    LAPACK with ``USE64BITINT`` in its configuration, and the library file
+    must sit in ``numpy.libs/`` beside the package or in its ``.dylibs/``.
+    """
+    lapack = config.get("Build Dependencies", {}).get("lapack", {})
+    if (lapack.get("name") != "scipy-openblas"
+            or "USE64BITINT" not in lapack.get("openblas configuration", "")):
+        return None
+    for folder in (os.path.join(os.path.dirname(numpy_dir), "numpy.libs"),
+                   os.path.join(numpy_dir, ".dylibs")):
+        try:
+            names = sorted(os.listdir(folder))
+        except OSError:
+            continue
+        for name in names:
+            if name.startswith(_STEM) and name.endswith(_SUFFIXES):
+                return os.path.join(folder, name)
+    return None
+
+
+def _load(path: str | None):
+    """The library at ``path`` if it exports the prefixed ILP64 LAPACK, else None."""
+    if path is None:
+        return None
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    return lib if hasattr(lib, "scipy_zgbtrf_64_") else None
+
+
+def _numpy_config() -> dict:
+    try:
+        return np.show_config(mode="dicts")
+    except TypeError:       # numpy < 1.25 has no dicts mode
+        return {}
+
+
+_LIB = _load(bundled_openblas(_numpy_config(), os.path.dirname(np.__file__)))
+#: file of the bound library, or None when the routines come from scipy
+LIBRARY = None if _LIB is None else _LIB._name
+
+
+def openblas_config() -> str | None:
+    """``openblas_get_config`` of the bound library, None on the scipy path."""
+    if _LIB is None:
+        return None
+    get = _LIB.scipy_openblas_get_config64_
+    get.restype = ctypes.c_char_p
+    return get().decode()
+
+
+def _bind(name: str, chars: int, pointers: int):
+    """Routine ``name`` of the bound library: ``chars`` leading character
+    arguments, ``pointers`` addresses, then one hidden length per character."""
+    fn = getattr(_LIB, f"scipy_{name}_64_")
+    fn.argtypes = ([ctypes.c_char_p] * chars + [ctypes.c_void_p] * pointers
+                   + [ctypes.c_size_t] * chars)
+    fn.restype = None
+    return fn
+
+
+def _address(a: np.ndarray) -> int:
+    """Data address of a writeable F-contiguous array, read through the
+    buffer of its C-contiguous transpose: a third of the cost of
+    ``a.ctypes.data``, which builds a ctypes helper object per call."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(a.T))
+
+
+def _fortran(a, overwrite) -> np.ndarray:
+    """``a`` itself when ``overwrite`` and it is a writeable F-contiguous
+    complex128 array, else an F-ordered complex128 copy."""
+    if (overwrite and isinstance(a, np.ndarray) and a.dtype == np.complex128
+            and a.flags.f_contiguous and a.flags.writeable):
+        return a
+    return np.array(a, dtype=np.complex128, order="F")
+
+
+def _info(ints: np.ndarray, name: str) -> int:
+    """LAPACK's ``info``, the last entry of ``ints``; raises ValueError on an
+    illegal argument (info < 0), as scipy's wrappers do."""
+    info = int(ints[-1])
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {name}")
+    return info
+
+
+def _check_solve(ab: np.ndarray, b: np.ndarray, ipiv=None) -> None:
+    """Reject operands LAPACK would read or write out of bounds."""
+    n = ab.shape[1]
+    if ab.dtype != np.complex128 or b.shape[0] != n or (
+            ipiv is not None and (ipiv.dtype != np.int64 or ipiv.shape != (n,))):
+        raise ValueError("band factor, pivots and right-hand side do not match")
+
+
+if _LIB is not None:
+    _ZGBTRF = _bind("zgbtrf", 0, 8)
+    _ZGBTRS = _bind("zgbtrs", 1, 10)
+    _ZPBTRF = _bind("zpbtrf", 1, 5)
+    _ZPBTRS = _bind("zpbtrs", 1, 8)
+    _ZHBEVD = _bind("zhbevd", 2, 14)
+    _TRANS = (b"N", b"T", b"C")
+
+    def zgbtrf(ab, kl, ku, overwrite_ab=0):
+        ab = _fortran(ab, overwrite_ab)
+        ldab, n = ab.shape
+        ipiv = np.empty(n, dtype=np.int64)
+        # m, n, kl, ku, ldab, info
+        ints = np.array([n, n, kl, ku, ldab, 0], dtype=np.int64)
+        p = _address(ints)
+        _ZGBTRF(p, p + 8, p + 16, p + 24, _address(ab), p + 32,
+                _address(ipiv), p + 40)
+        return ab, ipiv, _info(ints, "zgbtrf")
+
+    def zgbtrs(ab, kl, ku, b, ipiv, trans=0, overwrite_b=0):
+        b = _fortran(b, overwrite_b)
+        _check_solve(ab, b, ipiv)
+        ldab, n = ab.shape
+        # n, kl, ku, nrhs, ldab, ldb, info
+        ints = np.array([n, kl, ku, b.shape[1] if b.ndim == 2 else 1, ldab,
+                         max(n, 1), 0], dtype=np.int64)
+        p = _address(ints)
+        _ZGBTRS(_TRANS[trans], p, p + 8, p + 16, p + 24, _address(ab),
+                p + 32, _address(ipiv), _address(b), p + 40, p + 48, 1)
+        return b, _info(ints, "zgbtrs")
+
+    def zpbtrf(ab, overwrite_ab=0):
+        ab = _fortran(ab, overwrite_ab)
+        ldab, n = ab.shape
+        # n, kd, ldab, info
+        ints = np.array([n, ldab - 1, ldab, 0], dtype=np.int64)
+        p = _address(ints)
+        _ZPBTRF(b"U", p, p + 8, _address(ab), p + 16, p + 24, 1)
+        return ab, _info(ints, "zpbtrf")
+
+    def zpbtrs(ab, b, overwrite_b=0):
+        b = _fortran(b, overwrite_b)
+        _check_solve(ab, b)
+        ldab, n = ab.shape
+        # n, kd, nrhs, ldab, ldb, info
+        ints = np.array([n, ldab - 1, b.shape[1] if b.ndim == 2 else 1, ldab,
+                         max(n, 1), 0], dtype=np.int64)
+        p = _address(ints)
+        _ZPBTRS(b"U", p, p + 8, p + 16, _address(ab), p + 24,
+                _address(b), p + 32, p + 40, 1)
+        return b, _info(ints, "zpbtrs")
+
+    def eigvals_banded(a_band, lower=False):
+        ab = _fortran(a_band, False)
+        ldab, n = ab.shape
+        w = np.empty(n)
+        z = np.empty(1, dtype=np.complex128)           # not referenced
+        work = np.empty(max(n, 1), dtype=np.complex128)
+        rwork = np.empty(max(n, 1))
+        # n, kd, ldab, ldz, lwork, lrwork, iwork, liwork, info
+        ints = np.array([n, ldab - 1, ldab, 1, work.size, rwork.size, 0, 1, 0],
+                        dtype=np.int64)
+        p = _address(ints)
+        _ZHBEVD(b"N", b"L" if lower else b"U", p, p + 8, _address(ab),
+                p + 16, _address(w), _address(z), p + 24, _address(work),
+                p + 32, _address(rwork), p + 40, p + 48, p + 56, p + 64, 1, 1)
+        info = _info(ints, "zhbevd")
+        if info > 0:
+            raise ConvergenceError(f"zhbevd did not converge (LAPACK info = {info})")
+        return w
+else:
+    from scipy.linalg import LinAlgError, eigvals_banded as _eigvals_banded
+    from scipy.linalg.lapack import zgbtrf, zgbtrs, zpbtrf, zpbtrs  # noqa: F401
+
+    def eigvals_banded(a_band, lower=False):
+        try:
+            return _eigvals_banded(a_band, lower=lower, check_finite=False)
+        except LinAlgError as err:
+            raise ConvergenceError(f"zhbevd did not converge ({err})") from None

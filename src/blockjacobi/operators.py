@@ -24,8 +24,13 @@ Built-in families:
 ``custom``
     Arbitrary callable n -> (A_n, B_n); not JSON-serializable.
 
-All sequences are pure functions of n (no caching, so results are
-reproducible); :meth:`EntrySequence.blocks` returns validated block stacks.
+:meth:`EntrySequence.blocks` returns validated read-only block stacks.  The
+closed-form families (``constant``, ``example2``, ``example3`` and the tail
+of ``explicit-list``) generate them as whole stacks.  The rules of
+``example1`` and ``custom`` are evaluated per n, once per n and sequence: a
+sequence keeps the stacks of the blocks past its prefix that were asked for,
+so the overlapping ranges an experiment reads (norms, the N and 2N sections,
+envelope windows) do not call the rule again.
 """
 
 from __future__ import annotations
@@ -77,9 +82,10 @@ def _require_hermitian(B: np.ndarray, what: str, first: int = 0) -> None:
                              f"(deviation {dev[bad[0]]:.3e} > {HERMITICITY_TOL:.0e})")
 
 
-def _as_stack(values: list, dim: int, what: str, first: int) -> np.ndarray:
-    """Validated read-only (n, d, d) stack of ``values``, whose block i is
-    named ``what.format(first + i)`` in errors."""
+def _as_stack(values, dim: int, what: str, first: int) -> np.ndarray:
+    """Validated read-only (n, d, d) stack of ``values`` (a list of blocks or
+    a complex stack, used in place), whose block i is named
+    ``what.format(first + i)`` in errors."""
     try:
         stack = np.asarray(values, dtype=complex)
     except (TypeError, ValueError):
@@ -183,6 +189,8 @@ class EntrySequence:
     params: dict = field(default_factory=dict)
     prefix: tuple = ()
     tail: tuple | None = None
+    #: the per-n rule's validated (A, B) stacks kept by :meth:`_rule_stacks`
+    _kept: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -190,6 +198,8 @@ class EntrySequence:
         if self.family not in _FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
         object.__setattr__(self, "params", dict(self.params))
+        none = np.zeros((0, self.dim, self.dim), dtype=complex)
+        object.__setattr__(self, "_kept", (none, none))
         validator = _VALIDATORS.get(self.family)
         if validator is not None:
             validator(self.dim, self.params)
@@ -209,15 +219,55 @@ class EntrySequence:
     def blocks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (hi - lo, d, d) stacks of A_n and B_n for n in [lo, hi).
 
-        Blocks are generated per n and validated once per stack (shape,
-        finiteness, Hermitian B_n); errors name the first bad index.
+        Blocks past the prefix are generated as whole stacks for the
+        ``constant``, ``example2``, ``example3`` and ``explicit-list``
+        families, and per n, once per n, for ``example1`` and ``custom``,
+        whose rules are callables (:meth:`_rule_stacks`).  Each stack is
+        validated once (shape, finiteness, Hermitian B_n); errors name the
+        first bad index.
         """
         if lo < 1:
             raise ParameterError(f"block index must be >= 1, got {lo}")
         if hi < lo:
             raise ParameterError(f"block range [{lo}, {hi}) is reversed")
-        p, gen = len(self.prefix), _BLOCK_FNS[self.family]
-        pairs = [self.prefix[n - 1] if n <= p else gen(self, n) for n in range(lo, hi)]
+        mid = min(max(lo, len(self.prefix) + 1), hi)     # first index past the prefix
+        A = [a for a, _ in self.prefix[lo - 1:mid - 1]]
+        B = [b for _, b in self.prefix[lo - 1:mid - 1]]
+        if mid < hi:
+            if self.family in _RULES:
+                gen_a, gen_b = self._rule_stacks(mid, hi)
+            else:
+                gen_a, gen_b = _BLOCK_STACKS[self.family](self, mid, hi)
+            A, B = _joined(A, gen_a), _joined(B, gen_b)
+        A = _as_stack(A, self.dim, "A_{}", lo)
+        B = _as_stack(B, self.dim, "B_{}", lo)
+        _require_hermitian(B, "B_{}", lo)
+        return A, B
+
+    def _rule_stacks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Validated stacks of the per-n rule's blocks for n in [lo, hi), past
+        the prefix.
+
+        The rule is evaluated once per n: the stacks from the first index past
+        the prefix up to the highest one asked for are kept, and a range that
+        starts inside them evaluates the rule only beyond them.  A range that
+        starts further on is evaluated on its own.
+        """
+        first = len(self.prefix) + 1
+        kept = self._kept
+        end = first + len(kept[0])
+        if lo > end:
+            return self._evaluate(lo, hi)
+        if hi > end:
+            kept = tuple(np.concatenate(pair) for pair in zip(kept, self._evaluate(end, hi)))
+            for stack in kept:
+                stack.flags.writeable = False
+            object.__setattr__(self, "_kept", kept)
+        return kept[0][lo - first:hi - first], kept[1][lo - first:hi - first]
+
+    def _evaluate(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        rule = _RULES[self.family]
+        pairs = [rule(self, n) for n in range(lo, hi)]
         A = _as_stack([a for a, _ in pairs], self.dim, "A_{}", lo)
         B = _as_stack([b for _, b in pairs], self.dim, "B_{}", lo)
         _require_hermitian(B, "B_{}", lo)
@@ -241,12 +291,13 @@ class EntrySequence:
         return np.linalg.svd(self.blocks(1, upto + 1)[0], compute_uv=False)[:, 0]
 
 
-def _zeros(d):
-    return np.zeros((d, d), dtype=complex)
+def _joined(head: list, tail: np.ndarray):
+    """The blocks of ``head`` followed by the (n, d, d) stack ``tail``."""
+    return np.concatenate((head, tail)) if head else tail
 
 
-def _block_constant(seq, n):
-    return seq.params["A"], seq.params["B"]
+def _copies(block: np.ndarray, count: int) -> np.ndarray:
+    return np.repeat(block[None], count, axis=0)
 
 
 def _block_example1(seq, n):
@@ -255,42 +306,53 @@ def _block_example1(seq, n):
     if abs(complex(eps).imag) > HERMITICITY_TOL:
         raise ParameterError(f"example1 eps rule must be real, got {eps} at n={n}")
     e = complex(eps).real
-    return np.array([[e, lam], [0.0, e]], dtype=complex), _zeros(2)
-
-
-def _block_example2(seq, n):
-    x = seq.params["x"]
-    return np.array([[1.0, x], [0.0, 1.0]], dtype=complex), _zeros(2)
-
-
-def _block_example3(seq, n):
-    p = seq.params
-    c = p["c1"] if n % 2 == 1 else p["c2"]
-    A = (n ** p["alpha"] + c) * np.array([[1.0, p["x"]], [0.0, 1.0]], dtype=complex)
-    return A, _zeros(2)
-
-
-def _block_explicit(seq, n):
-    if seq.tail is None:
-        raise ParameterError(
-            f"explicit-list sequence has {len(seq.prefix)} blocks and no tail; "
-            f"block {n} requested"
-        )
-    return seq.tail
+    return np.array([[e, lam], [0.0, e]], dtype=complex), np.zeros((2, 2), dtype=complex)
 
 
 def _block_custom(seq, n):
     return seq.params["fn"](n)
 
 
-_BLOCK_FNS = {
-    "constant": _block_constant,
-    "example1": _block_example1,
-    "example2": _block_example2,
-    "example3": _block_example3,
-    "explicit-list": _block_explicit,
-    "custom": _block_custom,
+def _stack_constant(seq, lo, hi):
+    return _copies(seq.params["A"], hi - lo), _copies(seq.params["B"], hi - lo)
+
+
+def _stack_example2(seq, lo, hi):
+    A = np.array([[1.0, seq.params["x"]], [0.0, 1.0]], dtype=complex)
+    return _copies(A, hi - lo), np.zeros((hi - lo, 2, 2), dtype=complex)
+
+
+def _stack_example3(seq, lo, hi):
+    p = seq.params
+    # Python's float pow (libm): numpy's power differs from it in the last
+    # ulp for some n
+    scale = np.array([n ** p["alpha"] + (p["c1"] if n % 2 == 1 else p["c2"])
+                      for n in range(lo, hi)])
+    # an infinite c1 or c2 gives NaN entries, which the stack check reports
+    with np.errstate(invalid="ignore", over="ignore"):
+        A = scale[:, None, None] * np.array([[1.0, p["x"]], [0.0, 1.0]], dtype=complex)
+    return A, np.zeros((hi - lo, 2, 2), dtype=complex)
+
+
+def _stack_explicit(seq, lo, hi):
+    if seq.tail is None:
+        raise ParameterError(
+            f"explicit-list sequence has {len(seq.prefix)} blocks and no tail; "
+            f"block {lo} requested"
+        )
+    return _copies(seq.tail[0], hi - lo), _copies(seq.tail[1], hi - lo)
+
+
+#: closed-form family -> (seq, lo, hi) -> (hi - lo, d, d) stacks of the
+#: blocks n in [lo, hi) past the prefix
+_BLOCK_STACKS = {
+    "constant": _stack_constant,
+    "example2": _stack_example2,
+    "example3": _stack_example3,
+    "explicit-list": _stack_explicit,
 }
+#: per-n family -> rule (seq, n) -> (A_n, B_n)
+_RULES = {"example1": _block_example1, "custom": _block_custom}
 
 
 def _validate_constant(dim, params):

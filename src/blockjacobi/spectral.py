@@ -26,6 +26,11 @@ gives the eigenvalues of J_N, block inverse iteration on the band LU gives
 the eigenvectors of the in-gap ones, and the far-edge artifact filter reads
 only the coupling A_N to block N + 1 instead of a 2N section.  Only
 ``truncated_spectrum`` diagonalizes the dense truncation.
+
+The band routines (``zgbtrf``, ``zgbtrs``, ``zpbtrf``, ``zpbtrs`` and
+``eigvals_banded``) come from :mod:`blockjacobi._lapack`: bound from the
+ILP64 OpenBLAS inside numpy when numpy's build names it, so no scipy module
+is imported, and taken from scipy on other numpy builds.
 """
 
 from __future__ import annotations
@@ -34,9 +39,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded
-from scipy.linalg.lapack import zgbtrf, zgbtrs, zpbtrf, zpbtrs
 
+from ._lapack import eigvals_banded, zgbtrf, zgbtrs, zpbtrf, zpbtrs
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .operators import (EntrySequence, TruncatedOperator, as_block,
@@ -324,9 +328,11 @@ def _entry_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Block products X_k Y_k of entry-major stacks, where X[r, c, ...] is
     entry (r, c) of every block: a sum of d elementwise products.
 
-    Numpy's complex matmul of square-block stacks leaves scipy's band LAPACK
-    calls several times slower until a real matmul runs, so the normal band
-    is built without one.
+    Numpy's complex matmul of square-block stacks leaves the band LAPACK of
+    a second OpenBLAS in the process several times slower until a real
+    matmul runs.  The routines run on numpy's own OpenBLAS unless
+    :mod:`blockjacobi._lapack` falls back to scipy's, where that second copy
+    exists, so the normal band is built without such a matmul.
     """
     return sum(X[:, k, None] * Y[None, k] for k in range(X.shape[1]))
 
@@ -617,13 +623,13 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
 
     Candidates are eigenvalues in (r + margin, s - margin) with margin 2% of
     the gap width; all N d eigenvalues come from one banded Hermitian
-    eigensolve (``eigvals_banded``, kd = 2d - 1, on the lower rows of the
-    LU band storage).  Candidates within 1e-8 of each other form a cluster,
-    whose eigenvectors come from block inverse iteration on the band LU of
-    J_N - (mean + i tau), tau = 1e-10 max(||J_N||, 1), followed by
-    Rayleigh-Ritz.  The iteration runs until the other eigenvectors' share is
-    below the smallest normal float, so far blocks of a localized
-    eigenvector are resolved entrywise.
+    eigensolve (``eigvals_banded``, LAPACK ``zhbevd`` with kd = 2d - 1, on
+    the lower rows of the LU band storage).  Candidates within 1e-8 of each
+    other form a cluster, whose eigenvectors come from block inverse
+    iteration on the band LU of J_N - (mean + i tau),
+    tau = 1e-10 max(||J_N||, 1), followed by Rayleigh-Ritz.  The iteration
+    runs until the other eigenvectors' share is below the smallest normal
+    float, so far blocks of a localized eigenvector are resolved entrywise.
 
     A Dirichlet cut manufactures spurious in-gap eigenpairs localized at the
     far boundary; these can be perfectly N-stable (the cut exists at every
@@ -648,8 +654,7 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     lo, hi = gap.r + margin, gap.s - margin
     # rows 2 kl.. of the general band storage hold entry (i, j), i >= j, at
     # row i - j: the lower Hermitian band layout, kd = kl = 2d - 1
-    vals = eigvals_banded(_band_storage(op, 0.0)[2 * (2 * d - 1):], lower=True,
-                          check_finite=False)
+    vals = eigvals_banded(_band_storage(op, 0.0)[2 * (2 * d - 1):], lower=True)
     candidates = np.nonzero((vals > lo) & (vals < hi))[0]
     if candidates.size == 0:
         return FactoredResults()

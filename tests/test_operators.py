@@ -300,6 +300,106 @@ def test_blocks_match_block_across_prefix_and_tail():
     assert np.array_equal(B[0], prefix[1][1]) and np.array_equal(A[-1], tail[0])
 
 
+def per_n_blocks(seq, lo, hi):
+    """(A, B) stacks of ``seq`` for n in [lo, hi), one block per n: the
+    generation rules of the stack families written out for a single n."""
+    p, d = seq.params, seq.dim
+
+    def upper(x):
+        return np.array([[1.0, x], [0.0, 1.0]], dtype=complex)
+
+    def block(n):
+        if n <= len(seq.prefix):
+            return seq.prefix[n - 1]
+        if seq.family == "constant":
+            return p["A"], p["B"]
+        if seq.family == "example2":
+            return upper(p["x"]), np.zeros((2, 2), dtype=complex)
+        if seq.family == "example3":
+            c = p["c1"] if n % 2 == 1 else p["c2"]
+            return (n ** p["alpha"] + c) * upper(p["x"]), np.zeros((2, 2), dtype=complex)
+        return seq.tail
+    pairs = [block(n) for n in range(lo, hi)]
+    return (np.array([a for a, _ in pairs], dtype=complex).reshape(-1, d, d),
+            np.array([b for _, b in pairs], dtype=complex).reshape(-1, d, d))
+
+
+def test_stacks_equal_per_n_blocks_bit_for_bit():
+    rng = np.random.default_rng(3)
+    H = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    constant = constant_sequence(rng.standard_normal((3, 3)) - 2j, H + H.conj().T)
+    prefix2 = [(rng.standard_normal((2, 2)) + 1j, np.diag([k, -k])) for k in (1.0, 2.0, 3.0)]
+    families = [
+        example2_sequence(3.0), example2_sequence(-0.7),
+        # c1 != c2, negative n**alpha + c_n and negative x: signed zeros too
+        example3_sequence(x=0.5, alpha=0.75, c1=-1.0, c2=2.0),
+        example3_sequence(x=-1.5, alpha=0.6, c1=0.25, c2=-9.0),
+        explicit_sequence(prefix2, tail=(np.array([[2.0, 1j], [0.0, 2.0]]),
+                                         np.diag([1.0, -1.0]))),
+    ]
+    seqs = [constant, with_prefix(constant, [(np.eye(3), np.eye(3))] * 3)]
+    seqs += families + [with_prefix(s, prefix2) for s in families[:4]]
+    # from inside, at the end of and beyond a 3-block prefix, both parities
+    ranges = [(1, 1), (1, 4), (2, 3), (2, 9), (3, 10), (4, 9), (4, 5), (5, 40),
+              (6, 41), (1, 20_001)]
+    for seq in seqs:
+        for lo, hi in ranges:
+            got, want = seq.blocks(lo, hi), per_n_blocks(seq, lo, hi)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), (seq.family, lo, hi)
+                assert not g.flags.writeable
+
+
+def test_stack_errors_name_the_first_bad_index():
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    no_tail = explicit_sequence([(eye, zero)] * 3)
+    assert no_tail.blocks(1, 4)[0].shape == (3, 2, 2)
+    for lo, first in ((2, 4), (5, 5)):
+        with pytest.raises(ParameterError, match=(
+                rf"^explicit-list sequence has 3 blocks and no tail; block {first} requested$")):
+            no_tail.blocks(lo, 8)
+    with pytest.raises(ParameterError, match=r"^prefix A_2 contains non-finite entries$"):
+        with_prefix(example2_sequence(1.0), [(eye, zero), (np.full((2, 2), math.inf), zero)])
+    with pytest.raises(ParameterError, match=(
+            r"^prefix B_3 is not Hermitian \(deviation 1\.000e\+00 > 1e-12\)$")):
+        with_prefix(example3_sequence(0.5, 0.75, 1.0, 2.0),
+                    [(eye, zero)] * 2 + [(eye, np.array([[0.0, 1.0], [0.0, 0.0]]))])
+    with pytest.raises(ParameterError, match=r"^A_4 contains non-finite entries$"):
+        with_prefix(example2_sequence(math.inf), [(eye, zero)] * 3).blocks(2, 6)
+    # an infinite c2 makes the even blocks NaN, without a numpy warning
+    with pytest.raises(ParameterError, match=r"^A_6 contains non-finite entries$"):
+        example3_sequence(0.5, 0.75, 0.0, math.inf).blocks(5, 9)
+
+
+def test_rules_are_evaluated_once_per_n():
+    calls = []
+
+    def fn(n):
+        calls.append(n)
+        bad = math.nan if n == 11 else float(n)
+        return np.array([[bad]]), np.zeros((1, 1))
+    seq = with_prefix(custom_sequence(fn, 1), [(np.eye(1), np.eye(1))] * 2)
+    seq.blocks(1, 6)
+    assert calls == [3, 4, 5]
+    seq.blocks(2, 9)                        # starts inside the kept blocks
+    seq.blocks(4, 7)
+    assert calls == [3, 4, 5, 6, 7, 8]
+    seq.blocks(12, 14)                      # past them: evaluated on its own
+    seq.blocks(9, 10)
+    assert calls == [3, 4, 5, 6, 7, 8, 12, 13, 9]
+    with pytest.raises(ParameterError, match=r"^A_11 contains non-finite entries$"):
+        seq.blocks(5, 13)
+    assert calls[-3:] == [10, 11, 12]
+    A, B = seq.blocks(1, 11)
+    assert A[:, 0, 0].real.tolist() == [1.0, 1.0] + [float(n) for n in range(3, 11)]
+    assert calls[-1:] == [10] and not A.flags.writeable and not B.flags.writeable
+    # per-n evaluation errors keep their text and first index
+    eps = example1_sequence(eps_rule=lambda n: 1j if n >= 4 else 0.5)
+    assert eps.blocks(1, 4)[0].shape == (3, 2, 2)
+    with pytest.raises(ParameterError, match=r"^example1 eps rule must be real, got 1j at n=4$"):
+        eps.blocks(2, 7)
+
+
 def test_truncation_rejects_non_hermitian_b_stack():
     b_blocks = np.zeros((4, 2, 2), dtype=complex)
     b_blocks[2, 0, 1] = 1e-6

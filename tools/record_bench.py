@@ -17,7 +17,9 @@ swaps every pair), so slow drift of the machine hits both alike, with
   it reports, under the workload's ``trace`` key, with that run's gate;
 * the N ladder, each point in a fresh interpreter: ``verify_green_bound``
   on example 2 (x = 3) at zeta = 0.5, and ``verify_eigenvector_bound`` on the
-  same operator with B_1 = 0.5 I (its 2N section included).
+  same operator with B_1 = 0.5 I (its 2N section included);
+* under ``machine.lapack``, per side, the band LAPACK its ``blockjacobi``
+  runs on: the library file and its ``openblas_get_config`` string.
 
 Each side is labelled with its HEAD commit, plus the hash of a stash commit
 of its working tree when that has uncommitted changes, so the numbers can be
@@ -68,6 +70,26 @@ print(json.dumps(perf_counter() - t0))
 """
 
 
+#: the band LAPACK a checkout's ``blockjacobi`` runs on, run with its ``src``
+#: on sys.path: the library file and its ``openblas_get_config`` string, or
+#: scipy's LAPACK (with scipy's build-time OpenBLAS configuration) for a
+#: checkout from before ``blockjacobi._lapack`` or on the fallback path
+LAPACK_RUNTIME = """
+import json
+try:
+    from blockjacobi._lapack import LIBRARY, openblas_config
+except ImportError:
+    LIBRARY = None
+if LIBRARY is None:
+    import scipy
+    lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    print(json.dumps({"library": "scipy.linalg.lapack",
+                      "openblas_config": lapack.get("openblas configuration")}))
+else:
+    print(json.dumps({"library": LIBRARY, "openblas_config": openblas_config()}))
+"""
+
+
 def last_json_line(cmd, cwd: Path, env=None):
     out = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True,
                          check=True).stdout
@@ -86,9 +108,14 @@ def traced(root: Path, workload: str) -> dict:
             "metrics": {m: v["value"] for m, v in res["metrics"].items()}}
 
 
-def ladder_point(root: Path, kind: str, n: int) -> float:
+def in_checkout(root: Path, code: str, *args: str):
+    """Last JSON line printed by ``code`` run with the checkout's ``src``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    return last_json_line([sys.executable, "-c", LADDER_POINT, kind, str(n)], root, env)
+    return last_json_line([sys.executable, "-c", code, *args], root, env)
+
+
+def ladder_point(root: Path, kind: str, n: int) -> float:
+    return in_checkout(root, LADDER_POINT, kind, str(n))
 
 
 def summary(values) -> dict:
@@ -115,7 +142,7 @@ def revision(root: Path) -> str:
     return f"{head}+worktree:{stash}" if stash else head
 
 
-def machine() -> dict:
+def machine(sides: dict) -> dict:
     import numpy
     import scipy
     cpu = platform.processor()
@@ -128,7 +155,9 @@ def machine() -> dict:
         pass
     return {"cpu": cpu, "cores": os.cpu_count(), "platform": platform.platform(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__,
+            "lapack": {name: in_checkout(root, LAPACK_RUNTIME)
+                       for name, root in sides.items()}}
 
 
 def main(argv=None) -> int:
@@ -168,7 +197,7 @@ def main(argv=None) -> int:
 
     result = {
         "revisions": {name: revision(root) for name, root in sides.items()},
-        "machine": machine(),
+        "machine": machine(sides),
         "method": {
             "workloads": f"perfbench/run.py --workload W --seconds {SECONDS} "
                          f"--trace 0, {PAIRS} alternating parent/change pairs",
