@@ -85,8 +85,7 @@ def test_band_eigenvalues_match_scipy(op):
 
 
 def test_overwrite_works_in_place_on_fortran_complex_input():
-    op = SMALL
-    ab = _band_storage(op, 0.5j)
+    ab = _band_storage(SMALL, 0.5j)
     lu, ipiv, _ = _lapack.zgbtrf(ab, 1, 1, overwrite_ab=1)
     assert lu is ab
     b = rhs(ab.shape[1], 1)[:, 0]

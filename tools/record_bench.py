@@ -71,11 +71,13 @@ print(json.dumps(perf_counter() - t0))
 
 
 #: the band LAPACK a checkout's ``blockjacobi`` runs on, run with its ``src``
-#: on sys.path: the library file and its ``openblas_get_config`` string, or
-#: scipy's LAPACK (with scipy's build-time OpenBLAS configuration) for a
-#: checkout from before ``blockjacobi._lapack`` or on the fallback path
+#: on sys.path: the library file (relative to numpy's site directory) and its
+#: ``openblas_get_config`` string, or scipy's LAPACK (with scipy's build-time
+#: OpenBLAS configuration) for a checkout from before ``blockjacobi._lapack``
+#: or on the fallback path
 LAPACK_RUNTIME = """
-import json
+import json, os
+import numpy
 try:
     from blockjacobi._lapack import LIBRARY, openblas_config
 except ImportError:
@@ -86,7 +88,9 @@ if LIBRARY is None:
     print(json.dumps({"library": "scipy.linalg.lapack",
                       "openblas_config": lapack.get("openblas configuration")}))
 else:
-    print(json.dumps({"library": LIBRARY, "openblas_config": openblas_config()}))
+    site = os.path.dirname(os.path.dirname(numpy.__file__))
+    print(json.dumps({"library": os.path.relpath(LIBRARY, site),
+                      "openblas_config": openblas_config()}))
 """
 
 
