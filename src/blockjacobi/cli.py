@@ -119,12 +119,13 @@ def cmd_green(args) -> int:
     rows = range(args.rows[0], args.rows[1] + 1)
     cols = range(args.cols[0], args.cols[1] + 1)
     table = green_block(op, args.zeta, rows, cols)
-    csv_rows = [(m, j, args.zeta.real, args.zeta.imag, table.norm(m, j))
-                for m in rows for j in cols]
+    norms = table.norm_stack.tolist()
+    csv_rows = [(m, j, args.zeta.real, args.zeta.imag, norms[a][b])
+                for a, m in enumerate(table.rows) for b, j in enumerate(table.cols)]
     _emit({"zeta": [args.zeta.real, args.zeta.imag],
            "condition": table.condition,
            "ill_conditioned": table.ill_conditioned,
-           "norms": {f"{m},{j}": table.norm(m, j) for m in rows for j in cols}},
+           "norms": {f"{m},{j}": v for m, j, _, _, v in csv_rows}},
           args, "green", csv_rows)
     return 0
 
@@ -166,14 +167,15 @@ def cmd_example1(args) -> int:
     op = assemble_truncation(seq, args.n)
     rows = range(1, args.n + 1)
     table = green_block(op, args.zeta, rows, [args.col])
-    csv_rows = [(m, args.col, args.zeta.real, args.zeta.imag, table.norm(m, args.col))
-                for m in rows]
-    off_band = max((table.norm(m, args.col) for m in rows
+    norms = table.norm_stack[:, 0].tolist()
+    csv_rows = [(m, args.col, args.zeta.real, args.zeta.imag, v)
+                for m, v in zip(table.rows, norms)]
+    off_band = max((v for m, v in zip(table.rows, norms)
                     if abs(m - args.col) >= 2), default=0.0)
     _emit({"zeta": [args.zeta.real, args.zeta.imag],
            "max_norm_beyond_band": off_band,
            "band_structure": off_band <= 1e-12,
-           "norms": {str(m): table.norm(m, args.col) for m in rows}},
+           "norms": {str(m): v for m, v in zip(table.rows, norms)}},
           args, "green", csv_rows)
     return 0
 

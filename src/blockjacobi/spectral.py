@@ -4,8 +4,10 @@ Two spectrum estimators are available: a Hermitian eigensolve of the finite
 truncation, and (for operators with constant blocks) the symbol
 phi(theta) = exp(i theta) A + exp(-i theta) A^* + B whose eigenvalue ranges
 over the unit circle fill the essential spectrum.  Gap endpoints detected
-from symbol samples are refined by golden-section search on the eigenvalue
-functions; truncation-only gaps keep sample resolution.
+from symbol samples are refined by a zoom on the batched eigenvalue
+functions: 33 thetas per round in one ``eigvalsh`` call, the bracket
+re-centred on the best and shrunk 16-fold until it is below 1e-12;
+truncation-only gaps keep sample resolution.
 
 Green blocks G_mj(zeta) = P_m (J_N - zeta)^{-1} P_j are computed from one
 banded LU factorization per section (LAPACK ``zgbtrf`` on the
@@ -16,10 +18,11 @@ blocks.  The power iteration runs its first 30 steps on a band Cholesky
 factor (``zpbtrf``, kd = 3d - 1) of the normal equations
 (J_N - Re zeta)^2 + (Im zeta)^2 I, one cheap solve each, and its last 10 on
 the LU, which resolves singular values the squared band cannot; when
-``zpbtrf`` fails all 40 steps run on the LU.  Cost and memory are
-O(Z N d^3) and O(Z N d^2) for Z zetas: no dense (N d) x (N d) matrix is
-built.  ``sigma_min`` is an upper estimate of the distance from zeta to the
-truncated spectrum.
+``zpbtrf`` fails all 40 steps run on the LU.  The normal band is a sum of
+elementwise products of rows of the LU's input band, taken before
+``zgbtrf`` overwrites it.  Cost and memory are O(Z N d^3) and O(Z N d^2)
+for Z zetas: no dense (N d) x (N d) matrix is built.  ``sigma_min`` is an
+upper estimate of the distance from zeta to the truncated spectrum.
 
 Gap eigenpairs are banded too: one Hermitian band eigensolve (kd = 2d - 1)
 gives the eigenvalues of J_N, block inverse iteration on the band LU gives
@@ -181,31 +184,15 @@ def period2_symbol_blocks(A1, A2, B1, B2) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # gap detection and band-edge refinement
 
-def _golden_extremum(f, a: float, b: float, sign: float) -> tuple[float, float]:
-    """Golden-section maximization of sign*f over [a, b]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
-    while b - a > 1e-12:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _refine_symbol_level(est: SpectrumEstimate, level: float, side: str) -> float:
     """Refined gap endpoint: extremize the symbol eigenvalues nearest ``level``.
 
     side == "below": maximize the largest eigenvalue <= level;
     side == "above": minimize the smallest eigenvalue >= level.
-    The coarse bracket is read from the grid's eigenvalue table.
+    The coarse bracket is read from the grid's eigenvalue table, then zoomed:
+    each round evaluates 33 thetas across the bracket in one batch,
+    re-centres on the best and shrinks the half-width 16-fold, until it is
+    below 1e-12.
     """
     A, B = est.symbol
 
@@ -214,24 +201,24 @@ def _refine_symbol_level(est: SpectrumEstimate, level: float, side: str) -> floa
             return np.max(np.where(vals <= level, vals, -math.inf), axis=-1)
         return np.min(np.where(vals >= level, vals, math.inf), axis=-1)
 
-    def f(theta):
-        return float(nearest(np.linalg.eigvalsh(
-            _symbol_matrices(A, B, np.array([theta]))[0])))
-
-    coarse = nearest(est.symbol_eigvals)
-    k = int(np.argmax(coarse)) if side == "below" else int(np.argmin(coarse))
-    theta = 2.0 * math.pi * k / est.size
+    best = np.argmax if side == "below" else np.argmin
+    vals = nearest(est.symbol_eigvals)
+    theta = 2.0 * math.pi * best(vals) / est.size
     h = 2.0 * math.pi / est.size
-    sign = 1.0 if side == "below" else -1.0
-    _, val = _golden_extremum(f, theta - h, theta + h, sign)
-    return val
+    while h >= 1e-12:
+        thetas = theta + h * np.linspace(-1.0, 1.0, 33)
+        vals = nearest(np.linalg.eigvalsh(_symbol_matrices(A, B, thetas)))
+        theta = thetas[best(vals)]
+        h /= 16.0
+    return float(vals[best(vals)])
 
 
 def detect_gap(est: SpectrumEstimate, tol: float) -> list[GapInterval]:
     """Maximal open intervals between consecutive samples longer than ``tol``.
 
-    Symbol-based estimates get their endpoints refined by golden-section
-    search on the eigenvalue functions; sorted by length descending.
+    Symbol-based estimates get their endpoints refined by a zoom on the
+    batched eigenvalue functions (:func:`_refine_symbol_level`); sorted by
+    length descending.
     """
     samples = est.samples
     if samples.size < 2:
@@ -324,54 +311,29 @@ class FactoredResults(list):
         self.factorizations = factorizations
 
 
-def _entry_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Block products X_k Y_k of entry-major stacks, where X[r, c, ...] is
-    entry (r, c) of every block: a sum of d elementwise products.
+def _normal_band(ab: np.ndarray, d: int) -> np.ndarray:
+    """M M^H in LAPACK upper band storage, kd = 3d - 1, for the stack of
+    M = J_N - zeta held in the general band storage ``ab`` of
+    :func:`_band_storage`.
 
-    Numpy's complex matmul of square-block stacks leaves the band LAPACK of
-    a second OpenBLAS in the process several times slower until a real
-    matmul runs.  The routines run on numpy's own OpenBLAS unless
-    :mod:`blockjacobi._lapack` falls back to scipy's, where that second copy
-    exists, so the normal band is built without such a matmul.
+    Entry (i, j), i <= j, of the result sits at row kd + i - j, column j.
+    M is normal, so M M^H = M^H M = (J_N - Re zeta)^2 + (Im zeta)^2 I, and
+    entry (j - t, j) of M^H M is the sum over k of conj(M[k, j - t]) M[k, j]:
+    a product of columns j - t and j, which ``ab`` holds as rows shifted by
+    t.  Each offset t is thus a sum of elementwise products of two rows of
+    ``ab`` over every column of the stack; the segments stay decoupled, and
+    the offsets beyond kd of the block pentadiagonal M^H M are zero.
     """
-    return sum(X[:, k, None] * Y[None, k] for k in range(X.shape[1]))
-
-
-def _normal_band(op: TruncatedOperator, zetas) -> np.ndarray:
-    """(J_N - Re zeta)^2 + (Im zeta)^2 I in LAPACK upper band storage, kd = 3d - 1.
-
-    Entry (i, j), i <= j, of the matrix sits at row kd + i - j, column j.
-    This is M M^H for M = J_N - zeta, block pentadiagonal with, for
-    C_k = B_k - Re zeta,
-
-        D0_k = C_k^2 + (Im zeta)^2 I + A_{k-1}^* A_{k-1} + A_k A_k^*,
-        D1_k = C_k A_k + A_k C_{k+1},       D2_k = A_k A_{k+1}
-
-    at block (k, k), (k, k + 1) and (k, k + 2).  The blocks are computed
-    entry-major, over all blocks and zetas at once, and written one block
-    column entry c at a time.  A sequence of zetas gives the stack of one
-    segment of N d columns per zeta, as in :func:`_band_storage`.
-    """
-    zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
-    n, d = op.n_blocks, op.dim
-    kd = 3 * d - 1
-    eye = np.eye(d)[:, :, None, None]
-    a = np.ascontiguousarray(op.a_blocks.transpose(1, 2, 0)[:, :, None])   # (d, d, 1, n - 1)
-    ah = np.ascontiguousarray(a.conj().transpose(1, 0, 2, 3))
-    C = op.b_blocks.transpose(1, 2, 0)[:, :, None] - eye * zetas.real[:, None]
-    D0 = _entry_product(C, C) + eye * (zetas.imag ** 2)[:, None]   # (d, d, Z, n)
-    D0[..., 1:] += _entry_product(ah, a)
-    D0[..., :-1] += _entry_product(a, ah)
-    D1 = _entry_product(C[..., :-1], a) + _entry_product(a, C[..., 1:])
-    D2 = _entry_product(a[..., :-1], a[..., 1:])         # (d, d, 1, n - 2)
-    # band[z, k, c, kd + i - j] holds entry (i, j), j = k d + c, of segment z
-    band = np.zeros((zetas.size, n, d, kd + 1), dtype=complex)
-    for c in range(d):
-        top = kd - c                                     # row of entry (k d, k d + c)
-        band[:, :, c, top:kd + 1] = D0[:c + 1, c].transpose(1, 2, 0)
-        band[:, 1:, c, top - d:top] = D1[:, c].transpose(1, 2, 0)
-        band[:, 2:, c, top - 2 * d:top - d] = D2[:, c].transpose(1, 2, 0)
-    return band.reshape(zetas.size * n * d, kd + 1).T
+    kl, kd = 2 * d - 1, 3 * d - 1
+    cols = ab.shape[1]
+    R = np.ascontiguousarray(ab[kl:])       # R[kl + i - j, j] = M[i, j]
+    Rc = R.conj()
+    band = np.zeros((kd + 1, cols), dtype=complex, order="F")
+    for t in range(min(kd + 1, cols)):
+        row = band[kd - t, t:]
+        for q in range(2 * kl + 1 - t):
+            row += Rc[q + t, :cols - t] * R[q, t:]
+    return band
 
 
 def _sigma_min(lu, ipiv, kl: int, chol, segments: int, size: int) -> np.ndarray | None:
@@ -380,10 +342,10 @@ def _sigma_min(lu, ipiv, kl: int, chol, segments: int, size: int) -> np.ndarray 
     40 steps of inverse power iteration on (M M^H)^{-1}, all segments in the
     same solves, each segment normalized on its own and started from the
     same seeded vector.  ``chol`` is the ``zpbtrf`` factor of the stacked
-    normal band M M^H (:func:`_normal_band`), or None when that
-    factorization failed.  With it, each of the first 30 steps is one
-    ``zpbtrs`` call; the last ``_LU_STEPS`` = 10 steps, and every step
-    without it, are the ``zgbtrs`` pair M^{-H} M^{-1} on the LU.  Both apply
+    normal band M M^H, computed from the band of M by :func:`_normal_band`,
+    or None when that factorization failed.  With it, each of the first 30
+    steps is one ``zpbtrs`` call; the last ``_LU_STEPS`` = 10 steps, and
+    every step without it, are the ``zgbtrs`` pair M^{-H} M^{-1} on the LU.  Both apply
     (M M^H)^{-1}, but forming M M^H squares the condition number: the
     Cholesky factor cannot tell apart singular values below about
     sqrt(eps) ||M||.  The LU steps report the value at the LU's precision
@@ -427,10 +389,12 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
     so each segment's LU is the LU of its own J_N - zeta.  One 40-step
     inverse power iteration serves every segment: its first 30 steps solve
     with one ``zpbtrf`` Cholesky factor of the stacked normal equations
-    (J_N - Re zeta)^2 + (Im zeta)^2 I (band kd = 3d - 1), a third to a half
-    of the cost of an LU step, and its last 10 steps use the LU, so the reported
-    value has the LU's precision even where the squared band cannot resolve
-    it (sigma below about sqrt(eps) ||J_N - zeta||, around 1e-8 to 1e-7).
+    (J_N - Re zeta)^2 + (Im zeta)^2 I (band kd = 3d - 1, built from the
+    stacked band by :func:`_normal_band` before ``zgbtrf`` overwrites it), a
+    third to a half of the cost of an LU step, and its last 10 steps use the
+    LU, so the reported value has the LU's precision even where the squared
+    band cannot resolve it (sigma below about sqrt(eps) ||J_N - zeta||,
+    around 1e-8 to 1e-7).
     When ``zpbtrf`` finds the squared band not positive definite, all 40
     steps run on the LU.  One ``zgbtrs`` call, with e_j in every segment of
     its right-hand side, solves (J_N - zeta I) X = E_j for all zetas and
@@ -474,6 +438,7 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
         band = np.abs(ab[kl:]).T.reshape(len(live), size, 2 * kl + 1)
         norm_upper = np.minimum(np.max(np.sum(band, axis=2), axis=1),
                                 np.sqrt(np.sum(band * band, axis=(1, 2))))
+        normal = _normal_band(ab, d)
         lu, ipiv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
         out.factorizations += 1
         if info <= 0:
@@ -485,7 +450,7 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
             f"(exact zero pivot in column {column + 1})")
     if not live:
         return out
-    chol, info = zpbtrf(_normal_band(op, [zetas[i] for i in live]), overwrite_ab=1)
+    chol, info = zpbtrf(normal, overwrite_ab=1)
     sigma = _sigma_min(lu, ipiv, kl, chol if info == 0 else None, len(live), size)
     if sigma is None:
         if len(live) > 1:

@@ -75,6 +75,12 @@ SMALL = seeded_operator(1, 3, 0)
 SMALL_EIGS = np.linalg.eigvalsh(SMALL.to_dense())
 
 
+def normal_band(op, zetas):
+    """The stacked normal band M M^H, M = J_N - zeta, that ``green_blocks``
+    hands to ``zpbtrf``."""
+    return _normal_band(_band_storage(op, zetas), op.dim)
+
+
 def lu_only_sigma_min(op, zeta):
     """The sigma_min iteration before the Cholesky steps, for one zeta: 40
     steps of the ``zgbtrs`` pair on the band LU.  None on an exact zero pivot
@@ -192,11 +198,13 @@ def test_eigenvalue_raises_singularity_without_warning(op, pick):
 
 
 @given(hermitian_operators(), st.lists(zetas, min_size=1, max_size=3))
+@example(seeded_operator(1, 7, 3), [0.5, complex(-1.0, 0.3), complex(2.0, -1.5)])
+@example(seeded_operator(4, 9, 5), [complex(0.25, 0.75)])
 def test_normal_band_is_the_upper_triangle_of_m_mh(op, stack):
     # one segment of (J_N - zeta)(J_N - zeta)^H per zeta, upper band layout
     kd = 3 * op.dim - 1
     size = op.n_blocks * op.dim
-    ab = _normal_band(op, stack)
+    ab = normal_band(op, stack)
     assert ab.shape == (kd + 1, len(stack) * size)
     for k, zeta in enumerate(stack):
         M = op.to_dense() - zeta * np.eye(size)
@@ -229,7 +237,7 @@ def test_cholesky_failure_runs_every_step_on_the_lu():
     zeta = float(SMALL_EIGS[0])
     kl = 2 * SMALL.dim - 1
     assert zgbtrf(_band_storage(SMALL, zeta), kl, kl)[2] == 0   # no zero pivot
-    assert zpbtrf(_normal_band(SMALL, [zeta]))[1] > 0
+    assert zpbtrf(normal_band(SMALL, [zeta]))[1] > 0
     # the message carries the LU-only iteration's value
     assert str(green_or_error(SMALL, zeta)) == (
         f"zeta = {complex(zeta)} is within {lu_only_sigma_min(SMALL, zeta):.3e} "

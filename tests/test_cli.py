@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from blockjacobi import gamma_continuous, gamma_simplified, BoundParams, GapInterval
+from blockjacobi import (BoundParams, GapInterval, assemble_truncation,
+                         example2_sequence, gamma_continuous, gamma_simplified,
+                         green_block)
 from blockjacobi.cli import main
 
 
@@ -60,6 +62,27 @@ def test_green_norms(capsys):
     data = json.loads(out)
     assert not data["ill_conditioned"]
     assert data["norms"]["1,1"] > data["norms"]["10,1"]
+
+
+def test_green_window_matches_norm_stack(tmp_path, capsys):
+    args = ("green", "--operator", "example2:x=3", "--n", "30", "--zeta", "0.5",
+            "--rows", "3:17", "--cols", "2:3")
+    code, out = cli(capsys, *args)
+    assert code == 0
+    path = tmp_path / "green.csv"
+    assert main([*args, "--format", "csv", "--out", str(path)]) == 0
+    op = assemble_truncation(example2_sequence(3.0), 30)
+    table = green_block(op, 0.5, range(3, 18), range(2, 4))
+    expected = {(m, j): float(table.norm_stack[a, b])
+                for a, m in enumerate(table.rows) for b, j in enumerate(table.cols)}
+    assert len(expected) == 30
+    norms = json.loads(out)["norms"]
+    assert {tuple(map(int, key.split(","))): v for key, v in norms.items()} == expected
+    lines = path.read_text().splitlines()[2:]
+    assert [tuple(line.split(",")[:2]) for line in lines] == \
+        [(str(m), str(j)) for m, j in expected]
+    assert {(int(m), int(j)): float(v) for m, j, _, _, v in
+            (line.split(",") for line in lines)} == expected
 
 
 def test_bound_matches_library(capsys):

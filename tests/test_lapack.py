@@ -25,9 +25,9 @@ from scipy.linalg import LinAlgError, eigvals_banded
 from scipy.linalg import lapack as scipy_lapack
 
 from blockjacobi import ConvergenceError, TruncatedOperator, _lapack
-from blockjacobi.spectral import _band_storage, _normal_band
+from blockjacobi.spectral import _band_storage
 
-from test_banded import SMALL, SMALL_EIGS, hermitian_operators, zetas
+from test_banded import SMALL, SMALL_EIGS, hermitian_operators, normal_band, zetas
 
 #: base of the pivots ``_lapack.zgbtrf`` returns
 PIVOT_BASE = 0 if _lapack.LIBRARY is None else 1
@@ -64,7 +64,7 @@ def test_band_lu_and_solves_match_scipy(op, stack):
 
 @given(hermitian_operators(), st.lists(zetas, min_size=1, max_size=3))
 def test_band_cholesky_and_solves_match_scipy(op, stack):
-    (chol, info), (chol_ref, info_ref) = both("zpbtrf", _normal_band(op, stack))
+    (chol, info), (chol_ref, info_ref) = both("zpbtrf", normal_band(op, stack))
     assert info == info_ref == 0
     assert np.array_equal(chol, chol_ref)
     b = rhs(chol.shape[1], 3)
@@ -106,7 +106,7 @@ def test_binding_rejects_illegal_arguments_and_mismatched_operands():
         with pytest.raises(ValueError, match="do not match"):
             _lapack.zgbtrs(lu, 1, 1, b, pivots)
     with pytest.raises(ValueError, match="do not match"):
-        _lapack.zpbtrs(_normal_band(SMALL, [0.5j]), rhs(4, 2))
+        _lapack.zpbtrs(normal_band(SMALL, [0.5j]), rhs(4, 2))
 
 
 def test_zero_pivot_and_indefinite_band_report_the_same_info():
@@ -117,7 +117,7 @@ def test_zero_pivot_and_indefinite_band_report_the_same_info():
     assert info == info_ref == 4
     # at the lowest eigenvalue of SMALL the squared band is not positive
     # definite to zpbtrf
-    (_, info), (_, info_ref) = both("zpbtrf", _normal_band(SMALL, [SMALL_EIGS[0]]))
+    (_, info), (_, info_ref) = both("zpbtrf", normal_band(SMALL, [SMALL_EIGS[0]]))
     assert info == info_ref > 0
 
 

@@ -138,6 +138,89 @@ def test_period2_symbol_dimer_chain():
     assert np.allclose(edges, [-4.0, -2.0, 2.0, 4.0], atol=1e-9)
 
 
+def golden_extremum(f, a, b, sign):
+    """Golden-section maximization of sign*f over [a, b]; returns (x, f(x))."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = sign * f(c), sign * f(d)
+    while b - a > 1e-12:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = sign * f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = sign * f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def golden_level(est, level, side):
+    """The refinement ``detect_gap`` replaced: golden-section search on one
+    symbol matrix per theta, inside the bracket of the coarse table."""
+    A, B = est.symbol
+
+    def nearest(vals):
+        if side == "below":
+            return np.max(np.where(vals <= level, vals, -math.inf), axis=-1)
+        return np.min(np.where(vals >= level, vals, math.inf), axis=-1)
+
+    def f(theta):
+        z = complex(math.cos(theta), math.sin(theta))
+        return float(nearest(np.linalg.eigvalsh(z * A + z.conjugate() * A.conj().T + B)))
+
+    coarse = nearest(est.symbol_eigvals)
+    k = int(np.argmax(coarse)) if side == "below" else int(np.argmin(coarse))
+    h = 2.0 * math.pi / est.size
+    _, val = golden_extremum(f, k * h - h, k * h + h, 1.0 if side == "below" else -1.0)
+    return val
+
+
+def golden_gaps_and_edges(est, tol):
+    gaps = []
+    for i in np.nonzero(np.diff(est.samples) > tol)[0]:
+        mid = 0.5 * (est.samples[i] + est.samples[i + 1])
+        gaps.append((golden_level(est, mid, "below"), golden_level(est, mid, "above")))
+    gaps.sort(key=lambda g: g[1] - g[0], reverse=True)
+    edges = [e for g in gaps for e in g]
+    edges += [golden_level(est, -math.inf, "above"), golden_level(est, math.inf, "below")]
+    return gaps, sorted(edges)
+
+
+def oracle_symbols():
+    """(name, A, B, grid size): example 2, the dimer fold, random symbols."""
+    for x in (2.5, 3.0, 3.5, 4.0):
+        yield (f"example2 x={x}", np.array([[1.0, x], [0.0, 1.0]]), np.zeros((2, 2)), 2048)
+    yield ("dimer", *period2_symbol_blocks(1, 3, 0, 0), 2048)
+    rng = np.random.default_rng(20261018)
+    for i in range(104):
+        d = 1 + i % 4
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        A *= rng.uniform(0.1, 1.0)          # narrow bands open gaps
+        yield (f"random {i}", A, H + H.conj().T, 512)
+
+
+def test_zoomed_edges_match_golden_section_oracle():
+    gapped = 0
+    for name, A, B, grid in oracle_symbols():
+        est = symbol_spectrum(A, B, grid)
+        gaps, edges = golden_gaps_and_edges(est, 0.2)
+        got = detect_gap(est, 0.2)
+        assert len(got) == len(gaps), name
+        gapped += bool(gaps)
+        for g, (r, s) in zip(got, gaps):
+            assert abs(g.r - r) <= 1e-13 * max(1.0, abs(r)), name
+            assert abs(g.s - s) <= 1e-13 * max(1.0, abs(s)), name
+        got_edges = band_edges(est, 0.2)
+        assert len(got_edges) == len(edges), name
+        for e, ref in zip(got_edges, edges):
+            assert abs(e - ref) <= 1e-13 * max(1.0, abs(ref)), name
+    assert gapped >= 50         # the random symbols exercise gap edges too
+
+
 # ---------------------------------------------------------------------------
 # Green blocks
 

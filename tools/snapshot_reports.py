@@ -17,13 +17,21 @@ benchmark configs (imported, never written to).  Every config goes through
 * a 2-periodic (dimerized) chain with a symbol gap, built in code.
 
 A config whose ``run`` raises gets an ``error.txt`` with the exception type
-and message instead.  Snapshots of two checkouts compare with ``diff -r``.
+and message instead.  ``<out-dir>/band_edges.json`` also holds
+``band_edges(symbol_spectrum(A, B, 2048), 0.2)``, each value written with
+``repr``, for the example 2 symbols of the sweep workload, the dimer fold
+and three seeded random symbols (d = 1, 2, 3), so a change of the gap-edge
+refinement shows directly.  Snapshots of two checkouts compare with
+``diff -r``.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 A2 = [[[1.0, 0.0], [3.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 
@@ -86,6 +94,25 @@ EDGE_CASES = {
 }
 
 
+def band_edges_table(xs) -> dict:
+    """name -> repr of every band edge of the symbol (A, B) on 2048 thetas."""
+    from blockjacobi import (band_edges, example2_sequence, period2_symbol_blocks,
+                             symbol_spectrum)
+
+    symbols = {}
+    for x in xs:
+        A, B = example2_sequence(x).blocks(1, 2)
+        symbols[f"example2 x={x}"] = (A[0], B[0])
+    symbols["dimer fold"] = period2_symbol_blocks(1, 3, 0, 0)
+    rng = np.random.default_rng(20261018)
+    for d in (1, 2, 3):
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        symbols[f"random d={d}"] = (0.5 * A, H + H.conj().T)
+    return {name: [repr(float(e)) for e in band_edges(symbol_spectrum(A, B, 2048), 0.2)]
+            for name, (A, B) in symbols.items()}
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -115,6 +142,9 @@ def main(argv=None) -> int:
         except Exception as exc:  # recorded, so a raise is diffed too
             (target / "error.txt").write_text(f"{type(exc).__name__}: {exc}\n",
                                               encoding="utf-8")
+    edges = band_edges_table(workloads.SWEEP_XS)
+    (out / "band_edges.json").write_text(json.dumps(edges, indent=2) + "\n",
+                                         encoding="utf-8")
     return 0
 
 
