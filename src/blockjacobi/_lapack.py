@@ -4,7 +4,7 @@ Numpy wheels bundle an ILP64 OpenBLAS (``libscipy_openblas64_``, in
 ``numpy.libs/`` next to the package on Linux and Windows, in
 ``numpy/.dylibs/`` on macOS) that exports all of LAPACK under names like
 ``scipy_zgbtrf_64_``.  When numpy's build names that library, this module
-binds the five routines ``spectral`` needs from it with ctypes, so
+binds the three routines ``spectral`` needs from it with ctypes, so
 ``import blockjacobi`` imports no scipy module and one OpenBLAS runtime
 serves both numpy's matmul and the band solves.  On every other numpy build
 (Accelerate, MKL, conda) the same names come from scipy.  The choice depends
@@ -16,10 +16,6 @@ The names take the arguments of scipy's wrappers that ``spectral`` uses:
     band LU with partial pivoting, m = n = ab.shape[1];
 ``zgbtrs(ab, kl, ku, b, ipiv, trans=0, overwrite_b=0) -> (x, info)``
     solve with that LU (trans 0, 1, 2: A, A^T, A^H);
-``zpbtrf(ab, overwrite_ab=0) -> (c, info)``
-    band Cholesky factor, upper storage, kd = ab.shape[0] - 1;
-``zpbtrs(ab, b, overwrite_b=0) -> (x, info)``
-    solve with that factor;
 ``eigvals_banded(a_band, lower=False) -> w``
     ascending eigenvalues of a Hermitian band (``zhbevd``, no vectors).
 
@@ -138,19 +134,17 @@ def _info(ints: np.ndarray, name: str) -> int:
     return info
 
 
-def _check_solve(ab: np.ndarray, b: np.ndarray, ipiv=None) -> None:
+def _check_solve(ab: np.ndarray, b: np.ndarray, ipiv: np.ndarray) -> None:
     """Reject operands LAPACK would read or write out of bounds."""
     n = ab.shape[1]
-    if ab.dtype != np.complex128 or b.shape[0] != n or (
-            ipiv is not None and (ipiv.dtype != np.int64 or ipiv.shape != (n,))):
+    if (ab.dtype != np.complex128 or b.shape[0] != n
+            or ipiv.dtype != np.int64 or ipiv.shape != (n,)):
         raise ValueError("band factor, pivots and right-hand side do not match")
 
 
 if _LIB is not None:
     _ZGBTRF = _bind("zgbtrf", 0, 8)
     _ZGBTRS = _bind("zgbtrs", 1, 10)
-    _ZPBTRF = _bind("zpbtrf", 1, 5)
-    _ZPBTRS = _bind("zpbtrs", 1, 8)
     _ZHBEVD = _bind("zhbevd", 2, 14)
     _TRANS = (b"N", b"T", b"C")
 
@@ -177,27 +171,6 @@ if _LIB is not None:
                 p + 32, _address(ipiv), _address(b), p + 40, p + 48, 1)
         return b, _info(ints, "zgbtrs")
 
-    def zpbtrf(ab, overwrite_ab=0):
-        ab = _fortran(ab, overwrite_ab)
-        ldab, n = ab.shape
-        # n, kd, ldab, info
-        ints = np.array([n, ldab - 1, ldab, 0], dtype=np.int64)
-        p = _address(ints)
-        _ZPBTRF(b"U", p, p + 8, _address(ab), p + 16, p + 24, 1)
-        return ab, _info(ints, "zpbtrf")
-
-    def zpbtrs(ab, b, overwrite_b=0):
-        b = _fortran(b, overwrite_b)
-        _check_solve(ab, b)
-        ldab, n = ab.shape
-        # n, kd, nrhs, ldab, ldb, info
-        ints = np.array([n, ldab - 1, b.shape[1] if b.ndim == 2 else 1, ldab,
-                         max(n, 1), 0], dtype=np.int64)
-        p = _address(ints)
-        _ZPBTRS(b"U", p, p + 8, p + 16, _address(ab), p + 24,
-                _address(b), p + 32, p + 40, 1)
-        return b, _info(ints, "zpbtrs")
-
     def eigvals_banded(a_band, lower=False):
         ab = _fortran(a_band, False)
         ldab, n = ab.shape
@@ -218,7 +191,7 @@ if _LIB is not None:
         return w
 else:
     from scipy.linalg import LinAlgError, eigvals_banded as _eigvals_banded
-    from scipy.linalg.lapack import zgbtrf, zgbtrs, zpbtrf, zpbtrs  # noqa: F401
+    from scipy.linalg.lapack import zgbtrf, zgbtrs  # noqa: F401
 
     def eigvals_banded(a_band, lower=False):
         try:

@@ -13,16 +13,13 @@ Green blocks G_mj(zeta) = P_m (J_N - zeta)^{-1} P_j are computed from one
 banded LU factorization per section (LAPACK ``zgbtrf`` on the
 block-tridiagonal band, kl = ku = 2d - 1): the J_N - zeta of all requested
 zetas are stacked as decoupled segments of one band, factored once, and
-share one sigma_min power iteration and one solve for all requested column
-blocks.  The power iteration runs its first 30 steps on a band Cholesky
-factor (``zpbtrf``, kd = 3d - 1) of the normal equations
-(J_N - Re zeta)^2 + (Im zeta)^2 I, one cheap solve each, and its last 10 on
-the LU, which resolves singular values the squared band cannot; when
-``zpbtrf`` fails all 40 steps run on the LU.  The normal band is a sum of
-elementwise products of rows of the LU's input band, taken before
-``zgbtrf`` overwrites it.  Cost and memory are O(Z N d^3) and O(Z N d^2)
-for Z zetas: no dense (N d) x (N d) matrix is built.  ``sigma_min`` is an
-upper estimate of the distance from zeta to the truncated spectrum.
+share one sigma_min estimate and one solve for all requested column blocks.
+The estimate is 22 Arnoldi steps on (J_N - zeta)^{-1}, one ``zgbtrs`` on
+the stacked vector each, orthogonalized per segment by classical
+Gram-Schmidt applied twice; 1 / sigma_max of each segment's Hessenberg
+matrix is an upper estimate of the distance from zeta to the truncated
+spectrum.  Cost and memory are O(Z N d^3) and O(Z N d^2) for Z zetas: no
+dense (N d) x (N d) matrix is built.
 
 Gap eigenpairs are banded too: one Hermitian band eigensolve (kd = 2d - 1)
 gives the eigenvalues of J_N, block inverse iteration on the band LU gives
@@ -30,10 +27,10 @@ the eigenvectors of the in-gap ones, and the far-edge artifact filter reads
 only the coupling A_N to block N + 1 instead of a 2N section.  Only
 ``truncated_spectrum`` diagonalizes the dense truncation.
 
-The band routines (``zgbtrf``, ``zgbtrs``, ``zpbtrf``, ``zpbtrs`` and
-``eigvals_banded``) come from :mod:`blockjacobi._lapack`: bound from the
-ILP64 OpenBLAS inside numpy when numpy's build names it, so no scipy module
-is imported, and taken from scipy on other numpy builds.
+The band routines (``zgbtrf``, ``zgbtrs`` and ``eigvals_banded``) come
+from :mod:`blockjacobi._lapack`: bound from the ILP64 OpenBLAS inside numpy
+when numpy's build names it, so no scipy module is imported, and taken from
+scipy on other numpy builds.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import eigvals_banded, zgbtrf, zgbtrs, zpbtrf, zpbtrs
+from ._lapack import eigvals_banded, zgbtrf, zgbtrs
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .operators import (EntrySequence, TruncatedOperator, as_block,
@@ -56,10 +53,12 @@ CONDITION_LIMIT = 1e12
 #: relative residual allowed for eigenpairs
 RESIDUAL_TOL = 1e-8
 
-_POWER_ITERATIONS = 40
-#: the last power-iteration steps, which always run on the band LU
-_LU_STEPS = 10
-#: seed of the random start vectors of both inverse iterations
+#: Arnoldi steps of the sigma_min estimate, at most N d; with 20, some
+#: random off-axis zetas get a value above that of 40 inverse power steps
+_ARNOLDI_STEPS = 22
+#: an Arnoldi residual below this share of ||M^{-1} v_j|| ends the Krylov space
+_KRYLOV_END = 1e-12
+#: seed of the random start vectors of the Arnoldi and inverse iterations
 _SEED = 20260810
 #: cap on block inverse-iteration steps per eigenvalue cluster
 _INVERSE_STEPS = 40
@@ -311,73 +310,60 @@ class FactoredResults(list):
         self.factorizations = factorizations
 
 
-def _normal_band(ab: np.ndarray, d: int) -> np.ndarray:
-    """M M^H in LAPACK upper band storage, kd = 3d - 1, for the stack of
-    M = J_N - zeta held in the general band storage ``ab`` of
-    :func:`_band_storage`.
-
-    Entry (i, j), i <= j, of the result sits at row kd + i - j, column j.
-    M is normal, so M M^H = M^H M = (J_N - Re zeta)^2 + (Im zeta)^2 I, and
-    entry (j - t, j) of M^H M is the sum over k of conj(M[k, j - t]) M[k, j]:
-    a product of columns j - t and j, which ``ab`` holds as rows shifted by
-    t.  Each offset t is thus a sum of elementwise products of two rows of
-    ``ab`` over every column of the stack; the segments stay decoupled, and
-    the offsets beyond kd of the block pentadiagonal M^H M are zero.
-    """
-    kl, kd = 2 * d - 1, 3 * d - 1
-    cols = ab.shape[1]
-    R = np.ascontiguousarray(ab[kl:])       # R[kl + i - j, j] = M[i, j]
-    Rc = R.conj()
-    band = np.zeros((kd + 1, cols), dtype=complex, order="F")
-    for t in range(min(kd + 1, cols)):
-        row = band[kd - t, t:]
-        for q in range(2 * kl + 1 - t):
-            row += Rc[q + t, :cols - t] * R[q, t:]
-    return band
-
-
-def _sigma_min(lu, ipiv, kl: int, chol, segments: int, size: int) -> np.ndarray | None:
+def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     """Smallest singular value of every segment of a stacked band LU.
 
-    40 steps of inverse power iteration on (M M^H)^{-1}, all segments in the
-    same solves, each segment normalized on its own and started from the
-    same seeded vector.  ``chol`` is the ``zpbtrf`` factor of the stacked
-    normal band M M^H, computed from the band of M by :func:`_normal_band`,
-    or None when that factorization failed.  With it, each of the first 30
-    steps is one ``zpbtrs`` call; the last ``_LU_STEPS`` = 10 steps, and
-    every step without it, are the ``zgbtrs`` pair M^{-H} M^{-1} on the LU.  Both apply
-    (M M^H)^{-1}, but forming M M^H squares the condition number: the
-    Cholesky factor cannot tell apart singular values below about
-    sqrt(eps) ||M||.  The LU steps report the value at the LU's precision
-    and separate such a near pair: for eigenvalues at c + 2e-8 and c + 3e-8
-    and zeta = c, two LU steps leave sigma_min up to 9e-4 relative off the
-    dense distance, ten within 3e-7, as close as the LU-only iteration.  The
-    result is an upper estimate.  Returns None when a vector turns
-    non-finite, an entry gets large enough to overflow a sum of squares or
-    a segment's norm is zero: then some sigma is 0, and in a stack 0 x inf
-    or 0 / 0 may have carried that into the other segments.
+    k = min(22, N d) steps of Arnoldi on M^{-1}, all segments in the same
+    solves and each orthogonalized on its own, started from the same seeded
+    vector.  Each step is one ``zgbtrs`` call on the stacked vector, then
+    classical Gram-Schmidt applied twice, as batched matmuls over the
+    segments.  The (k + 1) x k Hessenberg matrix H of a segment satisfies
+    M^{-1} V_k = V_{k+1} H with orthonormal V, so sigma_max(H) <= ||M^{-1}||
+    and 1 / sigma_max(H) is an upper estimate of sigma_min(M), equal to it
+    once the Krylov space holds the top singular vector.  A segment whose
+    Krylov space runs out stops cleanly: when the residual after
+    orthogonalization is below 1e-12 ||M^{-1} v_j||, where a further
+    Gram-Schmidt pass could no longer make it orthogonal, its next basis
+    vector is zero.  Returns None when an entry of H turns non-finite, which
+    an overflowing solve or sum of squares gives, or when sigma_max(H) is
+    zero: then some sigma is 0, and in a stack 0 x inf or 0 / 0 may have
+    carried that into the other segments.
     """
+    steps = min(_ARNOLDI_STEPS, size)
     rng = np.random.default_rng(_SEED)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    v = np.tile(v / np.linalg.norm(v), segments)
-    cheap = 0 if chol is None else _POWER_ITERATIONS - _LU_STEPS
-    # an overflowing sum of squares is inf and a zero norm makes the next
-    # vector NaN, both caught by the finiteness check of the next norm
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for step in range(_POWER_ITERATIONS):
-            if step < cheap:
-                v, _ = zpbtrs(chol, v, overwrite_b=1)
-            else:
-                v, _ = zgbtrs(lu, kl, kl, v, ipiv, overwrite_b=1)
-                v, _ = zgbtrs(lu, kl, kl, v, ipiv, trans=2, overwrite_b=1)
-            parts = v.view(float).reshape(segments, 1, 2 * size)
-            lam = np.sqrt(parts @ parts.transpose(0, 2, 1))     # (segments, 1, 1)
-            if not np.all(np.isfinite(lam)):
-                return None
-            parts /= lam
-    if not np.all(lam > 0.0):
+    V = np.zeros((steps, segments, size), dtype=complex)      # V[j]: step j's vector
+    V_conj = np.zeros_like(V)
+    V[0] = v / np.linalg.norm(v)
+    V_conj[0] = V[0].conj()
+    H = np.zeros((segments, steps + 1, steps), dtype=complex)
+    # an overflowing sum of squares is inf and inf - inf is NaN; both stay
+    # in H, whose finiteness is checked once at the end
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            w, _ = zgbtrs(lu, kl, kl, V[j].reshape(-1), ipiv)
+            w = w.reshape(segments, size)
+            basis = V[:j + 1].transpose(1, 0, 2)                # (segments, j + 1, size)
+            basis_conj = V_conj[:j + 1].transpose(1, 0, 2)
+            for _ in range(2):
+                h = basis_conj @ w[:, :, None]                  # (segments, j + 1, 1)
+                w -= (h.transpose(0, 2, 1) @ basis)[:, 0]
+                H[:, :j + 1, j] += h[:, :, 0]
+            parts = w.view(float)[:, None, :]
+            beta = np.sqrt(parts @ parts.transpose(0, 2, 1))[:, 0, 0]
+            H[:, j + 1, j] = beta
+            if j + 1 < steps:
+                # a residual at rounding level is no new direction: the
+                # Krylov space has run out and the segment's next vector is 0
+                grows = beta > _KRYLOV_END * np.linalg.norm(H[:, :j + 2, j], axis=1)
+                np.divide(w, beta[:, None], out=V[j + 1], where=grows[:, None])
+                np.conj(V[j + 1], out=V_conj[j + 1])
+    if not np.all(np.isfinite(H)):
         return None
-    return 1.0 / np.sqrt(lam.ravel())
+    top = np.linalg.svd(H, compute_uv=False)[:, 0]
+    if not np.all(top > 0.0):
+        return None
+    return 1.0 / top
 
 
 def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
@@ -386,18 +372,11 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
     Stacks J_N - zeta I for every zeta as decoupled segments of one band
     (LAPACK general band storage, kl = ku = 2d - 1) and factors the stack
     with one ``zgbtrf``; partial pivoting never crosses a segment boundary,
-    so each segment's LU is the LU of its own J_N - zeta.  One 40-step
-    inverse power iteration serves every segment: its first 30 steps solve
-    with one ``zpbtrf`` Cholesky factor of the stacked normal equations
-    (J_N - Re zeta)^2 + (Im zeta)^2 I (band kd = 3d - 1, built from the
-    stacked band by :func:`_normal_band` before ``zgbtrf`` overwrites it), a
-    third to a half of the cost of an LU step, and its last 10 steps use the
-    LU, so the reported value has the LU's precision even where the squared
-    band cannot resolve it (sigma below about sqrt(eps) ||J_N - zeta||,
-    around 1e-8 to 1e-7).
-    When ``zpbtrf`` finds the squared band not positive definite, all 40
-    steps run on the LU.  One ``zgbtrs`` call, with e_j in every segment of
-    its right-hand side, solves (J_N - zeta I) X = E_j for all zetas and
+    so each segment's LU is the LU of its own J_N - zeta.  One Arnoldi
+    iteration on (J_N - zeta)^{-1} serves every segment
+    (:func:`_sigma_min`): min(22, N d) steps, each one ``zgbtrs`` call on
+    the stacked vector.  One more ``zgbtrs`` call, with e_j in every segment
+    of its right-hand side, solves (J_N - zeta I) X = E_j for all zetas and
     column blocks.  Time is O(Z N d^3) and memory O(Z N d^2) for Z zetas;
     no dense matrix is built.
 
@@ -405,18 +384,19 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
     singular on an exact zero pivot, or when the smallest singular value of
     its segment puts it within 1e-8 of the truncated spectrum; a condition
     estimate above 1e12 is flagged, not fatal.  ``sigma_min`` is an upper
-    estimate of dist(zeta, spec J_N), since 40 steps do not separate nearly
-    equal singular values.  Relative to the exact distance it is within
-    2e-14 where the nearest eigenvalue is isolated, but high where the
-    nearest eigenvalues are nearly equidistant from zeta or form a band-edge
-    cluster: on example 2, +2.1e-3 at x = 3, N = 600, zeta = 0.5 (0.501053
-    against 0.5), +3.0e-3 at N = 1200, +7.6e-3 at x = 2.5, N = 120,
-    zeta = 0.3 and +4.5e-3 at x = 4, N = 60, zeta = 1.2.
+    estimate of dist(zeta, spec J_N): the largest growth of
+    (J_N - zeta)^{-1} over a Krylov space of dimension 22.  It is the
+    distance, to rounding, where N d <= 22, where the nearest eigenvalue is
+    isolated, and where eigenvalues on both sides are equally near (example
+    2, x = 3, zeta = 0.5: 0.5 at N = 600 and 1200).  It stays high where
+    the nearest eigenvalues form a band-edge cluster that 22 steps do not
+    resolve: on example 2, +1.5e-3 at x = 2.5, N = 120, zeta = 0.3 and
+    +6.2e-4 at x = 4, N = 60, zeta = 1.2.
 
     Segments with an exact zero pivot are taken out and the rest refactored.
-    When a vector turns non-finite or nearly overflows, which one segment's
-    inf or zero pivot could carry into its neighbours inside ``zgbtrs``, the
-    zetas are solved one at a time instead.  ``factorizations`` on the
+    When the Arnoldi iteration turns non-finite or overflows, which one
+    segment's inf or zero pivot could carry into its neighbours inside
+    ``zgbtrs``, the zetas are solved one at a time instead.  ``factorizations`` on the
     result counts the band LU factorizations made.
     """
     zetas = [complex(z) for z in zetas]
@@ -438,7 +418,6 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
         band = np.abs(ab[kl:]).T.reshape(len(live), size, 2 * kl + 1)
         norm_upper = np.minimum(np.max(np.sum(band, axis=2), axis=1),
                                 np.sqrt(np.sum(band * band, axis=(1, 2))))
-        normal = _normal_band(ab, d)
         lu, ipiv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
         out.factorizations += 1
         if info <= 0:
@@ -450,8 +429,7 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
             f"(exact zero pivot in column {column + 1})")
     if not live:
         return out
-    chol, info = zpbtrf(normal, overwrite_ab=1)
-    sigma = _sigma_min(lu, ipiv, kl, chol if info == 0 else None, len(live), size)
+    sigma = _sigma_min(lu, ipiv, kl, len(live), size)
     if sigma is None:
         if len(live) > 1:
             return _one_at_a_time(op, zetas, rows, cols, live, out)
@@ -502,11 +480,9 @@ def green_block(op: TruncatedOperator, zeta: complex, rows, cols) -> GreenTable:
 
     O(N d^3) time and O(N d^2) memory, no dense matrix.  Raises
     SingularityError on an exact zero pivot, or when the smallest singular
-    value (40 steps of inverse power iteration, an upper estimate: 30 on a
-    band Cholesky factor of (J_N - Re zeta)^2 + (Im zeta)^2 I and the last
-    10 on the same LU, or all 40 on the LU when that Cholesky factorization
-    fails) puts zeta within 1e-8 of the truncated spectrum; a condition
-    estimate above 1e12 is flagged, not fatal.
+    value (an upper estimate from 22 Arnoldi steps on the same LU) puts zeta
+    within 1e-8 of the truncated spectrum; a condition estimate above 1e12
+    is flagged, not fatal.
     """
     [table] = green_blocks(op, [zeta], rows, cols)
     if isinstance(table, SingularityError):

@@ -1,12 +1,12 @@
 """The band LAPACK binding of ``blockjacobi._lapack`` against scipy's wrappers.
 
 On numpy builds that bundle the ILP64 scipy-openblas library, ``_lapack``
-binds ``zgbtrf``, ``zgbtrs``, ``zpbtrf``, ``zpbtrs`` and ``zhbevd`` from it
-with ctypes; elsewhere its names are scipy's own.  Either way they must give
-the results of ``scipy.linalg.lapack``, bit for bit, on the bands the
-library builds: the stacked J_N - zeta bands of ``_band_storage`` and the
-normal bands of ``_normal_band``, for random Hermitian block operators with
-d = 1..4, N = 2..40 and one to three stacked zetas.  The binding's pivots
+binds ``zgbtrf``, ``zgbtrs`` and ``zhbevd`` from it with ctypes; elsewhere
+its names are scipy's own.  Either way they must give the results of
+``scipy.linalg.lapack``, bit for bit, on the bands the library builds: the
+stacked J_N - zeta bands of ``_band_storage`` and their Hermitian halves,
+for random Hermitian block operators with d = 1..4, N = 2..40 and one to
+three stacked zetas.  The binding's pivots
 are LAPACK's 1-based ones, scipy's are 0-based.
 """
 
@@ -27,7 +27,7 @@ from scipy.linalg import lapack as scipy_lapack
 from blockjacobi import ConvergenceError, TruncatedOperator, _lapack
 from blockjacobi.spectral import _band_storage
 
-from test_banded import SMALL, SMALL_EIGS, hermitian_operators, normal_band, zetas
+from test_banded import SMALL, hermitian_operators, zetas
 
 #: base of the pivots ``_lapack.zgbtrf`` returns
 PIVOT_BASE = 0 if _lapack.LIBRARY is None else 1
@@ -62,18 +62,6 @@ def test_band_lu_and_solves_match_scipy(op, stack):
             assert np.array_equal(x, x_ref)
 
 
-@given(hermitian_operators(), st.lists(zetas, min_size=1, max_size=3))
-def test_band_cholesky_and_solves_match_scipy(op, stack):
-    (chol, info), (chol_ref, info_ref) = both("zpbtrf", normal_band(op, stack))
-    assert info == info_ref == 0
-    assert np.array_equal(chol, chol_ref)
-    b = rhs(chol.shape[1], 3)
-    for right in (b, b[:, 0]):
-        (x, info), (x_ref, _) = both("zpbtrs", chol, right)
-        assert info == 0
-        assert np.array_equal(x, x_ref)
-
-
 @given(hermitian_operators())
 def test_band_eigenvalues_match_scipy(op):
     kl = 2 * op.dim - 1
@@ -105,20 +93,14 @@ def test_binding_rejects_illegal_arguments_and_mismatched_operands():
     for b, pivots in ((rhs(4, 1)[:, 0], ipiv), (rhs(3, 1)[:, 0], ipiv.astype(np.int32))):
         with pytest.raises(ValueError, match="do not match"):
             _lapack.zgbtrs(lu, 1, 1, b, pivots)
-    with pytest.raises(ValueError, match="do not match"):
-        _lapack.zpbtrs(normal_band(SMALL, [0.5j]), rhs(4, 2))
 
 
-def test_zero_pivot_and_indefinite_band_report_the_same_info():
+def test_zero_pivot_reports_the_same_info():
     # J_N - 3 of a diagonal operator has an exact zero pivot in column 4
     diagonal = TruncatedOperator(a_blocks=np.zeros((5, 1, 1), dtype=complex),
                                  b_blocks=np.arange(6.0).reshape(6, 1, 1).astype(complex))
     (_, _, info), (_, _, info_ref) = both("zgbtrf", _band_storage(diagonal, 3.0), 1, 1)
     assert info == info_ref == 4
-    # at the lowest eigenvalue of SMALL the squared band is not positive
-    # definite to zpbtrf
-    (_, info), (_, info_ref) = both("zpbtrf", normal_band(SMALL, [SMALL_EIGS[0]]))
-    assert info == info_ref > 0
 
 
 def test_eigenvalue_failure_is_a_convergence_error(monkeypatch):
