@@ -333,9 +333,7 @@ def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None
     rng = np.random.default_rng(_SEED)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     V = np.zeros((steps, segments, size), dtype=complex)      # V[j]: step j's vector
-    V_conj = np.zeros_like(V)
     V[0] = v / np.linalg.norm(v)
-    V_conj[0] = V[0].conj()
     H = np.zeros((segments, steps + 1, steps), dtype=complex)
     # an overflowing sum of squares is inf and inf - inf is NaN; both stay
     # in H, whose finiteness is checked once at the end
@@ -344,9 +342,8 @@ def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None
             w, _ = zgbtrs(lu, kl, kl, V[j].reshape(-1), ipiv)
             w = w.reshape(segments, size)
             basis = V[:j + 1].transpose(1, 0, 2)                # (segments, j + 1, size)
-            basis_conj = V_conj[:j + 1].transpose(1, 0, 2)
             for _ in range(2):
-                h = basis_conj @ w[:, :, None]                  # (segments, j + 1, 1)
+                h = np.conj(basis @ w.conj()[:, :, None])       # (segments, j + 1, 1)
                 w -= (h.transpose(0, 2, 1) @ basis)[:, 0]
                 H[:, :j + 1, j] += h[:, :, 0]
             parts = w.view(float)[:, None, :]
@@ -357,7 +354,6 @@ def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None
                 # Krylov space has run out and the segment's next vector is 0
                 grows = beta > _KRYLOV_END * np.linalg.norm(H[:, :j + 2, j], axis=1)
                 np.divide(w, beta[:, None], out=V[j + 1], where=grows[:, None])
-                np.conj(V[j + 1], out=V_conj[j + 1])
     if not np.all(np.isfinite(H)):
         return None
     top = np.linalg.svd(H, compute_uv=False)[:, 0]

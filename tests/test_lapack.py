@@ -6,8 +6,8 @@ its names are scipy's own.  Either way they must give the results of
 ``scipy.linalg.lapack``, bit for bit, on the bands the library builds: the
 stacked J_N - zeta bands of ``_band_storage`` and their Hermitian halves,
 for random Hermitian block operators with d = 1..4, N = 2..40 and one to
-three stacked zetas.  The binding's pivots
-are LAPACK's 1-based ones, scipy's are 0-based.
+three stacked zetas.  The binding's pivots are LAPACK's 1-based ones,
+scipy's are 0-based.
 """
 
 import _ctypes
