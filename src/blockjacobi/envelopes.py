@@ -56,21 +56,18 @@ def _profile_from_terms(delta: float, terms: np.ndarray) -> CumulativeProfile:
     return CumulativeProfile(delta=delta, terms=terms, prefix=prefix)
 
 
-def cumulative_phi(seq: EntrySequence, delta: float, upto: int,
-                   norms=None) -> CumulativeProfile:
+def cumulative_phi(seq: EntrySequence, delta: float, upto: int) -> CumulativeProfile:
     """Profile of phi_delta(||A_k||) for k = 1..upto (spectral norms)."""
     if upto < 1:
         raise ParameterError(f"profile horizon must be >= 1, got {upto}")
-    nrm = seq.norms(upto) if norms is None else np.asarray(norms, dtype=float)[:upto]
-    return _profile_from_terms(float(delta), phi_delta_array(delta, nrm))
+    return _profile_from_terms(float(delta), phi_delta_array(delta, seq.norms(upto)))
 
 
-def cumulative_reciprocal(seq: EntrySequence, upto: int,
-                          norms=None) -> CumulativeProfile:
+def cumulative_reciprocal(seq: EntrySequence, upto: int) -> CumulativeProfile:
     """Profile of raw reciprocals 1/||A_k|| (the simplified-rate envelope)."""
     if upto < 1:
         raise ParameterError(f"profile horizon must be >= 1, got {upto}")
-    nrm = seq.norms(upto) if norms is None else np.asarray(norms, dtype=float)[:upto]
+    nrm = seq.norms(upto)
     if np.any(nrm <= 0.0):
         raise DomainError("reciprocal profile needs strictly positive ||A_k||")
     return _profile_from_terms(0.0, 1.0 / nrm)
@@ -173,8 +170,7 @@ class ProductProfile:
     value: np.ndarray
 
 
-def discrete_envelope(rate: DecayRate, seq: EntrySequence, m, j,
-                      norms=None) -> ProductProfile:
+def discrete_envelope(rate: DecayRate, seq: EntrySequence, m, j) -> ProductProfile:
     """Discrete envelope for the windows between m and j (broadcast arrays).
 
     Per window, n0 is the smallest index after which gamma/||A_k|| < 1 holds
@@ -189,7 +185,7 @@ def discrete_envelope(rate: DecayRate, seq: EntrySequence, m, j,
         raise ParameterError(f"window ({m}, {j}) out of range")
     horizon = np.maximum(hi - 1, 1)
     top = int(np.max(horizon))
-    nrm = seq.norms(top) if norms is None else np.asarray(norms, dtype=float)[:top]
+    nrm = seq.norms(top)
     with np.errstate(divide="ignore", over="ignore"):   # subnormal norms give inf
         ratios = np.where(nrm > 0.0, rate.gamma / np.where(nrm > 0.0, nrm, 1.0), np.inf)
     bad = ratios >= 1.0

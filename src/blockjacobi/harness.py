@@ -265,22 +265,23 @@ def _resolve_rate(cfg: ExperimentConfig, variant: str, gap: GapInterval,
 
 
 def _make_envelope(variant: str, rate: DecayRate, seq: EntrySequence,
-                   delta: float | None, norms: np.ndarray, m, j
+                   delta: float | None, upto: int, m, j
                    ) -> tuple[np.ndarray, int | None]:
-    """Scalar envelope on the windows (m, j) (broadcast arrays); norms cover them.
+    """Scalar envelope on the windows (m, j) (broadcast arrays) within
+    blocks 1..upto + 1.
 
     Also returns the discrete variant's n0 (None for the others): the largest
     over the windows, which is the widest window's, as n0 is non-decreasing
     in a window's far end.
     """
     if variant == "simplified":
-        profile = cumulative_reciprocal(seq, len(norms), norms=norms)
+        profile = cumulative_reciprocal(seq, upto)
         return scalar_envelope(rate, profile, m, j), None
     if variant in ("continuous", "commuting"):
-        profile = cumulative_phi(seq, delta, len(norms), norms=norms)
+        profile = cumulative_phi(seq, delta, upto)
         return scalar_envelope(rate, profile, m, j), None
     if variant == "discrete":
-        prod = discrete_envelope(rate, seq, m, j, norms=norms)
+        prod = discrete_envelope(rate, seq, m, j)
         return prod.value, int(np.max(prod.n0))
     raise ParameterError(f"unknown variant {variant!r}")
 
@@ -357,12 +358,13 @@ def _window(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _variant_bound(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
-                   zeta: complex, variant: str, norms: np.ndarray) -> _VariantBound:
-    """The variant's own rate and envelope; norms = ||A_k|| up to the window's end."""
+                   zeta: complex, variant: str) -> _VariantBound:
+    """The variant's own rate and envelope on the config's window."""
     rows, cols = _window(cfg)
-    rate, delta = _resolve_rate(cfg, variant, gap, zeta, norms[:max(len(norms) - 1, 1)])
+    upto = max(cfg.rows[1], cfg.cols[1])
+    rate, delta = _resolve_rate(cfg, variant, gap, zeta, seq.norms(max(upto - 1, 1)))
     m, j = rows[:, None], cols[None, :]
-    env, n0 = _make_envelope(variant, rate, seq, delta, norms, m, j)
+    env, n0 = _make_envelope(variant, rate, seq, delta, upto, m, j)
     op_env = operator_envelope(rate, seq, delta, m, j) if variant == "commuting" else None
     return _VariantBound(variant, rate, delta, env, op_env, n0)
 
@@ -428,14 +430,11 @@ def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterv
     rows, cols = _window(cfg)
     counters = meta["counters"]
     variants = variants or cfg.variants
-    norms = None
     bounds = {}                 # (zeta index, variant) -> _VariantBound or its error
     for i, zeta in enumerate(cfg.zetas):
         for variant in variants:
             try:
-                if norms is None:
-                    norms = seq.norms(max(cfg.rows[1], cfg.cols[1]))
-                bounds[i, variant] = _variant_bound(cfg, seq, gap, zeta, variant, norms)
+                bounds[i, variant] = _variant_bound(cfg, seq, gap, zeta, variant)
             except _REPORTED as exc:
                 bounds[i, variant] = exc
 
@@ -491,7 +490,6 @@ def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
     counters["sections_assembled"] += 1
     counters["eigen_searches"] += 1
     counters["factorizations"] += pairs_2n.factorizations
-    norms = seq.norms(2 * n - 1)
     ms = np.arange(1, 2 * n + 1)
     results = []
     for pair in pairs:
@@ -502,8 +500,8 @@ def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
         # partner; the first N values serve the N section
         top = n if partner is None else 2 * n
         try:
-            rate, delta = _resolve_rate(cfg, variant, gap, pair.zeta, norms[:n - 1])
-            env, _ = _make_envelope(variant, rate, seq, delta, norms[:top - 1], 1, ms[:top])
+            rate, delta = _resolve_rate(cfg, variant, gap, pair.zeta, seq.norms(n - 1))
+            env, _ = _make_envelope(variant, rate, seq, delta, top - 1, 1, ms[:top])
         except (DomainError, PreconditionError, ParameterError) as exc:
             results.append(_error_result(name, variant, zeta0, n, exc))
             continue
@@ -554,7 +552,8 @@ def _direction_ratio(seq: EntrySequence, result: ExperimentResult,
     delta = result.delta if result.delta is not None else 1.0
     A = seq.blocks(lo, hi)[0]
     lam_max = float(np.linalg.eigvalsh(np.sum(phi_delta_spectral(delta, A), axis=0))[-1])
-    scalar_sum = float(np.sum(phi_delta_array(delta, np.linalg.norm(A, 2, axis=(-2, -1)))))
+    norms = seq.norms(max(hi - 1, 1))[lo - 1:hi - 1]      # empty when lo = hi
+    scalar_sum = float(np.sum(phi_delta_array(delta, norms)))
     return lam_max / scalar_sum if scalar_sum > 0 else math.nan
 
 
@@ -596,9 +595,8 @@ def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
                            gap={"source": "explicit", "r": gap.r, "s": gap.s},
                            zetas=(0.0,), delta=delta, epsilon=epsilon, eta=eta,
                            variants=("continuous",), n_blocks=n_blocks)
-    norms = seq.norms(n_blocks)
     zetas = [complex(gap.r + eps) for eps in eps_arr]
-    bounds = [_variant_bound(cfg, seq, gap, zeta, "continuous", norms) for zeta in zetas]
+    bounds = [_variant_bound(cfg, seq, gap, zeta, "continuous") for zeta in zetas]
     tables = green_blocks(assemble_truncation(seq, n_blocks), zetas, *_window(cfg))
     rows = []
     for eps, zeta, bound, table in zip(eps_arr, zetas, bounds, tables):

@@ -24,13 +24,16 @@ Built-in families:
 ``custom``
     Arbitrary callable n -> (A_n, B_n); not JSON-serializable.
 
-:meth:`EntrySequence.blocks` returns validated read-only block stacks.  The
-closed-form families (``constant``, ``example2``, ``example3`` and the tail
-of ``explicit-list``) generate them as whole stacks.  The rules of
-``example1`` and ``custom`` are evaluated per n, once per n and sequence: a
-sequence keeps the stacks of the blocks past its prefix that were asked for,
-so the overlapping ranges an experiment reads (norms, the N and 2N sections,
-envelope windows) do not call the rule again.
+Each sequence generates, validates and measures its blocks once.
+:meth:`EntrySequence.blocks` returns read-only views of one kept pair of
+(A, B) stacks that holds blocks 1..K: the prefix, then blocks generated as
+whole stacks by the family's entry of ``_BLOCK_STACKS`` (``example1`` and
+``custom`` evaluate their rules once per n inside their entries).  A range
+past K is generated, validated and appended once; a range that starts
+beyond K + 1 is generated on its own and not kept.
+:meth:`EntrySequence.norms` keeps ||A_k|| the same way, so the overlapping
+ranges an experiment reads (commuting check, norms, envelope windows, the N
+and 2N sections) neither regenerate a block nor measure it twice.
 """
 
 from __future__ import annotations
@@ -189,8 +192,10 @@ class EntrySequence:
     params: dict = field(default_factory=dict)
     prefix: tuple = ()
     tail: tuple | None = None
-    #: the per-n rule's validated (A, B) stacks kept by :meth:`_rule_stacks`
+    #: validated read-only (A, B) stacks of blocks 1..K, kept by :meth:`blocks`
     _kept: tuple = field(init=False, repr=False)
+    #: read-only ||A_k|| for k = 1..L (L <= K), kept by :meth:`norms`
+    _norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -198,8 +203,6 @@ class EntrySequence:
         if self.family not in _FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
         object.__setattr__(self, "params", dict(self.params))
-        none = np.zeros((0, self.dim, self.dim), dtype=complex)
-        object.__setattr__(self, "_kept", (none, none))
         validator = _VALIDATORS.get(self.family)
         if validator is not None:
             validator(self.dim, self.params)
@@ -207,6 +210,8 @@ class EntrySequence:
         B = _as_stack([b for _, b in self.prefix], self.dim, "prefix B_{}", 1)
         _require_hermitian(B, "prefix B_{}", 1)
         object.__setattr__(self, "prefix", tuple(zip(A, B)))
+        object.__setattr__(self, "_kept", (A, B))
+        object.__setattr__(self, "_norms", np.zeros(0))
         if self.tail is not None:
             A, B = self.tail
             A = as_block(A, self.dim, "tail A")
@@ -219,57 +224,33 @@ class EntrySequence:
     def blocks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (hi - lo, d, d) stacks of A_n and B_n for n in [lo, hi).
 
-        Blocks past the prefix are generated as whole stacks for the
-        ``constant``, ``example2``, ``example3`` and ``explicit-list``
-        families, and per n, once per n, for ``example1`` and ``custom``,
-        whose rules are callables (:meth:`_rule_stacks`).  Each stack is
-        validated once (shape, finiteness, Hermitian B_n); errors name the
-        first bad index.
+        The blocks come from the kept stacks of blocks 1..K, which start as
+        the prefix.  A range that ends past K extends them: the blocks
+        n = K+1..hi-1 are generated once, by the family's ``_BLOCK_STACKS``
+        entry, and validated once (shape, finiteness, Hermitian B_n) before
+        they are kept; errors name the first bad index.  A range that starts
+        beyond K + 1 is generated and validated on its own and not kept, so
+        a single far block does not generate every block before it.
         """
         if lo < 1:
             raise ParameterError(f"block index must be >= 1, got {lo}")
         if hi < lo:
             raise ParameterError(f"block range [{lo}, {hi}) is reversed")
-        mid = min(max(lo, len(self.prefix) + 1), hi)     # first index past the prefix
-        A = [a for a, _ in self.prefix[lo - 1:mid - 1]]
-        B = [b for _, b in self.prefix[lo - 1:mid - 1]]
-        if mid < hi:
-            if self.family in _RULES:
-                gen_a, gen_b = self._rule_stacks(mid, hi)
-            else:
-                gen_a, gen_b = _BLOCK_STACKS[self.family](self, mid, hi)
-            A, B = _joined(A, gen_a), _joined(B, gen_b)
+        A, B = self._kept
+        end = len(A) + 1                    # first index not kept
+        if lo > end and hi > lo:
+            return self._generate(lo, hi)
+        if hi > end:
+            A, B = (np.concatenate(pair) for pair in zip(self._kept, self._generate(end, hi)))
+            A.flags.writeable = B.flags.writeable = False
+            object.__setattr__(self, "_kept", (A, B))
+        return A[lo - 1:hi - 1], B[lo - 1:hi - 1]
+
+    def _generate(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Validated read-only stacks of the blocks n in [lo, hi), past the prefix."""
+        A, B = _BLOCK_STACKS[self.family](self, lo, hi)
         A = _as_stack(A, self.dim, "A_{}", lo)
         B = _as_stack(B, self.dim, "B_{}", lo)
-        _require_hermitian(B, "B_{}", lo)
-        return A, B
-
-    def _rule_stacks(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Validated stacks of the per-n rule's blocks for n in [lo, hi), past
-        the prefix.
-
-        The rule is evaluated once per n: the stacks from the first index past
-        the prefix up to the highest one asked for are kept, and a range that
-        starts inside them evaluates the rule only beyond them.  A range that
-        starts further on is evaluated on its own.
-        """
-        first = len(self.prefix) + 1
-        kept = self._kept
-        end = first + len(kept[0])
-        if lo > end:
-            return self._evaluate(lo, hi)
-        if hi > end:
-            kept = tuple(np.concatenate(pair) for pair in zip(kept, self._evaluate(end, hi)))
-            for stack in kept:
-                stack.flags.writeable = False
-            object.__setattr__(self, "_kept", kept)
-        return kept[0][lo - first:hi - first], kept[1][lo - first:hi - first]
-
-    def _evaluate(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        rule = _RULES[self.family]
-        pairs = [rule(self, n) for n in range(lo, hi)]
-        A = _as_stack([a for a, _ in pairs], self.dim, "A_{}", lo)
-        B = _as_stack([b for _, b in pairs], self.dim, "B_{}", lo)
         _require_hermitian(B, "B_{}", lo)
         return A, B
 
@@ -285,32 +266,41 @@ class EntrySequence:
         return self.block(n)[1]
 
     def norms(self, upto: int) -> np.ndarray:
-        """Spectral norms ||A_k|| for k = 1..upto (vectorized SVD)."""
+        """Read-only spectral norms ||A_k|| for k = 1..upto.
+
+        Kept like the blocks: a batched SVD runs only on the blocks past the
+        ones measured before.
+        """
         if upto < 1:
             raise ParameterError(f"norm horizon must be >= 1, got {upto}")
-        return np.linalg.svd(self.blocks(1, upto + 1)[0], compute_uv=False)[:, 0]
-
-
-def _joined(head: list, tail: np.ndarray):
-    """The blocks of ``head`` followed by the (n, d, d) stack ``tail``."""
-    return np.concatenate((head, tail)) if head else tail
+        kept = self._norms
+        if upto > len(kept):
+            A = self.blocks(len(kept) + 1, upto + 1)[0]
+            kept = np.concatenate((kept, np.linalg.svd(A, compute_uv=False)[:, 0]))
+            kept.flags.writeable = False
+            object.__setattr__(self, "_norms", kept)
+        return kept[:upto]
 
 
 def _copies(block: np.ndarray, count: int) -> np.ndarray:
     return np.repeat(block[None], count, axis=0)
 
 
-def _block_example1(seq, n):
-    lam = seq.params["_lambda_fn"](n)
-    eps = seq.params["_eps_fn"](n)
-    if abs(complex(eps).imag) > HERMITICITY_TOL:
-        raise ParameterError(f"example1 eps rule must be real, got {eps} at n={n}")
-    e = complex(eps).real
-    return np.array([[e, lam], [0.0, e]], dtype=complex), np.zeros((2, 2), dtype=complex)
+def _stack_example1(seq, lo, hi):
+    A = []
+    for n in range(lo, hi):
+        lam = seq.params["_lambda_fn"](n)
+        eps = seq.params["_eps_fn"](n)
+        if abs(complex(eps).imag) > HERMITICITY_TOL:
+            raise ParameterError(f"example1 eps rule must be real, got {eps} at n={n}")
+        e = complex(eps).real
+        A.append(np.array([[e, lam], [0.0, e]], dtype=complex))
+    return A, np.zeros((hi - lo, 2, 2), dtype=complex)
 
 
-def _block_custom(seq, n):
-    return seq.params["fn"](n)
+def _stack_custom(seq, lo, hi):
+    pairs = [seq.params["fn"](n) for n in range(lo, hi)]
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 def _stack_constant(seq, lo, hi):
@@ -343,16 +333,16 @@ def _stack_explicit(seq, lo, hi):
     return _copies(seq.tail[0], hi - lo), _copies(seq.tail[1], hi - lo)
 
 
-#: closed-form family -> (seq, lo, hi) -> (hi - lo, d, d) stacks of the
-#: blocks n in [lo, hi) past the prefix
+#: family -> (seq, lo, hi) -> the blocks n in [lo, hi) past the prefix, as
+#: (hi - lo, d, d) stacks or lists of blocks, validated by the caller
 _BLOCK_STACKS = {
     "constant": _stack_constant,
+    "example1": _stack_example1,
     "example2": _stack_example2,
     "example3": _stack_example3,
     "explicit-list": _stack_explicit,
+    "custom": _stack_custom,
 }
-#: per-n family -> rule (seq, n) -> (A_n, B_n)
-_RULES = {"example1": _block_example1, "custom": _block_custom}
 
 
 def _validate_constant(dim, params):

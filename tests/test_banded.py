@@ -242,10 +242,11 @@ def test_lowest_eigenvalue_of_small_raises_singularity():
     assert float(match[1]) <= SINGULARITY_TOL
 
 
-def test_near_pair_below_the_squared_band_resolution():
+def test_sigma_min_of_a_near_eigenvalue_pair():
     # eigenvalues c + 5e-9 and c + 3e-8, then c + 2e-8 and c + 3e-8: both
-    # pairs lie below sqrt(eps) ||J - c||, where the squared band cannot
-    # tell them apart, so the LU steps decide the verdict and the value
+    # pairs lie within sqrt(eps) ||J - c|| of c; the 22-step Arnoldi
+    # estimate on the band LU must still give the singular verdict for the
+    # first pair and the dense distance for the second
     c = 0.25
     spread = np.linspace(-2.0, 2.0, 24)
     singular = tridiagonal_with(np.r_[spread, c + 5e-9, c + 3e-8])

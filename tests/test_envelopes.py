@@ -90,8 +90,8 @@ def test_profile_bounded_difference_from_reciprocals():
     seq = example3_sequence(x=0.0, alpha=0.75, c1=0.0, c2=1.0)
     p = 10 ** 5
     nrm = seq.norms(p)
-    capped = cumulative_phi(seq, 2.0, p, norms=nrm)
-    raw = cumulative_reciprocal(seq, p, norms=nrm)
+    capped = cumulative_phi(seq, 2.0, p)
+    raw = cumulative_reciprocal(seq, p)
     diff = capped.prefix - raw.prefix
     last_capped = int(np.nonzero(nrm <= 2.0)[0][-1]) + 1
     tail = diff[last_capped:]
@@ -247,7 +247,7 @@ def test_discrete_not_weaker_than_exponential():
         m, j = sorted(rng.integers(1, 61, size=2))
         if m == j:
             continue
-        prod = discrete_envelope(rate(g), seq, int(m), int(j), norms=nrm)
+        prod = discrete_envelope(rate(g), seq, int(m), int(j))
         window = nrm[max(m, prod.n0) - 1: j - 1]
         assert prod.value <= math.exp(-g * float(np.sum(1.0 / window))) + 1e-15
 
@@ -271,9 +271,9 @@ def test_discrete_exponent_dominates_continuous_on_growing_family():
         rate_c = gamma_continuous(params, gap, zeta)
         rate_d = gamma_discrete(params, gap, zeta)
         assert np.all(rate_d.gamma < nrm)
-        prof = cumulative_phi(seq, params.delta, 200, norms=nrm)
+        prof = cumulative_phi(seq, params.delta, 200)
         cont_exp = rate_c.gamma * prof.window_sum(1, 201)
-        prod = discrete_envelope(rate_d, seq, 1, 201, norms=nrm)
+        prod = discrete_envelope(rate_d, seq, 1, 201)
         disc_exp = -math.log(prod.value)
         assert disc_exp >= cont_exp
 
@@ -304,6 +304,27 @@ def norm_windows(draw):
     return norms, draw(windows(top))
 
 
+def scalar_sequence(norms):
+    """d = 1 sequence with A_k = [[norms[k - 1]]] and B_k = 0.
+
+    The oracles read its ``norms``: LAPACK's SVD of a 1 x 1 block moves some
+    tiny values by one ulp (1e-300 becomes 9.999999999999999e-301).
+    """
+    return explicit_sequence([(np.array([[a]]), np.zeros((1, 1))) for a in norms])
+
+
+def grid(ms, js):
+    return np.array(ms)[:, None], np.array(js)[None, :]
+
+
+#: pinned norm windows: a zero norm, a subnormal norm and a single block
+PINNED = [(np.array([0.0, 2.0, 3.0]), grid([1, 4, 3], [3, 4])),
+          (np.array([1.5, 5e-324, 4.0]), grid([1, 4, 3], [4])),
+          (np.array([0.7]), grid([1, 2], [1, 2]))]
+#: a window without a valid n0 for gamma = 1 (||A_2|| = 0.5)
+NO_N0 = (np.array([3.0, 0.5]), grid([1, 3], [3, 1]))
+
+
 gammas = st.floats(0.05, 2.0)
 
 
@@ -313,9 +334,13 @@ def pairs(m, j):
 
 
 @given(norm_windows(), gammas, st.floats(0.1, 3.0))
+@example(PINNED[0], 0.5, 1.0)
+@example(PINNED[1], 1.5, 0.2)
+@example(PINNED[2], 0.3, 2.0)
 def test_scalar_envelope_broadcast_matches_window_sums(data, gamma, delta):
-    norms, (m, j) = data
-    prof = cumulative_phi(None, delta, len(norms), norms=norms)
+    seq, (m, j) = scalar_sequence(data[0]), data[1]
+    norms = seq.norms(len(data[0]))
+    prof = cumulative_phi(seq, delta, len(norms))
     env = scalar_envelope(rate(gamma), prof, m, j)
     oracle = [math.exp(-gamma * sum(1.0 / max(delta, norms[k - 1])
                                     for k in range(min(a, b), max(a, b))))
@@ -339,14 +364,19 @@ def discrete_oracle(gamma, norms, m, j):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(norm_windows(), gammas)
+@example(PINNED[0], 0.5)
+@example(PINNED[1], 1.5)
+@example(PINNED[2], 0.3)
+@example(NO_N0, 1.0)
 def test_discrete_envelope_broadcast_matches_products(data, gamma):
-    norms, (m, j) = data
+    seq, (m, j) = scalar_sequence(data[0]), data[1]
+    norms = seq.norms(len(data[0]))
     oracle = [discrete_oracle(gamma, norms, a, b) for a, b in pairs(m, j)]
     if any(o is None for o in oracle):
         with pytest.raises(PreconditionError):
-            discrete_envelope(rate(gamma), None, m, j, norms=norms)
+            discrete_envelope(rate(gamma), seq, m, j)
         return
-    prod = discrete_envelope(rate(gamma), None, m, j, norms=norms)
+    prod = discrete_envelope(rate(gamma), seq, m, j)
     assert prod.value.shape == prod.n0.shape == (m.size, j.size)
     assert prod.n0.ravel().tolist() == [o[0] for o in oracle]
     assert np.allclose(prod.value.ravel(), [o[1] for o in oracle],

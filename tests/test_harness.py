@@ -247,10 +247,10 @@ def test_discrete_n0_detail_is_the_widest_window_n0(norms, data):
     norm_arr = seq.norms(upto)
     rate, _ = harness._resolve_rate(cfg, "discrete", gap, 0j, norm_arr)
     try:
-        bound = harness._variant_bound(cfg, seq, gap, 0j, "discrete", norm_arr)
+        bound = harness._variant_bound(cfg, seq, gap, 0j, "discrete")
     except PreconditionError:
         return    # some window of the grid has no valid n0: no detail
-    widest = discrete_envelope(rate, seq, min(r0, c0), upto, norms=norm_arr)
+    widest = discrete_envelope(rate, seq, min(r0, c0), upto)
     assert bound.n0 == int(widest.n0)
 
 

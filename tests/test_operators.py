@@ -12,6 +12,7 @@ from blockjacobi import (EntrySequence, ParameterError, TruncatedOperator,
                          custom_sequence, example1_sequence, example2_sequence,
                          example3_sequence, explicit_sequence, load_operator,
                          operator_to_json, with_prefix)
+from blockjacobi import cumulative_phi, operators
 
 
 def test_example2_blocks():
@@ -398,6 +399,69 @@ def test_rules_are_evaluated_once_per_n():
     assert eps.blocks(1, 4)[0].shape == (3, 2, 2)
     with pytest.raises(ParameterError, match=r"^example1 eps rule must be real, got 1j at n=4$"):
         eps.blocks(2, 7)
+
+
+def counted_entry(monkeypatch, family):
+    """Replace ``family``'s generator by one that records each (lo, hi) call."""
+    calls = []
+    entry = operators._BLOCK_STACKS[family]
+
+    def counted(seq, lo, hi):
+        calls.append((lo, hi))
+        return entry(seq, lo, hi)
+    monkeypatch.setitem(operators._BLOCK_STACKS, family, counted)
+    return calls
+
+
+def test_experiment_reads_generate_each_block_once(monkeypatch):
+    calls = counted_entry(monkeypatch, "example2")
+    seq = example2_sequence(3.0)
+    seq.norms(600)
+    assemble_truncation(seq, 600)
+    assemble_truncation(seq, 1200)
+    cumulative_phi(seq, 1.0, 1199)
+    generated = [n for lo, hi in calls for n in range(lo, hi)]
+    assert generated == list(range(1, 1201))
+
+
+def test_norms_grown_in_pieces_equal_one_batched_svd(monkeypatch):
+    def fn(n):
+        rng = np.random.default_rng(n)
+        return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), np.eye(3)
+    seq = custom_sequence(fn, 3)
+    measured = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        measured.append(len(a))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    pieces = {k: seq.norms(k) for k in (5, 60, 1200)}
+    assert measured == [5, 55, 1140]
+    assert seq.norms(700).tobytes() == pieces[1200][:700].tobytes() and len(measured) == 3
+    monkeypatch.undo()
+    want = np.linalg.svd(seq.blocks(1, 1201)[0], compute_uv=False)[:, 0]
+    for k, got in pieces.items():
+        assert got.tobytes() == want[:k].tobytes() and not got.flags.writeable
+
+
+def test_closed_form_ranges_past_the_kept_blocks_stand_alone(monkeypatch):
+    calls = counted_entry(monkeypatch, "example3")
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    seq = with_prefix(example3_sequence(0.5, 0.75, 1.0, -2.0), [(eye, zero)] * 2)
+    seq.blocks(1, 6)
+    assert calls == [(3, 6)]
+    seq.blocks(2, 9)                        # starts inside the kept blocks
+    seq.blocks(4, 7)
+    assert calls == [(3, 6), (6, 9)]
+    far = seq.blocks(20_000, 20_002)        # past them: generated on its own
+    seq.blocks(9, 10)
+    assert calls == [(3, 6), (6, 9), (20_000, 20_002), (9, 10)]
+    A, B = seq.blocks(1, 11)
+    assert calls[-1] == (10, 11)
+    for got, want in zip(far + (A, B), per_n_blocks(seq, 20_000, 20_002)
+                         + per_n_blocks(seq, 1, 11)):
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
 
 def test_truncation_rejects_non_hermitian_b_stack():
