@@ -12,8 +12,10 @@ benchmark configs (imported, never written to).  Every config goes through
 * edge cases given as config JSON: several kinds in one config, a
   ``truncation`` gap source, an edge-only config without an operator, an
   eigenvector search that finds no pair, a commuting config whose hypothesis
-  fails, explicit windows with the discrete variant, a singular zeta, and a
-  symbol gap asked of a finite block list (``run`` raises);
+  fails, explicit windows with the discrete variant, a singular zeta, a
+  symbol gap asked of a finite block list (``run`` raises), and one config
+  each of the ``example3``, ``example1`` and ``constant`` families, so every
+  block family's generator runs;
 * a 2-periodic (dimerized) chain with a symbol gap, built in code.
 
 A config whose ``run`` raises gets an ``error.txt`` with the exception type
@@ -85,6 +87,27 @@ EDGE_CASES = {
         "operator": _example2(), "zetas": [[0.0, 0.0], [0.5, 0.0]],
         "variants": ["continuous", "discrete"], "n_blocks": 61,
         "experiments": ["green", "eigenvector"]},
+    "example3-explicit-gap": {
+        "operator": {"dim": 2, "family": "example3",
+                     "params": {"x": 0.0, "alpha": 0.75, "c1": 0.0, "c2": 1.0}},
+        "gap": {"source": "explicit", "r": -1.0, "s": 1.0},
+        "zetas": [[0.3, 0.0], [0.2, 0.5]],
+        "variants": ["continuous", "simplified", "discrete"], "n_blocks": 400,
+        "experiments": ["green"]},
+    "example1-power-rules": {
+        "operator": {"dim": 2, "family": "example1",
+                     "params": {"lambda_rule": {"kind": "power"},
+                                "eps_rule": {"kind": "power", "scale": 0.5,
+                                             "exponent": -1.0}}},
+        "gap": {"source": "explicit", "r": -1.0, "s": 1.0},
+        "zetas": [[0.5, 0.0], [0.3, 0.2]], "variants": ["continuous", "simplified"],
+        "n_blocks": 80, "experiments": ["green"]},
+    "constant-diagonal": {
+        "operator": {"dim": 2, "family": "constant",
+                     "params": {"A": _diag(0.5), "B": [[[3.0, 0.0], [0.0, 0.0]],
+                                                      [[0.0, 0.0], [-3.0, 0.0]]]}},
+        "zetas": [[0.5, 0.0], [0.0, 0.5]], "variants": ["continuous", "discrete"],
+        "n_blocks": 60, "experiments": ["green", "commuting"]},
     "symbol-past-finite-list": {
         "operator": {"dim": 1, "family": "explicit-list",
                      "prefix": [{"A": [[[1.0, 0.0]]], "B": [[[0.0, 0.0]]]},
