@@ -4,24 +4,38 @@ Numpy wheels bundle an ILP64 OpenBLAS (``libscipy_openblas64_``, in
 ``numpy.libs/`` next to the package on Linux and Windows, in
 ``numpy/.dylibs/`` on macOS) that exports all of LAPACK under names like
 ``scipy_zgbtrf_64_``.  When numpy's build names that library, this module
-binds the three routines ``spectral`` needs from it with ctypes, so
+binds the four routines ``spectral`` needs from it with ctypes, so
 ``import blockjacobi`` imports no scipy module and one OpenBLAS runtime
 serves both numpy's matmul and the band solves.  On every other numpy build
 (Accelerate, MKL, conda) the same names come from scipy.  The choice depends
 only on numpy's build and is made once, at import.
 
-The names take the arguments of scipy's wrappers that ``spectral`` uses:
+The names take these arguments:
 
 ``zgbtrf(ab, kl, ku, overwrite_ab=0) -> (lu, ipiv, info)``
-    band LU with partial pivoting, m = n = ab.shape[1];
+    band LU with partial pivoting, m = n = ab.shape[1] (scipy's wrapper);
 ``zgbtrs(ab, kl, ku, b, ipiv, trans=0, overwrite_b=0) -> (x, info)``
-    solve with that LU (trans 0, 1, 2: A, A^T, A^H);
-``eigvals_banded(a_band, lower=False) -> w``
-    ascending eigenvalues of a Hermitian band (``zhbevd``, no vectors).
+    solve with that LU (trans 0, 1, 2: A, A^T, A^H; scipy's wrapper);
+``eigvals_window(a_band, lo, hi) -> (w, lowest, highest)``
+    the ascending eigenvalues in (lo, hi] and the two extreme eigenvalues
+    of the Hermitian band whose lower triangle ``a_band`` holds in LAPACK's
+    lower band layout (row i - j, column j for entry (i, j)).
 
 ``ipiv`` is opaque and only handed back to ``zgbtrs``: the binding keeps
-LAPACK's 1-based int64 pivots where scipy returns 0-based int32 ones.  Info
-> 0 of ``eigvals_banded`` raises ConvergenceError on both paths.
+LAPACK's 1-based int64 pivots where scipy returns 0-based int32 ones.
+
+``eigvals_window`` reduces the band to real symmetric tridiagonal form once
+(``zhbtrd``, no vectors), in O(n^2 kd) time, then runs bisection on it
+(``dstebz`` with abstol 0) three times: for the eigenvalues in (lo, hi], for
+eigenvalue 1 and for eigenvalue n.  Bisection costs O(n) per Sturm count,
+so each wanted eigenvalue costs O(n) times the number of halvings to full
+accuracy, and the rest of the spectrum costs nothing.  The scipy path makes
+three ``zhbevx`` calls, which run the same two routines with the same
+arguments and give the same values bit for bit, at three reductions instead
+of one; ``zhbevx`` also rescales a band whose largest entry lies outside
+about [1e-146, 1e76], which the bound path does not.  Info > 0 raises
+ConvergenceError and info < 0 (an illegal argument, such as hi <= lo)
+ValueError on both paths.
 
 The binding follows the ILP64 gfortran ABI: every integer, pivots included,
 is an int64 passed by address, and every character argument carries a
@@ -142,10 +156,30 @@ def _check_solve(ab: np.ndarray, b: np.ndarray, ipiv: np.ndarray) -> None:
         raise ValueError("band factor, pivots and right-hand side do not match")
 
 
+def _zhbevx_window(a_band, lo, hi):
+    """``eigvals_window`` through scipy's ``zhbevx``: three calls, each of
+    which reduces the band again."""
+    from scipy.linalg.lapack import zhbevx
+
+    def bisect(kind, index):      # kind 1: (lo, hi]; 2: eigenvalue ``index``
+        w, _, m, _, info = zhbevx(a_band, lo, hi, index, index, compute_v=0,
+                                  range=kind, lower=1, overwrite_ab=0)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of zhbevx")
+        if info > 0:
+            raise ConvergenceError(f"zhbevx did not converge (LAPACK info = {info})")
+        return w[:m]
+
+    n = np.shape(a_band)[1]
+    return (np.sort(bisect(1, 1)), float(bisect(2, 1)[0]),
+            float(bisect(2, n)[0]))
+
+
 if _LIB is not None:
     _ZGBTRF = _bind("zgbtrf", 0, 8)
     _ZGBTRS = _bind("zgbtrs", 1, 10)
-    _ZHBEVD = _bind("zhbevd", 2, 14)
+    _ZHBTRD = _bind("zhbtrd", 2, 10)
+    _DSTEBZ = _bind("dstebz", 2, 16)
     _TRANS = (b"N", b"T", b"C")
 
     def zgbtrf(ab, kl, ku, overwrite_ab=0):
@@ -171,30 +205,42 @@ if _LIB is not None:
                 p + 32, _address(ipiv), _address(b), p + 40, p + 48, 1)
         return b, _info(ints, "zgbtrs")
 
-    def eigvals_banded(a_band, lower=False):
-        ab = _fortran(a_band, False)
-        ldab, n = ab.shape
+    def _dstebz(kind, diag, off, lo, hi, index):
+        """Bisection on the tridiagonal (diag, off): kind b"V" gives the
+        eigenvalues in (lo, hi], kind b"I" eigenvalue ``index``."""
+        n = diag.size
         w = np.empty(n)
-        z = np.empty(1, dtype=np.complex128)           # not referenced
-        work = np.empty(max(n, 1), dtype=np.complex128)
-        rwork = np.empty(max(n, 1))
-        # n, kd, ldab, ldz, lwork, lrwork, iwork, liwork, info
-        ints = np.array([n, ldab - 1, ldab, 1, work.size, rwork.size, 0, 1, 0],
-                        dtype=np.int64)
-        p = _address(ints)
-        _ZHBEVD(b"N", b"L" if lower else b"U", p, p + 8, _address(ab),
-                p + 16, _address(w), _address(z), p + 24, _address(work),
-                p + 32, _address(rwork), p + 40, p + 48, p + 56, p + 64, 1, 1)
-        info = _info(ints, "zhbevd")
+        blocks = np.empty(2 * n, dtype=np.int64)      # IBLOCK, ISPLIT
+        work = np.empty(4 * n)
+        iwork = np.empty(3 * n, dtype=np.int64)
+        reals = np.array([lo, hi, 0.0])                # vl, vu, abstol
+        # n, il, iu, m, nsplit, info
+        ints = np.array([n, index, index, 0, 0, 0], dtype=np.int64)
+        p, r, b = _address(ints), _address(reals), _address(blocks)
+        _DSTEBZ(kind, b"E", p, r, r + 8, p + 8, p + 16, r + 16, _address(diag),
+                _address(off), p + 24, p + 32, _address(w), b, b + 8 * n,
+                _address(work), _address(iwork), p + 40, 1, 1)
+        info = _info(ints, "dstebz")
         if info > 0:
-            raise ConvergenceError(f"zhbevd did not converge (LAPACK info = {info})")
-        return w
+            raise ConvergenceError(f"dstebz did not converge (LAPACK info = {info})")
+        return w[:ints[3]]
+
+    def eigvals_window(a_band, lo, hi):
+        ab = _fortran(a_band, False)                   # zhbtrd overwrites it
+        ldab, n = ab.shape
+        diag, off = np.empty(n), np.empty(max(n - 1, 1))
+        q = np.empty(1, dtype=np.complex128)           # not referenced
+        work = np.empty(max(n, 1), dtype=np.complex128)
+        # n, kd, ldab, ldq, info
+        ints = np.array([n, ldab - 1, ldab, 1, 0], dtype=np.int64)
+        p = _address(ints)
+        _ZHBTRD(b"N", b"L", p, p + 8, _address(ab), p + 16, _address(diag),
+                _address(off), _address(q), p + 24, _address(work), p + 32, 1, 1)
+        _info(ints, "zhbtrd")                          # no info > 0
+        return (np.sort(_dstebz(b"V", diag, off, lo, hi, 1)),
+                float(_dstebz(b"I", diag, off, lo, hi, 1)[0]),
+                float(_dstebz(b"I", diag, off, lo, hi, n)[0]))
 else:
-    from scipy.linalg import LinAlgError, eigvals_banded as _eigvals_banded
     from scipy.linalg.lapack import zgbtrf, zgbtrs  # noqa: F401
 
-    def eigvals_banded(a_band, lower=False):
-        try:
-            return _eigvals_banded(a_band, lower=lower, check_finite=False)
-        except LinAlgError as err:
-            raise ConvergenceError(f"zhbevd did not converge ({err})") from None
+    eigvals_window = _zhbevx_window

@@ -21,13 +21,15 @@ matrix is an upper estimate of the distance from zeta to the truncated
 spectrum.  Cost and memory are O(Z N d^3) and O(Z N d^2) for Z zetas: no
 dense (N d) x (N d) matrix is built.
 
-Gap eigenpairs are banded too: one Hermitian band eigensolve (kd = 2d - 1)
-gives the eigenvalues of J_N, block inverse iteration on the band LU gives
-the eigenvectors of the in-gap ones, and the far-edge artifact filter reads
-only the coupling A_N to block N + 1 instead of a 2N section.  Only
-``truncated_spectrum`` diagonalizes the dense truncation.
+Gap eigenpairs are banded too: one reduction of the Hermitian band
+(kd = 2d - 1) to tridiagonal form, then bisection, gives only the
+eigenvalues of J_N inside the gap window and the two extreme ones; block
+inverse iteration on the band LU gives the eigenvectors of the in-gap ones,
+and the far-edge artifact filter reads only the coupling A_N to block N + 1
+instead of a 2N section.  Only ``truncated_spectrum`` diagonalizes the dense
+truncation.
 
-The band routines (``zgbtrf``, ``zgbtrs`` and ``eigvals_banded``) come
+The band routines (``zgbtrf``, ``zgbtrs`` and ``eigvals_window``) come
 from :mod:`blockjacobi._lapack`: bound from the ILP64 OpenBLAS inside numpy
 when numpy's build names it, so no scipy module is imported, and taken from
 scipy on other numpy builds.
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import eigvals_banded, zgbtrf, zgbtrs
+from ._lapack import eigvals_window, zgbtrf, zgbtrs
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .operators import (EntrySequence, TruncatedOperator, as_block,
@@ -148,9 +150,13 @@ def tail_symbol_spectrum(seq: EntrySequence, grid_size: int = 2048) -> SpectrumE
     """
     p0 = len(seq.prefix) + 1
     A, B = seq.blocks(p0, p0 + 4)
-    if np.allclose(A[0], A[1], atol=1e-12) and np.allclose(B[0], B[1], atol=1e-12):
+
+    def equal(x, y):        # absolute only: a relative tolerance lets a slow drift pass
+        return np.allclose(x, y, rtol=0.0, atol=1e-12)
+
+    if equal(A[0], A[1]) and equal(B[0], B[1]):
         return symbol_spectrum(A[0], B[0], grid_size)
-    if np.allclose(A[:2], A[2:], atol=1e-12) and np.allclose(B[:2], B[2:], atol=1e-12):
+    if equal(A[:2], A[2:]) and equal(B[:2], B[2:]):
         return symbol_spectrum(*period2_symbol_blocks(A[0], A[1], B[0], B[1]), grid_size)
     raise ParameterError(
         "symbol gap source needs constant or 2-periodic blocks past the "
@@ -534,7 +540,8 @@ def _ritz_basis(op: TruncatedOperator, shift: complex, k: int,
     return X @ V, JX @ V
 
 
-def _inverse_steps(vals: np.ndarray, cluster: list, shift: complex) -> int:
+def _inverse_steps(vals: np.ndarray, cluster: list, shift: complex,
+                   lo: float, hi: float) -> int:
     """Inverse-iteration steps that resolve every entry above the smallest normal float.
 
     Each step shrinks the share of the eigenvectors outside the cluster by
@@ -542,10 +549,15 @@ def _inverse_steps(vals: np.ndarray, cluster: list, shift: complex) -> int:
     every entry; after ceil(log(tiny) / log(rho)) steps, plus one for the
     random start, what is left lies below the smallest normal float, so the
     tiny far blocks of a localized eigenvector are resolved too, not just its
-    norm.  At most ``_INVERSE_STEPS``.
+    norm.  At most ``_INVERSE_STEPS``.  ``vals`` are the eigenvalues in the
+    window (lo, hi), which holds Re shift; every other eigenvalue lies at or
+    beyond lo or hi, so min_out is bounded below by the nearer of
+    |shift - lo| and |shift - hi|, and rho from this bound is an upper bound.
     """
     dist = np.abs(vals - shift)
-    rho = np.max(dist[cluster]) / np.min(np.delete(dist, cluster), initial=math.inf)
+    outside = min(np.min(np.delete(dist, cluster), initial=math.inf),
+                  abs(shift - lo), abs(shift - hi))
+    rho = np.max(dist[cluster]) / outside
     if rho == 0.0:
         return 1
     if not rho < 1.0:
@@ -559,9 +571,11 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     """Eigenpairs of J_N strictly inside the gap, filtered of cut artifacts.
 
     Candidates are eigenvalues in (r + margin, s - margin) with margin 2% of
-    the gap width; all N d eigenvalues come from one banded Hermitian
-    eigensolve (``eigvals_banded``, LAPACK ``zhbevd`` with kd = 2d - 1, on
-    the lower rows of the LU band storage).  Candidates within 1e-8 of each
+    the gap width.  They and the extreme eigenvalues, whose larger modulus is
+    ||J_N||, come from ``eigvals_window`` on the lower rows of the LU band
+    storage (kd = 2d - 1): one reduction to tridiagonal form (LAPACK
+    ``zhbtrd``), then bisection (``dstebz``) for the window and for the
+    lowest and highest eigenvalue only.  Candidates within 1e-8 of each
     other form a cluster, whose eigenvectors come from block inverse
     iteration on the band LU of J_N - (mean + i tau),
     tau = 1e-10 max(||J_N||, 1), followed by Rayleigh-Ritz.  The iteration
@@ -578,8 +592,10 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     clusters are re-separated by an SVD of this embedded residual map, so a
     genuine mode hiding inside a degenerate pair is still found.  ``drift``
     is ||(J_2N - theta) E u|| (E = zero padding), an upper bound on
-    dist(theta, spec J_2N) because J_2N is Hermitian.  The eigensolve takes
-    O((N d)^2 d) time, each cluster O(N d^3) more; memory is O(N d^2) and no
+    dist(theta, spec J_2N) because J_2N is Hermitian.  The reduction takes
+    O((N d)^2 d) time and the bisection O(N d) per wanted eigenvalue (one
+    O(N d) Sturm count per halving, about 53 halvings to full precision),
+    each cluster O(N d^3) more; memory is O(N d^2) and no
     dense matrix is built.  The pairs come sorted by eigenvalue, with
     ``factorizations`` counting the band LU factorizations: one per cluster.
     """
@@ -591,27 +607,29 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     lo, hi = gap.r + margin, gap.s - margin
     # rows 2 kl.. of the general band storage hold entry (i, j), i >= j, at
     # row i - j: the lower Hermitian band layout, kd = kl = 2d - 1
-    vals = eigvals_banded(_band_storage(op, 0.0)[2 * (2 * d - 1):], lower=True)
-    candidates = np.nonzero((vals > lo) & (vals < hi))[0]
-    if candidates.size == 0:
+    vals, lowest, highest = eigvals_window(_band_storage(op, 0.0)[2 * (2 * d - 1):],
+                                           lo, hi)
+    vals = vals[(vals > lo) & (vals < hi)]
+    if vals.size == 0:
         return FactoredResults()
     # group candidates into near-degenerate clusters
-    clusters, current = [], [int(candidates[0])]
-    for idx in candidates[1:]:
+    clusters, current = [], [0]
+    for idx in range(1, vals.size):
         if vals[idx] - vals[current[-1]] <= _CLUSTER_TOL:
-            current.append(int(idx))
+            current.append(idx)
         else:
             clusters.append(current)
-            current = [int(idx)]
+            current = [idx]
     clusters.append(current)
-    norm_scale = max(float(np.max(np.abs(vals))), 1.0)
+    norm_scale = max(abs(lowest), abs(highest), 1.0)
     # block (N + 1, N) of the 2N section
     a_cut = seq.blocks(n, n + 1)[0][0].conj().T
     results = FactoredResults(factorizations=len(clusters))
     for cluster in clusters:
         mean_val = float(np.mean(vals[cluster]))
         shift = complex(mean_val, _SHIFT_IMAG_REL * norm_scale)
-        U, JU = _ritz_basis(op, shift, len(cluster), _inverse_steps(vals, cluster, shift))
+        U, JU = _ritz_basis(op, shift, len(cluster),
+                            _inverse_steps(vals, cluster, shift, lo, hi))
         W = np.vstack([JU - mean_val * U, a_cut @ U[-d:]])
         _, svals, vh = np.linalg.svd(W, full_matrices=False)
         for i in range(len(cluster) - 1, -1, -1):

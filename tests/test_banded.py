@@ -26,8 +26,11 @@ from blockjacobi import (ExperimentConfig, GapInterval, GreenTable,
                          assemble_truncation, eigenpairs_in_gap,
                          example2_sequence, explicit_sequence, green_block,
                          green_blocks, verify_eigenvector_bound, with_prefix)
+from blockjacobi import spectral
+from blockjacobi.harness import resolve_gap
 from blockjacobi.spectral import (RESIDUAL_TOL, SINGULARITY_TOL, _ARNOLDI_STEPS,
-                                  _SEED, _band_storage)
+                                  _CLUSTER_TOL, _INVERSE_STEPS, _SEED, _SHIFT_IMAG_REL,
+                                  _TINY, _band_storage, _inverse_steps)
 
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
 
@@ -370,7 +373,7 @@ def test_scale_far_beyond_dense_memory():
 @given(hermitian_operators())
 def test_hermitian_band_is_the_lower_triangle(op):
     # the lower rows of the LU band storage at zeta = 0, which
-    # eigenpairs_in_gap hands to eigvals_banded (lower=True, kd = 2d - 1)
+    # eigenpairs_in_gap hands to eigvals_window (lower band, kd = 2d - 1)
     kl = 2 * op.dim - 1
     ab = _band_storage(op, 0.0)[2 * kl:]
     size = op.n_blocks * op.dim
@@ -433,3 +436,70 @@ def test_eigenpair_far_beyond_dense_scale():
     assert abs(big[0].zeta - ref[0].zeta) <= 1e-12
     got, want = big[0].block_norms[:40], ref[0].block_norms[:40]
     assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+def full_spectrum_steps(vals, cluster, shift):
+    """The step rule before the window search: min_out read from every
+    eigenvalue of J_N outside the cluster."""
+    dist = np.abs(vals - shift)
+    rho = np.max(dist[cluster]) / np.min(np.delete(dist, cluster), initial=math.inf)
+    if rho == 0.0:
+        return 1
+    if not rho < 1.0:
+        return _INVERSE_STEPS
+    return min(_INVERSE_STEPS, 1 + math.ceil(math.log(_TINY) / math.log(rho)))
+
+
+def window_clusters(vals, lo, hi):
+    """(first index, clusters) of the eigenvalues in (lo, hi), grouped as
+    eigenpairs_in_gap groups them; indices into ``vals``."""
+    inside = np.nonzero((vals > lo) & (vals < hi))[0]
+    clusters = []
+    for idx in inside:
+        if clusters and vals[idx] - vals[clusters[-1][-1]] <= _CLUSTER_TOL:
+            clusters[-1].append(int(idx))
+        else:
+            clusters.append([int(idx)])
+    return (int(inside[0]) if inside.size else 0), clusters
+
+
+@given(hermitian_operators(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_window_step_bound_never_gives_fewer_steps(op, a, b):
+    # the window bound replaces the outside eigenvalues by the window's ends,
+    # which are nearer the shift, so rho and the step count can only grow
+    vals = np.linalg.eigvalsh(op.to_dense())
+    span = vals[-1] - vals[0] + 2.0
+    lo = vals[0] - 1.0 + span * min(a, b)
+    hi = vals[0] - 1.0 + span * max(a, b)
+    assume(lo < hi)
+    tau = _SHIFT_IMAG_REL * max(float(np.max(np.abs(vals))), 1.0)
+    first, clusters = window_clusters(vals, lo, hi)
+    window = vals[(vals > lo) & (vals < hi)]
+    for cluster in clusters:
+        shift = complex(np.mean(vals[cluster]), tau)
+        local = [i - first for i in cluster]
+        assert (_inverse_steps(window, local, shift, lo, hi)
+                >= full_spectrum_steps(vals, cluster, shift))
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_eigvec_operator_keeps_its_step_counts(monkeypatch, n):
+    # the benchmark's eigenvector operator, in its symbol gap, at its N and
+    # 2N sections: the window bound gives the full-spectrum step counts
+    seq = with_prefix(example2_sequence(3.0), [(A2, 0.5 * np.eye(2))])
+    gap = resolve_gap(ExperimentConfig(operator=seq, zetas=(0.5,), n_blocks=200), seq)
+    op = assemble_truncation(seq, n)
+    calls = []
+
+    def record(vals, cluster, shift, lo, hi):
+        steps = _inverse_steps(vals, cluster, shift, lo, hi)
+        calls.append((cluster, shift, lo, hi, steps))
+        return steps
+
+    monkeypatch.setattr(spectral, "_inverse_steps", record)
+    assert len(eigenpairs_in_gap(op, gap)) == 1
+    dense = np.linalg.eigvalsh(op.to_dense())
+    assert calls
+    for cluster, shift, lo, hi, steps in calls:
+        first, _ = window_clusters(dense, lo, hi)
+        assert steps == full_spectrum_steps(dense, [first + i for i in cluster], shift)

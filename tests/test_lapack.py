@@ -1,13 +1,18 @@
 """The band LAPACK binding of ``blockjacobi._lapack`` against scipy's wrappers.
 
 On numpy builds that bundle the ILP64 scipy-openblas library, ``_lapack``
-binds ``zgbtrf``, ``zgbtrs`` and ``zhbevd`` from it with ctypes; elsewhere
-its names are scipy's own.  Either way they must give the results of
-``scipy.linalg.lapack``, bit for bit, on the bands the library builds: the
-stacked J_N - zeta bands of ``_band_storage`` and their Hermitian halves,
-for random Hermitian block operators with d = 1..4, N = 2..40 and one to
-three stacked zetas.  The binding's pivots are LAPACK's 1-based ones,
-scipy's are 0-based.
+binds ``zgbtrf``, ``zgbtrs``, ``zhbtrd`` and ``dstebz`` from it with ctypes;
+elsewhere its names come from scipy.  Either way they must give the results
+of ``scipy.linalg.lapack``, bit for bit, on the bands the library builds: the
+stacked J_N - zeta bands of ``_band_storage`` and their lower Hermitian
+halves, for random Hermitian block operators with d = 1..4, N = 2..40 and
+one to three stacked zetas.  The binding's pivots are LAPACK's 1-based ones,
+scipy's are 0-based.  ``eigvals_window`` (one ``zhbtrd`` reduction, then
+``dstebz`` bisection for a window and the two extreme eigenvalues) must
+equal three calls of scipy's ``zhbevx``, which runs the same two routines,
+and the dense ``eigvalsh`` to 1e-12 max(||J||, 1), on windows placed around
+drawn eigenvalues, empty ones included.  Failures of either path raise
+ConvergenceError (info > 0) or ValueError (illegal argument).
 """
 
 import _ctypes
@@ -20,14 +25,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from scipy.linalg import LinAlgError, eigvals_banded
+from hypothesis import assume, example, given, strategies as st
 from scipy.linalg import lapack as scipy_lapack
 
 from blockjacobi import ConvergenceError, TruncatedOperator, _lapack
 from blockjacobi.spectral import _band_storage
 
-from test_banded import SMALL, hermitian_operators, zetas
+from test_banded import SMALL, SMALL_EIGS, hermitian_operators, seeded_operator, zetas
 
 #: base of the pivots ``_lapack.zgbtrf`` returns
 PIVOT_BASE = 0 if _lapack.LIBRARY is None else 1
@@ -62,14 +66,85 @@ def test_band_lu_and_solves_match_scipy(op, stack):
             assert np.array_equal(x, x_ref)
 
 
-@given(hermitian_operators())
-def test_band_eigenvalues_match_scipy(op):
-    kl = 2 * op.dim - 1
-    ab = _band_storage(op, 0.0)
-    # rows 2 kl.. hold the lower Hermitian band, rows kl..2 kl the upper one
-    for band, lower in ((ab[2 * kl:], True), (ab[kl:2 * kl + 1], False)):
-        vals = _lapack.eigvals_banded(band, lower=lower)
-        assert np.array_equal(vals, eigvals_banded(band, lower=lower))
+def lower_band(op):
+    """Rows 2 kl.. of the LU band storage: the lower Hermitian band."""
+    return _band_storage(op, 0.0)[2 * (2 * op.dim - 1):]
+
+
+@st.composite
+def windows(draw):
+    """(operator, lo, hi): ends drawn from the points below, between and
+    above the dense eigenvalues, so a window holds one or more eigenvalues,
+    or none when both ends fall into the same gap."""
+    op = draw(hermitian_operators())
+    vals = np.linalg.eigvalsh(op.to_dense())
+    points = np.concatenate([[vals[0] - 1.0], 0.5 * (vals[:-1] + vals[1:]),
+                             [vals[-1] + 1.0]])
+    a = draw(st.integers(0, vals.size))
+    if a < vals.size and draw(st.booleans()):       # eigenvalues a..b - 1
+        lo, hi = points[a], points[draw(st.integers(a + 1, vals.size))]
+    else:                                           # empty: below eigenvalue a
+        above = vals[a] if a < vals.size else points[a] + 2.0
+        lo, hi = points[a], 0.5 * (points[a] + above)
+    assume(lo < hi)
+    return op, float(lo), float(hi)
+
+
+#: d = 1, N = 2 with a window around its lower eigenvalue
+PAIR = seeded_operator(1, 2, 0)
+PAIR_EIGS = np.linalg.eigvalsh(PAIR.to_dense())
+PINS = [
+    # empty: the middle quarter of the gap above SMALL's lowest eigenvalue
+    (SMALL, float(0.75 * SMALL_EIGS[0] + 0.25 * SMALL_EIGS[1]),
+     float(0.25 * SMALL_EIGS[0] + 0.75 * SMALL_EIGS[1])),
+    # every eigenvalue
+    (SMALL, float(SMALL_EIGS[0] - 1.0), float(SMALL_EIGS[-1] + 1.0)),
+    (PAIR, float(PAIR_EIGS[0] - 0.5), float(0.5 * (PAIR_EIGS[0] + PAIR_EIGS[1]))),
+]
+
+
+def pinned(test):
+    for case in PINS:
+        test = example(case)(test)
+    return test
+
+
+def zhbevx_window(band, lo, hi):
+    """The window and the two extremes from three calls of scipy's ``zhbevx``."""
+    def call(kind, index):
+        w, _, m, _, info = scipy_lapack.zhbevx(band, lo, hi, index, index, compute_v=0,
+                                               range=kind, lower=1, overwrite_ab=0)
+        assert info == 0
+        return w[:m]
+    n = band.shape[1]
+    return np.sort(call(1, 1)), call(2, 1)[0], call(2, n)[0]
+
+
+@pinned
+@given(windows())
+def test_window_eigenvalues_match_scipy_zhbevx(case):
+    op, lo, hi = case
+    band = lower_band(op)
+    w, lowest, highest = _lapack.eigvals_window(band, lo, hi)
+    w_ref, lowest_ref, highest_ref = zhbevx_window(band, lo, hi)
+    assert np.array_equal(w, w_ref)
+    assert lowest == lowest_ref and highest == highest_ref
+    assert np.array_equal(band, lower_band(op))     # the input is not overwritten
+
+
+@pinned
+@given(windows())
+def test_window_eigenvalues_match_dense_oracle(case):
+    op, lo, hi = case
+    vals = np.linalg.eigvalsh(op.to_dense())
+    tol = 1e-12 * max(float(np.max(np.abs(vals))), 1.0)
+    # the ends sit half a gap from the spectrum; keep them clear of rounding
+    assume(np.min(np.abs(vals - lo)) > tol and np.min(np.abs(vals - hi)) > tol)
+    w, lowest, highest = _lapack.eigvals_window(lower_band(op), lo, hi)
+    inside = vals[(vals > lo) & (vals <= hi)]
+    assert w.shape == inside.shape
+    assert np.all(np.abs(w - inside) <= tol)
+    assert abs(lowest - vals[0]) <= tol and abs(highest - vals[-1]) <= tol
 
 
 def test_overwrite_works_in_place_on_fortran_complex_input():
@@ -103,18 +178,30 @@ def test_zero_pivot_reports_the_same_info():
     assert info == info_ref == 4
 
 
-def test_eigenvalue_failure_is_a_convergence_error(monkeypatch):
-    # zhbevd reporting info = 3 (its tridiagonal QR did not converge)
-    if _lapack.LIBRARY is None:
-        def fail(*args, **kwargs):
-            raise LinAlgError("hbevd did not converge (LAPACK info=3)")
-        monkeypatch.setattr(_lapack, "_eigvals_banded", fail)
-    else:
-        def fail(*args):
-            ctypes.c_int64.from_address(args[15]).value = 3     # info
-        monkeypatch.setattr(_lapack, "_ZHBEVD", fail)
-    with pytest.raises(ConvergenceError, match="zhbevd did not converge"):
-        _lapack.eigvals_banded(_band_storage(SMALL, 0.0)[2:], lower=True)
+@pytest.mark.skipif(_lapack.LIBRARY is None, reason="checks of the ctypes binding")
+def test_bisection_failure_is_a_convergence_error(monkeypatch):
+    # dstebz reporting info = 3 (not all of eigenvalues IL:IU were found)
+    def fail(*args):
+        ctypes.c_int64.from_address(args[17]).value = 3         # info
+    monkeypatch.setattr(_lapack, "_DSTEBZ", fail)
+    with pytest.raises(ConvergenceError, match=r"^dstebz did not converge \(LAPACK info = 3\)$"):
+        _lapack.eigvals_window(lower_band(SMALL), -10.0, 10.0)
+
+
+def test_zhbevx_failure_is_a_convergence_error(monkeypatch):
+    # the scipy path, on every build: zhbevx reporting info = 3
+    def fail(ab, vl, vu, il, iu, **kwargs):
+        return np.zeros(ab.shape[1]), np.zeros((1, 1), dtype=complex), 0, np.zeros(1), 3
+    monkeypatch.setattr(scipy_lapack, "zhbevx", fail)
+    with pytest.raises(ConvergenceError, match=r"^zhbevx did not converge \(LAPACK info = 3\)$"):
+        _lapack._zhbevx_window(lower_band(SMALL), -10.0, 10.0)
+
+
+@pytest.mark.parametrize("window", [_lapack.eigvals_window, _lapack._zhbevx_window])
+def test_empty_interval_is_an_illegal_argument(window):
+    # hi <= lo: argument VU of dstebz (5), of zhbevx (11)
+    with pytest.raises(ValueError, match=r"^illegal value in argument (5 of dstebz|11 of zhbevx)$"):
+        window(lower_band(SMALL), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from blockjacobi import (GapInterval, ParameterError, SingularityError,
                          example2_sequence, explicit_sequence, green_block,
                          period2_symbol_blocks, symbol_spectrum,
                          truncated_spectrum, with_prefix)
+from blockjacobi.spectral import tail_symbol_spectrum
 
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
 
@@ -136,6 +137,15 @@ def test_period2_symbol_dimer_chain():
     assert gaps[0].s == pytest.approx(2.0, abs=1e-9)
     edges = band_edges(est, 0.5)
     assert np.allclose(edges, [-4.0, -2.0, 2.0, 4.0], atol=1e-9)
+
+
+def test_tail_symbol_rejects_a_slowly_growing_tail():
+    # consecutive A_n differ by 1e-5 on a diagonal near 3: inside np.allclose's
+    # default relative tolerance, yet the tail is neither constant nor periodic
+    seq = custom_sequence(lambda n: ((3.0 + 1e-5 * n) * np.eye(2) + np.diag([0.0, 0.1]),
+                                     np.zeros((2, 2))), 2)
+    with pytest.raises(ParameterError, match="constant or 2-periodic blocks"):
+        tail_symbol_spectrum(seq)
 
 
 def golden_extremum(f, a, b, sign):
