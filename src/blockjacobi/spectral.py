@@ -613,14 +613,7 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     if vals.size == 0:
         return FactoredResults()
     # group candidates into near-degenerate clusters
-    clusters, current = [], [0]
-    for idx in range(1, vals.size):
-        if vals[idx] - vals[current[-1]] <= _CLUSTER_TOL:
-            current.append(idx)
-        else:
-            clusters.append(current)
-            current = [idx]
-    clusters.append(current)
+    clusters = np.split(np.arange(vals.size), np.nonzero(np.diff(vals) > _CLUSTER_TOL)[0] + 1)
     norm_scale = max(abs(lowest), abs(highest), 1.0)
     # block (N + 1, N) of the 2N section
     a_cut = seq.blocks(n, n + 1)[0][0].conj().T
