@@ -4,7 +4,7 @@ Numpy wheels bundle an ILP64 OpenBLAS (``libscipy_openblas64_``, in
 ``numpy.libs/`` next to the package on Linux and Windows, in
 ``numpy/.dylibs/`` on macOS) that exports all of LAPACK under names like
 ``scipy_zgbtrf_64_``.  When numpy's build names that library, this module
-binds the four routines ``spectral`` needs from it with ctypes, so
+binds the five routines ``spectral`` needs from it with ctypes, so
 ``import blockjacobi`` imports no scipy module and one OpenBLAS runtime
 serves both numpy's matmul and the band solves.  On every other numpy build
 (Accelerate, MKL, conda) the same names come from scipy.  The choice depends
@@ -25,17 +25,20 @@ The names take these arguments:
 LAPACK's 1-based int64 pivots where scipy returns 0-based int32 ones.
 
 ``eigvals_window`` reduces the band to real symmetric tridiagonal form once
-(``zhbtrd``, no vectors), in O(n^2 kd) time, then runs bisection on it
-(``dstebz`` with abstol 0) three times: for the eigenvalues in (lo, hi], for
-eigenvalue 1 and for eigenvalue n.  Bisection costs O(n) per Sturm count,
-so each wanted eigenvalue costs O(n) times the number of halvings to full
-accuracy, and the rest of the spectrum costs nothing.  The scipy path makes
-three ``zhbevx`` calls, which run the same two routines with the same
-arguments and give the same values bit for bit, at three reductions instead
-of one; ``zhbevx`` also rescales a band whose largest entry lies outside
-about [1e-146, 1e76], which the bound path does not.  Info > 0 raises
-ConvergenceError and info < 0 (an illegal argument, such as hi <= lo)
-ValueError on both paths.
+(no vectors), in O(n^2 kd) time, then runs bisection on it (``dstebz`` with
+abstol 0) three times: for the eigenvalues in (lo, hi], for eigenvalue 1 and
+for eigenvalue n.  A band none of whose entries has a nonzero imaginary part
+is reduced in real arithmetic (``dsbtrd`` on its real part), at about half
+the cost of the complex reduction (``zhbtrd``) that every other band takes;
+the choice reads only the band's entries.  Bisection costs O(n) per Sturm
+count, so each wanted eigenvalue costs O(n) times the number of halvings to
+full accuracy, and the rest of the spectrum costs nothing.  The scipy path
+makes three ``dsbevx`` calls on a real band and three ``zhbevx`` calls on
+any other, which run the same two routines with the same arguments and give
+the same values bit for bit, at three reductions instead of one; they also
+rescale a band whose largest entry lies outside about [1e-146, 1e76], which
+the bound path does not.  Info > 0 raises ConvergenceError and info < 0 (an
+illegal argument, such as hi <= lo) ValueError on both paths.
 
 The binding follows the ILP64 gfortran ABI: every integer, pivots included,
 is an int64 passed by address, and every character argument carries a
@@ -156,18 +159,33 @@ def _check_solve(ab: np.ndarray, b: np.ndarray, ipiv: np.ndarray) -> None:
         raise ValueError("band factor, pivots and right-hand side do not match")
 
 
+def _real_band(a_band) -> np.ndarray | None:
+    """The band's real part when no entry has a nonzero imaginary part, else None."""
+    a = np.asarray(a_band)
+    if np.iscomplexobj(a):
+        if np.any(a.imag):
+            return None
+        a = a.real
+    return a
+
+
 def _zhbevx_window(a_band, lo, hi):
-    """``eigvals_window`` through scipy's ``zhbevx``: three calls, each of
-    which reduces the band again."""
-    from scipy.linalg.lapack import zhbevx
+    """``eigvals_window`` through scipy's ``dsbevx`` (real bands) or
+    ``zhbevx``: three calls, each of which reduces the band again."""
+    from scipy.linalg import lapack
+
+    real = _real_band(a_band)
+    name = "zhbevx" if real is None else "dsbevx"
+    band = a_band if real is None else real
 
     def bisect(kind, index):      # kind 1: (lo, hi]; 2: eigenvalue ``index``
-        w, _, m, _, info = zhbevx(a_band, lo, hi, index, index, compute_v=0,
-                                  range=kind, lower=1, overwrite_ab=0)
+        w, _, m, _, info = getattr(lapack, name)(
+            band, lo, hi, index, index, compute_v=0, range=kind, lower=1,
+            overwrite_ab=0)
         if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of zhbevx")
+            raise ValueError(f"illegal value in argument {-info} of {name}")
         if info > 0:
-            raise ConvergenceError(f"zhbevx did not converge (LAPACK info = {info})")
+            raise ConvergenceError(f"{name} did not converge (LAPACK info = {info})")
         return w[:m]
 
     n = np.shape(a_band)[1]
@@ -179,6 +197,7 @@ if _LIB is not None:
     _ZGBTRF = _bind("zgbtrf", 0, 8)
     _ZGBTRS = _bind("zgbtrs", 1, 10)
     _ZHBTRD = _bind("zhbtrd", 2, 10)
+    _DSBTRD = _bind("dsbtrd", 2, 10)
     _DSTEBZ = _bind("dstebz", 2, 16)
     _TRANS = (b"N", b"T", b"C")
 
@@ -226,17 +245,22 @@ if _LIB is not None:
         return w[:ints[3]]
 
     def eigvals_window(a_band, lo, hi):
-        ab = _fortran(a_band, False)                   # zhbtrd overwrites it
+        real = _real_band(a_band)
+        # the reduction overwrites its input: always a copy
+        if real is None:
+            ab, reduce, name = _fortran(a_band, False), _ZHBTRD, "zhbtrd"
+        else:
+            ab, reduce, name = np.array(real, dtype=float, order="F"), _DSBTRD, "dsbtrd"
         ldab, n = ab.shape
         diag, off = np.empty(n), np.empty(max(n - 1, 1))
-        q = np.empty(1, dtype=np.complex128)           # not referenced
-        work = np.empty(max(n, 1), dtype=np.complex128)
+        q = np.empty(1, dtype=ab.dtype)                # not referenced
+        work = np.empty(max(n, 1), dtype=ab.dtype)
         # n, kd, ldab, ldq, info
         ints = np.array([n, ldab - 1, ldab, 1, 0], dtype=np.int64)
         p = _address(ints)
-        _ZHBTRD(b"N", b"L", p, p + 8, _address(ab), p + 16, _address(diag),
-                _address(off), _address(q), p + 24, _address(work), p + 32, 1, 1)
-        _info(ints, "zhbtrd")                          # no info > 0
+        reduce(b"N", b"L", p, p + 8, _address(ab), p + 16, _address(diag),
+               _address(off), _address(q), p + 24, _address(work), p + 32, 1, 1)
+        _info(ints, name)                              # no info > 0
         return (np.sort(_dstebz(b"V", diag, off, lo, hi, 1)),
                 float(_dstebz(b"I", diag, off, lo, hi, 1)[0]),
                 float(_dstebz(b"I", diag, off, lo, hi, n)[0]))

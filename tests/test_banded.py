@@ -56,6 +56,46 @@ def hermitian_operators(draw):
                            draw(st.integers(0, 2**32 - 1)))
 
 
+def seeded_real_operator(d, n, seed):
+    """A real symmetric operator: real A_k and real symmetric B_k."""
+    rng = np.random.default_rng(seed)
+    b_blocks = rng.standard_normal((n, d, d))
+    b_blocks = 0.5 * (b_blocks + b_blocks.transpose(0, 2, 1))
+    return TruncatedOperator(a_blocks=rng.standard_normal((n - 1, d, d)),
+                             b_blocks=b_blocks)
+
+
+@st.composite
+def real_operators(draw):
+    return seeded_real_operator(draw(st.integers(1, 4)), draw(st.integers(2, 40)),
+                                draw(st.integers(0, 2**32 - 1)))
+
+
+def draw_window(draw, vals):
+    """(lo, hi) around the ascending ``vals``: ends drawn from the points
+    below, between and above them, so a window holds one or more of them, or
+    none when both ends fall into the same gap."""
+    points = np.concatenate([[vals[0] - 1.0], 0.5 * (vals[:-1] + vals[1:]),
+                             [vals[-1] + 1.0]])
+    a = draw(st.integers(0, vals.size))
+    if a < vals.size and draw(st.booleans()):       # eigenvalues a..b - 1
+        lo, hi = points[a], points[draw(st.integers(a + 1, vals.size))]
+    else:                                           # empty: below eigenvalue a
+        above = vals[a] if a < vals.size else points[a] + 2.0
+        lo, hi = points[a], 0.5 * (points[a] + above)
+    assume(lo < hi)
+    return float(lo), float(hi)
+
+
+def pinned_windows(vals, pair_vals):
+    """The windows every window test pins: an empty one (the middle quarter
+    of the lowest gap of ``vals``), one around every value of ``vals``, and
+    one around the lower of the two ``pair_vals`` (d = 1, N = 2)."""
+    return [(float(0.75 * vals[0] + 0.25 * vals[1]), float(0.25 * vals[0] + 0.75 * vals[1])),
+            (float(vals[0] - 1.0), float(vals[-1] + 1.0)),
+            (float(pair_vals[0] - 0.5), float(0.5 * (pair_vals[0] + pair_vals[1])))]
+
+
 @st.composite
 def hermitian_sequences(draw):
     """(explicit-list sequence, N): a random prefix, shorter or longer than N,
@@ -161,14 +201,15 @@ def test_green_symmetry(op, zeta):
 
 
 @given(hermitian_operators(), zetas | st.builds(complex, st.floats(-4.0, 4.0)))
-# zeta 1e-4 inside the lowest and the highest eigenvalue: close, yet far
-# enough that the dense SVD's own error, about eps ||M|| / sigma relative,
-# stays below the 1e-10 checked here (at sigma = 1.5e-6 it is 3.5e-10)
 @example(SMALL, complex(SMALL_EIGS[0] + 1e-4))
 @example(SMALL, complex(SMALL_EIGS[-1] - 1e-4))
+# 1.5e-6 above the lowest eigenvalue, where a dense SVD of J_N - zeta, whose
+# own error is about eps ||M|| / sigma relative, reads 3.5e-10 too high
+@example(SMALL, complex(SMALL_EIGS[0] + 1.5e-6))
 def test_sigma_min_is_an_upper_estimate(op, zeta):
-    M = op.to_dense() - zeta * np.eye(op.n_blocks * op.dim)
-    true_sigma = np.linalg.svd(M, compute_uv=False)[-1]
+    # J_N - zeta is normal, so its smallest singular value is exactly the
+    # distance from zeta to the eigenvalues, each accurate to eps ||J_N||
+    true_sigma = np.min(np.abs(np.linalg.eigvalsh(op.to_dense()) - zeta))
     assume(true_sigma > 1e-6)
     table = green_block(op, zeta, [1], [1])
     assert table.sigma_min >= (1.0 - 1e-10) * true_sigma
@@ -409,6 +450,77 @@ def test_eigenpairs_match_dense_oracle(case):
         if sep >= 1e-4 * scale:
             ref = np.linalg.norm(v.reshape(n, -1), axis=1)
             assert np.max(np.abs(p.block_norms - ref)) <= 1e-8 * ref.max()
+
+
+def gauge_pair(d, n, seed, length, phi):
+    """(real symmetric sequence, its gauge copy, N): a random real prefix of
+    ``length`` blocks, then a constant real tail; the copy has every A_k
+    times e^{i phi}.  U = diag(e^{i k phi} I) gives U^* J U = the copy's
+    section at every N, so both have the same eigenvalues and eigenvector
+    block norms, but only the copy's band has imaginary parts."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(length + 1):
+        b = rng.standard_normal((d, d))
+        blocks.append((rng.standard_normal((d, d)), 0.5 * (b + b.T)))
+
+    def times(z):
+        return explicit_sequence([(z * a, b) for a, b in blocks[:-1]],
+                                 tail=(z * blocks[-1][0], blocks[-1][1]))
+    return times(1.0), times(np.exp(1j * phi)), n
+
+
+@st.composite
+def gauge_cases(draw):
+    """(sequence, gauge copy, N, lo, hi), the window drawn by ``draw_window``."""
+    seq, gauged, n = gauge_pair(draw(st.integers(1, 4)), draw(st.integers(2, 40)),
+                                draw(st.integers(0, 2**32 - 1)),
+                                draw(st.integers(1, 45)), draw(st.floats(0.1, 3.0)))
+    vals = np.linalg.eigvalsh(assemble_truncation(seq, n).to_dense())
+    return (seq, gauged, n, *draw_window(draw, vals))
+
+
+def gauge_pins():
+    """Pinned gauge cases: an empty window and one around every eigenvalue
+    (d = 1, N = 3), one around the lower eigenvalue of d = 1, N = 2."""
+    small, pair = gauge_pair(1, 3, 0, 4, 1.0), gauge_pair(1, 2, 0, 1, 1.0)
+
+    def eigs(case):
+        return np.linalg.eigvalsh(assemble_truncation(case[0], case[2]).to_dense())
+    return [(*case, lo, hi) for case, (lo, hi)
+            in zip((small, small, pair), pinned_windows(eigs(small), eigs(pair)))]
+
+
+def with_gauge_pins(test):
+    for case in gauge_pins():
+        test = example(case)(test)
+    return test
+
+
+@with_gauge_pins
+@given(gauge_cases())
+def test_gauge_copy_gives_the_same_eigenpairs(case):
+    # the real band is reduced in real arithmetic, the copy's in complex
+    seq, gauged, n, lo, hi = case
+    op, op_gauged = assemble_truncation(seq, n), assemble_truncation(gauged, n)
+    assert not np.any(_band_storage(op, 0.0).imag)
+    assert np.any(_band_storage(op_gauged, 0.0).imag)
+    vals = np.linalg.eigvalsh(op.to_dense())
+    scale = max(float(np.max(np.abs(vals))), 1.0)
+    assume(np.min(np.abs(vals - lo)) > 1e-12 * scale
+           and np.min(np.abs(vals - hi)) > 1e-12 * scale)
+    # the gap whose 2% margin window is (lo, hi), with the filters opened
+    width = (hi - lo) / (1.0 - 2.0 * spectral._MARGIN_FRAC)
+    gap = GapInterval(lo - spectral._MARGIN_FRAC * width, hi + spectral._MARGIN_FRAC * width)
+    pairs = eigenpairs_in_gap(op, gap, drift_tol=math.inf, embed_tol=math.inf)
+    twins = eigenpairs_in_gap(op_gauged, gap, drift_tol=math.inf, embed_tol=math.inf)
+    assert len(pairs) == len(twins) == np.count_nonzero((vals > lo) & (vals < hi))
+    for p, q in zip(pairs, twins):
+        assert abs(p.zeta - q.zeta) <= 1e-12 * scale
+        # block norms of an eigenvector are unique only for a simple eigenvalue
+        if np.partition(np.abs(vals - p.zeta), 1)[1] >= 1e-4 * scale:
+            peak = float(np.max(p.block_norms))
+            assert np.max(np.abs(p.block_norms - q.block_norms)) <= 1e-10 * peak
 
 
 def test_eigenvector_path_builds_no_dense_matrix(monkeypatch):

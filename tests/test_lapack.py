@@ -16,6 +16,7 @@ ConvergenceError (info > 0) or ValueError (illegal argument).
 """
 
 import _ctypes
+import contextlib
 import ctypes
 import json
 import os
@@ -31,7 +32,8 @@ from scipy.linalg import lapack as scipy_lapack
 from blockjacobi import ConvergenceError, TruncatedOperator, _lapack
 from blockjacobi.spectral import _band_storage
 
-from test_banded import SMALL, SMALL_EIGS, hermitian_operators, seeded_operator, zetas
+from test_banded import (SMALL, draw_window, hermitian_operators, pinned_windows,
+                         real_operators, seeded_operator, seeded_real_operator, zetas)
 
 #: base of the pivots ``_lapack.zgbtrf`` returns
 PIVOT_BASE = 0 if _lapack.LIBRARY is None else 1
@@ -71,70 +73,148 @@ def lower_band(op):
     return _band_storage(op, 0.0)[2 * (2 * op.dim - 1):]
 
 
+def hermitian_from_band(band):
+    """The Hermitian matrix whose lower triangle the lower band ``band`` holds."""
+    size = band.shape[1]
+    lower = np.zeros((size, size), dtype=complex)
+    for k in range(band.shape[0]):
+        j = np.arange(size - k)
+        lower[j + k, j] = band[k, j]
+    return lower + np.tril(lower, -1).conj().T
+
+
+def with_imaginary(band, k, j, part):
+    """A copy of ``band`` with ``part`` added to the imaginary part of entry
+    (k, j), which lies below the diagonal (k >= 1)."""
+    band = band.copy()
+    band[k, j] += 1j * part
+    return band
+
+
+def band_window(draw, band):
+    return (band, *draw_window(draw, np.linalg.eigvalsh(hermitian_from_band(band))))
+
+
 @st.composite
-def windows(draw):
-    """(operator, lo, hi): ends drawn from the points below, between and
-    above the dense eigenvalues, so a window holds one or more eigenvalues,
-    or none when both ends fall into the same gap."""
-    op = draw(hermitian_operators())
-    vals = np.linalg.eigvalsh(op.to_dense())
-    points = np.concatenate([[vals[0] - 1.0], 0.5 * (vals[:-1] + vals[1:]),
-                             [vals[-1] + 1.0]])
-    a = draw(st.integers(0, vals.size))
-    if a < vals.size and draw(st.booleans()):       # eigenvalues a..b - 1
-        lo, hi = points[a], points[draw(st.integers(a + 1, vals.size))]
-    else:                                           # empty: below eigenvalue a
-        above = vals[a] if a < vals.size else points[a] + 2.0
-        lo, hi = points[a], 0.5 * (points[a] + above)
-    assume(lo < hi)
-    return op, float(lo), float(hi)
+def windows(draw, operators=hermitian_operators()):
+    """(lower band, lo, hi), the window drawn by ``draw_window``."""
+    return band_window(draw, lower_band(draw(operators)))
 
 
-#: d = 1, N = 2 with a window around its lower eigenvalue
-PAIR = seeded_operator(1, 2, 0)
-PAIR_EIGS = np.linalg.eigvalsh(PAIR.to_dense())
-PINS = [
-    # empty: the middle quarter of the gap above SMALL's lowest eigenvalue
-    (SMALL, float(0.75 * SMALL_EIGS[0] + 0.25 * SMALL_EIGS[1]),
-     float(0.25 * SMALL_EIGS[0] + 0.75 * SMALL_EIGS[1])),
-    # every eigenvalue
-    (SMALL, float(SMALL_EIGS[0] - 1.0), float(SMALL_EIGS[-1] + 1.0)),
-    (PAIR, float(PAIR_EIGS[0] - 0.5), float(0.5 * (PAIR_EIGS[0] + PAIR_EIGS[1]))),
-]
+@st.composite
+def windows_with_one_imaginary_entry(draw):
+    """(lower band, lo, hi) of a real symmetric operator whose band has one
+    entry below the diagonal made complex, by a part from 1e-300 to 0.5."""
+    band = lower_band(draw(real_operators()))
+    k = draw(st.integers(1, band.shape[0] - 1))
+    j = draw(st.integers(0, band.shape[1] - k - 1))
+    part = draw(st.sampled_from([1e-300, 1e-16, 1e-8, 0.5])) * draw(st.sampled_from([1, -1]))
+    return band_window(draw, with_imaginary(band, k, j, part))
 
 
-def pinned(test):
-    for case in PINS:
-        test = example(case)(test)
-    return test
+def pins(small, pair):
+    """The pinned (band, lo, hi) cases: an empty window and one around every
+    eigenvalue of ``small``, one around the lower eigenvalue of ``pair``
+    (d = 1, N = 2)."""
+    def eigs(band):
+        return np.linalg.eigvalsh(hermitian_from_band(band))
+    return [(band, lo, hi) for band, (lo, hi)
+            in zip((small, small, pair), pinned_windows(eigs(small), eigs(pair)))]
 
 
-@pinned
-@given(windows())
-def test_window_eigenvalues_match_scipy_zhbevx(case):
-    # the reference is the scipy path: three zhbevx calls
-    op, lo, hi = case
-    band = lower_band(op)
+def pinned(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
+SMALL_REAL, PAIR_REAL = seeded_real_operator(1, 3, 0), seeded_real_operator(1, 2, 0)
+COMPLEX_PINS = pins(lower_band(SMALL), lower_band(seeded_operator(1, 2, 0)))
+REAL_PINS = pins(lower_band(SMALL_REAL), lower_band(PAIR_REAL))
+#: an O(1) imaginary part, and one of 1e-300 that no tolerance may take for 0
+IMAGINARY_PINS = pins(with_imaginary(lower_band(SMALL_REAL), 1, 0, 0.5),
+                      with_imaginary(lower_band(PAIR_REAL), 1, 0, 1e-300))
+REAL_REDUCTIONS = {"dsbtrd", "dsbevx"}
+COMPLEX_REDUCTIONS = {"zhbtrd", "zhbevx"}
+
+
+@contextlib.contextmanager
+def reductions():
+    """Names of the band reductions run inside the block: ``dsbtrd`` and
+    ``zhbtrd`` of the ctypes path, ``dsbevx`` and ``zhbevx`` of scipy's."""
+    calls = []
+    targets = [(scipy_lapack, "dsbevx"), (scipy_lapack, "zhbevx")]
+    if _lapack.LIBRARY is not None:
+        targets += [(_lapack, "_DSBTRD"), (_lapack, "_ZHBTRD")]
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, attr in targets:
+            def spy(*args, _run=getattr(owner, attr), _name=attr.strip("_").lower(),
+                    **kwargs):
+                calls.append(_name)
+                return _run(*args, **kwargs)
+            patch.setattr(owner, attr, spy)
+        yield calls
+
+
+def match_scipy(band, lo, hi):
+    # the reference is the scipy path: three dsbevx or zhbevx calls
+    kept = band.copy()
     w, lowest, highest = _lapack.eigvals_window(band, lo, hi)
     w_ref, lowest_ref, highest_ref = _lapack._zhbevx_window(band, lo, hi)
     assert np.array_equal(w, w_ref)
     assert lowest == lowest_ref and highest == highest_ref
-    assert np.array_equal(band, lower_band(op))     # the input is not overwritten
+    assert np.array_equal(band, kept)               # the input is not overwritten
 
 
-@pinned
-@given(windows())
-def test_window_eigenvalues_match_dense_oracle(case):
-    op, lo, hi = case
-    vals = np.linalg.eigvalsh(op.to_dense())
+def match_dense(band, lo, hi, window=_lapack.eigvals_window):
+    vals = np.linalg.eigvalsh(hermitian_from_band(band))
     tol = 1e-12 * max(float(np.max(np.abs(vals))), 1.0)
     # the ends sit half a gap from the spectrum; keep them clear of rounding
     assume(np.min(np.abs(vals - lo)) > tol and np.min(np.abs(vals - hi)) > tol)
-    w, lowest, highest = _lapack.eigvals_window(lower_band(op), lo, hi)
+    w, lowest, highest = window(band, lo, hi)
     inside = vals[(vals > lo) & (vals <= hi)]
     assert w.shape == inside.shape
     assert np.all(np.abs(w - inside) <= tol)
     assert abs(lowest - vals[0]) <= tol and abs(highest - vals[-1]) <= tol
+
+
+@pinned(COMPLEX_PINS)
+@given(windows())
+def test_window_eigenvalues_match_scipy_zhbevx(case):
+    match_scipy(*case)
+
+
+@pinned(COMPLEX_PINS)
+@given(windows())
+def test_window_eigenvalues_match_dense_oracle(case):
+    match_dense(*case)
+
+
+@pinned(REAL_PINS)
+@given(windows(real_operators()))
+def test_real_window_eigenvalues_match_scipy_dsbevx(case):
+    with reductions() as calls:
+        match_scipy(*case)
+    assert calls and set(calls) <= REAL_REDUCTIONS
+
+
+@pinned(REAL_PINS)
+@given(windows(real_operators()))
+def test_real_window_eigenvalues_match_dense_oracle(case):
+    with reductions() as calls:
+        match_dense(*case)
+    assert calls and set(calls) <= REAL_REDUCTIONS
+
+
+@pytest.mark.parametrize("window", [_lapack.eigvals_window, _lapack._zhbevx_window])
+@pinned(IMAGINARY_PINS)
+@given(windows_with_one_imaginary_entry())
+def test_one_imaginary_entry_takes_the_complex_path(window, case):
+    with reductions() as calls:
+        match_dense(*case, window)
+    assert calls and set(calls) <= COMPLEX_REDUCTIONS
 
 
 def test_overwrite_works_in_place_on_fortran_complex_input():

@@ -16,8 +16,12 @@ swaps every pair), so slow drift of the machine hits both alike, with
 * every workload once per side with ``--trace 1``: every per-layer metric
   it reports, under the workload's ``trace`` key, with that run's gate;
 * the N ladder, each point in a fresh interpreter: ``verify_green_bound``
-  on example 2 (x = 3) at zeta = 0.5, and ``verify_eigenvector_bound`` on the
-  same operator with B_1 = 0.5 I (its 2N section included);
+  on example 2 (x = 3) at zeta = 0.5, ``verify_eigenvector_bound`` on the
+  same operator with B_1 = 0.5 I (its 2N section included), and
+  ``verify_eigenvector_bound`` on that operator's gauge copy with every A_n
+  times e^{0.7 i}: unitarily equivalent (same spectrum, same block norms),
+  but its band is complex, so it times the complex band reduction where
+  the real operator takes the real one;
 * under ``machine.lapack``, per side, the band LAPACK its ``blockjacobi``
   runs on: the library file and its ``openblas_get_config`` string.
 
@@ -45,7 +49,8 @@ from pathlib import Path
 
 WORKLOADS = ("green-large", "sweep", "eigvec", "commuting")
 END_TO_END = ("wall_s", "peak_rss_mb", "setup_s")
-LADDER = {"green": (1200, 10_000, 100_000), "eigenvector": (1000, 2000, 4000)}
+LADDER = {"green": (1200, 10_000, 100_000), "eigenvector": (1000, 2000, 4000),
+          "complex-eigenvector": (1000, 2000, 4000)}
 PAIRS = 10
 SECONDS = 5.0
 LADDER_REPEATS = 3
@@ -59,10 +64,15 @@ import blockjacobi as bj
 from blockjacobi.harness import ExperimentConfig
 kind, n = sys.argv[1], int(sys.argv[2])
 seq = bj.example2_sequence(3.0)
+A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)      # its constant A
 if kind == "eigenvector":
-    A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
     seq = bj.with_prefix(seq, [(A2, 0.5 * np.eye(2))])
-cfg = ExperimentConfig(operator=seq, zetas=(0.5,), n_blocks=n, experiments=(kind,))
+elif kind == "complex-eigenvector":
+    # every A_n times e^{0.7 i}: unitarily equivalent, with a complex band
+    A = np.exp(0.7j) * A2
+    seq = bj.explicit_sequence([(A, 0.5 * np.eye(2))], tail=(A, np.zeros((2, 2))))
+experiment = "green" if kind == "green" else "eigenvector"
+cfg = ExperimentConfig(operator=seq, zetas=(0.5,), n_blocks=n, experiments=(experiment,))
 verify = bj.verify_green_bound if kind == "green" else bj.verify_eigenvector_bound
 t0 = perf_counter()
 verify(cfg)
@@ -209,7 +219,8 @@ def main(argv=None) -> int:
                      "--trace 1, once per side and workload",
             "ladder": "example 2 (x = 3), zeta = 0.5, wall time of one "
                       "verify_green_bound / verify_eigenvector_bound call "
-                      "(B_1 = 0.5 I) in a fresh interpreter, median of "
+                      "(B_1 = 0.5 I; complex-eigenvector: every A_n times "
+                      "e^{0.7 i}) in a fresh interpreter, median of "
                       f"{LADDER_REPEATS} alternating runs per side",
             "notes": "added by hand after the run, not by this tool",
         },
