@@ -1,18 +1,21 @@
 """The band LAPACK binding of ``blockjacobi._lapack`` against scipy's wrappers.
 
 On numpy builds that bundle the ILP64 scipy-openblas library, ``_lapack``
-binds ``zgbtrf``, ``zgbtrs``, ``zhbtrd`` and ``dstebz`` from it with ctypes;
-elsewhere its names come from scipy.  Either way they must give the results
-of ``scipy.linalg.lapack``, bit for bit, on the bands the library builds: the
-stacked J_N - zeta bands of ``_band_storage`` and their lower Hermitian
-halves, for random Hermitian block operators with d = 1..4, N = 2..40 and
-one to three stacked zetas.  The binding's pivots are LAPACK's 1-based ones,
-scipy's are 0-based.  ``eigvals_window`` (one ``zhbtrd`` reduction, then
-``dstebz`` bisection for a window and the two extreme eigenvalues) must
-equal three calls of scipy's ``zhbevx``, which runs the same two routines,
-and the dense ``eigvalsh`` to 1e-12 max(||J||, 1), on windows placed around
-drawn eigenvalues, empty ones included.  Failures of either path raise
-ConvergenceError (info > 0) or ValueError (illegal argument).
+binds ``zgbtrf``, ``zgbtrs``, ``zhbtrd``, ``dsbtrd`` and ``dstebz`` from it
+with ctypes; elsewhere its names come from scipy.  Either way they must give
+the results of ``scipy.linalg.lapack``, bit for bit, on the bands the library
+builds: the stacked J_N - zeta bands of ``_band_storage`` and their lower
+Hermitian halves, for random Hermitian block operators with d = 1..4,
+N = 2..40 and one to three stacked zetas.  The binding's pivots are LAPACK's
+1-based ones, scipy's are 0-based.  ``eigvals_window`` (one band reduction,
+then ``dstebz`` bisection for a window and the two extreme eigenvalues) must
+equal three calls of scipy's ``dsbevx`` on real bands and ``zhbevx`` on
+complex ones, which run the same routines, and the dense ``eigvalsh`` to
+1e-12 max(||J||, 1), on windows placed around drawn eigenvalues, empty ones
+included.  Real symmetric operators take the real reduction on both paths;
+a real band with one imaginary entry below the diagonal, however small,
+takes the complex one.  Failures of either path raise ConvergenceError
+(info > 0) or ValueError (illegal argument).
 """
 
 import _ctypes
@@ -26,14 +29,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.linalg import lapack as scipy_lapack
 
 from blockjacobi import ConvergenceError, TruncatedOperator, _lapack
 from blockjacobi.spectral import _band_storage
 
-from test_banded import (SMALL, draw_window, hermitian_operators, pinned_windows,
-                         real_operators, seeded_operator, seeded_real_operator, zetas)
+from test_banded import (SMALL, draw_window, hermitian_from_band, hermitian_operators,
+                         pinned, pinned_windows, real_operators, seeded_operator,
+                         seeded_real_operator, zetas)
 
 #: base of the pivots ``_lapack.zgbtrf`` returns
 PIVOT_BASE = 0 if _lapack.LIBRARY is None else 1
@@ -73,16 +77,6 @@ def lower_band(op):
     return _band_storage(op, 0.0)[2 * (2 * op.dim - 1):]
 
 
-def hermitian_from_band(band):
-    """The Hermitian matrix whose lower triangle the lower band ``band`` holds."""
-    size = band.shape[1]
-    lower = np.zeros((size, size), dtype=complex)
-    for k in range(band.shape[0]):
-        j = np.arange(size - k)
-        lower[j + k, j] = band[k, j]
-    return lower + np.tril(lower, -1).conj().T
-
-
 def with_imaginary(band, k, j, part):
     """A copy of ``band`` with ``part`` added to the imaginary part of entry
     (k, j), which lies below the diagonal (k >= 1)."""
@@ -120,14 +114,6 @@ def pins(small, pair):
         return np.linalg.eigvalsh(hermitian_from_band(band))
     return [(band, lo, hi) for band, (lo, hi)
             in zip((small, small, pair), pinned_windows(eigs(small), eigs(pair)))]
-
-
-def pinned(cases):
-    def decorate(test):
-        for case in cases:
-            test = example(case)(test)
-        return test
-    return decorate
 
 
 SMALL_REAL, PAIR_REAL = seeded_real_operator(1, 3, 0), seeded_real_operator(1, 2, 0)
