@@ -23,12 +23,14 @@ spectrum.  Cost and memory are O(Z N d^3) and O(Z N d^2) for Z zetas: no
 dense (N d) x (N d) matrix is built.
 
 Gap eigenpairs are banded too: one reduction of the Hermitian band
-(kd = 2d - 1) to tridiagonal form, then bisection, gives only the
+(kd = 2d - 1) to tridiagonal form, in real arithmetic when the band is real
+(as for every real symmetric operator), then bisection, gives only the
 eigenvalues of J_N inside the gap window and the two extreme ones; block
-inverse iteration on the band LU gives the eigenvectors of the in-gap ones,
-and the far-edge artifact filter reads only the coupling A_N to block N + 1
-instead of a 2N section.  Only ``truncated_spectrum`` diagonalizes the dense
-truncation.
+inverse iteration on the band LU gives the eigenvectors of the in-gap ones
+(a one-vector block is normalized after each step, a larger one
+orthonormalized by a QR), and the far-edge artifact filter reads only the
+coupling A_N to block N + 1 instead of a 2N section.  Only
+``truncated_spectrum`` diagonalizes the dense truncation.
 
 The band routines (``zgbtrf``, ``zgbtrs`` and ``eigvals_window``) come
 from :mod:`blockjacobi._lapack`: bound from the ILP64 OpenBLAS inside numpy
@@ -582,11 +584,13 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     the gap width.  They and the extreme eigenvalues, whose larger modulus is
     ||J_N||, come from ``eigvals_window`` on the lower rows of the LU band
     storage (kd = 2d - 1): one reduction to tridiagonal form (LAPACK
-    ``zhbtrd``), then bisection (``dstebz``) for the window and for the
-    lowest and highest eigenvalue only.  Candidates within 1e-8 of each
-    other form a cluster, whose eigenvectors come from block inverse
-    iteration on the band LU of J_N - (mean + i tau),
-    tau = 1e-10 max(||J_N||, 1), followed by Rayleigh-Ritz.  The iteration
+    ``dsbtrd`` when no band entry has a nonzero imaginary part, as for every
+    real symmetric operator, ``zhbtrd`` otherwise), then bisection
+    (``dstebz``) for the window and for the lowest and highest eigenvalue
+    only.  Candidates within 1e-8 of each other form a cluster, whose
+    eigenvectors come from block inverse iteration on the band LU of
+    J_N - (mean + i tau), tau = 1e-10 max(||J_N||, 1), followed by
+    Rayleigh-Ritz.  The iteration
     runs until the other eigenvectors' share is below the smallest normal
     float, so far blocks of a localized eigenvector are resolved entrywise.
 
@@ -601,11 +605,12 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     genuine mode hiding inside a degenerate pair is still found.  ``drift``
     is ||(J_2N - theta) E u|| (E = zero padding), an upper bound on
     dist(theta, spec J_2N) because J_2N is Hermitian.  The reduction takes
-    O((N d)^2 d) time and the bisection O(N d) per wanted eigenvalue (one
-    O(N d) Sturm count per halving, about 53 halvings to full precision),
-    each cluster O(N d^3) more; memory is O(N d^2) and no
-    dense matrix is built.  The pairs come sorted by eigenvalue, with
-    ``factorizations`` counting the band LU factorizations: one per cluster.
+    O((N d)^2 d) time, in real arithmetic about half that of the complex
+    one, and the bisection O(N d) per wanted eigenvalue (one O(N d) Sturm
+    count per halving, about 53 halvings to full precision), each cluster
+    O(N d^3) more; memory is O(N d^2) and no dense matrix is built.  The
+    pairs come sorted by eigenvalue, with ``factorizations`` counting the
+    band LU factorizations: one per cluster.
     """
     seq = op.sequence
     if seq is None:
