@@ -1,56 +1,44 @@
-"""The band LAPACK routines of :mod:`blockjacobi.spectral`, from numpy's own OpenBLAS.
+"""The band LAPACK routines of :mod:`blockjacobi.spectral`, bound with ctypes.
 
-Numpy wheels bundle an ILP64 OpenBLAS (``libscipy_openblas64_``, in
-``numpy.libs/`` next to the package on Linux and Windows, in
-``numpy/.dylibs/`` on macOS) that exports all of LAPACK under names like
-``scipy_zgbtrf_64_``.  When numpy's build names that library, this module
-binds the five routines ``spectral`` needs from it with ctypes, so
-``import blockjacobi`` imports no scipy module and one OpenBLAS runtime
-serves both numpy's matmul and the band solves.  On every other numpy build
-(Accelerate, MKL, conda) the same names come from scipy.  The choice depends
-only on numpy's build and is made once, at import.
+One set of wrappers (:class:`Lapack`) calls ``zgbtrf``, ``zgbtrs``,
+``zhbtrd``, ``dsbtrd`` and ``dstebz`` from either of two libraries:
 
-The names take these arguments:
+* numpy's bundled ILP64 OpenBLAS (``libscipy_openblas64_`` in ``numpy.libs/``
+  beside the package, or in ``numpy/.dylibs/``), exporting names like
+  ``scipy_zgbtrf_64_``: int64 integers, and gfortran's hidden ``size_t``
+  length after the last argument for each character argument;
+* the C pointers in the ``__pyx_capi__`` capsules of scipy's
+  ``scipy.linalg.cython_lapack``: C ``int`` integers, no hidden lengths.
 
-``zgbtrf(ab, kl, ku, overwrite_ab=0) -> (lu, ipiv, info)``
-    band LU with partial pivoting, m = n = ab.shape[1] (scipy's wrapper);
-``zgbtrs(ab, kl, ku, b, ipiv, trans=0, overwrite_b=0) -> (x, info)``
-    solve with that LU (trans 0, 1, 2: A, A^T, A^H; scipy's wrapper);
-``eigvals_window(a_band, lo, hi) -> (w, lowest, highest)``
-    the ascending eigenvalues in (lo, hi] and the two extreme eigenvalues
-    of the Hermitian band whose lower triangle ``a_band`` holds in LAPACK's
-    lower band layout (row i - j, column j for entry (i, j)).
+numpy's is bound whenever numpy's build names it, so ``import blockjacobi``
+imports no scipy module and one OpenBLAS serves numpy and the band solves;
+scipy's on every other numpy build (Accelerate, MKL, conda).  The choice
+depends only on numpy's build and is made once, at import.
 
-``ipiv`` is opaque and only handed back to ``zgbtrs``: the binding keeps
-LAPACK's 1-based int64 pivots where scipy returns 0-based int32 ones.
+``zgbtrf(ab, kl, ku, overwrite_ab=0) -> (lu, ipiv, info)`` and
+``zgbtrs(ab, kl, ku, b, ipiv, trans=0, overwrite_b=0) -> (x, info)`` take
+scipy's signatures (trans 0, 1, 2: A, A^T, A^H); ``ipiv`` holds LAPACK's
+1-based pivots in the library's integer type.  An ``overwrite_*`` input that
+is a writeable F-contiguous complex128 array is used in place.
 
-``eigvals_window`` reduces the band to real symmetric tridiagonal form once
-(no vectors), in O(n^2 kd) time, then runs bisection on it (``dstebz`` with
-abstol 0) three times: for the eigenvalues in (lo, hi], for eigenvalue 1 and
-for eigenvalue n.  A band none of whose entries has a nonzero imaginary part
-is reduced in real arithmetic (``dsbtrd`` on its real part), at about half
-the cost of the complex reduction (``zhbtrd``) that every other band takes;
-the choice reads only the band's entries.  Bisection costs O(n) per Sturm
-count, so each wanted eigenvalue costs O(n) times the number of halvings to
-full accuracy, and the rest of the spectrum costs nothing.  The scipy path
-makes three ``dsbevx`` calls on a real band and three ``zhbevx`` calls on
-any other, which run the same two routines with the same arguments and give
-the same values bit for bit, at three reductions instead of one; they also
-rescale a band whose largest entry lies outside about [1e-146, 1e76], which
-the bound path does not.  Info > 0 raises ConvergenceError and info < 0 (an
-illegal argument, such as hi <= lo) ValueError on both paths.
-
-The binding follows the ILP64 gfortran ABI: every integer, pivots included,
-is an int64 passed by address, and every character argument carries a
-hidden ``size_t`` length after the last regular argument.  Arrays are
-passed as raw addresses, and an ``overwrite_*`` input that already is a
-writeable F-contiguous complex128 array is used in place.
+``eigvals_window(a_band, lo, hi) -> (w, lowest, highest)`` gives the
+ascending eigenvalues in (lo, hi] and the two extreme eigenvalues of the
+Hermitian band whose lower triangle ``a_band`` holds in LAPACK's lower band
+layout (row i - j, column j for entry (i, j)).  It reduces the band to
+tridiagonal form once (``dsbtrd`` when no entry has a nonzero imaginary
+part, ``zhbtrd`` otherwise), then bisects (``dstebz``, abstol 0) for the
+window and for eigenvalues 1 and n.  Like ``dsbevx`` and ``zhbevx``, it
+first scales a band whose largest entry lies outside about [1e-146, 1e76],
+here by a power of two, so ``lo``, ``hi`` and the results scale exactly.
+An illegal argument (info < 0, such as hi <= lo) raises ValueError, and
+``dstebz`` info > 0 ConvergenceError.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -116,14 +104,36 @@ def openblas_config() -> str | None:
     return get().decode()
 
 
-def _bind(name: str, chars: int, pointers: int):
-    """Routine ``name`` of the bound library: ``chars`` leading character
-    arguments, ``pointers`` addresses, then one hidden length per character."""
-    fn = getattr(_LIB, f"scipy_{name}_64_")
-    fn.argtypes = ([ctypes.c_char_p] * chars + [ctypes.c_void_p] * pointers
-                   + [ctypes.c_size_t] * chars)
-    fn.restype = None
-    return fn
+class Library(NamedTuple):
+    """How to call one LAPACK build: ``address(name)`` is the entry point of
+    routine ``name``, ``integer`` the dtype of every integer argument, pivots
+    included, and ``hidden_lengths`` whether each character argument carries
+    a ``size_t`` length after the last regular argument."""
+
+    address: Callable[[str], int]
+    integer: type
+    hidden_lengths: bool
+
+
+def numpy_library(lib: ctypes.CDLL) -> Library:
+    """numpy's bundled ILP64 scipy-openblas, loaded as ``lib``."""
+    def address(name):
+        return ctypes.cast(getattr(lib, f"scipy_{name}_64_"), ctypes.c_void_p).value
+    return Library(address, np.int64, True)
+
+
+def scipy_library() -> Library:
+    """The LP64 LAPACK behind scipy's ``cython_lapack`` capsules."""
+    from scipy.linalg.cython_lapack import __pyx_capi__ as capsules
+
+    api, capsule = ctypes.pythonapi, ctypes.py_object
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, capsule)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, capsule, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+
+    def address(name):
+        return get_pointer(capsules[name], get_name(capsules[name]))
+    return Library(address, np.intc, False)
 
 
 def _address(a: np.ndarray) -> int:
@@ -151,120 +161,106 @@ def _info(ints: np.ndarray, name: str) -> int:
     return info
 
 
-def _check_solve(ab: np.ndarray, b: np.ndarray, ipiv: np.ndarray) -> None:
-    """Reject operands LAPACK would read or write out of bounds."""
-    n = ab.shape[1]
-    if (ab.dtype != np.complex128 or b.shape[0] != n
-            or ipiv.dtype != np.int64 or ipiv.shape != (n,)):
-        raise ValueError("band factor, pivots and right-hand side do not match")
+_TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
+#: bands whose largest entry lies outside [_RMIN, _RMAX] are scaled, as in dsbevx
+_RMIN, _RMAX = np.sqrt(_TINY / _EPS), min(np.sqrt(_EPS / _TINY), _TINY ** -0.25)
+_TRANS = (b"N", b"T", b"C")
 
 
-def _real_band(a_band) -> np.ndarray | None:
-    """The band's real part when no entry has a nonzero imaginary part, else None."""
-    a = np.asarray(a_band)
-    if np.iscomplexobj(a):
-        if np.any(a.imag):
-            return None
-        a = a.real
-    return a
+class Lapack:
+    """``zgbtrf``, ``zgbtrs`` and ``eigvals_window`` on one :class:`Library`."""
 
+    def __init__(self, library: Library):
+        self.integer = library.integer
 
-def _zhbevx_window(a_band, lo, hi):
-    """``eigvals_window`` through scipy's ``dsbevx`` (real bands) or
-    ``zhbevx``: three calls, each of which reduces the band again."""
-    from scipy.linalg import lapack
+        def bind(name, chars, pointers):
+            """Routine ``name``: ``chars`` character arguments, then ``pointers``
+            addresses; appends the hidden lengths."""
+            lengths = (1,) * chars if library.hidden_lengths else ()
+            fn = ctypes.CFUNCTYPE(None, *[ctypes.c_char_p] * chars,
+                                  *[ctypes.c_void_p] * pointers,
+                                  *[ctypes.c_size_t] * len(lengths))(library.address(name))
+            return (lambda *args: fn(*args, *lengths)) if lengths else fn
 
-    real = _real_band(a_band)
-    name = "zhbevx" if real is None else "dsbevx"
-    band = a_band if real is None else real
+        self._zgbtrf = bind("zgbtrf", 0, 8)
+        self._zgbtrs = bind("zgbtrs", 1, 10)
+        self._zhbtrd = bind("zhbtrd", 2, 10)
+        self._dsbtrd = bind("dsbtrd", 2, 10)
+        self._dstebz = bind("dstebz", 2, 16)
 
-    def bisect(kind, index):      # kind 1: (lo, hi]; 2: eigenvalue ``index``
-        w, _, m, _, info = getattr(lapack, name)(
-            band, lo, hi, index, index, compute_v=0, range=kind, lower=1,
-            overwrite_ab=0)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of {name}")
-        if info > 0:
-            raise ConvergenceError(f"{name} did not converge (LAPACK info = {info})")
-        return w[:m]
-
-    n = np.shape(a_band)[1]
-    return (np.sort(bisect(1, 1)), float(bisect(2, 1)[0]),
-            float(bisect(2, n)[0]))
-
-
-if _LIB is not None:
-    _ZGBTRF = _bind("zgbtrf", 0, 8)
-    _ZGBTRS = _bind("zgbtrs", 1, 10)
-    _ZHBTRD = _bind("zhbtrd", 2, 10)
-    _DSBTRD = _bind("dsbtrd", 2, 10)
-    _DSTEBZ = _bind("dstebz", 2, 16)
-    _TRANS = (b"N", b"T", b"C")
-
-    def zgbtrf(ab, kl, ku, overwrite_ab=0):
+    def zgbtrf(self, ab, kl, ku, overwrite_ab=0):
         ab = _fortran(ab, overwrite_ab)
         ldab, n = ab.shape
-        ipiv = np.empty(n, dtype=np.int64)
+        ipiv = np.empty(n, dtype=self.integer)
         # m, n, kl, ku, ldab, info
-        ints = np.array([n, n, kl, ku, ldab, 0], dtype=np.int64)
-        p = _address(ints)
-        _ZGBTRF(p, p + 8, p + 16, p + 24, _address(ab), p + 32,
-                _address(ipiv), p + 40)
+        ints = np.array([n, n, kl, ku, ldab, 0], dtype=self.integer)
+        p, s = _address(ints), ints.itemsize
+        self._zgbtrf(p, p + s, p + 2 * s, p + 3 * s, _address(ab), p + 4 * s,
+                     _address(ipiv), p + 5 * s)
         return ab, ipiv, _info(ints, "zgbtrf")
 
-    def zgbtrs(ab, kl, ku, b, ipiv, trans=0, overwrite_b=0):
+    def zgbtrs(self, ab, kl, ku, b, ipiv, trans=0, overwrite_b=0):
         b = _fortran(b, overwrite_b)
-        _check_solve(ab, b, ipiv)
         ldab, n = ab.shape
+        # reject operands LAPACK would read or write out of bounds
+        if (ab.dtype != np.complex128 or b.shape[0] != n
+                or ipiv.dtype != self.integer or ipiv.shape != (n,)):
+            raise ValueError("band factor, pivots and right-hand side do not match")
         # n, kl, ku, nrhs, ldab, ldb, info
         ints = np.array([n, kl, ku, b.shape[1] if b.ndim == 2 else 1, ldab,
-                         max(n, 1), 0], dtype=np.int64)
-        p = _address(ints)
-        _ZGBTRS(_TRANS[trans], p, p + 8, p + 16, p + 24, _address(ab),
-                p + 32, _address(ipiv), _address(b), p + 40, p + 48, 1)
+                         max(n, 1), 0], dtype=self.integer)
+        p, s = _address(ints), ints.itemsize
+        self._zgbtrs(_TRANS[trans], p, p + s, p + 2 * s, p + 3 * s, _address(ab),
+                     p + 4 * s, _address(ipiv), _address(b), p + 5 * s, p + 6 * s)
         return b, _info(ints, "zgbtrs")
 
-    def _dstebz(kind, diag, off, lo, hi, index):
-        """Bisection on the tridiagonal (diag, off): kind b"V" gives the
+    def _bisect(self, kind, diag, off, lo, hi, index):
+        """``dstebz`` on the tridiagonal (diag, off): kind b"V" gives the
         eigenvalues in (lo, hi], kind b"I" eigenvalue ``index``."""
         n = diag.size
-        w = np.empty(n)
-        blocks = np.empty(2 * n, dtype=np.int64)      # IBLOCK, ISPLIT
-        work = np.empty(4 * n)
-        iwork = np.empty(3 * n, dtype=np.int64)
+        w, work = np.empty(n), np.empty(4 * n)
+        iblock, isplit = np.empty(n, self.integer), np.empty(n, self.integer)
+        iwork = np.empty(3 * n, self.integer)
         reals = np.array([lo, hi, 0.0])                # vl, vu, abstol
         # n, il, iu, m, nsplit, info
-        ints = np.array([n, index, index, 0, 0, 0], dtype=np.int64)
-        p, r, b = _address(ints), _address(reals), _address(blocks)
-        _DSTEBZ(kind, b"E", p, r, r + 8, p + 8, p + 16, r + 16, _address(diag),
-                _address(off), p + 24, p + 32, _address(w), b, b + 8 * n,
-                _address(work), _address(iwork), p + 40, 1, 1)
+        ints = np.array([n, index, index, 0, 0, 0], dtype=self.integer)
+        p, s, r = _address(ints), ints.itemsize, _address(reals)
+        self._dstebz(kind, b"E", p, r, r + 8, p + s, p + 2 * s, r + 16, _address(diag),
+                     _address(off), p + 3 * s, p + 4 * s, _address(w), _address(iblock),
+                     _address(isplit), _address(work), _address(iwork), p + 5 * s)
         info = _info(ints, "dstebz")
         if info > 0:
             raise ConvergenceError(f"dstebz did not converge (LAPACK info = {info})")
         return w[:ints[3]]
 
-    def eigvals_window(a_band, lo, hi):
-        real = _real_band(a_band)
+    def eigvals_window(self, a_band, lo, hi):
+        a = np.asarray(a_band)
         # the reduction overwrites its input: always a copy
-        if real is None:
-            ab, reduce, name = _fortran(a_band, False), _ZHBTRD, "zhbtrd"
+        if np.iscomplexobj(a) and np.any(a.imag):
+            ab, reduce, name = _fortran(a, False), self._zhbtrd, "zhbtrd"
         else:
-            ab, reduce, name = np.array(real, dtype=float, order="F"), _DSBTRD, "dsbtrd"
+            ab, reduce, name = np.array(a.real, dtype=float, order="F"), self._dsbtrd, "dsbtrd"
+        parts = ab.T.view(float)                       # real and imaginary parts
+        top = abs(parts).max()
+        scale = -int(np.frexp(top)[1]) if 0 < top < _RMIN or top > _RMAX else 0
+        if scale:
+            np.ldexp(parts, scale, out=parts)
+            lo, hi = np.ldexp((lo, hi), scale)
         ldab, n = ab.shape
         diag, off = np.empty(n), np.empty(max(n - 1, 1))
         q = np.empty(1, dtype=ab.dtype)                # not referenced
         work = np.empty(max(n, 1), dtype=ab.dtype)
         # n, kd, ldab, ldq, info
-        ints = np.array([n, ldab - 1, ldab, 1, 0], dtype=np.int64)
-        p = _address(ints)
-        reduce(b"N", b"L", p, p + 8, _address(ab), p + 16, _address(diag),
-               _address(off), _address(q), p + 24, _address(work), p + 32, 1, 1)
+        ints = np.array([n, ldab - 1, ldab, 1, 0], dtype=self.integer)
+        p, s = _address(ints), ints.itemsize
+        reduce(b"N", b"L", p, p + s, _address(ab), p + 2 * s, _address(diag), _address(off),
+               _address(q), p + 3 * s, _address(work), p + 4 * s)
         _info(ints, name)                              # no info > 0
-        return (np.sort(_dstebz(b"V", diag, off, lo, hi, 1)),
-                float(_dstebz(b"I", diag, off, lo, hi, 1)[0]),
-                float(_dstebz(b"I", diag, off, lo, hi, n)[0]))
-else:
-    from scipy.linalg.lapack import zgbtrf, zgbtrs  # noqa: F401
+        inside, lowest, highest = (self._bisect(kind, diag, off, lo, hi, index)
+                                   for kind, index in ((b"V", 1), (b"I", 1), (b"I", n)))
+        return (np.ldexp(np.sort(inside), -scale), float(np.ldexp(lowest[0], -scale)),
+                float(np.ldexp(highest[0], -scale)))
 
-    eigvals_window = _zhbevx_window
+
+_BOUND = Lapack(scipy_library() if _LIB is None else numpy_library(_LIB))
+zgbtrf, zgbtrs, eigvals_window = _BOUND.zgbtrf, _BOUND.zgbtrs, _BOUND.eigvals_window

@@ -33,9 +33,9 @@ coupling A_N to block N + 1 instead of a 2N section.  Only
 ``truncated_spectrum`` diagonalizes the dense truncation.
 
 The band routines (``zgbtrf``, ``zgbtrs`` and ``eigvals_window``) come
-from :mod:`blockjacobi._lapack`: bound from the ILP64 OpenBLAS inside numpy
-when numpy's build names it, so no scipy module is imported, and taken from
-scipy on other numpy builds.
+from :mod:`blockjacobi._lapack`, one set of ctypes wrappers bound to the
+ILP64 OpenBLAS inside numpy when numpy's build names it, so no scipy module
+is imported, and to the LAPACK of scipy's ``cython_lapack`` on other builds.
 """
 
 from __future__ import annotations

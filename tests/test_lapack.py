@@ -1,26 +1,29 @@
-"""The band LAPACK binding of ``blockjacobi._lapack`` against scipy's wrappers.
+"""The band LAPACK wrappers of ``blockjacobi._lapack`` against scipy's.
 
-On numpy builds that bundle the ILP64 scipy-openblas library, ``_lapack``
-binds ``zgbtrf``, ``zgbtrs``, ``zhbtrd``, ``dsbtrd`` and ``dstebz`` from it
-with ctypes; elsewhere its names come from scipy.  Either way they must give
-the results of ``scipy.linalg.lapack``, bit for bit, on the bands the library
-builds: the stacked J_N - zeta bands of ``_band_storage`` and their lower
-Hermitian halves, for random Hermitian block operators with d = 1..4,
-N = 2..40 and one to three stacked zetas.  The binding's pivots are LAPACK's
-1-based ones, scipy's are 0-based.  ``eigvals_window`` (one band reduction,
-then ``dstebz`` bisection for a window and the two extreme eigenvalues) must
-equal three calls of scipy's ``dsbevx`` on real bands and ``zhbevx`` on
-complex ones, which run the same routines, and the dense ``eigvalsh`` to
-1e-12 max(||J||, 1), on windows placed around drawn eigenvalues, empty ones
-included.  Real symmetric operators take the real reduction on both paths;
-a real band with one imaginary entry below the diagonal, however small,
-takes the complex one.  Failures of either path raise ConvergenceError
-(info > 0) or ValueError (illegal argument).
+``_lapack.Lapack`` binds ``zgbtrf``, ``zgbtrs``, ``zhbtrd``, ``dsbtrd`` and
+``dstebz`` from a ``Library``: numpy's bundled ILP64 OpenBLAS (int64
+integers, hidden string lengths) or the LP64 C pointers of scipy's
+``cython_lapack`` capsules.  Every binding test runs the one set of wrappers
+on both libraries, in a loop over ``BINDINGS`` (numpy's is left out only
+where this numpy bundles none), so each hypothesis draw is checked on both.
+They must give the results of scipy's Python wrappers, bit for bit, on the
+bands the library builds: the stacked J_N - zeta bands of ``_band_storage``
+and their lower Hermitian halves, for random Hermitian block operators with
+d = 1..4, N = 2..40 and one to three stacked zetas.  The wrappers' pivots
+are LAPACK's 1-based ones, scipy's are 0-based.  ``eigvals_window`` (one
+band reduction, then ``dstebz`` bisection for a window and the two extreme
+eigenvalues) must equal three calls of scipy's ``dsbevx`` on real bands and
+``zhbevx`` on complex ones, which run the same routines, and the dense
+``eigvalsh`` to 1e-12 max(||J||, 1), on windows placed around drawn
+eigenvalues, empty ones included.  Real symmetric operators take one real
+reduction; a real band with one imaginary entry below the diagonal, however
+small, takes one complex reduction.  Bands scaled far below or above 1 give
+the scaled eigenvalues.  Failures raise ConvergenceError (info > 0) or
+ValueError (illegal argument).
 """
 
 import _ctypes
 import contextlib
-import ctypes
 import json
 import os
 import subprocess
@@ -39,15 +42,10 @@ from test_banded import (SMALL, draw_window, hermitian_from_band, hermitian_oper
                          pinned, pinned_windows, real_operators, seeded_operator,
                          seeded_real_operator, zetas)
 
-#: base of the pivots ``_lapack.zgbtrf`` returns
-PIVOT_BASE = 0 if _lapack.LIBRARY is None else 1
+#: the wrappers on numpy's bundled library, where this numpy has one, and on scipy's
+BINDINGS = ([] if _lapack._LIB is None else [_lapack.Lapack(_lapack.numpy_library(_lapack._LIB))]
+            + [_lapack.Lapack(_lapack.scipy_library())])
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def both(name, *args, **kwargs):
-    """``name`` called with the same arguments from ``_lapack`` and from scipy."""
-    return (getattr(_lapack, name)(*args, **kwargs),
-            getattr(scipy_lapack, name)(*args, **kwargs))
 
 
 def rhs(size, columns, seed=0):
@@ -58,18 +56,20 @@ def rhs(size, columns, seed=0):
 @given(hermitian_operators(), st.lists(zetas, min_size=1, max_size=3))
 def test_band_lu_and_solves_match_scipy(op, stack):
     kl = 2 * op.dim - 1
-    (lu, ipiv, info), (lu_ref, ipiv_ref, info_ref) = both(
-        "zgbtrf", _band_storage(op, stack), kl, kl)
-    assert info == info_ref == 0
-    assert np.array_equal(lu, lu_ref)
-    assert np.array_equal(ipiv - PIVOT_BASE, ipiv_ref)
-    b = rhs(lu.shape[1], 3)
-    for trans in (0, 1, 2):
-        for right in (b, b[:, 0]):
-            x, info = _lapack.zgbtrs(lu, kl, kl, right, ipiv, trans=trans)
-            x_ref, _ = scipy_lapack.zgbtrs(lu_ref, kl, kl, right, ipiv_ref, trans=trans)
-            assert info == 0
-            assert np.array_equal(x, x_ref)
+    ab = _band_storage(op, stack)
+    lu_ref, ipiv_ref, _ = scipy_lapack.zgbtrf(ab, kl, kl)
+    b = rhs(ab.shape[1], 3)
+    for lapack in BINDINGS:
+        lu, ipiv, info = lapack.zgbtrf(ab, kl, kl)
+        assert info == 0
+        assert np.array_equal(lu, lu_ref)
+        assert np.array_equal(ipiv - 1, ipiv_ref)
+        for trans in (0, 1, 2):
+            for right in (b, b[:, 0]):
+                x, info = lapack.zgbtrs(lu, kl, kl, right, ipiv, trans=trans)
+                x_ref, _ = scipy_lapack.zgbtrs(lu_ref, kl, kl, right, ipiv_ref, trans=trans)
+                assert info == 0
+                assert np.array_equal(x, x_ref)
 
 
 def lower_band(op):
@@ -122,142 +122,169 @@ REAL_PINS = pins(lower_band(SMALL_REAL), lower_band(PAIR_REAL))
 #: an O(1) imaginary part, and one of 1e-300 that no tolerance may take for 0
 IMAGINARY_PINS = pins(with_imaginary(lower_band(SMALL_REAL), 1, 0, 0.5),
                       with_imaginary(lower_band(PAIR_REAL), 1, 0, 1e-300))
-REAL_REDUCTIONS = {"dsbtrd", "dsbevx"}
-COMPLEX_REDUCTIONS = {"zhbtrd", "zhbevx"}
 
 
 @contextlib.contextmanager
-def reductions():
-    """Names of the band reductions run inside the block: ``dsbtrd`` and
-    ``zhbtrd`` of the ctypes path, ``dsbevx`` and ``zhbevx`` of scipy's."""
+def reductions(lapack):
+    """Names of the band reductions (``dsbtrd``, ``zhbtrd``) that ``lapack``
+    runs inside the block."""
     calls = []
-    targets = [(scipy_lapack, "dsbevx"), (scipy_lapack, "zhbevx")]
-    if _lapack.LIBRARY is not None:
-        targets += [(_lapack, "_DSBTRD"), (_lapack, "_ZHBTRD")]
     with pytest.MonkeyPatch.context() as patch:
-        for owner, attr in targets:
-            def spy(*args, _run=getattr(owner, attr), _name=attr.strip("_").lower(),
-                    **kwargs):
+        for name in ("dsbtrd", "zhbtrd"):
+            def spy(*args, _run=getattr(lapack, f"_{name}"), _name=name):
                 calls.append(_name)
-                return _run(*args, **kwargs)
-            patch.setattr(owner, attr, spy)
+                return _run(*args)
+            patch.setattr(lapack, f"_{name}", spy)
         yield calls
 
 
-def match_scipy(band, lo, hi):
-    # the reference is the scipy path: three dsbevx or zhbevx calls
+def scipy_window(band, lo, hi):
+    """``eigvals_window`` from scipy's Python wrappers: three ``dsbevx`` calls
+    on a real band, three ``zhbevx`` calls on any other."""
+    real = not np.any(np.imag(band))
+    name = "dsbevx" if real else "zhbevx"
+
+    def bisect(kind, index):      # kind 1: (lo, hi]; 2: eigenvalue ``index``
+        w, _, m, _, info = getattr(scipy_lapack, name)(
+            np.real(band) if real else band, lo, hi, index, index, compute_v=0,
+            range=kind, lower=1, overwrite_ab=0)
+        assert info == 0
+        return w[:m]
+
+    return np.sort(bisect(1, 1)), float(bisect(2, 1)[0]), float(bisect(2, band.shape[1])[0])
+
+
+def match_scipy(lapack, band, lo, hi):
     kept = band.copy()
-    w, lowest, highest = _lapack.eigvals_window(band, lo, hi)
-    w_ref, lowest_ref, highest_ref = _lapack._zhbevx_window(band, lo, hi)
+    w, lowest, highest = lapack.eigvals_window(band, lo, hi)
+    w_ref, lowest_ref, highest_ref = scipy_window(band, lo, hi)
     assert np.array_equal(w, w_ref)
     assert lowest == lowest_ref and highest == highest_ref
     assert np.array_equal(band, kept)               # the input is not overwritten
 
 
-def match_dense(band, lo, hi, window=_lapack.eigvals_window):
+def match_dense(lapack, band, lo, hi):
     vals = np.linalg.eigvalsh(hermitian_from_band(band))
     tol = 1e-12 * max(float(np.max(np.abs(vals))), 1.0)
     # the ends sit half a gap from the spectrum; keep them clear of rounding
     assume(np.min(np.abs(vals - lo)) > tol and np.min(np.abs(vals - hi)) > tol)
-    w, lowest, highest = window(band, lo, hi)
+    w, lowest, highest = lapack.eigvals_window(band, lo, hi)
     inside = vals[(vals > lo) & (vals <= hi)]
     assert w.shape == inside.shape
     assert np.all(np.abs(w - inside) <= tol)
     assert abs(lowest - vals[0]) <= tol and abs(highest - vals[-1]) <= tol
 
 
+def match_with_one_reduction(match, reduction, case):
+    """``match`` on every binding, each running ``reduction`` once."""
+    for lapack in BINDINGS:
+        with reductions(lapack) as calls:
+            match(lapack, *case)
+        assert calls == [reduction]
+
+
 @pinned(COMPLEX_PINS)
 @given(windows())
 def test_window_eigenvalues_match_scipy_zhbevx(case):
-    match_scipy(*case)
+    match_with_one_reduction(match_scipy, "zhbtrd", case)
 
 
 @pinned(COMPLEX_PINS)
 @given(windows())
 def test_window_eigenvalues_match_dense_oracle(case):
-    match_dense(*case)
+    match_with_one_reduction(match_dense, "zhbtrd", case)
 
 
 @pinned(REAL_PINS)
 @given(windows(real_operators()))
 def test_real_window_eigenvalues_match_scipy_dsbevx(case):
-    with reductions() as calls:
-        match_scipy(*case)
-    assert calls and set(calls) <= REAL_REDUCTIONS
+    match_with_one_reduction(match_scipy, "dsbtrd", case)
 
 
 @pinned(REAL_PINS)
 @given(windows(real_operators()))
 def test_real_window_eigenvalues_match_dense_oracle(case):
-    with reductions() as calls:
-        match_dense(*case)
-    assert calls and set(calls) <= REAL_REDUCTIONS
+    match_with_one_reduction(match_dense, "dsbtrd", case)
 
 
-@pytest.mark.parametrize("window", [_lapack.eigvals_window, _lapack._zhbevx_window])
 @pinned(IMAGINARY_PINS)
 @given(windows_with_one_imaginary_entry())
-def test_one_imaginary_entry_takes_the_complex_path(window, case):
-    with reductions() as calls:
-        match_dense(*case, window)
-    assert calls and set(calls) <= COMPLEX_REDUCTIONS
+def test_one_imaginary_entry_takes_the_complex_path(case):
+    match_with_one_reduction(match_dense, "zhbtrd", case)
+
+
+def test_tiny_and_huge_bands_give_the_scaled_eigenvalues():
+    # Unscaled, dstebz takes every eigenvalue of a band near 2^-540 for 0
+    # and does not converge on one near 2^1000.  The dense-oracle tests
+    # cannot see the first: their floor of 1e-12 max(||J||, 1) is absolute
+    # for a tiny band, so any answer near 0 passes.
+    for lapack in BINDINGS:
+        for band, lo, hi in COMPLEX_PINS + REAL_PINS:
+            w, lowest, highest = lapack.eigvals_window(band, lo, hi)
+            norm = max(abs(lowest), abs(highest))
+            for scale in (2.0 ** -540, 2.0 ** 1000):
+                ws, lowest_s, highest_s = lapack.eigvals_window(band * scale, lo * scale,
+                                                                hi * scale)
+                tol = 1e-13 * norm * scale
+                assert ws.shape == w.shape
+                assert np.all(np.abs(ws - w * scale) <= tol)
+                assert abs(lowest_s - lowest * scale) <= tol
+                assert abs(highest_s - highest * scale) <= tol
 
 
 def test_overwrite_works_in_place_on_fortran_complex_input():
-    ab = _band_storage(SMALL, 0.5j)
-    lu, ipiv, _ = _lapack.zgbtrf(ab, 1, 1, overwrite_ab=1)
-    assert lu is ab
-    b = rhs(ab.shape[1], 1)[:, 0]
-    x, _ = _lapack.zgbtrs(lu, 1, 1, b, ipiv, overwrite_b=1)
-    assert x is b
-    kept = b.copy()
-    _lapack.zgbtrs(lu, 1, 1, b, ipiv)
-    assert np.array_equal(b, kept)
+    for lapack in BINDINGS:
+        ab = _band_storage(SMALL, 0.5j)
+        lu, ipiv, _ = lapack.zgbtrf(ab, 1, 1, overwrite_ab=1)
+        assert lu is ab
+        b = rhs(ab.shape[1], 1)[:, 0]
+        x, _ = lapack.zgbtrs(lu, 1, 1, b, ipiv, overwrite_b=1)
+        assert x is b
+        kept = b.copy()
+        lapack.zgbtrs(lu, 1, 1, b, ipiv)
+        assert np.array_equal(b, kept)
 
 
-@pytest.mark.skipif(_lapack.LIBRARY is None, reason="checks of the ctypes binding")
 def test_binding_rejects_illegal_arguments_and_mismatched_operands():
     ab = _band_storage(SMALL, 0.5j)                 # kl = ku = 1, 4 x 3
-    with pytest.raises(ValueError, match="^illegal value in argument 6 of zgbtrf$"):
-        _lapack.zgbtrf(ab, 2, 2)                    # needs ldab >= 7
-    lu, ipiv, _ = _lapack.zgbtrf(ab, 1, 1)
-    for b, pivots in ((rhs(4, 1)[:, 0], ipiv), (rhs(3, 1)[:, 0], ipiv.astype(np.int32))):
-        with pytest.raises(ValueError, match="do not match"):
-            _lapack.zgbtrs(lu, 1, 1, b, pivots)
+    for lapack in BINDINGS:
+        with pytest.raises(ValueError, match="^illegal value in argument 6 of zgbtrf$"):
+            lapack.zgbtrf(ab, 2, 2)                 # needs ldab >= 7
+        lu, ipiv, _ = lapack.zgbtrf(ab, 1, 1)
+        other = np.int32 if ipiv.dtype == np.int64 else np.int64     # the other library's
+        for b, pivots in ((rhs(4, 1)[:, 0], ipiv), (rhs(3, 1)[:, 0], ipiv.astype(other))):
+            with pytest.raises(ValueError, match="do not match"):
+                lapack.zgbtrs(lu, 1, 1, b, pivots)
 
 
 def test_zero_pivot_reports_the_same_info():
     # J_N - 3 of a diagonal operator has an exact zero pivot in column 4
     diagonal = TruncatedOperator(a_blocks=np.zeros((5, 1, 1), dtype=complex),
                                  b_blocks=np.arange(6.0).reshape(6, 1, 1).astype(complex))
-    (_, _, info), (_, _, info_ref) = both("zgbtrf", _band_storage(diagonal, 3.0), 1, 1)
-    assert info == info_ref == 4
+    ab = _band_storage(diagonal, 3.0)
+    assert scipy_lapack.zgbtrf(ab, 1, 1)[2] == 4
+    for lapack in BINDINGS:
+        assert lapack.zgbtrf(ab, 1, 1)[2] == 4
 
 
-@pytest.mark.skipif(_lapack.LIBRARY is None, reason="checks of the ctypes binding")
 def test_bisection_failure_is_a_convergence_error(monkeypatch):
     # dstebz reporting info = 3 (not all of eigenvalues IL:IU were found)
-    def fail(*args):
-        ctypes.c_int64.from_address(args[17]).value = 3         # info
-    monkeypatch.setattr(_lapack, "_DSTEBZ", fail)
-    with pytest.raises(ConvergenceError, match=r"^dstebz did not converge \(LAPACK info = 3\)$"):
-        _lapack.eigvals_window(lower_band(SMALL), -10.0, 10.0)
+    for lapack in BINDINGS:
+        integer = np.ctypeslib.as_ctypes_type(lapack.integer)
+
+        def fail(*args):
+            integer.from_address(args[17]).value = 3            # info
+        monkeypatch.setattr(lapack, "_dstebz", fail)
+        with pytest.raises(ConvergenceError,
+                           match=r"^dstebz did not converge \(LAPACK info = 3\)$"):
+            lapack.eigvals_window(lower_band(SMALL), -10.0, 10.0)
 
 
-def test_zhbevx_failure_is_a_convergence_error(monkeypatch):
-    # the scipy path, on every build: zhbevx reporting info = 3
-    def fail(ab, vl, vu, il, iu, **kwargs):
-        return np.zeros(ab.shape[1]), np.zeros((1, 1), dtype=complex), 0, np.zeros(1), 3
-    monkeypatch.setattr(scipy_lapack, "zhbevx", fail)
-    with pytest.raises(ConvergenceError, match=r"^zhbevx did not converge \(LAPACK info = 3\)$"):
-        _lapack._zhbevx_window(lower_band(SMALL), -10.0, 10.0)
-
-
-@pytest.mark.parametrize("window", [_lapack.eigvals_window, _lapack._zhbevx_window])
-def test_empty_interval_is_an_illegal_argument(window):
-    # hi <= lo: argument VU of dstebz (5), of zhbevx (11)
-    with pytest.raises(ValueError, match=r"^illegal value in argument (5 of dstebz|11 of zhbevx)$"):
-        window(lower_band(SMALL), 1.0, 1.0)
+def test_empty_interval_is_an_illegal_argument():
+    # hi <= lo: argument VU of dstebz
+    for lapack in BINDINGS:
+        with pytest.raises(ValueError, match=r"^illegal value in argument 5 of dstebz$"):
+            lapack.eigvals_window(lower_band(SMALL), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +337,10 @@ def test_selection_reads_this_numpy():
     if _lapack.LIBRARY is not None:
         assert _lapack.LIBRARY == found
         assert "USE64BITINT" in _lapack.openblas_config()
+        assert _lapack._BOUND.integer == np.int64
     else:
         assert _lapack.openblas_config() is None
+        assert _lapack._BOUND.integer == np.intc
 
 
 ONE_RUNTIME = """
@@ -326,9 +355,25 @@ report = bj.verify_green_bound(cfg)
 bound = bj.with_prefix(seq, [(seq.a(1), 0.5 * np.eye(2))])
 pairs = bj.eigenpairs_in_gap(bj.assemble_truncation(bound, 60), bj.GapInterval(-1.0, 1.0))
 print(json.dumps({"passed": [r.passed for r in report.experiments],
-                  "pairs": len(pairs), "library": _lapack.LIBRARY,
+                  "pairs": len(pairs), "theta": [p.zeta for p in pairs],
+                  "library": _lapack.LIBRARY,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
+
+#: run before ONE_RUNTIME: numpy's build then names no OpenBLAS, as on Accelerate
+NO_OPENBLAS = """
+import numpy
+numpy.show_config = lambda mode=None: {"Build Dependencies": {"lapack": {"name": "accelerate"}}}
+"""
+
+
+def one_runtime(prelude=""):
+    """The result of ONE_RUNTIME, after ``prelude``, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", prelude + ONE_RUNTIME], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def test_default_path_runs_one_openblas_and_no_scipy():
@@ -339,12 +384,18 @@ def test_default_path_runs_one_openblas_and_no_scipy():
                                      os.path.dirname(np.__file__))
     if found is None:
         pytest.skip("this numpy bundles no ILP64 scipy-openblas; the routines come from scipy")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", ONE_RUNTIME], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    result = one_runtime()
     assert result["passed"] and all(result["passed"])
     assert result["pairs"] == 1
     assert result["library"] == found
     assert result["scipy"] == []
+
+
+def test_fallback_path_runs_scipy_capsules_with_the_same_results():
+    # the selection end to end on a numpy build without the bundled library
+    result, default = one_runtime(NO_OPENBLAS), one_runtime()
+    assert result["library"] is None
+    assert "scipy.linalg.cython_lapack" in result["scipy"]
+    assert result["passed"] and all(result["passed"])
+    assert result["pairs"] == 1
+    assert abs(result["theta"][0] - default["theta"][0]) <= 1e-12

@@ -83,19 +83,20 @@ print(json.dumps(perf_counter() - t0))
 #: the band LAPACK a checkout's ``blockjacobi`` runs on, run with its ``src``
 #: on sys.path: the library file (relative to numpy's site directory) and its
 #: ``openblas_get_config`` string, or scipy's LAPACK (with scipy's build-time
-#: OpenBLAS configuration) for a checkout from before ``blockjacobi._lapack``
-#: or on the fallback path
+#: OpenBLAS configuration): ``scipy.linalg.cython_lapack`` on the fallback
+#: path, ``scipy.linalg.lapack`` for a checkout from before ``blockjacobi._lapack``
 LAPACK_RUNTIME = """
 import json, os
 import numpy
 try:
     from blockjacobi._lapack import LIBRARY, openblas_config
+    fallback = "scipy.linalg.cython_lapack"
 except ImportError:
-    LIBRARY = None
+    LIBRARY, fallback = None, "scipy.linalg.lapack"
 if LIBRARY is None:
     import scipy
     lapack = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]
-    print(json.dumps({"library": "scipy.linalg.lapack",
+    print(json.dumps({"library": fallback,
                       "openblas_config": lapack.get("openblas configuration")}))
 else:
     site = os.path.dirname(os.path.dirname(numpy.__file__))
