@@ -17,7 +17,8 @@ eigenvalues) must equal three calls of scipy's ``dsbevx`` on real bands and
 ``eigvalsh`` to 1e-12 max(||J||, 1), on windows placed around drawn
 eigenvalues, empty ones included.  Real symmetric operators take one real
 reduction; a real band with one imaginary entry below the diagonal, however
-small, takes one complex reduction.  Bands scaled far below or above 1 give
+small, takes one complex reduction, and the scipy reference
+(``_zhbevx_window``) its three ``zhbevx`` calls.  Bands scaled far below or above 1 give
 the scaled eigenvalues.  Failures raise ConvergenceError (info > 0) or
 ValueError (illegal argument).
 """
@@ -125,22 +126,23 @@ IMAGINARY_PINS = pins(with_imaginary(lower_band(SMALL_REAL), 1, 0, 0.5),
 
 
 @contextlib.contextmanager
-def reductions(lapack):
-    """Names of the band reductions (``dsbtrd``, ``zhbtrd``) that ``lapack``
-    runs inside the block."""
+def reductions(owner, attrs):
+    """Names of the band reductions (the ``attrs`` of ``owner``, stripped of
+    underscores) run inside the block."""
     calls = []
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("dsbtrd", "zhbtrd"):
-            def spy(*args, _run=getattr(lapack, f"_{name}"), _name=name):
+        for attr in attrs:
+            def spy(*args, _run=getattr(owner, attr), _name=attr.strip("_"), **kwargs):
                 calls.append(_name)
-                return _run(*args)
-            patch.setattr(lapack, f"_{name}", spy)
+                return _run(*args, **kwargs)
+            patch.setattr(owner, attr, spy)
         yield calls
 
 
-def scipy_window(band, lo, hi):
-    """``eigvals_window`` from scipy's Python wrappers: three ``dsbevx`` calls
-    on a real band, three ``zhbevx`` calls on any other."""
+def _zhbevx_window(band, lo, hi):
+    """``eigvals_window`` from scipy's Python wrappers, the reference of the
+    wrappers: three ``dsbevx`` calls on a real band, three ``zhbevx`` calls on
+    any other, each of which reduces the band again."""
     real = not np.any(np.imag(band))
     name = "dsbevx" if real else "zhbevx"
 
@@ -148,27 +150,30 @@ def scipy_window(band, lo, hi):
         w, _, m, _, info = getattr(scipy_lapack, name)(
             np.real(band) if real else band, lo, hi, index, index, compute_v=0,
             range=kind, lower=1, overwrite_ab=0)
-        assert info == 0
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of {name}")
+        if info > 0:
+            raise ConvergenceError(f"{name} did not converge (LAPACK info = {info})")
         return w[:m]
 
     return np.sort(bisect(1, 1)), float(bisect(2, 1)[0]), float(bisect(2, band.shape[1])[0])
 
 
-def match_scipy(lapack, band, lo, hi):
+def match_scipy(window, band, lo, hi):
     kept = band.copy()
-    w, lowest, highest = lapack.eigvals_window(band, lo, hi)
-    w_ref, lowest_ref, highest_ref = scipy_window(band, lo, hi)
+    w, lowest, highest = window(band, lo, hi)
+    w_ref, lowest_ref, highest_ref = _zhbevx_window(band, lo, hi)
     assert np.array_equal(w, w_ref)
     assert lowest == lowest_ref and highest == highest_ref
     assert np.array_equal(band, kept)               # the input is not overwritten
 
 
-def match_dense(lapack, band, lo, hi):
+def match_dense(window, band, lo, hi):
     vals = np.linalg.eigvalsh(hermitian_from_band(band))
     tol = 1e-12 * max(float(np.max(np.abs(vals))), 1.0)
     # the ends sit half a gap from the spectrum; keep them clear of rounding
     assume(np.min(np.abs(vals - lo)) > tol and np.min(np.abs(vals - hi)) > tol)
-    w, lowest, highest = lapack.eigvals_window(band, lo, hi)
+    w, lowest, highest = window(band, lo, hi)
     inside = vals[(vals > lo) & (vals <= hi)]
     assert w.shape == inside.shape
     assert np.all(np.abs(w - inside) <= tol)
@@ -176,10 +181,11 @@ def match_dense(lapack, band, lo, hi):
 
 
 def match_with_one_reduction(match, reduction, case):
-    """``match`` on every binding, each running ``reduction`` once."""
+    """``match`` on the eigvals_window of every binding, each running
+    ``reduction`` once."""
     for lapack in BINDINGS:
-        with reductions(lapack) as calls:
-            match(lapack, *case)
+        with reductions(lapack, ("_dsbtrd", "_zhbtrd")) as calls:
+            match(lapack.eigvals_window, *case)
         assert calls == [reduction]
 
 
@@ -207,10 +213,17 @@ def test_real_window_eigenvalues_match_dense_oracle(case):
     match_with_one_reduction(match_dense, "dsbtrd", case)
 
 
+@pytest.mark.parametrize("window", [_lapack.eigvals_window, _zhbevx_window])
 @pinned(IMAGINARY_PINS)
 @given(windows_with_one_imaginary_entry())
-def test_one_imaginary_entry_takes_the_complex_path(case):
-    match_with_one_reduction(match_dense, "zhbtrd", case)
+def test_one_imaginary_entry_takes_the_complex_path(window, case):
+    # the wrappers on every binding, and their scipy reference
+    if window is _zhbevx_window:
+        with reductions(scipy_lapack, ("dsbevx", "zhbevx")) as calls:
+            match_dense(window, *case)
+        assert calls == ["zhbevx"] * 3
+    else:
+        match_with_one_reduction(match_dense, "zhbtrd", case)
 
 
 def test_tiny_and_huge_bands_give_the_scaled_eigenvalues():
@@ -280,11 +293,17 @@ def test_bisection_failure_is_a_convergence_error(monkeypatch):
             lapack.eigvals_window(lower_band(SMALL), -10.0, 10.0)
 
 
-def test_empty_interval_is_an_illegal_argument():
-    # hi <= lo: argument VU of dstebz
-    for lapack in BINDINGS:
-        with pytest.raises(ValueError, match=r"^illegal value in argument 5 of dstebz$"):
-            lapack.eigvals_window(lower_band(SMALL), 1.0, 1.0)
+@pytest.mark.parametrize("window", [_lapack.eigvals_window, _zhbevx_window])
+def test_empty_interval_is_an_illegal_argument(window):
+    # hi <= lo: argument VU of dstebz (5) in the wrappers on every binding,
+    # of zhbevx (11) in their scipy reference
+    if window is _zhbevx_window:
+        with pytest.raises(ValueError, match=r"^illegal value in argument 11 of zhbevx$"):
+            window(lower_band(SMALL), 1.0, 1.0)
+    else:
+        for lapack in BINDINGS:
+            with pytest.raises(ValueError, match=r"^illegal value in argument 5 of dstebz$"):
+                lapack.eigvals_window(lower_band(SMALL), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
