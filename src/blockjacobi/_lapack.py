@@ -20,6 +20,9 @@ depends only on numpy's build and is made once, at import.
 scipy's signatures (trans 0, 1, 2: A, A^T, A^H); ``ipiv`` holds LAPACK's
 1-based pivots in the library's integer type.  An ``overwrite_*`` input that
 is a writeable F-contiguous complex128 array is used in place.
+``band_solver(ab, kl, ku, b, ipiv, trans=0)`` is ``zgbtrs`` bound once to
+such a ``b``: each call of the result solves in place and returns ``info``;
+``zgbtrs`` is one call of it.
 
 ``eigvals_window(a_band, lo, hi) -> (w, lowest, highest)`` gives the
 ascending eigenvalues in (lo, hi] and the two extreme eigenvalues of the
@@ -168,7 +171,8 @@ _TRANS = (b"N", b"T", b"C")
 
 
 class Lapack:
-    """``zgbtrf``, ``zgbtrs`` and ``eigvals_window`` on one :class:`Library`."""
+    """``zgbtrf``, ``zgbtrs``, ``band_solver`` and ``eigvals_window`` on one
+    :class:`Library`."""
 
     def __init__(self, library: Library):
         self.integer = library.integer
@@ -201,18 +205,35 @@ class Lapack:
 
     def zgbtrs(self, ab, kl, ku, b, ipiv, trans=0, overwrite_b=0):
         b = _fortran(b, overwrite_b)
+        return b, self.band_solver(ab, kl, ku, b, ipiv, trans)()
+
+    def band_solver(self, ab, kl, ku, b, ipiv, trans=0) -> Callable[[], int]:
+        """``zgbtrs`` bound to its operands: each call of the result
+        overwrites ``b``, a writeable F-contiguous complex128 array, with the
+        solution for the right-hand side it holds, and returns ``info``
+        (ValueError on info < 0).  The operands are checked and their
+        addresses taken once, here, so a loop of solves pays one LAPACK call
+        per step."""
         ldab, n = ab.shape
         # reject operands LAPACK would read or write out of bounds
         if (ab.dtype != np.complex128 or b.shape[0] != n
                 or ipiv.dtype != self.integer or ipiv.shape != (n,)):
             raise ValueError("band factor, pivots and right-hand side do not match")
+        if not (b.dtype == np.complex128 and b.flags.f_contiguous and b.flags.writeable):
+            raise ValueError("right-hand side must be a writeable F-contiguous complex128 array")
         # n, kl, ku, nrhs, ldab, ldb, info
         ints = np.array([n, kl, ku, b.shape[1] if b.ndim == 2 else 1, ldab,
                          max(n, 1), 0], dtype=self.integer)
         p, s = _address(ints), ints.itemsize
-        self._zgbtrs(_TRANS[trans], p, p + s, p + 2 * s, p + 3 * s, _address(ab),
-                     p + 4 * s, _address(ipiv), _address(b), p + 5 * s, p + 6 * s)
-        return b, _info(ints, "zgbtrs")
+        args = (_TRANS[trans], p, p + s, p + 2 * s, p + 3 * s, _address(ab),
+                p + 4 * s, _address(ipiv), _address(b), p + 5 * s, p + 6 * s)
+        zgbtrs = self._zgbtrs
+
+        def solve() -> int:
+            zgbtrs(*args)
+            return _info(ints, "zgbtrs")
+        solve.operands = (ab, b, ipiv)          # the addressed arrays live as long as solve
+        return solve
 
     def _bisect(self, kind, diag, off, lo, hi, index):
         """``dstebz`` on the tridiagonal (diag, off): kind b"V" gives the
@@ -264,3 +285,4 @@ class Lapack:
 
 _BOUND = Lapack(scipy_library() if _LIB is None else numpy_library(_LIB))
 zgbtrf, zgbtrs, eigvals_window = _BOUND.zgbtrf, _BOUND.zgbtrs, _BOUND.eigvals_window
+band_solver = _BOUND.band_solver

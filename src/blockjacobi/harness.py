@@ -421,7 +421,10 @@ def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterv
     done once and shared: ||A_k|| on the window, one assembly of the N and
     of the 2N section, and one stacked Green solve on each (``green_blocks``):
     the N section for every zeta with at least one variant bound, the 2N
-    section for every zeta whose N solve succeeded.  A variant's own rate or
+    section for every zeta whose N solve succeeded.  Only C_emp is read from
+    the 2N tables, so that solve runs with ``health=False``: the sigma_min
+    estimate runs only for its zetas within 1e-8 of the real axis, where the
+    singularity verdict needs it.  A variant's own rate or
     envelope error is reported before the solve's; a failed solve gives every
     variant of its zeta the same error.  ``variants`` defaults to the
     config's.
@@ -438,7 +441,7 @@ def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterv
             except _REPORTED as exc:
                 bounds[i, variant] = exc
 
-    def solve(size: int, todo: list) -> dict:
+    def solve(size: int, todo: list, health: bool) -> dict:
         """zeta index -> Green table on the size-block section, or its error."""
         if not todo:
             return {}
@@ -448,13 +451,15 @@ def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterv
             return dict.fromkeys(todo, exc)
         counters["sections_assembled"] += 1
         counters["green_solves"] += len(todo)
-        tables = green_blocks(section, [cfg.zetas[i] for i in todo], rows, cols)
+        tables = green_blocks(section, [cfg.zetas[i] for i in todo], rows, cols, health)
         counters["factorizations"] += tables.factorizations
         return dict(zip(todo, tables))
 
     tables_n = solve(n, [i for i in range(len(cfg.zetas))
-                         if any(isinstance(bounds[i, v], _VariantBound) for v in variants)])
-    tables_2n = solve(2 * n, [i for i, t in tables_n.items() if isinstance(t, GreenTable)])
+                         if any(isinstance(bounds[i, v], _VariantBound) for v in variants)],
+                     health=True)
+    tables_2n = solve(2 * n, [i for i, t in tables_n.items() if isinstance(t, GreenTable)],
+                      health=False)
     results = []
     for i, zeta in enumerate(cfg.zetas):
         for variant in variants:

@@ -15,12 +15,17 @@ banded LU factorization per section (LAPACK ``zgbtrf`` on the
 block-tridiagonal band, kl = ku = 2d - 1): the J_N - zeta of all requested
 zetas are stacked as decoupled segments of one band, factored once, and
 share one sigma_min estimate and one solve for all requested column blocks.
-The estimate is 22 Arnoldi steps on (J_N - zeta)^{-1}, one ``zgbtrs`` on
-the stacked vector each, orthogonalized per segment by classical
-Gram-Schmidt applied twice; 1 / sigma_max of each segment's Hessenberg
-matrix is an upper estimate of the distance from zeta to the truncated
-spectrum.  Cost and memory are O(Z N d^3) and O(Z N d^2) for Z zetas: no
-dense (N d) x (N d) matrix is built.
+The estimate is 22 Arnoldi steps on (J_N - zeta)^{-1}, one in-place
+``zgbtrs`` on the stacked vector each, orthogonalized per segment by
+classical Gram-Schmidt applied twice; 1 / sigma_max of each segment's
+Hessenberg matrix is an upper estimate of the distance from zeta to the
+truncated spectrum.  It runs where a verdict or a report reads it: on every
+segment by default, and with ``health=False`` only on the zetas within 1e-8
+of the real axis, since J_N is Hermitian and sigma_min(J_N - zeta) >=
+|Im zeta| settles the singularity verdict of every other zeta (the harness
+re-solves the 2N section so, reading only C_emp there).  Cost and memory are
+O(Z N d^3) and O(Z N d^2) for Z zetas: no dense (N d) x (N d) matrix is
+built.
 
 Gap eigenpairs are banded too: one reduction of the Hermitian band
 (kd = 2d - 1) to tridiagonal form, in real arithmetic when the band is real
@@ -32,10 +37,11 @@ orthonormalized by a QR), and the far-edge artifact filter reads only the
 coupling A_N to block N + 1 instead of a 2N section.  Only
 ``truncated_spectrum`` diagonalizes the dense truncation.
 
-The band routines (``zgbtrf``, ``zgbtrs`` and ``eigvals_window``) come
-from :mod:`blockjacobi._lapack`, one set of ctypes wrappers bound to the
-ILP64 OpenBLAS inside numpy when numpy's build names it, so no scipy module
-is imported, and to the LAPACK of scipy's ``cython_lapack`` on other builds.
+The band routines (``zgbtrf``, ``zgbtrs``, its in-place ``band_solver``
+and ``eigvals_window``) come from :mod:`blockjacobi._lapack`, one set of
+ctypes wrappers bound to the ILP64 OpenBLAS inside numpy when numpy's build
+names it, so no scipy module is imported, and to the LAPACK of scipy's
+``cython_lapack`` on other builds.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import eigvals_window, zgbtrf, zgbtrs
+from ._lapack import band_solver, eigvals_window, zgbtrf, zgbtrs
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .operators import (EntrySequence, TruncatedOperator, as_block,
@@ -326,9 +332,12 @@ def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None
 
     k = min(22, N d) steps of Arnoldi on M^{-1}, all segments in the same
     solves and each orthogonalized on its own, started from the same seeded
-    vector.  Each step is one ``zgbtrs`` call on the stacked vector, then
-    classical Gram-Schmidt applied twice, as batched matmuls over the
-    segments.  The (k + 1) x k Hessenberg matrix H of a segment satisfies
+    vector.  Each step is one ``zgbtrs`` call on the stacked vector, in
+    place in one buffer bound once (``band_solver``), then classical
+    Gram-Schmidt applied twice, as batched matmuls over the segments into
+    preallocated buffers.  The segments are decoupled, so the leading
+    segments of a stack, passed as ``lu[:, :k size]`` and
+    ``ipiv[:k size]``, get the values they get in the whole stack.  The (k + 1) x k Hessenberg matrix H of a segment satisfies
     M^{-1} V_k = V_{k+1} H with orthonormal V, so sigma_max(H) <= ||M^{-1}||
     and 1 / sigma_max(H) is an upper estimate of sigma_min(M), equal to it
     once the Krylov space holds the top singular vector.  A segment whose
@@ -346,25 +355,39 @@ def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None
     V = np.zeros((steps, segments, size), dtype=complex)      # V[j]: step j's vector
     V[0] = v / np.linalg.norm(v)
     H = np.zeros((segments, steps + 1, steps), dtype=complex)
+    # every step works in these buffers: w is solved in place, conj holds the
+    # conjugates and h, proj, beta the Gram-Schmidt products
+    w = np.empty((segments, size), dtype=complex)
+    solve = band_solver(lu, kl, kl, w.reshape(-1), ipiv)
+    conj = np.empty_like(w)
+    h = np.empty((segments, steps, 1), dtype=complex)
+    proj = np.empty((segments, 1, size), dtype=complex)
+    beta = np.empty((segments, 1, 1))
+    parts = w.view(float)[:, None, :]
     # an overflowing sum of squares is inf and inf - inf is NaN; both stay
     # in H, whose finiteness is checked once at the end
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
-            w, _ = zgbtrs(lu, kl, kl, V[j].reshape(-1), ipiv)
-            w = w.reshape(segments, size)
+            np.copyto(w, V[j])
+            solve()
             basis = V[:j + 1].transpose(1, 0, 2)                # (segments, j + 1, size)
+            hj = h[:, :j + 1]
             for _ in range(2):
-                h = np.conj(basis @ w.conj()[:, :, None])       # (segments, j + 1, 1)
-                w -= (h.transpose(0, 2, 1) @ basis)[:, 0]
-                H[:, :j + 1, j] += h[:, :, 0]
-            parts = w.view(float)[:, None, :]
-            beta = np.sqrt(parts @ parts.transpose(0, 2, 1))[:, 0, 0]
-            H[:, j + 1, j] = beta
+                np.matmul(basis, np.conjugate(w, out=conj)[:, :, None], out=hj)
+                np.conjugate(hj, out=hj)
+                w -= np.matmul(hj.transpose(0, 2, 1), basis, out=proj)[:, 0]
+                H[:, :j + 1, j] += hj[:, :, 0]
+            np.sqrt(np.matmul(parts, parts.transpose(0, 2, 1), out=beta), out=beta)
+            H[:, j + 1, j] = beta[:, 0, 0]
             if j + 1 < steps:
                 # a residual at rounding level is no new direction: the
-                # Krylov space has run out and the segment's next vector is 0
-                grows = beta > _KRYLOV_END * np.linalg.norm(H[:, :j + 2, j], axis=1)
-                np.divide(w, beta[:, None], out=V[j + 1], where=grows[:, None])
+                # Krylov space has run out and the segment's next vector is 0;
+                # the column norm is np.linalg.norm's reduction, without its
+                # argument handling
+                column = H[:, :j + 2, j]
+                norm = np.sqrt(np.add.reduce((column.conj() * column).real, axis=1))
+                grows = beta[:, 0, 0] > _KRYLOV_END * norm
+                np.divide(w, beta[:, 0], out=V[j + 1], where=grows[:, None])
     if not np.all(np.isfinite(H)):
         return None
     top = np.linalg.svd(H, compute_uv=False)[:, 0]
@@ -373,7 +396,8 @@ def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None
     return 1.0 / top
 
 
-def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
+def green_blocks(op: TruncatedOperator, zetas, rows, cols,
+                 health: bool = True) -> FactoredResults:
     """Green blocks G_mj(zeta) for all (m, j) in rows x cols, for every zeta.
 
     Stacks J_N - zeta I for every zeta as decoupled segments of one band
@@ -398,7 +422,17 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
     2, x = 3, zeta = 0.5: 0.5 at N = 600 and 1200).  It stays high where
     the nearest eigenvalues form a band-edge cluster that 22 steps do not
     resolve: on example 2, +1.5e-3 at x = 2.5, N = 120, zeta = 0.3 and
-    +6.2e-4 at x = 4, N = 60, zeta = 1.2.
+    +6.2e-4 at x = 4, N = 60, zeta = 1.2.  ``condition`` is an upper bound on
+    ||J_N - zeta|| over ``sigma_min``.
+
+    With ``health=False`` the estimate runs only where the verdict needs
+    it.  J_N is Hermitian, so sigma_min(J_N - zeta) >= |Im zeta|, and a
+    zeta with |Im zeta| > 1e-8 cannot be singular in that sense: the stack
+    puts the zetas with |Im zeta| <= 1e-8 first and the Arnoldi iteration
+    runs on those segments only, with the same values as in the full stack.
+    The tables of the other zetas carry ``sigma_min = condition = nan``
+    (and ``ill_conditioned = False``); their blocks, norms and verdicts are
+    those of ``health=True``.
 
     Segments with an exact zero pivot are taken out and the rest refactored.
     When the Arnoldi iteration turns non-finite or overflows, which one
@@ -417,6 +451,8 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
     size = n * d
     out = FactoredResults([None] * len(zetas))
     live = list(range(len(zetas)))          # zetas of the current stack
+    if not health:
+        live.sort(key=lambda i: abs(zetas[i].imag) > SINGULARITY_TOL)
     while live:
         ab = _band_storage(op, [zetas[i] for i in live])
         # |J_N - zeta| is symmetric, so ||.||_1 = ||.||_inf and the upper
@@ -436,11 +472,18 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
             f"(exact zero pivot in column {column + 1})")
     if not live:
         return out
-    sigma = _sigma_min(lu, ipiv, kl, len(live), size)
-    if sigma is None:
-        if len(live) > 1:
-            return _one_at_a_time(op, zetas, rows, cols, live, out)
-        sigma = np.zeros(1)
+    # segments are decoupled, so the leading ones are estimated on their own
+    estimated = len(live) if health else sum(
+        abs(zetas[i].imag) <= SINGULARITY_TOL for i in live)
+    sigma = np.full(len(live), math.nan)
+    if estimated:
+        head = _sigma_min(lu[:, :estimated * size], ipiv[:estimated * size], kl,
+                          estimated, size)
+        if head is None:
+            if len(live) > 1:
+                return _one_at_a_time(op, zetas, rows, cols, live, out, health)
+            head = np.zeros(1)
+        sigma[:estimated] = head
     solved = []                             # positions in the stack
     for k, i in enumerate(live):
         if sigma[k] <= SINGULARITY_TOL:
@@ -457,7 +500,7 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
     rhs[np.array(solved)[:, None], np.array(cols) - 1, :, pos, :] = np.eye(d)
     X, _ = zgbtrs(lu, kl, kl, rhs.reshape(len(live) * size, len(cols) * d), ipiv)
     if len(live) > 1 and not np.all(np.isfinite(X)):
-        return _one_at_a_time(op, zetas, rows, cols, live, out)
+        return _one_at_a_time(op, zetas, rows, cols, live, out, health)
     X = X.reshape(len(live), n, d, len(cols), d)[np.ix_(solved, np.array(rows) - 1)]
     X.flags.writeable = False
     norm_stacks = np.linalg.norm(X.transpose(0, 1, 3, 2, 4), 2, axis=(-2, -1))
@@ -472,10 +515,10 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols) -> FactoredResults:
     return out
 
 
-def _one_at_a_time(op, zetas, rows, cols, live, out) -> FactoredResults:
+def _one_at_a_time(op, zetas, rows, cols, live, out, health) -> FactoredResults:
     """Fill ``out`` for the zetas at ``live`` with one single-zeta stack each."""
     for i in live:
-        single = green_blocks(op, [zetas[i]], rows, cols)
+        single = green_blocks(op, [zetas[i]], rows, cols, health)
         out[i] = single[0]
         out.factorizations += single.factorizations
     return out
@@ -489,7 +532,8 @@ def green_block(op: TruncatedOperator, zeta: complex, rows, cols) -> GreenTable:
     SingularityError on an exact zero pivot, or when the smallest singular
     value (an upper estimate from 22 Arnoldi steps on the same LU) puts zeta
     within 1e-8 of the truncated spectrum; a condition estimate above 1e12
-    is flagged, not fatal.
+    is flagged, not fatal.  The estimate always runs here: ``sigma_min`` and
+    ``condition`` are set for every zeta (``health=True``).
     """
     [table] = green_blocks(op, [zeta], rows, cols)
     if isinstance(table, SingularityError):
@@ -538,13 +582,15 @@ def _ritz_basis(op: TruncatedOperator, shift: complex, k: int,
     # Im shift > 0 keeps sigma_min(J_N - shift) >= Im shift: no zero pivot
     lu, ipiv, _ = zgbtrf(_band_storage(op, shift), kl, kl, overwrite_ab=1)
     rng = np.random.default_rng(_SEED)
-    X = rng.standard_normal((n * d, k)) + 1j * rng.standard_normal((n * d, k))
+    X = np.empty((n * d, k), dtype=complex, order="F")
+    X[:] = rng.standard_normal((n * d, k)) + 1j * rng.standard_normal((n * d, k))
+    solve = band_solver(lu, kl, kl, X, ipiv)
     for _ in range(steps):
-        X, _ = zgbtrs(lu, kl, kl, X, ipiv, overwrite_b=1)
+        solve()
         if k == 1:
             X /= np.linalg.norm(X)
         else:
-            X, _ = np.linalg.qr(X)
+            X[:] = np.linalg.qr(X)[0]       # Q is C-ordered: copied into the block
     JX = _apply(op, X)
     _, V = np.linalg.eigh(X.conj().T @ JX)
     return X @ V, JX @ V

@@ -388,6 +388,60 @@ def test_stacked_solve_isolates_a_singular_segment(n, factorizations):
         assert table.sigma_min == pytest.approx(single.sigma_min, rel=1e-14)
 
 
+#: imaginary parts at, inside and just beyond the 1e-8 from the real axis
+#: within which ``health=False`` still estimates sigma_min
+NEAR_REAL = (0.0, 1e-12, -5e-9, SINGULARITY_TOL, -SINGULARITY_TOL, 2e-8, -3e-8, 1e-6)
+
+
+def assert_same_but_health(stack, full, lean):
+    """``lean`` (health=False) has the blocks, norms, verdicts and error
+    strings of ``full`` bit for bit; sigma_min and condition only within
+    1e-8 of the real axis, nan off it."""
+    assert lean.factorizations == full.factorizations
+    assert len(lean) == len(full) == len(stack)
+    for zeta, a, b in zip(stack, full, lean):
+        assert type(a) is type(b)
+        if isinstance(a, SingularityError):
+            assert str(a) == str(b)
+            continue
+        assert b.zeta == a.zeta
+        assert b.stack.tobytes() == a.stack.tobytes()
+        assert b.norm_stack.tobytes() == a.norm_stack.tobytes()
+        if abs(zeta.imag) <= SINGULARITY_TOL:
+            assert (b.sigma_min, b.condition, b.ill_conditioned) == (
+                a.sigma_min, a.condition, a.ill_conditioned)
+        else:
+            assert math.isnan(b.sigma_min) and math.isnan(b.condition)
+            assert b.ill_conditioned is False
+
+
+@given(hermitian_operators(), st.data())
+def test_health_off_changes_only_off_axis_estimates(op, data):
+    # off-axis, near-real and on-eigenvalue zetas, and duplicates, in one stack
+    vals = np.linalg.eigvalsh(op.to_dense())
+    near_real = st.builds(complex, st.floats(-4.0, 4.0) | st.sampled_from(vals.tolist()),
+                          st.sampled_from(NEAR_REAL))
+    stack = data.draw(st.lists(zetas | near_real, min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        stack.append(data.draw(st.sampled_from(stack)))
+    idx = range(1, op.n_blocks + 1)
+    assert_same_but_health(stack, green_blocks(op, stack, idx, idx),
+                           green_blocks(op, stack, idx, idx, health=False))
+
+
+@pytest.mark.parametrize("n", [600, 1200])
+def test_health_off_isolates_a_singular_segment_alike(n):
+    # the zero pivot and the overflow fallback of the stack above, with the
+    # off-axis zeta first in the order given and last in the stack solved
+    op = assemble_truncation(example2_sequence(3.0), n)
+    stack = [0.3 + 0.2j, 0.5, 0.0, -0.4]
+    rows = range(1, 51)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_but_health(stack, green_blocks(op, stack, rows, [1]),
+                               green_blocks(op, stack, rows, [1], health=False))
+
+
 @pytest.mark.parametrize("n", [600, 1200])
 def test_sigma_min_of_equidistant_eigenvalues(n):
     # example 2, x = 3: zeta = 0.5 lies 0.5 from the zero-energy pair and

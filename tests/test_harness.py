@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from blockjacobi import harness
+from blockjacobi import harness, spectral
 from blockjacobi import (DomainError, ExperimentConfig, GapInterval, ParameterError,
                          PreconditionError, custom_sequence, discrete_envelope,
                          edge_scaling_study, example2_min_decay, example2_sequence,
@@ -177,18 +177,46 @@ def test_green_bound_one_solve_per_zeta_and_section(monkeypatch):
     calls = []
     solve = harness.green_blocks
 
-    def spy(op, zetas, rows, cols):
+    def spy(op, zetas, rows, cols, health=True):
         calls.append((tuple(zetas), op.n_blocks))
-        return solve(op, zetas, rows, cols)
+        healths.append(health)
+        return solve(op, zetas, rows, cols, health)
 
+    healths = []
     monkeypatch.setattr(harness, "green_blocks", spy)
     zetas = (0.5 + 0j, 0.3 + 0.2j)
     report = verify_green_bound(example2_cfg(zetas=zetas, variants=ALL_VARIANTS))
     assert [r.passed for r in report.experiments] == [True] * 6
     # one stacked solve per section, each carrying every zeta once
     assert calls == [(zetas, n) for n in (120, 240)]
+    # only the N section's sigma_min and condition are reported
+    assert healths == [True, False]
     assert report.meta["counters"] == {"sections_assembled": 2, "green_solves": 4,
                                        "eigen_searches": 0, "factorizations": 2}
+
+
+def sigma_min_calls(monkeypatch):
+    """(segments, N d) of every sigma_min estimate made from now on."""
+    calls = []
+    estimate = spectral._sigma_min
+
+    def spy(lu, ipiv, kl, segments, size):
+        calls.append((segments, size))
+        return estimate(lu, ipiv, kl, segments, size)
+
+    monkeypatch.setattr(spectral, "_sigma_min", spy)
+    return calls
+
+
+def test_sigma_min_estimated_where_a_verdict_or_a_report_reads_it(monkeypatch):
+    calls = sigma_min_calls(monkeypatch)
+    # real, off-axis, within 1e-8 of the real axis, and just beyond it
+    zetas = (0.5, 0.3 + 0.2j, -0.4 + 1e-9j, 0.25 + 2e-8j)
+    report = verify_green_bound(example2_cfg(zetas=zetas))
+    assert [r.passed for r in report.experiments] == [True] * 4
+    assert all(math.isfinite(r.details["sigma_min"]) for r in report.experiments)
+    # every zeta in the N section; in the 2N one only those within 1e-8
+    assert calls == [(4, 240), (2, 480)]
 
 
 def test_green_bound_variants_match_single_variant_runs():
@@ -322,6 +350,16 @@ def test_commuting_bound_diagonal_family():
     # along the slower-growing entry the envelope grows twice as fast as the
     # scalar one built from ||A_k|| = 2(k+3)
     assert res.details["direction_exponent_ratio"] == pytest.approx(2.0, rel=1e-9)
+
+
+def test_sigma_min_not_estimated_in_the_commuting_2n_section(monkeypatch):
+    calls = sigma_min_calls(monkeypatch)
+    report = verify_commuting_bound(ExperimentConfig(
+        operator=diag_growing_seq(), gap={"source": "explicit", "r": -1.0, "s": 1.0},
+        zetas=(0.5j,), delta=1.0, n_blocks=40, rows=(1, 30), cols=(1, 1),
+        variants=("commuting",)))
+    assert report.experiments[0].passed is True
+    assert calls == [(1, 80)]
 
 
 def test_commuting_bound_scalar_reduction_matches_green():

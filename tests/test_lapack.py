@@ -19,8 +19,9 @@ eigenvalues, empty ones included.  Real symmetric operators take one real
 reduction; a real band with one imaginary entry below the diagonal, however
 small, takes one complex reduction, and the scipy reference
 (``_zhbevx_window``) its three ``zhbevx`` calls.  Bands scaled far below or above 1 give
-the scaled eigenvalues.  Failures raise ConvergenceError (info > 0) or
-ValueError (illegal argument).
+the scaled eigenvalues.  ``band_solver``, the in-place ``zgbtrs`` bound once to
+its operands, repeats ``zgbtrs`` call for call.  Failures raise
+ConvergenceError (info > 0) or ValueError (illegal argument).
 """
 
 import _ctypes
@@ -256,6 +257,33 @@ def test_overwrite_works_in_place_on_fortran_complex_input():
         kept = b.copy()
         lapack.zgbtrs(lu, 1, 1, b, ipiv)
         assert np.array_equal(b, kept)
+
+
+def test_band_solver_solves_in_place_on_every_call():
+    # solving twice in place is two calls of zgbtrs, for every trans
+    ab = _band_storage(seeded_operator(2, 6, 1), [0.5j, -0.3 + 0.1j])
+    for lapack in BINDINGS:
+        lu, ipiv, _ = lapack.zgbtrf(ab, 3, 3)
+        for trans in (0, 1, 2):
+            b = np.asfortranarray(rhs(ab.shape[1], 2))
+            once, _ = lapack.zgbtrs(lu, 3, 3, b, ipiv, trans=trans)
+            twice, _ = lapack.zgbtrs(lu, 3, 3, once, ipiv, trans=trans)
+            solve = lapack.band_solver(lu, 3, 3, b, ipiv, trans=trans)
+            assert solve() == 0 and np.array_equal(b, once)
+            assert solve() == 0 and np.array_equal(b, twice)
+
+
+def test_band_solver_rejects_a_right_hand_side_it_cannot_overwrite():
+    ab = _band_storage(SMALL, 0.5j)
+    for lapack in BINDINGS:
+        lu, ipiv, _ = lapack.zgbtrf(ab, 1, 1)
+        readonly = np.asfortranarray(rhs(3, 2))
+        readonly.flags.writeable = False
+        for b in (np.ascontiguousarray(rhs(3, 2)), rhs(3, 2).real.copy(order="F"), readonly):
+            with pytest.raises(ValueError, match="writeable F-contiguous complex128"):
+                lapack.band_solver(lu, 1, 1, b, ipiv)
+        with pytest.raises(ValueError, match="do not match"):
+            lapack.band_solver(lu, 1, 1, np.asfortranarray(rhs(4, 1)), ipiv)
 
 
 def test_binding_rejects_illegal_arguments_and_mismatched_operands():

@@ -16,7 +16,8 @@ swaps every pair), so slow drift of the machine hits both alike, with
 * every workload once per side with ``--trace 1``: every per-layer metric
   it reports, under the workload's ``trace`` key, with that run's gate;
 * the N ladder, each point in a fresh interpreter: ``verify_green_bound``
-  on example 2 (x = 3) at zeta = 0.5, ``verify_eigenvector_bound`` on the
+  on example 2 (x = 3) at zeta = 0.5, and at the off-axis zeta = 0.3 + 0.2i,
+  whose 2N re-solve needs no sigma_min estimate, ``verify_eigenvector_bound`` on the
   same operator with B_1 = 0.5 I (its 2N section included), and
   ``verify_eigenvector_bound`` on that operator's gauge copy with every A_n
   times e^{0.7 i}: unitarily equivalent (same spectrum, same block norms),
@@ -49,8 +50,8 @@ from pathlib import Path
 
 WORKLOADS = ("green-large", "sweep", "eigvec", "commuting")
 END_TO_END = ("wall_s", "peak_rss_mb", "setup_s")
-LADDER = {"green": (1200, 10_000, 100_000), "eigenvector": (1000, 2000, 4000),
-          "complex-eigenvector": (1000, 2000, 4000)}
+LADDER = {"green": (1200, 10_000, 100_000), "green-offaxis": (1200, 10_000, 100_000),
+          "eigenvector": (1000, 2000, 4000), "complex-eigenvector": (1000, 2000, 4000)}
 PAIRS = 10
 SECONDS = 5.0
 LADDER_REPEATS = 3
@@ -71,9 +72,11 @@ elif kind == "complex-eigenvector":
     # every A_n times e^{0.7 i}: unitarily equivalent, with a complex band
     A = np.exp(0.7j) * A2
     seq = bj.explicit_sequence([(A, 0.5 * np.eye(2))], tail=(A, np.zeros((2, 2))))
-experiment = "green" if kind == "green" else "eigenvector"
-cfg = ExperimentConfig(operator=seq, zetas=(0.5,), n_blocks=n, experiments=(experiment,))
-verify = bj.verify_green_bound if kind == "green" else bj.verify_eigenvector_bound
+green = kind in ("green", "green-offaxis")
+zeta = 0.3 + 0.2j if kind == "green-offaxis" else 0.5
+cfg = ExperimentConfig(operator=seq, zetas=(zeta,), n_blocks=n,
+                       experiments=("green" if green else "eigenvector",))
+verify = bj.verify_green_bound if green else bj.verify_eigenvector_bound
 t0 = perf_counter()
 verify(cfg)
 print(json.dumps(perf_counter() - t0))
@@ -218,7 +221,8 @@ def main(argv=None) -> int:
                          f"--trace 0, {PAIRS} alternating parent/change pairs",
             "trace": f"perfbench/run.py --workload W --seconds {SECONDS} "
                      "--trace 1, once per side and workload",
-            "ladder": "example 2 (x = 3), zeta = 0.5, wall time of one "
+            "ladder": "example 2 (x = 3), zeta = 0.5 (green-offaxis: "
+                      "0.3 + 0.2i), wall time of one "
                       "verify_green_bound / verify_eigenvector_bound call "
                       "(B_1 = 0.5 I; complex-eigenvector: every A_n times "
                       "e^{0.7 i}) in a fresh interpreter, median of "
