@@ -337,7 +337,8 @@ def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None
     Gram-Schmidt applied twice, as batched matmuls over the segments into
     preallocated buffers.  The segments are decoupled, so the leading
     segments of a stack, passed as ``lu[:, :k size]`` and
-    ``ipiv[:k size]``, get the values they get in the whole stack.  The (k + 1) x k Hessenberg matrix H of a segment satisfies
+    ``ipiv[:k size]``, get the values they get in the whole stack.  The
+    (k + 1) x k Hessenberg matrix H of a segment satisfies
     M^{-1} V_k = V_{k+1} H with orthonormal V, so sigma_max(H) <= ||M^{-1}||
     and 1 / sigma_max(H) is an upper estimate of sigma_min(M), equal to it
     once the Krylov space holds the top singular vector.  A segment whose
@@ -450,9 +451,11 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     kl = 2 * d - 1
     size = n * d
     out = FactoredResults([None] * len(zetas))
-    live = list(range(len(zetas)))          # zetas of the current stack
-    if not health:
-        live.sort(key=lambda i: abs(zetas[i].imag) > SINGULARITY_TOL)
+    # J_N is Hermitian, so sigma_min(J_N - zeta) >= |Im zeta|: without
+    # health figures only the zetas near the real axis need the estimate
+    estimate = [health or abs(z.imag) <= SINGULARITY_TOL for z in zetas]
+    # zetas of the current stack, those to estimate first
+    live = sorted(range(len(zetas)), key=lambda i: not estimate[i])
     while live:
         ab = _band_storage(op, [zetas[i] for i in live])
         # |J_N - zeta| is symmetric, so ||.||_1 = ||.||_inf and the upper
@@ -473,8 +476,7 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     if not live:
         return out
     # segments are decoupled, so the leading ones are estimated on their own
-    estimated = len(live) if health else sum(
-        abs(zetas[i].imag) <= SINGULARITY_TOL for i in live)
+    estimated = sum(estimate[i] for i in live)
     sigma = np.full(len(live), math.nan)
     if estimated:
         head = _sigma_min(lu[:, :estimated * size], ipiv[:estimated * size], kl,
