@@ -174,7 +174,7 @@ ALL_VARIANTS = ("continuous", "simplified", "discrete")
 
 
 def test_green_bound_one_solve_per_zeta_and_section(monkeypatch):
-    calls = []
+    calls, healths = [], []
     solve = harness.green_blocks
 
     def spy(op, zetas, rows, cols, health=True):
@@ -182,7 +182,6 @@ def test_green_bound_one_solve_per_zeta_and_section(monkeypatch):
         healths.append(health)
         return solve(op, zetas, rows, cols, health)
 
-    healths = []
     monkeypatch.setattr(harness, "green_blocks", spy)
     zetas = (0.5 + 0j, 0.3 + 0.2j)
     report = verify_green_bound(example2_cfg(zetas=zetas, variants=ALL_VARIANTS))

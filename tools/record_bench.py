@@ -17,8 +17,8 @@ swaps every pair), so slow drift of the machine hits both alike, with
   it reports, under the workload's ``trace`` key, with that run's gate;
 * the N ladder, each point in a fresh interpreter: ``verify_green_bound``
   on example 2 (x = 3) at zeta = 0.5, and at the off-axis zeta = 0.3 + 0.2i,
-  whose 2N re-solve needs no sigma_min estimate, ``verify_eigenvector_bound`` on the
-  same operator with B_1 = 0.5 I (its 2N section included), and
+  whose 2N re-solve needs no sigma_min estimate; ``verify_eigenvector_bound``
+  on the same operator with B_1 = 0.5 I (its 2N section included), and
   ``verify_eigenvector_bound`` on that operator's gauge copy with every A_n
   times e^{0.7 i}: unitarily equivalent (same spectrum, same block norms),
   but its band is complex, so it times the complex band reduction where
