@@ -1,7 +1,7 @@
 """The band LAPACK routines of :mod:`blockjacobi.spectral`, bound with ctypes.
 
 One set of wrappers (:class:`Lapack`) calls ``zgbtrf``, ``zgbtrs``,
-``zhbtrd``, ``dsbtrd`` and ``dstebz`` from either of two libraries:
+``zhbtrd``, ``dsbtrd``, ``dstebz`` and ``dsterf`` from either of two libraries:
 
 * numpy's bundled ILP64 OpenBLAS (``libscipy_openblas64_`` in ``numpy.libs/``
   beside the package, or in ``numpy/.dylibs/``), exporting names like
@@ -24,17 +24,23 @@ is a writeable F-contiguous complex128 array is used in place.
 such a ``b``: each call of the result solves in place and returns ``info``;
 ``zgbtrs`` is one call of it.
 
-``eigvals_window(a_band, lo, hi) -> (w, lowest, highest)`` gives the
-ascending eigenvalues in (lo, hi] and the two extreme eigenvalues of the
-Hermitian band whose lower triangle ``a_band`` holds in LAPACK's lower band
-layout (row i - j, column j for entry (i, j)).  It reduces the band to
-tridiagonal form once (``dsbtrd`` when no entry has a nonzero imaginary
-part, ``zhbtrd`` otherwise), then bisects (``dstebz``, abstol 0) for the
-window and for eigenvalues 1 and n.  Like ``dsbevx`` and ``zhbevx``, it
+The Hermitian band eigenvalue routines take the lower triangle of the band
+in ``a_band``, in LAPACK's lower band layout (row i - j, column j for entry
+(i, j)), and run two steps in order.  The first reduces a copy of the band
+to real symmetric tridiagonal form (``dsbtrd`` when no entry has a nonzero
+imaginary part, ``zhbtrd`` otherwise); like ``dsbevx`` and ``zhbevx``, it
 first scales a band whose largest entry lies outside about [1e-146, 1e76],
-here by a power of two, so ``lo``, ``hi`` and the results scale exactly.
+here by a power of two, so window ends and results scale exactly.  The
+second solves the tridiagonal problem:
+
+* ``eigvals_window(a_band, lo, hi) -> (w, lowest, highest)``: the ascending
+  eigenvalues in (lo, hi] and the two extreme eigenvalues, by bisection
+  (``dstebz``, abstol 0) for the window and for eigenvalues 1 and n;
+* ``eigvals_all(a_band) -> w``: all n eigenvalues, ascending, by the
+  root-free QL/QR iteration of ``dsterf``.
+
 An illegal argument (info < 0, such as hi <= lo) raises ValueError, and
-``dstebz`` info > 0 ConvergenceError.
+``dstebz`` or ``dsterf`` info > 0 ConvergenceError.
 """
 
 from __future__ import annotations
@@ -171,8 +177,8 @@ _TRANS = (b"N", b"T", b"C")
 
 
 class Lapack:
-    """``zgbtrf``, ``zgbtrs``, ``band_solver`` and ``eigvals_window`` on one
-    :class:`Library`."""
+    """``zgbtrf``, ``zgbtrs``, ``band_solver``, ``eigvals_window`` and
+    ``eigvals_all`` on one :class:`Library`."""
 
     def __init__(self, library: Library):
         self.integer = library.integer
@@ -191,6 +197,7 @@ class Lapack:
         self._zhbtrd = bind("zhbtrd", 2, 10)
         self._dsbtrd = bind("dsbtrd", 2, 10)
         self._dstebz = bind("dstebz", 2, 16)
+        self._dsterf = bind("dsterf", 0, 4)
 
     def zgbtrf(self, ab, kl, ku, overwrite_ab=0):
         ab = _fortran(ab, overwrite_ab)
@@ -254,7 +261,10 @@ class Lapack:
             raise ConvergenceError(f"dstebz did not converge (LAPACK info = {info})")
         return w[:ints[3]]
 
-    def eigvals_window(self, a_band, lo, hi):
+    def _tridiagonal(self, a_band):
+        """(diag, off, scale): the tridiagonal form of 2^scale times the band,
+        reduced on a copy; scale is 0 unless the band's largest entry lies
+        outside [_RMIN, _RMAX]."""
         a = np.asarray(a_band)
         # the reduction overwrites its input: always a copy
         if np.iscomplexobj(a) and np.any(a.imag):
@@ -266,7 +276,6 @@ class Lapack:
         scale = -int(np.frexp(top)[1]) if 0 < top < _RMIN or top > _RMAX else 0
         if scale:
             np.ldexp(parts, scale, out=parts)
-            lo, hi = np.ldexp((lo, hi), scale)
         ldab, n = ab.shape
         diag, off = np.empty(n), np.empty(max(n - 1, 1))
         q = np.empty(1, dtype=ab.dtype)                # not referenced
@@ -277,12 +286,29 @@ class Lapack:
         reduce(b"N", b"L", p, p + s, _address(ab), p + 2 * s, _address(diag), _address(off),
                _address(q), p + 3 * s, _address(work), p + 4 * s)
         _info(ints, name)                              # no info > 0
+        return diag, off, scale
+
+    def eigvals_window(self, a_band, lo, hi):
+        diag, off, scale = self._tridiagonal(a_band)
+        if scale:
+            lo, hi = np.ldexp((lo, hi), scale)
         inside, lowest, highest = (self._bisect(kind, diag, off, lo, hi, index)
-                                   for kind, index in ((b"V", 1), (b"I", 1), (b"I", n)))
+                                   for kind, index in ((b"V", 1), (b"I", 1), (b"I", diag.size)))
         return (np.ldexp(np.sort(inside), -scale), float(np.ldexp(lowest[0], -scale)),
                 float(np.ldexp(highest[0], -scale)))
 
+    def eigvals_all(self, a_band):
+        diag, off, scale = self._tridiagonal(a_band)
+        # n, info
+        ints = np.array([diag.size, 0], dtype=self.integer)
+        p, s = _address(ints), ints.itemsize
+        self._dsterf(p, _address(diag), _address(off), p + s)
+        info = _info(ints, "dsterf")
+        if info > 0:
+            raise ConvergenceError(f"dsterf did not converge (LAPACK info = {info})")
+        return np.ldexp(diag, -scale)
+
 
 _BOUND = Lapack(scipy_library() if _LIB is None else numpy_library(_LIB))
-zgbtrf, zgbtrs, eigvals_window = _BOUND.zgbtrf, _BOUND.zgbtrs, _BOUND.eigvals_window
-band_solver = _BOUND.band_solver
+zgbtrf, zgbtrs, band_solver = _BOUND.zgbtrf, _BOUND.zgbtrs, _BOUND.band_solver
+eigvals_window, eigvals_all = _BOUND.eigvals_window, _BOUND.eigvals_all

@@ -65,6 +65,11 @@ VARIANTS = ("continuous", "discrete", "simplified", "commuting")
 COUNTERS = ("sections_assembled", "green_solves", "eigen_searches", "factorizations")
 _PARAM_KEYS = ("delta", "epsilon", "eta", "eps_prime")   # JSON "params" fields
 _EDGE_KEYS = ("x", "eps_list", "n_blocks")   # "edge" section: edge_scaling_study args
+_EDGE_REQUIRED = ("x", "eps_list")            # its positional ones
+#: keys of the "gap" section per source, and those a source cannot do without
+_GAP_KEYS = {"symbol": ("source", "tol"), "truncation": ("source", "tol"),
+             "explicit": ("source", "r", "s")}
+_GAP_REQUIRED = {"explicit": ("r", "s")}
 
 # errors that become a failed experiment in the report instead of propagating
 _REPORTED = (SingularityError, PreconditionError, DomainError, ParameterError)
@@ -111,8 +116,13 @@ class ExperimentConfig:
             self.delta = float(self.delta)
         elif self.delta != "auto":
             raise ParameterError(f"delta must be a number or 'auto', got {self.delta!r}")
+        source = self.gap.get("source", "symbol")
+        if source not in _GAP_KEYS:
+            raise ParameterError(f"unknown gap source {source!r}; expected "
+                                 f"{', '.join(_GAP_KEYS)}")
+        _reject_unknown("gap", self.gap, _GAP_KEYS[source], _GAP_REQUIRED.get(source, ()))
         if self.edge is not None:
-            _reject_unknown("edge", self.edge, _EDGE_KEYS)
+            _reject_unknown("edge", self.edge, _EDGE_KEYS, _EDGE_REQUIRED)
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
@@ -132,10 +142,14 @@ class ExperimentConfig:
         return cls(**data, **params)
 
 
-def _reject_unknown(where: str, data: dict, known) -> None:
+def _reject_unknown(where: str, data: dict, known, required=()) -> None:
+    """ParameterError unless every key of ``data`` is ``known`` and every
+    ``required`` key is present."""
     if unknown := sorted(set(data) - set(known)):
         raise ParameterError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
                              f"expected {', '.join(known)}")
+    if missing := [key for key in required if key not in data]:
+        raise ParameterError(f"{where} section needs key(s) {', '.join(map(repr, missing))}")
 
 
 @dataclass
@@ -661,7 +675,8 @@ def _verify(cfg: ExperimentConfig, kinds) -> VerificationReport:
             gap = resolve_gap(cfg, seq)
             report.meta["gap"] = [gap.r, gap.s]
             if cfg.gap.get("source", "symbol") == "truncation":
-                # resolve_gap diagonalized the assembled N section
+                # resolve_gap took every eigenvalue of the assembled N
+                # section from its band (truncated_spectrum)
                 report.meta["counters"]["sections_assembled"] += 1
                 report.meta["counters"]["eigen_searches"] += 1
         report.experiments += _KINDS[kind](cfg, seq, gap, report.meta)

@@ -475,16 +475,6 @@ class TruncatedOperator:
     def dim(self) -> int:
         return self.b_blocks.shape[1]
 
-    def to_dense(self) -> np.ndarray:
-        """The (N d) x (N d) matrix; O((N d)^2) memory, for spectra and test oracles."""
-        n, d = self.n_blocks, self.dim
-        M = np.zeros((n, d, n, d), dtype=complex)
-        k = np.arange(n)
-        M[k, :, k, :] = self.b_blocks
-        M[k[:-1], :, k[1:], :] = self.a_blocks
-        M[k[1:], :, k[:-1], :] = self.a_blocks.conj().transpose(0, 2, 1)
-        return M.reshape(n * d, n * d)
-
 
 def assemble_truncation(seq: EntrySequence, n_blocks: int) -> TruncatedOperator:
     """Assemble the N-block Dirichlet truncation of the block Jacobi matrix."""

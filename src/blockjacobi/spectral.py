@@ -1,7 +1,8 @@
 """Spectra, Green blocks and gap detection for truncated block Jacobi operators.
 
-Two spectrum estimators are available: a Hermitian eigensolve of the finite
-truncation, and (for operators with constant blocks) the symbol
+Two spectrum estimators are available: all eigenvalues of the finite
+truncation, from its Hermitian band (see below), and (for operators with
+constant blocks) the symbol
 phi(theta) = exp(i theta) A + exp(-i theta) A^* + B whose eigenvalue ranges
 over the unit circle fill the essential spectrum.  Gap endpoints detected
 from symbol samples are refined by a zoom on the batched eigenvalue
@@ -34,14 +35,17 @@ eigenvalues of J_N inside the gap window and the two extreme ones; block
 inverse iteration on the band LU gives the eigenvectors of the in-gap ones
 (a one-vector block is normalized after each step, a larger one
 orthonormalized by a QR), and the far-edge artifact filter reads only the
-coupling A_N to block N + 1 instead of a 2N section.  Only
-``truncated_spectrum`` diagonalizes the dense truncation.
+coupling A_N to block N + 1 instead of a 2N section.  ``truncated_spectrum``
+takes the same reduction of the same band, then all its eigenvalues from the
+tridiagonal form (``dsterf``), checked against the trace and Frobenius
+identities of the block stacks.  No function here builds the dense
+truncation.
 
-The band routines (``zgbtrf``, ``zgbtrs``, its in-place ``band_solver``
-and ``eigvals_window``) come from :mod:`blockjacobi._lapack`, one set of
-ctypes wrappers bound to the ILP64 OpenBLAS inside numpy when numpy's build
-names it, so no scipy module is imported, and to the LAPACK of scipy's
-``cython_lapack`` on other builds.
+The band routines (``zgbtrf``, ``zgbtrs``, its in-place ``band_solver``,
+``eigvals_window`` and ``eigvals_all``) come from :mod:`blockjacobi._lapack`,
+one set of ctypes wrappers bound to the ILP64 OpenBLAS inside numpy when
+numpy's build names it, so no scipy module is imported, and to the LAPACK of
+scipy's ``cython_lapack`` on other builds.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import band_solver, eigvals_window, zgbtrf, zgbtrs
+from ._lapack import band_solver, eigvals_all, eigvals_window, zgbtrf, zgbtrs
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .operators import (EntrySequence, TruncatedOperator, as_block,
@@ -101,19 +105,32 @@ class SpectrumEstimate:
 
 
 def truncated_spectrum(op: TruncatedOperator) -> SpectrumEstimate:
-    """All N*d eigenvalues of the Hermitian truncation, sorted ascending.
+    """All N d eigenvalues of the Hermitian truncation, sorted ascending.
 
-    Residuals ||J v - lambda v|| are verified against 1e-8 * ||J|| for every
-    pair; a violation means the eigensolver failed and raises.
+    One reduction of the lower Hermitian band (kd = 2d - 1) to tridiagonal
+    form and LAPACK ``dsterf`` (``eigvals_all``): O((N d)^2 d) time and
+    O(N d^2) memory, no dense matrix.  The result is checked against two
+    identities of the block stacks, each O(N d^2): the trace,
+    sum lambda = sum tr B_k, within 1e-8 max(||J||, 1), and the Frobenius
+    norm, sum lambda^2 = sum ||B_k||_F^2 + 2 sum ||A_k||_F^2, within
+    1e-8 max(||J||, 1)^2.  A violation, a count other than N d, a
+    non-finite value or a failed ``dsterf`` raises ConvergenceError.
     """
-    M = op.to_dense()
-    vals, vecs = np.linalg.eigh(M)
-    norm_j = float(np.max(np.abs(vals))) if vals.size else 0.0
-    residual = float(np.max(np.linalg.norm(M @ vecs - vecs * vals, axis=0)))
-    if residual > RESIDUAL_TOL * max(norm_j, 1.0):
-        raise ConvergenceError(
-            f"eigensolver residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e} * ||J||")
-    vals = np.sort(vals)
+    vals = eigvals_all(_hermitian_band(op))
+    size, finite = op.n_blocks * op.dim, int(np.count_nonzero(np.isfinite(vals)))
+    if vals.size != size or finite != size:
+        raise ConvergenceError(f"eigensolver returned {vals.size} values ({finite} finite) "
+                               f"for a {size}-dimensional truncation")
+    # both identities in units of max(||J||, 1), where no square overflows
+    scale = max(float(np.max(np.abs(vals))), 1.0)
+    x, a, b = vals / scale, op.a_blocks / scale, op.b_blocks / scale
+    trace = np.sum(np.trace(b, axis1=1, axis2=2).real)
+    frobenius = np.sum(np.abs(b) ** 2) + 2.0 * np.sum(np.abs(a) ** 2)
+    for name, error, unit in (("trace", np.sum(x) - trace, "max(||J||, 1)"),
+                              ("Frobenius", np.sum(x * x) - frobenius, "max(||J||, 1)^2")):
+        if not abs(error) <= RESIDUAL_TOL:
+            raise ConvergenceError(f"eigenvalues miss the {name} identity by "
+                                   f"{abs(error):.3e} {unit} (tolerance {RESIDUAL_TOL:.0e})")
     vals.flags.writeable = False
     return SpectrumEstimate(method="truncation", samples=vals, size=op.n_blocks)
 
@@ -317,6 +334,12 @@ def _band_storage(op: TruncatedOperator, zetas) -> np.ndarray:
     ab[:, size:] = np.tile(ab[:, :size], zetas.size - 1)
     ab[2 * kl] -= np.repeat(zetas, size)
     return ab
+
+
+def _hermitian_band(op: TruncatedOperator) -> np.ndarray:
+    """The lower Hermitian band of J_N, kd = 2d - 1: rows 2 kl.. of the LU
+    band storage at zeta = 0, which hold entry (i, j), i >= j, at row i - j."""
+    return _band_storage(op, 0.0)[2 * (2 * op.dim - 1):]
 
 
 class FactoredResults(list):
@@ -666,10 +689,7 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     n, d = op.n_blocks, op.dim
     margin = _MARGIN_FRAC * gap.width
     lo, hi = gap.r + margin, gap.s - margin
-    # rows 2 kl.. of the general band storage hold entry (i, j), i >= j, at
-    # row i - j: the lower Hermitian band layout, kd = kl = 2d - 1
-    vals, lowest, highest = eigvals_window(_band_storage(op, 0.0)[2 * (2 * d - 1):],
-                                           lo, hi)
+    vals, lowest, highest = eigvals_window(_hermitian_band(op), lo, hi)
     vals = vals[(vals > lo) & (vals < hi)]
     if vals.size == 0:
         return FactoredResults()

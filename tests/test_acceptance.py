@@ -41,6 +41,8 @@ from blockjacobi import (ExperimentConfig, GapInterval, assemble_truncation,
                          verify_commuting_bound, verify_eigenvector_bound,
                          verify_green_bound, with_prefix)
 
+from dense import dense
+
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
 NORM_A2 = float(np.linalg.norm(A2, 2))
 GAP2 = GapInterval(-1.0, 1.0)
@@ -120,7 +122,7 @@ def test_criterion_2_green_bound_validity():
     u[0::2] = mu ** np.arange(31)[:, None] * np.array([1.0, -3.0 / (1.0 + mu)])
     u = u.reshape(-1)
     op = assemble_truncation(seq, 61)
-    residual = float(np.linalg.norm(op.to_dense() @ u) / np.linalg.norm(u))
+    residual = float(np.linalg.norm(dense(op) @ u) / np.linalg.norm(u))
     bound_state_ok = residual <= 1e-12
     regular_pass = len(regular) == 4 and all(r.passed is True for r in regular)
     # Green rate at zeta = 0.5 against the closed-form minimal decay

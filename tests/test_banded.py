@@ -3,10 +3,12 @@
 ``green_blocks`` factors the J_N - zeta of several zetas as one stacked LAPACK
 band LU (``green_block`` is its one-zeta case) and ``eigenpairs_in_gap``
 works from the same band storage and band LU; neither builds the
-(N d) x (N d) matrix.  ``TruncatedOperator.to_dense`` exists for
-the oracle here.  Property tests draw random Hermitian block operators (and
-explicit-list sequences for the eigen-search, which also reads block N + 1)
-with d = 1..4 and N = 2..40.  The sigma_min estimate, 22 Arnoldi steps on
+(N d) x (N d) matrix, which only the tests' oracle ``dense.dense`` does.
+No numpy.linalg call sees an N x N array on any experiment kind, on the
+truncation gap source or in the spectrum and gap commands.  Property
+tests draw random Hermitian block operators (and explicit-list sequences
+for the eigen-search, which also reads block N + 1) with d = 1..4 and
+N = 2..40.  The sigma_min estimate, 22 Arnoldi steps on
 the band LU, is checked against the exact distance from zeta to the dense
 eigenvalues and against a copy of the 40-step inverse power iteration it
 replaced, which it may never exceed.  A real symmetric sequence and its
@@ -14,6 +16,7 @@ gauge copy, every A_k times e^{i phi}, whose bands are reduced in real and
 in complex arithmetic, give the same gap eigenpairs.
 """
 
+import json
 import math
 import re
 import warnings
@@ -29,11 +32,15 @@ from blockjacobi import (ExperimentConfig, GapInterval, GreenTable,
                          assemble_truncation, eigenpairs_in_gap,
                          example2_sequence, explicit_sequence, green_block,
                          green_blocks, verify_eigenvector_bound, with_prefix)
-from blockjacobi import spectral
+from blockjacobi import run, spectral
+from blockjacobi.cli import main as cli_main
 from blockjacobi.harness import resolve_gap
 from blockjacobi.spectral import (RESIDUAL_TOL, SINGULARITY_TOL, _ARNOLDI_STEPS,
                                   _CLUSTER_TOL, _INVERSE_STEPS, _SEED, _SHIFT_IMAG_REL,
-                                  _TINY, _band_storage, _inverse_steps)
+                                  _TINY, _band_storage, _hermitian_band,
+                                  _inverse_steps)
+
+from dense import dense
 
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
 
@@ -137,7 +144,7 @@ zetas = st.builds(complex, st.floats(-4.0, 4.0),
 #: a d = 1, N = 3 operator whose band LU at its lowest eigenvalue has no
 #: exact zero pivot
 SMALL = seeded_operator(1, 3, 0)
-SMALL_EIGS = np.linalg.eigvalsh(SMALL.to_dense())
+SMALL_EIGS = np.linalg.eigvalsh(dense(SMALL))
 
 
 def lu_only_sigma_min(op, zeta):
@@ -203,7 +210,7 @@ def as_dense(table, n):
 @given(hermitian_operators(), zetas)
 def test_blocks_match_dense_inverse(op, zeta):
     n = op.n_blocks
-    oracle = np.linalg.inv(op.to_dense() - zeta * np.eye(n * op.dim))
+    oracle = np.linalg.inv(dense(op) - zeta * np.eye(n * op.dim))
     table = full_table(op, zeta)
     scale = np.linalg.norm(oracle, 2)
     assert np.max(np.abs(as_dense(table, n) - oracle)) <= 1e-10 * scale
@@ -231,7 +238,7 @@ def test_green_symmetry(op, zeta):
 def test_sigma_min_is_an_upper_estimate(op, zeta):
     # J_N - zeta is normal, so its smallest singular value is exactly the
     # distance from zeta to the eigenvalues, each accurate to eps ||J_N||
-    true_sigma = np.min(np.abs(np.linalg.eigvalsh(op.to_dense()) - zeta))
+    true_sigma = np.min(np.abs(np.linalg.eigvalsh(dense(op)) - zeta))
     assume(true_sigma > 1e-6)
     table = green_block(op, zeta, [1], [1])
     assert table.sigma_min >= (1.0 - 1e-10) * true_sigma
@@ -239,18 +246,18 @@ def test_sigma_min_is_an_upper_estimate(op, zeta):
 
 @given(hermitian_operators(), zetas)
 def test_norm_upper_matches_dense_formula(op, zeta):
-    M = op.to_dense() - zeta * np.eye(op.n_blocks * op.dim)
-    dense = min(np.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)),
+    M = dense(op) - zeta * np.eye(op.n_blocks * op.dim)
+    upper = min(np.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)),
                 np.linalg.norm(M, "fro"))
     table = green_block(op, zeta, [1], [1])
-    assert table.condition * table.sigma_min == pytest.approx(dense, rel=1e-12)
+    assert table.condition * table.sigma_min == pytest.approx(upper, rel=1e-12)
 
 
 @given(hermitian_operators(), st.integers(0, 10**6))
 @example(SMALL, 0)      # the lowest eigenvalue
 @example(SMALL, 2)      # the highest eigenvalue
 def test_eigenvalue_raises_singularity_without_warning(op, pick):
-    vals = np.linalg.eigvalsh(op.to_dense())
+    vals = np.linalg.eigvalsh(dense(op))
     zeta = float(vals[pick % vals.size])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -263,7 +270,7 @@ def operators_and_zetas(draw):
     """(operator, zeta): off-axis zetas, and zetas on or next to an
     eigenvalue, inside and around the 1e-8 singularity tolerance."""
     op = draw(hermitian_operators())
-    vals = np.linalg.eigvalsh(op.to_dense())
+    vals = np.linalg.eigvalsh(dense(op))
     near = st.builds(lambda lam, offset: complex(lam + offset),
                      st.sampled_from(vals.tolist()),
                      st.sampled_from([0.0, 5e-9, -5e-9, 2e-8, -2e-8, 1e-5, -1e-5]))
@@ -290,7 +297,7 @@ def test_sigma_min_matches_lu_only_iteration(case):
         return
     assert got.sigma_min <= ref * (1.0 + 1e-12)
     if op.n_blocks * op.dim <= _ARNOLDI_STEPS and zeta.imag != 0.0:
-        dist = np.min(np.abs(np.linalg.eigvalsh(op.to_dense()) - zeta))
+        dist = np.min(np.abs(np.linalg.eigvalsh(dense(op)) - zeta))
         assert got.sigma_min == pytest.approx(dist, rel=1e-12)
 
 
@@ -318,7 +325,7 @@ def test_sigma_min_of_a_near_eigenvalue_pair():
     singular = tridiagonal_with(np.r_[spread, c + 5e-9, c + 3e-8])
     assert isinstance(green_or_error(singular, c), SingularityError)
     op = tridiagonal_with(np.r_[spread, c + 2e-8, c + 3e-8])
-    vals = np.linalg.eigvalsh(op.to_dense())
+    vals = np.linalg.eigvalsh(dense(op))
     dist = np.min(np.abs(vals - c))
     assert 1.9e-8 < dist < math.sqrt(np.finfo(float).eps) * np.max(np.abs(vals - c))
     table = green_or_error(op, c)
@@ -331,8 +338,8 @@ def test_stacked_solve_matches_dense_and_single_solves(op, data):
     # complex zetas, real zetas clear of the spectrum, a duplicate and one
     # zeta on a dense eigenvalue, all factored as one stack
     n, size = op.n_blocks, op.n_blocks * op.dim
-    dense = op.to_dense()
-    vals = np.linalg.eigvalsh(dense)
+    J = dense(op)
+    vals = np.linalg.eigvalsh(J)
     reals = st.floats(-4.0, 4.0).filter(lambda x: np.min(np.abs(vals - x)) > 1e-3)
     stack = data.draw(st.lists(zetas | reals.map(complex), min_size=1, max_size=2))
     if data.draw(st.booleans()):
@@ -354,7 +361,7 @@ def test_stacked_solve_matches_dense_and_single_solves(op, data):
                 green_block(op, zeta, [1], [1])
             continue
         assert isinstance(table, GreenTable) and table.zeta == zeta
-        oracle = np.linalg.inv(dense - zeta * np.eye(size))
+        oracle = np.linalg.inv(J - zeta * np.eye(size))
         scale = np.linalg.norm(oracle, 2)
         assert np.max(np.abs(as_dense(table, n) - oracle)) <= 1e-10 * scale
         single = full_table(op, zeta)
@@ -418,7 +425,7 @@ def assert_same_but_health(stack, full, lean):
 @given(hermitian_operators(), st.data())
 def test_health_off_changes_only_off_axis_estimates(op, data):
     # off-axis, near-real and on-eigenvalue zetas, and duplicates, in one stack
-    vals = np.linalg.eigvalsh(op.to_dense())
+    vals = np.linalg.eigvalsh(dense(op))
     near_real = st.builds(complex, st.floats(-4.0, 4.0) | st.sampled_from(vals.tolist()),
                           st.sampled_from(NEAR_REAL))
     stack = data.draw(st.lists(zetas | near_real, min_size=1, max_size=4))
@@ -490,11 +497,10 @@ def test_scale_far_beyond_dense_memory():
 @given(hermitian_operators())
 def test_hermitian_band_is_the_lower_triangle(op):
     # the lower rows of the LU band storage at zeta = 0, which
-    # eigenpairs_in_gap hands to eigvals_window (lower band, kd = 2d - 1)
-    kl = 2 * op.dim - 1
-    ab = _band_storage(op, 0.0)[2 * kl:]
+    # eigenpairs_in_gap and truncated_spectrum reduce (kd = 2d - 1)
+    ab = _hermitian_band(op)
     assert ab.shape == (2 * op.dim, op.n_blocks * op.dim)
-    assert np.array_equal(np.tril(hermitian_from_band(ab)), np.tril(op.to_dense()))
+    assert np.array_equal(np.tril(hermitian_from_band(ab)), np.tril(dense(op)))
 
 
 @given(hermitian_sequences())
@@ -502,7 +508,7 @@ def test_eigenpairs_match_dense_oracle(case):
     # with the artifact filters opened every eigenpair of J_N comes back
     seq, n = case
     op = assemble_truncation(seq, n)
-    J = op.to_dense()
+    J = dense(op)
     vals, vecs = np.linalg.eigh(J)
     norm_j = float(np.max(np.abs(vals)))
     scale = max(norm_j, 1.0)
@@ -512,7 +518,7 @@ def test_eigenpairs_match_dense_oracle(case):
     thetas = np.array([p.zeta for p in pairs])
     assert thetas.shape == vals.shape
     assert np.max(np.abs(thetas - vals)) <= 1e-10 * scale
-    vals_2n = np.linalg.eigvalsh(assemble_truncation(seq, 2 * n).to_dense())
+    vals_2n = np.linalg.eigvalsh(dense(assemble_truncation(seq, 2 * n)))
     others = np.abs(vals[:, None] - vals[None, :]) + np.diag(np.full(vals.size, np.inf))
     for p, v, sep in zip(pairs, vecs.T, np.min(others, axis=1)):
         u = p.blocks.ravel()
@@ -547,7 +553,7 @@ def gauge_cases(draw):
     seq, gauged, n = gauge_pair(draw(st.integers(1, 4)), draw(st.integers(2, 40)),
                                 draw(st.integers(0, 2**32 - 1)),
                                 draw(st.integers(1, 45)), draw(st.floats(0.1, 3.0)))
-    vals = np.linalg.eigvalsh(assemble_truncation(seq, n).to_dense())
+    vals = np.linalg.eigvalsh(dense(assemble_truncation(seq, n)))
     return (seq, gauged, n, *draw_window(draw, vals))
 
 
@@ -557,7 +563,7 @@ def gauge_pins():
     small, pair = gauge_pair(1, 3, 0, 4, 1.0), gauge_pair(1, 2, 0, 1, 1.0)
 
     def eigs(case):
-        return np.linalg.eigvalsh(assemble_truncation(case[0], case[2]).to_dense())
+        return np.linalg.eigvalsh(dense(assemble_truncation(case[0], case[2])))
     return [(*case, lo, hi) for case, (lo, hi)
             in zip((small, small, pair), pinned_windows(eigs(small), eigs(pair)))]
 
@@ -570,7 +576,7 @@ def test_gauge_copy_gives_the_same_eigenpairs(case):
     op, op_gauged = assemble_truncation(seq, n), assemble_truncation(gauged, n)
     assert not np.any(_band_storage(op, 0.0).imag)
     assert np.any(_band_storage(op_gauged, 0.0).imag)
-    vals = np.linalg.eigvalsh(op.to_dense())
+    vals = np.linalg.eigvalsh(dense(op))
     scale = max(float(np.max(np.abs(vals))), 1.0)
     assume(np.min(np.abs(vals - lo)) > 1e-12 * scale
            and np.min(np.abs(vals - hi)) > 1e-12 * scale)
@@ -588,11 +594,30 @@ def test_gauge_copy_gives_the_same_eigenpairs(case):
             assert np.max(np.abs(p.block_norms - q.block_norms)) <= 1e-10 * peak
 
 
-def test_eigenvector_path_builds_no_dense_matrix(monkeypatch):
-    def refuse(self):
-        raise AssertionError("dense section built on the eigenvector path")
+def refuse_dense_linalg(monkeypatch, n):
+    """Make every function of ``numpy.linalg`` raise on an array argument
+    whose last two dimensions are both at least ``n``."""
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if isinstance(fn, type):
+            continue
 
-    monkeypatch.setattr(TruncatedOperator, "to_dense", refuse)
+        def guard(*args, _fn=fn, _name=name, **kwargs):
+            for arg in (*args, *kwargs.values()):
+                if isinstance(arg, np.ndarray) and arg.ndim >= 2 and min(arg.shape[-2:]) >= n:
+                    raise AssertionError(f"numpy.linalg.{_name} on a {arg.shape} array")
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, guard)
+
+
+def test_eigenvector_path_builds_no_dense_matrix(monkeypatch, tmp_path):
+    # no numpy.linalg call sees an N x N array (N = 200, N d = 400) on any
+    # experiment kind, on the truncation gap source or in the spectrum and
+    # gap commands; the library has no dense builder at all
+    assert not hasattr(TruncatedOperator, "to_dense")
+    refuse_dense_linalg(monkeypatch, 200)
+    with pytest.raises(AssertionError, match=r"numpy.linalg.eigvalsh on a \(200, 200\) array"):
+        np.linalg.eigvalsh(np.eye(200))
     seq = with_prefix(example2_sequence(3.0), [(A2, 0.5 * np.eye(2))])
     cfg = ExperimentConfig(operator=seq, gap={"source": "symbol"}, zetas=(0.5,),
                            n_blocks=200, experiments=("eigenvector",))
@@ -600,6 +625,21 @@ def test_eigenvector_path_builds_no_dense_matrix(monkeypatch):
     assert res.passed is True and res.details["stable_partner_found"]
     assert len(eigenpairs_in_gap(assemble_truncation(seq, 200),
                                  GapInterval(-1.0, 1.0))) == 1
+    every_kind = ExperimentConfig(
+        operator=seq, gap={"source": "truncation", "tol": 0.5}, zetas=(0.5, 0.3 + 0.2j),
+        variants=("continuous", "discrete", "simplified", "commuting"), n_blocks=200,
+        experiments=("green", "eigenvector", "commuting", "edge"),
+        edge={"x": 3.0, "eps_list": [1e-3, 1e-2], "n_blocks": 200})
+    report, _ = run(every_kind)
+    assert report.meta["counters"]["eigen_searches"] >= 2
+    assert {re.split("[:-]", r.name)[0] for r in report.experiments} == {
+        "green", "eigenvector", "commuting", "edge"}
+    for command in ("spectrum", "gap"):
+        out = tmp_path / f"{command}.json"
+        assert cli_main([command, "--operator", "example2:x=3", "--source", "truncation",
+                         "--n", "200", "--out", str(out)]) == 0
+    assert len(json.loads((tmp_path / "spectrum.json").read_text())["eigenvalues"]) == 400
+    assert json.loads((tmp_path / "gap.json").read_text())["gaps"]
 
 
 def test_eigenpair_far_beyond_dense_scale():
@@ -644,7 +684,7 @@ def window_clusters(vals, lo, hi):
 def test_window_step_bound_never_gives_fewer_steps(op, a, b):
     # the window bound replaces the outside eigenvalues by the window's ends,
     # which are nearer the shift, so rho and the step count can only grow
-    vals = np.linalg.eigvalsh(op.to_dense())
+    vals = np.linalg.eigvalsh(dense(op))
     span = vals[-1] - vals[0] + 2.0
     lo = vals[0] - 1.0 + span * min(a, b)
     hi = vals[0] - 1.0 + span * max(a, b)
@@ -675,8 +715,8 @@ def test_eigvec_operator_keeps_its_step_counts(monkeypatch, n):
 
     monkeypatch.setattr(spectral, "_inverse_steps", record)
     assert len(eigenpairs_in_gap(op, gap)) == 1
-    dense = np.linalg.eigvalsh(op.to_dense())
+    vals = np.linalg.eigvalsh(dense(op))
     assert calls
     for cluster, shift, lo, hi, steps in calls:
-        first, _ = window_clusters(dense, lo, hi)
-        assert steps == full_spectrum_steps(dense, [first + i for i in cluster], shift)
+        first, _ = window_clusters(vals, lo, hi)
+        assert steps == full_spectrum_steps(vals, [first + i for i in cluster], shift)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blockjacobi import harness, spectral
+from blockjacobi.cli import main as cli_main
 from blockjacobi import (DomainError, ExperimentConfig, GapInterval, ParameterError,
                          PreconditionError, custom_sequence, discrete_envelope,
                          edge_scaling_study, example2_min_decay, example2_sequence,
@@ -65,6 +66,30 @@ def test_config_from_json_rejects_unknown_keys(level, key):
     (data if level is None else data[level])[key] = 0.5
     with pytest.raises(ParameterError, match=repr(key)):
         ExperimentConfig.from_json(data)
+
+
+@pytest.mark.parametrize("section, message", [
+    # before, a misspelt section ran the symbol source with the default tol
+    ({"gap": {"sorce": "truncation", "tl": 0.5}},
+     r"^unknown gap key\(s\) 'sorce', 'tl'; expected source, tol$"),
+    ({"gap": {"source": "spectral"}},
+     r"^unknown gap source 'spectral'; expected symbol, truncation, explicit$"),
+    ({"gap": {"source": "explicit", "r": -1.0, "s": 1.0, "tol": 0.5}},
+     r"^unknown gap key\(s\) 'tol'; expected source, r, s$"),
+    # before, a KeyError and a TypeError from inside the run
+    ({"gap": {"source": "explicit", "r": -1.0}}, r"^gap section needs key\(s\) 's'$"),
+    ({"experiments": ["edge"], "edge": {"x": 3.0}},
+     r"^edge section needs key\(s\) 'eps_list'$")])
+def test_config_rejects_a_bad_gap_or_edge_section(section, message, tmp_path, capsys):
+    data = dict(base_config_dict(), **section)
+    with pytest.raises(ParameterError, match=message):
+        ExperimentConfig.from_json(data)
+    with pytest.raises(ParameterError, match=message):
+        run(data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli_main(["verify", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ParameterError: ")
 
 
 def test_resolve_gap_symbol():

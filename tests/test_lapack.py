@@ -1,8 +1,8 @@
 """The band LAPACK wrappers of ``blockjacobi._lapack`` against scipy's.
 
-``_lapack.Lapack`` binds ``zgbtrf``, ``zgbtrs``, ``zhbtrd``, ``dsbtrd`` and
-``dstebz`` from a ``Library``: numpy's bundled ILP64 OpenBLAS (int64
-integers, hidden string lengths) or the LP64 C pointers of scipy's
+``_lapack.Lapack`` binds ``zgbtrf``, ``zgbtrs``, ``zhbtrd``, ``dsbtrd``,
+``dstebz`` and ``dsterf`` from a ``Library``: numpy's bundled ILP64 OpenBLAS
+(int64 integers, hidden string lengths) or the LP64 C pointers of scipy's
 ``cython_lapack`` capsules.  Every binding test runs the one set of wrappers
 on both libraries, in a loop over ``BINDINGS`` (numpy's is left out only
 where this numpy bundles none), so each hypothesis draw is checked on both.
@@ -18,9 +18,12 @@ eigenvalues) must equal three calls of scipy's ``dsbevx`` on real bands and
 eigenvalues, empty ones included.  Real symmetric operators take one real
 reduction; a real band with one imaginary entry below the diagonal, however
 small, takes one complex reduction, and the scipy reference
-(``_zhbevx_window``) its three ``zhbevx`` calls.  Bands scaled far below or above 1 give
-the scaled eigenvalues.  ``band_solver``, the in-place ``zgbtrs`` bound once to
-its operands, repeats ``zgbtrs`` call for call.  Failures raise
+(``_zhbevx_window``) its three ``zhbevx`` calls.  ``eigvals_all`` (one band
+reduction, then ``dsterf``) must equal scipy's ``dsbevd`` or ``zhbevd``, and
+``truncated_spectrum`` on either binding the dense ``eigvalsh`` to
+1e-12 max(||J||, 1).  Bands scaled far below or above 1 give the scaled
+eigenvalues.  ``band_solver``, the in-place ``zgbtrs`` bound once to its
+operands, repeats ``zgbtrs`` call for call.  Failures raise
 ConvergenceError (info > 0) or ValueError (illegal argument).
 """
 
@@ -37,8 +40,11 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.linalg import lapack as scipy_lapack
 
-from blockjacobi import ConvergenceError, TruncatedOperator, _lapack
-from blockjacobi.spectral import _band_storage
+from blockjacobi import (ConvergenceError, TruncatedOperator, _lapack, assemble_truncation,
+                         example2_sequence, spectral, truncated_spectrum)
+from blockjacobi.spectral import _band_storage, _hermitian_band
+
+from dense import dense
 
 from test_banded import (SMALL, draw_window, hermitian_from_band, hermitian_operators,
                          pinned, pinned_windows, real_operators, seeded_operator,
@@ -74,11 +80,6 @@ def test_band_lu_and_solves_match_scipy(op, stack):
                 assert np.array_equal(x, x_ref)
 
 
-def lower_band(op):
-    """Rows 2 kl.. of the LU band storage: the lower Hermitian band."""
-    return _band_storage(op, 0.0)[2 * (2 * op.dim - 1):]
-
-
 def with_imaginary(band, k, j, part):
     """A copy of ``band`` with ``part`` added to the imaginary part of entry
     (k, j), which lies below the diagonal (k >= 1)."""
@@ -94,14 +95,14 @@ def band_window(draw, band):
 @st.composite
 def windows(draw, operators=hermitian_operators()):
     """(lower band, lo, hi), the window drawn by ``draw_window``."""
-    return band_window(draw, lower_band(draw(operators)))
+    return band_window(draw, _hermitian_band(draw(operators)))
 
 
 @st.composite
 def windows_with_one_imaginary_entry(draw):
     """(lower band, lo, hi) of a real symmetric operator whose band has one
     entry below the diagonal made complex, by a part from 1e-300 to 0.5."""
-    band = lower_band(draw(real_operators()))
+    band = _hermitian_band(draw(real_operators()))
     k = draw(st.integers(1, band.shape[0] - 1))
     j = draw(st.integers(0, band.shape[1] - k - 1))
     part = draw(st.sampled_from([1e-300, 1e-16, 1e-8, 0.5])) * draw(st.sampled_from([1, -1]))
@@ -119,11 +120,11 @@ def pins(small, pair):
 
 
 SMALL_REAL, PAIR_REAL = seeded_real_operator(1, 3, 0), seeded_real_operator(1, 2, 0)
-COMPLEX_PINS = pins(lower_band(SMALL), lower_band(seeded_operator(1, 2, 0)))
-REAL_PINS = pins(lower_band(SMALL_REAL), lower_band(PAIR_REAL))
+COMPLEX_PINS = pins(_hermitian_band(SMALL), _hermitian_band(seeded_operator(1, 2, 0)))
+REAL_PINS = pins(_hermitian_band(SMALL_REAL), _hermitian_band(PAIR_REAL))
 #: an O(1) imaginary part, and one of 1e-300 that no tolerance may take for 0
-IMAGINARY_PINS = pins(with_imaginary(lower_band(SMALL_REAL), 1, 0, 0.5),
-                      with_imaginary(lower_band(PAIR_REAL), 1, 0, 1e-300))
+IMAGINARY_PINS = pins(with_imaginary(_hermitian_band(SMALL_REAL), 1, 0, 0.5),
+                      with_imaginary(_hermitian_band(PAIR_REAL), 1, 0, 1e-300))
 
 
 @contextlib.contextmanager
@@ -228,13 +229,15 @@ def test_one_imaginary_entry_takes_the_complex_path(window, case):
 
 
 def test_tiny_and_huge_bands_give_the_scaled_eigenvalues():
-    # Unscaled, dstebz takes every eigenvalue of a band near 2^-540 for 0
-    # and does not converge on one near 2^1000.  The dense-oracle tests
-    # cannot see the first: their floor of 1e-12 max(||J||, 1) is absolute
-    # for a tiny band, so any answer near 0 passes.
+    # The window and all eigenvalues.  Unscaled, dstebz takes every
+    # eigenvalue of a band near 2^-540 for 0 and does not converge on one
+    # near 2^1000.  The dense-oracle tests cannot see the first: their floor
+    # of 1e-12 max(||J||, 1) is absolute for a tiny band, so any answer near
+    # 0 passes.
     for lapack in BINDINGS:
         for band, lo, hi in COMPLEX_PINS + REAL_PINS:
             w, lowest, highest = lapack.eigvals_window(band, lo, hi)
+            every = lapack.eigvals_all(band)
             norm = max(abs(lowest), abs(highest))
             for scale in (2.0 ** -540, 2.0 ** 1000):
                 ws, lowest_s, highest_s = lapack.eigvals_window(band * scale, lo * scale,
@@ -242,6 +245,7 @@ def test_tiny_and_huge_bands_give_the_scaled_eigenvalues():
                 tol = 1e-13 * norm * scale
                 assert ws.shape == w.shape
                 assert np.all(np.abs(ws - w * scale) <= tol)
+                assert np.all(np.abs(lapack.eigvals_all(band * scale) - every * scale) <= tol)
                 assert abs(lowest_s - lowest * scale) <= tol
                 assert abs(highest_s - highest * scale) <= tol
 
@@ -318,7 +322,7 @@ def test_bisection_failure_is_a_convergence_error(monkeypatch):
         monkeypatch.setattr(lapack, "_dstebz", fail)
         with pytest.raises(ConvergenceError,
                            match=r"^dstebz did not converge \(LAPACK info = 3\)$"):
-            lapack.eigvals_window(lower_band(SMALL), -10.0, 10.0)
+            lapack.eigvals_window(_hermitian_band(SMALL), -10.0, 10.0)
 
 
 @pytest.mark.parametrize("window", [_lapack.eigvals_window, _zhbevx_window])
@@ -327,11 +331,82 @@ def test_empty_interval_is_an_illegal_argument(window):
     # of zhbevx (11) in their scipy reference
     if window is _zhbevx_window:
         with pytest.raises(ValueError, match=r"^illegal value in argument 11 of zhbevx$"):
-            window(lower_band(SMALL), 1.0, 1.0)
+            window(_hermitian_band(SMALL), 1.0, 1.0)
     else:
         for lapack in BINDINGS:
             with pytest.raises(ValueError, match=r"^illegal value in argument 5 of dstebz$"):
-                lapack.eigvals_window(lower_band(SMALL), 1.0, 1.0)
+                lapack.eigvals_window(_hermitian_band(SMALL), 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# all eigenvalues: eigvals_all and the truncated spectrum
+
+def scipy_all_eigenvalues(band):
+    """``eigvals_all`` from scipy's Python wrappers: ``dsbevd`` on a real
+    band, ``zhbevd`` on any other, which reduce the band and run ``dsterf``."""
+    if not np.any(np.imag(band)):
+        return scipy_lapack.dsbevd(np.real(band), compute_v=0, lower=1)[0]
+    return scipy_lapack.zhbevd(band, compute_v=0, lower=1)[0]
+
+
+@pinned(case[0] for case in COMPLEX_PINS + REAL_PINS + IMAGINARY_PINS)
+@given(st.one_of(hermitian_operators(), real_operators()).map(_hermitian_band))
+def test_all_eigenvalues_match_scipy_with_one_reduction(band):
+    kept = band.copy()
+    reduction = "zhbtrd" if np.any(band.imag) else "dsbtrd"
+    for lapack in BINDINGS:
+        with reductions(lapack, ("_dsbtrd", "_zhbtrd")) as calls:
+            w = lapack.eigvals_all(band)
+        assert calls == [reduction]
+        assert np.array_equal(w, scipy_all_eigenvalues(band))
+        assert np.array_equal(band, kept)
+
+
+def scaled(op, factor):
+    return TruncatedOperator(a_blocks=factor * op.a_blocks, b_blocks=factor * op.b_blocks)
+
+
+#: the zero operator; bands scaled far below and far above 1, complex and
+#: real; example 2 (x = 3) at N = 20, whose near-zero pair is +-8.3e-9
+SPECTRUM_PINS = [
+    TruncatedOperator(a_blocks=np.zeros((4, 2, 2), dtype=complex),
+                      b_blocks=np.zeros((5, 2, 2), dtype=complex)),
+    scaled(seeded_operator(2, 6, 0), 2.0 ** -540), scaled(seeded_operator(2, 6, 0), 1e300),
+    scaled(seeded_real_operator(3, 5, 1), 2.0 ** -540),
+    scaled(seeded_real_operator(3, 5, 1), 1e300),
+    assemble_truncation(example2_sequence(3.0), 20)]
+
+
+@pinned(SPECTRUM_PINS)
+@given(st.one_of(hermitian_operators(), real_operators()))
+def test_truncated_spectrum_matches_dense_oracle(op):
+    vals = np.linalg.eigvalsh(dense(op))
+    tol = 1e-12 * max(float(np.max(np.abs(vals))), 1.0)
+    for lapack in BINDINGS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "eigvals_all", lapack.eigvals_all)
+            est = truncated_spectrum(op)
+        assert est.method == "truncation" and est.size == op.n_blocks
+        assert est.samples.shape == vals.shape
+        assert np.all(np.abs(est.samples - vals) <= tol)
+
+
+def test_near_zero_pair_is_pinned():
+    vals = np.linalg.eigvalsh(dense(SPECTRUM_PINS[-1]))
+    assert np.sum(np.abs(vals) <= 1e-8) == 2 and np.max(np.abs(vals)) >= 1.0
+
+
+def test_tridiagonal_solver_failure_is_a_convergence_error(monkeypatch):
+    # dsterf reporting info = 2 (two off-diagonal entries did not reach zero)
+    for lapack in BINDINGS:
+        integer = np.ctypeslib.as_ctypes_type(lapack.integer)
+
+        def fail(*args):
+            integer.from_address(args[3]).value = 2              # info
+        monkeypatch.setattr(lapack, "_dsterf", fail)
+        with pytest.raises(ConvergenceError,
+                           match=r"^dsterf did not converge \(LAPACK info = 2\)$"):
+            lapack.eigvals_all(_hermitian_band(SMALL))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from blockjacobi import (EntrySequence, ParameterError, TruncatedOperator,
                          operator_to_json, with_prefix)
 from blockjacobi import cumulative_phi, operators
 
+from dense import dense
+
 
 def test_example2_blocks():
     seq = example2_sequence(3.0)
@@ -80,19 +82,19 @@ def test_truncation_example2_n2():
                          [0, 0, 0, 1],
                          [1, 0, 0, 0],
                          [3, 1, 0, 0]], dtype=complex)
-    assert np.array_equal(op.to_dense(), expected)
+    assert np.array_equal(dense(op), expected)
 
 
 def test_truncation_diagonal_case():
     seq = constant_sequence(np.zeros((1, 1)), np.array([[2.5]]))
     op = assemble_truncation(seq, 6)
-    assert np.array_equal(op.to_dense(), 2.5 * np.eye(6))
+    assert np.array_equal(dense(op), 2.5 * np.eye(6))
 
 
 def test_truncation_example1_coupling_structure():
     seq = example1_sequence(lambda_rule={"kind": "power"}, eps_rule={"kind": "zero"})
     op = assemble_truncation(seq, 3)
-    M = op.to_dense()
+    M = dense(op)
     nz = {(i, j) for i in range(6) for j in range(6) if M[i, j] != 0}
     # (block n, row 1) couples to (block n+1, col 2) with value lambda_n = n
     expected = {(0, 3), (3, 0), (2, 5), (5, 2)}
@@ -105,14 +107,14 @@ def test_truncation_hermitian_and_nesting():
                 example3_sequence(x=0.5, alpha=0.6, c1=-1.0, c2=2.0),
                 example1_sequence(eps_rule={"kind": "power", "scale": 0.1,
                                             "exponent": -0.5})):
-        big = assemble_truncation(seq, 50).to_dense()
+        big = dense(assemble_truncation(seq, 50))
         dev = np.max(np.abs(big - big.conj().T))
         assert dev <= 1e-12
         small = assemble_truncation(seq, 49)
         lead = big[: 49 * 2, : 49 * 2]
-        assert np.array_equal(lead, small.to_dense())
+        assert np.array_equal(lead, dense(small))
     # hermiticity holds at N = 1000 as well
-    M = assemble_truncation(example2_sequence(3.0), 1000).to_dense()
+    M = dense(assemble_truncation(example2_sequence(3.0), 1000))
     assert np.max(np.abs(M - M.conj().T)) == 0.0
 
 

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from blockjacobi import (GapInterval, ParameterError, SingularityError,
+from blockjacobi import (ConvergenceError, GapInterval, ParameterError, SingularityError,
                          SpectrumEstimate, assemble_truncation, band_edges,
                          constant_sequence, custom_sequence, detect_gap,
                          eigenpairs_in_gap, example1_sequence,
                          example2_sequence, explicit_sequence, green_block,
                          period2_symbol_blocks, symbol_spectrum,
                          truncated_spectrum, with_prefix)
+from blockjacobi import _lapack, spectral
 from blockjacobi.spectral import tail_symbol_spectrum
+
+from dense import dense
 
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
 
@@ -47,6 +50,64 @@ def test_spectrum_example1_plus_minus_lambda():
     lam = np.arange(1, n)
     oracle = np.sort(np.concatenate([lam, -lam, [0.0, 0.0]]))
     assert np.allclose(est.samples, oracle, atol=1e-10)
+
+
+#: example 2 (x = 3) at N = 20: ||J|| = 5 (to 2%) and a near-zero pair at +-8.3e-9
+FAULT_OP = assemble_truncation(example2_sequence(3.0), 20)
+FAULT_VALS = np.linalg.eigvalsh(dense(FAULT_OP))
+NEAREST_ZERO = int(np.argmin(np.abs(FAULT_VALS)))
+#: 2e-8 ||J||: twice the tolerance of the trace identity
+STEP = 2e-8 * float(np.max(np.abs(FAULT_VALS)))
+
+
+def moved(i, step):
+    """Eigenvalue ``i`` moved by ``step``."""
+    def corrupt(vals):
+        vals = vals.copy()
+        vals[i] += step
+        return vals
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda v: np.delete(v, NEAREST_ZERO), r"^eigensolver returned 39 values"),
+    (lambda v: np.delete(v, -1), r"^eigensolver returned 39 values"),
+    (lambda v: np.insert(v, NEAREST_ZERO, v[NEAREST_ZERO]),
+     r"^eigensolver returned 41 values"),
+    (lambda v: np.insert(v, 0, v[0]), r"^eigensolver returned 41 values"),
+    (moved(NEAREST_ZERO, STEP), r"^eigenvalues miss the trace identity"),
+    (moved(NEAREST_ZERO, -STEP), r"^eigenvalues miss the trace identity"),
+    (moved(-1, STEP), r"^eigenvalues miss the trace identity"),
+    (moved(0, -STEP), r"^eigenvalues miss the trace identity"),
+    (lambda v: np.where(np.arange(v.size) == 3, math.nan, v),
+     r"^eigensolver returned 40 values \(39 finite\)")])
+def test_truncated_spectrum_rejects_a_faulty_tridiagonal_result(monkeypatch, corrupt, message):
+    true = spectral.eigvals_all
+    monkeypatch.setattr(spectral, "eigvals_all", lambda band: corrupt(true(band)))
+    with pytest.raises(ConvergenceError, match=message):
+        truncated_spectrum(FAULT_OP)
+
+
+def test_frobenius_identity_alone_misses_a_move_near_zero():
+    # why the trace is checked too: moving the eigenvalue nearest 0 by
+    # 2e-8 ||J|| changes sum lambda^2 by far less than 1e-8 ||J||^2
+    vals = FAULT_VALS
+    for step in (STEP, -STEP):
+        change = np.sum(moved(NEAREST_ZERO, step)(vals) ** 2) - np.sum(vals ** 2)
+        assert abs(change) <= 1e-12 * np.max(np.abs(vals)) ** 2
+
+
+def test_truncated_spectrum_raises_when_dsterf_fails(monkeypatch):
+    # dsterf reporting info = 1 on the binding the library runs
+    assert truncated_spectrum(FAULT_OP).samples.size == 40
+    integer = np.ctypeslib.as_ctypes_type(_lapack._BOUND.integer)
+
+    def fail(*args):
+        integer.from_address(args[3]).value = 1                   # info
+    monkeypatch.setattr(_lapack._BOUND, "_dsterf", fail)
+    with pytest.raises(ConvergenceError,
+                       match=r"^dsterf did not converge \(LAPACK info = 1\)$"):
+        truncated_spectrum(FAULT_OP)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +349,8 @@ def test_green_resolvent_identity_against_dense_inverse():
     op = assemble_truncation(seq, n)
     z1, z2 = 0.4 + 0.3j, -0.2 + 0.6j
     eye = np.eye(2 * n)
-    r1o = np.linalg.inv(op.to_dense() - z1 * eye)
-    r2o = np.linalg.inv(op.to_dense() - z2 * eye)
+    r1o = np.linalg.inv(dense(op) - z1 * eye)
+    r2o = np.linalg.inv(dense(op) - z2 * eye)
     idx = range(1, n + 1)
     t1 = green_block(op, z1, idx, idx)
     t2 = green_block(op, z2, idx, idx)
@@ -372,7 +433,7 @@ def test_eigenpairs_perturbed_matches_brute_force():
     # brute-force oracle: left-localized gap eigenvalues of the dense sections
     found = {}
     for n in (200, 400):
-        vals, vecs = np.linalg.eigh(assemble_truncation(seq, n).to_dense())
+        vals, vecs = np.linalg.eigh(dense(assemble_truncation(seq, n)))
         for i in np.nonzero((vals > -0.98) & (vals < 0.98))[0]:
             u = vecs[:, i]
             if np.sum(np.abs(u[: n]) ** 2) > 0.9:  # first half of the blocks

@@ -22,7 +22,9 @@ swaps every pair), so slow drift of the machine hits both alike, with
   ``verify_eigenvector_bound`` on that operator's gauge copy with every A_n
   times e^{0.7 i}: unitarily equivalent (same spectrum, same block norms),
   but its band is complex, so it times the complex band reduction where
-  the real operator takes the real one;
+  the real operator takes the real one; ``truncated_spectrum`` of the
+  assembled example 2 section (every eigenvalue, as the ``truncation`` gap
+  source and the ``spectrum`` command take them), the assembly untimed;
 * under ``machine.lapack``, per side, the band LAPACK its ``blockjacobi``
   runs on: the library file and its ``openblas_get_config`` string.
 
@@ -51,7 +53,8 @@ from pathlib import Path
 WORKLOADS = ("green-large", "sweep", "eigvec", "commuting")
 END_TO_END = ("wall_s", "peak_rss_mb", "setup_s")
 LADDER = {"green": (1200, 10_000, 100_000), "green-offaxis": (1200, 10_000, 100_000),
-          "eigenvector": (1000, 2000, 4000), "complex-eigenvector": (1000, 2000, 4000)}
+          "eigenvector": (1000, 2000, 4000), "complex-eigenvector": (1000, 2000, 4000),
+          "truncation-spectrum": (300, 600, 1200)}
 PAIRS = 10
 SECONDS = 5.0
 LADDER_REPEATS = 3
@@ -74,11 +77,16 @@ elif kind == "complex-eigenvector":
     seq = bj.explicit_sequence([(A, 0.5 * np.eye(2))], tail=(A, np.zeros((2, 2))))
 green = kind in ("green", "green-offaxis")
 zeta = 0.3 + 0.2j if kind == "green-offaxis" else 0.5
-cfg = ExperimentConfig(operator=seq, zetas=(zeta,), n_blocks=n,
-                       experiments=("green" if green else "eigenvector",))
-verify = bj.verify_green_bound if green else bj.verify_eigenvector_bound
-t0 = perf_counter()
-verify(cfg)
+if kind == "truncation-spectrum":
+    op = bj.assemble_truncation(seq, n)
+    t0 = perf_counter()
+    bj.truncated_spectrum(op)
+else:
+    cfg = ExperimentConfig(operator=seq, zetas=(zeta,), n_blocks=n,
+                           experiments=("green" if green else "eigenvector",))
+    verify = bj.verify_green_bound if green else bj.verify_eigenvector_bound
+    t0 = perf_counter()
+    verify(cfg)
 print(json.dumps(perf_counter() - t0))
 """
 
@@ -225,7 +233,9 @@ def main(argv=None) -> int:
                       "0.3 + 0.2i), wall time of one "
                       "verify_green_bound / verify_eigenvector_bound call "
                       "(B_1 = 0.5 I; complex-eigenvector: every A_n times "
-                      "e^{0.7 i}) in a fresh interpreter, median of "
+                      "e^{0.7 i}), or of one truncated_spectrum call on "
+                      "the assembled section (truncation-spectrum), "
+                      "in a fresh interpreter, median of "
                       f"{LADDER_REPEATS} alternating runs per side",
             "notes": "added by hand after the run, not by this tool",
         },
