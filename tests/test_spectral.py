@@ -70,17 +70,22 @@ def moved(i, step):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda v: np.delete(v, NEAREST_ZERO), r"^eigensolver returned 39 values"),
-    (lambda v: np.delete(v, -1), r"^eigensolver returned 39 values"),
-    (lambda v: np.insert(v, NEAREST_ZERO, v[NEAREST_ZERO]),
-     r"^eigensolver returned 41 values"),
-    (lambda v: np.insert(v, 0, v[0]), r"^eigensolver returned 41 values"),
-    (moved(NEAREST_ZERO, STEP), r"^eigenvalues miss the trace identity"),
-    (moved(NEAREST_ZERO, -STEP), r"^eigenvalues miss the trace identity"),
-    (moved(-1, STEP), r"^eigenvalues miss the trace identity"),
-    (moved(0, -STEP), r"^eigenvalues miss the trace identity"),
-    (lambda v: np.where(np.arange(v.size) == 3, math.nan, v),
-     r"^eigensolver returned 40 values \(39 finite\)")])
+    pytest.param(lambda v: np.delete(v, NEAREST_ZERO), r"^eigensolver returned 39 values",
+                 id="drop-nearest-zero"),
+    pytest.param(lambda v: np.delete(v, -1), r"^eigensolver returned 39 values",
+                 id="drop-highest"),
+    pytest.param(lambda v: np.insert(v, NEAREST_ZERO, v[NEAREST_ZERO]),
+                 r"^eigensolver returned 41 values", id="duplicate-nearest-zero"),
+    pytest.param(lambda v: np.insert(v, 0, v[0]), r"^eigensolver returned 41 values",
+                 id="duplicate-lowest"),
+    pytest.param(moved(NEAREST_ZERO, STEP), r"^eigenvalues miss the trace identity",
+                 id="move-nearest-zero-up"),
+    pytest.param(moved(NEAREST_ZERO, -STEP), r"^eigenvalues miss the trace identity",
+                 id="move-nearest-zero-down"),
+    pytest.param(moved(-1, STEP), r"^eigenvalues miss the trace identity", id="move-highest"),
+    pytest.param(moved(0, -STEP), r"^eigenvalues miss the trace identity", id="move-lowest"),
+    pytest.param(lambda v: np.where(np.arange(v.size) == 3, math.nan, v),
+                 r"^eigensolver returned 40 values \(39 finite\)", id="nan")])
 def test_truncated_spectrum_rejects_a_faulty_tridiagonal_result(monkeypatch, corrupt, message):
     true = spectral.eigvals_all
     monkeypatch.setattr(spectral, "eigvals_all", lambda band: corrupt(true(band)))
