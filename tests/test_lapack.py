@@ -391,11 +391,6 @@ def test_truncated_spectrum_matches_dense_oracle(op):
         assert np.all(np.abs(est.samples - vals) <= tol)
 
 
-def test_near_zero_pair_is_pinned():
-    vals = np.linalg.eigvalsh(dense(SPECTRUM_PINS[-1]))
-    assert np.sum(np.abs(vals) <= 1e-8) == 2 and np.max(np.abs(vals)) >= 1.0
-
-
 def test_tridiagonal_solver_failure_is_a_convergence_error(monkeypatch):
     # dsterf reporting info = 2 (two off-diagonal entries did not reach zero)
     for lapack in BINDINGS:
