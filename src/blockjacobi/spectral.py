@@ -65,7 +65,8 @@ from .operators import (EntrySequence, TruncatedOperator, as_block,
 SINGULARITY_TOL = 1e-8
 #: condition estimates above this attach an ill-conditioned warning
 CONDITION_LIMIT = 1e12
-#: relative residual allowed for eigenpairs
+#: relative residual allowed for eigenpairs, and relative error of the
+#: trace and Frobenius identities of a truncated spectrum
 RESIDUAL_TOL = 1e-8
 
 #: Arnoldi steps of the sigma_min estimate, at most N d; with 20, some

@@ -69,14 +69,14 @@ def test_config_from_json_rejects_unknown_keys(level, key):
 
 
 @pytest.mark.parametrize("section, message", [
-    # before, a misspelt section ran the symbol source with the default tol
+    # a misspelt key must not fall back to the symbol source and default tol
     ({"gap": {"sorce": "truncation", "tl": 0.5}},
      r"^unknown gap key\(s\) 'sorce', 'tl'; expected source, tol$"),
     ({"gap": {"source": "spectral"}},
      r"^unknown gap source 'spectral'; expected symbol, truncation, explicit$"),
     ({"gap": {"source": "explicit", "r": -1.0, "s": 1.0, "tol": 0.5}},
      r"^unknown gap key\(s\) 'tol'; expected source, r, s$"),
-    # before, a KeyError and a TypeError from inside the run
+    # a missing key must not surface as a KeyError or TypeError mid-run
     ({"gap": {"source": "explicit", "r": -1.0}}, r"^gap section needs key\(s\) 's'$"),
     ({"experiments": ["edge"], "edge": {"x": 3.0}},
      r"^edge section needs key\(s\) 'eps_list'$")])
