@@ -1,7 +1,8 @@
 """The band LAPACK routines of :mod:`blockjacobi.spectral`, bound with ctypes.
 
-One set of wrappers (:class:`Lapack`) calls ``zgbtrf``, ``zgbtrs``,
-``zhbtrd``, ``dsbtrd``, ``dstebz`` and ``dsterf`` from either of two libraries:
+One set of wrappers (:class:`Lapack`) calls ``dgbtrf``, ``zgbtrf``,
+``dgbtrs``, ``zgbtrs``, ``zhbtrd``, ``dsbtrd``, ``dstebz`` and ``dsterf`` from
+either of two libraries:
 
 * numpy's bundled ILP64 OpenBLAS (``libscipy_openblas64_`` in ``numpy.libs/``
   beside the package, or in ``numpy/.dylibs/``), exporting names like
@@ -18,11 +19,13 @@ depends only on numpy's build and is made once, at import.
 ``zgbtrf(ab, kl, ku, overwrite_ab=0) -> (lu, ipiv, info)`` and
 ``zgbtrs(ab, kl, ku, b, ipiv, trans=0, overwrite_b=0) -> (x, info)`` take
 scipy's signatures (trans 0, 1, 2: A, A^T, A^H); ``ipiv`` holds LAPACK's
-1-based pivots in the library's integer type.  An ``overwrite_*`` input that
-is a writeable F-contiguous complex128 array is used in place.
-``band_solver(ab, kl, ku, b, ipiv, trans=0)`` is ``zgbtrs`` bound once to
-such a ``b``: each call of the result solves in place and returns ``info``;
-``zgbtrs`` is one call of it.
+1-based pivots in the library's integer type.  ``dgbtrf`` and ``dgbtrs`` are
+their float64 twins.  An ``overwrite_*`` input that is a writeable
+F-contiguous array of the routine's type is used in place.
+``band_solver(ab, kl, ku, b, ipiv, trans=0)`` is ``dgbtrs`` or ``zgbtrs``,
+by the type of the factor ``ab``, bound once to such a ``b`` of the same
+type: each call of the result solves in place and returns ``info``;
+``dgbtrs`` and ``zgbtrs`` are one call of it.
 
 The Hermitian band eigenvalue routines take the lower triangle of the band
 in ``a_band``, in LAPACK's lower band layout (row i - j, column j for entry
@@ -152,13 +155,13 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a.T))
 
 
-def _fortran(a, overwrite) -> np.ndarray:
+def _fortran(a, overwrite, dtype=np.complex128) -> np.ndarray:
     """``a`` itself when ``overwrite`` and it is a writeable F-contiguous
-    complex128 array, else an F-ordered complex128 copy."""
-    if (overwrite and isinstance(a, np.ndarray) and a.dtype == np.complex128
+    array of ``dtype``, else an F-ordered copy of that type."""
+    if (overwrite and isinstance(a, np.ndarray) and a.dtype == dtype
             and a.flags.f_contiguous and a.flags.writeable):
         return a
-    return np.array(a, dtype=np.complex128, order="F")
+    return np.array(a, dtype=dtype, order="F")
 
 
 def _info(ints: np.ndarray, name: str) -> int:
@@ -174,11 +177,13 @@ _TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 #: bands whose largest entry lies outside [_RMIN, _RMAX] are scaled, as in dsbevx
 _RMIN, _RMAX = np.sqrt(_TINY / _EPS), min(np.sqrt(_EPS / _TINY), _TINY ** -0.25)
 _TRANS = (b"N", b"T", b"C")
+#: LAPACK's prefix of each element type the band LU routines take
+_PREFIX = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
 
 
 class Lapack:
-    """``zgbtrf``, ``zgbtrs``, ``band_solver``, ``eigvals_window`` and
-    ``eigvals_all`` on one :class:`Library`."""
+    """``dgbtrf``, ``zgbtrf``, ``dgbtrs``, ``zgbtrs``, ``band_solver``,
+    ``eigvals_window`` and ``eigvals_all`` on one :class:`Library`."""
 
     def __init__(self, library: Library):
         self.integer = library.integer
@@ -192,53 +197,68 @@ class Lapack:
                                   *[ctypes.c_size_t] * len(lengths))(library.address(name))
             return (lambda *args: fn(*args, *lengths)) if lengths else fn
 
-        self._zgbtrf = bind("zgbtrf", 0, 8)
-        self._zgbtrs = bind("zgbtrs", 1, 10)
+        # the band LU and its solves, keyed by LAPACK's type prefix
+        self._gbtrf = {p: bind(f"{p}gbtrf", 0, 8) for p in "dz"}
+        self._gbtrs = {p: bind(f"{p}gbtrs", 1, 10) for p in "dz"}
         self._zhbtrd = bind("zhbtrd", 2, 10)
         self._dsbtrd = bind("dsbtrd", 2, 10)
         self._dstebz = bind("dstebz", 2, 16)
         self._dsterf = bind("dsterf", 0, 4)
 
-    def zgbtrf(self, ab, kl, ku, overwrite_ab=0):
-        ab = _fortran(ab, overwrite_ab)
+    def _factor(self, dtype, ab, kl, ku, overwrite_ab):
+        """``dgbtrf`` or ``zgbtrf``, by ``dtype``."""
+        ab = _fortran(ab, overwrite_ab, dtype)
+        prefix = _PREFIX[ab.dtype]
         ldab, n = ab.shape
         ipiv = np.empty(n, dtype=self.integer)
         # m, n, kl, ku, ldab, info
         ints = np.array([n, n, kl, ku, ldab, 0], dtype=self.integer)
         p, s = _address(ints), ints.itemsize
-        self._zgbtrf(p, p + s, p + 2 * s, p + 3 * s, _address(ab), p + 4 * s,
-                     _address(ipiv), p + 5 * s)
-        return ab, ipiv, _info(ints, "zgbtrf")
+        self._gbtrf[prefix](p, p + s, p + 2 * s, p + 3 * s, _address(ab), p + 4 * s,
+                            _address(ipiv), p + 5 * s)
+        return ab, ipiv, _info(ints, f"{prefix}gbtrf")
+
+    def dgbtrf(self, ab, kl, ku, overwrite_ab=0):
+        return self._factor(np.float64, ab, kl, ku, overwrite_ab)
+
+    def zgbtrf(self, ab, kl, ku, overwrite_ab=0):
+        return self._factor(np.complex128, ab, kl, ku, overwrite_ab)
+
+    def dgbtrs(self, ab, kl, ku, b, ipiv, trans=0, overwrite_b=0):
+        b = _fortran(b, overwrite_b, np.float64)
+        return b, self.band_solver(ab, kl, ku, b, ipiv, trans)()
 
     def zgbtrs(self, ab, kl, ku, b, ipiv, trans=0, overwrite_b=0):
         b = _fortran(b, overwrite_b)
         return b, self.band_solver(ab, kl, ku, b, ipiv, trans)()
 
     def band_solver(self, ab, kl, ku, b, ipiv, trans=0) -> Callable[[], int]:
-        """``zgbtrs`` bound to its operands: each call of the result
-        overwrites ``b``, a writeable F-contiguous complex128 array, with the
-        solution for the right-hand side it holds, and returns ``info``
-        (ValueError on info < 0).  The operands are checked and their
+        """``dgbtrs`` or ``zgbtrs`` bound to its operands, by the type of the
+        factor ``ab`` (float64 or complex128): each call of the result
+        overwrites ``b``, a writeable F-contiguous array of the factor's type,
+        with the solution for the right-hand side it holds, and returns
+        ``info`` (ValueError on info < 0).  The operands are checked and their
         addresses taken once, here, so a loop of solves pays one LAPACK call
         per step."""
         ldab, n = ab.shape
         # reject operands LAPACK would read or write out of bounds
-        if (ab.dtype != np.complex128 or b.shape[0] != n
+        if (ab.dtype not in _PREFIX or b.shape[0] != n
                 or ipiv.dtype != self.integer or ipiv.shape != (n,)):
             raise ValueError("band factor, pivots and right-hand side do not match")
-        if not (b.dtype == np.complex128 and b.flags.f_contiguous and b.flags.writeable):
-            raise ValueError("right-hand side must be a writeable F-contiguous complex128 array")
+        if not (b.dtype == ab.dtype and b.flags.f_contiguous and b.flags.writeable):
+            raise ValueError(f"right-hand side must be a writeable F-contiguous {ab.dtype} array")
         # n, kl, ku, nrhs, ldab, ldb, info
         ints = np.array([n, kl, ku, b.shape[1] if b.ndim == 2 else 1, ldab,
                          max(n, 1), 0], dtype=self.integer)
         p, s = _address(ints), ints.itemsize
         args = (_TRANS[trans], p, p + s, p + 2 * s, p + 3 * s, _address(ab),
                 p + 4 * s, _address(ipiv), _address(b), p + 5 * s, p + 6 * s)
-        zgbtrs = self._zgbtrs
+        prefix = _PREFIX[ab.dtype]
+        gbtrs, name = self._gbtrs[prefix], f"{prefix}gbtrs"
 
         def solve() -> int:
-            zgbtrs(*args)
-            return _info(ints, "zgbtrs")
+            gbtrs(*args)
+            return _info(ints, name)
         solve.operands = (ab, b, ipiv)          # the addressed arrays live as long as solve
         return solve
 
@@ -310,5 +330,6 @@ class Lapack:
 
 
 _BOUND = Lapack(scipy_library() if _LIB is None else numpy_library(_LIB))
-zgbtrf, zgbtrs, band_solver = _BOUND.zgbtrf, _BOUND.zgbtrs, _BOUND.band_solver
+dgbtrf, zgbtrf, zgbtrs = _BOUND.dgbtrf, _BOUND.zgbtrf, _BOUND.zgbtrs
+band_solver = _BOUND.band_solver
 eigvals_window, eigvals_all = _BOUND.eigvals_window, _BOUND.eigvals_all

@@ -85,6 +85,14 @@ def _require_hermitian(B: np.ndarray, what: str, first: int = 0) -> None:
                              f"(deviation {dev[bad[0]]:.3e} > {HERMITICITY_TOL:.0e})")
 
 
+def _require_finite(stack: np.ndarray, what: str, first: int) -> None:
+    """Raise unless every entry of the (n, d, d) ``stack`` is finite; block i
+    is named ``what.format(first + i)``, so errors name the first bad block."""
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        raise ParameterError(f"{what.format(first + bad[0])} contains non-finite entries")
+
+
 def _as_stack(values, dim: int, what: str, first: int) -> np.ndarray:
     """Validated read-only (n, d, d) stack of ``values`` (a list of blocks or
     a complex stack, used in place), whose block i is named
@@ -98,9 +106,7 @@ def _as_stack(values, dim: int, what: str, first: int) -> np.ndarray:
         stack = np.array([as_block(v, dim, what.format(first + i))
                           for i, v in enumerate(values)], dtype=complex)
         stack = stack.reshape(-1, dim, dim)
-    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
-    if bad.size:
-        raise ParameterError(f"{what.format(first + bad[0])} contains non-finite entries")
+    _require_finite(stack, what, first)
     stack.flags.writeable = False
     return stack
 
@@ -450,9 +456,10 @@ class TruncatedOperator:
     Held as block stacks: ``a_blocks[k - 1]`` = A_k (k = 1..N-1) sits at
     block (k, k+1) and its adjoint at (k+1, k); ``b_blocks[k - 1]`` = B_k
     (k = 1..N) on the diagonal; everything else is exactly zero (plain
-    Dirichlet cut).  The section is Hermitian because every B_k is, which
-    construction checks on the B stack.  ``sequence`` keeps the producing
-    rule so refinements to larger N can be assembled on demand.
+    Dirichlet cut).  Construction checks that every entry of both stacks is
+    finite, then the B stack: the section is Hermitian because every B_k
+    is.  ``sequence`` keeps the producing rule so refinements to larger N
+    can be assembled on demand.
     """
 
     a_blocks: np.ndarray          # (N - 1, d, d)
@@ -465,6 +472,8 @@ class TruncatedOperator:
             raise ParameterError(
                 f"block stacks must be (N-1, d, d) and (N, d, d), got "
                 f"{self.a_blocks.shape} and {self.b_blocks.shape}")
+        _require_finite(self.a_blocks, "A_{}", 1)
+        _require_finite(self.b_blocks, "B_{}", 1)
         _require_hermitian(self.b_blocks, "B_{}", 1)
 
     @property

@@ -15,18 +15,21 @@ Green blocks G_mj(zeta) = P_m (J_N - zeta)^{-1} P_j are computed from one
 banded LU factorization per section (LAPACK ``zgbtrf`` on the
 block-tridiagonal band, kl = ku = 2d - 1): the J_N - zeta of all requested
 zetas are stacked as decoupled segments of one band, factored once, and
-share one sigma_min estimate and one solve for all requested column blocks.
-The estimate is 22 Arnoldi steps on (J_N - zeta)^{-1}, one in-place
-``zgbtrs`` on the stacked vector each, orthogonalized per segment by
-classical Gram-Schmidt applied twice; 1 / sigma_max of each segment's
-Hessenberg matrix is an upper estimate of the distance from zeta to the
-truncated spectrum.  It runs where a verdict or a report reads it: on every
-segment by default, and with ``health=False`` only on the zetas within 1e-8
-of the real axis, since J_N is Hermitian and sigma_min(J_N - zeta) >=
-|Im zeta| settles the singularity verdict of every other zeta (the harness
-re-solves the 2N section so, reading only C_emp there).  Cost and memory are
-O(Z N d^3) and O(Z N d^2) for Z zetas: no dense (N d) x (N d) matrix is
-built.
+share one solve for all requested column blocks.  J_N is Hermitian, so
+sigma_min(J_N - zeta) = hypot(dist(Re zeta, spec J_N), Im zeta): the
+singularity verdict and the health figures need only the distance from the
+real shift Re zeta to the spectrum.  Its estimate stacks J_N - Re zeta of
+the zetas it serves as a band of its own, factored by ``dgbtrf`` when the
+band is real (every real symmetric operator) and by ``zgbtrf`` otherwise,
+and runs 22 Lanczos steps on the inverses, one in-place ``dgbtrs`` or
+``zgbtrs`` on the stacked vector each, without reorthogonalization;
+1 / sigma_max of each segment's (k + 1) x k tridiagonal matrix is an upper
+estimate of the distance.  It runs where a verdict or a report reads it: on
+every zeta by default, and with ``health=False`` only on the zetas within
+1e-8 of the real axis, since sigma_min(J_N - zeta) >= |Im zeta| settles the
+singularity verdict of every other zeta (the harness re-solves the 2N
+section so, reading only C_emp there).  Cost and memory are O(Z N d^3) and
+O(Z N d^2) for Z zetas: no dense (N d) x (N d) matrix is built.
 
 Gap eigenpairs are banded too: one reduction of the Hermitian band
 (kd = 2d - 1) to tridiagonal form, in real arithmetic when the band is real
@@ -41,11 +44,11 @@ tridiagonal form (``dsterf``), checked against the trace and Frobenius
 identities of the block stacks.  No function here builds the dense
 truncation.
 
-The band routines (``zgbtrf``, ``zgbtrs``, its in-place ``band_solver``,
-``eigvals_window`` and ``eigvals_all``) come from :mod:`blockjacobi._lapack`,
-one set of ctypes wrappers bound to the ILP64 OpenBLAS inside numpy when
-numpy's build names it, so no scipy module is imported, and to the LAPACK of
-scipy's ``cython_lapack`` on other builds.
+The band routines (``dgbtrf``, ``zgbtrf``, ``zgbtrs``, the in-place
+``band_solver``, ``eigvals_window`` and ``eigvals_all``) come from
+:mod:`blockjacobi._lapack`, one set of ctypes wrappers bound to the ILP64
+OpenBLAS inside numpy when numpy's build names it, so no scipy module is
+imported, and to the LAPACK of scipy's ``cython_lapack`` on other builds.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import band_solver, eigvals_all, eigvals_window, zgbtrf, zgbtrs
+from ._lapack import (band_solver, dgbtrf, eigvals_all, eigvals_window, zgbtrf,
+                      zgbtrs)
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .operators import (EntrySequence, TruncatedOperator, as_block,
@@ -69,12 +73,12 @@ CONDITION_LIMIT = 1e12
 #: trace and Frobenius identities of a truncated spectrum
 RESIDUAL_TOL = 1e-8
 
-#: Arnoldi steps of the sigma_min estimate, at most N d; with 20, some
-#: random off-axis zetas get a value above that of 40 inverse power steps
-_ARNOLDI_STEPS = 22
-#: an Arnoldi residual below this share of ||M^{-1} v_j|| ends the Krylov space
+#: Lanczos steps of the distance estimate, at most N d
+_LANCZOS_STEPS = 22
+#: a Lanczos residual at or below this share of its column of the
+#: tridiagonal matrix ends the Krylov space
 _KRYLOV_END = 1e-12
-#: seed of the random start vectors of the Arnoldi and inverse iterations
+#: seed of the random start vectors of the Lanczos and inverse iterations
 _SEED = 20260810
 #: cap on block inverse-iteration steps per eigenvalue cluster
 _INVERSE_STEPS = 40
@@ -312,7 +316,7 @@ class GreenTable:
         return float(self.norm_stack[self.rows.index(m), self.cols.index(j)])
 
 
-def _band_storage(op: TruncatedOperator, zetas) -> np.ndarray:
+def _band_storage(op: TruncatedOperator, zetas, dtype=complex) -> np.ndarray:
     """J_N - zeta in LAPACK general band storage with kl = ku = 2d - 1.
 
     Entry (i, j) of the matrix sits at row 2 kl + i - j, column j; the first
@@ -320,18 +324,22 @@ def _band_storage(op: TruncatedOperator, zetas) -> np.ndarray:
     three block diagonals is written by one scatter over all N blocks.  A
     sequence of zetas gives the stack diag(J_N - zeta_1, J_N - zeta_2, ...):
     one segment of N d columns per zeta, with no coupling between segments.
+    ``dtype=float`` gives the real band of real zetas, from the real parts
+    of the blocks.
     """
-    zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
+    zetas = np.atleast_1d(np.asarray(zetas, dtype=dtype))
     n, d = op.n_blocks, op.dim
     size = n * d
     kl = 2 * d - 1
-    ab = np.zeros((3 * kl + 1, zetas.size * size), dtype=complex, order="F")
+    ab = np.zeros((3 * kl + 1, zetas.size * size), dtype=dtype, order="F")
+    a, b = (op.a_blocks, op.b_blocks) if ab.dtype == complex else (
+        op.a_blocks.real, op.b_blocks.real)
     r, c = np.divmod(np.arange(d * d), d)      # entry (r, c) of a d x d block
     main = 2 * kl + r - c
     col = d * np.arange(n)[:, None] + c
-    ab[main, col] = op.b_blocks.reshape(n, d * d)
-    ab[main - d, col[:-1] + d] = op.a_blocks.reshape(n - 1, d * d)
-    ab[main + d, col[:-1]] = op.a_blocks.conj().transpose(0, 2, 1).reshape(n - 1, d * d)
+    ab[main, col] = b.reshape(n, d * d)
+    ab[main - d, col[:-1] + d] = a.reshape(n - 1, d * d)
+    ab[main + d, col[:-1]] = a.conj().transpose(0, 2, 1).reshape(n - 1, d * d)
     ab[:, size:] = np.tile(ab[:, :size], zetas.size - 1)
     ab[2 * kl] -= np.repeat(zetas, size)
     return ab
@@ -351,74 +359,113 @@ class FactoredResults(list):
         self.factorizations = factorizations
 
 
-def _sigma_min(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
-    """Smallest singular value of every segment of a stacked band LU.
+def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
+    """Upper estimates of 1 / ||M^{-1}|| for every segment M of a stacked band LU.
 
-    k = min(22, N d) steps of Arnoldi on M^{-1}, all segments in the same
-    solves and each orthogonalized on its own, started from the same seeded
-    vector.  Each step is one ``zgbtrs`` call on the stacked vector, in
-    place in one buffer bound once (``band_solver``), then classical
-    Gram-Schmidt applied twice, as batched matmuls over the segments into
-    preallocated buffers.  The segments are decoupled, so the leading
-    segments of a stack, passed as ``lu[:, :k size]`` and
-    ``ipiv[:k size]``, get the values they get in the whole stack.  The
-    (k + 1) x k Hessenberg matrix H of a segment satisfies
-    M^{-1} V_k = V_{k+1} H with orthonormal V, so sigma_max(H) <= ||M^{-1}||
-    and 1 / sigma_max(H) is an upper estimate of sigma_min(M), equal to it
-    once the Krylov space holds the top singular vector.  A segment whose
-    Krylov space runs out stops cleanly: when the residual after
-    orthogonalization is below 1e-12 ||M^{-1} v_j||, where a further
-    Gram-Schmidt pass could no longer make it orthogonal, its next basis
-    vector is zero.  Returns None when an entry of H turns non-finite, which
-    an overflowing solve or sum of squares gives, or when sigma_max(H) is
-    zero: then some sigma is 0, and in a stack 0 x inf or 0 / 0 may have
-    carried that into the other segments.
+    k = min(22, N d) steps of the Lanczos recurrence on the Hermitian
+    M^{-1}, all segments in the same solves and each with its own
+    coefficients, started from the same seeded vector (real for a real
+    factor).  Each step is one ``dgbtrs`` or ``zgbtrs`` call on the stacked
+    vector, in place in one buffer bound once (``band_solver``), then the
+    three-term update, without reorthogonalization.  The (k + 1) x k
+    tridiagonal T of a segment satisfies M^{-1} V_k = V_{k+1} T, with V
+    orthonormal in exact arithmetic, so sigma_max(T) is the largest growth
+    of M^{-1} over the Krylov space and 1 / sigma_max(T) an upper estimate
+    of 1 / ||M^{-1}||, the distance from 0 to the spectrum of M.  A segment whose Krylov space runs out stops cleanly:
+    when a residual is at or below 1e-12 times the norm of its column of T,
+    its next vector is zero.  Returns None when an entry of T turns
+    non-finite, which an overflowing solve or sum of squares gives, or when
+    sigma_max(T) is zero: then some distance is 0, and in a stack 0 x inf or
+    0 / 0 may have carried that into the other segments.
     """
-    steps = min(_ARNOLDI_STEPS, size)
+    steps = min(_LANCZOS_STEPS, size)
     rng = np.random.default_rng(_SEED)
-    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    V = np.zeros((steps, segments, size), dtype=complex)      # V[j]: step j's vector
-    V[0] = v / np.linalg.norm(v)
-    H = np.zeros((segments, steps + 1, steps), dtype=complex)
-    # every step works in these buffers: w is solved in place, conj holds the
-    # conjugates and h, proj, beta the Gram-Schmidt products
-    w = np.empty((segments, size), dtype=complex)
+    v = rng.standard_normal(size)
+    if lu.dtype == complex:
+        v = v + 1j * rng.standard_normal(size)
+    cur = np.empty((segments, size), dtype=lu.dtype)
+    cur[:] = v / np.linalg.norm(v)
+    prev = np.zeros_like(cur)
+    w = np.empty_like(cur)
     solve = band_solver(lu, kl, kl, w.reshape(-1), ipiv)
-    conj = np.empty_like(w)
-    h = np.empty((segments, steps, 1), dtype=complex)
-    proj = np.empty((segments, 1, size), dtype=complex)
-    beta = np.empty((segments, 1, 1))
-    parts = w.view(float)[:, None, :]
+
+    def dots(x, y):         # Re(x^H y) per segment: the dot of the real views
+        return np.matmul(x.view(float)[:, None, :], y.view(float)[:, :, None])[:, 0, 0]
+
+    # alpha[j] and beta[j + 1] are column j of T; beta[0] = 0 and prev = 0
+    # start the three-term recurrence
+    alpha, beta = np.zeros((steps, segments)), np.zeros((steps + 1, segments))
     # an overflowing sum of squares is inf and inf - inf is NaN; both stay
-    # in H, whose finiteness is checked once at the end
+    # in T, whose finiteness is checked once at the end
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
-            np.copyto(w, V[j])
+            np.copyto(w, cur)
             solve()
-            basis = V[:j + 1].transpose(1, 0, 2)                # (segments, j + 1, size)
-            hj = h[:, :j + 1]
-            for _ in range(2):
-                np.matmul(basis, np.conjugate(w, out=conj)[:, :, None], out=hj)
-                np.conjugate(hj, out=hj)
-                w -= np.matmul(hj.transpose(0, 2, 1), basis, out=proj)[:, 0]
-                H[:, :j + 1, j] += hj[:, :, 0]
-            np.sqrt(np.matmul(parts, parts.transpose(0, 2, 1), out=beta), out=beta)
-            H[:, j + 1, j] = beta[:, 0, 0]
+            w -= beta[j][:, None] * prev
+            alpha[j] = dots(cur, w)
+            w -= alpha[j][:, None] * cur
+            beta[j + 1] = np.sqrt(dots(w, w))
             if j + 1 < steps:
                 # a residual at rounding level is no new direction: the
-                # Krylov space has run out and the segment's next vector is 0;
-                # the column norm is np.linalg.norm's reduction, without its
-                # argument handling
-                column = H[:, :j + 2, j]
-                norm = np.sqrt(np.add.reduce((column.conj() * column).real, axis=1))
-                grows = beta[:, 0, 0] > _KRYLOV_END * norm
-                np.divide(w, beta[:, 0], out=V[j + 1], where=grows[:, None])
-    if not np.all(np.isfinite(H)):
+                # Krylov space has run out, and the segment's next vector
+                # and the coefficient that would bring it back are 0
+                column = np.hypot(np.hypot(beta[j], alpha[j]), beta[j + 1])
+                grows = beta[j + 1] > _KRYLOV_END * column
+                beta[j + 1] *= grows
+                prev, cur = cur, prev
+                np.divide(w, beta[j + 1][:, None], out=cur, where=grows[:, None])
+                cur[~grows] = 0.0
+    T = np.zeros((segments, steps + 1, steps))
+    i = np.arange(steps)
+    T[:, i, i] = alpha.T
+    T[:, i + 1, i] = beta[1:].T
+    T[:, i[:-1], i[1:]] = beta[1:-1].T
+    if not np.all(np.isfinite(T)):
         return None
-    top = np.linalg.svd(H, compute_uv=False)[:, 0]
+    top = np.linalg.svd(T, compute_uv=False)[:, 0]
     if not np.all(top > 0.0):
         return None
     return 1.0 / top
+
+
+def _spectral_distance(op: TruncatedOperator, shifts) -> tuple[np.ndarray, int]:
+    """Upper estimates of dist(x, spec J_N) for the real ``shifts`` x, and
+    the number of band LU factorizations behind them.
+
+    J_N - x of every shift is one segment of one stacked band, factored by
+    ``dgbtrf`` when no band entry has a nonzero imaginary part (every real
+    symmetric operator) and by ``zgbtrf`` otherwise; one Lanczos iteration
+    on the inverses serves every segment (:func:`_lanczos`).  An exact zero
+    pivot makes x an eigenvalue, with distance 0: its segment is taken out
+    and the rest refactored.  When the iteration fails (:func:`_lanczos`
+    returns None), the shifts are estimated one at a time, and a shift whose
+    own iteration still fails gets distance 0.
+    """
+    shifts = [float(x) for x in shifts]
+    size = op.n_blocks * op.dim
+    kl = 2 * op.dim - 1
+    dist = np.zeros(len(shifts))
+    live = list(range(len(shifts)))
+    factorizations = 0
+    real = not (np.any(op.a_blocks.imag) or np.any(op.b_blocks.imag))
+    factor = dgbtrf if real else zgbtrf
+    while live:
+        ab = _band_storage(op, [shifts[i] for i in live], float if real else complex)
+        lu, ipiv, info = factor(ab, kl, kl, overwrite_ab=1)
+        factorizations += 1
+        if info <= 0:
+            break
+        live.pop((info - 1) // size)
+    if not live:
+        return dist, factorizations
+    estimate = _lanczos(lu, ipiv, kl, len(live), size)
+    if estimate is not None:
+        dist[live] = estimate
+    elif len(live) > 1:
+        for i in live:
+            [dist[i]], count = _spectral_distance(op, [shifts[i]])
+            factorizations += count
+    return dist, factorizations
 
 
 def green_blocks(op: TruncatedOperator, zetas, rows, cols,
@@ -428,42 +475,43 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     Stacks J_N - zeta I for every zeta as decoupled segments of one band
     (LAPACK general band storage, kl = ku = 2d - 1) and factors the stack
     with one ``zgbtrf``; partial pivoting never crosses a segment boundary,
-    so each segment's LU is the LU of its own J_N - zeta.  One Arnoldi
-    iteration on (J_N - zeta)^{-1} serves every segment
-    (:func:`_sigma_min`): min(22, N d) steps, each one ``zgbtrs`` call on
-    the stacked vector.  One more ``zgbtrs`` call, with e_j in every segment
-    of its right-hand side, solves (J_N - zeta I) X = E_j for all zetas and
-    column blocks.  Time is O(Z N d^3) and memory O(Z N d^2) for Z zetas;
-    no dense matrix is built.
+    so each segment's LU is the LU of its own J_N - zeta.  One ``zgbtrs``
+    call, with e_j in every segment of its right-hand side, solves
+    (J_N - zeta I) X = E_j for all zetas and column blocks.  Time is
+    O(Z N d^3) and memory O(Z N d^2) for Z zetas; no dense matrix is built.
 
     Returns one GreenTable or SingularityError per zeta, in order.  A zeta is
-    singular on an exact zero pivot, or when the smallest singular value of
-    its segment puts it within 1e-8 of the truncated spectrum; a condition
-    estimate above 1e12 is flagged, not fatal.  ``sigma_min`` is an upper
-    estimate of dist(zeta, spec J_N): the largest growth of
-    (J_N - zeta)^{-1} over a Krylov space of dimension 22.  It is the
-    distance, to rounding, where N d <= 22, where the nearest eigenvalue is
-    isolated, and where eigenvalues on both sides are equally near (example
-    2, x = 3, zeta = 0.5: 0.5 at N = 600 and 1200).  It stays high where
-    the nearest eigenvalues form a band-edge cluster that 22 steps do not
-    resolve: on example 2, +1.5e-3 at x = 2.5, N = 120, zeta = 0.3 and
-    +6.2e-4 at x = 4, N = 60, zeta = 1.2.  ``condition`` is an upper bound on
+    singular on an exact zero pivot, or when ``sigma_min`` puts it within
+    1e-8 of the truncated spectrum; a condition estimate above 1e12 is
+    flagged, not fatal.  J_N is Hermitian, so the smallest singular value of
+    J_N - zeta is exactly hypot(dist(Re zeta, spec J_N), Im zeta), and
+    ``sigma_min`` is that with an upper estimate of the distance from the
+    real shift Re zeta (:func:`_spectral_distance`): 22 Lanczos steps on
+    (J_N - Re zeta)^{-1}, on a band LU of its own, in real arithmetic for a
+    real band, all estimated zetas in one stack.  The distance is the largest
+    growth of (J_N - Re zeta)^{-1} over a Krylov space of dimension 22, and
+    0 when Re zeta gives an exact zero pivot.  It is the distance, to
+    rounding, where N d <= 22, where the nearest eigenvalue is isolated, and
+    where eigenvalues on both sides are equally near (example 2, x = 3,
+    zeta = 0.5: 0.5 at N = 600 and 1200).  It stays high where the nearest
+    eigenvalues form a band-edge cluster that 22 steps do not resolve: on
+    example 2, by 6.6e-4 relative at x = 2.5, N = 120, zeta = 0.3 and by
+    2.8e-4 at x = 4, N = 60, zeta = 1.2.  ``condition`` is an upper bound on
     ||J_N - zeta|| over ``sigma_min``.
 
     With ``health=False`` the estimate runs only where the verdict needs
-    it.  J_N is Hermitian, so sigma_min(J_N - zeta) >= |Im zeta|, and a
-    zeta with |Im zeta| > 1e-8 cannot be singular in that sense: the stack
-    puts the zetas with |Im zeta| <= 1e-8 first and the Arnoldi iteration
-    runs on those segments only, with the same values as in the full stack.
-    The tables of the other zetas carry ``sigma_min = condition = nan``
-    (and ``ill_conditioned = False``); their blocks, norms and verdicts are
-    those of ``health=True``.
+    it: sigma_min(J_N - zeta) >= |Im zeta|, so a zeta with
+    |Im zeta| > 1e-8 cannot be singular in that sense, and only the zetas
+    with |Im zeta| <= 1e-8 are estimated, with the values they get with
+    ``health=True``.  The tables of the other zetas carry
+    ``sigma_min = condition = nan`` (and ``ill_conditioned = False``); their
+    blocks, norms and verdicts are those of ``health=True``.
 
     Segments with an exact zero pivot are taken out and the rest refactored.
-    When the Arnoldi iteration turns non-finite or overflows, which one
-    segment's inf or zero pivot could carry into its neighbours inside
-    ``zgbtrs``, the zetas are solved one at a time instead.  ``factorizations`` on the
-    result counts the band LU factorizations made.
+    When the solve turns non-finite, which one segment's inf could carry
+    into its neighbours inside ``zgbtrs``, the zetas are solved one at a time
+    instead.  ``factorizations`` on the result counts the band LU
+    factorizations made, the estimate's included.
     """
     zetas = [complex(z) for z in zetas]
     n, d = op.n_blocks, op.dim
@@ -475,11 +523,7 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     kl = 2 * d - 1
     size = n * d
     out = FactoredResults([None] * len(zetas))
-    # J_N is Hermitian, so sigma_min(J_N - zeta) >= |Im zeta|: without
-    # health figures only the zetas near the real axis need the estimate
-    estimate = [health or abs(z.imag) <= SINGULARITY_TOL for z in zetas]
-    # zetas of the current stack, those to estimate first
-    live = sorted(range(len(zetas)), key=lambda i: not estimate[i])
+    live = list(range(len(zetas)))              # zetas of the current stack
     while live:
         ab = _band_storage(op, [zetas[i] for i in live])
         # |J_N - zeta| is symmetric, so ||.||_1 = ||.||_inf and the upper
@@ -499,17 +543,17 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
             f"(exact zero pivot in column {column + 1})")
     if not live:
         return out
-    # segments are decoupled, so the leading ones are estimated on their own
-    estimated = sum(estimate[i] for i in live)
+    # J_N is Hermitian, so sigma_min(J_N - zeta) = hypot(dist(Re zeta,
+    # spec J_N), Im zeta) >= |Im zeta|: without health figures only the
+    # zetas near the real axis need the estimate
+    estimated = [k for k, i in enumerate(live)
+                 if health or abs(zetas[i].imag) <= SINGULARITY_TOL]
     sigma = np.full(len(live), math.nan)
     if estimated:
-        head = _sigma_min(lu[:, :estimated * size], ipiv[:estimated * size], kl,
-                          estimated, size)
-        if head is None:
-            if len(live) > 1:
-                return _one_at_a_time(op, zetas, rows, cols, live, out, health)
-            head = np.zeros(1)
-        sigma[:estimated] = head
+        near = [zetas[live[k]] for k in estimated]
+        dist, factorizations = _spectral_distance(op, [z.real for z in near])
+        out.factorizations += factorizations
+        sigma[estimated] = np.hypot(dist, [z.imag for z in near])
     solved = []                             # positions in the stack
     for k, i in enumerate(live):
         if sigma[k] <= SINGULARITY_TOL:
@@ -556,9 +600,10 @@ def green_block(op: TruncatedOperator, zeta: complex, rows, cols) -> GreenTable:
 
     O(N d^3) time and O(N d^2) memory, no dense matrix.  Raises
     SingularityError on an exact zero pivot, or when the smallest singular
-    value (an upper estimate from 22 Arnoldi steps on the same LU) puts zeta
-    within 1e-8 of the truncated spectrum; a condition estimate above 1e12
-    is flagged, not fatal.  The estimate always runs here: ``sigma_min`` and
+    value, hypot(dist(Re zeta, spec J_N), Im zeta) with an upper estimate of
+    the distance from 22 Lanczos steps on a band LU of J_N - Re zeta, puts
+    zeta within 1e-8 of the truncated spectrum; a condition estimate above
+    1e12 is flagged, not fatal.  The estimate always runs here: ``sigma_min`` and
     ``condition`` are set for every zeta (``health=True``).
     """
     [table] = green_blocks(op, [zeta], rows, cols)

@@ -8,10 +8,12 @@ No numpy.linalg call sees an N x N array on any experiment kind, on the
 truncation gap source or in the spectrum and gap commands.  Property
 tests draw random Hermitian block operators (and explicit-list sequences
 for the eigen-search, which also reads block N + 1) with d = 1..4 and
-N = 2..40.  The sigma_min estimate, 22 Arnoldi steps on
-the band LU, is checked against the exact distance from zeta to the dense
-eigenvalues and against a copy of the 40-step inverse power iteration it
-replaced, which it may never exceed.  A real symmetric sequence and its
+N = 2..40.  The sigma_min estimate, hypot(dist(Re zeta), Im zeta) with the
+distance from 22 Lanczos steps on the band LU of J_N - Re zeta, is checked
+against the exact distance from zeta to the dense eigenvalues and against a
+copy of the 40-step inverse power iteration it replaced, which it may never
+exceed; a real band takes that LU in real arithmetic, its gauge copy in
+complex arithmetic, with the same values.  A real symmetric sequence and its
 gauge copy, every A_k times e^{i phi}, whose bands are reduced in real and
 in complex arithmetic, give the same gap eigenpairs.
 """
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 from scipy.linalg import hessenberg
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.lapack import dgbtrf, zgbtrf, zgbtrs
 
 from blockjacobi import (ExperimentConfig, GapInterval, GreenTable,
                          ParameterError, SingularityError, TruncatedOperator,
@@ -35,7 +37,7 @@ from blockjacobi import (ExperimentConfig, GapInterval, GreenTable,
 from blockjacobi import run, spectral
 from blockjacobi.cli import main as cli_main
 from blockjacobi.harness import resolve_gap
-from blockjacobi.spectral import (RESIDUAL_TOL, SINGULARITY_TOL, _ARNOLDI_STEPS,
+from blockjacobi.spectral import (RESIDUAL_TOL, SINGULARITY_TOL, _LANCZOS_STEPS,
                                   _CLUSTER_TOL, _INVERSE_STEPS, _SEED, _SHIFT_IMAG_REL,
                                   _TINY, _band_storage, _hermitian_band,
                                   _inverse_steps)
@@ -148,7 +150,7 @@ SMALL_EIGS = np.linalg.eigvalsh(dense(SMALL))
 
 
 def lu_only_sigma_min(op, zeta):
-    """The sigma_min iteration before the Arnoldi estimate, for one zeta: 40
+    """The sigma_min iteration before the Krylov estimates, for one zeta: 40
     steps of inverse power iteration, each the ``zgbtrs`` pair on the band
     LU.  None on an exact zero pivot or when the iteration breaks down, both
     singular verdicts."""
@@ -296,7 +298,7 @@ def test_sigma_min_matches_lu_only_iteration(case):
     if ref_singular:
         return
     assert got.sigma_min <= ref * (1.0 + 1e-12)
-    if op.n_blocks * op.dim <= _ARNOLDI_STEPS and zeta.imag != 0.0:
+    if op.n_blocks * op.dim <= _LANCZOS_STEPS and zeta.imag != 0.0:
         dist = np.min(np.abs(np.linalg.eigvalsh(dense(op)) - zeta))
         assert got.sigma_min == pytest.approx(dist, rel=1e-12)
 
@@ -317,7 +319,7 @@ def test_lowest_eigenvalue_of_small_raises_singularity():
 
 def test_sigma_min_of_a_near_eigenvalue_pair():
     # eigenvalues c + 5e-9 and c + 3e-8, then c + 2e-8 and c + 3e-8: both
-    # pairs lie within sqrt(eps) ||J - c|| of c; the 22-step Arnoldi
+    # pairs lie within sqrt(eps) ||J - c|| of c; the 22-step Lanczos
     # estimate on the band LU must still give the singular verdict for the
     # first pair and the dense distance for the second
     c = 0.25
@@ -373,8 +375,12 @@ def test_stacked_solve_matches_dense_and_single_solves(op, data):
 
 
 @pytest.mark.parametrize("n, factorizations", [
-    (600, 5),    # zeta = 0 overflows: the four zetas are re-solved one at a time
-    (1200, 2),   # zeta = 0 is an exact zero pivot: the other three are refactored
+    # zeta = 0 overflows the Lanczos run on the stack of the four real parts:
+    # the Green solve's one LU, the estimate's, and one per shift re-estimated
+    (600, 6),
+    # zeta = 0 is an exact zero pivot: the other three are refactored, then
+    # estimated on one stack
+    (1200, 3),
 ])
 def test_stacked_solve_isolates_a_singular_segment(n, factorizations):
     op = assemble_truncation(example2_sequence(3.0), n)
@@ -400,11 +406,23 @@ def test_stacked_solve_isolates_a_singular_segment(n, factorizations):
 NEAR_REAL = (0.0, 1e-12, -5e-9, SINGULARITY_TOL, -SINGULARITY_TOL, 2e-8, -3e-8, 1e-6)
 
 
-def assert_same_but_health(stack, full, lean):
+def estimate_factorizations(op, zetas):
+    """Band LUs of the sigma_min estimate of ``zetas``: none for none."""
+    return spectral._spectral_distance(op, [z.real for z in zetas])[1] if zetas else 0
+
+
+def assert_same_but_health(op, stack, full, lean):
     """``lean`` (health=False) has the blocks, norms, verdicts and error
     strings of ``full`` bit for bit; sigma_min and condition only within
-    1e-8 of the real axis, nan off it."""
-    assert lean.factorizations == full.factorizations
+    1e-8 of the real axis, nan off it.  Both make the same Green-solve LUs,
+    one per exact zero pivot plus one for the rest, and the estimate's LUs
+    of the zetas left, all of them or those within 1e-8 of the axis."""
+    pivots = [isinstance(t, SingularityError) and "exact zero pivot" in str(t) for t in full]
+    green = min(sum(pivots) + 1, len(stack))
+    live = [zeta for zeta, pivot in zip(stack, pivots) if not pivot]
+    near = [zeta for zeta in live if abs(zeta.imag) <= SINGULARITY_TOL]
+    assert full.factorizations == green + estimate_factorizations(op, live)
+    assert lean.factorizations == green + estimate_factorizations(op, near)
     assert len(lean) == len(full) == len(stack)
     for zeta, a, b in zip(stack, full, lean):
         assert type(a) is type(b)
@@ -432,20 +450,20 @@ def test_health_off_changes_only_off_axis_estimates(op, data):
     if data.draw(st.booleans()):
         stack.append(data.draw(st.sampled_from(stack)))
     idx = range(1, op.n_blocks + 1)
-    assert_same_but_health(stack, green_blocks(op, stack, idx, idx),
+    assert_same_but_health(op, stack, green_blocks(op, stack, idx, idx),
                            green_blocks(op, stack, idx, idx, health=False))
 
 
 @pytest.mark.parametrize("n", [600, 1200])
 def test_health_off_isolates_a_singular_segment_alike(n):
-    # the zero pivot and the overflow fallback of the stack above, with the
-    # off-axis zeta first in the order given and last in the stack solved
+    # the zero pivot and the overflowing estimate of the stack above, with
+    # the off-axis zeta first
     op = assemble_truncation(example2_sequence(3.0), n)
     stack = [0.3 + 0.2j, 0.5, 0.0, -0.4]
     rows = range(1, 51)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert_same_but_health(stack, green_blocks(op, stack, rows, [1]),
+        assert_same_but_health(op, stack, green_blocks(op, stack, rows, [1]),
                                green_blocks(op, stack, rows, [1], health=False))
 
 
@@ -460,17 +478,108 @@ def test_sigma_min_of_equidistant_eigenvalues(n):
     assert off_axis.sigma_min == pytest.approx(0.360555127546399, rel=1e-12)
 
 
+def test_zero_pivot_at_re_zeta_leaves_the_imaginary_part():
+    # example 2, x = 3, N = 1200: the LU of J_N itself has an exact zero
+    # pivot, so the distance from Re zeta = 0 is 0 and sigma_min is |Im zeta|
+    op = assemble_truncation(example2_sequence(3.0), 1200)
+    kl = 2 * op.dim - 1
+    assert dgbtrf(_band_storage(op, 0.0).real, kl, kl)[2] > 0
+    assert green_block(op, 0.3j, [1], [1]).sigma_min == 0.3
+    with pytest.raises(SingularityError, match=r"is within 5\.000e-09 of the truncated"):
+        green_block(op, 5e-9j, [1], [1])
+
+
+def band_factorizations(monkeypatch):
+    """Names of the band LU routines ``spectral`` calls from now on."""
+    calls = []
+    for name in ("dgbtrf", "zgbtrf"):
+        def spy(*args, _run=getattr(spectral, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(spectral, name, spy)
+    return calls
+
+
+def test_real_band_and_its_gauge_copy_give_the_same_sigma_min(monkeypatch):
+    # example 2, x = 3, N = 600, and its copy with every A_k times e^{0.7i}:
+    # the Green solve is complex on both, the estimate real on the first only
+    op = assemble_truncation(example2_sequence(3.0), 600)
+    gauged = TruncatedOperator(a_blocks=op.a_blocks * np.exp(0.7j), b_blocks=op.b_blocks)
+    calls = band_factorizations(monkeypatch)
+    for band, routines in ((op, ["zgbtrf", "dgbtrf"]), (gauged, ["zgbtrf", "zgbtrf"])):
+        calls.clear()
+        equidistant, off_axis = green_blocks(band, [0.5, 0.3 + 0.2j], [1], [1])
+        assert calls == routines
+        assert equidistant.sigma_min == pytest.approx(0.5, rel=1e-12)
+        assert off_axis.sigma_min == pytest.approx(0.360555127546399, rel=1e-12)
+
+
+def test_overflowing_estimate_is_redone_one_shift_at_a_time(monkeypatch):
+    # example 2, x = 3, N = 600: J_N has a pivot near 1e-250 and no exact
+    # zero one, so the Lanczos run at 0 overflows and the stack of four
+    # shifts with it; each shift is estimated alone, and 0, still
+    # non-finite alone, gets distance 0
+    op = assemble_truncation(example2_sequence(3.0), 600)
+    shifts = [0.5, 0.0, 0.3, -0.4]
+    alone = [spectral._spectral_distance(op, [x]) for x in shifts]
+    runs = []
+    lanczos = spectral._lanczos
+
+    def spy(lu, ipiv, kl, segments, size):
+        estimate = lanczos(lu, ipiv, kl, segments, size)
+        runs.append((segments, estimate is not None))
+        return estimate
+
+    monkeypatch.setattr(spectral, "_lanczos", spy)
+    dist, factorizations = spectral._spectral_distance(op, shifts)
+    assert runs == [(4, False), (1, True), (1, False), (1, True), (1, True)]
+    assert factorizations == 5
+    assert [(value, 1) for value in dist] == [(d[0], count) for d, count in alone]
+    assert dist[1] == 0.0
+    assert dist[[0, 2, 3]] == pytest.approx([0.5, 0.3, 0.4], rel=1e-12)
+
+
+def test_non_finite_stacked_solve_is_redone_one_zeta_at_a_time(monkeypatch):
+    # a NaN in the last segment of every stacked Green solve, as an inf in
+    # one segment's solve leaves in its neighbours: each zeta is solved
+    # alone and gets the table of a single solve
+    op = seeded_operator(2, 8, 3)
+    stack = [0.5j, 0.3 + 0.2j, -0.4 + 1j]
+    rows, cols = range(1, 9), [1, 8]
+    singles = [green_block(op, zeta, rows, cols) for zeta in stack]
+    size = op.n_blocks * op.dim
+    solve = spectral.zgbtrs
+
+    def faulty(*args, **kwargs):
+        x, info = solve(*args, **kwargs)
+        if x.shape[0] > size:
+            x[-1, 0] = math.nan
+        return x, info
+
+    monkeypatch.setattr(spectral, "zgbtrs", faulty)
+    tables = green_blocks(op, stack, rows, cols)
+    # the stack's Green LU and estimate LU, then both for each zeta alone
+    assert tables.factorizations == 2 + 2 * len(stack)
+    for table, single in zip(tables, singles):
+        assert np.array_equal(table.stack, single.stack)
+        assert np.array_equal(table.norm_stack, single.norm_stack)
+        assert (table.sigma_min, table.condition) == (single.sigma_min, single.condition)
+
+
 def test_sigma_min_when_the_krylov_space_runs_out():
     # 60 columns but two distinct eigenvalues: after two steps the residual
-    # is rounding noise, which Gram-Schmidt cannot make orthogonal; taken as
-    # a new direction it drove the estimate to 0.028 at zeta = 0.2
-    op = TruncatedOperator(a_blocks=np.zeros((29, 2, 2), dtype=complex),
-                           b_blocks=np.tile(np.diag([0.7, -0.3]).astype(complex), (30, 1, 1)))
-    stack = [0.2, complex(0.7, 0.5), 1.5]
-    tables = green_blocks(op, stack, [1], [1])
-    for zeta, table in zip(stack, tables):
-        dist = min(abs(0.7 - zeta), abs(-0.3 - zeta))
-        assert table.sigma_min == pytest.approx(dist, rel=1e-12)
+    # is rounding noise; with one eigenvalue (0.7 I) it is exactly 0 after
+    # one step at 0.1 and 0.3, and dividing by it made the estimate NaN and
+    # the verdict singular; 0.7 + 0.5i has an exact zero pivot at Re zeta
+    two = TruncatedOperator(a_blocks=np.zeros((29, 2, 2), dtype=complex),
+                            b_blocks=np.tile(np.diag([0.7, -0.3]).astype(complex), (30, 1, 1)))
+    one = TruncatedOperator(a_blocks=np.zeros((29, 1, 1)), b_blocks=np.full((30, 1, 1), 0.7))
+    for op, eigs, stack in ((two, (0.7, -0.3), [0.2, complex(0.7, 0.5), 1.5]),
+                            (one, (0.7,), [0.1, 0.2, 0.3, 1.5])):
+        tables = green_blocks(op, stack, [1], [1])
+        for zeta, table in zip(stack, tables):
+            dist = min(abs(eig - zeta) for eig in eigs)
+            assert table.sigma_min == pytest.approx(dist, rel=1e-12)
 
 
 def test_stack_shapes_validated():

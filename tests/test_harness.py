@@ -215,20 +215,22 @@ def test_green_bound_one_solve_per_zeta_and_section(monkeypatch):
     assert calls == [(zetas, n) for n in (120, 240)]
     # only the N section's sigma_min and condition are reported
     assert healths == [True, False]
+    # per section, the Green solve's LU and the sigma_min estimate's: of
+    # both zetas in the N section, of zeta = 0.5 in the 2N one
     assert report.meta["counters"] == {"sections_assembled": 2, "green_solves": 4,
-                                       "eigen_searches": 0, "factorizations": 2}
+                                       "eigen_searches": 0, "factorizations": 4}
 
 
 def sigma_min_calls(monkeypatch):
-    """(segments, N d) of every sigma_min estimate made from now on."""
+    """(shifts, N d) of every sigma_min estimate made from now on."""
     calls = []
-    estimate = spectral._sigma_min
+    estimate = spectral._spectral_distance
 
-    def spy(lu, ipiv, kl, segments, size):
-        calls.append((segments, size))
-        return estimate(lu, ipiv, kl, segments, size)
+    def spy(op, shifts):
+        calls.append((len(shifts), op.n_blocks * op.dim))
+        return estimate(op, shifts)
 
-    monkeypatch.setattr(spectral, "_sigma_min", spy)
+    monkeypatch.setattr(spectral, "_spectral_distance", spy)
     return calls
 
 
@@ -512,9 +514,10 @@ def test_run_sums_counters_over_experiment_kinds():
     report, _ = run(cfg)
     # green: N and 2N sections, one zeta solved on each; eigenvector: the N
     # and 2N eigen-searches, one eigenvalue cluster each; edge: one section
-    # solved at both eps by one stacked LU
+    # solved at both eps by one stacked LU; every Green solve adds the LU of
+    # its sigma_min estimate
     assert report.meta["counters"] == {"sections_assembled": 5, "green_solves": 4,
-                                       "eigen_searches": 2, "factorizations": 5}
+                                       "eigen_searches": 2, "factorizations": 8}
 
 
 def test_run_singular_zeta_exits_nonzero(tmp_path):
@@ -555,10 +558,10 @@ def test_truncation_gap_resolved_once_per_config(monkeypatch):
     assert [r.name for r in report.experiments] == [
         "green:continuous:zeta=0.5+0j", "eigenvector:none"]
     # the gap source: one section and one eigen-search; green: the N and 2N
-    # sections, one solve each; eigenvector: the N section's search, which
-    # has no candidate to factor for
+    # sections, one solve and one sigma_min estimate each; eigenvector: the
+    # N section's search, which has no candidate to factor for
     assert report.meta["counters"] == {"sections_assembled": 4, "green_solves": 2,
-                                       "eigen_searches": 2, "factorizations": 2}
+                                       "eigen_searches": 2, "factorizations": 4}
 
 
 def test_verdict_decides_every_result(monkeypatch):

@@ -1,7 +1,7 @@
 """The band LAPACK wrappers of ``blockjacobi._lapack`` against scipy's.
 
-``_lapack.Lapack`` binds ``zgbtrf``, ``zgbtrs``, ``zhbtrd``, ``dsbtrd``,
-``dstebz`` and ``dsterf`` from a ``Library``: numpy's bundled ILP64 OpenBLAS
+``_lapack.Lapack`` binds ``dgbtrf``, ``zgbtrf``, ``dgbtrs``, ``zgbtrs``,
+``zhbtrd``, ``dsbtrd``, ``dstebz`` and ``dsterf`` from a ``Library``: numpy's bundled ILP64 OpenBLAS
 (int64 integers, hidden string lengths) or the LP64 C pointers of scipy's
 ``cython_lapack`` capsules.  Every binding test runs the one set of wrappers
 on both libraries, in a loop over ``BINDINGS`` (numpy's is left out only
@@ -9,7 +9,8 @@ where this numpy bundles none), so each hypothesis draw is checked on both.
 They must give the results of scipy's Python wrappers, bit for bit, on the
 bands the library builds: the stacked J_N - zeta bands of ``_band_storage``
 and their lower Hermitian halves, for random Hermitian block operators with
-d = 1..4, N = 2..40 and one to three stacked zetas.  The wrappers' pivots
+d = 1..4, N = 2..40 and one to three stacked zetas, and the real bands of
+real symmetric operators at real shifts for ``dgbtrf`` and ``dgbtrs``.  The wrappers' pivots
 are LAPACK's 1-based ones, scipy's are 0-based.  ``eigvals_window`` (one
 band reduction, then ``dstebz`` bisection for a window and the two extreme
 eigenvalues) must equal three calls of scipy's ``dsbevx`` on real bands and
@@ -22,8 +23,9 @@ small, takes one complex reduction, and the scipy reference
 reduction, then ``dsterf``) must equal scipy's ``dsbevd`` or ``zhbevd``, and
 ``truncated_spectrum`` on either binding the dense ``eigvalsh`` to
 1e-12 max(||J||, 1).  Bands scaled far below or above 1 give the scaled
-eigenvalues.  ``band_solver``, the in-place ``zgbtrs`` bound once to its
-operands, repeats ``zgbtrs`` call for call.  Failures raise
+eigenvalues.  ``band_solver``, the in-place ``dgbtrs`` or ``zgbtrs`` bound
+once to its operands, repeats ``zgbtrs`` call for call, and takes only a
+right-hand side of its factor's type.  Failures raise
 ConvergenceError (info > 0) or ValueError (illegal argument).
 """
 
@@ -76,6 +78,26 @@ def test_band_lu_and_solves_match_scipy(op, stack):
             for right in (b, b[:, 0]):
                 x, info = lapack.zgbtrs(lu, kl, kl, right, ipiv, trans=trans)
                 x_ref, _ = scipy_lapack.zgbtrs(lu_ref, kl, kl, right, ipiv_ref, trans=trans)
+                assert info == 0
+                assert np.array_equal(x, x_ref)
+
+
+@given(real_operators(), st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3))
+def test_real_band_lu_and_solves_match_scipy(op, stack):
+    kl = 2 * op.dim - 1
+    ab = np.asfortranarray(_band_storage(op, stack).real)
+    lu_ref, ipiv_ref, info_ref = scipy_lapack.dgbtrf(ab, kl, kl)
+    assume(info_ref == 0)
+    b = rhs(ab.shape[1], 3).real.copy()
+    for lapack in BINDINGS:
+        lu, ipiv, info = lapack.dgbtrf(ab, kl, kl)
+        assert info == 0
+        assert np.array_equal(lu, lu_ref)
+        assert np.array_equal(ipiv - 1, ipiv_ref)
+        for trans in (0, 1, 2):
+            for right in (b, b[:, 0]):
+                x, info = lapack.dgbtrs(lu, kl, kl, right, ipiv, trans=trans)
+                x_ref, _ = scipy_lapack.dgbtrs(lu_ref, kl, kl, right, ipiv_ref, trans=trans)
                 assert info == 0
                 assert np.array_equal(x, x_ref)
 
@@ -263,6 +285,19 @@ def test_overwrite_works_in_place_on_fortran_complex_input():
         assert np.array_equal(b, kept)
 
 
+def test_overwrite_works_in_place_on_fortran_real_input():
+    for lapack in BINDINGS:
+        ab = np.asfortranarray(_band_storage(SMALL_REAL, 0.5).real)
+        lu, ipiv, _ = lapack.dgbtrf(ab, 1, 1, overwrite_ab=1)
+        assert lu is ab
+        b = rhs(ab.shape[1], 1)[:, 0].real.copy()
+        x, _ = lapack.dgbtrs(lu, 1, 1, b, ipiv, overwrite_b=1)
+        assert x is b
+        kept = b.copy()
+        lapack.dgbtrs(lu, 1, 1, b, ipiv)
+        assert np.array_equal(b, kept)
+
+
 def test_band_solver_solves_in_place_on_every_call():
     # solving twice in place is two calls of zgbtrs, for every trans
     ab = _band_storage(seeded_operator(2, 6, 1), [0.5j, -0.3 + 0.1j])
@@ -288,6 +323,13 @@ def test_band_solver_rejects_a_right_hand_side_it_cannot_overwrite():
                 lapack.band_solver(lu, 1, 1, b, ipiv)
         with pytest.raises(ValueError, match="do not match"):
             lapack.band_solver(lu, 1, 1, np.asfortranarray(rhs(4, 1)), ipiv)
+        # a factor of a type no band LU routine takes, and a complex
+        # right-hand side for a real factor
+        with pytest.raises(ValueError, match="do not match"):
+            lapack.band_solver(lu.astype(np.complex64), 1, 1, np.asfortranarray(rhs(3, 2)), ipiv)
+        real_lu, real_ipiv, _ = lapack.dgbtrf(_band_storage(SMALL_REAL, 0.5).real, 1, 1)
+        with pytest.raises(ValueError, match="writeable F-contiguous float64"):
+            lapack.band_solver(real_lu, 1, 1, np.asfortranarray(rhs(3, 2)), real_ipiv)
 
 
 def test_binding_rejects_illegal_arguments_and_mismatched_operands():

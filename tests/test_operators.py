@@ -471,3 +471,15 @@ def test_truncation_rejects_non_hermitian_b_stack():
     b_blocks[2, 0, 1] = 1e-6
     with pytest.raises(ParameterError, match=r"^B_3 is not Hermitian"):
         TruncatedOperator(a_blocks=np.ones((3, 2, 2)), b_blocks=b_blocks)
+
+
+@pytest.mark.parametrize("stack, index, value, name", [
+    ("b_blocks", 1, math.nan, "B_2"),     # was a dsterf failure (info = 2) in the spectrum
+    ("a_blocks", 0, math.inf, "A_1"),
+])
+def test_truncation_rejects_non_finite_blocks(stack, index, value, name):
+    # d = 1, N = 3: the first bad block is named, before any LAPACK call
+    blocks = {"a_blocks": np.ones((2, 1, 1)), "b_blocks": np.zeros((3, 1, 1))}
+    blocks[stack][index, 0, 0] = value
+    with pytest.raises(ParameterError, match=rf"^{name} contains non-finite entries$"):
+        TruncatedOperator(**blocks)
