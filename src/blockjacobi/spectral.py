@@ -373,8 +373,9 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     of M^{-1} over the Krylov space and 1 / sigma_max(T) an upper estimate
     of 1 / ||M^{-1}||, the distance from 0 to the spectrum of M.  A segment whose Krylov space runs out stops cleanly:
     when a residual is at or below 1e-12 times the norm of its column of T,
-    its next vector is zero.  Returns None when an entry of T turns
-    non-finite, which an overflowing solve or sum of squares gives, or when
+    its next vector is zero.  A vector whose sum of squares overflows is
+    measured scaled by its largest entry.  Returns None when an entry of T
+    turns non-finite, which an overflowing solve gives, or when
     sigma_max(T) is zero: then some distance is 0, and in a stack 0 x inf or
     0 / 0 may have carried that into the other segments.
     """
@@ -395,8 +396,8 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     # alpha[j] and beta[j + 1] are column j of T; beta[0] = 0 and prev = 0
     # start the three-term recurrence
     alpha, beta = np.zeros((steps, segments)), np.zeros((steps + 1, segments))
-    # an overflowing sum of squares is inf and inf - inf is NaN; both stay
-    # in T, whose finiteness is checked once at the end
+    # an overflowing solve gives inf, and inf - inf NaN; both stay in T,
+    # whose finiteness is checked once at the end
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
             np.copyto(w, cur)
@@ -405,6 +406,13 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
             alpha[j] = dots(cur, w)
             w -= alpha[j][:, None] * cur
             beta[j + 1] = np.sqrt(dots(w, w))
+            if not beta[j + 1].max() < math.inf:
+                # squares past the float range (a shift within about 1e-154
+                # of an eigenvalue): the norms of w scaled by its largest
+                # entries; a segment whose w is 0 gets NaN, and the stack is
+                # then estimated one shift at a time
+                peak = np.max(np.abs(w.view(float)), axis=1)[:, None]
+                beta[j + 1] = peak[:, 0] * np.sqrt(dots(w / peak, w / peak))
             if j + 1 < steps:
                 # a residual at rounding level is no new direction: the
                 # Krylov space has run out, and the segment's next vector

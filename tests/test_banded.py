@@ -375,9 +375,9 @@ def test_stacked_solve_matches_dense_and_single_solves(op, data):
 
 
 @pytest.mark.parametrize("n, factorizations", [
-    # zeta = 0 overflows the Lanczos run on the stack of the four real parts:
-    # the Green solve's one LU, the estimate's, and one per shift re-estimated
-    (600, 6),
+    # zeta = 0 gives no exact zero pivot but a distance of 3.1e-251 (the
+    # solves' squares overflow and are scaled): the Green LU and the estimate's
+    (600, 2),
     # zeta = 0 is an exact zero pivot: the other three are refactored, then
     # estimated on one stack
     (1200, 3),
@@ -456,8 +456,8 @@ def test_health_off_changes_only_off_axis_estimates(op, data):
 
 @pytest.mark.parametrize("n", [600, 1200])
 def test_health_off_isolates_a_singular_segment_alike(n):
-    # the zero pivot and the overflowing estimate of the stack above, with
-    # the off-axis zeta first
+    # the zero pivot and the near-zero distance of the stack above, with the
+    # off-axis zeta first
     op = assemble_truncation(example2_sequence(3.0), n)
     stack = [0.3 + 0.2j, 0.5, 0.0, -0.4]
     rows = range(1, 51)
@@ -515,12 +515,12 @@ def test_real_band_and_its_gauge_copy_give_the_same_sigma_min(monkeypatch):
 
 
 def test_overflowing_estimate_is_redone_one_shift_at_a_time(monkeypatch):
-    # example 2, x = 3, N = 600: J_N has a pivot near 1e-250 and no exact
-    # zero one, so the Lanczos run at 0 overflows and the stack of four
-    # shifts with it; each shift is estimated alone, and 0, still
-    # non-finite alone, gets distance 0
-    op = assemble_truncation(example2_sequence(3.0), 600)
-    shifts = [0.5, 0.0, 0.3, -0.4]
+    # J_N = diag(5e-324, 1, 2, 3): at 0 the pivot is subnormal, not an exact
+    # zero, and the solve overflows, which spreads through the stack; each
+    # shift is estimated alone, and 0, still non-finite alone, gets distance 0
+    op = TruncatedOperator(a_blocks=np.zeros((3, 1, 1)),
+                           b_blocks=np.array([5e-324, 1.0, 2.0, 3.0]).reshape(4, 1, 1))
+    shifts = [0.5, 0.0, 1.5]
     alone = [spectral._spectral_distance(op, [x]) for x in shifts]
     runs = []
     lanczos = spectral._lanczos
@@ -532,12 +532,18 @@ def test_overflowing_estimate_is_redone_one_shift_at_a_time(monkeypatch):
 
     monkeypatch.setattr(spectral, "_lanczos", spy)
     dist, factorizations = spectral._spectral_distance(op, shifts)
-    assert runs == [(4, False), (1, True), (1, False), (1, True), (1, True)]
-    assert factorizations == 5
+    assert runs == [(3, False), (1, True), (1, False), (1, True)]
+    assert factorizations == 4
     assert [count for _, count in alone] == [1] * len(shifts)
     assert dist.tolist() == [value for [value], _ in alone]
-    assert dist[1] == 0.0
-    assert dist[[0, 2, 3]] == pytest.approx([0.5, 0.3, 0.4], rel=1e-12)
+    assert dist.tolist() == [0.5, 0.0, 0.5]
+    # example 2, x = 3, N = 600: at 0 a pivot of 9.6e-251 and solves up to
+    # 7.7e248, whose squares overflow; measured scaled, the run stays finite
+    runs.clear()
+    big = assemble_truncation(example2_sequence(3.0), 600)
+    dist, factorizations = spectral._spectral_distance(big, [0.5, 0.0])
+    assert (runs, factorizations) == ([(2, True)], 1)
+    assert dist[0] == pytest.approx(0.5, rel=1e-12) and 0.0 < dist[1] < 1e-240
 
 
 def test_non_finite_stacked_solve_is_redone_one_zeta_at_a_time(monkeypatch):
