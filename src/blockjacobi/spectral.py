@@ -384,45 +384,45 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     v = rng.standard_normal(size)
     if lu.dtype == complex:
         v = v + 1j * rng.standard_normal(size)
-    cur = np.empty((segments, size), dtype=lu.dtype)
-    cur[:] = v / np.linalg.norm(v)
-    prev = np.zeros_like(cur)
-    w = np.empty_like(cur)
+    basis = np.zeros((2, segments, size), dtype=lu.dtype)    # v_j in basis[j % 2]
+    basis[0] = v / np.linalg.norm(v)
+    w = np.empty((segments, size), dtype=lu.dtype)
     solve = band_solver(lu, kl, kl, w.reshape(-1), ipiv)
-
-    def dots(x, y):         # Re(x^H y) per segment: the dot of the real views
-        return np.matmul(x.view(float)[:, None, :], y.view(float)[:, :, None])[:, 0, 0]
-
-    # alpha[j] and beta[j + 1] are column j of T; beta[0] = 0 and prev = 0
+    # Re(x^H y) per segment is the product of the real views of x as a row
+    # and y as a column
+    rows = basis.view(float)[:, :, None, :]
+    w_row, w_col = w.view(float)[:, None, :], w.view(float)[:, :, None]
+    # alpha[j] and beta[j + 1] are column j of T; beta[0] = 0 and v_{-1} = 0
     # start the three-term recurrence
     alpha, beta = np.zeros((steps, segments)), np.zeros((steps + 1, segments))
     # an overflowing solve gives inf, and inf - inf NaN; both stay in T,
     # whose finiteness is checked once at the end
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
+            cur, prev = basis[j % 2], basis[1 - j % 2]
             np.copyto(w, cur)
             solve()
             w -= beta[j][:, None] * prev
-            alpha[j] = dots(cur, w)
+            alpha[j] = np.matmul(rows[j % 2], w_col)[:, 0, 0]
             w -= alpha[j][:, None] * cur
-            beta[j + 1] = np.sqrt(dots(w, w))
+            beta[j + 1] = np.sqrt(np.matmul(w_row, w_col)[:, 0, 0])
             if not beta[j + 1].max() < math.inf:
                 # squares past the float range (a shift within about 1e-154
                 # of an eigenvalue): the norms of w scaled by its largest
                 # entries; a segment whose w is 0 gets NaN, and the stack is
                 # then estimated one shift at a time
-                peak = np.max(np.abs(w.view(float)), axis=1)[:, None]
-                beta[j + 1] = peak[:, 0] * np.sqrt(dots(w / peak, w / peak))
+                peak = np.max(np.abs(w_row), axis=(1, 2))
+                beta[j + 1] = peak * np.sqrt(np.sum((w_row / peak[:, None, None]) ** 2,
+                                                    axis=(1, 2)))
             if j + 1 < steps:
                 # a residual at rounding level is no new direction: the
                 # Krylov space has run out, and the segment's next vector
-                # and the coefficient that would bring it back are 0
+                # and the coefficient that would bring it back are 0 (w
+                # divided by inf)
                 column = np.hypot(np.hypot(beta[j], alpha[j]), beta[j + 1])
                 grows = beta[j + 1] > _KRYLOV_END * column
                 beta[j + 1] *= grows
-                prev, cur = cur, prev
-                np.divide(w, beta[j + 1][:, None], out=cur, where=grows[:, None])
-                cur[~grows] = 0.0
+                np.divide(w, np.where(grows, beta[j + 1], math.inf)[:, None], out=prev)
     T = np.zeros((segments, steps + 1, steps))
     i = np.arange(steps)
     T[:, i, i] = alpha.T
