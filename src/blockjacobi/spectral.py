@@ -371,13 +371,14 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     tridiagonal T of a segment satisfies M^{-1} V_k = V_{k+1} T, with V
     orthonormal in exact arithmetic, so sigma_max(T) is the largest growth
     of M^{-1} over the Krylov space and 1 / sigma_max(T) an upper estimate
-    of 1 / ||M^{-1}||, the distance from 0 to the spectrum of M.  A segment whose Krylov space runs out stops cleanly:
-    when a residual is at or below 1e-12 times the norm of its column of T,
-    its next vector is zero.  A vector whose sum of squares overflows is
-    measured scaled by its largest entry.  Returns None when an entry of T
-    turns non-finite, which an overflowing solve gives, or when
-    sigma_max(T) is zero: then some distance is 0, and in a stack 0 x inf or
-    0 / 0 may have carried that into the other segments.
+    of 1 / ||M^{-1}||, the distance from 0 to the spectrum of M.  A segment
+    whose Krylov space runs out stops cleanly: when a residual is at or
+    below 1e-12 times the norm of its column of T, its next vector is zero.
+    A vector whose sum of squares overflows is measured scaled by its
+    largest entry.  Returns None when an entry of T turns non-finite, which
+    an overflowing solve gives, or when sigma_max(T) is zero: then some
+    distance is 0, and in a stack 0 x inf or 0 / 0 may have carried that
+    into the other segments.
     """
     steps = min(_LANCZOS_STEPS, size)
     rng = np.random.default_rng(_SEED)
