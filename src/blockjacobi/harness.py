@@ -505,7 +505,9 @@ def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
         return [ExperimentResult(
             name="eigenvector:none", variant=variant, passed=None, n_blocks=n,
             details={"skipped": f"no N-stable gap eigenpair in ({gap.r:.6g}, {gap.s:.6g})"})]
-    pairs_2n = eigenpairs_in_gap(assemble_truncation(seq, 2 * n), gap)
+    # only the 2N clusters that can hold a partner are iterated
+    pairs_2n = eigenpairs_in_gap(assemble_truncation(seq, 2 * n), gap,
+                                 near=[p.zeta for p in pairs])
     counters["sections_assembled"] += 1
     counters["eigen_searches"] += 1
     counters["factorizations"] += pairs_2n.factorizations

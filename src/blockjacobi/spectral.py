@@ -35,10 +35,14 @@ Gap eigenpairs are banded too: one reduction of the Hermitian band
 (kd = 2d - 1) to tridiagonal form, in real arithmetic when the band is real
 (as for every real symmetric operator), then bisection, gives only the
 eigenvalues of J_N inside the gap window and the two extreme ones; block
-inverse iteration on the band LU gives the eigenvectors of the in-gap ones
-(a one-vector block is normalized after each step, a larger one
-orthonormalized by a QR), and the far-edge artifact filter reads only the
-coupling A_N to block N + 1 instead of a 2N section.  ``truncated_spectrum``
+inverse iteration on the band LU of J_N minus each cluster's bisected
+eigenvalue, again in real arithmetic for a real band, gives the
+eigenvectors of the in-gap ones (a one-vector block is normalized after
+each step, a larger one orthonormalized by a QR; an exact zero pivot is
+replaced by 8 eps max(||J_N||, 1), as LAPACK's ``dstein`` does), and the
+far-edge artifact filter reads only the coupling A_N to block N + 1 instead
+of a 2N section.  A search for the partners of given eigenvalues (``near``)
+iterates only the clusters that can hold one.  ``truncated_spectrum``
 takes the same reduction of the same band, then all its eigenvalues from the
 tridiagonal form (``dsterf``), checked against the trace and Frobenius
 identities of the block stacks.  No function here builds the dense
@@ -82,8 +86,10 @@ _KRYLOV_END = 1e-12
 _SEED = 20260810
 #: cap on block inverse-iteration steps per eigenvalue cluster
 _INVERSE_STEPS = 40
-#: imaginary part of the inverse-iteration shift, relative to max(||J_N||, 1)
-_SHIFT_IMAG_REL = 1e-10
+#: accuracy of a bisected eigenvalue of J_N, in units of eps max(||J_N||, 1):
+#: the floor of the inverse-iteration shift's distance to an eigenvalue in its
+#: cluster, and the pivot that replaces an exact zero one
+_SHIFT_FLOOR_ULPS = 8
 #: smallest normal float
 _TINY = np.finfo(float).tiny
 #: gap eigenvalue candidates keep this share of the gap width from each end
@@ -351,6 +357,12 @@ def _hermitian_band(op: TruncatedOperator) -> np.ndarray:
     return _band_storage(op, 0.0)[2 * (2 * op.dim - 1):]
 
 
+def _real_band(op: TruncatedOperator) -> bool:
+    """Whether no block entry of J_N has a nonzero imaginary part, as for
+    every real symmetric operator: its band LU then runs in real arithmetic."""
+    return not (np.any(op.a_blocks.imag) or np.any(op.b_blocks.imag))
+
+
 class FactoredResults(list):
     """A list of results and the number of band LU factorizations behind them."""
 
@@ -456,7 +468,7 @@ def _spectral_distance(op: TruncatedOperator, shifts) -> tuple[np.ndarray, int]:
     dist = np.zeros(len(shifts))
     live = list(range(len(shifts)))
     factorizations = 0
-    real = not (np.any(op.a_blocks.imag) or np.any(op.b_blocks.imag))
+    real = _real_band(op)
     factor = dgbtrf if real else zgbtrf
     while live:
         ab = _band_storage(op, [shifts[i] for i in live], float if real else complex)
@@ -539,8 +551,15 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
         # bound sqrt(||.||_1 ||.||_inf) on the spectral norm is the largest
         # column sum
         band = np.abs(ab[kl:]).T.reshape(len(live), size, 2 * kl + 1)
-        norm_upper = np.minimum(np.max(np.sum(band, axis=2), axis=1),
-                                np.sqrt(np.sum(band * band, axis=(1, 2))))
+        with np.errstate(over="ignore"):
+            frobenius = np.sqrt(np.sum(band * band, axis=(1, 2)))
+        if not frobenius.max() < math.inf:
+            # squares past the float range (|zeta| or an entry above about
+            # 1e154): each segment's norm scaled by its largest entry
+            peak = np.maximum(np.max(band, axis=(1, 2)), _TINY)
+            frobenius = peak * np.sqrt(np.sum((band / peak[:, None, None]) ** 2,
+                                              axis=(1, 2)))
+        norm_upper = np.minimum(np.max(np.sum(band, axis=2), axis=1), frobenius)
         lu, ipiv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
         out.factorizations += 1
         if info <= 0:
@@ -639,31 +658,47 @@ class EigenpairInGap:
 
 
 def _apply(op: TruncatedOperator, X: np.ndarray) -> np.ndarray:
-    """J_N X for an (N d, k) array, straight from the block stacks."""
+    """J_N X for an (N d, k) array, straight from the block stacks; a real X,
+    which only a real band gets, meets the blocks' real parts."""
     n, d = op.n_blocks, op.dim
+    a, b = (op.a_blocks, op.b_blocks) if np.iscomplexobj(X) else (
+        op.a_blocks.real, op.b_blocks.real)
     Xb = X.reshape(n, d, -1)
-    Y = op.b_blocks @ Xb
-    Y[:-1] += op.a_blocks @ Xb[1:]
-    Y[1:] += op.a_blocks.conj().transpose(0, 2, 1) @ Xb[:-1]
+    Y = b @ Xb
+    Y[:-1] += a @ Xb[1:]
+    Y[1:] += a.conj().transpose(0, 2, 1) @ Xb[:-1]
     return Y.reshape(X.shape)
 
 
-def _ritz_basis(op: TruncatedOperator, shift: complex, k: int,
-                steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _ritz_basis(op: TruncatedOperator, shift: float, k: int, steps: int,
+                floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Ritz vectors U of the k eigenvalues of J_N nearest ``shift``, and J_N U.
 
     ``steps`` steps of seeded block inverse iteration on the band LU of
     J_N - shift, each solving in place and then orthonormalizing the block
     (a QR; one vector is just normalized, which is its QR up to a unit
     phase that nothing downstream sees), then Rayleigh-Ritz on the block.
+    The real shift keeps a real band real: ``dgbtrf`` and real start vectors
+    then, ``zgbtrf`` and complex ones otherwise.  A shift that is an
+    eigenvalue to the last bit gives an exact zero pivot; as in LAPACK's
+    ``dstein``, it is replaced by ``floor`` and the iteration runs on, since
+    the solve then amplifies exactly the wanted eigenvector.
     """
     n, d = op.n_blocks, op.dim
     kl = 2 * d - 1
-    # Im shift > 0 keeps sigma_min(J_N - shift) >= Im shift: no zero pivot
-    lu, ipiv, _ = zgbtrf(_band_storage(op, shift), kl, kl, overwrite_ab=1)
+    dtype = float if _real_band(op) else complex
+    factor = dgbtrf if dtype is float else zgbtrf
+    lu, ipiv, info = factor(_band_storage(op, shift, dtype), kl, kl, overwrite_ab=1)
+    if info > 0:
+        # U(info, info) is the first zero pivot; the multipliers below a zero
+        # pivot are zero too, and the rest of the factor is complete
+        pivots = lu[2 * kl]
+        pivots[pivots == 0.0] = floor
     rng = np.random.default_rng(_SEED)
-    X = np.empty((n * d, k), dtype=complex, order="F")
-    X[:] = rng.standard_normal((n * d, k)) + 1j * rng.standard_normal((n * d, k))
+    X = np.empty((n * d, k), dtype=dtype, order="F")
+    X[:] = rng.standard_normal((n * d, k))
+    if dtype is complex:
+        X += 1j * rng.standard_normal((n * d, k))
     solve = band_solver(lu, kl, kl, X, ipiv)
     for _ in range(steps):
         solve()
@@ -676,8 +711,8 @@ def _ritz_basis(op: TruncatedOperator, shift: complex, k: int,
     return X @ V, JX @ V
 
 
-def _inverse_steps(vals: np.ndarray, cluster: list, shift: complex,
-                   lo: float, hi: float) -> int:
+def _inverse_steps(vals: np.ndarray, cluster: list, shift: float,
+                   lo: float, hi: float, floor: float) -> int:
     """Inverse-iteration steps that resolve every entry above the smallest normal float.
 
     Each step shrinks the share of the eigenvectors outside the cluster by
@@ -686,24 +721,26 @@ def _inverse_steps(vals: np.ndarray, cluster: list, shift: complex,
     random start, what is left lies below the smallest normal float, so the
     tiny far blocks of a localized eigenvector are resolved too, not just its
     norm.  At most ``_INVERSE_STEPS``.  ``vals`` are the eigenvalues in the
-    window (lo, hi), which holds Re shift; every other eigenvalue lies at or
+    window (lo, hi), which holds ``shift``; every other eigenvalue lies at or
     beyond lo or hi, so min_out is bounded below by the nearer of
     |shift - lo| and |shift - hi|, and rho from this bound is an upper bound.
+    The bisected ``vals`` are only accurate to about eps ||J_N||, so each
+    in-cluster distance is taken as at least ``floor``, 8 eps
+    max(||J_N||, 1): the shift at a bisected eigenvalue is not the
+    eigenvalue itself.
     """
     dist = np.abs(vals - shift)
     outside = min(np.min(np.delete(dist, cluster), initial=math.inf),
                   abs(shift - lo), abs(shift - hi))
-    rho = np.max(dist[cluster]) / outside
-    if rho == 0.0:
-        return 1
+    rho = max(float(np.max(dist[cluster])), floor) / outside
     if not rho < 1.0:
         return _INVERSE_STEPS
     return min(_INVERSE_STEPS, 1 + math.ceil(math.log(_TINY) / math.log(rho)))
 
 
 def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
-                      drift_tol: float = 1e-6,
-                      embed_tol: float = 1e-6) -> FactoredResults:
+                      drift_tol: float = 1e-6, embed_tol: float = 1e-6,
+                      near=None) -> FactoredResults:
     """Eigenpairs of J_N strictly inside the gap, filtered of cut artifacts.
 
     Candidates are eigenvalues in (r + margin, s - margin) with margin 2% of
@@ -715,10 +752,20 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     (``dstebz``) for the window and for the lowest and highest eigenvalue
     only.  Candidates within 1e-8 of each other form a cluster, whose
     eigenvectors come from block inverse iteration on the band LU of
-    J_N - (mean + i tau), tau = 1e-10 max(||J_N||, 1), followed by
-    Rayleigh-Ritz.  The iteration
+    J_N - mean, at the cluster's mean bisected eigenvalue, in real arithmetic
+    for a real band (``dgbtrf``), followed by Rayleigh-Ritz.  The iteration
     runs until the other eigenvectors' share is below the smallest normal
-    float, so far blocks of a localized eigenvector are resolved entrywise.
+    float, so far blocks of a localized eigenvector are resolved entrywise;
+    the shift's distance to its cluster counts as at least
+    8 eps max(||J_N||, 1), the accuracy of the bisected eigenvalue.
+
+    ``near``, a sequence of eigenvalues (the harness passes the thetas of the
+    N section's pairs when it searches the 2N section for their partners),
+    restricts the iteration to the clusters whose eigenvalue range, widened
+    by 2 drift_tol on each side, holds one of them.  A pair within drift_tol
+    of a value of ``near`` is never lost, and each cluster's iteration is
+    seeded and independent of the others, so every pair returned is
+    bit-identical to the full search's.
 
     A Dirichlet cut manufactures spurious in-gap eigenpairs localized at the
     far boundary; these can be perfectly N-stable (the cut exists at every
@@ -736,7 +783,8 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     count per halving, about 53 halvings to full precision), each cluster
     O(N d^3) more; memory is O(N d^2) and no dense matrix is built.  The
     pairs come sorted by eigenvalue, with ``factorizations`` counting the
-    band LU factorizations: one per cluster.
+    band LU factorizations: one per iterated cluster.  ``blocks`` are real
+    (float64) on a real band.
     """
     seq = op.sequence
     if seq is None:
@@ -750,15 +798,22 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
         return FactoredResults()
     # group candidates into near-degenerate clusters
     clusters = np.split(np.arange(vals.size), np.nonzero(np.diff(vals) > _CLUSTER_TOL)[0] + 1)
+    if near is not None:
+        near = np.asarray(near, dtype=float)
+        reach = 2.0 * drift_tol
+        clusters = [c for c in clusters
+                    if np.any((near >= vals[c[0]] - reach) & (near <= vals[c[-1]] + reach))]
     norm_scale = max(abs(lowest), abs(highest), 1.0)
-    # block (N + 1, N) of the 2N section
+    floor = _SHIFT_FLOOR_ULPS * np.finfo(float).eps * norm_scale
+    # block (N + 1, N) of the 2N section, real when it has no imaginary part
     a_cut = seq.blocks(n, n + 1)[0][0].conj().T
+    if not np.any(a_cut.imag):
+        a_cut = a_cut.real
     results = FactoredResults(factorizations=len(clusters))
     for cluster in clusters:
         mean_val = float(np.mean(vals[cluster]))
-        shift = complex(mean_val, _SHIFT_IMAG_REL * norm_scale)
-        U, JU = _ritz_basis(op, shift, len(cluster),
-                            _inverse_steps(vals, cluster, shift, lo, hi))
+        U, JU = _ritz_basis(op, mean_val, len(cluster),
+                            _inverse_steps(vals, cluster, mean_val, lo, hi, floor), floor)
         W = np.vstack([JU - mean_val * U, a_cut @ U[-d:]])
         _, svals, vh = np.linalg.svd(W, full_matrices=False)
         for i in range(len(cluster) - 1, -1, -1):

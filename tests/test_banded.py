@@ -15,7 +15,9 @@ copy of the 40-step inverse power iteration it replaced, which it may never
 exceed; a real band takes that LU in real arithmetic, its gauge copy in
 complex arithmetic, with the same values.  A real symmetric sequence and its
 gauge copy, every A_k times e^{i phi}, whose bands are reduced in real and
-in complex arithmetic, give the same gap eigenpairs.
+in complex arithmetic, give the same gap eigenpairs.  The 2N partner
+search (``near=``) gives every N pair the full search's partner, bit for
+bit.
 """
 
 import json
@@ -36,9 +38,9 @@ from blockjacobi import (ExperimentConfig, GapInterval, GreenTable,
                          green_blocks, verify_eigenvector_bound, with_prefix)
 from blockjacobi import run, spectral
 from blockjacobi.cli import main as cli_main
-from blockjacobi.harness import resolve_gap
+from blockjacobi.harness import DRIFT_TOL, resolve_gap
 from blockjacobi.spectral import (RESIDUAL_TOL, SINGULARITY_TOL, _LANCZOS_STEPS,
-                                  _CLUSTER_TOL, _INVERSE_STEPS, _SEED, _SHIFT_IMAG_REL,
+                                  _CLUSTER_TOL, _INVERSE_STEPS, _SEED, _SHIFT_FLOOR_ULPS,
                                   _TINY, _band_storage, _hermitian_band,
                                   _inverse_steps)
 
@@ -252,6 +254,17 @@ def test_norm_upper_matches_dense_formula(op, zeta):
     upper = min(np.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)),
                 np.linalg.norm(M, "fro"))
     table = green_block(op, zeta, [1], [1])
+    assert table.condition * table.sigma_min == pytest.approx(upper, rel=1e-12)
+
+
+def test_norm_upper_of_a_far_zeta_does_not_overflow():
+    # |zeta| = 1e160: the squares of the band's entries pass the float range,
+    # so the Frobenius norm is taken scaled by the band's largest entry
+    op = assemble_truncation(example2_sequence(3.0), 60)
+    [table] = green_blocks(op, [1e160], [1], [1])
+    M = dense(op) - 1e160 * np.eye(op.n_blocks * op.dim)
+    upper = min(np.linalg.norm(M, 1), 1e160 * np.linalg.norm(M / 1e160, "fro"))
+    assert table.sigma_min == pytest.approx(1e160, rel=1e-12)
     assert table.condition * table.sigma_min == pytest.approx(upper, rel=1e-12)
 
 
@@ -684,6 +697,12 @@ def gauge_pins():
             in zip((small, small, pair), pinned_windows(eigs(small), eigs(pair)))]
 
 
+def window_gap(lo, hi):
+    """The gap whose 2% margin window is (lo, hi)."""
+    width = (hi - lo) / (1.0 - 2.0 * spectral._MARGIN_FRAC)
+    return GapInterval(lo - spectral._MARGIN_FRAC * width, hi + spectral._MARGIN_FRAC * width)
+
+
 @pinned(gauge_pins())
 @given(gauge_cases())
 def test_gauge_copy_gives_the_same_eigenpairs(case):
@@ -696,9 +715,8 @@ def test_gauge_copy_gives_the_same_eigenpairs(case):
     scale = max(float(np.max(np.abs(vals))), 1.0)
     assume(np.min(np.abs(vals - lo)) > 1e-12 * scale
            and np.min(np.abs(vals - hi)) > 1e-12 * scale)
-    # the gap whose 2% margin window is (lo, hi), with the filters opened
-    width = (hi - lo) / (1.0 - 2.0 * spectral._MARGIN_FRAC)
-    gap = GapInterval(lo - spectral._MARGIN_FRAC * width, hi + spectral._MARGIN_FRAC * width)
+    # the filters opened
+    gap = window_gap(lo, hi)
     pairs = eigenpairs_in_gap(op, gap, drift_tol=math.inf, embed_tol=math.inf)
     twins = eigenpairs_in_gap(op_gauged, gap, drift_tol=math.inf, embed_tol=math.inf)
     assert len(pairs) == len(twins) == np.count_nonzero((vals > lo) & (vals < hi))
@@ -771,13 +789,18 @@ def test_eigenpair_far_beyond_dense_scale():
     assert np.all(np.abs(got - want) <= 1e-10 * want)
 
 
-def full_spectrum_steps(vals, cluster, shift):
+def shift_floor(vals):
+    """The floor of an in-cluster distance, 8 eps max(||J_N||, 1)."""
+    return _SHIFT_FLOOR_ULPS * np.finfo(float).eps * max(float(np.max(np.abs(vals))), 1.0)
+
+
+def full_spectrum_steps(vals, cluster, shift, floor):
     """The step rule before the window search: min_out read from every
-    eigenvalue of J_N outside the cluster."""
+    eigenvalue of J_N outside the cluster, each in-cluster distance at least
+    ``floor``."""
     dist = np.abs(vals - shift)
-    rho = np.max(dist[cluster]) / np.min(np.delete(dist, cluster), initial=math.inf)
-    if rho == 0.0:
-        return 1
+    rho = max(np.max(dist[cluster]), floor) / np.min(np.delete(dist, cluster),
+                                                      initial=math.inf)
     if not rho < 1.0:
         return _INVERSE_STEPS
     return min(_INVERSE_STEPS, 1 + math.ceil(math.log(_TINY) / math.log(rho)))
@@ -805,14 +828,14 @@ def test_window_step_bound_never_gives_fewer_steps(op, a, b):
     lo = vals[0] - 1.0 + span * min(a, b)
     hi = vals[0] - 1.0 + span * max(a, b)
     assume(lo < hi)
-    tau = _SHIFT_IMAG_REL * max(float(np.max(np.abs(vals))), 1.0)
+    floor = shift_floor(vals)
     first, clusters = window_clusters(vals, lo, hi)
     window = vals[(vals > lo) & (vals < hi)]
     for cluster in clusters:
-        shift = complex(np.mean(vals[cluster]), tau)
+        shift = float(np.mean(vals[cluster]))
         local = [i - first for i in cluster]
-        assert (_inverse_steps(window, local, shift, lo, hi)
-                >= full_spectrum_steps(vals, cluster, shift))
+        assert (_inverse_steps(window, local, shift, lo, hi, floor)
+                >= full_spectrum_steps(vals, cluster, shift, floor))
 
 
 @pytest.mark.parametrize("n", [200, 400])
@@ -824,15 +847,110 @@ def test_eigvec_operator_keeps_its_step_counts(monkeypatch, n):
     op = assemble_truncation(seq, n)
     calls = []
 
-    def record(vals, cluster, shift, lo, hi):
-        steps = _inverse_steps(vals, cluster, shift, lo, hi)
-        calls.append((cluster, shift, lo, hi, steps))
+    def record(vals, cluster, shift, lo, hi, floor):
+        steps = _inverse_steps(vals, cluster, shift, lo, hi, floor)
+        calls.append((cluster, shift, lo, hi, floor, steps))
         return steps
 
     monkeypatch.setattr(spectral, "_inverse_steps", record)
     assert len(eigenpairs_in_gap(op, gap)) == 1
     vals = np.linalg.eigvalsh(dense(op))
     assert calls
-    for cluster, shift, lo, hi, steps in calls:
+    for cluster, shift, lo, hi, floor, steps in calls:
+        # a real shift at the bisected eigenvalue, with its floor
+        assert isinstance(shift, float)
+        assert floor == pytest.approx(shift_floor(vals), rel=1e-12)
+        assert steps <= 25
         first, _ = window_clusters(vals, lo, hi)
-        assert steps == full_spectrum_steps(vals, [first + i for i in cluster], shift)
+        assert steps == full_spectrum_steps(vals, [first + i for i in cluster], shift, floor)
+
+
+def diagonal_sequence(diagonal):
+    """A d = 1 diagonal sequence: the entries ``diagonal``, then 5 forever."""
+    return explicit_sequence([(np.zeros((1, 1)), np.array([[float(b)]])) for b in diagonal],
+                             tail=(np.zeros((1, 1)), np.array([[5.0]])))
+
+
+@pytest.mark.parametrize("diagonal, count", [((0.0, 2.0, 4.0, 4.5), 1),
+                                             ((0.0, 2.0, 2.0, 4.5), 2)])
+def test_exact_zero_pivot_is_replaced_by_the_floor(monkeypatch, diagonal, count):
+    # the bisected eigenvalue 2 of a diagonal operator is exact, so the band
+    # LU at it has exact zero pivots (one per copy of 2); each is replaced by
+    # the floor, and the iteration still finds the eigenvectors
+    factor, infos = spectral.dgbtrf, []
+
+    def spy(*args, **kwargs):
+        lu, ipiv, info = factor(*args, **kwargs)
+        infos.append(info)
+        return lu, ipiv, info
+
+    monkeypatch.setattr(spectral, "dgbtrf", spy)
+    pairs = eigenpairs_in_gap(assemble_truncation(diagonal_sequence(diagonal), 12),
+                              GapInterval(1.0, 3.0))
+    assert infos == [2]
+    assert len(pairs) == count
+    for p in pairs:
+        assert p.zeta == pytest.approx(2.0, abs=1e-14)
+        assert p.residual <= RESIDUAL_TOL
+        assert p.blocks.dtype == np.float64
+        # the eigenvectors lie in the span of e_2 and e_3
+        assert np.linalg.norm(p.blocks[1:count + 1]) == pytest.approx(1.0, abs=1e-14)
+
+
+def eigvec_case(n):
+    """The benchmark's eigenvector operator (B_1 = 0.5 I) at N, in its symbol
+    gap, with the harness's filters."""
+    seq = with_prefix(example2_sequence(3.0), [(A2, 0.5 * np.eye(2))])
+    gap = resolve_gap(ExperimentConfig(operator=seq, zetas=(0.5,), n_blocks=n), seq)
+    return seq, n, gap, DRIFT_TOL, 1e-6
+
+
+@st.composite
+def partner_cases(draw):
+    """(sequence, N, gap, drift_tol, embed_tol): a random sequence, the gap of
+    a window drawn around its N section's eigenvalues, a drift tolerance
+    from 1e-3 to 1 and the embedding filter opened."""
+    seq, n = draw(hermitian_sequences())
+    lo, hi = draw_window(draw, np.linalg.eigvalsh(dense(assemble_truncation(seq, n))))
+    return seq, n, window_gap(lo, hi), draw(st.floats(1e-3, 1.0)), math.inf
+
+
+@pinned([(diagonal_sequence((0.0, 2.0, 4.0, 4.5)), 12, GapInterval(1.0, 3.0), DRIFT_TOL, 1e-6),
+         eigvec_case(200), eigvec_case(400)])
+@given(partner_cases())
+def test_partner_search_gives_the_full_search_partners(case):
+    # the 2N search with near= (the N pairs' thetas) iterates only the
+    # clusters within 2 drift_tol of one; every N pair's partner, the first
+    # 2N pair within drift_tol as the harness takes it, is bit-identical
+    seq, n, gap, drift_tol, embed_tol = case
+    pairs = eigenpairs_in_gap(assemble_truncation(seq, n), gap, drift_tol, embed_tol)
+    op_2n = assemble_truncation(seq, 2 * n)
+    full = eigenpairs_in_gap(op_2n, gap, drift_tol, embed_tol)
+    near = eigenpairs_in_gap(op_2n, gap, drift_tol, embed_tol, near=[p.zeta for p in pairs])
+    assert near.factorizations <= full.factorizations
+
+    def same(p, q):
+        return p.zeta == q.zeta and np.array_equal(p.blocks, q.blocks)
+
+    for p in pairs:
+        want = next((q for q in full if abs(q.zeta - p.zeta) < drift_tol), None)
+        got = next((q for q in near if abs(q.zeta - p.zeta) < drift_tol), None)
+        assert (got is None) == (want is None)
+        assert want is None or same(got, want)
+    assert all(any(same(q, r) for r in full) for q in near)
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_eigvec_operator_resolves_its_tail(n):
+    # C_b and c_b_2n are maxima over every block: an eigenvector resolved only
+    # in norm fails from N = 500 on (c_b_2n = 6.4e8 at block 1000), while
+    # the entrywise step rule keeps the value of every N
+    seq, *_ = eigvec_case(n)
+    cfg = ExperimentConfig(operator=seq, zetas=(0.5,), n_blocks=n, experiments=("eigenvector",))
+    report = verify_eigenvector_bound(cfg)
+    [res] = report.experiments
+    assert res.passed is True and res.details["stable_partner_found"]
+    assert res.details["c_b_2n"] == pytest.approx(0.9855256405129846, rel=1e-12)
+    # one factorization per iterated cluster: the 2N search skips the
+    # far-boundary artifact, which no N pair partners
+    assert report.meta["counters"]["factorizations"] == 3

@@ -25,6 +25,9 @@ swaps every pair), so slow drift of the machine hits both alike, with
   the real operator takes the real one; ``truncated_spectrum`` of the
   assembled example 2 section (every eigenvalue, as the ``truncation`` gap
   source and the ``spectrum`` command take them), the assembly untimed;
+  each point also records its verdict: ``pass`` when every result of its
+  report passed (a ``truncated_spectrum`` that returns has passed its own
+  checks), ``failed`` otherwise, in any of its runs;
 * under ``machine.lapack``, per side, the band LAPACK its ``blockjacobi``
   runs on: the library file and its ``openblas_get_config`` string.
 
@@ -81,13 +84,16 @@ if kind == "truncation-spectrum":
     op = bj.assemble_truncation(seq, n)
     t0 = perf_counter()
     bj.truncated_spectrum(op)
+    seconds, passed = perf_counter() - t0, True
 else:
     cfg = ExperimentConfig(operator=seq, zetas=(zeta,), n_blocks=n,
                            experiments=("green" if green else "eigenvector",))
     verify = bj.verify_green_bound if green else bj.verify_eigenvector_bound
     t0 = perf_counter()
-    verify(cfg)
-print(json.dumps(perf_counter() - t0))
+    report = verify(cfg)
+    seconds = perf_counter() - t0
+    passed = all(r.passed is True for r in report.experiments)
+print(json.dumps({"seconds": seconds, "passed": passed}))
 """
 
 
@@ -140,7 +146,8 @@ def in_checkout(root: Path, code: str, *args: str):
     return last_json_line([sys.executable, "-c", code, *args], root, env)
 
 
-def ladder_point(root: Path, kind: str, n: int) -> float:
+def ladder_point(root: Path, kind: str, n: int) -> dict:
+    """``{"seconds": wall time, "passed": verdict}`` of one ladder run."""
     return in_checkout(root, LADDER_POINT, kind, str(n))
 
 
@@ -217,8 +224,11 @@ def main(argv=None) -> int:
         for n in sizes:
             runs = alternate(sides, LADDER_REPEATS,
                              lambda root: ladder_point(root, kind, n))
-            for name, values in runs.items():
-                ladder[kind].setdefault(f"{name}_s", []).append(statistics.median(values))
+            for name, points in runs.items():
+                ladder[kind].setdefault(f"{name}_s", []).append(
+                    statistics.median(p["seconds"] for p in points))
+                ladder[kind].setdefault(f"{name}_verdict", []).append(
+                    "pass" if all(p["passed"] for p in points) else "failed")
         print(kind, json.dumps(ladder[kind]), file=sys.stderr)
 
     result = {
@@ -236,7 +246,9 @@ def main(argv=None) -> int:
                       "e^{0.7 i}), or of one truncated_spectrum call on "
                       "the assembled section (truncation-spectrum), "
                       "in a fresh interpreter, median of "
-                      f"{LADDER_REPEATS} alternating runs per side",
+                      f"{LADDER_REPEATS} alternating runs per side; "
+                      "<side>_verdict is pass when every result of every "
+                      "run's report passed, failed otherwise",
             "notes": "added by hand after the run, not by this tool",
         },
         "workloads": workloads,
