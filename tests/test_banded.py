@@ -266,6 +266,14 @@ def test_norm_upper_of_a_far_zeta_does_not_overflow():
     upper = min(np.linalg.norm(M, 1), 1e160 * np.linalg.norm(M / 1e160, "fro"))
     assert table.sigma_min == pytest.approx(1e160, rel=1e-12)
     assert table.condition * table.sigma_min == pytest.approx(upper, rel=1e-12)
+    # one column of A_1 at 1e160 (d = 3, N = 2): column sum 3e160, and the
+    # smaller Frobenius bound sqrt(6) 1e160 from overflowing squares
+    a = np.zeros((1, 3, 3))
+    a[0, :, 0] = 1e160
+    op = TruncatedOperator(a_blocks=a, b_blocks=np.zeros((2, 3, 3)))
+    [table] = green_blocks(op, [1j], [1], [1])
+    assert table.sigma_min == 1.0
+    assert table.condition == pytest.approx(math.sqrt(6.0) * 1e160, rel=1e-12)
 
 
 @given(hermitian_operators(), st.integers(0, 10**6))
