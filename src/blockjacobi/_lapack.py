@@ -16,16 +16,14 @@ imports no scipy module and one OpenBLAS serves numpy and the band solves;
 scipy's on every other numpy build (Accelerate, MKL, conda).  The choice
 depends only on numpy's build and is made once, at import.
 
-``zgbtrf(ab, kl, ku, overwrite_ab=0) -> (lu, ipiv, info)`` and
-``zgbtrs(ab, kl, ku, b, ipiv, trans=0, overwrite_b=0) -> (x, info)`` take
-scipy's signatures (trans 0, 1, 2: A, A^T, A^H); ``ipiv`` holds LAPACK's
-1-based pivots in the library's integer type.  ``dgbtrf`` and ``dgbtrs`` are
-their float64 twins.  An ``overwrite_*`` input that is a writeable
-F-contiguous array of the routine's type is used in place.
-``band_solver(ab, kl, ku, b, ipiv, trans=0)`` is ``dgbtrs`` or ``zgbtrs``,
-by the type of the factor ``ab``, bound once to such a ``b`` of the same
-type: each call of the result solves in place and returns ``info``;
-``dgbtrs`` and ``zgbtrs`` are one call of it.
+The band LU has two entries, each in place on writeable F-contiguous
+arrays, in ``dgbtr*`` or ``zgbtr*`` by their type, float64 or complex128,
+on a band with kl = ku: ``lu_factor(ab, kl) -> (ipiv, info)`` overwrites
+``ab``, in LAPACK general band storage, with its LU factors (``ipiv``:
+LAPACK's 1-based pivots in the library's integer type; info > 0: the first
+exact zero pivot), and ``band_solver(lu, kl, b, ipiv)`` binds the solve
+once to a right-hand side ``b`` of the factor's type: each call of the
+result overwrites ``b`` with the solution and returns ``info``.
 
 The Hermitian band eigenvalue routines take the lower triangle of the band
 in ``a_band``, in LAPACK's lower band layout (row i - j, column j for entry
@@ -155,15 +153,6 @@ def _address(a: np.ndarray) -> int:
     return ctypes.addressof(ctypes.c_char.from_buffer(a.T))
 
 
-def _fortran(a, overwrite, dtype=np.complex128) -> np.ndarray:
-    """``a`` itself when ``overwrite`` and it is a writeable F-contiguous
-    array of ``dtype``, else an F-ordered copy of that type."""
-    if (overwrite and isinstance(a, np.ndarray) and a.dtype == dtype
-            and a.flags.f_contiguous and a.flags.writeable):
-        return a
-    return np.array(a, dtype=dtype, order="F")
-
-
 def _info(ints: np.ndarray, name: str) -> int:
     """LAPACK's ``info``, the last entry of ``ints``; raises ValueError on an
     illegal argument (info < 0), as scipy's wrappers do."""
@@ -176,14 +165,13 @@ def _info(ints: np.ndarray, name: str) -> int:
 _TINY, _EPS = np.finfo(float).tiny, np.finfo(float).eps
 #: bands whose largest entry lies outside [_RMIN, _RMAX] are scaled, as in dsbevx
 _RMIN, _RMAX = np.sqrt(_TINY / _EPS), min(np.sqrt(_EPS / _TINY), _TINY ** -0.25)
-_TRANS = (b"N", b"T", b"C")
 #: LAPACK's prefix of each element type the band LU routines take
 _PREFIX = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
 
 
 class Lapack:
-    """``dgbtrf``, ``zgbtrf``, ``dgbtrs``, ``zgbtrs``, ``band_solver``,
-    ``eigvals_window`` and ``eigvals_all`` on one :class:`Library`."""
+    """``lu_factor``, ``band_solver``, ``eigvals_window`` and
+    ``eigvals_all`` on one :class:`Library`."""
 
     def __init__(self, library: Library):
         self.integer = library.integer
@@ -205,61 +193,48 @@ class Lapack:
         self._dstebz = bind("dstebz", 2, 16)
         self._dsterf = bind("dsterf", 0, 4)
 
-    def _factor(self, dtype, ab, kl, ku, overwrite_ab):
-        """``dgbtrf`` or ``zgbtrf``, by ``dtype``."""
-        ab = _fortran(ab, overwrite_ab, dtype)
-        prefix = _PREFIX[ab.dtype]
-        ldab, n = ab.shape
+    def lu_factor(self, ab: np.ndarray, kl: int) -> tuple[np.ndarray, int]:
+        """``dgbtrf`` or ``zgbtrf``, by the type of ``ab``, in place: (ipiv, info)."""
+        if not (ab.dtype in _PREFIX and ab.flags.f_contiguous and ab.flags.writeable):
+            raise ValueError("band must be a writeable F-contiguous float64 or complex128 array")
+        prefix, (ldab, n) = _PREFIX[ab.dtype], ab.shape
         ipiv = np.empty(n, dtype=self.integer)
         # m, n, kl, ku, ldab, info
-        ints = np.array([n, n, kl, ku, ldab, 0], dtype=self.integer)
+        ints = np.array([n, n, kl, kl, ldab, 0], dtype=self.integer)
         p, s = _address(ints), ints.itemsize
         self._gbtrf[prefix](p, p + s, p + 2 * s, p + 3 * s, _address(ab), p + 4 * s,
                             _address(ipiv), p + 5 * s)
-        return ab, ipiv, _info(ints, f"{prefix}gbtrf")
+        return ipiv, _info(ints, f"{prefix}gbtrf")
 
-    def dgbtrf(self, ab, kl, ku, overwrite_ab=0):
-        return self._factor(np.float64, ab, kl, ku, overwrite_ab)
-
-    def zgbtrf(self, ab, kl, ku, overwrite_ab=0):
-        return self._factor(np.complex128, ab, kl, ku, overwrite_ab)
-
-    def dgbtrs(self, ab, kl, ku, b, ipiv, trans=0, overwrite_b=0):
-        b = _fortran(b, overwrite_b, np.float64)
-        return b, self.band_solver(ab, kl, ku, b, ipiv, trans)()
-
-    def zgbtrs(self, ab, kl, ku, b, ipiv, trans=0, overwrite_b=0):
-        b = _fortran(b, overwrite_b)
-        return b, self.band_solver(ab, kl, ku, b, ipiv, trans)()
-
-    def band_solver(self, ab, kl, ku, b, ipiv, trans=0) -> Callable[[], int]:
+    def band_solver(self, lu: np.ndarray, kl: int, b: np.ndarray,
+                    ipiv: np.ndarray) -> Callable[[], int]:
         """``dgbtrs`` or ``zgbtrs`` bound to its operands, by the type of the
-        factor ``ab`` (float64 or complex128): each call of the result
+        factor ``lu`` (float64 or complex128): each call of the result
         overwrites ``b``, a writeable F-contiguous array of the factor's type,
         with the solution for the right-hand side it holds, and returns
         ``info`` (ValueError on info < 0).  The operands are checked and their
         addresses taken once, here, so a loop of solves pays one LAPACK call
         per step."""
-        ldab, n = ab.shape
+        ldab, n = lu.shape
         # reject operands LAPACK would read or write out of bounds
-        if (ab.dtype not in _PREFIX or b.shape[0] != n
+        if (lu.dtype not in _PREFIX or b.shape[0] != n
                 or ipiv.dtype != self.integer or ipiv.shape != (n,)):
             raise ValueError("band factor, pivots and right-hand side do not match")
-        if not (b.dtype == ab.dtype and b.flags.f_contiguous and b.flags.writeable):
-            raise ValueError(f"right-hand side must be a writeable F-contiguous {ab.dtype} array")
+        if not (b.dtype == lu.dtype and b.flags.f_contiguous and b.flags.writeable):
+            raise ValueError(f"right-hand side must be a writeable F-contiguous {lu.dtype} array")
         # n, kl, ku, nrhs, ldab, ldb, info
-        ints = np.array([n, kl, ku, b.shape[1] if b.ndim == 2 else 1, ldab,
+        ints = np.array([n, kl, kl, b.shape[1] if b.ndim == 2 else 1, ldab,
                          max(n, 1), 0], dtype=self.integer)
         p, s = _address(ints), ints.itemsize
-        args = (_TRANS[trans], p, p + s, p + 2 * s, p + 3 * s, _address(ab),
+        args = (b"N", p, p + s, p + 2 * s, p + 3 * s, _address(lu),
                 p + 4 * s, _address(ipiv), _address(b), p + 5 * s, p + 6 * s)
-        prefix = _PREFIX[ab.dtype]
+        prefix = _PREFIX[lu.dtype]
         gbtrs, name = self._gbtrs[prefix], f"{prefix}gbtrs"
 
         def solve() -> int:
             gbtrs(*args)
             return _info(ints, name)
-        solve.operands = (ab, b, ipiv)          # the addressed arrays live as long as solve
+        solve.operands = (lu, b, ipiv)          # the addressed arrays live as long as solve
         return solve
 
     def _bisect(self, kind, diag, off, lo, hi, index):
@@ -288,7 +263,7 @@ class Lapack:
         a = np.asarray(a_band)
         # the reduction overwrites its input: always a copy
         if np.iscomplexobj(a) and np.any(a.imag):
-            ab, reduce, name = _fortran(a, False), self._zhbtrd, "zhbtrd"
+            ab, reduce, name = np.array(a, dtype=complex, order="F"), self._zhbtrd, "zhbtrd"
         else:
             ab, reduce, name = np.array(a.real, dtype=float, order="F"), self._dsbtrd, "dsbtrd"
         parts = ab.T.view(float)                       # real and imaginary parts
@@ -330,6 +305,5 @@ class Lapack:
 
 
 _BOUND = Lapack(scipy_library() if _LIB is None else numpy_library(_LIB))
-dgbtrf, zgbtrf, zgbtrs = _BOUND.dgbtrf, _BOUND.zgbtrf, _BOUND.zgbtrs
-band_solver = _BOUND.band_solver
+lu_factor, band_solver = _BOUND.lu_factor, _BOUND.band_solver
 eigvals_window, eigvals_all = _BOUND.eigvals_window, _BOUND.eigvals_all

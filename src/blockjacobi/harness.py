@@ -330,6 +330,13 @@ def _theoretical_slope(ms: np.ndarray, env: np.ndarray) -> float:
     return float(np.polyfit(ms.astype(float), -np.log(env), 1)[0])
 
 
+def _ratios(norms: np.ndarray, env: np.ndarray) -> np.ndarray:
+    """norms / env, and 0 where a norm is 0: far blocks whose norm and envelope
+    both underflow to 0 bound nothing.  A norm over an envelope of 0 is inf."""
+    with np.errstate(divide="ignore"):
+        return np.divide(norms, env, out=np.zeros(np.shape(norms)), where=norms > 0)
+
+
 def _verdict(ms: np.ndarray, values: np.ndarray, env: np.ndarray, c_n: float,
              c_2n: float | None, lo: int, hi: int) -> tuple:
     """The pass rule of every green, commuting and eigenvector result.
@@ -394,7 +401,7 @@ def _green_evaluate(cfg: ExperimentConfig, zeta: complex, bound: _VariantBound,
         if bound.op_env is not None:
             ratios = np.linalg.norm(bound.op_env @ t.stack, 2, axis=(-2, -1))
         else:
-            ratios = t.norm_stack / bound.env
+            ratios = _ratios(t.norm_stack, bound.env)
         return float(np.max(ratios))     # inf or nan if any ratio is
 
     c1 = c_emp_for(table)
@@ -527,8 +534,8 @@ def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
             results.append(_error_result(name, variant, zeta0, n, exc))
             continue
         un = pair.block_norms
-        c_b = float(np.max(un / env[:n]))
-        c_b_2n = math.nan if partner is None else float(np.max(partner.block_norms / env))
+        c_b = float(np.max(_ratios(un, env[:n])))
+        c_b_2n = math.nan if partner is None else float(np.max(_ratios(partner.block_norms, env)))
         _, slope, slope_theo, mask, passed = _verdict(
             ms[:n], un, env[:n], c_b, c_b_2n, 1 + FIT_HEAD_OFFSET, n - FIT_TAIL_MARGIN)
         results.append(ExperimentResult(

@@ -11,25 +11,26 @@ re-centred on the best and shrunk 16-fold until it is below 1e-7 (at a
 smooth extremum the value's error is quadratic in the bracket, so it is then
 at rounding level); truncation-only gaps keep sample resolution.
 
-Green blocks G_mj(zeta) = P_m (J_N - zeta)^{-1} P_j are computed from one
-banded LU factorization per section (LAPACK ``zgbtrf`` on the
-block-tridiagonal band, kl = ku = 2d - 1): the J_N - zeta of all requested
-zetas are stacked as decoupled segments of one band, factored once, and
-share one solve for all requested column blocks.  J_N is Hermitian, so
+Every band LU here is of J_N minus one or more shifts, stacked as decoupled
+segments of one band (kl = ku = 2d - 1) whose builder, ``_band_storage``,
+alone picks the arithmetic: real for real shifts on a real band (every real
+symmetric operator), complex otherwise.  Green blocks
+G_mj(zeta) = P_m (J_N - zeta)^{-1} P_j come from one such factorization per
+section: the J_N - zeta of all requested zetas, always complex, share one
+solve for all requested column blocks.  J_N is Hermitian, so
 sigma_min(J_N - zeta) = hypot(dist(Re zeta, spec J_N), Im zeta): the
 singularity verdict and the health figures need only the distance from the
 real shift Re zeta to the spectrum.  Its estimate stacks J_N - Re zeta of
-the zetas it serves as a band of its own, factored by ``dgbtrf`` when the
-band is real (every real symmetric operator) and by ``zgbtrf`` otherwise,
-and runs 22 Lanczos steps on the inverses, one in-place ``dgbtrs`` or
-``zgbtrs`` on the stacked vector each, without reorthogonalization;
-1 / sigma_max of each segment's (k + 1) x k tridiagonal matrix is an upper
-estimate of the distance.  It runs where a verdict or a report reads it: on
-every zeta by default, and with ``health=False`` only on the zetas within
-1e-8 of the real axis, since sigma_min(J_N - zeta) >= |Im zeta| settles the
-singularity verdict of every other zeta (the harness re-solves the 2N
-section so, reading only C_emp there).  Cost and memory are O(Z N d^3) and
-O(Z N d^2) for Z zetas: no dense (N d) x (N d) matrix is built.
+the zetas it serves as a band of its own, real for a real operator, and
+runs 22 Lanczos steps on the inverses, one in-place solve of the stacked
+vector each, without reorthogonalization; 1 / sigma_max of each segment's
+(k + 1) x k tridiagonal matrix is an upper estimate of the distance.  It
+runs where a verdict or a report reads it: on every zeta by default, and
+with ``health=False`` only on the zetas within 1e-8 of the real axis, since
+sigma_min(J_N - zeta) >= |Im zeta| settles the singularity verdict of every
+other zeta (the harness re-solves the 2N section so, reading only C_emp
+there).  Cost and memory are O(Z N d^3) and O(Z N d^2) for Z zetas: no
+dense (N d) x (N d) matrix is built.
 
 Gap eigenpairs are banded too: one reduction of the Hermitian band
 (kd = 2d - 1) to tridiagonal form, in real arithmetic when the band is real
@@ -48,11 +49,12 @@ tridiagonal form (``dsterf``), checked against the trace and Frobenius
 identities of the block stacks.  No function here builds the dense
 truncation.
 
-The band routines (``dgbtrf``, ``zgbtrf``, ``zgbtrs``, the in-place
-``band_solver``, ``eigvals_window`` and ``eigvals_all``) come from
-:mod:`blockjacobi._lapack`, one set of ctypes wrappers bound to the ILP64
-OpenBLAS inside numpy when numpy's build names it, so no scipy module is
-imported, and to the LAPACK of scipy's ``cython_lapack`` on other builds.
+The band routines (``lu_factor`` and ``band_solver``, the in-place band LU
+and its solves in the band's own arithmetic, ``eigvals_window`` and
+``eigvals_all``) come from :mod:`blockjacobi._lapack`, one set of ctypes
+wrappers bound to the ILP64 OpenBLAS inside numpy when numpy's build names
+it, so no scipy module is imported, and to the LAPACK of scipy's
+``cython_lapack`` on other builds.
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import (band_solver, dgbtrf, eigvals_all, eigvals_window, zgbtrf,
-                      zgbtrs)
+from ._lapack import band_solver, eigvals_all, eigvals_window, lu_factor
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .operators import (EntrySequence, TruncatedOperator, as_block,
@@ -322,23 +323,24 @@ class GreenTable:
         return float(self.norm_stack[self.rows.index(m), self.cols.index(j)])
 
 
-def _band_storage(op: TruncatedOperator, zetas, dtype=complex) -> np.ndarray:
+def _band_storage(op: TruncatedOperator, shifts) -> np.ndarray:
     """J_N - zeta in LAPACK general band storage with kl = ku = 2d - 1.
 
     Entry (i, j) of the matrix sits at row 2 kl + i - j, column j; the first
     kl rows are left zero for the fill-in of partial pivoting.  Each of the
     three block diagonals is written by one scatter over all N blocks.  A
-    sequence of zetas gives the stack diag(J_N - zeta_1, J_N - zeta_2, ...):
-    one segment of N d columns per zeta, with no coupling between segments.
-    ``dtype=float`` gives the real band of real zetas, from the real parts
-    of the blocks.
+    sequence of shifts gives the stack diag(J_N - zeta_1, J_N - zeta_2, ...):
+    one segment of N d columns per shift, with no coupling between segments.
+    The band is float64 for real shifts when no block entry has a nonzero
+    imaginary part (every real symmetric operator), else complex128.
     """
-    zetas = np.atleast_1d(np.asarray(zetas, dtype=dtype))
+    shifts = np.atleast_1d(np.asarray(shifts))
+    dtype = float if not np.iscomplexobj(shifts) and _real_band(op) else complex
     n, d = op.n_blocks, op.dim
     size = n * d
     kl = 2 * d - 1
-    ab = np.zeros((3 * kl + 1, zetas.size * size), dtype=dtype, order="F")
-    a, b = (op.a_blocks, op.b_blocks) if ab.dtype == complex else (
+    ab = np.zeros((3 * kl + 1, shifts.size * size), dtype=dtype, order="F")
+    a, b = (op.a_blocks, op.b_blocks) if dtype is complex else (
         op.a_blocks.real, op.b_blocks.real)
     r, c = np.divmod(np.arange(d * d), d)      # entry (r, c) of a d x d block
     main = 2 * kl + r - c
@@ -346,21 +348,49 @@ def _band_storage(op: TruncatedOperator, zetas, dtype=complex) -> np.ndarray:
     ab[main, col] = b.reshape(n, d * d)
     ab[main - d, col[:-1] + d] = a.reshape(n - 1, d * d)
     ab[main + d, col[:-1]] = a.conj().transpose(0, 2, 1).reshape(n - 1, d * d)
-    ab[:, size:] = np.tile(ab[:, :size], zetas.size - 1)
-    ab[2 * kl] -= np.repeat(zetas, size)
+    ab[:, size:] = np.tile(ab[:, :size], shifts.size - 1)
+    ab[2 * kl] -= np.repeat(shifts, size)
     return ab
 
 
 def _hermitian_band(op: TruncatedOperator) -> np.ndarray:
     """The lower Hermitian band of J_N, kd = 2d - 1: rows 2 kl.. of the LU
-    band storage at zeta = 0, which hold entry (i, j), i >= j, at row i - j."""
+    band storage at zeta = 0, which hold entry (i, j), i >= j, at row i - j;
+    real for a real operator."""
     return _band_storage(op, 0.0)[2 * (2 * op.dim - 1):]
 
 
 def _real_band(op: TruncatedOperator) -> bool:
     """Whether no block entry of J_N has a nonzero imaginary part, as for
-    every real symmetric operator: its band LU then runs in real arithmetic."""
+    every real symmetric operator."""
     return not (np.any(op.a_blocks.imag) or np.any(op.b_blocks.imag))
+
+
+def _factor_stack(op: TruncatedOperator, shifts, measure=None):
+    """Band LU, in place by ``lu_factor``, of the stacked J_N - shift of
+    ``shifts`` (:func:`_band_storage`); partial pivoting never crosses a
+    segment boundary.  Each segment with an exact zero pivot is taken out
+    and the rest built and factored again.  ``measure`` sees each band
+    before the factorization overwrites it.  Returns (lu, ipiv, live,
+    pivots, factorizations, measured): ``live`` indexes the factored shifts,
+    ``pivots`` maps each one taken out to its zero pivot's 1-based column,
+    and ``measured`` is ``measure`` of the last band (None without it).
+    """
+    size = op.n_blocks * op.dim
+    kl = 2 * op.dim - 1
+    live, pivots, factorizations = list(range(len(shifts))), {}, 0
+    lu = ipiv = measured = None
+    while live:
+        lu = _band_storage(op, [shifts[i] for i in live])
+        if measure is not None:
+            measured = measure(lu)
+        ipiv, info = lu_factor(lu, kl)
+        factorizations += 1
+        if info <= 0:
+            break
+        segment, column = divmod(info - 1, size)
+        pivots[live.pop(segment)] = column + 1
+    return lu, ipiv, live, pivots, factorizations, measured
 
 
 class FactoredResults(list):
@@ -377,9 +407,9 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     k = min(22, N d) steps of the Lanczos recurrence on the Hermitian
     M^{-1}, all segments in the same solves and each with its own
     coefficients, started from the same seeded vector (real for a real
-    factor).  Each step is one ``dgbtrs`` or ``zgbtrs`` call on the stacked
-    vector, in place in one buffer bound once (``band_solver``), then the
-    three-term update, without reorthogonalization.  The (k + 1) x k
+    factor).  Each step is one in-place solve of the stacked vector, in one
+    buffer bound once (``band_solver``), then the three-term update, without
+    reorthogonalization.  The (k + 1) x k
     tridiagonal T of a segment satisfies M^{-1} V_k = V_{k+1} T, with V
     orthonormal in exact arithmetic, so sigma_max(T) is the largest growth
     of M^{-1} over the Krylov space and 1 / sigma_max(T) an upper estimate
@@ -400,7 +430,7 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     basis = np.zeros((2, segments, size), dtype=lu.dtype)    # v_j in basis[j % 2]
     basis[0] = v / np.linalg.norm(v)
     w = np.empty((segments, size), dtype=lu.dtype)
-    solve = band_solver(lu, kl, kl, w.reshape(-1), ipiv)
+    solve = band_solver(lu, kl, w.reshape(-1), ipiv)
     # Re(x^H y) per segment is the product of the real views of x as a row
     # and y as a column
     rows = basis.view(float)[:, :, None, :]
@@ -453,33 +483,20 @@ def _spectral_distance(op: TruncatedOperator, shifts) -> tuple[np.ndarray, int]:
     """Upper estimates of dist(x, spec J_N) for the real ``shifts`` x, and
     the number of band LU factorizations behind them.
 
-    J_N - x of every shift is one segment of one stacked band, factored by
-    ``dgbtrf`` when no band entry has a nonzero imaginary part (every real
-    symmetric operator) and by ``zgbtrf`` otherwise; one Lanczos iteration
-    on the inverses serves every segment (:func:`_lanczos`).  An exact zero
-    pivot makes x an eigenvalue, with distance 0: its segment is taken out
-    and the rest refactored.  When the iteration fails (:func:`_lanczos`
-    returns None), the shifts are estimated one at a time, and a shift whose
-    own iteration still fails gets distance 0.
+    J_N - x of every shift is one segment of one stacked band
+    (:func:`_factor_stack`), real when no band entry has a nonzero imaginary
+    part (every real symmetric operator); one Lanczos iteration on the
+    inverses serves every segment (:func:`_lanczos`).  An exact zero pivot
+    makes x an eigenvalue, with distance 0.  When the iteration fails
+    (:func:`_lanczos` returns None), the shifts are estimated one at a time,
+    and a shift whose own iteration still fails gets distance 0.
     """
     shifts = [float(x) for x in shifts]
-    size = op.n_blocks * op.dim
-    kl = 2 * op.dim - 1
     dist = np.zeros(len(shifts))
-    live = list(range(len(shifts)))
-    factorizations = 0
-    real = _real_band(op)
-    factor = dgbtrf if real else zgbtrf
-    while live:
-        ab = _band_storage(op, [shifts[i] for i in live], float if real else complex)
-        lu, ipiv, info = factor(ab, kl, kl, overwrite_ab=1)
-        factorizations += 1
-        if info <= 0:
-            break
-        live.pop((info - 1) // size)
+    lu, ipiv, live, _, factorizations, _ = _factor_stack(op, shifts)
     if not live:
         return dist, factorizations
-    estimate = _lanczos(lu, ipiv, kl, len(live), size)
+    estimate = _lanczos(lu, ipiv, 2 * op.dim - 1, len(live), op.n_blocks * op.dim)
     if estimate is not None:
         dist[live] = estimate
     elif len(live) > 1:
@@ -493,11 +510,12 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
                  health: bool = True) -> FactoredResults:
     """Green blocks G_mj(zeta) for all (m, j) in rows x cols, for every zeta.
 
-    Stacks J_N - zeta I for every zeta as decoupled segments of one band
-    (LAPACK general band storage, kl = ku = 2d - 1) and factors the stack
-    with one ``zgbtrf``; partial pivoting never crosses a segment boundary,
-    so each segment's LU is the LU of its own J_N - zeta.  One ``zgbtrs``
-    call, with e_j in every segment of its right-hand side, solves
+    Stacks J_N - zeta I for every zeta as decoupled segments of one complex
+    band (LAPACK general band storage, kl = ku = 2d - 1) and factors the
+    stack with one ``lu_factor`` (:func:`_factor_stack`); partial pivoting
+    never crosses a segment boundary, so each segment's LU is the LU of its
+    own J_N - zeta.  One in-place solve (``band_solver``) on an F-ordered
+    right-hand side, with e_j in every segment, solves
     (J_N - zeta I) X = E_j for all zetas and column blocks.  Time is
     O(Z N d^3) and memory O(Z N d^2) for Z zetas; no dense matrix is built.
 
@@ -530,8 +548,8 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
 
     Segments with an exact zero pivot are taken out and the rest refactored.
     When the solve turns non-finite, which one segment's inf could carry
-    into its neighbours inside ``zgbtrs``, the zetas are solved one at a time
-    instead.  ``factorizations`` on the result counts the band LU
+    into its neighbours inside the stacked solve, the zetas are solved one
+    at a time instead.  ``factorizations`` on the result counts the band LU
     factorizations made, the estimate's included.
     """
     zetas = [complex(z) for z in zetas]
@@ -544,31 +562,12 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     kl = 2 * d - 1
     size = n * d
     out = FactoredResults([None] * len(zetas))
-    live = list(range(len(zetas)))              # zetas of the current stack
-    while live:
-        ab = _band_storage(op, [zetas[i] for i in live])
-        # |J_N - zeta| is symmetric, so ||.||_1 = ||.||_inf and the upper
-        # bound sqrt(||.||_1 ||.||_inf) on the spectral norm is the largest
-        # column sum
-        band = np.abs(ab[kl:]).T.reshape(len(live), size, 2 * kl + 1)
-        with np.errstate(over="ignore"):
-            frobenius = np.sqrt(np.sum(band * band, axis=(1, 2)))
-        if not frobenius.max() < math.inf:
-            # squares past the float range (|zeta| or an entry above about
-            # 1e154): each segment's norm scaled by its largest entry
-            peak = np.maximum(np.max(band, axis=(1, 2)), _TINY)
-            frobenius = peak * np.sqrt(np.sum((band / peak[:, None, None]) ** 2,
-                                              axis=(1, 2)))
-        norm_upper = np.minimum(np.max(np.sum(band, axis=2), axis=1), frobenius)
-        lu, ipiv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
-        out.factorizations += 1
-        if info <= 0:
-            break
-        segment, column = divmod(info - 1, size)
-        i = live.pop(segment)
+    lu, ipiv, live, pivots, out.factorizations, norm_upper = _factor_stack(
+        op, zetas, lambda ab: _norm_upper(ab, kl, size))
+    for i, column in pivots.items():
         out[i] = SingularityError(
             f"zeta = {zetas[i]} is an eigenvalue of the truncation "
-            f"(exact zero pivot in column {column + 1})")
+            f"(exact zero pivot in column {column})")
     if not live:
         return out
     # J_N is Hermitian, so sigma_min(J_N - zeta) = hypot(dist(Re zeta,
@@ -592,14 +591,17 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
             solved.append(k)
     if not solved:
         return out
-    # zero right-hand sides in the singular segments give exact zeros there
-    rhs = np.zeros((len(live), n, d, len(cols), d), dtype=complex)
+    # zero right-hand sides in the singular segments give exact zeros there;
+    # entry (segment, m, r, j, c) of the F-ordered right-hand side is entry
+    # (j, c, segment, m, r) of its C-ordered transpose
+    rhs = np.zeros((len(live) * size, len(cols) * d), dtype=complex, order="F")
+    entries = rhs.T.reshape(len(cols), d, len(live), n, d)
     pos = np.arange(len(cols))
-    rhs[np.array(solved)[:, None], np.array(cols) - 1, :, pos, :] = np.eye(d)
-    X, _ = zgbtrs(lu, kl, kl, rhs.reshape(len(live) * size, len(cols) * d), ipiv)
-    if len(live) > 1 and not np.all(np.isfinite(X)):
+    entries[pos, :, np.array(solved)[:, None], np.array(cols) - 1, :] = np.eye(d)
+    band_solver(lu, kl, rhs, ipiv)()
+    if len(live) > 1 and not np.all(np.isfinite(rhs)):
         return _one_at_a_time(op, zetas, rows, cols, live, out, health)
-    X = X.reshape(len(live), n, d, len(cols), d)[np.ix_(solved, np.array(rows) - 1)]
+    X = entries.transpose(2, 3, 4, 0, 1)[np.ix_(solved, np.array(rows) - 1)]
     X.flags.writeable = False
     norm_stacks = np.linalg.norm(X.transpose(0, 1, 3, 2, 4), 2, axis=(-2, -1))
     norm_stacks.flags.writeable = False
@@ -611,6 +613,21 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
             sigma_min=float(sigma[k]), condition=condition,
             ill_conditioned=condition > CONDITION_LIMIT)
     return out
+
+
+def _norm_upper(ab: np.ndarray, kl: int, size: int) -> np.ndarray:
+    """Upper bounds on ||J_N - zeta|| for the segments of the stacked band
+    ``ab``: the Frobenius norm, or sqrt(||.||_1 ||.||_inf), the largest column
+    sum since |J_N - zeta| is symmetric, whichever is smaller."""
+    band = np.abs(ab[kl:]).T.reshape(-1, size, 2 * kl + 1)
+    with np.errstate(over="ignore"):
+        frobenius = np.sqrt(np.sum(band * band, axis=(1, 2)))
+    if not frobenius.max() < math.inf:
+        # squares past the float range (|zeta| or an entry above about
+        # 1e154): each segment's norm scaled by its largest entry
+        peak = np.maximum(np.max(band, axis=(1, 2)), _TINY)
+        frobenius = peak * np.sqrt(np.sum((band / peak[:, None, None]) ** 2, axis=(1, 2)))
+    return np.minimum(np.max(np.sum(band, axis=2), axis=1), frobenius)
 
 
 def _one_at_a_time(op, zetas, rows, cols, live, out, health) -> FactoredResults:
@@ -678,28 +695,27 @@ def _ritz_basis(op: TruncatedOperator, shift: float, k: int, steps: int,
     J_N - shift, each solving in place and then orthonormalizing the block
     (a QR; one vector is just normalized, which is its QR up to a unit
     phase that nothing downstream sees), then Rayleigh-Ritz on the block.
-    The real shift keeps a real band real: ``dgbtrf`` and real start vectors
-    then, ``zgbtrf`` and complex ones otherwise.  A shift that is an
-    eigenvalue to the last bit gives an exact zero pivot; as in LAPACK's
-    ``dstein``, it is replaced by ``floor`` and the iteration runs on, since
-    the solve then amplifies exactly the wanted eigenvector.
+    The real shift keeps a real band real: a real LU and real start vectors
+    then, complex ones otherwise.  A shift that is an eigenvalue to the last
+    bit gives an exact zero pivot; as in LAPACK's ``dstein``, it is replaced
+    by ``floor`` and the iteration runs on, since the solve then amplifies
+    exactly the wanted eigenvector.
     """
     n, d = op.n_blocks, op.dim
     kl = 2 * d - 1
-    dtype = float if _real_band(op) else complex
-    factor = dgbtrf if dtype is float else zgbtrf
-    lu, ipiv, info = factor(_band_storage(op, shift, dtype), kl, kl, overwrite_ab=1)
+    lu = _band_storage(op, shift)
+    ipiv, info = lu_factor(lu, kl)
     if info > 0:
         # U(info, info) is the first zero pivot; the multipliers below a zero
         # pivot are zero too, and the rest of the factor is complete
         pivots = lu[2 * kl]
         pivots[pivots == 0.0] = floor
     rng = np.random.default_rng(_SEED)
-    X = np.empty((n * d, k), dtype=dtype, order="F")
+    X = np.empty((n * d, k), dtype=lu.dtype, order="F")
     X[:] = rng.standard_normal((n * d, k))
-    if dtype is complex:
+    if lu.dtype == complex:
         X += 1j * rng.standard_normal((n * d, k))
-    solve = band_solver(lu, kl, kl, X, ipiv)
+    solve = band_solver(lu, kl, X, ipiv)
     for _ in range(steps):
         solve()
         if k == 1:
@@ -753,7 +769,7 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     only.  Candidates within 1e-8 of each other form a cluster, whose
     eigenvectors come from block inverse iteration on the band LU of
     J_N - mean, at the cluster's mean bisected eigenvalue, in real arithmetic
-    for a real band (``dgbtrf``), followed by Rayleigh-Ritz.  The iteration
+    for a real band, followed by Rayleigh-Ritz.  The iteration
     runs until the other eigenvectors' share is below the smallest normal
     float, so far blocks of a localized eigenvector are resolved entrywise;
     the shift's distance to its cluster counts as at least

@@ -420,6 +420,23 @@ def test_stacked_solve_isolates_a_singular_segment(n, factorizations):
         assert np.array_equal(table.stack, single.stack)
         assert np.array_equal(table.norm_stack, single.norm_stack)
         assert table.sigma_min == pytest.approx(single.sigma_min, rel=1e-14)
+    # the estimate's own stack of the real shifts, real for this real
+    # operator: it drops the same segments and makes as many factorizations
+    # as the complex stack of the same shifts; the shift 0 gets distance 0
+    # (a pivot of about 1e-250 at N = 600), the others their tables' values
+    shifts = [zeta.real for zeta in stack]
+    real = spectral._factor_stack(op, shifts)
+    complex_ = spectral._factor_stack(op, [complex(x) for x in shifts])
+    assert (real[0].dtype, complex_[0].dtype) == (np.float64, np.complex128)
+    assert real[2:5] == complex_[2:5]           # live, zero pivots, factorizations
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist, count = spectral._spectral_distance(op, shifts)
+    assert count == real[4]
+    assert (dist[1] == 0.0) if n == 1200 else (0.0 < dist[1] < 1e-240)
+    for k in (0, 2, 3):
+        assert math.hypot(dist[k], stack[k].imag) == pytest.approx(tables[k].sigma_min,
+                                                                   rel=1e-14)
 
 
 #: imaginary parts at, inside and just beyond the 1e-8 from the real axis
@@ -504,20 +521,22 @@ def test_zero_pivot_at_re_zeta_leaves_the_imaginary_part():
     # pivot, so the distance from Re zeta = 0 is 0 and sigma_min is |Im zeta|
     op = assemble_truncation(example2_sequence(3.0), 1200)
     kl = 2 * op.dim - 1
-    assert dgbtrf(_band_storage(op, 0.0, float), kl, kl)[2] > 0
+    ab = _band_storage(op, 0.0)
+    assert ab.dtype == np.float64 and dgbtrf(ab, kl, kl)[2] > 0
     assert green_block(op, 0.3j, [1], [1]).sigma_min == 0.3
     with pytest.raises(SingularityError, match=r"is within 5\.000e-09 of the truncated"):
         green_block(op, 5e-9j, [1], [1])
 
 
 def band_factorizations(monkeypatch):
-    """Names of the band LU routines ``spectral`` calls from now on."""
-    calls = []
-    for name in ("dgbtrf", "zgbtrf"):
-        def spy(*args, _run=getattr(spectral, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _run(*args, **kwargs)
-        monkeypatch.setattr(spectral, name, spy)
+    """Names of the band LU routines ``spectral`` calls from now on, by the
+    type of each band ``lu_factor`` gets: ``dgbtrf`` or ``zgbtrf``."""
+    calls, factor = [], spectral.lu_factor
+
+    def spy(ab, kl):
+        calls.append("dgbtrf" if ab.dtype == np.float64 else "zgbtrf")
+        return factor(ab, kl)
+    monkeypatch.setattr(spectral, "lu_factor", spy)
     return calls
 
 
@@ -576,15 +595,20 @@ def test_non_finite_stacked_solve_is_redone_one_zeta_at_a_time(monkeypatch):
     rows, cols = range(1, 9), [1, 8]
     singles = [green_block(op, zeta, rows, cols) for zeta in stack]
     size = op.n_blocks * op.dim
-    solve = spectral.zgbtrs
+    solver = spectral.band_solver
 
-    def faulty(*args, **kwargs):
-        x, info = solve(*args, **kwargs)
-        if x.shape[0] > size:
-            x[-1, 0] = math.nan
-        return x, info
+    def faulty(lu, kl, b, ipiv):
+        solve = solver(lu, kl, b, ipiv)
+        if b.ndim == 1 or b.shape[0] == size:
+            return solve                # the estimate's solves and single stacks
 
-    monkeypatch.setattr(spectral, "zgbtrs", faulty)
+        def with_nan():
+            info = solve()
+            b[-1, 0] = math.nan
+            return info
+        return with_nan
+
+    monkeypatch.setattr(spectral, "band_solver", faulty)
     tables = green_blocks(op, stack, rows, cols)
     # the stack's Green LU and estimate LU, then both for each zeta alone
     assert tables.factorizations == 2 + 2 * len(stack)
@@ -885,17 +909,17 @@ def test_exact_zero_pivot_is_replaced_by_the_floor(monkeypatch, diagonal, count)
     # the bisected eigenvalue 2 of a diagonal operator is exact, so the band
     # LU at it has exact zero pivots (one per copy of 2); each is replaced by
     # the floor, and the iteration still finds the eigenvectors
-    factor, infos = spectral.dgbtrf, []
+    factor, infos = spectral.lu_factor, []
 
-    def spy(*args, **kwargs):
-        lu, ipiv, info = factor(*args, **kwargs)
-        infos.append(info)
-        return lu, ipiv, info
+    def spy(ab, kl):
+        ipiv, info = factor(ab, kl)
+        infos.append((ab.dtype, info))
+        return ipiv, info
 
-    monkeypatch.setattr(spectral, "dgbtrf", spy)
+    monkeypatch.setattr(spectral, "lu_factor", spy)
     pairs = eigenpairs_in_gap(assemble_truncation(diagonal_sequence(diagonal), 12),
                               GapInterval(1.0, 3.0))
-    assert infos == [2]
+    assert infos == [(np.float64, 2)]
     assert len(pairs) == count
     for p in pairs:
         assert p.zeta == pytest.approx(2.0, abs=1e-14)

@@ -169,6 +169,26 @@ def test_green_bound_large_imaginary_branch():
     assert math.sqrt(0.91) * 0.25 / 2.0 < 0.2
 
 
+def test_green_bound_past_the_envelope_underflow():
+    # x = 3, zeta = 0.5: from block 12122 on, the envelope and ||G_m1|| both
+    # underflow to exactly 0.  Such a block bounds nothing and adds 0, so
+    # C_emp keeps its N = 12000 value; 0 / 0 made it nan and the result
+    # failed, with a numpy warning (an error in this suite)
+    below, past = (verify_green_bound(example2_cfg(n_blocks=n)).experiments[0]
+                   for n in (12000, 12200))
+    assert past.passed is True and past.details["all_ratios_finite"]
+    assert past.c_emp == below.c_emp == pytest.approx(1.9526489043695276, rel=1e-12)
+    assert past.details["c_emp_2n"] == past.c_emp
+
+
+def test_ratios_of_underflowed_norms():
+    # the ratio rule of every C_emp and C_b: 0 wherever the norm is 0, and
+    # inf for a norm above 0 over an envelope of 0, without a warning
+    norms, env = np.array([0.0, 0.0, 1.0, 3.0]), np.array([0.0, 2.0, 0.0, 4.0])
+    assert harness._ratios(norms, env).tolist() == [0.0, 0.0, math.inf, 0.75]
+    assert harness._ratios(norms.reshape(2, 2), env.reshape(2, 2)).shape == (2, 2)
+
+
 def test_green_bound_singularity_is_reported_not_raised():
     # zeta = 0 sits on the zero-energy bound state of this operator
     cfg = example2_cfg(zetas=(0.0,))

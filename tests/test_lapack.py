@@ -1,32 +1,36 @@
 """The band LAPACK wrappers of ``blockjacobi._lapack`` against scipy's.
 
 ``_lapack.Lapack`` binds ``dgbtrf``, ``zgbtrf``, ``dgbtrs``, ``zgbtrs``,
-``zhbtrd``, ``dsbtrd``, ``dstebz`` and ``dsterf`` from a ``Library``: numpy's bundled ILP64 OpenBLAS
-(int64 integers, hidden string lengths) or the LP64 C pointers of scipy's
-``cython_lapack`` capsules.  Every binding test runs the one set of wrappers
-on both libraries, in a loop over ``BINDINGS`` (numpy's is left out only
-where this numpy bundles none), so each hypothesis draw is checked on both.
-They must give the results of scipy's Python wrappers, bit for bit, on the
-bands the library builds: the stacked J_N - zeta bands of ``_band_storage``
-and their lower Hermitian halves, for random Hermitian block operators with
-d = 1..4, N = 2..40 and one to three stacked zetas, and the real bands of
-real symmetric operators at real shifts for ``dgbtrf`` and ``dgbtrs``.  The wrappers' pivots
-are LAPACK's 1-based ones, scipy's are 0-based.  ``eigvals_window`` (one
-band reduction, then ``dstebz`` bisection for a window and the two extreme
-eigenvalues) must equal three calls of scipy's ``dsbevx`` on real bands and
-``zhbevx`` on complex ones, which run the same routines, and the dense
-``eigvalsh`` to 1e-12 max(||J||, 1), on windows placed around drawn
-eigenvalues, empty ones included.  Real symmetric operators take one real
-reduction; a real band with one imaginary entry below the diagonal, however
-small, takes one complex reduction, and the scipy reference
-(``_zhbevx_window``) its three ``zhbevx`` calls.  ``eigvals_all`` (one band
-reduction, then ``dsterf``) must equal scipy's ``dsbevd`` or ``zhbevd``, and
-``truncated_spectrum`` on either binding the dense ``eigvalsh`` to
-1e-12 max(||J||, 1).  Bands scaled far below or above 1 give the scaled
-eigenvalues.  ``band_solver``, the in-place ``dgbtrs`` or ``zgbtrs`` bound
-once to its operands, repeats ``zgbtrs`` call for call, and takes only a
-right-hand side of its factor's type.  Failures raise
-ConvergenceError (info > 0) or ValueError (illegal argument).
+``zhbtrd``, ``dsbtrd``, ``dstebz`` and ``dsterf`` from a ``Library``:
+numpy's bundled ILP64 OpenBLAS (int64 integers, hidden string lengths) or
+the LP64 C pointers of scipy's ``cython_lapack`` capsules.  Every binding
+test runs the one set of wrappers on both libraries, in a loop over
+``BINDINGS`` (numpy's is left out only where this numpy bundles none), so
+each hypothesis draw is checked on both.  They must give the results of
+scipy's Python wrappers, bit for bit, on the bands the library builds: the
+stacked J_N - zeta bands of ``_band_storage`` and their lower Hermitian
+halves, for random Hermitian block operators with d = 1..4, N = 2..40 and
+one to three stacked zetas, and the real bands of real symmetric operators
+at real shifts.  The band LU entries ``lu_factor`` and ``band_solver`` work
+in place and pick ``dgbtr*`` or ``zgbtr*`` by the band's type; they must
+equal scipy's ``dgbtrf``/``zgbtrf`` and ``dgbtrs``/``zgbtrs`` (trans 0).
+The wrappers' pivots are LAPACK's 1-based ones, scipy's are 0-based.
+``eigvals_window`` (one band reduction, then ``dstebz`` bisection for a
+window and the two extreme eigenvalues) must equal three calls of scipy's
+``dsbevx`` on real bands and ``zhbevx`` on complex ones, which run the same
+routines, and the dense ``eigvalsh`` to 1e-12 max(||J||, 1), on windows
+placed around drawn eigenvalues, empty ones included.  Real symmetric
+operators take one real reduction; a real band with one imaginary entry
+below the diagonal, however small, takes one complex reduction, and the
+scipy reference (``_zhbevx_window``) its three ``zhbevx`` calls.
+``eigvals_all`` (one band reduction, then ``dsterf``) must equal scipy's
+``dsbevd`` or ``zhbevd``, and ``truncated_spectrum`` on either binding the
+dense ``eigvalsh`` to 1e-12 max(||J||, 1).  Bands scaled far below or above
+1 give the scaled eigenvalues.  ``band_solver``, bound once to its operands,
+repeats ``zgbtrs`` call for call, and takes only a writeable F-contiguous
+right-hand side of its factor's type; ``lu_factor`` only a writeable
+F-contiguous float64 or complex128 band.  Failures raise ConvergenceError
+(info > 0) or ValueError (illegal argument).
 """
 
 import _ctypes
@@ -63,49 +67,49 @@ def rhs(size, columns, seed=0):
     return rng.standard_normal((size, columns)) + 1j * rng.standard_normal((size, columns))
 
 
-@given(hermitian_operators(), st.lists(zetas, min_size=1, max_size=3))
-def test_band_lu_and_solves_match_scipy(op, stack):
-    kl = 2 * op.dim - 1
-    ab = _band_storage(op, stack)
-    lu_ref, ipiv_ref, _ = scipy_lapack.zgbtrf(ab, kl, kl)
-    b = rhs(ab.shape[1], 3)
+def match_scipy_lu(ab, kl, b, factor, solve):
+    """``lu_factor`` and ``band_solver`` of every binding on copies of the
+    band ``ab`` and of ``b`` (several columns, and one as a vector) equal
+    scipy's ``factor`` and ``solve`` bit for bit; False, and nothing checked,
+    when scipy finds an exact zero pivot."""
+    lu_ref, ipiv_ref, info_ref = factor(ab, kl, kl)
+    if info_ref != 0:
+        return False
     for lapack in BINDINGS:
-        lu, ipiv, info = lapack.zgbtrf(ab, kl, kl)
+        lu = ab.copy(order="F")
+        ipiv, info = lapack.lu_factor(lu, kl)
         assert info == 0
         assert np.array_equal(lu, lu_ref)
         assert np.array_equal(ipiv - 1, ipiv_ref)
-        for trans in (0, 1, 2):
-            for right in (b, b[:, 0]):
-                x, info = lapack.zgbtrs(lu, kl, kl, right, ipiv, trans=trans)
-                x_ref, _ = scipy_lapack.zgbtrs(lu_ref, kl, kl, right, ipiv_ref, trans=trans)
-                assert info == 0
-                assert np.array_equal(x, x_ref)
+        for right in (b, b[:, 0]):
+            x = right.copy(order="F")
+            assert lapack.band_solver(lu, kl, x, ipiv)() == 0
+            x_ref, _ = solve(lu_ref, kl, kl, right, ipiv_ref)
+            assert np.array_equal(x, x_ref)
+    return True
+
+
+@given(hermitian_operators(), st.lists(zetas, min_size=1, max_size=3))
+def test_band_lu_and_solves_match_scipy(op, stack):
+    ab = _band_storage(op, stack)
+    assert ab.dtype == np.complex128
+    assert match_scipy_lu(ab, 2 * op.dim - 1, rhs(ab.shape[1], 3),
+                          scipy_lapack.zgbtrf, scipy_lapack.zgbtrs)
 
 
 @given(real_operators(), st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3))
 def test_real_band_lu_and_solves_match_scipy(op, stack):
-    kl = 2 * op.dim - 1
-    ab = np.asfortranarray(_band_storage(op, stack).real)
-    lu_ref, ipiv_ref, info_ref = scipy_lapack.dgbtrf(ab, kl, kl)
-    assume(info_ref == 0)
-    b = rhs(ab.shape[1], 3).real.copy()
-    for lapack in BINDINGS:
-        lu, ipiv, info = lapack.dgbtrf(ab, kl, kl)
-        assert info == 0
-        assert np.array_equal(lu, lu_ref)
-        assert np.array_equal(ipiv - 1, ipiv_ref)
-        for trans in (0, 1, 2):
-            for right in (b, b[:, 0]):
-                x, info = lapack.dgbtrs(lu, kl, kl, right, ipiv, trans=trans)
-                x_ref, _ = scipy_lapack.dgbtrs(lu_ref, kl, kl, right, ipiv_ref, trans=trans)
-                assert info == 0
-                assert np.array_equal(x, x_ref)
+    # real shifts keep the band of a real symmetric operator real
+    ab = _band_storage(op, stack)
+    assert ab.dtype == np.float64
+    assume(match_scipy_lu(ab, 2 * op.dim - 1, rhs(ab.shape[1], 3).real.copy(),
+                          scipy_lapack.dgbtrf, scipy_lapack.dgbtrs))
 
 
 def with_imaginary(band, k, j, part):
-    """A copy of ``band`` with ``part`` added to the imaginary part of entry
-    (k, j), which lies below the diagonal (k >= 1)."""
-    band = band.copy()
+    """A complex copy of ``band`` with ``part`` added to the imaginary part of
+    entry (k, j), which lies below the diagonal (k >= 1)."""
+    band = band.astype(complex)
     band[k, j] += 1j * part
     return band
 
@@ -272,86 +276,98 @@ def test_tiny_and_huge_bands_give_the_scaled_eigenvalues():
                 assert abs(highest_s - highest * scale) <= tol
 
 
-def test_overwrite_works_in_place_on_fortran_complex_input():
+def overwrite_in_place(ab, b, factor, solve):
+    """``lu_factor`` overwrites the F-ordered band ``ab`` with scipy's
+    ``factor`` of it, and a solve overwrites ``b`` with scipy's ``solve``;
+    a band it cannot overwrite in place is rejected, not copied."""
+    lu_ref, ipiv_ref, _ = factor(ab, 1, 1)
+    x_ref, _ = solve(lu_ref, 1, 1, b, ipiv_ref)
     for lapack in BINDINGS:
-        ab = _band_storage(SMALL, 0.5j)
-        lu, ipiv, _ = lapack.zgbtrf(ab, 1, 1, overwrite_ab=1)
-        assert lu is ab
-        b = rhs(ab.shape[1], 1)[:, 0]
-        x, _ = lapack.zgbtrs(lu, 1, 1, b, ipiv, overwrite_b=1)
-        assert x is b
-        kept = b.copy()
-        lapack.zgbtrs(lu, 1, 1, b, ipiv)
-        assert np.array_equal(b, kept)
+        lu, x = ab.copy(order="F"), b.copy()
+        ipiv, _ = lapack.lu_factor(lu, 1)
+        assert np.array_equal(lu, lu_ref)
+        assert lapack.band_solver(lu, 1, x, ipiv)() == 0
+        assert np.array_equal(x, x_ref)
+        readonly = ab.copy(order="F")
+        readonly.flags.writeable = False
+        for band in (np.ascontiguousarray(ab), readonly, ab.astype(np.complex64),
+                     ab.real.astype(np.float32)):
+            with pytest.raises(ValueError, match="^band must be a writeable F-contiguous "
+                                                 "float64 or complex128 array$"):
+                lapack.lu_factor(band, 1)
+
+
+def test_overwrite_works_in_place_on_fortran_complex_input():
+    overwrite_in_place(_band_storage(SMALL, 0.5j), rhs(3, 1)[:, 0],
+                       scipy_lapack.zgbtrf, scipy_lapack.zgbtrs)
 
 
 def test_overwrite_works_in_place_on_fortran_real_input():
-    for lapack in BINDINGS:
-        ab = np.asfortranarray(_band_storage(SMALL_REAL, 0.5).real)
-        lu, ipiv, _ = lapack.dgbtrf(ab, 1, 1, overwrite_ab=1)
-        assert lu is ab
-        b = rhs(ab.shape[1], 1)[:, 0].real.copy()
-        x, _ = lapack.dgbtrs(lu, 1, 1, b, ipiv, overwrite_b=1)
-        assert x is b
-        kept = b.copy()
-        lapack.dgbtrs(lu, 1, 1, b, ipiv)
-        assert np.array_equal(b, kept)
+    overwrite_in_place(_band_storage(SMALL_REAL, 0.5), rhs(3, 1)[:, 0].real.copy(),
+                       scipy_lapack.dgbtrf, scipy_lapack.dgbtrs)
 
 
 def test_band_solver_solves_in_place_on_every_call():
-    # solving twice in place is two calls of zgbtrs, for every trans
+    # solving twice in place is two calls of zgbtrs
     ab = _band_storage(seeded_operator(2, 6, 1), [0.5j, -0.3 + 0.1j])
+    lu_ref, ipiv_ref, _ = scipy_lapack.zgbtrf(ab, 3, 3)
+    b = np.asfortranarray(rhs(ab.shape[1], 2))
+    once, _ = scipy_lapack.zgbtrs(lu_ref, 3, 3, b, ipiv_ref)
+    twice, _ = scipy_lapack.zgbtrs(lu_ref, 3, 3, once, ipiv_ref)
     for lapack in BINDINGS:
-        lu, ipiv, _ = lapack.zgbtrf(ab, 3, 3)
-        for trans in (0, 1, 2):
-            b = np.asfortranarray(rhs(ab.shape[1], 2))
-            once, _ = lapack.zgbtrs(lu, 3, 3, b, ipiv, trans=trans)
-            twice, _ = lapack.zgbtrs(lu, 3, 3, once, ipiv, trans=trans)
-            solve = lapack.band_solver(lu, 3, 3, b, ipiv, trans=trans)
-            assert solve() == 0 and np.array_equal(b, once)
-            assert solve() == 0 and np.array_equal(b, twice)
+        lu = ab.copy(order="F")
+        ipiv, _ = lapack.lu_factor(lu, 3)
+        x = b.copy(order="F")
+        solve = lapack.band_solver(lu, 3, x, ipiv)
+        assert solve() == 0 and np.array_equal(x, once)
+        assert solve() == 0 and np.array_equal(x, twice)
 
 
 def test_band_solver_rejects_a_right_hand_side_it_cannot_overwrite():
-    ab = _band_storage(SMALL, 0.5j)
     for lapack in BINDINGS:
-        lu, ipiv, _ = lapack.zgbtrf(ab, 1, 1)
+        lu = _band_storage(SMALL, 0.5j)
+        ipiv, _ = lapack.lu_factor(lu, 1)
         readonly = np.asfortranarray(rhs(3, 2))
         readonly.flags.writeable = False
         for b in (np.ascontiguousarray(rhs(3, 2)), rhs(3, 2).real.copy(order="F"), readonly):
             with pytest.raises(ValueError, match="writeable F-contiguous complex128"):
-                lapack.band_solver(lu, 1, 1, b, ipiv)
+                lapack.band_solver(lu, 1, b, ipiv)
         with pytest.raises(ValueError, match="do not match"):
-            lapack.band_solver(lu, 1, 1, np.asfortranarray(rhs(4, 1)), ipiv)
+            lapack.band_solver(lu, 1, np.asfortranarray(rhs(4, 1)), ipiv)
         # a factor of a type no band LU routine takes, and a complex
         # right-hand side for a real factor
         with pytest.raises(ValueError, match="do not match"):
-            lapack.band_solver(lu.astype(np.complex64), 1, 1, np.asfortranarray(rhs(3, 2)), ipiv)
-        real_lu, real_ipiv, _ = lapack.dgbtrf(_band_storage(SMALL_REAL, 0.5).real, 1, 1)
+            lapack.band_solver(lu.astype(np.complex64), 1, np.asfortranarray(rhs(3, 2)), ipiv)
+        real_lu = _band_storage(SMALL_REAL, 0.5)
+        real_ipiv, _ = lapack.lu_factor(real_lu, 1)
         with pytest.raises(ValueError, match="writeable F-contiguous float64"):
-            lapack.band_solver(real_lu, 1, 1, np.asfortranarray(rhs(3, 2)), real_ipiv)
+            lapack.band_solver(real_lu, 1, np.asfortranarray(rhs(3, 2)), real_ipiv)
 
 
 def test_binding_rejects_illegal_arguments_and_mismatched_operands():
-    ab = _band_storage(SMALL, 0.5j)                 # kl = ku = 1, 4 x 3
     for lapack in BINDINGS:
-        with pytest.raises(ValueError, match="^illegal value in argument 6 of zgbtrf$"):
-            lapack.zgbtrf(ab, 2, 2)                 # needs ldab >= 7
-        lu, ipiv, _ = lapack.zgbtrf(ab, 1, 1)
+        for ab in (_band_storage(SMALL, 0.5j), _band_storage(SMALL_REAL, 0.5)):   # kl = 1, 4 x 3
+            name = "zgbtrf" if ab.dtype == np.complex128 else "dgbtrf"
+            with pytest.raises(ValueError, match=f"^illegal value in argument 6 of {name}$"):
+                lapack.lu_factor(ab, 2)             # needs ldab >= 7
+        lu = _band_storage(SMALL, 0.5j)
+        ipiv, _ = lapack.lu_factor(lu, 1)
         other = np.int32 if ipiv.dtype == np.int64 else np.int64     # the other library's
         for b, pivots in ((rhs(4, 1)[:, 0], ipiv), (rhs(3, 1)[:, 0], ipiv.astype(other))):
             with pytest.raises(ValueError, match="do not match"):
-                lapack.zgbtrs(lu, 1, 1, b, pivots)
+                lapack.band_solver(lu, 1, b, pivots)
 
 
 def test_zero_pivot_reports_the_same_info():
     # J_N - 3 of a diagonal operator has an exact zero pivot in column 4
     diagonal = TruncatedOperator(a_blocks=np.zeros((5, 1, 1), dtype=complex),
                                  b_blocks=np.arange(6.0).reshape(6, 1, 1).astype(complex))
-    ab = _band_storage(diagonal, 3.0)
-    assert scipy_lapack.zgbtrf(ab, 1, 1)[2] == 4
-    for lapack in BINDINGS:
-        assert lapack.zgbtrf(ab, 1, 1)[2] == 4
+    # (its blocks are complex with zero imaginary parts: a real band, and
+    # the complex band of the complex shift 3 + 0j)
+    for ab in (_band_storage(diagonal, 3.0), _band_storage(diagonal, 3.0 + 0j)):
+        assert scipy_lapack.zgbtrf(ab, 1, 1)[2] == 4
+        for lapack in BINDINGS:
+            assert lapack.lu_factor(ab.copy(order="F"), 1)[1] == 4
 
 
 def test_bisection_failure_is_a_convergence_error(monkeypatch):
@@ -385,10 +401,12 @@ def test_empty_interval_is_an_illegal_argument(window):
 
 def scipy_all_eigenvalues(band):
     """``eigvals_all`` from scipy's Python wrappers: ``dsbevd`` on a real
-    band, ``zhbevd`` on any other, which reduce the band and run ``dsterf``."""
+    band, ``zhbevd`` on any other, which reduce the band and run ``dsterf``;
+    their ``overwrite_ab`` defaults to 1, which reduces an F-ordered band in
+    place."""
     if not np.any(np.imag(band)):
-        return scipy_lapack.dsbevd(np.real(band), compute_v=0, lower=1)[0]
-    return scipy_lapack.zhbevd(band, compute_v=0, lower=1)[0]
+        return scipy_lapack.dsbevd(np.real(band), compute_v=0, lower=1, overwrite_ab=0)[0]
+    return scipy_lapack.zhbevd(band, compute_v=0, lower=1, overwrite_ab=0)[0]
 
 
 @pinned(case[0] for case in COMPLEX_PINS + REAL_PINS + IMAGINARY_PINS)

@@ -15,7 +15,8 @@ benchmark configs (imported, never written to).  Every config goes through
   fails, explicit windows with the discrete variant, a singular zeta, a
   symbol gap asked of a finite block list (``run`` raises), and one config
   each of the ``example3``, ``example1`` and ``constant`` families, so every
-  block family's generator runs;
+  block family's generator runs, and an example 2 Green config at
+  N = 12200, whose far blocks' norms and envelope underflow to 0;
 * a 2-periodic (dimerized) chain with a symbol gap, built in code.
 
 A config whose ``run`` raises gets an ``error.txt`` with the exception type
@@ -108,6 +109,9 @@ EDGE_CASES = {
                                                       [[0.0, 0.0], [-3.0, 0.0]]]}},
         "zetas": [[0.5, 0.0], [0.0, 0.5]], "variants": ["continuous", "discrete"],
         "n_blocks": 60, "experiments": ["green", "commuting"]},
+    "underflow": {
+        "operator": _example2(), "zetas": [[0.5, 0.0]], "n_blocks": 12200,
+        "experiments": ["green"]},
     "symbol-past-finite-list": {
         "operator": {"dim": 1, "family": "explicit-list",
                      "prefix": [{"A": [[[1.0, 0.0]]], "B": [[[0.0, 0.0]]]},
