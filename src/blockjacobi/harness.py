@@ -24,10 +24,14 @@ The variants of a Green config differ only in rate and envelope, so they
 share one Green solve per (zeta, section): the N and 2N sections are
 assembled once per config, all zetas of a section are solved by one stacked
 band LU (``green_blocks``), and every variant evaluates its own envelope
-against those tables.  ``meta.counters`` in the report counts that work
-(sections assembled, Green solves per (zeta, section), eigen-searches and
-band LU factorizations); like everything else in the report it is
-deterministic.
+against those tables.  Each zeta's tables are evaluated once for all its
+variants: one measured-slope fit and one CSV payload, which ``run`` formats
+once and writes to every variant's file; a variant adds only its C_emp (N
+and 2N), its theoretical slope on the shared fit's blocks and its verdict.
+Slopes are closed-form degree-1 least-squares fits from centred sums.
+``meta.counters`` in the report counts that work (sections assembled, Green
+solves per (zeta, section), eigen-searches and band LU factorizations); like
+everything else in the report it is deterministic.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +54,9 @@ from .errors import (DomainError, ParameterError, PreconditionError,
                      SingularityError)
 from .operators import (EntrySequence, assemble_truncation, example2_sequence,
                         load_operator)
-from .spectral import (SINGULARITY_TOL, RESIDUAL_TOL, GreenTable, detect_gap,
-                       eigenpairs_in_gap, green_blocks, tail_symbol_spectrum,
-                       truncated_spectrum)
+from .spectral import (SINGULARITY_TOL, RESIDUAL_TOL, GreenTable, _block_norms,
+                       detect_gap, eigenpairs_in_gap, green_blocks,
+                       tail_symbol_spectrum, truncated_spectrum)
 
 STABILITY_REL = 0.05     # C_emp(N) vs C_emp(2N) agreement required for a pass
 DRIFT_TOL = 1e-6
@@ -300,6 +304,33 @@ def _make_envelope(variant: str, rate: DecayRate, seq: EntrySequence,
     raise ParameterError(f"unknown variant {variant!r}")
 
 
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Slope of the degree-1 least-squares fit of y against x (at least two
+    distinct x), from centred sums: the value of ``np.polyfit(x, y, 1)[0]``
+    to rounding, and nan, as there, when y holds an inf or a nan."""
+    if not np.isfinite(y).all():
+        return math.nan
+    x = x - x.sum() / x.size
+    return float(x @ (y - y.sum() / y.size) / (x @ x))
+
+
+@dataclass(frozen=True, eq=False)
+class _Fit:
+    """The measured decay rate of one table and the blocks it was fitted on."""
+
+    ms: np.ndarray
+    slope: float
+    mask: np.ndarray
+
+    @property
+    def details(self) -> dict:
+        """``fit_points`` and ``noise_floor_m``: the number of blocks kept
+        and the largest m kept (None when it kept none)."""
+        kept = self.ms[self.mask]
+        return {"fit_points": int(kept.size),
+                "noise_floor_m": int(kept[-1]) if kept.size else None}
+
+
 def _fit_slope(ms, values, lo: int, hi: int) -> tuple[float, np.ndarray]:
     """Least-squares decay rate of log(values) over m in [lo, hi].
 
@@ -313,21 +344,14 @@ def _fit_slope(ms, values, lo: int, hi: int) -> tuple[float, np.ndarray]:
             & (values > max(NOISE_FLOOR_REL * peak, 1e-300)))
     if np.count_nonzero(mask) < 3:
         return math.nan, mask
-    coeff = np.polyfit(ms[mask], np.log(values[mask]), 1)
-    return -float(coeff[0]), mask
-
-
-def _noise_floor_m(ms: np.ndarray, mask: np.ndarray) -> int | None:
-    """Largest m the slope fit kept (None when it kept none)."""
-    kept = ms[mask]
-    return int(kept[-1]) if kept.size else None
+    return -_slope(ms[mask], np.log(values[mask])), mask
 
 
 def _theoretical_slope(ms: np.ndarray, env: np.ndarray) -> float:
     """Least-squares slope of -log(env) against m."""
     if ms.size < 2:
         return math.nan
-    return float(np.polyfit(ms.astype(float), -np.log(env), 1)[0])
+    return _slope(ms.astype(float), -np.log(env))
 
 
 def _ratios(norms: np.ndarray, env: np.ndarray) -> np.ndarray:
@@ -337,22 +361,22 @@ def _ratios(norms: np.ndarray, env: np.ndarray) -> np.ndarray:
         return np.divide(norms, env, out=np.zeros(np.shape(norms)), where=norms > 0)
 
 
-def _verdict(ms: np.ndarray, values: np.ndarray, env: np.ndarray, c_n: float,
-             c_2n: float | None, lo: int, hi: int) -> tuple:
+def _verdict(fit: _Fit, env: np.ndarray, c_n: float, c_2n: float | None) -> tuple:
     """The pass rule of every green, commuting and eigenvector result.
 
     Passed: C_emp c_n is finite and within STABILITY_REL of the 2N value
-    c_2n (not checked when None), and the decay rate of ``values`` over ms
-    in [lo, hi] is finite and at least the slope of ``env`` on the fitted
-    blocks.  Returns (stable, slope, slope_theo, fit mask, passed).
+    c_2n (not checked when None), and the measured decay rate ``fit.slope``
+    is finite and at least the slope of ``env`` (over the fit's ms) on the
+    fitted blocks.  The fit is the table's, so the variants of one table
+    share it.  Returns (stable, slope, slope_theo, fit mask, passed).
     """
     if c_2n is None:
         stable = math.isfinite(c_n)
     else:
         stable = (math.isfinite(c_n) and math.isfinite(c_2n)
                   and abs(c_n - c_2n) < STABILITY_REL * c_n)
-    slope, mask = _fit_slope(ms, values, lo, hi)
-    slope_theo = _theoretical_slope(ms[mask], env[mask])
+    slope, mask = fit.slope, fit.mask
+    slope_theo = _theoretical_slope(fit.ms[mask], env[mask])
     passed = bool(math.isfinite(c_n) and stable
                   and math.isfinite(slope) and slope >= slope_theo)
     return bool(stable), slope, slope_theo, mask, passed
@@ -390,48 +414,68 @@ def _variant_bound(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
     return _VariantBound(variant, rate, delta, env, op_env, n0)
 
 
-def _green_evaluate(cfg: ExperimentConfig, zeta: complex, bound: _VariantBound,
-                    table, table_2n) -> ExperimentResult:
-    """C_emp, verdict and CSV rows of one variant against the N section's
-    Green table, with stability against the 2N table unless that is None."""
-    n = cfg.n_blocks
+@dataclass(frozen=True, eq=False)
+class _ZetaTables:
+    """The Green tables of one zeta, and what every variant reads from them
+    alike: the measured-slope fit of the N table's first column and the CSV
+    payload, both made once."""
+
+    zeta: complex
+    table: GreenTable
+    table_2n: GreenTable | None
+    fit: _Fit
+    csv: tuple                          # rows (m, j, Re zeta, Im zeta, norm)
+
+
+def _zeta_tables(cfg: ExperimentConfig, zeta: complex, table: GreenTable,
+                 table_2n: GreenTable | None) -> _ZetaTables:
+    """The fit over m in [j0 + 5, N - 10] and the CSV rows of one zeta's tables."""
     rows, cols = _window(cfg)
+    fit = _Fit(rows, *_fit_slope(rows, table.norm_stack[:, 0],
+                                 int(cols[0]) + FIT_HEAD_OFFSET,
+                                 cfg.n_blocks - FIT_TAIL_MARGIN))
+    mm, jj = np.broadcast_arrays(rows[:, None], cols[None, :])
+    csv = tuple(zip(mm.ravel().tolist(), jj.ravel().tolist(),
+                    repeat(zeta.real), repeat(zeta.imag),
+                    table.norm_stack.ravel().tolist()))
+    return _ZetaTables(zeta, table, table_2n, fit, csv)
+
+
+def _green_evaluate(cfg: ExperimentConfig, bound: _VariantBound,
+                    tables: _ZetaTables) -> ExperimentResult:
+    """C_emp and verdict of one variant against the N section's Green table,
+    with stability against the 2N table unless that is None; the fit and the
+    CSV rows are the zeta's own, shared by its variants."""
+    table, table_2n, zeta = tables.table, tables.table_2n, tables.zeta
 
     def c_emp_for(t) -> float:
         if bound.op_env is not None:
-            ratios = np.linalg.norm(bound.op_env @ t.stack, 2, axis=(-2, -1))
+            ratios = _block_norms(bound.op_env @ t.stack)
         else:
             ratios = _ratios(t.norm_stack, bound.env)
         return float(np.max(ratios))     # inf or nan if any ratio is
 
     c1 = c_emp_for(table)
     c2 = None if table_2n is None else c_emp_for(table_2n)
-    stable, slope, slope_theo, mask, passed = _verdict(
-        rows, table.norm_stack[:, 0], bound.env[:, 0], c1, c2,
-        int(cols[0]) + FIT_HEAD_OFFSET, n - FIT_TAIL_MARGIN)
+    stable, slope, slope_theo, _, passed = _verdict(tables.fit, bound.env[:, 0], c1, c2)
     details = {
         "c_emp_2n": _json_float(math.nan if c2 is None else c2),
         "sigma_min": _json_float(table.sigma_min),
         "condition": _json_float(table.condition),
         "ill_conditioned": table.ill_conditioned,
-        "fit_points": int(np.count_nonzero(mask)),
-        "noise_floor_m": _noise_floor_m(rows, mask),
+        **tables.fit.details,
         "all_ratios_finite": math.isfinite(c1),
         "c_emp_stable": stable,
         "stability_checked": table_2n is not None,
     }
     if bound.n0 is not None:
         details["n0"] = bound.n0
-    mm, jj = np.broadcast_arrays(rows[:, None], cols[None, :])
-    csv_rows = tuple(zip(mm.ravel().tolist(), jj.ravel().tolist(),
-                         repeat(zeta.real), repeat(zeta.imag),
-                         table.norm_stack.ravel().tolist()))
     variant, rate = bound.variant, bound.rate
     return ExperimentResult(
         name=f"green:{variant}:zeta={_fmt_zeta(zeta)}", variant=variant,
         branch=rate.branch, gamma=rate.gamma, delta=bound.delta, c_emp=c1,
         slope_measured=slope, slope_theoretical=slope_theo, passed=passed,
-        n_blocks=n, zeta=zeta, details=details, table=csv_rows)
+        n_blocks=cfg.n_blocks, zeta=zeta, details=details, table=tables.csv)
 
 
 def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
@@ -445,7 +489,9 @@ def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterv
     section for every zeta whose N solve succeeded.  Only C_emp is read from
     the 2N tables, so that solve runs with ``health=False``: the sigma_min
     estimate runs only for its zetas within 1e-8 of the real axis, where the
-    singularity verdict needs it.  A variant's own rate or
+    singularity verdict needs it.  The fit of the measured slope and the
+    CSV rows are made once per zeta (:func:`_zeta_tables`), when its first
+    variant is evaluated.  A variant's own rate or
     envelope error is reported before the solve's; a failed solve gives every
     variant of its zeta the same error.  ``variants`` defaults to the
     config's.
@@ -483,14 +529,18 @@ def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterv
                       health=False)
     results = []
     for i, zeta in enumerate(cfg.zetas):
+        solved = (tables_n.get(i), tables_2n.get(i))
+        shared = None               # the zeta's fit and CSV rows, made once
         for variant in variants:
-            outcome = [bounds[i, variant], tables_n.get(i), tables_2n.get(i)]
+            outcome = (bounds[i, variant], *solved)
             error = next((x for x in outcome if isinstance(x, Exception)), None)
-            if error is None:
-                results.append(_green_evaluate(cfg, zeta, *outcome))
-            else:
+            if error is not None:
                 results.append(_error_result(f"green:{variant}:zeta={_fmt_zeta(zeta)}",
                                              variant, zeta, n, error))
+                continue
+            if shared is None:
+                shared = _zeta_tables(cfg, zeta, *solved)
+            results.append(_green_evaluate(cfg, bounds[i, variant], shared))
     return results
 
 
@@ -536,16 +586,15 @@ def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
         un = pair.block_norms
         c_b = float(np.max(_ratios(un, env[:n])))
         c_b_2n = math.nan if partner is None else float(np.max(_ratios(partner.block_norms, env)))
-        _, slope, slope_theo, mask, passed = _verdict(
-            ms[:n], un, env[:n], c_b, c_b_2n, 1 + FIT_HEAD_OFFSET, n - FIT_TAIL_MARGIN)
+        fit = _Fit(ms[:n], *_fit_slope(ms[:n], un, 1 + FIT_HEAD_OFFSET, n - FIT_TAIL_MARGIN))
+        _, slope, slope_theo, _, passed = _verdict(fit, env[:n], c_b, c_b_2n)
         results.append(ExperimentResult(
             name=name, variant=variant, branch=rate.branch, gamma=rate.gamma,
             delta=delta, c_emp=c_b, slope_measured=slope,
             slope_theoretical=slope_theo, passed=passed, n_blocks=n, zeta=zeta0,
             details={"c_b_2n": _json_float(c_b_2n), "residual": pair.residual,
                      "drift": pair.drift, "stable_partner_found": partner is not None,
-                     "fit_points": int(np.count_nonzero(mask)),
-                     "noise_floor_m": _noise_floor_m(ms[:n], mask)},
+                     **fit.details},
             table=tuple(zip(ms[:n].tolist(), un.tolist()))))
     return results
 
@@ -630,13 +679,13 @@ def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
     for eps, zeta, bound, table in zip(eps_arr, zetas, bounds, tables):
         if isinstance(table, SingularityError):
             raise table
-        res = _green_evaluate(cfg, zeta, bound, table, None)
+        res = _green_evaluate(cfg, bound, _zeta_tables(cfg, zeta, table, None))
         rows.append({"eps": float(eps), "zeta": zeta.real,
                      "rate_measured": res.slope_measured, "gamma": res.gamma,
                      "c_emp": res.c_emp})
     log_eps = np.log(eps_arr)
-    slope_meas = float(np.polyfit(log_eps, np.log([r["rate_measured"] for r in rows]), 1)[0])
-    slope_gamma = float(np.polyfit(log_eps, np.log([r["gamma"] for r in rows]), 1)[0])
+    slope_meas = _slope(log_eps, np.log([r["rate_measured"] for r in rows]))
+    slope_gamma = _slope(log_eps, np.log([r["gamma"] for r in rows]))
     counters = {"sections_assembled": 1, "green_solves": len(rows), "eigen_searches": 0,
                 "factorizations": tables.factorizations}
     return EdgeStudyResult(x=x, n_blocks=n_blocks, rows=rows,
@@ -730,25 +779,32 @@ _CSV_HEADERS = {
 #: one row format per CSV kind: indices as integers, values with 17
 #: significant digits (enough to round-trip every float)
 _CSV_ROW_FORMATS = {
-    "green": "{:d},{:d},{:.17g},{:.17g},{:.17g}",
-    "eigenvector": "{:d},{:.17g}",
-    "edge": "{:.17g},{:.17g},{:.17g},{:.17g}",
-    "spectrum": "{:d},{:.17g}",
+    "green": "%d,%d,%.17g,%.17g,%.17g\n",
+    "eigenvector": "%d,%.17g\n",
+    "edge": "%.17g,%.17g,%.17g,%.17g\n",
+    "spectrum": "%d,%.17g\n",
 }
 
 
+def _csv_text(kind: str, rows) -> str:
+    """The CSV file of ``rows``: the version line, the header, and every row
+    formatted by one ``%`` over the whole table."""
+    rows = tuple(rows)
+    body = _CSV_ROW_FORMATS[kind] * len(rows) % tuple(chain.from_iterable(rows))
+    return f"# blockjacobi v{__version__}\n{_CSV_HEADERS[kind]}\n{body}"
+
+
 def _write_csv(path: Path, kind: str, rows) -> None:
-    fmt = _CSV_ROW_FORMATS[kind]
-    lines = [f"# blockjacobi v{__version__}", _CSV_HEADERS[kind]]
-    lines.extend(fmt.format(*row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(_csv_text(kind, rows), encoding="utf-8")
 
 
 def run(config, out_dir: str | None = None) -> tuple[VerificationReport, int]:
     """Execute all configured experiments; write report.json and CSVs.
 
     Returns (report, exit_code) with exit code 0 iff every non-skipped
-    experiment passed.  Fully deterministic for a given config.
+    experiment passed.  Fully deterministic for a given config.  The
+    variants of one zeta share one CSV payload, which is formatted once and
+    written to each of their files.
     """
     cfg = config if isinstance(config, ExperimentConfig) else ExperimentConfig.from_json(config)
     report = _verify(cfg, cfg.experiments)
@@ -759,12 +815,17 @@ def run(config, out_dir: str | None = None) -> tuple[VerificationReport, int]:
         (target / "report.json").write_text(
             json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
+        texts = {}          # (kind, id of a payload of this report) -> CSV text
         for i, res in enumerate(report.experiments):
             if res.table is None:
                 continue
             if res.name == "edge-study":
-                _write_csv(target / "edge.csv", "edge", res.table)
+                kind, path = "edge", target / "edge.csv"
             else:
                 kind = "eigenvector" if res.name.startswith("eigenvector") else "green"
-                _write_csv(target / f"{kind}_{i:02d}.csv", kind, res.table)
+                path = target / f"{kind}_{i:02d}.csv"
+            key = (kind, id(res.table))
+            if key not in texts:
+                texts[key] = _csv_text(kind, res.table)
+            path.write_text(texts[key], encoding="utf-8")
     return report, report.exit_code

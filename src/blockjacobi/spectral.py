@@ -6,10 +6,17 @@ constant blocks) the symbol
 phi(theta) = exp(i theta) A + exp(-i theta) A^* + B whose eigenvalue ranges
 over the unit circle fill the essential spectrum.  Gap endpoints detected
 from symbol samples are refined by a zoom on the batched eigenvalue
-functions: 33 thetas per round in one ``eigvalsh`` call, the bracket
-re-centred on the best and shrunk 16-fold until it is below 1e-7 (at a
-smooth extremum the value's error is quadratic in the bracket, so it is then
-at rounding level); truncation-only gaps keep sample resolution.
+functions: 33 thetas per round in one batch, the bracket re-centred on the
+best and shrunk 16-fold until it is below 1e-7 (at a smooth extremum the
+value's error is quadratic in the bracket, so it is then at rounding level);
+truncation-only gaps keep sample resolution.
+
+The 2 x 2 eigenvalue and norm work is done in closed form: ``_eigvalsh``
+(symbol tables and the zoom) and ``_block_norms`` (Green block norms, and
+the harness's commuting C_emp) give, for d = 2, the eigenvalues from the
+mean of the diagonal and a ``hypot``, and the spectral norm from the Gram
+matrix of the block scaled exactly by a power of two, within a few eps of
+LAPACK's and without one LAPACK call per matrix; other d go to numpy.
 
 Every band LU here is of J_N minus one or more shifts, stacked as decoupled
 segments of one band (kl = ku = 2d - 1) whose builder, ``_band_storage``,
@@ -147,6 +154,50 @@ def truncated_spectrum(op: TruncatedOperator) -> SpectrumEstimate:
     return SpectrumEstimate(method="truncation", samples=vals, size=op.n_blocks)
 
 
+def _eigvalsh(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian d x d matrix of the stack H.
+
+    For d = 2 in closed form, mean(h_11, h_22) -+ hypot((h_11 - h_22) / 2,
+    |h_21|), within a few eps ||H||_2 of LAPACK's and without one LAPACK
+    call per matrix; a matrix with an inf or nan entry gives nan.  Any
+    other d goes to ``np.linalg.eigvalsh``.
+    """
+    if H.shape[-1] != 2:
+        return np.linalg.eigvalsh(H)
+    a, c, off = H[..., 0, 0].real, H[..., 1, 1].real, H[..., 1, 0]
+    finite = np.isfinite(a) & np.isfinite(c) & np.isfinite(off)
+    # inf - inf of an inf entry; an eigenvalue past the float range is inf,
+    # as LAPACK's
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = 0.5 * a + 0.5 * c
+        radius = np.where(finite, np.hypot(0.5 * a - 0.5 * c, np.abs(off)), math.nan)
+        return np.stack((mean - radius, mean + radius), axis=-1)
+
+
+def _block_norms(X: np.ndarray) -> np.ndarray:
+    """Spectral norm of each d x d block of the stack X.
+
+    For d = 2 in closed form: each block is scaled by the power of two of its
+    largest real or imaginary part (exact, ``frexp`` and ``ldexp``), and the
+    norm is the square root of the largest eigenvalue (:func:`_eigvalsh`) of
+    the scaled block's Gram matrix, scaled back; within a few eps of the
+    SVD's, exactly 0 for a zero block, nan for a block with an inf or nan
+    entry, and without one LAPACK call per block.  Any other d goes to
+    ``np.linalg.norm(X, 2)``.
+    """
+    if X.shape[-2:] != (2, 2):
+        return np.linalg.norm(X, 2, axis=(-2, -1))
+    re, im = X.real, X.imag
+    peak = np.maximum(np.max(np.abs(re), axis=(-2, -1)), np.max(np.abs(im), axis=(-2, -1)))
+    exponent = np.frexp(peak)[1]
+    shift = -exponent[..., None, None]
+    # 0 inf of an inf entry; a norm past the float range is inf, as the SVD's
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = np.ldexp(re, shift) + 1j * np.ldexp(im, shift)
+        top = _eigvalsh(y.conj().swapaxes(-1, -2) @ y)[..., 1]
+        return np.where(np.isfinite(peak), np.ldexp(np.sqrt(top), exponent), math.nan)
+
+
 def _symbol_matrices(A: np.ndarray, B: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     z = np.exp(1j * thetas)[:, None, None]
     return z * A + np.conj(z) * A.conj().T + B
@@ -155,7 +206,7 @@ def _symbol_matrices(A: np.ndarray, B: np.ndarray, thetas: np.ndarray) -> np.nda
 def _symbol_table(A: np.ndarray, B: np.ndarray, grid_size: int) -> np.ndarray:
     """Read-only (grid_size, d) symbol eigenvalues on the uniform theta-grid."""
     thetas = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    vals = np.linalg.eigvalsh(_symbol_matrices(A, B, thetas))
+    vals = _eigvalsh(_symbol_matrices(A, B, thetas))
     vals.flags.writeable = False
     return vals
 
@@ -252,7 +303,7 @@ def _refine_symbol_level(est: SpectrumEstimate, level: float, side: str) -> floa
     h = 2.0 * math.pi / est.size
     while h >= 1e-7:
         thetas = theta + h * np.linspace(-1.0, 1.0, 33)
-        vals = nearest(np.linalg.eigvalsh(_symbol_matrices(A, B, thetas)))
+        vals = nearest(_eigvalsh(_symbol_matrices(A, B, thetas)))
         theta = thetas[best(vals)]
         h /= 16.0
     return float(vals[best(vals)])
@@ -516,7 +567,8 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     never crosses a segment boundary, so each segment's LU is the LU of its
     own J_N - zeta.  One in-place solve (``band_solver``) on an F-ordered
     right-hand side, with e_j in every segment, solves
-    (J_N - zeta I) X = E_j for all zetas and column blocks.  Time is
+    (J_N - zeta I) X = E_j for all zetas and column blocks; the block norms
+    come from :func:`_block_norms`.  Time is
     O(Z N d^3) and memory O(Z N d^2) for Z zetas; no dense matrix is built.
 
     Returns one GreenTable or SingularityError per zeta, in order.  A zeta is
@@ -603,7 +655,7 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
         return _one_at_a_time(op, zetas, rows, cols, live, out, health)
     X = entries.transpose(2, 3, 4, 0, 1)[np.ix_(solved, np.array(rows) - 1)]
     X.flags.writeable = False
-    norm_stacks = np.linalg.norm(X.transpose(0, 1, 3, 2, 4), 2, axis=(-2, -1))
+    norm_stacks = _block_norms(X.transpose(0, 1, 3, 2, 4))
     norm_stacks.flags.writeable = False
     for t, k in enumerate(solved):
         condition = float(norm_upper[k] / sigma[k])

@@ -608,3 +608,50 @@ def test_run_rejects_unknown_experiment():
     cfg["experiments"] = ["frobnicate"]
     with pytest.raises(ParameterError):
         run(cfg)
+
+
+# ---------------------------------------------------------------------------
+# closed-form slopes and the per-zeta fit and CSV payload
+
+@pytest.mark.parametrize("m", [2, 3, 60, 1000, 10**5])
+def test_closed_form_slope_matches_polyfit(m):
+    # decaying log-norm profiles, as the fits see them: an offset window of
+    # block indices, a rate from 1e-3 to 3 and noise up to a few units
+    rng = np.random.default_rng(m)
+    for _ in range(10):
+        x = np.arange(1.0, m + 1) + float(rng.integers(0, 100))
+        rate = 10.0 ** rng.uniform(-3.0, 0.5)
+        y = rng.uniform(-5.0, 5.0) - rate * x + rng.uniform(0.0, 3.0) * rng.standard_normal(m)
+        ref = np.polyfit(x, y, 1)[0]
+        assert abs(harness._slope(x, y) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_closed_form_slope_of_non_finite_values_is_nan_without_warning(bad):
+    x, y = np.arange(5.0), np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    y[2] = bad
+    assert np.all(np.isnan(np.polyfit(x, y, 1)))
+    assert math.isnan(harness._slope(x, y))
+
+
+def test_green_variants_share_one_fit_and_one_csv_payload(monkeypatch, tmp_path):
+    fits = []
+    fit_slope = harness._fit_slope
+
+    def spy(ms, values, lo, hi):
+        fits.append(len(ms))
+        return fit_slope(ms, values, lo, hi)
+
+    monkeypatch.setattr(harness, "_fit_slope", spy)
+    zetas = (0.5 + 0j, 0.3 + 0.2j)
+    report, code = run(example2_cfg(zetas=zetas, variants=ALL_VARIANTS),
+                       out_dir=str(tmp_path / "out"))
+    assert code == 0 and len(report.experiments) == 6
+    assert fits == [120, 120]                 # one fit per zeta, of its N table
+    for i, res in enumerate(report.experiments):
+        # the zeta's one payload serves all of its variants
+        assert res.table is report.experiments[3 * (i // 3)].table
+        harness._write_csv(tmp_path / "own.csv", "green", res.table)
+        assert ((tmp_path / "out" / f"green_{i:02d}.csv").read_bytes()
+                == (tmp_path / "own.csv").read_bytes())
+    assert report.experiments[0].table != report.experiments[3].table

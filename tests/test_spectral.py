@@ -121,7 +121,10 @@ def test_symbol_eigenvalue_table_feeds_gap_refinement():
     assert table.shape == (512, 2) and not table.flags.writeable
     thetas = 2.0 * math.pi * np.arange(512) / 512
     z = np.exp(1j * thetas)[:, None, None]
-    per_theta = np.linalg.eigvalsh(z * A2 + np.conj(z) * A2.conj().T + np.diag([0.3, -0.2]))
+    symbols = z * A2 + np.conj(z) * A2.conj().T + np.diag([0.3, -0.2])
+    # the table is the 2 x 2 kernel's, theta by theta; its agreement with
+    # LAPACK is checked in test_kernels.py
+    per_theta = np.array([spectral._eigvalsh(h) for h in symbols])
     assert np.array_equal(table, per_theta)
     assert np.array_equal(est.samples, np.sort(table.ravel()))
     # the coarse bracket is read from the table: rolling it by a quarter

@@ -27,7 +27,10 @@ swaps every pair), so slow drift of the machine hits both alike, with
   source and the ``spectrum`` command take them), the assembly untimed;
   each point also records its verdict: ``pass`` when every result of its
   report passed (a ``truncated_spectrum`` that returns has passed its own
-  checks), ``failed`` otherwise, in any of its runs;
+  checks), ``failed`` otherwise, in any of its runs, and the median process
+  CPU time (``time.process_time``, every thread of the process) of the
+  timed call beside its wall time, so a point where BLAS threads wait or
+  the machine is loaded shows as a gap between the two;
 * under ``machine.lapack``, per side, the band LAPACK its ``blockjacobi``
   runs on: the library file and its ``openblas_get_config`` string.
 
@@ -65,7 +68,7 @@ LADDER_REPEATS = 3
 #: one ladder point, run with the checkout's ``src`` on sys.path
 LADDER_POINT = """
 import json, sys
-from time import perf_counter
+from time import perf_counter, process_time
 import numpy as np
 import blockjacobi as bj
 from blockjacobi.harness import ExperimentConfig
@@ -82,18 +85,18 @@ green = kind in ("green", "green-offaxis")
 zeta = 0.3 + 0.2j if kind == "green-offaxis" else 0.5
 if kind == "truncation-spectrum":
     op = bj.assemble_truncation(seq, n)
-    t0 = perf_counter()
+    t0, c0 = perf_counter(), process_time()
     bj.truncated_spectrum(op)
-    seconds, passed = perf_counter() - t0, True
+    seconds, cpu, passed = perf_counter() - t0, process_time() - c0, True
 else:
     cfg = ExperimentConfig(operator=seq, zetas=(zeta,), n_blocks=n,
                            experiments=("green" if green else "eigenvector",))
     verify = bj.verify_green_bound if green else bj.verify_eigenvector_bound
-    t0 = perf_counter()
+    t0, c0 = perf_counter(), process_time()
     report = verify(cfg)
-    seconds = perf_counter() - t0
+    seconds, cpu = perf_counter() - t0, process_time() - c0
     passed = all(r.passed is True for r in report.experiments)
-print(json.dumps({"seconds": seconds, "passed": passed}))
+print(json.dumps({"seconds": seconds, "cpu_seconds": cpu, "passed": passed}))
 """
 
 
@@ -147,7 +150,8 @@ def in_checkout(root: Path, code: str, *args: str):
 
 
 def ladder_point(root: Path, kind: str, n: int) -> dict:
-    """``{"seconds": wall time, "passed": verdict}`` of one ladder run."""
+    """``{"seconds": wall time, "cpu_seconds": process CPU time, "passed":
+    verdict}`` of one ladder run."""
     return in_checkout(root, LADDER_POINT, kind, str(n))
 
 
@@ -227,6 +231,8 @@ def main(argv=None) -> int:
             for name, points in runs.items():
                 ladder[kind].setdefault(f"{name}_s", []).append(
                     statistics.median(p["seconds"] for p in points))
+                ladder[kind].setdefault(f"{name}_cpu_s", []).append(
+                    statistics.median(p["cpu_seconds"] for p in points))
                 ladder[kind].setdefault(f"{name}_verdict", []).append(
                     "pass" if all(p["passed"] for p in points) else "failed")
         print(kind, json.dumps(ladder[kind]), file=sys.stderr)
@@ -247,6 +253,8 @@ def main(argv=None) -> int:
                       "the assembled section (truncation-spectrum), "
                       "in a fresh interpreter, median of "
                       f"{LADDER_REPEATS} alternating runs per side; "
+                      "<side>_cpu_s is the median process CPU time "
+                      "(time.process_time, all threads) of the same calls; "
                       "<side>_verdict is pass when every result of every "
                       "run's report passed, failed otherwise",
             "notes": "added by hand after the run, not by this tool",
