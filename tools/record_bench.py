@@ -29,8 +29,8 @@ swaps every pair), so slow drift of the machine hits both alike, with
   report passed (a ``truncated_spectrum`` that returns has passed its own
   checks), ``failed`` otherwise, in any of its runs, and the median process
   CPU time (``time.process_time``, every thread of the process) of the
-  timed call beside its wall time, so a point where BLAS threads wait or
-  the machine is loaded shows as a gap between the two;
+  timed call beside its wall time: CPU time above wall time shows work on
+  several BLAS threads, wall time above CPU time a wait for the machine;
 * under ``machine.lapack``, per side, the band LAPACK its ``blockjacobi``
   runs on: the library file and its ``openblas_get_config`` string.
 

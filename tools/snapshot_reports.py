@@ -25,7 +25,7 @@ and message instead.  ``<out-dir>/band_edges.json`` also holds
 ``repr``, for the example 2 symbols of the sweep workload, the dimer fold
 and three seeded random symbols (d = 1, 2, 3), so a change of the gap-edge
 refinement shows directly.  Snapshots of two checkouts compare with
-``diff -r``.
+``diff -r``, or in summary with ``tools/snapshot_diff.py``.
 """
 
 from __future__ import annotations
