@@ -18,11 +18,10 @@ from .harness import (EdgeStudyResult, ExperimentConfig, ExperimentResult,
                       VerificationReport, edge_scaling_study, resolve_gap, run,
                       verify_commuting_bound, verify_eigenvector_bound,
                       verify_green_bound)
-from .operators import (CarlemanDiagnostic, EntrySequence, TruncatedOperator,
-                        assemble_truncation, carleman_check, constant_sequence,
-                        custom_sequence, example1_sequence, example2_sequence,
-                        example3_sequence, explicit_sequence, load_operator,
-                        operator_to_json, with_prefix)
+from .operators import (EntrySequence, TruncatedOperator, assemble_truncation,
+                        constant_sequence, custom_sequence, example1_sequence,
+                        example2_sequence, example3_sequence, explicit_sequence,
+                        load_operator, operator_to_json, with_prefix)
 from .spectral import (EigenpairInGap, GreenTable, SpectrumEstimate,
                        band_edges, detect_gap, eigenpairs_in_gap, green_block,
                        green_blocks, period2_symbol_blocks, symbol_spectrum,

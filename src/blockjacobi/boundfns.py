@@ -64,10 +64,6 @@ class GapInterval:
     def width(self) -> float:
         return self.s - self.r
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.r + self.s)
-
     def contains(self, x: float) -> bool:
         return self.r < x < self.s
 

@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .boundfns import BoundParams, GapInterval, best_delta, decay_rate
+from .boundfns import GapInterval
 from .errors import ParameterError
 from .harness import (ExperimentConfig, edge_scaling_study, run,
-                      verify_green_bound, _write_csv)
+                      verify_green_bound, _green_rows, _resolve_rate, _write_csv)
 from .operators import assemble_truncation, load_operator, EntrySequence
 from .spectral import (band_edges, detect_gap, green_block, tail_symbol_spectrum,
                        truncated_spectrum)
@@ -119,9 +119,7 @@ def cmd_green(args) -> int:
     rows = range(args.rows[0], args.rows[1] + 1)
     cols = range(args.cols[0], args.cols[1] + 1)
     table = green_block(op, args.zeta, rows, cols)
-    norms = table.norm_stack.tolist()
-    csv_rows = [(m, j, args.zeta.real, args.zeta.imag, norms[a][b])
-                for a, m in enumerate(table.rows) for b, j in enumerate(table.cols)]
+    csv_rows = _green_rows(table)
     _emit({"zeta": [args.zeta.real, args.zeta.imag],
            "condition": table.condition,
            "ill_conditioned": table.ill_conditioned,
@@ -132,19 +130,13 @@ def cmd_green(args) -> int:
 
 def cmd_bound(args) -> int:
     gap = GapInterval(args.gap[0], args.gap[1])
-    if args.variant == "simplified":     # its rate takes no delta
-        delta = params = None
-    else:
-        if args.delta != "auto":
-            delta = float(args.delta)
-        elif args.operator is None:
+    norms = None
+    if args.delta == "auto" and args.variant != "simplified":
+        if args.operator is None:
             raise ParameterError("--delta auto needs --operator for the norm profile")
-        else:
-            norms = _parse_operator(args.operator).norms(max(args.n - 1, 1))
-            delta, _ = best_delta(BoundParams(1.0, args.epsilon, args.eta), gap,
-                                  args.zeta, norms, args.variant)
-        params = BoundParams(delta, args.epsilon, args.eta)
-    rate = decay_rate(args.variant, params, gap, args.zeta, args.eps_prime)
+        norms = _parse_operator(args.operator).norms(max(args.n - 1, 1))
+    rate, delta = _resolve_rate(args.variant, gap, args.zeta, norms, args.delta,
+                                args.epsilon, args.eta, args.eps_prime)
     _emit({"gamma": rate.gamma, "branch": rate.branch, "variant": rate.variant,
            "delta": delta, "epsilon": args.epsilon, "eta": args.eta}, args)
     return 0
@@ -167,15 +159,12 @@ def cmd_example1(args) -> int:
     op = assemble_truncation(seq, args.n)
     rows = range(1, args.n + 1)
     table = green_block(op, args.zeta, rows, [args.col])
-    norms = table.norm_stack[:, 0].tolist()
-    csv_rows = [(m, args.col, args.zeta.real, args.zeta.imag, v)
-                for m, v in zip(table.rows, norms)]
-    off_band = max((v for m, v in zip(table.rows, norms)
-                    if abs(m - args.col) >= 2), default=0.0)
+    csv_rows = _green_rows(table)
+    off_band = max((v for m, j, _, _, v in csv_rows if abs(m - j) >= 2), default=0.0)
     _emit({"zeta": [args.zeta.real, args.zeta.imag],
            "max_norm_beyond_band": off_band,
            "band_structure": off_band <= 1e-12,
-           "norms": {str(m): v for m, v in zip(table.rows, norms)}},
+           "norms": {str(m): v for m, _, _, _, v in csv_rows}},
           args, "green", csv_rows)
     return 0
 

@@ -52,8 +52,8 @@ from .envelopes import (cumulative_phi, cumulative_reciprocal,
                         phi_delta_spectral, scalar_envelope)
 from .errors import (DomainError, ParameterError, PreconditionError,
                      SingularityError)
-from .operators import (EntrySequence, assemble_truncation, example2_sequence,
-                        load_operator)
+from .operators import (EntrySequence, _read_json, _scalar_from_json,
+                        assemble_truncation, example2_sequence, load_operator)
 from .spectral import (SINGULARITY_TOL, RESIDUAL_TOL, GreenTable, _block_norms,
                        detect_gap, eigenpairs_in_gap, green_blocks,
                        tail_symbol_spectrum, truncated_spectrum)
@@ -110,7 +110,7 @@ class ExperimentConfig:
             if not (1 <= lo <= hi <= self.n_blocks):
                 raise ParameterError(
                     f"window ({lo}, {hi}) must lie within [1, {self.n_blocks}]")
-        self.zetas = tuple(complex(z) for z in self.zetas)
+        self.zetas = tuple(_scalar_from_json(z) for z in self.zetas)
         self.variants = tuple(self.variants)
         for v in self.variants:
             if v not in VARIANTS:
@@ -127,22 +127,20 @@ class ExperimentConfig:
         _reject_unknown("gap", self.gap, _GAP_KEYS[source], _GAP_REQUIRED.get(source, ()))
         if self.edge is not None:
             _reject_unknown("edge", self.edge, _EDGE_KEYS, _EDGE_REQUIRED)
+        elif "edge" in self.experiments:
+            raise ParameterError("edge experiment needs an 'edge' config section")
+        for kind in self.experiments:
+            if kind not in _KINDS:
+                raise ParameterError(f"unknown experiment kind {kind!r}")
 
     @classmethod
     def from_json(cls, source) -> "ExperimentConfig":
         """Config from a JSON file or dict; unknown keys raise ParameterError."""
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        else:
-            data = dict(source)
+        data = _read_json(source)
         params = data.pop("params", {})
         _reject_unknown("config", data,
                         [f.name for f in fields(cls) if f.name not in _PARAM_KEYS])
         _reject_unknown("params", params, _PARAM_KEYS)
-        if "zetas" in data:
-            data["zetas"] = [complex(z[0], z[1]) if isinstance(z, (list, tuple))
-                             else complex(z) for z in data["zetas"]]
         return cls(**data, **params)
 
 
@@ -229,10 +227,6 @@ def _fmt_zeta(z: complex) -> str:
 # ---------------------------------------------------------------------------
 # gap resolution
 
-def as_sequence(operator) -> EntrySequence:
-    return operator if isinstance(operator, EntrySequence) else load_operator(operator)
-
-
 def resolve_gap(cfg: ExperimentConfig, seq: EntrySequence) -> GapInterval:
     """Resolve the configured gap source to a concrete interval.
 
@@ -268,18 +262,27 @@ def resolve_gap(cfg: ExperimentConfig, seq: EntrySequence) -> GapInterval:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _resolve_rate(cfg: ExperimentConfig, variant: str, gap: GapInterval,
-                  zeta: complex, norms: np.ndarray) -> tuple[DecayRate, float | None]:
+def _resolve_rate(variant: str, gap: GapInterval, zeta: complex, norms,
+                  delta: float | str, epsilon: float, eta: float,
+                  eps_prime: float) -> tuple[DecayRate, float | None]:
+    """The variant's rate and the delta it used (None for the simplified
+    rate, which takes none).  Only ``delta="auto"`` reads ``norms``: it picks
+    delta by ``best_delta`` on those ||A_k|| samples."""
     if variant == "simplified":
-        return decay_rate("simplified", None, gap, zeta, cfg.eps_prime), None
+        return decay_rate("simplified", None, gap, zeta, eps_prime), None
     rate_variant = "continuous" if variant == "commuting" else variant
-    if cfg.delta == "auto":
-        template = BoundParams(1.0, cfg.epsilon, cfg.eta)
-        delta, _ = best_delta(template, gap, zeta, norms, rate_variant)
+    if delta == "auto":
+        delta, _ = best_delta(BoundParams(1.0, epsilon, eta), gap, zeta, norms,
+                              rate_variant)
     else:
-        delta = float(cfg.delta)
-    params = BoundParams(delta, cfg.epsilon, cfg.eta)
-    return decay_rate(rate_variant, params, gap, zeta), delta
+        delta = float(delta)
+    return decay_rate(rate_variant, BoundParams(delta, epsilon, eta), gap, zeta), delta
+
+
+def _count(meta: dict, **work: int) -> None:
+    """Add ``work`` to the report's ``meta.counters``."""
+    for key, value in work.items():
+        meta["counters"][key] += value
 
 
 def _make_envelope(variant: str, rate: DecayRate, seq: EntrySequence,
@@ -407,7 +410,8 @@ def _variant_bound(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterval,
     """The variant's own rate and envelope on the config's window."""
     rows, cols = _window(cfg)
     upto = max(cfg.rows[1], cfg.cols[1])
-    rate, delta = _resolve_rate(cfg, variant, gap, zeta, seq.norms(max(upto - 1, 1)))
+    rate, delta = _resolve_rate(variant, gap, zeta, seq.norms(max(upto - 1, 1)),
+                                cfg.delta, cfg.epsilon, cfg.eta, cfg.eps_prime)
     m, j = rows[:, None], cols[None, :]
     env, n0 = _make_envelope(variant, rate, seq, delta, upto, m, j)
     op_env = operator_envelope(rate, seq, delta, m, j) if variant == "commuting" else None
@@ -434,11 +438,16 @@ def _zeta_tables(cfg: ExperimentConfig, zeta: complex, table: GreenTable,
     fit = _Fit(rows, *_fit_slope(rows, table.norm_stack[:, 0],
                                  int(cols[0]) + FIT_HEAD_OFFSET,
                                  cfg.n_blocks - FIT_TAIL_MARGIN))
-    mm, jj = np.broadcast_arrays(rows[:, None], cols[None, :])
-    csv = tuple(zip(mm.ravel().tolist(), jj.ravel().tolist(),
-                    repeat(zeta.real), repeat(zeta.imag),
-                    table.norm_stack.ravel().tolist()))
-    return _ZetaTables(zeta, table, table_2n, fit, csv)
+    return _ZetaTables(zeta, table, table_2n, fit, _green_rows(table))
+
+
+def _green_rows(table: GreenTable) -> tuple:
+    """The green CSV rows (m, j, Re zeta, Im zeta, ||G_mj||) of a table,
+    m-major."""
+    mm, jj = np.meshgrid(table.rows, table.cols, indexing="ij")
+    return tuple(zip(mm.ravel().tolist(), jj.ravel().tolist(),
+                     repeat(table.zeta.real), repeat(table.zeta.imag),
+                     table.norm_stack.ravel().tolist()))
 
 
 def _green_evaluate(cfg: ExperimentConfig, bound: _VariantBound,
@@ -498,7 +507,6 @@ def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterv
     """
     n = cfg.n_blocks
     rows, cols = _window(cfg)
-    counters = meta["counters"]
     variants = variants or cfg.variants
     bounds = {}                 # (zeta index, variant) -> _VariantBound or its error
     for i, zeta in enumerate(cfg.zetas):
@@ -516,10 +524,9 @@ def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterv
             section = assemble_truncation(seq, size)
         except _REPORTED as exc:
             return dict.fromkeys(todo, exc)
-        counters["sections_assembled"] += 1
-        counters["green_solves"] += len(todo)
         tables = green_blocks(section, [cfg.zetas[i] for i in todo], rows, cols, health)
-        counters["factorizations"] += tables.factorizations
+        _count(meta, sections_assembled=1, green_solves=len(todo),
+               factorizations=tables.factorizations)
         return dict(zip(todo, tables))
 
     tables_n = solve(n, [i for i in range(len(cfg.zetas))
@@ -552,12 +559,10 @@ def _error_result(name: str, variant: str, zeta, n: int, exc: Exception) -> Expe
 def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
                              gap: GapInterval, meta: dict) -> list[ExperimentResult]:
     n = cfg.n_blocks
-    counters = meta["counters"]
     variant = next((v for v in cfg.variants if v != "commuting"), "continuous")
     pairs = eigenpairs_in_gap(assemble_truncation(seq, n), gap)
-    counters["sections_assembled"] += 1
-    counters["eigen_searches"] += 1
-    counters["factorizations"] += pairs.factorizations
+    _count(meta, sections_assembled=1, eigen_searches=1,
+           factorizations=pairs.factorizations)
     if not pairs:
         return [ExperimentResult(
             name="eigenvector:none", variant=variant, passed=None, n_blocks=n,
@@ -565,9 +570,8 @@ def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
     # only the 2N clusters that can hold a partner are iterated
     pairs_2n = eigenpairs_in_gap(assemble_truncation(seq, 2 * n), gap,
                                  near=[p.zeta for p in pairs])
-    counters["sections_assembled"] += 1
-    counters["eigen_searches"] += 1
-    counters["factorizations"] += pairs_2n.factorizations
+    _count(meta, sections_assembled=1, eigen_searches=1,
+           factorizations=pairs_2n.factorizations)
     ms = np.arange(1, 2 * n + 1)
     results = []
     for pair in pairs:
@@ -578,7 +582,8 @@ def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
         # partner; the first N values serve the N section
         top = n if partner is None else 2 * n
         try:
-            rate, delta = _resolve_rate(cfg, variant, gap, pair.zeta, seq.norms(n - 1))
+            rate, delta = _resolve_rate(variant, gap, pair.zeta, seq.norms(n - 1),
+                                        cfg.delta, cfg.epsilon, cfg.eta, cfg.eps_prime)
             env, _ = _make_envelope(variant, rate, seq, delta, top - 1, 1, ms[:top])
         except (DomainError, PreconditionError, ParameterError) as exc:
             results.append(_error_result(name, variant, zeta0, n, exc))
@@ -695,12 +700,9 @@ def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
 
 def _edge_experiments(cfg: ExperimentConfig, seq, gap, meta: dict) -> list[ExperimentResult]:
     """The edge study of cfg.edge with cfg's params; passes when both slopes are 1/2 +- 0.05."""
-    if not cfg.edge:
-        raise ParameterError("edge experiment needs an 'edge' config section")
     study = edge_scaling_study(**cfg.edge, delta=cfg.delta, epsilon=cfg.epsilon,
                                eta=cfg.eta)
-    for key, value in study.counters.items():
-        meta["counters"][key] += value
+    _count(meta, **study.counters)
     ok = (abs(study.slope_measured - 0.5) <= 0.05
           and abs(study.slope_gamma - 0.5) <= 0.05)
     return [ExperimentResult(
@@ -726,17 +728,15 @@ def _verify(cfg: ExperimentConfig, kinds) -> VerificationReport:
     report = VerificationReport(meta=_meta(cfg))
     seq = gap = None
     for kind in kinds:
-        if kind not in _KINDS:
-            raise ParameterError(f"unknown experiment kind {kind!r}")
         if gap is None and kind != "edge":
-            seq = as_sequence(cfg.operator)
+            seq = (cfg.operator if isinstance(cfg.operator, EntrySequence)
+                   else load_operator(cfg.operator))
             gap = resolve_gap(cfg, seq)
             report.meta["gap"] = [gap.r, gap.s]
             if cfg.gap.get("source", "symbol") == "truncation":
                 # resolve_gap took every eigenvalue of the assembled N
                 # section from its band (truncated_spectrum)
-                report.meta["counters"]["sections_assembled"] += 1
-                report.meta["counters"]["eigen_searches"] += 1
+                _count(report.meta, sections_assembled=1, eigen_searches=1)
         report.experiments += _KINDS[kind](cfg, seq, gap, report.meta)
     return report
 

@@ -39,7 +39,6 @@ and 2N sections) neither regenerate a block nor measure it twice.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,16 +110,20 @@ def _as_stack(values, dim: int, what: str, first: int) -> np.ndarray:
     return stack
 
 
-def _scalar_from_json(v):
-    if isinstance(v, (list, tuple)):
-        if len(v) != 2:
-            raise ParameterError(f"complex scalar must be [re, im], got {v!r}")
-        return complex(v[0], v[1])
-    return complex(v)
+def _scalar_from_json(v) -> complex:
+    """A complex scalar given as a number or an [re, im] pair; ParameterError
+    for anything else."""
+    if isinstance(v, (list, tuple)) and len(v) != 2:
+        raise ParameterError(f"complex scalar must be [re, im], got {v!r}")
+    try:
+        return complex(*v) if isinstance(v, (list, tuple)) else complex(v)
+    except (TypeError, ValueError):
+        raise ParameterError(f"complex scalar must be a number or [re, im], "
+                             f"got {v!r}") from None
 
 
 def _real_scalar(v, what: str) -> float:
-    c = _scalar_from_json(v) if isinstance(v, (list, tuple)) else complex(v)
+    c = _scalar_from_json(v)
     if abs(c.imag) > 0:
         raise ParameterError(f"{what} must be real, got {c}")
     return float(c.real)
@@ -174,12 +177,6 @@ def make_rule(spec):
             return lambda n: scale * base**n
         raise ParameterError(f"unknown rule kind {kind!r}")
     raise ParameterError(f"cannot interpret rule spec {spec!r}")
-
-
-def _rule_to_json(spec):
-    if callable(spec):
-        raise ParameterError("callable rules are not JSON-serializable")
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -494,43 +491,18 @@ def assemble_truncation(seq: EntrySequence, n_blocks: int) -> TruncatedOperator:
 
 
 # ---------------------------------------------------------------------------
-# Carleman diagnostic
-
-@dataclass(frozen=True)
-class CarlemanDiagnostic:
-    partial_sum: float
-    verdict: str          # "divergent-looking" or "inconclusive"
-    horizon: int
-
-
-def carleman_check(seq: EntrySequence, horizon: int) -> CarlemanDiagnostic:
-    """Advisory check of the divergence of sum 1/||A_k||.
-
-    Divergence of the series is a sufficient criterion for self-adjointness
-    of the infinite operator.  The verdict is a heuristic: the series "looks
-    divergent" when the second half of the partial sum still contributes at
-    least 5% of the total (or some ||A_k|| vanishes, making a term infinite).
-    Never blocks any computation.
-    """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    nrm = seq.norms(horizon)
-    with np.errstate(divide="ignore"):
-        terms = np.where(nrm > 0.0, 1.0 / np.where(nrm > 0.0, nrm, 1.0), math.inf)
-    total = float(np.sum(terms))
-    if math.isinf(total):
-        return CarlemanDiagnostic(partial_sum=math.inf, verdict="divergent-looking",
-                                  horizon=horizon)
-    if horizon >= 2:
-        head = float(np.sum(terms[: (horizon + 1) // 2]))
-        verdict = "divergent-looking" if total - head >= 0.05 * total else "inconclusive"
-    else:
-        verdict = "inconclusive"
-    return CarlemanDiagnostic(partial_sum=total, verdict=verdict, horizon=horizon)
-
-
-# ---------------------------------------------------------------------------
 # JSON interchange
+
+def _read_json(source) -> dict:
+    """The JSON object in a file path or file object, or a shallow copy of a
+    mapping."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    if hasattr(source, "read"):
+        return json.load(source)
+    return dict(source)
+
 
 def load_operator(source) -> EntrySequence:
     """Build an :class:`EntrySequence` from a JSON file path, file object, or dict.
@@ -544,13 +516,7 @@ def load_operator(source) -> EntrySequence:
     Complex matrix entries are [re, im] pairs (bare reals are also accepted
     on input).
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif isinstance(source, dict):
-        data = source
-    else:
-        data = json.load(source)
+    data = _read_json(source)
     family = data.get("family")
     if family not in _JSON_FAMILIES:
         raise ParameterError(f"operator JSON family must be one of {_JSON_FAMILIES}, got {family!r}")
@@ -581,8 +547,8 @@ def operator_to_json(seq: EntrySequence) -> dict:
             continue
         if isinstance(value, np.ndarray):
             params[key] = matrix_to_json(value)
-        elif key in ("lambda_rule", "eps_rule"):
-            params[key] = _rule_to_json(value)
+        elif key in ("lambda_rule", "eps_rule") and callable(value):
+            raise ParameterError("callable rules are not JSON-serializable")
         else:
             params[key] = value
     out = {"dim": seq.dim, "family": seq.family, "params": params}

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from blockjacobi import (BoundParams, GapInterval, assemble_truncation,
-                         example2_sequence, gamma_continuous, gamma_simplified,
-                         green_block)
+from blockjacobi import (BoundParams, ExperimentConfig, GapInterval,
+                         assemble_truncation, example2_sequence, gamma_continuous,
+                         gamma_simplified, green_block, verify_green_bound)
 from blockjacobi.cli import main
 
 
@@ -105,6 +105,20 @@ def test_bound_auto_delta_needs_operator(capsys):
     data = json.loads(out)
     assert data["delta"] is None
     assert data["gamma"] == gamma_simplified(GapInterval(-1, 1), 0.0, 0.01).gamma
+
+
+def test_bound_auto_delta_matches_harness(capsys):
+    # the CLI and the harness pick delta on the same ||A_k||, k < N
+    report = verify_green_bound(ExperimentConfig(
+        operator=example2_sequence(3.0), zetas=(0.5,), n_blocks=300))
+    [result] = report.experiments
+    r, s = report.meta["gap"]
+    code, out = cli(capsys, "bound", f"--gap={r!r},{s!r}", "--delta", "auto",
+                    "--operator", "example2:x=3", "--n", "300", "--zeta", "0.5")
+    assert code == 0
+    data = json.loads(out)
+    assert result.variant == data["variant"] == "continuous"
+    assert (data["gamma"], data["delta"]) == (result.gamma, result.delta)
 
 
 def test_verify_runs_config(tmp_path, capsys):

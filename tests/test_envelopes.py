@@ -85,6 +85,16 @@ def test_cumulative_reciprocal():
         cumulative_reciprocal(zero_seq, 3)
 
 
+def test_cumulative_reciprocal_example3_closed_form():
+    # example 3 (x = 0): ||A_k|| = k^0.75 + c_k with c_k = 0 for odd k, 1 for even
+    seq = example3_sequence(x=0.0, alpha=0.75, c1=0.0, c2=1.0)
+    prof = cumulative_reciprocal(seq, 10 ** 4)
+    oracle = sum(1.0 / (k ** 0.75 + (0.0 if k % 2 == 1 else 1.0))
+                 for k in range(1, 10 ** 4 + 1))
+    assert prof.prefix[-1] == pytest.approx(oracle, rel=1e-10)
+    assert abs(prof.prefix[-1] - 37.0) <= 3.7
+
+
 def test_profile_bounded_difference_from_reciprocals():
     # sum phi_delta - sum 1/||A_k|| stabilizes once ||A_k|| has passed delta
     seq = example3_sequence(x=0.0, alpha=0.75, c1=0.0, c2=1.0)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,9 @@ from blockjacobi.cli import main as cli_main
 from blockjacobi import (DomainError, ExperimentConfig, GapInterval, ParameterError,
                          PreconditionError, custom_sequence, discrete_envelope,
                          edge_scaling_study, example2_min_decay, example2_sequence,
-                         example3_sequence, explicit_sequence, resolve_gap, run,
-                         verify_commuting_bound, verify_eigenvector_bound,
-                         verify_green_bound, with_prefix)
+                         example3_sequence, explicit_sequence, load_operator,
+                         resolve_gap, run, verify_commuting_bound,
+                         verify_eigenvector_bound, verify_green_bound, with_prefix)
 
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
 NORM_A2 = float(np.linalg.norm(A2, 2))
@@ -43,6 +44,11 @@ def test_config_validation():
         example2_cfg(variants=("bogus",))
     with pytest.raises(ParameterError):
         example2_cfg(delta="automatic")
+    # caught before any experiment runs, not after the kinds before them
+    with pytest.raises(ParameterError, match=r"^unknown experiment kind 'bogus'$"):
+        example2_cfg(experiments=("green", "bogus"))
+    with pytest.raises(ParameterError, match=r"^edge experiment needs an 'edge' config"):
+        example2_cfg(experiments=("green", "edge"))
 
 
 def test_config_from_json():
@@ -54,6 +60,17 @@ def test_config_from_json():
     })
     assert cfg.zetas == (0.5 + 0j, 0.25 + 0j)
     assert cfg.rows == (1, 50)
+
+
+@pytest.mark.parametrize("value", [[0.5, 0.0, 9.0], [0.5], ["a", 1], "x", None])
+def test_malformed_complex_scalar_is_a_parameter_error(value):
+    # config zetas and operator JSON matrix entries share one scalar parser
+    message = re.escape(repr(value))
+    with pytest.raises(ParameterError, match=message):
+        ExperimentConfig.from_json(dict(base_config_dict(), zetas=[value]))
+    operator = {"dim": 1, "family": "constant", "params": {"A": [[value]], "B": [[0.0]]}}
+    with pytest.raises(ParameterError, match=message):
+        load_operator(operator)
 
 
 @pytest.mark.parametrize("level, key", [
@@ -319,7 +336,8 @@ def test_discrete_n0_detail_is_the_widest_window_n0(norms, data):
                            cols=(c0, c1), variants=("discrete",))
     upto = max(r1, c1)
     norm_arr = seq.norms(upto)
-    rate, _ = harness._resolve_rate(cfg, "discrete", gap, 0j, norm_arr)
+    rate, _ = harness._resolve_rate("discrete", gap, 0j, norm_arr, cfg.delta,
+                                    cfg.epsilon, cfg.eta, cfg.eps_prime)
     try:
         bound = harness._variant_bound(cfg, seq, gap, 0j, "discrete")
     except PreconditionError:

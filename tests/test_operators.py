@@ -1,4 +1,4 @@
-"""Entry sequences, truncation assembly, Carleman diagnostic, JSON interchange."""
+"""Entry sequences, truncation assembly, JSON interchange."""
 
 import json
 import math
@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blockjacobi import (EntrySequence, ParameterError, TruncatedOperator,
-                         assemble_truncation, carleman_check, constant_sequence,
-                         custom_sequence, example1_sequence, example2_sequence,
-                         example3_sequence, explicit_sequence, load_operator,
-                         operator_to_json, with_prefix)
+                         assemble_truncation, constant_sequence, custom_sequence,
+                         example1_sequence, example2_sequence, example3_sequence,
+                         explicit_sequence, load_operator, operator_to_json,
+                         with_prefix)
 from blockjacobi import cumulative_phi, operators
 
 from dense import dense
@@ -151,41 +151,6 @@ def test_norms_spectral():
     assert np.allclose(nrm, expected, rtol=1e-12)
     oracle = np.linalg.norm(seq.a(1), 2)
     assert nrm[0] == pytest.approx(oracle, rel=1e-13)
-
-
-# ---------------------------------------------------------------------------
-# Carleman diagnostic
-
-def test_carleman_constant():
-    seq = constant_sequence(np.array([[1.0]]), np.array([[0.0]]))
-    diag = carleman_check(seq, 100)
-    assert diag.partial_sum == pytest.approx(100.0, rel=1e-12)
-    assert diag.verdict == "divergent-looking"
-
-
-def test_carleman_example3():
-    seq = example3_sequence(x=0.0, alpha=0.75, c1=0.0, c2=1.0)
-    diag = carleman_check(seq, 10 ** 4)
-    oracle = sum(1.0 / (k ** 0.75 + (0.0 if k % 2 == 1 else 1.0))
-                 for k in range(1, 10 ** 4 + 1))
-    assert diag.partial_sum == pytest.approx(oracle, rel=1e-10)
-    assert abs(diag.partial_sum - 37.0) <= 3.7
-    assert diag.verdict == "divergent-looking"
-
-
-def test_carleman_geometric_inconclusive():
-    seq = custom_sequence(lambda n: (np.array([[2.0 ** n]]), np.array([[0.0]])), 1)
-    diag = carleman_check(seq, 50)
-    assert diag.partial_sum < 1.0
-    assert diag.verdict == "inconclusive"
-
-
-def test_carleman_zero_block():
-    seq = explicit_sequence([(np.zeros((1, 1)), np.zeros((1, 1)))],
-                            tail=(np.ones((1, 1)), np.zeros((1, 1))))
-    diag = carleman_check(seq, 10)
-    assert math.isinf(diag.partial_sum)
-    assert diag.verdict == "divergent-looking"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ benchmark configs (imported, never written to).  Every config goes through
 * a 2-periodic (dimerized) chain with a symbol gap, built in code.
 
 A config whose ``run`` raises gets an ``error.txt`` with the exception type
-and message instead.  ``<out-dir>/band_edges.json`` also holds
+and message instead.  ``<out-dir>/cli/`` holds the files that the command
+line writes with ``--out`` for the ``bound`` (explicit, auto and simplified
+delta), ``green`` (JSON and CSV) and ``example1`` (JSON and CSV) cases of
+``CLI_CASES``.  ``<out-dir>/band_edges.json`` also holds
 ``band_edges(symbol_spectrum(A, B, 2048), 0.2)``, each value written with
 ``repr``, for the example 2 symbols of the sweep workload, the dimer fold
 and three seeded random symbols (d = 1, 2, 3), so a change of the gap-edge
@@ -121,6 +124,24 @@ EDGE_CASES = {
 }
 
 
+#: file name under <out-dir>/cli -> command line arguments before --out
+CLI_CASES = {
+    "bound-explicit.json": ["bound", "--gap=-1,1", "--zeta", "0.5,0.1", "--delta", "2",
+                            "--epsilon", "0.3", "--eta", "0.4"],
+    "bound-auto.json": ["bound", "--gap=-1,1", "--zeta", "0.5", "--delta", "auto",
+                        "--operator", "example2:x=3", "--n", "300"],
+    "bound-simplified.json": ["bound", "--gap=-1,1", "--zeta", "0.3,0.2",
+                              "--variant", "simplified", "--eps-prime", "0.02"],
+    "green.json": ["green", "--operator", "example2:x=3", "--n", "60",
+                   "--zeta", "0.5,0.1", "--rows", "1:40", "--cols", "2:4"],
+    "green.csv": ["green", "--operator", "example2:x=3", "--n", "60", "--zeta", "0.5,0.1",
+                  "--rows", "1:40", "--cols", "2:4", "--format", "csv"],
+    "example1.json": ["example1", "--eps-scale", "0.5", "--n", "30", "--col", "5"],
+    "example1.csv": ["example1", "--eps-scale", "0.5", "--n", "30", "--col", "5",
+                     "--format", "csv"],
+}
+
+
 def band_edges_table(xs) -> dict:
     """name -> repr of every band edge of the symbol (A, B) on 2048 thetas."""
     from blockjacobi import (band_edges, example2_sequence, period2_symbol_blocks,
@@ -153,6 +174,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
     from blockjacobi import ExperimentConfig, custom_sequence, run
+    from blockjacobi.cli import main as cli_main
 
     configs = {f"{name}-{i}": cfg
                for name in workloads.WORKLOADS
@@ -169,6 +191,9 @@ def main(argv=None) -> int:
         except Exception as exc:  # recorded, so a raise is diffed too
             (target / "error.txt").write_text(f"{type(exc).__name__}: {exc}\n",
                                               encoding="utf-8")
+    (out / "cli").mkdir(parents=True, exist_ok=True)
+    for name, argv in CLI_CASES.items():     # a failing command leaves no file
+        cli_main([*argv, "--out", str(out / "cli" / name)])
     edges = band_edges_table(workloads.SWEEP_XS)
     (out / "band_edges.json").write_text(json.dumps(edges, indent=2) + "\n",
                                          encoding="utf-8")
