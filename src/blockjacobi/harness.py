@@ -52,8 +52,9 @@ from .envelopes import (cumulative_phi, cumulative_reciprocal,
                         phi_delta_spectral, scalar_envelope)
 from .errors import (DomainError, ParameterError, PreconditionError,
                      SingularityError)
-from .operators import (EntrySequence, _read_json, _scalar_from_json,
-                        assemble_truncation, example2_sequence, load_operator)
+from .operators import (EntrySequence, _integer, _read_json, _real_scalar,
+                        _reject_unknown, _scalar_from_json, assemble_truncation,
+                        example2_sequence, load_operator)
 from .spectral import (SINGULARITY_TOL, RESIDUAL_TOL, GreenTable, _block_norms,
                        detect_gap, eigenpairs_in_gap, green_blocks,
                        tail_symbol_spectrum, truncated_spectrum)
@@ -100,12 +101,13 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        self.n_blocks = _integer(self.n_blocks, "n_blocks")
         if self.n_blocks < 4:
             raise ParameterError(f"n_blocks must be >= 4, got {self.n_blocks}")
+        self.symbol_grid = _integer(self.symbol_grid, "symbol_grid")
         if self.rows is None:
             self.rows = (1, self.n_blocks)
-        self.rows = (int(self.rows[0]), int(self.rows[1]))
-        self.cols = (int(self.cols[0]), int(self.cols[1]))
+        self.rows, self.cols = _block_pair(self.rows, "rows"), _block_pair(self.cols, "cols")
         for lo, hi in (self.rows, self.cols):
             if not (1 <= lo <= hi <= self.n_blocks):
                 raise ParameterError(
@@ -116,8 +118,10 @@ class ExperimentConfig:
             if v not in VARIANTS:
                 raise ParameterError(f"unknown variant {v!r}")
         self.experiments = tuple(self.experiments)
+        for name in ("epsilon", "eta", "eps_prime"):
+            setattr(self, name, _real_scalar(getattr(self, name), name))
         if not isinstance(self.delta, str):
-            self.delta = float(self.delta)
+            self.delta = _real_scalar(self.delta, "delta")
         elif self.delta != "auto":
             raise ParameterError(f"delta must be a number or 'auto', got {self.delta!r}")
         source = self.gap.get("source", "symbol")
@@ -144,14 +148,11 @@ class ExperimentConfig:
         return cls(**data, **params)
 
 
-def _reject_unknown(where: str, data: dict, known, required=()) -> None:
-    """ParameterError unless every key of ``data`` is ``known`` and every
-    ``required`` key is present."""
-    if unknown := sorted(set(data) - set(known)):
-        raise ParameterError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
-                             f"expected {', '.join(known)}")
-    if missing := [key for key in required if key not in data]:
-        raise ParameterError(f"{where} section needs key(s) {', '.join(map(repr, missing))}")
+def _block_pair(value, what: str) -> tuple[int, int]:
+    """A (lo, hi) block window given as a pair of integers."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ParameterError(f"{what} must be a pair (lo, hi), got {value!r}")
+    return _integer(value[0], what), _integer(value[1], what)
 
 
 @dataclass

@@ -50,6 +50,11 @@ HERMITICITY_TOL = 1e-12
 
 _JSON_FAMILIES = ("explicit-list", "constant", "example1", "example2", "example3")
 _FAMILIES = _JSON_FAMILIES + ("custom",)
+#: the params each family takes, and those it cannot do without
+_FAMILY_KEYS = {"explicit-list": (), "constant": ("A", "B"),
+                "example1": ("lambda_rule", "eps_rule"), "example2": ("x",),
+                "example3": ("x", "alpha", "c1", "c2"), "custom": ("fn",)}
+_FAMILY_REQUIRED = {"constant": ("A", "B")}
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +128,40 @@ def _scalar_from_json(v) -> complex:
 
 
 def _real_scalar(v, what: str) -> float:
-    c = _scalar_from_json(v)
+    try:
+        c = _scalar_from_json(v)
+    except ParameterError as err:
+        raise ParameterError(f"{what}: {err}") from None
     if abs(c.imag) > 0:
         raise ParameterError(f"{what} must be real, got {c}")
     return float(c.real)
 
 
+def _integer(v, what: str) -> int:
+    """``v`` as an int when it is an integral number; ParameterError naming
+    ``what`` for anything else (a string, a list, a fraction, a bool)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) \
+            or not float(v).is_integer():
+        raise ParameterError(f"{what} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _reject_unknown(where: str, data, known, required=()) -> None:
+    """ParameterError unless every key of ``data`` is ``known`` and every
+    ``required`` key is present."""
+    if unknown := sorted(set(data) - set(known)):
+        raise ParameterError(f"unknown {where} key(s) {', '.join(map(repr, unknown))}; "
+                             f"expected {', '.join(known) or 'none'}")
+    if missing := [key for key in required if key not in data]:
+        raise ParameterError(f"{where} section needs key(s) {', '.join(map(repr, missing))}")
+
+
 def matrix_from_json(rows, dim: int | None = None, what: str = "matrix") -> np.ndarray:
     """Decode a matrix serialized as nested lists with [re, im] complex entries."""
-    data = [[_scalar_from_json(e) for e in row] for row in rows]
+    try:
+        data = [[_scalar_from_json(e) for e in row] for row in rows]
+    except TypeError:                       # a number where a row or the matrix is
+        raise ParameterError(f"{what} must be a list of rows, got {rows!r}") from None
     return as_block(np.array(data, dtype=complex), dim, what)
 
 
@@ -164,11 +194,13 @@ def make_rule(spec):
         if kind == "zero":
             return lambda n: 0j
         if kind == "constant":
+            if "value" not in spec:
+                raise ParameterError("constant rule needs key 'value'")
             value = _scalar_from_json(spec["value"])
             return lambda n: value
         if kind == "power":
             scale = _scalar_from_json(spec.get("scale", 1.0))
-            expo = float(spec.get("exponent", 1.0))
+            expo = _real_scalar(spec.get("exponent", 1.0), "power rule exponent")
             offset = _scalar_from_json(spec.get("offset", 0.0))
             return lambda n: scale * n**expo + offset
         if kind == "geometric":
@@ -206,6 +238,10 @@ class EntrySequence:
         if self.family not in _FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
         object.__setattr__(self, "params", dict(self.params))
+        # keys that begin with "_" are the validators' own
+        _reject_unknown(f"{self.family} params",
+                        [key for key in self.params if not key.startswith("_")],
+                        _FAMILY_KEYS[self.family], _FAMILY_REQUIRED.get(self.family, ()))
         validator = _VALIDATORS.get(self.family)
         if validator is not None:
             validator(self.dim, self.params)
@@ -520,21 +556,26 @@ def load_operator(source) -> EntrySequence:
     family = data.get("family")
     if family not in _JSON_FAMILIES:
         raise ParameterError(f"operator JSON family must be one of {_JSON_FAMILIES}, got {family!r}")
-    dim = int(data.get("dim", 2))
+    dim = _integer(data.get("dim", 2), "operator dim")
     params = dict(data.get("params", {}))
     if family == "constant":
-        params["A"] = matrix_from_json(params["A"], dim, "constant A")
-        params["B"] = matrix_from_json(params["B"], dim, "constant B")
-    prefix = tuple(
-        (matrix_from_json(entry["A"], dim, "prefix A"),
-         matrix_from_json(entry["B"], dim, "prefix B"))
-        for entry in data.get("prefix", ())
-    )
+        # a missing A or B is reported by the family's own check
+        params.update({key: matrix_from_json(params[key], dim, f"constant {key}")
+                       for key in ("A", "B") if key in params})
+    prefix = tuple(_pair_from_json(entry, dim, "prefix") for entry in data.get("prefix", ()))
     tail = data.get("tail")
     if tail is not None:
-        tail = (matrix_from_json(tail["A"], dim, "tail A"),
-                matrix_from_json(tail["B"], dim, "tail B"))
+        tail = _pair_from_json(tail, dim, "tail")
     return EntrySequence(dim=dim, family=family, params=params, prefix=prefix, tail=tail)
+
+
+def _pair_from_json(entry, dim: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of a prefix or tail entry {"A": ..., "B": ...}."""
+    if not isinstance(entry, dict):
+        raise ParameterError(f"{what} entry must be an object with keys A and B, got {entry!r}")
+    _reject_unknown(what, entry, ("A", "B"), ("A", "B"))
+    return (matrix_from_json(entry["A"], dim, f"{what} A"),
+            matrix_from_json(entry["B"], dim, f"{what} B"))
 
 
 def operator_to_json(seq: EntrySequence) -> dict:

@@ -90,7 +90,8 @@ _LANCZOS_STEPS = 22
 #: a Lanczos residual at or below this share of its column of the
 #: tridiagonal matrix ends the Krylov space
 _KRYLOV_END = 1e-12
-#: seed of the random start vectors of the Lanczos and inverse iterations
+#: seed of the hashed start vectors of the Lanczos and inverse iterations
+#: (:func:`_start_block`)
 _SEED = 20260810
 #: cap on block inverse-iteration steps per eigenvalue cluster
 _INVERSE_STEPS = 40
@@ -452,15 +453,36 @@ class FactoredResults(list):
         self.factorizations = factorizations
 
 
+def _start_block(rows: int, cols: int, dtype) -> np.ndarray:
+    """The deterministic (rows, cols) start block of an iteration, of ``dtype``
+    (float or complex).
+
+    Entry i of the flat sequence (C order; a complex entry takes two in a
+    row, its real and imaginary parts) hashes the counter _SEED + i: the
+    counter times the golden-ratio increment 0x9E3779B97F4A7C15, then
+    splitmix64's finalizer, whose top 53 bits k give k 2^-52 - 1, in
+    [-1, 1).  The values belong to this code alone, not to a numpy random
+    stream, so no numpy version moves them.  uint64 arrays wrap silently,
+    where uint64 scalars would warn, so every step is an array operation.
+    """
+    parts = 2 if np.dtype(dtype) == complex else 1
+    z = (np.arange(rows * cols * parts, dtype=np.uint64) + _SEED) * 0x9E3779B97F4A7C15
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    values = (z >> 11).astype(float) * 2.0**-52 - 1.0
+    return values.view(dtype).reshape(rows, cols)
+
+
 def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     """Upper estimates of 1 / ||M^{-1}|| for every segment M of a stacked band LU.
 
     k = min(22, N d) steps of the Lanczos recurrence on the Hermitian
     M^{-1}, all segments in the same solves and each with its own
-    coefficients, started from the same seeded vector (real for a real
-    factor).  Each step is one in-place solve of the stacked vector, in one
-    buffer bound once (``band_solver``), then the three-term update, without
-    reorthogonalization.  The (k + 1) x k
+    coefficients, started from the same hashed vector (:func:`_start_block`,
+    real for a real factor).  Each step is one in-place solve of the stacked
+    vector, in one buffer bound once (``band_solver``), then the three-term
+    update, without reorthogonalization.  The (k + 1) x k
     tridiagonal T of a segment satisfies M^{-1} V_k = V_{k+1} T, with V
     orthonormal in exact arithmetic, so sigma_max(T) is the largest growth
     of M^{-1} over the Krylov space and 1 / sigma_max(T) an upper estimate
@@ -474,10 +496,7 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     into the other segments.
     """
     steps = min(_LANCZOS_STEPS, size)
-    rng = np.random.default_rng(_SEED)
-    v = rng.standard_normal(size)
-    if lu.dtype == complex:
-        v = v + 1j * rng.standard_normal(size)
+    v = _start_block(size, 1, lu.dtype)[:, 0]
     basis = np.zeros((2, segments, size), dtype=lu.dtype)    # v_j in basis[j % 2]
     basis[0] = v / np.linalg.norm(v)
     w = np.empty((segments, size), dtype=lu.dtype)
@@ -586,9 +605,11 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     where eigenvalues on both sides are equally near (example 2, x = 3,
     zeta = 0.5: 0.5 at N = 600 and 1200).  It stays high where the nearest
     eigenvalues form a band-edge cluster that 22 steps do not resolve: on
-    example 2, by 6.6e-4 relative at x = 2.5, N = 120, zeta = 0.3 and by
-    2.8e-4 at x = 4, N = 60, zeta = 1.2.  ``condition`` is an upper bound on
-    ||J_N - zeta|| over ``sigma_min``.
+    example 2, by 2.7e-5 relative at x = 2.5, N = 120, zeta = 0.3 and by
+    8.8e-6 at x = 4, N = 60, zeta = 1.2.  Those two figures describe the one
+    start vector the iteration takes (:func:`_start_block`); they are not
+    bounds.  ``condition`` is an upper bound on ||J_N - zeta|| over
+    ``sigma_min``.
 
     With ``health=False`` the estimate runs only where the verdict needs
     it: sigma_min(J_N - zeta) >= |Im zeta|, so a zeta with
@@ -743,10 +764,11 @@ def _ritz_basis(op: TruncatedOperator, shift: float, k: int, steps: int,
                 floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Ritz vectors U of the k eigenvalues of J_N nearest ``shift``, and J_N U.
 
-    ``steps`` steps of seeded block inverse iteration on the band LU of
-    J_N - shift, each solving in place and then orthonormalizing the block
-    (a QR; one vector is just normalized, which is its QR up to a unit
-    phase that nothing downstream sees), then Rayleigh-Ritz on the block.
+    ``steps`` steps of block inverse iteration on the band LU of J_N - shift
+    from the hashed start block (:func:`_start_block`), each solving in
+    place and then orthonormalizing the block (a QR; one vector is just
+    normalized, which is its QR up to a unit phase that nothing downstream
+    sees), then Rayleigh-Ritz on the block.
     The real shift keeps a real band real: a real LU and real start vectors
     then, complex ones otherwise.  A shift that is an eigenvalue to the last
     bit gives an exact zero pivot; as in LAPACK's ``dstein``, it is replaced
@@ -762,11 +784,7 @@ def _ritz_basis(op: TruncatedOperator, shift: float, k: int, steps: int,
         # pivot are zero too, and the rest of the factor is complete
         pivots = lu[2 * kl]
         pivots[pivots == 0.0] = floor
-    rng = np.random.default_rng(_SEED)
-    X = np.empty((n * d, k), dtype=lu.dtype, order="F")
-    X[:] = rng.standard_normal((n * d, k))
-    if lu.dtype == complex:
-        X += 1j * rng.standard_normal((n * d, k))
+    X = np.asfortranarray(_start_block(n * d, k, lu.dtype))
     solve = band_solver(lu, kl, X, ipiv)
     for _ in range(steps):
         solve()
@@ -786,7 +804,7 @@ def _inverse_steps(vals: np.ndarray, cluster: list, shift: float,
     Each step shrinks the share of the eigenvectors outside the cluster by
     rho = max_in |lambda - shift| / min_out |lambda - shift|, uniformly in
     every entry; after ceil(log(tiny) / log(rho)) steps, plus one for the
-    random start, what is left lies below the smallest normal float, so the
+    start block, what is left lies below the smallest normal float, so the
     tiny far blocks of a localized eigenvector are resolved too, not just its
     norm.  At most ``_INVERSE_STEPS``.  ``vals`` are the eigenvalues in the
     window (lo, hi), which holds ``shift``; every other eigenvalue lies at or
@@ -831,9 +849,9 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     N section's pairs when it searches the 2N section for their partners),
     restricts the iteration to the clusters whose eigenvalue range, widened
     by 2 drift_tol on each side, holds one of them.  A pair within drift_tol
-    of a value of ``near`` is never lost, and each cluster's iteration is
-    seeded and independent of the others, so every pair returned is
-    bit-identical to the full search's.
+    of a value of ``near`` is never lost, and each cluster's iteration
+    starts from the same hashed block and is independent of the others, so
+    every pair returned is bit-identical to the full search's.
 
     A Dirichlet cut manufactures spurious in-gap eigenpairs localized at the
     far boundary; these can be perfectly N-stable (the cut exists at every

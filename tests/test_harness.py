@@ -73,6 +73,38 @@ def test_malformed_complex_scalar_is_a_parameter_error(value):
         load_operator(operator)
 
 
+def _operator_case(**fields):
+    return dict({"dim": 2, "family": "example2", "params": {"x": 3.0}}, **fields)
+
+
+@pytest.mark.parametrize("loader, source, field", [
+    (load_operator, _operator_case(dim="x"), "operator dim"),
+    (load_operator, _operator_case(dim=2.5), "operator dim"),
+    (load_operator, _operator_case(family="constant", params={"B": [[0.0]]}, dim=1), "'A'"),
+    (load_operator, _operator_case(family="constant", params={"A": [[1.0]]}, dim=1), "'B'"),
+    (load_operator, _operator_case(family="constant", params={"A": 1.0, "B": [[0.0]]}, dim=1),
+     "constant A"),
+    (load_operator, _operator_case(family="example1", params={
+        "lambda_rule": {"kind": "power", "exponent": "x"}}), "power rule exponent"),
+    (load_operator, _operator_case(family="example1", params={
+        "eps_rule": {"kind": "constant"}}), "'value'"),
+    (load_operator, _operator_case(prefix=[{"A": [[1.0, 0.0], [0.0, 1.0]]}]), "'B'"),
+    (load_operator, _operator_case(tail=[[1.0]]), "tail entry"),
+    (ExperimentConfig.from_json, dict(n_blocks="x"), "n_blocks"),
+    (ExperimentConfig.from_json, dict(n_blocks=60.5), "n_blocks"),
+    (ExperimentConfig.from_json, dict(rows=[1]), "rows"),
+    (ExperimentConfig.from_json, dict(cols=["a", 2]), "cols"),
+    (ExperimentConfig.from_json, dict(symbol_grid=[512]), "symbol_grid"),
+    (ExperimentConfig.from_json, dict(params={"epsilon": "x"}), "epsilon"),
+    (ExperimentConfig.from_json, dict(params={"delta": [1.0]}), "delta"),
+])
+def test_malformed_field_is_a_parameter_error_naming_it(loader, source, field):
+    if loader is ExperimentConfig.from_json:
+        source = dict(base_config_dict(), **source)
+    with pytest.raises(ParameterError, match=re.escape(field)):
+        loader(source)
+
+
 @pytest.mark.parametrize("level, key", [
     (None, "gap_tol"), (None, "delta"), (None, "bogus"), ("params", "n_blocks"),
     ("params", "bogus"), ("edge", "delta"), ("edge", "epsilon"), ("edge", "eta")])

@@ -201,6 +201,45 @@ def test_json_complex_entries():
     assert seq.a(1)[0, 0] == 1j
 
 
+@pytest.mark.parametrize("family, params, key", [
+    ("example2", {"X": 3.0}, "X"),
+    ("example1", {"lambda": {"kind": "power"}}, "lambda"),
+    ("example3", {"x": 0.0, "beta": 0.75}, "beta"),
+    ("constant", {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]],
+                  "C": [[0.0]]}, "C"),
+    ("explicit-list", {"x": 1.0}, "x"),
+])
+def test_unknown_operator_param_is_rejected(family, params, key):
+    # a misspelt key must not fall back to the family's default (example 2 at
+    # x = 0 has no gap)
+    tail = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]]}
+    spec = {"dim": 2, "family": family, "params": params, "tail": tail}
+    message = f"unknown {family} params key\\(s\\) '{key}'"
+    with pytest.raises(ParameterError, match=message):
+        load_operator(spec)
+    with pytest.raises(ParameterError, match=message):
+        EntrySequence(dim=2, family=family, params=params, tail=(np.eye(2), np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("seq", [
+    constant_sequence(np.array([[0.5, 1j], [0.0, 0.5]]), np.diag([1.0, -1.0])),
+    example1_sequence({"kind": "power", "scale": 2.0, "exponent": 0.5},
+                      {"kind": "geometric", "scale": 0.5, "base": 0.5}),
+    example1_sequence(),
+    example2_sequence(3.0),
+    example3_sequence(x=0.5, alpha=0.8, c1=0.0, c2=2.0),
+], ids=["constant", "example1", "example1-default", "example2", "example3"])
+def test_json_round_trip_of_every_family(seq):
+    # every family's params, and the validators' own "_" keys left out,
+    # load back to the same blocks
+    data = json.loads(json.dumps(operator_to_json(seq)))
+    assert not any(key.startswith("_") for key in data["params"])
+    loaded = load_operator(data)
+    assert operator_to_json(loaded) == data
+    for old, new in zip(seq.blocks(1, 6), loaded.blocks(1, 6)):
+        assert old.tobytes() == new.tobytes()
+
+
 def test_json_rejects_unknown_family_and_custom():
     with pytest.raises(ParameterError):
         load_operator({"dim": 1, "family": "custom", "params": {}})

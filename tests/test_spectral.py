@@ -1,6 +1,11 @@
 """Spectra, symbol bands, gap detection, Green blocks, gap eigenpairs."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from blockjacobi.spectral import tail_symbol_spectrum
 from dense import dense
 
 A2 = np.array([[1.0, 3.0], [0.0, 1.0]], dtype=complex)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def diag_scalar_seq(values):
@@ -465,3 +471,63 @@ def test_eigenpairs_requires_sequence():
                            b_blocks=np.ones((4, 1, 1), dtype=complex), sequence=None)
     with pytest.raises(ParameterError):
         eigenpairs_in_gap(op, GapInterval(-1, 1))
+
+
+# ---------------------------------------------------------------------------
+# start vectors of the Lanczos and inverse iterations
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_start_block_is_a_fixed_full_rank_block_in_the_unit_interval(dtype):
+    first = spectral._start_block(40, 8, dtype)
+    assert first.shape == (40, 8) and first.dtype == np.dtype(dtype)
+    assert np.array_equal(first, spectral._start_block(40, 8, dtype))
+    parts = first.view(float)
+    assert np.all(parts >= -1.0) and np.all(parts < 1.0)
+    assert len(np.unique(parts)) == parts.size
+    for k in range(1, 9):
+        block = spectral._start_block(40, k, dtype)
+        assert np.linalg.matrix_rank(block) == k
+    if dtype is complex:
+        assert not np.any(first.real == first.imag)
+        assert np.linalg.matrix_rank(np.hstack([first.real, first.imag])) == 16
+
+
+#: one small config of each experiment kind and a truncated spectrum, then
+#: the modules loaded; run in a fresh interpreter, since the test process
+#: imports numpy.random itself
+LIBRARY_PATHS = """
+import json, sys
+import numpy as np
+import blockjacobi as bj
+from blockjacobi import _lapack
+diagonal = {"dim": 2, "family": "constant",
+            "params": {"A": np.diag([0.5, 0.5]).tolist(), "B": np.diag([3.0, -3.0]).tolist()}}
+bound = {"dim": 2, "family": "example2", "params": {"x": 3.0},
+         "prefix": [{"A": [[1.0, 3.0], [0.0, 1.0]], "B": np.diag([0.5, 0.5]).tolist()}]}
+configs = [
+    {"operator": bound, "zetas": [[0.5, 0.0], [0.3, 0.2]], "n_blocks": 40,
+     "variants": ["continuous", "discrete"], "experiments": ["green", "eigenvector"]},
+    {"operator": diagonal, "zetas": [[0.5, 0.0]], "n_blocks": 40, "variants": ["commuting"],
+     "experiments": ["commuting"]},
+    {"experiments": ["edge"], "edge": {"x": 3.0, "eps_list": [5e-3, 1e-2], "n_blocks": 60}},
+]
+passed = []
+for data in configs:
+    report, _ = bj.run(bj.ExperimentConfig.from_json(data), out_dir=sys.argv[1])
+    passed += [r.passed for r in report.experiments]
+bj.truncated_spectrum(bj.assemble_truncation(bj.example2_sequence(3.0), 40))
+print(json.dumps({"passed": passed, "library": _lapack.LIBRARY,
+                  "numpy.random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_no_library_path_imports_numpy_random(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", LIBRARY_PATHS, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    assert len(result["passed"]) == 7      # 4 green, 1 eigenvector, 1 commuting, 1 edge
+    if result["library"] is None:
+        pytest.skip("scipy's LAPACK, the fallback band routines, imports numpy.random itself")
+    assert result["numpy.random"] is False

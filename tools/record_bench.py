@@ -11,8 +11,9 @@ swaps every pair), so slow drift of the machine hits both alike, with
 
 * every workload of ``perfbench/run.py`` (``--trace 0``): median and
   quartiles of ``wall_s``, ``peak_rss_mb`` and ``setup_s`` over the pairs,
-  the number of pairs in which the change was faster, and the correctness
-  gate (``correct``, ``failed``) of every run;
+  per metric the number of pairs in which the change read lower
+  (``change_lower_pairs``; ties count for neither side), and the
+  correctness gate (``correct``, ``failed``) of every run;
 * every workload once per side with ``--trace 1``: every per-layer metric
   it reports, under the workload's ``trace`` key, with that run's gate;
 * the N ladder, each point in a fresh interpreter: ``verify_green_bound``
@@ -31,6 +32,8 @@ swaps every pair), so slow drift of the machine hits both alike, with
   CPU time (``time.process_time``, every thread of the process) of the
   timed call beside its wall time: CPU time above wall time shows work on
   several BLAS threads, wall time above CPU time a wait for the machine;
+  and the median peak resident memory of the point's interpreter
+  (``ru_maxrss``, in MB), imports and operator included;
 * under ``machine.lapack``, per side, the band LAPACK its ``blockjacobi``
   runs on: the library file and its ``openblas_get_config`` string.
 
@@ -67,7 +70,7 @@ LADDER_REPEATS = 3
 
 #: one ladder point, run with the checkout's ``src`` on sys.path
 LADDER_POINT = """
-import json, sys
+import json, resource, sys
 from time import perf_counter, process_time
 import numpy as np
 import blockjacobi as bj
@@ -96,7 +99,9 @@ else:
     report = verify(cfg)
     seconds, cpu = perf_counter() - t0, process_time() - c0
     passed = all(r.passed is True for r in report.experiments)
-print(json.dumps({"seconds": seconds, "cpu_seconds": cpu, "passed": passed}))
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"seconds": seconds, "cpu_seconds": cpu, "rss_mb": rss_mb,
+                  "passed": passed}))
 """
 
 
@@ -150,8 +155,8 @@ def in_checkout(root: Path, code: str, *args: str):
 
 
 def ladder_point(root: Path, kind: str, n: int) -> dict:
-    """``{"seconds": wall time, "cpu_seconds": process CPU time, "passed":
-    verdict}`` of one ladder run."""
+    """``{"seconds": wall time, "cpu_seconds": process CPU time, "rss_mb":
+    peak resident memory, "passed": verdict}`` of one ladder run."""
     return in_checkout(root, LADDER_POINT, kind, str(n))
 
 
@@ -214,9 +219,10 @@ def main(argv=None) -> int:
                            for m in END_TO_END}
             entry[name]["correct"] = all(r["correct"] for r in results)
             entry[name]["failed"] = sum(r["failed"] for r in results)
-        entry["change_faster_pairs"] = sum(
-            c["metrics"]["wall_s"]["value"] < p["metrics"]["wall_s"]["value"]
-            for p, c in zip(runs["parent"], runs["change"]))
+        entry["change_lower_pairs"] = {
+            m: sum(c["metrics"][m]["value"] < p["metrics"][m]["value"]
+                   for p, c in zip(runs["parent"], runs["change"]))
+            for m in END_TO_END}
         entry["trace"] = {name: traced(root, wl) for name, root in sides.items()}
         workloads[wl] = entry
         print(wl, json.dumps({k: entry[k]["wall_s"]["median"] for k in sides}),
@@ -233,6 +239,8 @@ def main(argv=None) -> int:
                     statistics.median(p["seconds"] for p in points))
                 ladder[kind].setdefault(f"{name}_cpu_s", []).append(
                     statistics.median(p["cpu_seconds"] for p in points))
+                ladder[kind].setdefault(f"{name}_rss_mb", []).append(
+                    statistics.median(p["rss_mb"] for p in points))
                 ladder[kind].setdefault(f"{name}_verdict", []).append(
                     "pass" if all(p["passed"] for p in points) else "failed")
         print(kind, json.dumps(ladder[kind]), file=sys.stderr)
@@ -242,7 +250,10 @@ def main(argv=None) -> int:
         "machine": machine(sides),
         "method": {
             "workloads": f"perfbench/run.py --workload W --seconds {SECONDS} "
-                         f"--trace 0, {PAIRS} alternating parent/change pairs",
+                         f"--trace 0, {PAIRS} alternating parent/change pairs; "
+                         "change_lower_pairs counts, per end-to-end metric, "
+                         "the pairs in which the change's run read lower "
+                         "(ties count for neither side)",
             "trace": f"perfbench/run.py --workload W --seconds {SECONDS} "
                      "--trace 1, once per side and workload",
             "ladder": "example 2 (x = 3), zeta = 0.5 (green-offaxis: "
@@ -255,6 +266,8 @@ def main(argv=None) -> int:
                       f"{LADDER_REPEATS} alternating runs per side; "
                       "<side>_cpu_s is the median process CPU time "
                       "(time.process_time, all threads) of the same calls; "
+                      "<side>_rss_mb is the median peak resident memory "
+                      "(ru_maxrss, MB) of the same fresh interpreters; "
                       "<side>_verdict is pass when every result of every "
                       "run's report passed, failed otherwise",
             "notes": "added by hand after the run, not by this tool",
