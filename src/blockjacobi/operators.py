@@ -550,7 +550,8 @@ def load_operator(source) -> EntrySequence:
           "tail": {"A": ..., "B": ...} }
 
     Complex matrix entries are [re, im] pairs (bare reals are also accepted
-    on input).
+    on input).  A params key the family does not take, or a malformed field,
+    raises ParameterError naming it.
     """
     data = _read_json(source)
     family = data.get("family")
