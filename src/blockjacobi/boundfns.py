@@ -47,6 +47,8 @@ _SIMPLIFIED_SHAVE = 1.0 - 1e-9
 
 DEFAULT_EPSILON = 0.25
 DEFAULT_ETA = 0.5
+#: eps' of the simplified rate when none is given
+DEFAULT_EPS_PRIME = 0.01
 
 
 @dataclass(frozen=True)
@@ -287,7 +289,7 @@ def gamma_simplified(gap: GapInterval, zeta: complex, eps_prime: float) -> Decay
 
 
 def decay_rate(variant: str, params: BoundParams | None, gap: GapInterval,
-               zeta: complex, eps_prime: float = 0.01) -> DecayRate:
+               zeta: complex, eps_prime: float = DEFAULT_EPS_PRIME) -> DecayRate:
     """Dispatch on variant name ("continuous", "discrete", "simplified")."""
     if variant == "simplified":
         return gamma_simplified(gap, zeta, eps_prime)

@@ -15,13 +15,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .boundfns import GapInterval
+from .boundfns import DEFAULT_EPS_PRIME, DEFAULT_EPSILON, DEFAULT_ETA, GapInterval
 from .errors import ParameterError
-from .harness import (ExperimentConfig, edge_scaling_study, run,
-                      verify_green_bound, _green_rows, _resolve_rate, _write_csv)
+from .harness import (EDGE_N_BLOCKS, GAP_TOL, ExperimentConfig, edge_scaling_study,
+                      run, verify_green_bound, _green_rows, _resolve_rate, _write_csv)
 from .operators import assemble_truncation, load_operator, EntrySequence
-from .spectral import (band_edges, detect_gap, green_block, tail_symbol_spectrum,
-                       truncated_spectrum)
+from .spectral import (SYMBOL_GRID, band_edges, detect_gap, green_block,
+                       tail_symbol_spectrum, truncated_spectrum)
 from .transfer import (classify_splitting, example3_gap, example3_rho,
                        monodromy_splitting)
 
@@ -231,14 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="spectrum of a truncation or symbol")
     common(p)
     p.add_argument("--source", choices=("truncation", "symbol"), default="truncation")
-    p.add_argument("--grid", type=int, default=2048, help="symbol theta-grid size")
+    p.add_argument("--grid", type=int, default=SYMBOL_GRID, help="symbol theta-grid size")
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("gap", help="detect spectral gaps and band edges")
     common(p)
     p.add_argument("--source", choices=("truncation", "symbol"), default="symbol")
-    p.add_argument("--grid", type=int, default=2048)
-    p.add_argument("--tol", type=float, default=0.2, help="minimal gap length")
+    p.add_argument("--grid", type=int, default=SYMBOL_GRID)
+    p.add_argument("--tol", type=float, default=GAP_TOL, help="minimal gap length")
     p.set_defaults(fn=cmd_gap)
 
     p = sub.add_parser("green", help="Green block norms at one zeta")
@@ -251,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=_parse_window_float, required=True, help="gap as r,s")
     p.add_argument("--zeta", type=_parse_complex, required=True)
     p.add_argument("--delta", type=_delta_arg, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--eps-prime", type=float, default=0.01)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--eta", type=float, default=DEFAULT_ETA)
+    p.add_argument("--eps-prime", type=float, default=DEFAULT_EPS_PRIME)
     p.add_argument("--variant", choices=("continuous", "discrete", "simplified"),
                    default="continuous")
     p.add_argument("--operator", help="needed for --delta auto")
@@ -283,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=300)
     p.add_argument("--col", type=int, default=1)
     p.add_argument("--delta", type=_delta_arg, default="auto")
-    p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--eps-prime", type=float, default=0.01)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--eta", type=float, default=DEFAULT_ETA)
+    p.add_argument("--eps-prime", type=float, default=DEFAULT_EPS_PRIME)
     p.add_argument("--variant", action="append", default=None,
                    choices=("continuous", "discrete", "simplified"))
     _add_io(p)
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=3.0)
     p.add_argument("--eps", type=_parse_float_list, default=[1e-4, 1e-3, 1e-2],
                    help="comma-separated distances to the edge")
-    p.add_argument("--n", type=int, default=1200)
+    p.add_argument("--n", type=int, default=EDGE_N_BLOCKS)
     p.add_argument("--delta", type=_delta_arg, default="auto")
     _add_io(p)
     p.set_defaults(fn=cmd_edge_study)

@@ -46,7 +46,8 @@ import numpy as np
 
 from . import __version__
 from .boundfns import (BoundParams, DecayRate, GapInterval, best_delta,
-                       decay_rate, phi_delta_array, DEFAULT_EPSILON, DEFAULT_ETA)
+                       decay_rate, phi_delta_array, DEFAULT_EPSILON, DEFAULT_ETA,
+                       DEFAULT_EPS_PRIME)
 from .envelopes import (cumulative_phi, cumulative_reciprocal,
                         commuting_check, discrete_envelope, operator_envelope,
                         phi_delta_spectral, scalar_envelope)
@@ -55,8 +56,8 @@ from .errors import (DomainError, ParameterError, PreconditionError,
 from .operators import (EntrySequence, _integer, _read_json, _real_scalar,
                         _reject_unknown, _scalar_from_json, assemble_truncation,
                         example2_sequence, load_operator)
-from .spectral import (SINGULARITY_TOL, RESIDUAL_TOL, GreenTable, _block_norms,
-                       detect_gap, eigenpairs_in_gap, green_blocks,
+from .spectral import (SINGULARITY_TOL, RESIDUAL_TOL, SYMBOL_GRID, GreenTable,
+                       _block_norms, detect_gap, eigenpairs_in_gap, green_blocks,
                        tail_symbol_spectrum, truncated_spectrum)
 
 STABILITY_REL = 0.05     # C_emp(N) vs C_emp(2N) agreement required for a pass
@@ -65,6 +66,7 @@ NOISE_FLOOR_REL = 1e-13  # entries below this (relative) are LU solve noise
 FIT_HEAD_OFFSET = 5      # slope fit starts at j0 + 5
 FIT_TAIL_MARGIN = 10     # and ends at N - 10 (Dirichlet edge contamination)
 GAP_TOL = 0.2            # minimal gap length when gap.tol is not given
+EDGE_N_BLOCKS = 1200     # section size of the edge study when none is given
 
 VARIANTS = ("continuous", "discrete", "simplified", "commuting")
 COUNTERS = ("sections_assembled", "green_solves", "eigen_searches", "factorizations")
@@ -90,13 +92,13 @@ class ExperimentConfig:
     delta: float | str = "auto"
     epsilon: float = DEFAULT_EPSILON
     eta: float = DEFAULT_ETA
-    eps_prime: float = 0.01
+    eps_prime: float = DEFAULT_EPS_PRIME
     variants: tuple = ("continuous",)
     n_blocks: int = 200
     rows: tuple | None = None
     cols: tuple = (1, 1)
     experiments: tuple = ("green",)
-    symbol_grid: int = 2048
+    symbol_grid: int = SYMBOL_GRID
     edge: dict | None = None
     out_dir: str | None = None
 
@@ -112,25 +114,27 @@ class ExperimentConfig:
             if not (1 <= lo <= hi <= self.n_blocks):
                 raise ParameterError(
                     f"window ({lo}, {hi}) must lie within [1, {self.n_blocks}]")
-        self.zetas = tuple(_scalar_from_json(z) for z in self.zetas)
-        self.variants = tuple(self.variants)
+        if not isinstance(self.operator, (EntrySequence, dict)):
+            raise ParameterError(f"operator must be an object or an EntrySequence, "
+                                 f"got {self.operator!r}")
+        self.zetas = tuple(_scalar_from_json(z) for z in _listed(self.zetas, "zetas"))
+        for z in self.zetas:
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise ParameterError(f"zetas must be finite, got {z}")
+        self.variants = _listed(self.variants, "variants")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ParameterError(f"unknown variant {v!r}")
-        self.experiments = tuple(self.experiments)
+        self.experiments = _listed(self.experiments, "experiments")
         for name in ("epsilon", "eta", "eps_prime"):
             setattr(self, name, _real_scalar(getattr(self, name), name))
         if not isinstance(self.delta, str):
             self.delta = _real_scalar(self.delta, "delta")
         elif self.delta != "auto":
             raise ParameterError(f"delta must be a number or 'auto', got {self.delta!r}")
-        source = self.gap.get("source", "symbol")
-        if source not in _GAP_KEYS:
-            raise ParameterError(f"unknown gap source {source!r}; expected "
-                                 f"{', '.join(_GAP_KEYS)}")
-        _reject_unknown("gap", self.gap, _GAP_KEYS[source], _GAP_REQUIRED.get(source, ()))
+        self.gap = _gap_section(self.gap)
         if self.edge is not None:
-            _reject_unknown("edge", self.edge, _EDGE_KEYS, _EDGE_REQUIRED)
+            self.edge = _edge_section(self.edge)
         elif "edge" in self.experiments:
             raise ParameterError("edge experiment needs an 'edge' config section")
         for kind in self.experiments:
@@ -146,6 +150,61 @@ class ExperimentConfig:
                         [f.name for f in fields(cls) if f.name not in _PARAM_KEYS])
         _reject_unknown("params", params, _PARAM_KEYS)
         return cls(**data, **params)
+
+
+def _listed(value, what: str) -> tuple:
+    """``value`` as a tuple when it is a list (or a tuple or an array)."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ParameterError(f"{what} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _section(value, what: str) -> dict:
+    """A copy of the config section ``value`` when it is an object."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"{what} must be an object, got {value!r}")
+    return dict(value)
+
+
+def _gap_section(gap) -> dict:
+    """The "gap" section with its numbers as floats: a positive tol, and
+    reals r < s for an explicit gap."""
+    gap = _section(gap, "gap")
+    source = gap.get("source", "symbol")
+    if source not in _GAP_KEYS:
+        raise ParameterError(f"unknown gap source {source!r}; expected "
+                             f"{', '.join(_GAP_KEYS)}")
+    _reject_unknown("gap", gap, _GAP_KEYS[source], _GAP_REQUIRED.get(source, ()))
+    if "tol" in gap:
+        gap["tol"] = _real_scalar(gap["tol"], "gap.tol")
+        if not 0.0 < gap["tol"] < math.inf:
+            raise ParameterError(f"gap.tol must be a positive real, got {gap['tol']}")
+    if source == "explicit":
+        r, s = _real_scalar(gap["r"], "gap.r"), _real_scalar(gap["s"], "gap.s")
+        if not -math.inf < r < s < math.inf:
+            raise ParameterError(f"gap.r and gap.s must be reals with r < s, got ({r}, {s})")
+        gap.update(r=r, s=s)
+    return gap
+
+
+def _edge_section(edge) -> dict:
+    """The "edge" section with a real x, at least two distinct real eps
+    values and an integer n_blocks."""
+    edge = _section(edge, "edge")
+    _reject_unknown("edge", edge, _EDGE_KEYS, _EDGE_REQUIRED)
+    edge["x"] = _real_scalar(edge["x"], "edge.x")
+    edge["eps_list"] = _eps_values(edge["eps_list"], "edge.eps_list")
+    if "n_blocks" in edge:
+        edge["n_blocks"] = _integer(edge["n_blocks"], "edge.n_blocks")
+    return edge
+
+
+def _eps_values(eps_list, what: str) -> list[float]:
+    """The eps values of an edge study: a list of reals, at least two distinct."""
+    values = [_real_scalar(e, what) for e in _listed(eps_list, what)]
+    if len(set(values)) < 2:
+        raise ParameterError(f"{what} needs at least two distinct values, got {values}")
+    return values
 
 
 def _block_pair(value, what: str) -> tuple[int, int]:
@@ -239,7 +298,7 @@ def resolve_gap(cfg: ExperimentConfig, seq: EntrySequence) -> GapInterval:
     """
     source = cfg.gap.get("source", "symbol")
     if source == "explicit":
-        return GapInterval(float(cfg.gap["r"]), float(cfg.gap["s"]))
+        return GapInterval(cfg.gap["r"], cfg.gap["s"])
     if source == "symbol":
         est = tail_symbol_spectrum(seq, cfg.symbol_grid)
     elif source == "truncation":
@@ -655,7 +714,7 @@ class EdgeStudyResult:
         return tuple((r["eps"], r["rate_measured"], r["gamma"], r["c_emp"]) for r in self.rows)
 
 
-def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
+def edge_scaling_study(x: float, eps_list, n_blocks: int = EDGE_N_BLOCKS,
                        delta: float | str = "auto",
                        epsilon: float = DEFAULT_EPSILON,
                        eta: float = DEFAULT_ETA) -> EdgeStudyResult:
@@ -663,14 +722,13 @@ def edge_scaling_study(x: float, eps_list, n_blocks: int = 1200,
 
     No pass threshold is placed on C_emp(eps); the object of interest is the
     pair of log-log slopes, both expected near 1/2 (the rate is governed by
-    the square root of the distance to the edge).
+    the square root of the distance to the edge), so ``eps_list`` needs at
+    least two distinct values in (0, 0.01].
     """
     if not abs(x) > 2.0:
         raise DomainError(f"edge study needs |x| > 2, got x = {x}")
-    eps_arr = np.asarray(sorted(float(e) for e in eps_list), dtype=float)
-    if eps_arr.size < 2:
-        raise ParameterError("edge study needs at least two eps values")
-    if np.any(eps_arr <= 0.0) or np.any(eps_arr > 1e-2):
+    eps_arr = np.sort(_eps_values(eps_list, "eps_list"))
+    if not np.all((eps_arr > 0.0) & (eps_arr <= 1e-2)):
         raise DomainError("eps values must lie in (0, 0.01]")
     seq = example2_sequence(x)
     gap = GapInterval(2.0 - abs(x), abs(x) - 2.0)

@@ -21,7 +21,8 @@ LAPACK's and without one LAPACK call per matrix; other d go to numpy.
 Every band LU here is of J_N minus one or more shifts, stacked as decoupled
 segments of one band (kl = ku = 2d - 1) whose builder, ``_band_storage``,
 alone picks the arithmetic: real for real shifts on a real band (every real
-symmetric operator), complex otherwise.  Green blocks
+symmetric operator), complex otherwise.  ``_factor`` factors every stack
+once, in place, and marks the segments with an exact zero pivot.  Green blocks
 G_mj(zeta) = P_m (J_N - zeta)^{-1} P_j come from one such factorization per
 section: the J_N - zeta of all requested zetas, always complex, share one
 solve for all requested column blocks.  J_N is Hermitian, so
@@ -46,15 +47,15 @@ eigenvalues of J_N inside the gap window and the two extreme ones; block
 inverse iteration on the band LU of J_N minus each cluster's bisected
 eigenvalue, again in real arithmetic for a real band, gives the
 eigenvectors of the in-gap ones (a one-vector block is normalized after
-each step, a larger one orthonormalized by a QR; an exact zero pivot is
-replaced by 8 eps max(||J_N||, 1), as LAPACK's ``dstein`` does), and the
-far-edge artifact filter reads only the coupling A_N to block N + 1 instead
-of a 2N section.  A search for the partners of given eigenvalues (``near``)
-iterates only the clusters that can hold one.  ``truncated_spectrum``
-takes the same reduction of the same band, then all its eigenvalues from the
-tridiagonal form (``dsterf``), checked against the trace and Frobenius
-identities of the block stacks.  No function here builds the dense
-truncation.
+each step, a larger one orthonormalized by a QR; ``_factor`` replaces an
+exact zero pivot by 8 eps max(||J_N||, 1), as LAPACK's ``dstein`` does),
+and the far-edge artifact filter reads only the coupling A_N to block
+N + 1 instead of a 2N section.  A search for the partners of given
+eigenvalues (``near``) iterates only the clusters that can hold one.
+``truncated_spectrum`` takes the same reduction of the same band, then all
+its eigenvalues from the tridiagonal form (``dsterf``), checked against the
+trace and Frobenius identities of the block stacks.  No function here
+builds the dense truncation.
 
 The band routines (``lu_factor`` and ``band_solver``, the in-place band LU
 and its solves in the band's own arithmetic, ``eigvals_window`` and
@@ -81,6 +82,8 @@ from .operators import (EntrySequence, TruncatedOperator, as_block,
 SINGULARITY_TOL = 1e-8
 #: condition estimates above this attach an ill-conditioned warning
 CONDITION_LIMIT = 1e12
+#: theta-grid size of a symbol spectrum when none is given
+SYMBOL_GRID = 2048
 #: relative residual allowed for eigenpairs, and relative error of the
 #: trace and Frobenius identities of a truncated spectrum
 RESIDUAL_TOL = 1e-8
@@ -212,7 +215,7 @@ def _symbol_table(A: np.ndarray, B: np.ndarray, grid_size: int) -> np.ndarray:
     return vals
 
 
-def symbol_spectrum(A, B, grid_size: int = 2048) -> SpectrumEstimate:
+def symbol_spectrum(A, B, grid_size: int = SYMBOL_GRID) -> SpectrumEstimate:
     """Eigenvalues of the symbol over a uniform theta-grid on [0, 2 pi).
 
     Valid for operators with constant blocks (period 1); use
@@ -231,7 +234,7 @@ def symbol_spectrum(A, B, grid_size: int = 2048) -> SpectrumEstimate:
                             symbol=(A, B), symbol_eigvals=vals)
 
 
-def tail_symbol_spectrum(seq: EntrySequence, grid_size: int = 2048) -> SpectrumEstimate:
+def tail_symbol_spectrum(seq: EntrySequence, grid_size: int = SYMBOL_GRID) -> SpectrumEstimate:
     """Symbol spectrum of the blocks past the prefix of ``seq``.
 
     Equal consecutive blocks give a period-1 symbol; a 2-periodic pattern is
@@ -418,31 +421,29 @@ def _real_band(op: TruncatedOperator) -> bool:
     return not (np.any(op.a_blocks.imag) or np.any(op.b_blocks.imag))
 
 
-def _factor_stack(op: TruncatedOperator, shifts, measure=None):
-    """Band LU, in place by ``lu_factor``, of the stacked J_N - shift of
-    ``shifts`` (:func:`_band_storage`); partial pivoting never crosses a
-    segment boundary.  Each segment with an exact zero pivot is taken out
-    and the rest built and factored again.  ``measure`` sees each band
-    before the factorization overwrites it.  Returns (lu, ipiv, live,
-    pivots, factorizations, measured): ``live`` indexes the factored shifts,
-    ``pivots`` maps each one taken out to its zero pivot's 1-based column,
-    and ``measured`` is ``measure`` of the last band (None without it).
+def _factor(lu: np.ndarray, kl: int, size: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Band LU, once and in place by ``lu_factor``, of the stack ``lu`` of
+    ``size``-column segments (:func:`_band_storage`), and its singular ones.
+
+    Partial pivoting never crosses a segment boundary, and LAPACK completes
+    the factorization past an exact zero pivot, so every segment's factor
+    is, bit for bit, that of a factorization of its own.  Returns (ipiv,
+    pivots): ``pivots[k]`` is the 1-based column, within segment k, of its
+    first exact zero pivot (or the one LAPACK's ``info`` names), 0 if none.
+    Each zero pivot, whose multipliers are zero too, is then replaced by
+    ``floor``, so every solve with the stack stays finite.
     """
-    size = op.n_blocks * op.dim
-    kl = 2 * op.dim - 1
-    live, pivots, factorizations = list(range(len(shifts))), {}, 0
-    lu = ipiv = measured = None
-    while live:
-        lu = _band_storage(op, [shifts[i] for i in live])
-        if measure is not None:
-            measured = measure(lu)
-        ipiv, info = lu_factor(lu, kl)
-        factorizations += 1
-        if info <= 0:
-            break
-        segment, column = divmod(info - 1, size)
-        pivots[live.pop(segment)] = column + 1
-    return lu, ipiv, live, pivots, factorizations, measured
+    ipiv, info = lu_factor(lu, kl)
+    if info <= 0:                       # info names the first zero pivot
+        return ipiv, np.zeros(lu.shape[1] // size, dtype=int)
+    diagonal = lu[2 * kl]
+    zero = diagonal == 0.0
+    segments = zero.reshape(-1, size)
+    pivots = np.where(segments.any(axis=1), segments.argmax(axis=1) + 1, 0)
+    segment, column = divmod(info - 1, size)
+    pivots[segment] = column + 1
+    diagonal[zero] = floor
+    return ipiv, pivots
 
 
 class FactoredResults(list):
@@ -474,7 +475,7 @@ def _start_block(rows: int, cols: int, dtype) -> np.ndarray:
     return values.view(dtype).reshape(rows, cols)
 
 
-def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
+def _lanczos(lu, ipiv, kl: int, size: int, singular: np.ndarray) -> np.ndarray | None:
     """Upper estimates of 1 / ||M^{-1}|| for every segment M of a stacked band LU.
 
     k = min(22, N d) steps of the Lanczos recurrence on the Hermitian
@@ -490,15 +491,18 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     whose Krylov space runs out stops cleanly: when a residual is at or
     below 1e-12 times the norm of its column of T, its next vector is zero.
     A vector whose sum of squares overflows is measured scaled by its
-    largest entry.  Returns None when an entry of T turns non-finite, which
-    an overflowing solve gives, or when sigma_max(T) is zero: then some
-    distance is 0, and in a stack 0 x inf or 0 / 0 may have carried that
-    into the other segments.
+    largest entry.  The ``singular`` segments (an exact zero pivot) start
+    from the zero vector, so their solves stay exactly zero and cannot
+    reach their neighbours; their estimate is 0.  Returns None when an entry
+    of T turns non-finite, which an overflowing solve gives, or when
+    sigma_max(T) of another segment is zero: then some distance is 0, and in
+    a stack 0 x inf or 0 / 0 may have carried that into the other segments.
     """
-    steps = min(_LANCZOS_STEPS, size)
+    steps, segments = min(_LANCZOS_STEPS, size), singular.size
     v = _start_block(size, 1, lu.dtype)[:, 0]
     basis = np.zeros((2, segments, size), dtype=lu.dtype)    # v_j in basis[j % 2]
     basis[0] = v / np.linalg.norm(v)
+    basis[0, singular] = 0.0
     w = np.empty((segments, size), dtype=lu.dtype)
     solve = band_solver(lu, kl, w.reshape(-1), ipiv)
     # Re(x^H y) per segment is the product of the real views of x as a row
@@ -522,9 +526,8 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
             if not beta[j + 1].max() < math.inf:
                 # squares past the float range (a shift within about 1e-154
                 # of an eigenvalue): the norms of w scaled by its largest
-                # entries; a segment whose w is 0 gets NaN, and the stack is
-                # then estimated one shift at a time
-                peak = np.max(np.abs(w_row), axis=(1, 2))
+                # entries, 0 for a w that is 0
+                peak = np.maximum(np.max(np.abs(w_row), axis=(1, 2)), _TINY)
                 beta[j + 1] = peak * np.sqrt(np.sum((w_row / peak[:, None, None]) ** 2,
                                                     axis=(1, 2)))
             if j + 1 < steps:
@@ -544,36 +547,31 @@ def _lanczos(lu, ipiv, kl: int, segments: int, size: int) -> np.ndarray | None:
     if not np.all(np.isfinite(T)):
         return None
     top = np.linalg.svd(T, compute_uv=False)[:, 0]
+    top[singular] = math.inf
     if not np.all(top > 0.0):
         return None
     return 1.0 / top
 
 
-def _spectral_distance(op: TruncatedOperator, shifts) -> tuple[np.ndarray, int]:
-    """Upper estimates of dist(x, spec J_N) for the real ``shifts`` x, and
-    the number of band LU factorizations behind them.
+def _spectral_distance(op: TruncatedOperator, shifts) -> np.ndarray | None:
+    """Upper estimates of dist(x, spec J_N) for the real ``shifts`` x, from
+    one band LU.
 
     J_N - x of every shift is one segment of one stacked band
-    (:func:`_factor_stack`), real when no band entry has a nonzero imaginary
-    part (every real symmetric operator); one Lanczos iteration on the
-    inverses serves every segment (:func:`_lanczos`).  An exact zero pivot
-    makes x an eigenvalue, with distance 0.  When the iteration fails
-    (:func:`_lanczos` returns None), the shifts are estimated one at a time,
-    and a shift whose own iteration still fails gets distance 0.
+    (:func:`_band_storage`, :func:`_factor`), real when no band entry has a
+    nonzero imaginary part (every real symmetric operator); one Lanczos
+    iteration on the inverses serves every segment (:func:`_lanczos`).  An
+    exact zero pivot makes x an eigenvalue, with distance 0.  Returns None
+    when the iteration fails on more than one shift; a lone shift whose
+    iteration fails gets distance 0.
     """
-    shifts = [float(x) for x in shifts]
-    dist = np.zeros(len(shifts))
-    lu, ipiv, live, _, factorizations, _ = _factor_stack(op, shifts)
-    if not live:
-        return dist, factorizations
-    estimate = _lanczos(lu, ipiv, 2 * op.dim - 1, len(live), op.n_blocks * op.dim)
-    if estimate is not None:
-        dist[live] = estimate
-    elif len(live) > 1:
-        for i in live:
-            [dist[i]], count = _spectral_distance(op, [shifts[i]])
-            factorizations += count
-    return dist, factorizations
+    size, kl = op.n_blocks * op.dim, 2 * op.dim - 1
+    lu = _band_storage(op, [float(x) for x in shifts])
+    ipiv, pivots = _factor(lu, kl, size, 1.0)
+    dist = _lanczos(lu, ipiv, kl, size, pivots > 0)
+    if dist is None and len(shifts) == 1:
+        return np.zeros(1)
+    return dist
 
 
 def green_blocks(op: TruncatedOperator, zetas, rows, cols,
@@ -582,13 +580,13 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
 
     Stacks J_N - zeta I for every zeta as decoupled segments of one complex
     band (LAPACK general band storage, kl = ku = 2d - 1) and factors the
-    stack with one ``lu_factor`` (:func:`_factor_stack`); partial pivoting
-    never crosses a segment boundary, so each segment's LU is the LU of its
-    own J_N - zeta.  One in-place solve (``band_solver``) on an F-ordered
-    right-hand side, with e_j in every segment, solves
-    (J_N - zeta I) X = E_j for all zetas and column blocks; the block norms
-    come from :func:`_block_norms`.  Time is
-    O(Z N d^3) and memory O(Z N d^2) for Z zetas; no dense matrix is built.
+    stack once (:func:`_factor`), each segment's LU that of its own
+    J_N - zeta.  One in-place solve (``band_solver``) on an F-ordered
+    right-hand side, with e_j in every segment and zero in a singular one,
+    solves (J_N - zeta I) X = E_j for all zetas and column blocks; the block
+    norms come from :func:`_block_norms`.  Time is O(Z N d^3) and memory
+    O(Z N d^2) for Z zetas; no dense matrix is built.  A non-finite zeta
+    raises ParameterError.
 
     Returns one GreenTable or SingularityError per zeta, in order.  A zeta is
     singular on an exact zero pivot, or when ``sigma_min`` puts it within
@@ -619,13 +617,16 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     ``sigma_min = condition = nan`` (and ``ill_conditioned = False``); their
     blocks, norms and verdicts are those of ``health=True``.
 
-    Segments with an exact zero pivot are taken out and the rest refactored.
-    When the solve turns non-finite, which one segment's inf could carry
-    into its neighbours inside the stacked solve, the zetas are solved one
-    at a time instead.  ``factorizations`` on the result counts the band LU
-    factorizations made, the estimate's included.
+    When the estimate fails on the stack (:func:`_spectral_distance` returns
+    None), or the solve turns non-finite, which one segment's inf could
+    carry into its neighbours inside the stacked solve, every zeta without
+    an exact zero pivot is solved on its own instead.  ``factorizations``
+    on the result counts the band LU factorizations made: one for the
+    stack, plus one for the estimate when any zeta is estimated.
     """
     zetas = [complex(z) for z in zetas]
+    if bad := [zeta for zeta in zetas if not np.isfinite(zeta)]:
+        raise ParameterError(f"zeta must be finite, got {bad[0]}")
     n, d = op.n_blocks, op.dim
     rows = sorted(set(int(m) for m in rows))
     cols = sorted(set(int(j) for j in cols))
@@ -634,56 +635,59 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
             raise ParameterError(f"block index {idx} outside [1, {n}]")
     kl = 2 * d - 1
     size = n * d
-    out = FactoredResults([None] * len(zetas))
-    lu, ipiv, live, pivots, out.factorizations, norm_upper = _factor_stack(
-        op, zetas, lambda ab: _norm_upper(ab, kl, size))
-    for i, column in pivots.items():
-        out[i] = SingularityError(
-            f"zeta = {zetas[i]} is an eigenvalue of the truncation "
-            f"(exact zero pivot in column {column})")
-    if not live:
-        return out
+    lu = _band_storage(op, zetas)
+    norm_upper = _norm_upper(lu, kl, size)
+    ipiv, pivots = _factor(lu, kl, size, 1.0)
+    out = FactoredResults([None] * len(zetas), factorizations=1)
+    regular = []                            # the zetas without an exact zero pivot
+    for i, column in enumerate(pivots.tolist()):
+        if column:
+            out[i] = SingularityError(
+                f"zeta = {zetas[i]} is an eigenvalue of the truncation "
+                f"(exact zero pivot in column {column})")
+        else:
+            regular.append(i)
     # J_N is Hermitian, so sigma_min(J_N - zeta) = hypot(dist(Re zeta,
     # spec J_N), Im zeta) >= |Im zeta|: without health figures only the
     # zetas near the real axis need the estimate
-    estimated = [k for k, i in enumerate(live)
-                 if health or abs(zetas[i].imag) <= SINGULARITY_TOL]
-    sigma = np.full(len(live), math.nan)
+    estimated = [i for i in regular if health or abs(zetas[i].imag) <= SINGULARITY_TOL]
+    sigma = np.full(len(zetas), math.nan)
     if estimated:
-        near = [zetas[live[k]] for k in estimated]
-        dist, factorizations = _spectral_distance(op, [z.real for z in near])
-        out.factorizations += factorizations
-        sigma[estimated] = np.hypot(dist, [z.imag for z in near])
-    solved = []                             # positions in the stack
-    for k, i in enumerate(live):
-        if sigma[k] <= SINGULARITY_TOL:
+        dist = _spectral_distance(op, [zetas[i].real for i in estimated])
+        out.factorizations += 1
+        if dist is None:
+            return _one_at_a_time(op, zetas, rows, cols, regular, out, health)
+        sigma[estimated] = np.hypot(dist, [zetas[i].imag for i in estimated])
+    solved = []
+    for i in regular:
+        if sigma[i] <= SINGULARITY_TOL:
             out[i] = SingularityError(
-                f"zeta = {zetas[i]} is within {sigma[k]:.3e} of the truncated "
+                f"zeta = {zetas[i]} is within {sigma[i]:.3e} of the truncated "
                 f"spectrum (tolerance {SINGULARITY_TOL:.0e})")
         else:
-            solved.append(k)
+            solved.append(i)
     if not solved:
         return out
     # zero right-hand sides in the singular segments give exact zeros there;
     # entry (segment, m, r, j, c) of the F-ordered right-hand side is entry
     # (j, c, segment, m, r) of its C-ordered transpose
-    rhs = np.zeros((len(live) * size, len(cols) * d), dtype=complex, order="F")
-    entries = rhs.T.reshape(len(cols), d, len(live), n, d)
+    rhs = np.zeros((len(zetas) * size, len(cols) * d), dtype=complex, order="F")
+    entries = rhs.T.reshape(len(cols), d, len(zetas), n, d)
     pos = np.arange(len(cols))
     entries[pos, :, np.array(solved)[:, None], np.array(cols) - 1, :] = np.eye(d)
     band_solver(lu, kl, rhs, ipiv)()
-    if len(live) > 1 and not np.all(np.isfinite(rhs)):
-        return _one_at_a_time(op, zetas, rows, cols, live, out, health)
+    if len(zetas) > 1 and not np.all(np.isfinite(rhs)):
+        return _one_at_a_time(op, zetas, rows, cols, regular, out, health)
     X = entries.transpose(2, 3, 4, 0, 1)[np.ix_(solved, np.array(rows) - 1)]
     X.flags.writeable = False
     norm_stacks = _block_norms(X.transpose(0, 1, 3, 2, 4))
     norm_stacks.flags.writeable = False
-    for t, k in enumerate(solved):
-        condition = float(norm_upper[k] / sigma[k])
-        out[live[k]] = GreenTable(
-            zeta=zetas[live[k]], dim=d, rows=tuple(rows), cols=tuple(cols),
+    for t, i in enumerate(solved):
+        condition = float(norm_upper[i] / sigma[i])
+        out[i] = GreenTable(
+            zeta=zetas[i], dim=d, rows=tuple(rows), cols=tuple(cols),
             stack=X[t].transpose(0, 2, 1, 3), norm_stack=norm_stacks[t],
-            sigma_min=float(sigma[k]), condition=condition,
+            sigma_min=float(sigma[i]), condition=condition,
             ill_conditioned=condition > CONDITION_LIMIT)
     return out
 
@@ -703,9 +707,9 @@ def _norm_upper(ab: np.ndarray, kl: int, size: int) -> np.ndarray:
     return np.minimum(np.max(np.sum(band, axis=2), axis=1), frobenius)
 
 
-def _one_at_a_time(op, zetas, rows, cols, live, out, health) -> FactoredResults:
-    """Fill ``out`` for the zetas at ``live`` with one single-zeta stack each."""
-    for i in live:
+def _one_at_a_time(op, zetas, rows, cols, todo, out, health) -> FactoredResults:
+    """Fill ``out`` at the positions ``todo`` with one single-zeta stack each."""
+    for i in todo:
         single = green_blocks(op, [zetas[i]], rows, cols, health)
         out[i] = single[0]
         out.factorizations += single.factorizations
@@ -778,12 +782,7 @@ def _ritz_basis(op: TruncatedOperator, shift: float, k: int, steps: int,
     n, d = op.n_blocks, op.dim
     kl = 2 * d - 1
     lu = _band_storage(op, shift)
-    ipiv, info = lu_factor(lu, kl)
-    if info > 0:
-        # U(info, info) is the first zero pivot; the multipliers below a zero
-        # pivot are zero too, and the rest of the factor is complete
-        pivots = lu[2 * kl]
-        pivots[pivots == 0.0] = floor
+    ipiv, _ = _factor(lu, kl, n * d, floor)
     X = np.asfortranarray(_start_block(n * d, k, lu.dtype))
     solve = band_solver(lu, kl, X, ipiv)
     for _ in range(steps):

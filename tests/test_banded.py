@@ -399,11 +399,11 @@ def test_stacked_solve_matches_dense_and_single_solves(op, data):
     # zeta = 0 gives no exact zero pivot but a distance of 3.1e-251 (the
     # solves' squares overflow and are scaled): the Green LU and the estimate's
     (600, 2),
-    # zeta = 0 is an exact zero pivot: the other three are refactored, then
-    # estimated on one stack
-    (1200, 3),
+    # zeta = 0 is an exact zero pivot, marked in place: the Green LU, and the
+    # estimate's of the other three
+    (1200, 2),
 ])
-def test_stacked_solve_isolates_a_singular_segment(n, factorizations):
+def test_stacked_solve_isolates_a_singular_segment(n, factorizations, monkeypatch):
     op = assemble_truncation(example2_sequence(3.0), n)
     stack = [0.5, 0.0, 0.3 + 0.2j, -0.4]
     rows = range(1, 51)
@@ -421,18 +421,20 @@ def test_stacked_solve_isolates_a_singular_segment(n, factorizations):
         assert np.array_equal(table.norm_stack, single.norm_stack)
         assert table.sigma_min == pytest.approx(single.sigma_min, rel=1e-14)
     # the estimate's own stack of the real shifts, real for this real
-    # operator: it drops the same segments and makes as many factorizations
-    # as the complex stack of the same shifts; the shift 0 gets distance 0
-    # (a pivot of about 1e-250 at N = 600), the others their tables' values
+    # operator: it marks the same singular segments as the complex stack of
+    # the same shifts, in one factorization; the shift 0 gets distance 0 (a
+    # pivot of about 1e-250 at N = 600), the others their tables' values
     shifts = [zeta.real for zeta in stack]
-    real = spectral._factor_stack(op, shifts)
-    complex_ = spectral._factor_stack(op, [complex(x) for x in shifts])
-    assert (real[0].dtype, complex_[0].dtype) == (np.float64, np.complex128)
-    assert real[2:5] == complex_[2:5]           # live, zero pivots, factorizations
+    kl, size = 2 * op.dim - 1, op.n_blocks * op.dim
+    real, complex_ = _band_storage(op, shifts), _band_storage(op, [complex(x) for x in shifts])
+    assert (real.dtype, complex_.dtype) == (np.float64, np.complex128)
+    pivots = [spectral._factor(band, kl, size, 1.0)[1].tolist() for band in (real, complex_)]
+    assert pivots[0] == pivots[1] == ([0, 2400, 0, 0] if n == 1200 else [0] * 4)
+    calls = band_factorizations(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dist, count = spectral._spectral_distance(op, shifts)
-    assert count == real[4]
+        dist = spectral._spectral_distance(op, shifts)
+    assert calls == ["dgbtrf"]
     assert (dist[1] == 0.0) if n == 1200 else (0.0 < dist[1] < 1e-240)
     for k in (0, 2, 3):
         assert math.hypot(dist[k], stack[k].imag) == pytest.approx(tables[k].sigma_min,
@@ -444,23 +446,26 @@ def test_stacked_solve_isolates_a_singular_segment(n, factorizations):
 NEAR_REAL = (0.0, 1e-12, -5e-9, SINGULARITY_TOL, -SINGULARITY_TOL, 2e-8, -3e-8, 1e-6)
 
 
-def estimate_factorizations(op, zetas):
-    """Band LUs of the sigma_min estimate of ``zetas``: none for none."""
-    return spectral._spectral_distance(op, [z.real for z in zetas])[1] if zetas else 0
+def exact_zero_pivot(table):
+    return isinstance(table, SingularityError) and "exact zero pivot" in str(table)
+
+
+def expected_factorizations(stack, tables, health):
+    """Band LUs of a stack on which no estimate or solve fails: the Green
+    LU, plus the estimate's when any zeta without an exact zero pivot is
+    estimated, all of them or (``health=False``) those within 1e-8 of the
+    real axis."""
+    return 1 + any(not exact_zero_pivot(table) and (health or abs(zeta.imag) <= SINGULARITY_TOL)
+                   for zeta, table in zip(stack, tables))
 
 
 def assert_same_but_health(op, stack, full, lean):
     """``lean`` (health=False) has the blocks, norms, verdicts and error
     strings of ``full`` bit for bit; sigma_min and condition only within
-    1e-8 of the real axis, nan off it.  Both make the same Green-solve LUs,
-    one per exact zero pivot plus one for the rest, and the estimate's LUs
-    of the zetas left, all of them or those within 1e-8 of the axis."""
-    pivots = [isinstance(t, SingularityError) and "exact zero pivot" in str(t) for t in full]
-    green = min(sum(pivots) + 1, len(stack))
-    live = [zeta for zeta, pivot in zip(stack, pivots) if not pivot]
-    near = [zeta for zeta in live if abs(zeta.imag) <= SINGULARITY_TOL]
-    assert full.factorizations == green + estimate_factorizations(op, live)
-    assert lean.factorizations == green + estimate_factorizations(op, near)
+    1e-8 of the real axis, nan off it.  Both make one Green-solve LU, and
+    one estimate LU when they estimate any zeta."""
+    assert full.factorizations == expected_factorizations(stack, full, True)
+    assert lean.factorizations == expected_factorizations(stack, full, False)
     assert len(lean) == len(full) == len(stack)
     for zeta, a, b in zip(stack, full, lean):
         assert type(a) is type(b)
@@ -503,6 +508,94 @@ def test_health_off_isolates_a_singular_segment_alike(n):
         warnings.simplefilter("error")
         assert_same_but_health(op, stack, green_blocks(op, stack, rows, [1]),
                                green_blocks(op, stack, rows, [1], health=False))
+
+
+def isolated_blocks_operator(d, n, seed, real):
+    """A seeded random Hermitian operator (real symmetric when ``real``) in
+    which about a third of the blocks are cut loose: both their couplings are
+    0 and their B_k real diagonal.  Returns it and those diagonal entries,
+    each an exact eigenvalue of J_N at which J_N minus it has an exact zero
+    pivot, in the real band and in the complex one."""
+    op = seeded_real_operator(d, n, seed) if real else seeded_operator(d, n, seed)
+    rng = np.random.default_rng([seed, 1])
+    a, b = op.a_blocks.copy(), op.b_blocks.copy()
+    cut = rng.choice(n, size=max(1, n // 3), replace=False)
+    eigenvalues = rng.uniform(-3.0, 3.0, (cut.size, d))
+    b[cut] = 0.0
+    b[cut[:, None], np.arange(d), np.arange(d)] = eigenvalues
+    a[cut[cut < n - 1]] = 0.0
+    a[cut[cut > 0] - 1] = 0.0
+    return TruncatedOperator(a_blocks=a, b_blocks=b), sorted(eigenvalues.ravel().tolist())
+
+
+@st.composite
+def stacks_with_zero_pivots(draw):
+    """An operator of :func:`isolated_blocks_operator` (d = 1..3, N = 2..30)
+    and a stack that holds one of its exact eigenvalues, and more of them,
+    some moved off the axis by at most a few 1e-8, among real and off-axis
+    zetas."""
+    op, eigenvalues = isolated_blocks_operator(
+        draw(st.integers(1, 3)), draw(st.integers(2, 30)), draw(st.integers(0, 2**32 - 1)),
+        draw(st.booleans()))
+    exact = st.builds(complex, st.sampled_from(eigenvalues), st.sampled_from(NEAR_REAL))
+    near_real = st.builds(complex, st.floats(-4.0, 4.0), st.sampled_from(NEAR_REAL))
+    stack = draw(st.lists(exact | near_real | zetas, min_size=1, max_size=5))
+    stack.insert(draw(st.integers(0, len(stack))), complex(draw(st.sampled_from(eigenvalues))))
+    return op, stack
+
+
+def example2_case(n, stack):
+    return assemble_truncation(example2_sequence(3.0), n), stack
+
+
+#: J_N = diag(5e-324, 1, 2, 3): the estimate's stack overflows at 0
+SUBNORMAL_CASE = (TruncatedOperator(a_blocks=np.zeros((3, 1, 1)),
+                                    b_blocks=np.array([5e-324, 1.0, 2.0, 3.0]).reshape(4, 1, 1)),
+                  [0.5, 0.0, 1.5, 0.5 + 1j])
+
+
+@given(stacks_with_zero_pivots(), st.booleans())
+# example 2 at N = 1200 has an exact zero pivot at 0
+@example(example2_case(1200, [0.5, 0.0, 0.3 + 0.2j, -0.4]), True)
+@example(example2_case(1200, [0.5, 0.0, 0.3 + 0.2j, -0.4]), False)
+@example(SUBNORMAL_CASE, True)
+@example(SUBNORMAL_CASE, False)
+def test_stack_with_exact_zero_pivots_gives_every_zeta_its_own_table(case, health):
+    op, stack = case
+    n = op.n_blocks
+    rows, cols = range(1, min(n, 30) + 1), sorted({1, n})
+    singles = [green_blocks(op, [zeta], rows, cols, health)[0] for zeta in stack]
+    fallbacks = []
+    with pytest.MonkeyPatch.context() as patch:
+        one_at_a_time = spectral._one_at_a_time
+
+        def spy(*args):
+            fallbacks.append(args)
+            return one_at_a_time(*args)
+        patch.setattr(spectral, "_one_at_a_time", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = green_blocks(op, stack, rows, cols, health)
+    if not fallbacks:
+        assert tables.factorizations == expected_factorizations(stack, tables, health)
+    for table, single in zip(tables, singles, strict=True):
+        assert type(table) is type(single)
+        if isinstance(single, SingularityError):
+            assert str(table) == str(single)
+            continue
+        assert table.stack.tobytes() == single.stack.tobytes()
+        assert table.norm_stack.tobytes() == single.norm_stack.tobytes()
+        np.testing.assert_allclose([table.sigma_min, table.condition],
+                                   [single.sigma_min, single.condition], rtol=1e-14, atol=0)
+
+
+def test_non_finite_zeta_is_a_parameter_error():
+    # a nan or inf part is no spectral point, and must not read as an
+    # eigenvalue of the truncation
+    op = seeded_operator(2, 8, 3)
+    for zeta in (complex(0.5, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(ParameterError, match=r"^zeta must be finite"):
+            green_blocks(op, [0.3j, zeta], [1], [1])
 
 
 @pytest.mark.parametrize("n", [600, 1200])
@@ -556,33 +649,42 @@ def test_real_band_and_its_gauge_copy_give_the_same_sigma_min(monkeypatch):
 
 def test_overflowing_estimate_is_redone_one_shift_at_a_time(monkeypatch):
     # J_N = diag(5e-324, 1, 2, 3): at 0 the pivot is subnormal, not an exact
-    # zero, and the solve overflows, which spreads through the stack; each
-    # shift is estimated alone, and 0, still non-finite alone, gets distance 0
+    # zero, and the solve overflows, which spreads through the estimate's
+    # stack; each zeta is then solved alone, with the table it gets alone,
+    # and 0, whose estimate is still non-finite alone, gets distance 0
     op = TruncatedOperator(a_blocks=np.zeros((3, 1, 1)),
                            b_blocks=np.array([5e-324, 1.0, 2.0, 3.0]).reshape(4, 1, 1))
-    shifts = [0.5, 0.0, 1.5]
-    alone = [spectral._spectral_distance(op, [x]) for x in shifts]
+    stack = [0.5, 0.0, 1.5]
+    rows = range(1, 5)
+    alone = [green_blocks(op, [zeta], rows, rows) for zeta in stack]
     runs = []
     lanczos = spectral._lanczos
 
-    def spy(lu, ipiv, kl, segments, size):
-        estimate = lanczos(lu, ipiv, kl, segments, size)
-        runs.append((segments, estimate is not None))
+    def spy(lu, ipiv, kl, size, singular):
+        estimate = lanczos(lu, ipiv, kl, size, singular)
+        runs.append((singular.size, estimate is not None))
         return estimate
 
     monkeypatch.setattr(spectral, "_lanczos", spy)
-    dist, factorizations = spectral._spectral_distance(op, shifts)
+    tables = green_blocks(op, stack, rows, rows)
     assert runs == [(3, False), (1, True), (1, False), (1, True)]
-    assert factorizations == 4
-    assert [count for _, count in alone] == [1] * len(shifts)
-    assert dist.tolist() == [value for [value], _ in alone]
-    assert dist.tolist() == [0.5, 0.0, 0.5]
+    # the stack's Green and estimate LUs, then both for each zeta alone
+    assert tables.factorizations == 2 + 2 * len(stack)
+    assert [single.factorizations for single in alone] == [2] * len(stack)
+    assert [table.sigma_min for table in tables[::2]] == [0.5, 0.5]
+    assert str(tables[1]) == str(alone[1][0]) == (
+        "zeta = 0j is within 0.000e+00 of the truncated spectrum (tolerance 1e-08)")
+    for table, [single] in zip(tables[::2], alone[::2]):
+        assert np.array_equal(table.stack, single.stack)
+        assert np.array_equal(table.norm_stack, single.norm_stack)
+        assert (table.sigma_min, table.condition) == (single.sigma_min, single.condition)
     # example 2, x = 3, N = 600: at 0 a pivot of 9.6e-251 and solves up to
     # 7.7e248, whose squares overflow; measured scaled, the run stays finite
     runs.clear()
+    calls = band_factorizations(monkeypatch)
     big = assemble_truncation(example2_sequence(3.0), 600)
-    dist, factorizations = spectral._spectral_distance(big, [0.5, 0.0])
-    assert (runs, factorizations) == ([(2, True)], 1)
+    dist = spectral._spectral_distance(big, [0.5, 0.0])
+    assert (runs, calls) == ([(2, True)], ["dgbtrf"])
     assert dist[0] == pytest.approx(0.5, rel=1e-12) and 0.0 < dist[1] < 1e-240
 
 

@@ -1,5 +1,6 @@
 """Command line interface, exercised in-process through main()."""
 
+import inspect
 import json
 import math
 
@@ -9,7 +10,8 @@ import pytest
 from blockjacobi import (BoundParams, ExperimentConfig, GapInterval,
                          assemble_truncation, example2_sequence, gamma_continuous,
                          gamma_simplified, green_block, verify_green_bound)
-from blockjacobi.cli import main
+from blockjacobi import boundfns, harness, spectral
+from blockjacobi.cli import build_parser, main
 
 
 def cli(capsys, *args):
@@ -218,3 +220,30 @@ def test_operator_shorthand_accepts_family_keys(capsys):
     assert code == 0 and len(json.loads(out)["eigenvalues"]) == 12
     code, out = cli(capsys, "spectrum", "--operator", "example1", "--n", "6")
     assert code == 0
+
+
+def default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+
+    def parsed(*argv):
+        return vars(parser.parse_args(list(argv)))
+
+    grid = spectral.SYMBOL_GRID
+    assert grid == default(spectral.symbol_spectrum, "grid_size") == (
+        default(spectral.tail_symbol_spectrum, "grid_size")) == ExperimentConfig().symbol_grid
+    assert parsed("spectrum", "--operator", "example2:x=3")["grid"] == grid
+    gap = parsed("gap", "--operator", "example2:x=3")
+    assert (gap["grid"], gap["tol"]) == (grid, harness.GAP_TOL)
+    params = (boundfns.DEFAULT_EPSILON, boundfns.DEFAULT_ETA, boundfns.DEFAULT_EPS_PRIME)
+    cfg = ExperimentConfig()
+    assert params == (cfg.epsilon, cfg.eta, cfg.eps_prime)
+    assert params[:2] == (BoundParams(1.0).epsilon, BoundParams(1.0).eta)
+    assert params[2] == default(boundfns.decay_rate, "eps_prime")
+    for args in (parsed("bound", "--gap=-1,1", "--zeta", "0.5"), parsed("example2")):
+        assert (args["epsilon"], args["eta"], args["eps_prime"]) == params
+    assert parsed("edge-study")["n"] == harness.EDGE_N_BLOCKS == (
+        default(harness.edge_scaling_study, "n_blocks"))

@@ -141,6 +141,42 @@ def test_config_rejects_a_bad_gap_or_edge_section(section, message, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: ParameterError: ")
 
 
+EDGE_OK = {"x": 3.0, "eps_list": [1e-3, 1e-2]}
+
+
+@pytest.mark.parametrize("section, field", [
+    # each is named when the config is built, instead of leaking another
+    # exception, a numpy warning, a nan slope or a wrong diagnosis from the run
+    ({"gap": "symbol"}, "gap must be an object"),
+    ({"gap": {"source": "symbol", "tol": "x"}}, "gap.tol"),
+    ({"gap": {"source": "symbol", "tol": -1}}, "gap.tol must be a positive real"),
+    ({"gap": {"source": "truncation", "tol": math.nan}}, "gap.tol must be a positive real"),
+    ({"gap": {"source": "explicit", "r": "a", "s": 1.0}}, "gap.r"),
+    ({"gap": {"source": "explicit", "r": 1.0, "s": -1.0}}, "gap.r and gap.s"),
+    ({"experiments": ["edge"], "edge": "x"}, "edge must be an object"),
+    ({"experiments": ["edge"], "edge": dict(EDGE_OK, x="a")}, "edge.x"),
+    ({"experiments": ["edge"], "edge": dict(EDGE_OK, eps_list="ab")},
+     "edge.eps_list must be a list"),
+    ({"experiments": ["edge"], "edge": dict(EDGE_OK, eps_list=[1e-3, 1e-3])},
+     "edge.eps_list needs at least two distinct values"),
+    ({"experiments": ["edge"], "edge": dict(EDGE_OK, eps_list=[1e-3])},
+     "edge.eps_list needs at least two distinct values"),
+    ({"experiments": ["edge"], "edge": dict(EDGE_OK, n_blocks="a")}, "edge.n_blocks"),
+    ({"zetas": 0.5}, "zetas must be a list"),
+    ({"zetas": [[0.5, math.nan]]}, "zetas must be finite"),
+    ({"zetas": [[math.inf, 0.0]]}, "zetas must be finite"),
+    ({"variants": "continuous"}, "variants must be a list"),
+    ({"experiments": "green"}, "experiments must be a list"),
+    ({"operator": [1, 2]}, "operator must be an object or an EntrySequence"),
+])
+def test_malformed_or_non_finite_config_field_is_named_when_built(section, field):
+    data = dict(base_config_dict(), **section)
+    with pytest.raises(ParameterError, match=f"^{re.escape(field)}"):
+        ExperimentConfig.from_json(data)
+    with pytest.raises(ParameterError, match=f"^{re.escape(field)}"):
+        run(data)
+
+
 def test_resolve_gap_symbol():
     cfg = example2_cfg()
     gap = resolve_gap(cfg, example2_sequence(3.0))
@@ -498,6 +534,8 @@ def test_edge_study_validation():
         edge_scaling_study(3.0, [1e-3, 0.1])
     with pytest.raises(ParameterError):
         edge_scaling_study(3.0, [1e-3])
+    with pytest.raises(ParameterError, match="two distinct"):
+        edge_scaling_study(3.0, [1e-3, 1e-3])
 
 
 # ---------------------------------------------------------------------------

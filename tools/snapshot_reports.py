@@ -13,6 +13,8 @@ benchmark configs (imported, never written to).  Every config goes through
   ``truncation`` gap source, an edge-only config without an operator, an
   eigenvector search that finds no pair, a commuting config whose hypothesis
   fails, explicit windows with the discrete variant, a singular zeta, a
+  stack of zetas whose stacked sigma_min estimate overflows, so every zeta
+  is redone on its own (``stack-fallback``: J_4 = diag(5e-324, 1, 2, 3)), a
   symbol gap asked of a finite block list (``run`` raises), and one config
   each of the ``example3``, ``example1`` and ``constant`` families, so every
   block family's generator runs, and an example 2 Green config at
@@ -115,6 +117,14 @@ EDGE_CASES = {
     "underflow": {
         "operator": _example2(), "zetas": [[0.5, 0.0]], "n_blocks": 12200,
         "experiments": ["green"]},
+    "stack-fallback": {
+        "operator": {"dim": 1, "family": "explicit-list",
+                     "prefix": [{"A": [[[0.0, 0.0]]], "B": [[[b, 0.0]]]}
+                                for b in (5e-324, 1.0, 2.0, 3.0)],
+                     "tail": {"A": [[[0.0, 0.0]]], "B": [[[5.0, 0.0]]]}},
+        "gap": {"source": "explicit", "r": -1.0, "s": 4.0},
+        "zetas": [[0.5, 0.0], [0.0, 0.0], [1.5, 0.0], [0.5, 1.0]],
+        "params": {"delta": 1.0}, "n_blocks": 4, "experiments": ["green"]},
     "symbol-past-finite-list": {
         "operator": {"dim": 1, "family": "explicit-list",
                      "prefix": [{"A": [[[1.0, 0.0]]], "B": [[[0.0, 0.0]]]},
