@@ -1,8 +1,8 @@
 """The band LAPACK routines of :mod:`blockjacobi.spectral`, bound with ctypes.
 
 One set of wrappers (:class:`Lapack`) calls ``dgbtrf``, ``zgbtrf``,
-``dgbtrs``, ``zgbtrs``, ``zhbtrd``, ``dsbtrd``, ``dstebz`` and ``dsterf`` from
-either of two libraries:
+``dgbtrs``, ``zgbtrs``, ``dpbtrf``, ``zpbtrf``, ``zhbtrd``, ``dsbtrd``,
+``dstebz`` and ``dsterf`` from either of two libraries:
 
 * numpy's bundled ILP64 OpenBLAS (``libscipy_openblas64_`` in ``numpy.libs/``
   beside the package, or in ``numpy/.dylibs/``), exporting names like
@@ -23,7 +23,13 @@ on a band with kl = ku: ``lu_factor(ab, kl) -> (ipiv, info)`` overwrites
 LAPACK's 1-based pivots in the library's integer type; info > 0: the first
 exact zero pivot), and ``band_solver(lu, kl, b, ipiv)`` binds the solve
 once to a right-hand side ``b`` of the factor's type: each call of the
-result overwrites ``b`` with the solution and returns ``info``.
+result overwrites ``b`` with the solution and returns ``info``.  The band
+Cholesky ``cholesky_factor(ab) -> info``, ``dpbtrf`` or ``zpbtrf`` by the
+type of ``ab``, likewise in place, overwrites the upper Hermitian band ``ab``
+(LAPACK's upper band layout, kd = ab.shape[0] - 1: row kd + i - j, column j
+for entry (i, j), i <= j) with its Cholesky factor; info > 0 names the
+first column whose leading minor is not positive definite, where the
+factorization stopped.
 
 The Hermitian band eigenvalue routines take the lower triangle of the band
 in ``a_band``, in LAPACK's lower band layout (row i - j, column j for entry
@@ -170,8 +176,8 @@ _PREFIX = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
 
 
 class Lapack:
-    """``lu_factor``, ``band_solver``, ``eigvals_window`` and
-    ``eigvals_all`` on one :class:`Library`."""
+    """``lu_factor``, ``band_solver``, ``cholesky_factor``, ``eigvals_window``
+    and ``eigvals_all`` on one :class:`Library`."""
 
     def __init__(self, library: Library):
         self.integer = library.integer
@@ -188,6 +194,7 @@ class Lapack:
         # the band LU and its solves, keyed by LAPACK's type prefix
         self._gbtrf = {p: bind(f"{p}gbtrf", 0, 8) for p in "dz"}
         self._gbtrs = {p: bind(f"{p}gbtrs", 1, 10) for p in "dz"}
+        self._pbtrf = {p: bind(f"{p}pbtrf", 1, 5) for p in "dz"}
         self._zhbtrd = bind("zhbtrd", 2, 10)
         self._dsbtrd = bind("dsbtrd", 2, 10)
         self._dstebz = bind("dstebz", 2, 16)
@@ -205,6 +212,17 @@ class Lapack:
         self._gbtrf[prefix](p, p + s, p + 2 * s, p + 3 * s, _address(ab), p + 4 * s,
                             _address(ipiv), p + 5 * s)
         return ipiv, _info(ints, f"{prefix}gbtrf")
+
+    def cholesky_factor(self, ab: np.ndarray) -> int:
+        """``dpbtrf`` or ``zpbtrf`` (upper), by the type of ``ab``, in place: info."""
+        if not (ab.dtype in _PREFIX and ab.flags.f_contiguous and ab.flags.writeable):
+            raise ValueError("band must be a writeable F-contiguous float64 or complex128 array")
+        prefix, (ldab, n) = _PREFIX[ab.dtype], ab.shape
+        # n, kd, ldab, info
+        ints = np.array([n, ldab - 1, ldab, 0], dtype=self.integer)
+        p, s = _address(ints), ints.itemsize
+        self._pbtrf[prefix](b"U", p, p + s, _address(ab), p + 2 * s, p + 3 * s)
+        return _info(ints, f"{prefix}pbtrf")
 
     def band_solver(self, lu: np.ndarray, kl: int, b: np.ndarray,
                     ipiv: np.ndarray) -> Callable[[], int]:
@@ -306,4 +324,5 @@ class Lapack:
 
 _BOUND = Lapack(scipy_library() if _LIB is None else numpy_library(_LIB))
 lu_factor, band_solver = _BOUND.lu_factor, _BOUND.band_solver
+cholesky_factor = _BOUND.cholesky_factor
 eigvals_window, eigvals_all = _BOUND.eigvals_window, _BOUND.eigvals_all

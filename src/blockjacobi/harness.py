@@ -501,13 +501,27 @@ def _zeta_tables(cfg: ExperimentConfig, zeta: complex, table: GreenTable,
     return _ZetaTables(zeta, table, table_2n, fit, _green_rows(table))
 
 
-def _green_rows(table: GreenTable) -> tuple:
+class _GreenRows(tuple):
+    """The green CSV rows (m, j, Re zeta, Im zeta, ||G_mj||) of one table,
+    m-major, and what :func:`_csv_text` formats of them: its ``zeta``, one
+    value of both zeta columns, and ``cells``, the m, j and norm of every
+    row in one flat list."""
+
+    def __new__(cls, rows, zeta: complex, cells: list):
+        self = super().__new__(cls, rows)
+        self.zeta, self.cells = zeta, cells
+        return self
+
+
+def _green_rows(table: GreenTable) -> _GreenRows:
     """The green CSV rows (m, j, Re zeta, Im zeta, ||G_mj||) of a table,
     m-major."""
     mm, jj = np.meshgrid(table.rows, table.cols, indexing="ij")
-    return tuple(zip(mm.ravel().tolist(), jj.ravel().tolist(),
-                     repeat(table.zeta.real), repeat(table.zeta.imag),
-                     table.norm_stack.ravel().tolist()))
+    ms, js, norms = mm.ravel().tolist(), jj.ravel().tolist(), table.norm_stack.ravel().tolist()
+    cells = [None] * (3 * len(ms))
+    cells[0::3], cells[1::3], cells[2::3] = ms, js, norms
+    return _GreenRows(zip(ms, js, repeat(table.zeta.real), repeat(table.zeta.imag), norms),
+                      table.zeta, cells)
 
 
 def _green_evaluate(cfg: ExperimentConfig, bound: _VariantBound,
@@ -556,9 +570,10 @@ def _green_experiments(cfg: ExperimentConfig, seq: EntrySequence, gap: GapInterv
     of the 2N section, and one stacked Green solve on each (``green_blocks``):
     the N section for every zeta with at least one variant bound, the 2N
     section for every zeta whose N solve succeeded.  Only C_emp is read from
-    the 2N tables, so that solve runs with ``health=False``: the sigma_min
-    estimate runs only for its zetas within 1e-8 of the real axis, where the
-    singularity verdict needs it.  The fit of the measured slope and the
+    the 2N tables, so that solve runs with ``health=False``: only its zetas
+    within 1e-8 of the real axis need a singularity verdict, which one band
+    Cholesky certificate settles for them all, and the sigma_min estimate
+    runs only for those it leaves open.  The fit of the measured slope and the
     CSV rows are made once per zeta (:func:`_zeta_tables`), when its first
     variant is evaluated.  A variant's own rate or
     envelope error is reported before the solve's; a failed solve gives every
@@ -847,9 +862,16 @@ _CSV_ROW_FORMATS = {
 
 def _csv_text(kind: str, rows) -> str:
     """The CSV file of ``rows``: the version line, the header, and every row
-    formatted by one ``%`` over the whole table."""
-    rows = tuple(rows)
-    body = _CSV_ROW_FORMATS[kind] * len(rows) % tuple(chain.from_iterable(rows))
+    formatted by one ``%`` over the whole table.  The rows of one Green table
+    (:func:`_green_rows`) share their Re zeta and Im zeta cells, which are
+    formatted once, into the row format, so each row formats only m, j and
+    the norm, to the same text."""
+    if isinstance(rows, _GreenRows):
+        row = "%%d,%%d,%.17g,%.17g,%%.17g\n" % (rows.zeta.real, rows.zeta.imag)
+        body = row * len(rows) % tuple(rows.cells)
+    else:
+        rows = tuple(rows)
+        body = _CSV_ROW_FORMATS[kind] * len(rows) % tuple(chain.from_iterable(rows))
     return f"# blockjacobi v{__version__}\n{_CSV_HEADERS[kind]}\n{body}"
 
 

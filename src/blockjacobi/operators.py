@@ -116,12 +116,16 @@ def _as_stack(values, dim: int, what: str, first: int) -> np.ndarray:
 
 
 def _scalar_from_json(v) -> complex:
-    """A complex scalar given as a number or an [re, im] pair; ParameterError
-    for anything else."""
+    """A complex scalar given as a number or an [re, im] pair of numbers;
+    ParameterError for anything else, strings and booleans included, which
+    ``complex()`` would read as numbers."""
+    parts = v if isinstance(v, (list, tuple)) else (v,)
     if isinstance(v, (list, tuple)) and len(v) != 2:
         raise ParameterError(f"complex scalar must be [re, im], got {v!r}")
+    if any(isinstance(part, (str, bool, np.bool_)) for part in parts):
+        raise ParameterError(f"complex scalar must be a number or [re, im], got {v!r}")
     try:
-        return complex(*v) if isinstance(v, (list, tuple)) else complex(v)
+        return complex(*parts)
     except (TypeError, ValueError):
         raise ParameterError(f"complex scalar must be a number or [re, im], "
                              f"got {v!r}") from None
@@ -183,7 +187,7 @@ def make_rule(spec):
     """
     if callable(spec):
         return spec
-    if isinstance(spec, (int, float, complex)):
+    if isinstance(spec, (int, float, complex)) and not isinstance(spec, bool):
         value = complex(spec)
         return lambda n: value
     if isinstance(spec, (list, tuple)):

@@ -33,12 +33,15 @@ the zetas it serves as a band of its own, real for a real operator, and
 runs 22 Lanczos steps on the inverses, one in-place solve of the stacked
 vector each, without reorthogonalization; 1 / sigma_max of each segment's
 (k + 1) x k tridiagonal matrix is an upper estimate of the distance.  It
-runs where a verdict or a report reads it: on every zeta by default, and
-with ``health=False`` only on the zetas within 1e-8 of the real axis, since
-sigma_min(J_N - zeta) >= |Im zeta| settles the singularity verdict of every
-other zeta (the harness re-solves the 2N section so, reading only C_emp
-there).  Cost and memory are O(Z N d^3) and O(Z N d^2) for Z zetas: no
-dense (N d) x (N d) matrix is built.
+runs where a verdict or a report reads it: on every zeta by default.  With
+``health=False`` (the harness re-solves the 2N section so, reading only
+C_emp there) sigma_min(J_N - zeta) >= |Im zeta| settles the singularity
+verdict of every zeta farther than 1e-8 from the real axis, and one band
+Cholesky of the stacked (J_N - Re zeta)^2 - s^2 I (kd = 3d - 1) proves
+dist(Re zeta, spec J_N) >= 2e-8 for the others wherever it completes
+(``_certified``, with a rigorous rounding margin in s); only the zetas it
+leaves open are estimated.  Cost and memory are O(Z N d^3) and
+O(Z N d^2) for Z zetas: no dense (N d) x (N d) matrix is built.
 
 Gap eigenpairs are banded too: one reduction of the Hermitian band
 (kd = 2d - 1) to tridiagonal form, in real arithmetic when the band is real
@@ -58,8 +61,8 @@ trace and Frobenius identities of the block stacks.  No function here
 builds the dense truncation.
 
 The band routines (``lu_factor`` and ``band_solver``, the in-place band LU
-and its solves in the band's own arithmetic, ``eigvals_window`` and
-``eigvals_all``) come from :mod:`blockjacobi._lapack`, one set of ctypes
+and its solves in the band's own arithmetic, ``cholesky_factor``, the
+in-place band Cholesky, ``eigvals_window`` and ``eigvals_all``) come from :mod:`blockjacobi._lapack`, one set of ctypes
 wrappers bound to the ILP64 OpenBLAS inside numpy when numpy's build names
 it, so no scipy module is imported, and to the LAPACK of scipy's
 ``cython_lapack`` on other builds.
@@ -72,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import band_solver, eigvals_all, eigvals_window, lu_factor
+from ._lapack import band_solver, cholesky_factor, eigvals_all, eigvals_window, lu_factor
 from .boundfns import GapInterval
 from .errors import ConvergenceError, ParameterError, SingularityError
 from .operators import (EntrySequence, TruncatedOperator, as_block,
@@ -102,8 +105,8 @@ _INVERSE_STEPS = 40
 #: the floor of the inverse-iteration shift's distance to an eigenvalue in its
 #: cluster, and the pivot that replaces an exact zero one
 _SHIFT_FLOOR_ULPS = 8
-#: smallest normal float
-_TINY = np.finfo(float).tiny
+#: smallest normal float, largest float and the spacing of floats at 1
+_TINY, _HUGE, _EPS = np.finfo(float).tiny, np.finfo(float).max, np.finfo(float).eps
 #: gap eigenvalue candidates keep this share of the gap width from each end
 _MARGIN_FRAC = 0.02
 #: candidate eigenvalues closer than this form one cluster
@@ -158,13 +161,20 @@ def truncated_spectrum(op: TruncatedOperator) -> SpectrumEstimate:
     return SpectrumEstimate(method="truncation", samples=vals, size=op.n_blocks)
 
 
+def _eig2(a: np.ndarray, c: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, radius): the eigenvalues mean -+ radius of each Hermitian 2 x 2
+    matrix with diagonal (a, c) and off-diagonal modulus ``off``, as
+    mean(a, c) and hypot((a - c) / 2, off)."""
+    return 0.5 * a + 0.5 * c, np.hypot(0.5 * a - 0.5 * c, off)
+
+
 def _eigvalsh(H: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each Hermitian d x d matrix of the stack H.
 
     For d = 2 in closed form, mean(h_11, h_22) -+ hypot((h_11 - h_22) / 2,
-    |h_21|), within a few eps ||H||_2 of LAPACK's and without one LAPACK
-    call per matrix; a matrix with an inf or nan entry gives nan.  Any
-    other d goes to ``np.linalg.eigvalsh``.
+    |h_21|) (:func:`_eig2`), within a few eps ||H||_2 of LAPACK's and
+    without one LAPACK call per matrix; a matrix with an inf or nan entry
+    gives nan.  Any other d goes to ``np.linalg.eigvalsh``.
     """
     if H.shape[-1] != 2:
         return np.linalg.eigvalsh(H)
@@ -173,8 +183,8 @@ def _eigvalsh(H: np.ndarray) -> np.ndarray:
     # inf - inf of an inf entry; an eigenvalue past the float range is inf,
     # as LAPACK's
     with np.errstate(invalid="ignore", over="ignore"):
-        mean = 0.5 * a + 0.5 * c
-        radius = np.where(finite, np.hypot(0.5 * a - 0.5 * c, np.abs(off)), math.nan)
+        mean, radius = _eig2(a, c, np.abs(off))
+        radius = np.where(finite, radius, math.nan)
         return np.stack((mean - radius, mean + radius), axis=-1)
 
 
@@ -182,24 +192,41 @@ def _block_norms(X: np.ndarray) -> np.ndarray:
     """Spectral norm of each d x d block of the stack X.
 
     For d = 2 in closed form: each block is scaled by the power of two of its
-    largest real or imaginary part (exact, ``frexp`` and ``ldexp``), and the
-    norm is the square root of the largest eigenvalue (:func:`_eigvalsh`) of
-    the scaled block's Gram matrix, scaled back; within a few eps of the
-    SVD's, exactly 0 for a zero block, nan for a block with an inf or nan
-    entry, and without one LAPACK call per block.  Any other d goes to
-    ``np.linalg.norm(X, 2)``.
+    largest real or imaginary part (exact, ``frexp`` and ``ldexp``), into Y
+    with real and imaginary parts P and Q; the entries of the Gram matrix
+    Y^* Y are formed entry by entry from them, g_11 and g_22 as sums of
+    squares of Y's columns and g_21 = y_1^* y_0 (column y_k) as
+    sum_r (p_r1 p_r0 + q_r1 q_r0) + i sum_r (p_r1 q_r0 - q_r1 p_r0), and the
+    norm is the square root of the larger eigenvalue of that Gram matrix
+    (:func:`_eig2`), scaled back; within a few eps of the SVD's, exactly 0
+    for a zero block, nan for a block with an inf or nan entry, and without
+    one LAPACK call, or one batched complex matrix product, per block.  Any
+    other d goes to ``np.linalg.norm(X, 2)``.
     """
     if X.shape[-2:] != (2, 2):
         return np.linalg.norm(X, 2, axis=(-2, -1))
-    re, im = X.real, X.imag
-    peak = np.maximum(np.max(np.abs(re), axis=(-2, -1)), np.max(np.abs(im), axis=(-2, -1)))
+    parts = (X.real, X.imag) if np.iscomplexobj(X) else (X,)
+    peak = np.max(np.abs(parts[0]), axis=(-2, -1))
+    for part in parts[1:]:
+        peak = np.maximum(peak, np.max(np.abs(part), axis=(-2, -1)))
     exponent = np.frexp(peak)[1]
     shift = -exponent[..., None, None]
     # 0 inf of an inf entry; a norm past the float range is inf, as the SVD's
     with np.errstate(invalid="ignore", over="ignore"):
-        y = np.ldexp(re, shift) + 1j * np.ldexp(im, shift)
-        top = _eigvalsh(y.conj().swapaxes(-1, -2) @ y)[..., 1]
-        return np.where(np.isfinite(peak), np.ldexp(np.sqrt(top), exponent), math.nan)
+        p, *q = (np.ldexp(part, shift) for part in parts)
+        squares = p * p
+        cross = p[..., 1] * p[..., 0]           # p_r1 p_r0, indexed by r
+        if q:
+            q, = q
+            squares += q * q
+            cross += q[..., 1] * q[..., 0]
+            turn = p[..., 1] * q[..., 0] - q[..., 1] * p[..., 0]
+            off = np.hypot(cross[..., 0] + cross[..., 1], turn[..., 0] + turn[..., 1])
+        else:
+            off = np.abs(cross[..., 0] + cross[..., 1])
+        mean, radius = _eig2(squares[..., 0, 0] + squares[..., 1, 0],
+                             squares[..., 0, 1] + squares[..., 1, 1], off)
+        return np.where(np.isfinite(peak), np.ldexp(np.sqrt(mean + radius), exponent), math.nan)
 
 
 def _symbol_matrices(A: np.ndarray, B: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -318,8 +345,11 @@ def detect_gap(est: SpectrumEstimate, tol: float) -> list[GapInterval]:
 
     Symbol-based estimates get their endpoints refined by a zoom on the
     batched eigenvalue functions (:func:`_refine_symbol_level`); sorted by
-    length descending.
+    length descending.  A ``tol`` that is not a finite positive number
+    raises ParameterError.
     """
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"gap tolerance tol must be a finite positive number, got {tol}")
     samples = est.samples
     if samples.size < 2:
         raise ParameterError("gap detection needs at least 2 spectrum samples")
@@ -378,16 +408,30 @@ class GreenTable:
         return float(self.norm_stack[self.rows.index(m), self.cols.index(j)])
 
 
+def _put_blocks(ab: np.ndarray, row: int, col: int, blocks: np.ndarray) -> None:
+    """Write the stack ``blocks`` of d x d blocks into the band storage ``ab``:
+    entry (r, c) of block k at band row ``row + r - c``, column
+    ``col + d k + c``.  The entries with one r - c form a diagonal of every
+    block, which one strided write puts into one band row for the whole
+    stack: 2d - 1 writes, band rows outside ``ab`` (the lower triangle of an
+    upper band) left out."""
+    m, d = blocks.shape[0], blocks.shape[-1]
+    for t in range(max(1 - d, -row), min(d, ab.shape[0] - row)):
+        ab[row + t, col:col + m * d].reshape(m, d)[:, max(0, -t):d - max(0, t)] = \
+            np.diagonal(blocks, -t, 1, 2)
+
+
 def _band_storage(op: TruncatedOperator, shifts) -> np.ndarray:
     """J_N - zeta in LAPACK general band storage with kl = ku = 2d - 1.
 
     Entry (i, j) of the matrix sits at row 2 kl + i - j, column j; the first
     kl rows are left zero for the fill-in of partial pivoting.  Each of the
-    three block diagonals is written by one scatter over all N blocks.  A
-    sequence of shifts gives the stack diag(J_N - zeta_1, J_N - zeta_2, ...):
-    one segment of N d columns per shift, with no coupling between segments.
-    The band is float64 for real shifts when no block entry has a nonzero
-    imaginary part (every real symmetric operator), else complex128.
+    three block diagonals is written by 2d - 1 strided writes over all N
+    blocks (:func:`_put_blocks`).  A sequence of shifts gives the stack
+    diag(J_N - zeta_1, J_N - zeta_2, ...): one segment of N d columns per
+    shift, with no coupling between segments.  The band is float64 for real
+    shifts when no block entry has a nonzero imaginary part (every real
+    symmetric operator), else complex128.
     """
     shifts = np.atleast_1d(np.asarray(shifts))
     dtype = float if not np.iscomplexobj(shifts) and _real_band(op) else complex
@@ -397,14 +441,12 @@ def _band_storage(op: TruncatedOperator, shifts) -> np.ndarray:
     ab = np.zeros((3 * kl + 1, shifts.size * size), dtype=dtype, order="F")
     a, b = (op.a_blocks, op.b_blocks) if dtype is complex else (
         op.a_blocks.real, op.b_blocks.real)
-    r, c = np.divmod(np.arange(d * d), d)      # entry (r, c) of a d x d block
-    main = 2 * kl + r - c
-    col = d * np.arange(n)[:, None] + c
-    ab[main, col] = b.reshape(n, d * d)
-    ab[main - d, col[:-1] + d] = a.reshape(n - 1, d * d)
-    ab[main + d, col[:-1]] = a.conj().transpose(0, 2, 1).reshape(n - 1, d * d)
-    ab[:, size:] = np.tile(ab[:, :size], shifts.size - 1)
-    ab[2 * kl] -= np.repeat(shifts, size)
+    _put_blocks(ab, 2 * kl, 0, b)
+    _put_blocks(ab, 2 * kl - d, d, a)
+    _put_blocks(ab, 2 * kl + d, 0, a.conj().transpose(0, 2, 1))
+    segments = ab.T.reshape(shifts.size, size, 3 * kl + 1)     # a view: ab is F-ordered
+    segments[1:] = segments[0]
+    segments[:, :, 2 * kl] -= shifts[:, None]
     return ab
 
 
@@ -574,6 +616,118 @@ def _spectral_distance(op: TruncatedOperator, shifts) -> np.ndarray | None:
     return dist
 
 
+def _normal_band(op: TruncatedOperator, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """(ab, s2): (J_N - x)^2 - s^2 I for every real shift x as one segment of
+    a stacked upper band, kd = 3d - 1, in LAPACK's upper band storage (entry
+    (i, j), i <= j, at row kd + i - j, column j), and each segment's s^2.
+
+    J_N - x is block tridiagonal with diagonal blocks C_k = B_k - x and
+    couplings A_k, so its square is block pentadiagonal:
+    D0_k = C_k^2 + A_{k-1}^* A_{k-1} + A_k A_k^* on the diagonal,
+    D1_k = C_k A_k + A_k C_{k+1} and D2_k = A_k A_{k+1} above it.  Each is a
+    product of block row k of J_N - x, [A_{k-1}^*, C_k, A_k], with the
+    matching part of the conjugate transpose of block row k, k + 1 or
+    k + 2 (block column k, k + 1 or k + 2 of the Hermitian J_N - x): three
+    batched products per stack, each entry an inner product of at most 3d
+    products of the rounded C_k and A_k.  The blocks are written by :func:`_put_blocks`; every segment's
+    first block column holds zero coupling blocks, so the segments are
+    decoupled.  Real for a real band (every real symmetric operator), else
+    complex.
+
+    s^2 = (2 SINGULARITY_TOL)^2 + 2 delta, delta = kappa (3d + 4) eps t, is
+    the margin of :func:`_certified`, with t the segment's computed trace of
+    (J_N - x)^2, kappa = 1 on a real band and sqrt(2) on a complex one.  A
+    segment whose trace is not finite, or within a factor 16 of the float
+    range (squares past it), is not formed: it holds -I, with s^2 = inf.
+    The squares that overflow raise no warning.
+    """
+    shifts = np.asarray(shifts, dtype=float)
+    dtype = float if _real_band(op) else complex
+    n, d = op.n_blocks, op.dim
+    kd = 3 * d - 1
+    a, b = (op.a_blocks, op.b_blocks) if dtype is complex else (
+        op.a_blocks.real, op.b_blocks.real)
+    diagonal = np.arange(d)
+    rows = np.zeros((shifts.size, n, d, 3 * d), dtype)      # [A_{k-1}^*, C_k, A_k]
+    rows[:, 1:, :, :d] = a.conj().transpose(0, 2, 1)
+    rows[:, :, :, d:2 * d] = b
+    rows[:, :-1, :, 2 * d:] = a
+    # C-ordered: numpy's batched product is several times slower on a
+    # transposed view
+    cols = rows.conj().transpose(0, 1, 3, 2).copy()
+    blocks = np.zeros((3, shifts.size, n, d, d), dtype)     # D0_k, D1_{k-1}, D2_{k-2}
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[:, :, diagonal, d + diagonal] -= shifts[:, None, None]
+        cols[:, :, d + diagonal, diagonal] -= shifts[:, None, None]
+        np.matmul(rows, cols, out=blocks[0])
+        np.matmul(rows[:, :-1, :, d:], cols[:, 1:, :2 * d], out=blocks[1, :, 1:])
+        np.matmul(rows[:, :-2, :, 2 * d:], cols[:, 2:, :d], out=blocks[2, :, 2:])
+        trace = blocks[0][..., diagonal, diagonal].real.sum(axis=(1, 2))
+    ab = np.zeros((kd + 1, shifts.size * n * d), dtype, order="F")
+    for offset in range(3):
+        _put_blocks(ab, kd - offset * d, 0, blocks[offset].reshape(-1, d, d))
+    segments = ab.T.reshape(shifts.size, n * d, kd + 1)     # a view: ab is F-ordered
+    formed = trace <= _HUGE / 16.0
+    kappa = math.sqrt(2.0) if dtype is complex else 1.0
+    s2 = np.where(formed, (2.0 * SINGULARITY_TOL) ** 2
+                  + 2.0 * kappa * (3 * d + 4) * _EPS * np.where(formed, trace, 0.0), math.inf)
+    segments[~formed] = 0.0
+    segments[~formed, :, kd] = -1.0
+    segments[formed, :, kd] -= s2[formed, None]
+    return ab, s2
+
+
+def _certified(op: TruncatedOperator, shifts) -> np.ndarray:
+    """Which real ``shifts`` x provably lie at least 2 ``SINGULARITY_TOL``
+    from the spectrum of J_N, from one band Cholesky of their stack.
+
+    J_N - x is Hermitian, so dist(x, spec J_N)^2 is the smallest eigenvalue
+    of (J_N - x)^2, and (J_N - x)^2 - s^2 I is positive definite iff
+    dist > s.  That matrix of every shift is one segment of one stacked
+    band (:func:`_normal_band`), which is factored once, in place, by
+    ``cholesky_factor`` (LAPACK ``dpbtrf``, or ``zpbtrf`` on a complex band,
+    upper).  Its ``info`` names the first column whose leading minor fails;
+    every segment that ends before that column has a completed
+    factorization and is certified, that segment and every later one are
+    not.
+
+    The margin is s^2 = (2 SINGULARITY_TOL)^2 + 2 delta with
+    delta = kappa (3d + 4) eps t, where t is the segment's computed trace,
+    eps = 2u = 2^-52 and kappa is 1 on a real band and sqrt(2) on a complex
+    one.  delta bounds, in the 2-norm, everything between the exact
+    C^2 - s^2 I (C = J_N - x) and the matrix whose exact Cholesky factor the
+    computed one is.  Let T = ||C'||_F^2 = trace(C'^2) for the computed C',
+    and g = gamma_{3d} = 3d u / (1 - 3d u) in real arithmetic, sqrt(2)
+    gamma_{3d+2} in complex arithmetic (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.6).  Then:
+
+    * C' = C + D with D diagonal, |D| <= u |C| (the rounding of B_k - x), so
+      ||C'^2 - C^2||_2 <= (2u + u^2) ||C||_F^2 <= (2u + u^2) T / (1 - u)^2;
+    * each entry of the formed square is an inner product of at most 3d
+      products, so its error F has |F| <= g |C'|^2 and ||F||_2 <= g T;
+    * subtracting s^2 rounds each diagonal entry by at most u (1 + g) T;
+    * a band Cholesky that completes gives R^* R = A + E with
+      |E| <= g |R^*| |R| (Higham, Thm 10.3; inner products of at most
+      kd + 1 = 3d terms), so ||E||_2 <= g ||R||_F^2 = g trace(A + E), and
+      with |trace E| <= g ||R||_F^2 that is at most g / (1 - g) trace(A)
+      <= g (1 + g) T / (1 - g).
+
+    The sum is (3u + 2g) T to first order: (3d + 1.5) eps T in real and
+    (sqrt(2) (3d + 2) + 1.5) eps T in complex arithmetic, which delta covers
+    with t >= T (1 - g) (1 - gamma_{N d}), the rounding of the trace.  So a
+    completed factorization gives dist(x, spec J_N)^2 >= s^2 - delta
+    = (2 SINGULARITY_TOL)^2 + delta > (2 SINGULARITY_TOL)^2, the second
+    delta absorbing the rounding of s^2 and delta themselves.  The bound
+    holds for any summation order, so for LAPACK's blocked factorization
+    too.  A segment that is not formed (:func:`_normal_band`) fails at its
+    first column.
+    """
+    ab, s2 = _normal_band(op, shifts)
+    info = cholesky_factor(ab)
+    size = op.n_blocks * op.dim
+    return np.arange(s2.size) < ((info - 1) // size if info else s2.size)
+
+
 def green_blocks(op: TruncatedOperator, zetas, rows, cols,
                  health: bool = True) -> FactoredResults:
     """Green blocks G_mj(zeta) for all (m, j) in rows x cols, for every zeta.
@@ -611,9 +765,13 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
 
     With ``health=False`` the estimate runs only where the verdict needs
     it: sigma_min(J_N - zeta) >= |Im zeta|, so a zeta with
-    |Im zeta| > 1e-8 cannot be singular in that sense, and only the zetas
-    with |Im zeta| <= 1e-8 are estimated, with the values they get with
-    ``health=True``.  The tables of the other zetas carry
+    |Im zeta| > 1e-8 cannot be singular in that sense, and the zetas with
+    |Im zeta| <= 1e-8 are screened first by one band Cholesky of their
+    stacked (J_N - Re zeta)^2 - s^2 I (:func:`_certified`): where it
+    completes it proves dist(Re zeta, spec J_N) >= 2e-8, where the upper
+    estimate of ``health=True`` clears 1e-8 too, so the verdict is the same.
+    Only the zetas it leaves open are estimated, with the values they get
+    with ``health=True``.  The tables of the other zetas carry
     ``sigma_min = condition = nan`` (and ``ill_conditioned = False``); their
     blocks, norms and verdicts are those of ``health=True``.
 
@@ -621,8 +779,9 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     None), or the solve turns non-finite, which one segment's inf could
     carry into its neighbours inside the stacked solve, every zeta without
     an exact zero pivot is solved on its own instead.  ``factorizations``
-    on the result counts the band LU factorizations made: one for the
-    stack, plus one for the estimate when any zeta is estimated.
+    on the result counts the band factorizations made, LU or Cholesky: one
+    LU for the stack, plus one Cholesky when ``health=False`` screens any
+    zeta, plus one LU for the estimate when any zeta is estimated.
     """
     zetas = [complex(z) for z in zetas]
     if bad := [zeta for zeta in zetas if not np.isfinite(zeta)]:
@@ -649,8 +808,13 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
             regular.append(i)
     # J_N is Hermitian, so sigma_min(J_N - zeta) = hypot(dist(Re zeta,
     # spec J_N), Im zeta) >= |Im zeta|: without health figures only the
-    # zetas near the real axis need the estimate
+    # zetas near the real axis need a verdict, and only those the
+    # certificate leaves open need the estimate
     estimated = [i for i in regular if health or abs(zetas[i].imag) <= SINGULARITY_TOL]
+    if estimated and not health:
+        certified = _certified(op, [zetas[i].real for i in estimated])
+        out.factorizations += 1
+        estimated = [i for i, done in zip(estimated, certified.tolist()) if not done]
     sigma = np.full(len(zetas), math.nan)
     if estimated:
         dist = _spectral_distance(op, [zetas[i].real for i in estimated])

@@ -450,22 +450,36 @@ def exact_zero_pivot(table):
     return isinstance(table, SingularityError) and "exact zero pivot" in str(table)
 
 
+def certified(zeta, table):
+    """Whether ``health=False`` settled ``zeta`` by the band Cholesky
+    certificate: a table within 1e-8 of the real axis without an estimate."""
+    return (isinstance(table, GreenTable) and abs(zeta.imag) <= SINGULARITY_TOL
+            and math.isnan(table.sigma_min))
+
+
 def expected_factorizations(stack, tables, health):
-    """Band LUs of a stack on which no estimate or solve fails: the Green
-    LU, plus the estimate's when any zeta without an exact zero pivot is
-    estimated, all of them or (``health=False``) those within 1e-8 of the
-    real axis."""
-    return 1 + any(not exact_zero_pivot(table) and (health or abs(zeta.imag) <= SINGULARITY_TOL)
-                   for zeta, table in zip(stack, tables))
+    """Band factorizations of a stack on which no estimate or solve fails:
+    the Green LU; with ``health=True`` the estimate's LU when any zeta
+    without an exact zero pivot is estimated; with ``health=False`` the
+    certificate's band Cholesky when any such zeta lies within 1e-8 of the
+    real axis, and the estimate's LU when the certificate leaves one of them
+    open."""
+    screened = [(zeta, table) for zeta, table in zip(stack, tables)
+                if not exact_zero_pivot(table) and (health or abs(zeta.imag) <= SINGULARITY_TOL)]
+    if health:
+        return 1 + bool(screened)
+    return 1 + bool(screened) + any(not certified(*pair) for pair in screened)
 
 
 def assert_same_but_health(op, stack, full, lean):
     """``lean`` (health=False) has the blocks, norms, verdicts and error
-    strings of ``full`` bit for bit; sigma_min and condition only within
-    1e-8 of the real axis, nan off it.  Both make one Green-solve LU, and
-    one estimate LU when they estimate any zeta."""
+    strings of ``full`` bit for bit; sigma_min and condition within 1e-8 of
+    the real axis unless the certificate settled the zeta, nan otherwise.
+    Both make one Green-solve LU; ``full`` one estimate LU when it estimates
+    any zeta, ``lean`` one band Cholesky when it screens any zeta and one
+    estimate LU when the certificate leaves any open."""
     assert full.factorizations == expected_factorizations(stack, full, True)
-    assert lean.factorizations == expected_factorizations(stack, full, False)
+    assert lean.factorizations == expected_factorizations(stack, lean, False)
     assert len(lean) == len(full) == len(stack)
     for zeta, a, b in zip(stack, full, lean):
         assert type(a) is type(b)
@@ -475,12 +489,15 @@ def assert_same_but_health(op, stack, full, lean):
         assert b.zeta == a.zeta
         assert b.stack.tobytes() == a.stack.tobytes()
         assert b.norm_stack.tobytes() == a.norm_stack.tobytes()
-        if abs(zeta.imag) <= SINGULARITY_TOL:
+        if abs(zeta.imag) <= SINGULARITY_TOL and not certified(zeta, b):
             assert (b.sigma_min, b.condition, b.ill_conditioned) == (
                 a.sigma_min, a.condition, a.ill_conditioned)
         else:
             assert math.isnan(b.sigma_min) and math.isnan(b.condition)
             assert b.ill_conditioned is False
+            # a certified zeta lies 2e-8 or more from the spectrum, where the
+            # upper estimate gives the same verdict
+            assert a.sigma_min > SINGULARITY_TOL
 
 
 @given(hermitian_operators(), st.data())
@@ -578,15 +595,90 @@ def test_stack_with_exact_zero_pivots_gives_every_zeta_its_own_table(case, healt
             tables = green_blocks(op, stack, rows, cols, health)
     if not fallbacks:
         assert tables.factorizations == expected_factorizations(stack, tables, health)
-    for table, single in zip(tables, singles, strict=True):
+    # with health=False a zeta the certificate settles, in the stack or
+    # alone, has no estimate; every other one has health=True's
+    estimates = singles if health else [green_blocks(op, [zeta], rows, cols)[0]
+                                        for zeta in stack]
+    for table, single, estimate in zip(tables, singles, estimates, strict=True):
         assert type(table) is type(single)
         if isinstance(single, SingularityError):
             assert str(table) == str(single)
             continue
         assert table.stack.tobytes() == single.stack.tobytes()
         assert table.norm_stack.tobytes() == single.norm_stack.tobytes()
-        np.testing.assert_allclose([table.sigma_min, table.condition],
-                                   [single.sigma_min, single.condition], rtol=1e-14, atol=0)
+        for got in (table, single):
+            if not health and math.isnan(got.sigma_min):
+                assert math.isnan(got.condition)
+                continue
+            np.testing.assert_allclose([got.sigma_min, got.condition],
+                                       [estimate.sigma_min, estimate.condition],
+                                       rtol=1e-14, atol=0)
+
+
+@st.composite
+def certificate_cases(draw):
+    """A random Hermitian operator (d = 1..4, N = 2..40; a real band or a
+    complex one) and one to four real shifts: at its dense eigenvalues, 1e-12
+    to 1e-3 from one, or anywhere in [-6, 6]."""
+    seeded = seeded_real_operator if draw(st.booleans()) else seeded_operator
+    op = seeded(draw(st.integers(1, 4)), draw(st.integers(2, 40)),
+                draw(st.integers(0, 2**32 - 1)))
+    at = st.sampled_from(np.linalg.eigvalsh(dense(op)).tolist())
+    offset = st.builds(lambda p, sign: sign * 10.0 ** p, st.floats(-12.0, -3.0),
+                       st.sampled_from((-1.0, 1.0)))
+    near = st.builds(lambda x, e: x + e, at, offset)
+    return op, draw(st.lists(at | near | st.floats(-6.0, 6.0), min_size=1, max_size=4))
+
+
+def dense_from_upper_band(band):
+    """The Hermitian matrix whose upper triangle the upper band ``band``
+    (LAPACK's layout: entry (i, j), i <= j, at row kd + i - j) holds."""
+    kd, size = band.shape[0] - 1, band.shape[1]
+    upper = np.zeros((size, size), dtype=complex)
+    for k in range(kd + 1):
+        j = np.arange(k, size)
+        upper[j - k, j] = band[kd - k, j]
+    return upper + np.triu(upper, 1).conj().T
+
+
+#: example 2's section at N = 61 has two eigenvalues within 1e-14 of 0
+EXAMPLE2_61 = assemble_truncation(example2_sequence(3.0), 61)
+#: a band whose squares overflow
+HUGE_BAND = TruncatedOperator(a_blocks=seeded_operator(2, 6, 3).a_blocks * 1e200,
+                              b_blocks=seeded_operator(2, 6, 3).b_blocks * 1e200)
+
+
+@given(certificate_cases())
+@example((isolated_blocks_operator(2, 12, 5, True)[0],
+          isolated_blocks_operator(2, 12, 5, True)[1][:1] + [0.1]))
+@example((EXAMPLE2_61, [3e-8, 0.5]))
+@example((HUGE_BAND, [0.5, 2e200]))
+def test_certificate_is_sound(case):
+    # a certified shift lies 2e-8 or more from every dense eigenvalue, and
+    # the band the certificate factors is (J - x)^2 - s^2 I to rounding
+    op, shifts = case
+    size, d = op.n_blocks * op.dim, op.dim
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        band, s2 = spectral._normal_band(op, shifts)
+        certified = spectral._certified(op, shifts)
+    J = dense(op)
+    vals = np.linalg.eigvalsh(J)
+    dist = np.min(np.abs(vals[:, None] - np.array(shifts)), axis=0)
+    assert np.all(dist[certified] >= 2.0 * SINGULARITY_TOL)
+    # the certified shifts are the segments before the first failing one
+    assert certified.tolist() == sorted(certified.tolist(), reverse=True)
+    assert band.dtype == (np.float64 if spectral._real_band(op) else np.complex128)
+    for k, x in enumerate(shifts):
+        segment = dense_from_upper_band(band[:, k * size:(k + 1) * size])
+        if not math.isfinite(s2[k]):
+            # squares past the float range: not formed, and never certified
+            assert np.array_equal(segment, -np.eye(size)) and not certified[k]
+            continue
+        assert s2[k] >= (2.0 * SINGULARITY_TOL) ** 2
+        C = J - x * np.eye(size)
+        rounding = 4 * (3 * d + 4) * np.finfo(float).eps * (np.abs(C) @ np.abs(C))
+        assert np.all(np.abs(segment - (C @ C - s2[k] * np.eye(size))) <= rounding)
 
 
 def test_non_finite_zeta_is_a_parameter_error():

@@ -46,6 +46,17 @@ def test_gap_symbol(capsys):
     assert data["band_edges"] == pytest.approx([-5, -1, 1, 5], abs=1e-8)
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("source", ["symbol", "truncation"])
+def test_gap_tolerance_that_is_not_finite_and_positive_is_named(capsys, tol, source):
+    code = main(["gap", "--operator", "example2:x=3", "--source", source, "--n", "20",
+                 "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ParameterError: gap tolerance tol must be a "
+                                   "finite positive number")
+
+
 @pytest.mark.parametrize("command", ["gap", "spectrum"])
 def test_symbol_source_refuses_a_growing_tail(capsys, command):
     # the symbol of one block past the prefix would show bands [-2, 2]; the

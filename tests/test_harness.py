@@ -73,6 +73,24 @@ def test_malformed_complex_scalar_is_a_parameter_error(value):
         load_operator(operator)
 
 
+@pytest.mark.parametrize("value", ["0.5", "1+2j", True, False, np.bool_(True), [0.5, True]])
+def test_string_or_boolean_scalar_is_a_parameter_error(value):
+    # complex() reads "0.5", "1+2j" and True as numbers; a config must not
+    operator = {"dim": 1, "family": "constant", "params": {"A": [[value]], "B": [[0.0]]}}
+    with pytest.raises(ParameterError, match=re.escape(repr(value))):
+        load_operator(operator)
+    if isinstance(value, np.bool_):     # JSON gives no numpy scalars; the rest do
+        return
+    with pytest.raises(ParameterError, match=re.escape(repr(value))):
+        ExperimentConfig.from_json(dict(base_config_dict(), zetas=[0.5, value]))
+    with pytest.raises(ParameterError, match="epsilon"):
+        ExperimentConfig.from_json(dict(base_config_dict(), params={"epsilon": value}))
+    rule = {"kind": "power", "scale": value}
+    for spec in (rule, value):
+        with pytest.raises(ParameterError, match=re.escape(repr(value))):
+            load_operator(_operator_case(family="example1", params={"lambda_rule": spec}))
+
+
 def _operator_case(**fields):
     return dict({"dim": 2, "family": "example2", "params": {"x": 3.0}}, **fields)
 
@@ -320,8 +338,9 @@ def test_green_bound_one_solve_per_zeta_and_section(monkeypatch):
     assert calls == [(zetas, n) for n in (120, 240)]
     # only the N section's sigma_min and condition are reported
     assert healths == [True, False]
-    # per section, the Green solve's LU and the sigma_min estimate's: of
-    # both zetas in the N section, of zeta = 0.5 in the 2N one
+    # per section, the Green solve's LU and the sigma_min estimate's LU (both
+    # zetas in the N section) or the certificate's band Cholesky (zeta = 0.5
+    # in the 2N one)
     assert report.meta["counters"] == {"sections_assembled": 2, "green_solves": 4,
                                        "eigen_searches": 0, "factorizations": 4}
 
@@ -339,15 +358,31 @@ def sigma_min_calls(monkeypatch):
     return calls
 
 
+def certificate_calls(monkeypatch):
+    """(shifts, N d) of every band Cholesky certificate made from now on."""
+    calls = []
+    certify = spectral._certified
+
+    def spy(op, shifts):
+        calls.append((list(shifts), op.n_blocks * op.dim))
+        return certify(op, shifts)
+
+    monkeypatch.setattr(spectral, "_certified", spy)
+    return calls
+
+
 def test_sigma_min_estimated_where_a_verdict_or_a_report_reads_it(monkeypatch):
     calls = sigma_min_calls(monkeypatch)
+    screened = certificate_calls(monkeypatch)
     # real, off-axis, within 1e-8 of the real axis, and just beyond it
     zetas = (0.5, 0.3 + 0.2j, -0.4 + 1e-9j, 0.25 + 2e-8j)
     report = verify_green_bound(example2_cfg(zetas=zetas))
     assert [r.passed for r in report.experiments] == [True] * 4
     assert all(math.isfinite(r.details["sigma_min"]) for r in report.experiments)
     # every zeta in the N section; in the 2N one only those within 1e-8
-    assert calls == [(4, 240), (2, 480)]
+    # need a verdict, and the certificate settles both
+    assert calls == [(4, 240)]
+    assert screened == [([0.5, -0.4], 480)]
 
 
 def test_green_bound_variants_match_single_variant_runs():

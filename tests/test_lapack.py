@@ -1,7 +1,8 @@
 """The band LAPACK wrappers of ``blockjacobi._lapack`` against scipy's.
 
 ``_lapack.Lapack`` binds ``dgbtrf``, ``zgbtrf``, ``dgbtrs``, ``zgbtrs``,
-``zhbtrd``, ``dsbtrd``, ``dstebz`` and ``dsterf`` from a ``Library``:
+``dpbtrf``, ``zpbtrf``, ``zhbtrd``, ``dsbtrd``, ``dstebz`` and ``dsterf``
+from a ``Library``:
 numpy's bundled ILP64 OpenBLAS (int64 integers, hidden string lengths) or
 the LP64 C pointers of scipy's ``cython_lapack`` capsules.  Every binding
 test runs the one set of wrappers on both libraries, in a loop over
@@ -15,6 +16,10 @@ at real shifts.  The band LU entries ``lu_factor`` and ``band_solver`` work
 in place and pick ``dgbtr*`` or ``zgbtr*`` by the band's type; they must
 equal scipy's ``dgbtrf``/``zgbtrf`` and ``dgbtrs``/``zgbtrs`` (trans 0).
 The wrappers' pivots are LAPACK's 1-based ones, scipy's are 0-based.
+The band Cholesky ``cholesky_factor``, in place, ``dpbtrf`` or ``zpbtrf``
+(upper) by the band's type, must equal scipy's wrappers bit for bit, info
+included, on the stacked normal bands (J_N - x)^2 - s^2 I of
+``spectral._normal_band``, with shifts at eigenvalues where it fails.
 ``eigvals_window`` (one band reduction, then ``dstebz`` bisection for a
 window and the two extreme eigenvalues) must equal three calls of scipy's
 ``dsbevx`` on real bands and ``zhbevx`` on complex ones, which run the same
@@ -356,6 +361,34 @@ def test_binding_rejects_illegal_arguments_and_mismatched_operands():
         for b, pivots in ((rhs(4, 1)[:, 0], ipiv), (rhs(3, 1)[:, 0], ipiv.astype(other))):
             with pytest.raises(ValueError, match="do not match"):
                 lapack.band_solver(lu, 1, b, pivots)
+
+
+@st.composite
+def normal_bands(draw):
+    """The stacked normal band of ``_normal_band`` for a random Hermitian
+    operator, real or complex, and one to three real shifts, some at its
+    dense eigenvalues, where the factorization fails."""
+    op = draw(st.one_of(hermitian_operators(), real_operators()))
+    at = st.sampled_from(np.linalg.eigvalsh(dense(op)).tolist())
+    shifts = draw(st.lists(at | st.floats(-4.0, 4.0), min_size=1, max_size=3))
+    return spectral._normal_band(op, shifts)[0]
+
+
+@given(normal_bands())
+def test_band_cholesky_matches_scipy(band):
+    # dpbtrf on a real band, zpbtrf on a complex one, upper, in place
+    factor = scipy_lapack.zpbtrf if np.iscomplexobj(band) else scipy_lapack.dpbtrf
+    ref, info_ref = factor(band)
+    for lapack in BINDINGS:
+        ab = band.copy(order="F")
+        assert lapack.cholesky_factor(ab) == info_ref
+        assert np.array_equal(ab, ref)
+        readonly = band.copy(order="F")
+        readonly.flags.writeable = False
+        for bad in (np.ascontiguousarray(band), readonly, band.astype(np.complex64)):
+            with pytest.raises(ValueError, match="^band must be a writeable F-contiguous "
+                                                 "float64 or complex128 array$"):
+                lapack.cholesky_factor(bad)
 
 
 def test_zero_pivot_reports_the_same_info():

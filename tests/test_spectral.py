@@ -174,6 +174,17 @@ def test_detect_gap_example2():
     assert gaps[0].s == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_gap_tolerance_must_be_finite_and_positive(tol):
+    # a tolerance of 0 or below counts every pair of neighbouring samples as
+    # a gap, nan none, and inf asks for no gap at all
+    est = symbol_spectrum(A2, np.zeros((2, 2)), 256)
+    for find in (detect_gap, spectral.band_edges):
+        with pytest.raises(ParameterError, match=r"^gap tolerance tol must be a finite "
+                                                 r"positive number"):
+            find(est, tol)
+
+
 def test_detect_gap_sorted_and_synthetic():
     est = SpectrumEstimate(method="truncation",
                            samples=np.array([0.0, 5.0]), size=2)

@@ -18,7 +18,7 @@ swaps every pair), so slow drift of the machine hits both alike, with
   it reports, under the workload's ``trace`` key, with that run's gate;
 * the N ladder, each point in a fresh interpreter: ``verify_green_bound``
   on example 2 (x = 3) at zeta = 0.5, and at the off-axis zeta = 0.3 + 0.2i,
-  whose 2N re-solve needs no sigma_min estimate; ``verify_eigenvector_bound``
+  whose 2N re-solve needs no singularity screen; ``verify_eigenvector_bound``
   on the same operator with B_1 = 0.5 I (its 2N section included), and
   ``verify_eigenvector_bound`` on that operator's gauge copy with every A_n
   times e^{0.7 i}: unitarily equivalent (same spectrum, same block norms),
@@ -26,7 +26,9 @@ swaps every pair), so slow drift of the machine hits both alike, with
   the real operator takes the real one; ``truncated_spectrum`` of the
   assembled example 2 section (every eigenvalue, as the ``truncation`` gap
   source and the ``spectrum`` command take them), the assembly untimed;
-  each point also records its verdict: ``pass`` when every result of its
+  each point records the median and quartiles of its wall time and the
+  number of its pairs in which the change read lower
+  (``change_lower_runs``), as the workloads do, and its verdict: ``pass`` when every result of its
   report passed (a ``truncated_spectrum`` that returns has passed its own
   checks), ``failed`` otherwise, in any of its runs, and the median process
   CPU time (``time.process_time``, every thread of the process) of the
@@ -66,7 +68,7 @@ LADDER = {"green": (1200, 10_000, 100_000), "green-offaxis": (1200, 10_000, 100_
           "truncation-spectrum": (300, 600, 1200)}
 PAIRS = 10
 SECONDS = 5.0
-LADDER_REPEATS = 3
+LADDER_REPEATS = 5
 
 #: one ladder point, run with the checkout's ``src`` on sys.path
 LADDER_POINT = """
@@ -235,14 +237,17 @@ def main(argv=None) -> int:
             runs = alternate(sides, LADDER_REPEATS,
                              lambda root: ladder_point(root, kind, n))
             for name, points in runs.items():
-                ladder[kind].setdefault(f"{name}_s", []).append(
-                    statistics.median(p["seconds"] for p in points))
+                seconds = summary([p["seconds"] for p in points])
+                for key, stat in (("s", "median"), ("s_q1", "q1"), ("s_q3", "q3")):
+                    ladder[kind].setdefault(f"{name}_{key}", []).append(seconds[stat])
                 ladder[kind].setdefault(f"{name}_cpu_s", []).append(
                     statistics.median(p["cpu_seconds"] for p in points))
                 ladder[kind].setdefault(f"{name}_rss_mb", []).append(
                     statistics.median(p["rss_mb"] for p in points))
                 ladder[kind].setdefault(f"{name}_verdict", []).append(
                     "pass" if all(p["passed"] for p in points) else "failed")
+            ladder[kind].setdefault("change_lower_runs", []).append(
+                sum(c["seconds"] < p["seconds"] for p, c in zip(runs["parent"], runs["change"])))
         print(kind, json.dumps(ladder[kind]), file=sys.stderr)
 
     result = {
@@ -262,8 +267,11 @@ def main(argv=None) -> int:
                       "(B_1 = 0.5 I; complex-eigenvector: every A_n times "
                       "e^{0.7 i}), or of one truncated_spectrum call on "
                       "the assembled section (truncation-spectrum), "
-                      "in a fresh interpreter, median of "
+                      "in a fresh interpreter, median (<side>_s) and "
+                      "quartiles (<side>_s_q1, <side>_s_q3) of "
                       f"{LADDER_REPEATS} alternating runs per side; "
+                      "change_lower_runs counts the pairs of runs in which "
+                      "the change read lower (ties count for neither side); "
                       "<side>_cpu_s is the median process CPU time "
                       "(time.process_time, all threads) of the same calls; "
                       "<side>_rss_mb is the median peak resident memory "
