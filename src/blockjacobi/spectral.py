@@ -62,10 +62,10 @@ builds the dense truncation.
 
 The band routines (``lu_factor`` and ``band_solver``, the in-place band LU
 and its solves in the band's own arithmetic, ``cholesky_factor``, the
-in-place band Cholesky, ``eigvals_window`` and ``eigvals_all``) come from :mod:`blockjacobi._lapack`, one set of ctypes
-wrappers bound to the ILP64 OpenBLAS inside numpy when numpy's build names
-it, so no scipy module is imported, and to the LAPACK of scipy's
-``cython_lapack`` on other builds.
+in-place band Cholesky, ``eigvals_window`` and ``eigvals_all``) come from
+:mod:`blockjacobi._lapack`, one set of ctypes wrappers bound to the ILP64
+OpenBLAS inside numpy when numpy's build names it, so no scipy module is
+imported, and to the LAPACK of scipy's ``cython_lapack`` on other builds.
 """
 
 from __future__ import annotations
@@ -411,14 +411,18 @@ class GreenTable:
 def _put_blocks(ab: np.ndarray, row: int, col: int, blocks: np.ndarray) -> None:
     """Write the stack ``blocks`` of d x d blocks into the band storage ``ab``:
     entry (r, c) of block k at band row ``row + r - c``, column
-    ``col + d k + c``.  The entries with one r - c form a diagonal of every
-    block, which one strided write puts into one band row for the whole
-    stack: 2d - 1 writes, band rows outside ``ab`` (the lower triangle of an
-    upper band) left out."""
-    m, d = blocks.shape[0], blocks.shape[-1]
-    for t in range(max(1 - d, -row), min(d, ab.shape[0] - row)):
-        ab[row + t, col:col + m * d].reshape(m, d)[:, max(0, -t):d - max(0, t)] = \
-            np.diagonal(blocks, -t, 1, 2)
+    ``col + d k + c``.  Column c of every block lands in d consecutive band
+    rows of one band column, contiguous in the F-ordered ``ab``, so one
+    strided write puts it there for the whole stack: d writes, each band
+    column touched once, band rows outside ``ab`` (the lower triangle of an
+    upper band) left out.  (One write per band row instead, 2d - 1 of them,
+    crosses every band column 2d - 1 times, and at d = 8 and 16 with
+    N = 2000 was slower than a fancy-index scatter.)"""
+    m, d, height = blocks.shape[0], blocks.shape[-1], ab.shape[0]
+    columns = ab.T[col:col + m * d].reshape(m, d, height)       # a view: ab is F-ordered
+    for c in range(d):
+        lo, hi = max(0, c - row), min(d, height - row + c)
+        columns[:, c, row - c + lo:row - c + hi] = blocks[:, lo:hi, c]
 
 
 def _band_storage(op: TruncatedOperator, shifts) -> np.ndarray:
@@ -426,8 +430,8 @@ def _band_storage(op: TruncatedOperator, shifts) -> np.ndarray:
 
     Entry (i, j) of the matrix sits at row 2 kl + i - j, column j; the first
     kl rows are left zero for the fill-in of partial pivoting.  Each of the
-    three block diagonals is written by 2d - 1 strided writes over all N
-    blocks (:func:`_put_blocks`).  A sequence of shifts gives the stack
+    three block diagonals is written by d strided writes over all N blocks
+    (:func:`_put_blocks`).  A sequence of shifts gives the stack
     diag(J_N - zeta_1, J_N - zeta_2, ...): one segment of N d columns per
     shift, with no coupling between segments.  The band is float64 for real
     shifts when no block entry has a nonzero imaginary part (every real
@@ -629,10 +633,10 @@ def _normal_band(op: TruncatedOperator, shifts) -> tuple[np.ndarray, np.ndarray]
     matching part of the conjugate transpose of block row k, k + 1 or
     k + 2 (block column k, k + 1 or k + 2 of the Hermitian J_N - x): three
     batched products per stack, each entry an inner product of at most 3d
-    products of the rounded C_k and A_k.  The blocks are written by :func:`_put_blocks`; every segment's
-    first block column holds zero coupling blocks, so the segments are
-    decoupled.  Real for a real band (every real symmetric operator), else
-    complex.
+    products of the rounded C_k and A_k.  The blocks are written by
+    :func:`_put_blocks`; every segment's first block column holds zero
+    coupling blocks, so the segments are decoupled.  Real for a real band
+    (every real symmetric operator), else complex.
 
     s^2 = (2 SINGULARITY_TOL)^2 + 2 delta, delta = kappa (3d + 4) eps t, is
     the margin of :func:`_certified`, with t the segment's computed trace of
@@ -652,13 +656,12 @@ def _normal_band(op: TruncatedOperator, shifts) -> tuple[np.ndarray, np.ndarray]
     rows[:, 1:, :, :d] = a.conj().transpose(0, 2, 1)
     rows[:, :, :, d:2 * d] = b
     rows[:, :-1, :, 2 * d:] = a
-    # C-ordered: numpy's batched product is several times slower on a
-    # transposed view
-    cols = rows.conj().transpose(0, 1, 3, 2).copy()
     blocks = np.zeros((3, shifts.size, n, d, d), dtype)     # D0_k, D1_{k-1}, D2_{k-2}
     with np.errstate(over="ignore", invalid="ignore"):
         rows[:, :, diagonal, d + diagonal] -= shifts[:, None, None]
-        cols[:, :, d + diagonal, diagonal] -= shifts[:, None, None]
+        # C-ordered: numpy's batched product is several times slower on a
+        # transposed view
+        cols = rows.conj().transpose(0, 1, 3, 2).copy()
         np.matmul(rows, cols, out=blocks[0])
         np.matmul(rows[:, :-1, :, d:], cols[:, 1:, :2 * d], out=blocks[1, :, 1:])
         np.matmul(rows[:, :-2, :, 2 * d:], cols[:, 2:, :d], out=blocks[2, :, 2:])
@@ -669,8 +672,8 @@ def _normal_band(op: TruncatedOperator, shifts) -> tuple[np.ndarray, np.ndarray]
     segments = ab.T.reshape(shifts.size, n * d, kd + 1)     # a view: ab is F-ordered
     formed = trace <= _HUGE / 16.0
     kappa = math.sqrt(2.0) if dtype is complex else 1.0
-    s2 = np.where(formed, (2.0 * SINGULARITY_TOL) ** 2
-                  + 2.0 * kappa * (3 * d + 4) * _EPS * np.where(formed, trace, 0.0), math.inf)
+    s2 = np.where(formed, (2.0 * SINGULARITY_TOL) ** 2 + 2.0 * kappa * (3 * d + 4) * _EPS * trace,
+                  math.inf)
     segments[~formed] = 0.0
     segments[~formed, :, kd] = -1.0
     segments[formed, :, kd] -= s2[formed, None]

@@ -441,6 +441,35 @@ def test_stacked_solve_isolates_a_singular_segment(n, factorizations, monkeypatc
                                                                    rel=1e-14)
 
 
+def scattered_band(op, shifts):
+    """J_N - zeta in the LU band storage by one fancy-index scatter per block
+    diagonal, the form the strided writes of ``_band_storage`` replaced."""
+    shifts = np.atleast_1d(np.asarray(shifts))
+    real = not np.iscomplexobj(shifts) and spectral._real_band(op)
+    n, d = op.n_blocks, op.dim
+    size, kl = n * d, 2 * d - 1
+    ab = np.zeros((3 * kl + 1, shifts.size * size), dtype=float if real else complex, order="F")
+    a, b = (op.a_blocks.real, op.b_blocks.real) if real else (op.a_blocks, op.b_blocks)
+    r, c = np.divmod(np.arange(d * d), d)
+    main, col = 2 * kl + r - c, d * np.arange(n)[:, None] + c
+    ab[main, col] = b.reshape(n, d * d)
+    ab[main - d, col[:-1] + d] = a.reshape(n - 1, d * d)
+    ab[main + d, col[:-1]] = a.conj().transpose(0, 2, 1).reshape(n - 1, d * d)
+    ab[:, size:] = np.tile(ab[:, :size], shifts.size - 1)
+    ab[2 * kl] -= np.repeat(shifts, size)
+    return ab
+
+
+@given(st.one_of(hermitian_operators(), real_operators()),
+       st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3) | st.lists(zetas, min_size=1,
+                                                                         max_size=3))
+def test_band_storage_is_the_scattered_band_bit_for_bit(op, shifts):
+    band = _band_storage(op, shifts)
+    assert band.flags.f_contiguous
+    assert band.dtype == scattered_band(op, shifts).dtype
+    assert band.tobytes(order="F") == scattered_band(op, shifts).tobytes(order="F")
+
+
 #: imaginary parts at, inside and just beyond the 1e-8 from the real axis
 #: within which ``health=False`` still estimates sigma_min
 NEAR_REAL = (0.0, 1e-12, -5e-9, SINGULARITY_TOL, -SINGULARITY_TOL, 2e-8, -3e-8, 1e-6)

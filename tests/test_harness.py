@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from blockjacobi import harness, spectral
 from blockjacobi.cli import main as cli_main
-from blockjacobi import (DomainError, ExperimentConfig, GapInterval, ParameterError,
+from blockjacobi import (DomainError, ExperimentConfig, GapInterval, GreenTable, ParameterError,
                          PreconditionError, custom_sequence, discrete_envelope,
                          edge_scaling_study, example2_min_decay, example2_sequence,
                          example3_sequence, explicit_sequence, load_operator,
@@ -635,6 +635,23 @@ def test_csv_rows_match_per_cell_formatting(tmp_path):
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[1] == header
         assert lines[2:] == [",".join(old_csv_cell(v) for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("zeta", [0.5 + 0j, 0.3 + 0.2j, complex(-0.25, -0.0),
+                                  complex(1e-300, 1e300)])
+def test_green_table_csv_matches_per_cell_formatting(zeta):
+    # a Green table's rows format their constant zeta cells once; the text
+    # is the per-cell one, signed zeros, nan and inf norms included
+    norms = np.array([[1.0 / 3.0, -0.0], [math.nan, math.inf], [5e-324, 2.5e300]])
+    table = GreenTable(zeta=zeta, dim=2, rows=(1, 4, 9), cols=(2, 3),
+                       stack=np.zeros((3, 2, 2, 2)), norm_stack=norms)
+    rows = harness._green_rows(table)
+    assert [row[:4] for row in rows] == [(m, j, zeta.real, zeta.imag)
+                                         for m in table.rows for j in table.cols]
+    assert np.array_equal([row[4] for row in rows], norms.ravel(), equal_nan=True)
+    lines = harness._csv_text("green", rows).splitlines()
+    assert lines[2:] == [",".join(old_csv_cell(v) for v in row) for row in rows]
+    assert harness._csv_text("green", rows) == harness._csv_text("green", tuple(rows))
 
 
 def test_run_deterministic_reruns(tmp_path):
