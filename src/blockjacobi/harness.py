@@ -58,7 +58,7 @@ from .operators import (EntrySequence, _integer, _read_json, _real_scalar,
                         example2_sequence, load_operator)
 from .spectral import (SINGULARITY_TOL, RESIDUAL_TOL, SYMBOL_GRID, GreenTable,
                        _block_norms, detect_gap, eigenpairs_in_gap, green_blocks,
-                       tail_symbol_spectrum, truncated_spectrum)
+                       partners_in_gap, tail_symbol_spectrum, truncated_spectrum)
 
 STABILITY_REL = 0.05     # C_emp(N) vs C_emp(2N) agreement required for a pass
 DRIFT_TOL = 1e-6
@@ -635,16 +635,16 @@ def _eigenvector_experiments(cfg: ExperimentConfig, seq: EntrySequence,
                              gap: GapInterval, meta: dict) -> list[ExperimentResult]:
     n = cfg.n_blocks
     variant = next((v for v in cfg.variants if v != "commuting"), "continuous")
-    pairs = eigenpairs_in_gap(assemble_truncation(seq, n), gap)
+    pairs = eigenpairs_in_gap(assemble_truncation(seq, n), gap, DRIFT_TOL)
     _count(meta, sections_assembled=1, eigen_searches=1,
            factorizations=pairs.factorizations)
     if not pairs:
         return [ExperimentResult(
             name="eigenvector:none", variant=variant, passed=None, n_blocks=n,
             details={"skipped": f"no N-stable gap eigenpair in ({gap.r:.6g}, {gap.s:.6g})"})]
-    # only the 2N clusters that can hold a partner are iterated
-    pairs_2n = eigenpairs_in_gap(assemble_truncation(seq, 2 * n), gap,
-                                 near=[p.zeta for p in pairs])
+    # the 2N partners of the N pairs, with the N search's filters; the
+    # screen replaces the reduction that eigen_searches counts
+    pairs_2n = partners_in_gap(assemble_truncation(seq, 2 * n), pairs)
     _count(meta, sections_assembled=1, eigen_searches=1,
            factorizations=pairs_2n.factorizations)
     ms = np.arange(1, 2 * n + 1)

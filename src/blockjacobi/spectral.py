@@ -39,7 +39,7 @@ C_emp there) sigma_min(J_N - zeta) >= |Im zeta| settles the singularity
 verdict of every zeta farther than 1e-8 from the real axis, and one band
 Cholesky of the stacked (J_N - Re zeta)^2 - s^2 I (kd = 3d - 1) proves
 dist(Re zeta, spec J_N) >= 2e-8 for the others wherever it completes
-(``_certified``, with a rigorous rounding margin in s); only the zetas it
+(``_screen``, with a rigorous rounding margin in s); only the zetas it
 leaves open are estimated.  Cost and memory are O(Z N d^3) and
 O(Z N d^2) for Z zetas: no dense (N d) x (N d) matrix is built.
 
@@ -53,8 +53,13 @@ eigenvectors of the in-gap ones (a one-vector block is normalized after
 each step, a larger one orthonormalized by a QR; ``_factor`` replaces an
 exact zero pivot by 8 eps max(||J_N||, 1), as LAPACK's ``dstein`` does),
 and the far-edge artifact filter reads only the coupling A_N to block
-N + 1 instead of a 2N section.  A search for the partners of given
-eigenvalues (``near``) iterates only the clusters that can hold one.
+N + 1 instead of a 2N section.  The partners of the N section's pairs in
+the 2N section need no reduction (``partners_in_gap``): the same band
+Cholesky screen certifies an empty annulus around each cluster of their
+eigenvalues, and block inverse iteration at the cluster, with one vector
+more than it holds, confirms the count; a cluster it cannot confirm takes
+the search restricted to given eigenvalues (``near``), which iterates
+only the 2N clusters that can hold one.
 ``truncated_spectrum`` takes the same reduction of the same band, then all
 its eigenvalues from the tridiagonal form (``dsterf``), checked against the
 trace and Frobenius identities of the block stacks.  No function here
@@ -620,45 +625,47 @@ def _spectral_distance(op: TruncatedOperator, shifts) -> np.ndarray | None:
     return dist
 
 
-def _normal_band(op: TruncatedOperator, shifts) -> tuple[np.ndarray, np.ndarray]:
-    """(ab, s2): (J_N - x)^2 - s^2 I for every real shift x as one segment of
+def _normal_band(op: TruncatedOperator, centres, radii) -> tuple[np.ndarray, np.ndarray]:
+    """(ab, s2): (J_N - c)^2 - s^2 I for every real centre c as one segment of
     a stacked upper band, kd = 3d - 1, in LAPACK's upper band storage (entry
     (i, j), i <= j, at row kd + i - j, column j), and each segment's s^2.
 
-    J_N - x is block tridiagonal with diagonal blocks C_k = B_k - x and
+    J_N - c is block tridiagonal with diagonal blocks C_k = B_k - c and
     couplings A_k, so its square is block pentadiagonal:
     D0_k = C_k^2 + A_{k-1}^* A_{k-1} + A_k A_k^* on the diagonal,
     D1_k = C_k A_k + A_k C_{k+1} and D2_k = A_k A_{k+1} above it.  Each is a
-    product of block row k of J_N - x, [A_{k-1}^*, C_k, A_k], with the
+    product of block row k of J_N - c, [A_{k-1}^*, C_k, A_k], with the
     matching part of the conjugate transpose of block row k, k + 1 or
-    k + 2 (block column k, k + 1 or k + 2 of the Hermitian J_N - x): three
+    k + 2 (block column k, k + 1 or k + 2 of the Hermitian J_N - c): three
     batched products per stack, each entry an inner product of at most 3d
     products of the rounded C_k and A_k.  The blocks are written by
     :func:`_put_blocks`; every segment's first block column holds zero
     coupling blocks, so the segments are decoupled.  Real for a real band
     (every real symmetric operator), else complex.
 
-    s^2 = (2 SINGULARITY_TOL)^2 + 2 delta, delta = kappa (3d + 4) eps t, is
-    the margin of :func:`_certified`, with t the segment's computed trace of
-    (J_N - x)^2, kappa = 1 on a real band and sqrt(2) on a complex one.  A
-    segment whose trace is not finite, or within a factor 16 of the float
-    range (squares past it), is not formed: it holds -I, with s^2 = inf.
-    The squares that overflow raise no warning.
+    s^2 = rho^2 + 2 delta for the segment's radius rho (``radii``, one or
+    one per centre), delta = kappa (3d + 4) eps t, is the margin of
+    :func:`_screen`, with t the segment's computed trace of (J_N - c)^2,
+    kappa = 1 on a real band and sqrt(2) on a complex one.  A segment whose
+    trace is not finite, or within a factor 16 of the float range (squares
+    past it), is not formed: it holds -I, with s^2 = inf.  The squares that
+    overflow raise no warning.
     """
-    shifts = np.asarray(shifts, dtype=float)
+    centres = np.asarray(centres, dtype=float)
+    radii = np.broadcast_to(np.asarray(radii, dtype=float), centres.shape)
     dtype = float if _real_band(op) else complex
     n, d = op.n_blocks, op.dim
     kd = 3 * d - 1
     a, b = (op.a_blocks, op.b_blocks) if dtype is complex else (
         op.a_blocks.real, op.b_blocks.real)
     diagonal = np.arange(d)
-    rows = np.zeros((shifts.size, n, d, 3 * d), dtype)      # [A_{k-1}^*, C_k, A_k]
+    rows = np.zeros((centres.size, n, d, 3 * d), dtype)     # [A_{k-1}^*, C_k, A_k]
     rows[:, 1:, :, :d] = a.conj().transpose(0, 2, 1)
     rows[:, :, :, d:2 * d] = b
     rows[:, :-1, :, 2 * d:] = a
-    blocks = np.zeros((3, shifts.size, n, d, d), dtype)     # D0_k, D1_{k-1}, D2_{k-2}
+    blocks = np.zeros((3, centres.size, n, d, d), dtype)    # D0_k, D1_{k-1}, D2_{k-2}
     with np.errstate(over="ignore", invalid="ignore"):
-        rows[:, :, diagonal, d + diagonal] -= shifts[:, None, None]
+        rows[:, :, diagonal, d + diagonal] -= centres[:, None, None]
         # C-ordered: numpy's batched product is several times slower on a
         # transposed view
         cols = rows.conj().transpose(0, 1, 3, 2).copy()
@@ -666,45 +673,50 @@ def _normal_band(op: TruncatedOperator, shifts) -> tuple[np.ndarray, np.ndarray]
         np.matmul(rows[:, :-1, :, d:], cols[:, 1:, :2 * d], out=blocks[1, :, 1:])
         np.matmul(rows[:, :-2, :, 2 * d:], cols[:, 2:, :d], out=blocks[2, :, 2:])
         trace = blocks[0][..., diagonal, diagonal].real.sum(axis=(1, 2))
-    ab = np.zeros((kd + 1, shifts.size * n * d), dtype, order="F")
+    ab = np.zeros((kd + 1, centres.size * n * d), dtype, order="F")
     for offset in range(3):
         _put_blocks(ab, kd - offset * d, 0, blocks[offset].reshape(-1, d, d))
-    segments = ab.T.reshape(shifts.size, n * d, kd + 1)     # a view: ab is F-ordered
+    segments = ab.T.reshape(centres.size, n * d, kd + 1)    # a view: ab is F-ordered
     formed = trace <= _HUGE / 16.0
     kappa = math.sqrt(2.0) if dtype is complex else 1.0
-    s2 = np.where(formed, (2.0 * SINGULARITY_TOL) ** 2 + 2.0 * kappa * (3 * d + 4) * _EPS * trace,
-                  math.inf)
+    s2 = np.where(formed, radii ** 2 + 2.0 * kappa * (3 * d + 4) * _EPS * trace, math.inf)
     segments[~formed] = 0.0
     segments[~formed, :, kd] = -1.0
     segments[formed, :, kd] -= s2[formed, None]
     return ab, s2
 
 
-def _certified(op: TruncatedOperator, shifts) -> np.ndarray:
-    """Which real ``shifts`` x provably lie at least 2 ``SINGULARITY_TOL``
-    from the spectrum of J_N, from one band Cholesky of their stack.
+def _screen(op: TruncatedOperator, centres, radii) -> np.ndarray:
+    """Which windows (c - rho, c + rho), for the real ``centres`` c and
+    ``radii`` rho (one, or one per centre), provably hold no eigenvalue of
+    J_N, from one band Cholesky of their stack; the closed windows
+    [c - rho, c + rho] then hold none either.
 
-    J_N - x is Hermitian, so dist(x, spec J_N)^2 is the smallest eigenvalue
-    of (J_N - x)^2, and (J_N - x)^2 - s^2 I is positive definite iff
-    dist > s.  That matrix of every shift is one segment of one stacked
-    band (:func:`_normal_band`), which is factored once, in place, by
+    J_N - c is Hermitian, so dist(c, spec J_N)^2 is the smallest eigenvalue
+    of (J_N - c)^2, and (J_N - c)^2 - s^2 I is positive definite iff
+    dist > s.  That matrix of every window is one segment of one stacked
+    band (:func:`_normal_band`), which is factored in place by
     ``cholesky_factor`` (LAPACK ``dpbtrf``, or ``zpbtrf`` on a complex band,
-    upper).  Its ``info`` names the first column whose leading minor fails;
+    upper).  Its ``info`` names the first column whose leading minor fails:
     every segment that ends before that column has a completed
-    factorization and is certified, that segment and every later one are
-    not.
+    factorization and is certified, that segment is not, and the
+    factorization resumes on the F-ordered column view of the segments after
+    it, which the failed one left untouched (their coupling entries are
+    zero).  So each window is judged on its own, with the outcome it gets
+    when screened alone, and every column is factored once: one call is one
+    factorization.
 
-    The margin is s^2 = (2 SINGULARITY_TOL)^2 + 2 delta with
-    delta = kappa (3d + 4) eps t, where t is the segment's computed trace,
-    eps = 2u = 2^-52 and kappa is 1 on a real band and sqrt(2) on a complex
-    one.  delta bounds, in the 2-norm, everything between the exact
-    C^2 - s^2 I (C = J_N - x) and the matrix whose exact Cholesky factor the
-    computed one is.  Let T = ||C'||_F^2 = trace(C'^2) for the computed C',
-    and g = gamma_{3d} = 3d u / (1 - 3d u) in real arithmetic, sqrt(2)
-    gamma_{3d+2} in complex arithmetic (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., section 3.6).  Then:
+    The margin is s^2 = rho^2 + 2 delta with delta = kappa (3d + 4) eps t,
+    where t is the segment's computed trace, eps = 2u = 2^-52 and kappa is 1
+    on a real band and sqrt(2) on a complex one.  delta bounds, in the
+    2-norm, everything between the exact C^2 - s^2 I (C = J_N - c) and the
+    matrix whose exact Cholesky factor the computed one is.  Let
+    T = ||C'||_F^2 = trace(C'^2) for the computed C', and g = gamma_{3d}
+    = 3d u / (1 - 3d u) in real arithmetic, sqrt(2) gamma_{3d+2} in complex
+    arithmetic (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 3.6).  Then:
 
-    * C' = C + D with D diagonal, |D| <= u |C| (the rounding of B_k - x), so
+    * C' = C + D with D diagonal, |D| <= u |C| (the rounding of B_k - c), so
       ||C'^2 - C^2||_2 <= (2u + u^2) ||C||_F^2 <= (2u + u^2) T / (1 - u)^2;
     * each entry of the formed square is an inner product of at most 3d
       products, so its error F has |F| <= g |C'|^2 and ||F||_2 <= g T;
@@ -718,17 +730,23 @@ def _certified(op: TruncatedOperator, shifts) -> np.ndarray:
     The sum is (3u + 2g) T to first order: (3d + 1.5) eps T in real and
     (sqrt(2) (3d + 2) + 1.5) eps T in complex arithmetic, which delta covers
     with t >= T (1 - g) (1 - gamma_{N d}), the rounding of the trace.  So a
-    completed factorization gives dist(x, spec J_N)^2 >= s^2 - delta
-    = (2 SINGULARITY_TOL)^2 + delta > (2 SINGULARITY_TOL)^2, the second
-    delta absorbing the rounding of s^2 and delta themselves.  The bound
-    holds for any summation order, so for LAPACK's blocked factorization
-    too.  A segment that is not formed (:func:`_normal_band`) fails at its
-    first column.
+    completed factorization gives dist(c, spec J_N)^2 >= s^2 - delta
+    = rho^2 + delta > rho^2, the second delta absorbing the rounding of s^2
+    and delta themselves (at most eps s^2: the first pivot of a completed
+    factorization is positive, so T exceeds s^2 to rounding and
+    delta >= 7 eps s^2).  The bound holds for any summation
+    order, so for LAPACK's blocked factorization too.  A segment that is not
+    formed (:func:`_normal_band`) fails at its first column.
     """
-    ab, s2 = _normal_band(op, shifts)
-    info = cholesky_factor(ab)
+    ab, s2 = _normal_band(op, centres, radii)
     size = op.n_blocks * op.dim
-    return np.arange(s2.size) < ((info - 1) // size if info else s2.size)
+    certified = np.ones(s2.size, dtype=bool)
+    start = 0
+    while start < s2.size and (info := cholesky_factor(ab[:, start * size:])):
+        start += (info - 1) // size
+        certified[start] = False
+        start += 1
+    return certified
 
 
 def green_blocks(op: TruncatedOperator, zetas, rows, cols,
@@ -770,7 +788,7 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     it: sigma_min(J_N - zeta) >= |Im zeta|, so a zeta with
     |Im zeta| > 1e-8 cannot be singular in that sense, and the zetas with
     |Im zeta| <= 1e-8 are screened first by one band Cholesky of their
-    stacked (J_N - Re zeta)^2 - s^2 I (:func:`_certified`): where it
+    stacked (J_N - Re zeta)^2 - s^2 I (:func:`_screen`): where it
     completes it proves dist(Re zeta, spec J_N) >= 2e-8, where the upper
     estimate of ``health=True`` clears 1e-8 too, so the verdict is the same.
     Only the zetas it leaves open are estimated, with the values they get
@@ -815,7 +833,7 @@ def green_blocks(op: TruncatedOperator, zetas, rows, cols,
     # certificate leaves open need the estimate
     estimated = [i for i in regular if health or abs(zetas[i].imag) <= SINGULARITY_TOL]
     if estimated and not health:
-        certified = _certified(op, [zetas[i].real for i in estimated])
+        certified = _screen(op, [zetas[i].real for i in estimated], 2.0 * SINGULARITY_TOL)
         out.factorizations += 1
         estimated = [i for i, done in zip(estimated, certified.tolist()) if not done]
     sigma = np.full(len(zetas), math.nan)
@@ -931,20 +949,22 @@ def _apply(op: TruncatedOperator, X: np.ndarray) -> np.ndarray:
     return Y.reshape(X.shape)
 
 
-def _ritz_basis(op: TruncatedOperator, shift: float, k: int, steps: int,
-                floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ritz vectors U of the k eigenvalues of J_N nearest ``shift``, and J_N U.
+def _inverse_block(op: TruncatedOperator, shift: float, k: int, steps: int,
+                   floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """(X, J_N X): the orthonormal (N d, k) block X after ``steps`` steps of
+    block inverse iteration on the band LU of J_N - shift.
 
-    ``steps`` steps of block inverse iteration on the band LU of J_N - shift
-    from the hashed start block (:func:`_start_block`), each solving in
-    place and then orthonormalizing the block (a QR; one vector is just
-    normalized, which is its QR up to a unit phase that nothing downstream
-    sees), then Rayleigh-Ritz on the block.
-    The real shift keeps a real band real: a real LU and real start vectors
-    then, complex ones otherwise.  A shift that is an eigenvalue to the last
-    bit gives an exact zero pivot; as in LAPACK's ``dstein``, it is replaced
-    by ``floor`` and the iteration runs on, since the solve then amplifies
-    exactly the wanted eigenvector.
+    The iteration starts from the hashed start block (:func:`_start_block`)
+    and each step solves in place and then orthonormalizes the block (a QR;
+    one vector is just normalized, which is its QR up to a unit phase that
+    nothing downstream sees).  Column j of a QR depends on columns 1..j
+    alone, so the first j columns of X are those of a j-column iteration
+    from the same first j start columns, and carry no share of the later
+    ones: entry by entry, to rounding.  The real shift keeps a real band
+    real: a real LU and real start vectors then, complex ones otherwise.  A
+    shift that is an eigenvalue to the last bit gives an exact zero pivot;
+    as in LAPACK's ``dstein``, it is replaced by ``floor`` and the iteration
+    runs on, since the solve then amplifies exactly the wanted eigenvector.
     """
     n, d = op.n_blocks, op.dim
     kl = 2 * d - 1
@@ -958,7 +978,12 @@ def _ritz_basis(op: TruncatedOperator, shift: float, k: int, steps: int,
             X /= np.linalg.norm(X)
         else:
             X[:] = np.linalg.qr(X)[0]       # Q is C-ordered: copied into the block
-    JX = _apply(op, X)
+    return X, _apply(op, X)
+
+
+def _ritz(X: np.ndarray, JX: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, J_N U): the Ritz vectors of J_N on the span of the orthonormal X,
+    from Rayleigh-Ritz on the block."""
     _, V = np.linalg.eigh(X.conj().T @ JX)
     return X @ V, JX @ V
 
@@ -990,9 +1015,77 @@ def _inverse_steps(vals: np.ndarray, cluster: list, shift: float,
     return min(_INVERSE_STEPS, 1 + math.ceil(math.log(_TINY) / math.log(rho)))
 
 
+class GapEigenpairs(FactoredResults):
+    """The pairs of :func:`eigenpairs_in_gap`, with what its search found on
+    the way: the ``gap`` and the filters (``drift_tol``, ``embed_tol``) it
+    applied, the bisected eigenvalues ``eigvals`` of J_N inside its window,
+    ascending, and the extreme ones, ``lowest`` and ``highest``."""
+
+    def __init__(self, gap: GapInterval, drift_tol: float, embed_tol: float,
+                 eigvals: np.ndarray, lowest: float, highest: float):
+        super().__init__()
+        self.gap, self.drift_tol, self.embed_tol = gap, drift_tol, embed_tol
+        self.eigvals, self.lowest, self.highest = eigvals, lowest, highest
+
+
+def _window(gap: GapInterval) -> tuple[float, float]:
+    """The eigen-search window (r + margin, s - margin), margin 2% of the gap width."""
+    margin = _MARGIN_FRAC * gap.width
+    return gap.r + margin, gap.s - margin
+
+
+def _clusters(vals: np.ndarray) -> list:
+    """Index groups of the ascending ``vals``: a step above 1e-8 starts a new one."""
+    return np.split(np.arange(vals.size), np.nonzero(np.diff(vals) > _CLUSTER_TOL)[0] + 1)
+
+
+def _cut_coupling(op: TruncatedOperator) -> np.ndarray:
+    """Block (N + 1, N) of the 2N section, A_N^*, real when it has no
+    imaginary part; ParameterError for a truncation without a sequence."""
+    if op.sequence is None:
+        raise ParameterError("a gap eigen-search needs a sequence-backed truncation")
+    n = op.n_blocks
+    a_cut = op.sequence.blocks(n, n + 1)[0][0].conj().T
+    return a_cut if np.any(a_cut.imag) else a_cut.real
+
+
+def _filtered_pairs(op: TruncatedOperator, U: np.ndarray, JU: np.ndarray, shift: float,
+                    a_cut: np.ndarray, window: tuple, drift_tol: float, embed_tol: float,
+                    norm_scale: float) -> list:
+    """The eigenpairs in the span of the orthonormal U (with J_N U) that pass
+    the artifact filters of :func:`eigenpairs_in_gap`: the right singular
+    vectors of the embedded residual map [(J_N - shift) U; A_N^* U_N] whose
+    singular value is at most embed_tol norm_scale, with their Rayleigh
+    quotient theta inside ``window``, drift below drift_tol and residual at
+    most RESIDUAL_TOL norm_scale, normalized."""
+    n, d = op.n_blocks, op.dim
+    lo, hi = window
+    W = np.vstack([JU - shift * U, a_cut @ U[-d:]])
+    _, svals, vh = np.linalg.svd(W, full_matrices=False)
+    pairs = []
+    for i in range(U.shape[1] - 1, -1, -1):
+        if svals[i] > embed_tol * norm_scale:
+            continue
+        u, Ju = U @ vh[i, :].conj(), JU @ vh[i, :].conj()
+        theta = float(np.real(u.conj() @ Ju))
+        if not lo < theta < hi:
+            continue
+        residual = float(np.linalg.norm(Ju - theta * u))
+        drift = math.hypot(residual, float(np.linalg.norm(a_cut @ u[-d:])))
+        if drift >= drift_tol:
+            continue
+        if residual > RESIDUAL_TOL * norm_scale:
+            continue
+        u = u / np.linalg.norm(u)
+        blocks = u.reshape(n, d).copy()
+        blocks.flags.writeable = False
+        pairs.append(EigenpairInGap(zeta=theta, blocks=blocks, residual=residual, drift=drift))
+    return pairs
+
+
 def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
                       drift_tol: float = 1e-6, embed_tol: float = 1e-6,
-                      near=None) -> FactoredResults:
+                      near=None) -> GapEigenpairs:
     """Eigenpairs of J_N strictly inside the gap, filtered of cut artifacts.
 
     Candidates are eigenvalues in (r + margin, s - margin) with margin 2% of
@@ -1002,22 +1095,25 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     ``dsbtrd`` when no band entry has a nonzero imaginary part, as for every
     real symmetric operator, ``zhbtrd`` otherwise), then bisection
     (``dstebz``) for the window and for the lowest and highest eigenvalue
-    only.  Candidates within 1e-8 of each other form a cluster, whose
-    eigenvectors come from block inverse iteration on the band LU of
-    J_N - mean, at the cluster's mean bisected eigenvalue, in real arithmetic
-    for a real band, followed by Rayleigh-Ritz.  The iteration
-    runs until the other eigenvectors' share is below the smallest normal
-    float, so far blocks of a localized eigenvector are resolved entrywise;
-    the shift's distance to its cluster counts as at least
-    8 eps max(||J_N||, 1), the accuracy of the bisected eigenvalue.
+    only; the result keeps them (:class:`GapEigenpairs`), for the 2N partner
+    search (:func:`partners_in_gap`).  Candidates within 1e-8 of each other
+    form a cluster, whose eigenvectors come from block inverse iteration on
+    the band LU of J_N - mean, at the cluster's mean bisected eigenvalue, in
+    real arithmetic for a real band, followed by Rayleigh-Ritz.  The
+    iteration runs until the other eigenvectors' share is below the
+    smallest normal float, so far blocks of a localized eigenvector are
+    resolved entrywise; the shift's distance to its cluster counts as at
+    least 8 eps max(||J_N||, 1), the accuracy of the bisected eigenvalue.
 
-    ``near``, a sequence of eigenvalues (the harness passes the thetas of the
-    N section's pairs when it searches the 2N section for their partners),
-    restricts the iteration to the clusters whose eigenvalue range, widened
-    by 2 drift_tol on each side, holds one of them.  A pair within drift_tol
-    of a value of ``near`` is never lost, and each cluster's iteration
-    starts from the same hashed block and is independent of the others, so
-    every pair returned is bit-identical to the full search's.
+    ``near``, a sequence of eigenvalues, restricts the iteration to the
+    clusters whose eigenvalue range, widened by 2 drift_tol on each side,
+    holds one of them.  A pair within drift_tol of a value of ``near`` is
+    never lost, and each cluster's iteration starts from the same hashed
+    block and is independent of the others, so every pair returned is
+    bit-identical to the full search's.  It is the fallback of
+    :func:`partners_in_gap`, which finds the 2N partners of the N section's
+    pairs without this reduction wherever a band Cholesky certifies their
+    neighbourhood, and hands the other clusters' eigenvalues here.
 
     A Dirichlet cut manufactures spurious in-gap eigenpairs localized at the
     far boundary; these can be perfectly N-stable (the cut exists at every
@@ -1027,64 +1123,135 @@ def eigenpairs_in_gap(op: TruncatedOperator, gap: GapInterval,
     section is assembled: genuine eigenvectors of the infinite operator keep
     a tiny residual there, boundary artifacts jump to O(1).  Near-degenerate
     clusters are re-separated by an SVD of this embedded residual map, so a
-    genuine mode hiding inside a degenerate pair is still found.  ``drift``
-    is ||(J_2N - theta) E u|| (E = zero padding), an upper bound on
-    dist(theta, spec J_2N) because J_2N is Hermitian.  The reduction takes
-    O((N d)^2 d) time, in real arithmetic about half that of the complex
-    one, and the bisection O(N d) per wanted eigenvalue (one O(N d) Sturm
-    count per halving, about 53 halvings to full precision), each cluster
-    O(N d^3) more; memory is O(N d^2) and no dense matrix is built.  The
-    pairs come sorted by eigenvalue, with ``factorizations`` counting the
-    band LU factorizations: one per iterated cluster.  ``blocks`` are real
+    genuine mode hiding inside a degenerate pair is still found
+    (:func:`_filtered_pairs`).  ``drift`` is ||(J_2N - theta) E u||
+    (E = zero padding), an upper bound on dist(theta, spec J_2N) because
+    J_2N is Hermitian.  The reduction takes O((N d)^2 d) time, in real
+    arithmetic about half that of the complex one, and the bisection
+    O(N d) per wanted eigenvalue (one O(N d) Sturm count per halving, about
+    53 halvings to full precision), each cluster O(N d^3) more; memory is
+    O(N d^2) and no dense matrix is built.  The pairs come sorted by
+    eigenvalue, with ``factorizations`` counting the band LU
+    factorizations: one per iterated cluster.  ``blocks`` are real
     (float64) on a real band.
     """
-    seq = op.sequence
-    if seq is None:
-        raise ParameterError("eigenpairs_in_gap needs a sequence-backed truncation")
-    n, d = op.n_blocks, op.dim
-    margin = _MARGIN_FRAC * gap.width
-    lo, hi = gap.r + margin, gap.s - margin
+    a_cut = _cut_coupling(op)
+    window = lo, hi = _window(gap)
     vals, lowest, highest = eigvals_window(_hermitian_band(op), lo, hi)
     vals = vals[(vals > lo) & (vals < hi)]
-    if vals.size == 0:
-        return FactoredResults()
-    # group candidates into near-degenerate clusters
-    clusters = np.split(np.arange(vals.size), np.nonzero(np.diff(vals) > _CLUSTER_TOL)[0] + 1)
+    results = GapEigenpairs(gap, drift_tol, embed_tol, vals, lowest, highest)
+    clusters = _clusters(vals) if vals.size else []
     if near is not None:
         near = np.asarray(near, dtype=float)
         reach = 2.0 * drift_tol
         clusters = [c for c in clusters
                     if np.any((near >= vals[c[0]] - reach) & (near <= vals[c[-1]] + reach))]
     norm_scale = max(abs(lowest), abs(highest), 1.0)
-    floor = _SHIFT_FLOOR_ULPS * np.finfo(float).eps * norm_scale
-    # block (N + 1, N) of the 2N section, real when it has no imaginary part
-    a_cut = seq.blocks(n, n + 1)[0][0].conj().T
-    if not np.any(a_cut.imag):
-        a_cut = a_cut.real
-    results = FactoredResults(factorizations=len(clusters))
+    floor = _SHIFT_FLOOR_ULPS * _EPS * norm_scale
+    results.factorizations = len(clusters)
     for cluster in clusters:
         mean_val = float(np.mean(vals[cluster]))
-        U, JU = _ritz_basis(op, mean_val, len(cluster),
-                            _inverse_steps(vals, cluster, mean_val, lo, hi, floor), floor)
-        W = np.vstack([JU - mean_val * U, a_cut @ U[-d:]])
-        _, svals, vh = np.linalg.svd(W, full_matrices=False)
-        for i in range(len(cluster) - 1, -1, -1):
-            if svals[i] > embed_tol * norm_scale:
-                continue
-            u, Ju = U @ vh[i, :].conj(), JU @ vh[i, :].conj()
-            theta = float(np.real(u.conj() @ Ju))
-            if not lo < theta < hi:
-                continue
-            residual = float(np.linalg.norm(Ju - theta * u))
-            drift = math.hypot(residual, float(np.linalg.norm(a_cut @ u[-d:])))
-            if drift >= drift_tol:
-                continue
-            if residual > RESIDUAL_TOL * norm_scale:
-                continue
-            u = u / np.linalg.norm(u)
-            blocks = u.reshape(n, d).copy()
-            blocks.flags.writeable = False
-            results.append(EigenpairInGap(zeta=theta, blocks=blocks,
-                                          residual=residual, drift=drift))
+        U, JU = _ritz(*_inverse_block(op, mean_val, len(cluster),
+                                      _inverse_steps(vals, cluster, mean_val, lo, hi, floor),
+                                      floor))
+        results.extend(_filtered_pairs(op, U, JU, mean_val, a_cut, window,
+                                       drift_tol, embed_tol, norm_scale))
+    results.sort(key=lambda p: p.zeta)
+    return results
+
+
+def partners_in_gap(op: TruncatedOperator, found: GapEigenpairs) -> FactoredResults:
+    """The eigenpairs of the 2N section ``op`` that can partner the N
+    section's pairs ``found`` (:func:`eigenpairs_in_gap`), with its gap and
+    filters, and without reducing the 2N band.
+
+    The N pairs' thetas are grouped into clusters as eigenvalues are (steps
+    above 1e-8).  For a cluster of k thetas with mean theta, let
+    r = 2 drift_tol and h half the distance from theta to the nearer window
+    end or to the nearest bisected in-window eigenvalue of the N section
+    farther than r from every theta of the cluster.  One band Cholesky of
+    the 2N section (:func:`_screen`) certifies, for every cluster at once,
+    that the annulus r <= |lambda - theta| <= h, as two closed windows,
+    holds no eigenvalue of J_2N.  Then block inverse iteration at theta with
+    k + 1 vectors (:func:`_inverse_block`, one band LU per cluster), for as
+    many steps as :func:`_inverse_steps` gives with every other eigenvalue at
+    least h away and the cluster's eigenvalues within each theta's drift,
+    the bound on its distance to spec J_2N (exact when k = 1).  The cluster
+    is accepted when the k + 1 Ritz values of (J_2N - theta)^2 on the
+    iterated block, the squared singular values of (J_2N - theta) X, put
+    exactly k at or below r^2 and the last at or above h^2: by Poincare's
+    interlacing J_2N then has at least k eigenvalues within r of theta,
+    and with more, a converged block would put all k + 1 Ritz values at or
+    below r^2 (unless its start block had no share of them).  The pairs come
+    from the block's first k columns alone (:func:`_ritz`), which carry no
+    share of the last one, so the tiny far blocks of a localized eigenvector
+    stay resolved entry by entry, and pass the filters of
+    :func:`eigenpairs_in_gap` unchanged (:func:`_filtered_pairs`).
+    ``norm_scale`` is max(|lowest|, |highest|, 1) of the N section, at most
+    ||J_2N|| by interlacing, so no filter is looser than in a search of the
+    2N section.
+
+    A cluster goes to the fallback when its annulus has no room (h <= r),
+    when the N section itself has other than k eigenvalues within r of its
+    thetas (such as a far-boundary artifact beside a pair, which the 2N
+    section repeats at its own far boundary), when the annulus is not
+    certified or when the count differs: one ``near=`` search of the 2N section
+    (:func:`eigenpairs_in_gap`, one reduction) for all of them.  The pairs
+    come sorted by eigenvalue; ``factorizations`` counts the band LU
+    factorizations, one per cluster iterated here plus the fallback's, and
+    ``fallbacks`` the clusters that took the fallback.  The screen takes the
+    place of the reduction, O(C N d^3) for C clusters against O((N d)^2 d).
+    """
+    a_cut = _cut_coupling(op)
+    results = FactoredResults()
+    results.fallbacks = 0
+    if not found:
+        return results
+    window = lo, hi = _window(found.gap)
+    inner = 2.0 * found.drift_tol
+    thetas = np.array([p.zeta for p in found])
+    drifts = np.array([p.drift for p in found])
+    norm_scale = max(abs(found.lowest), abs(found.highest), 1.0)
+    floor = _SHIFT_FLOOR_ULPS * _EPS * norm_scale
+    fallback, annuli = [], []
+    for cluster in _clusters(thetas):
+        theta = float(np.mean(thetas[cluster]))
+        own = np.any(np.abs(found.eigvals[:, None] - thetas[cluster]) <= inner, axis=1)
+        outer = 0.5 * min(theta - lo, hi - theta,
+                          np.min(np.abs(found.eigvals[~own] - theta), initial=math.inf))
+        if inner < outer and np.count_nonzero(own) == cluster.size < op.n_blocks * op.dim:
+            annuli.append((cluster, theta, outer))
+        else:
+            fallback.append(cluster)
+    # each annulus as two windows, the radius widened by the rounding of
+    # their centres and radius
+    centres = [theta + side * 0.5 * (outer + inner) for _, theta, outer in annuli
+               for side in (-1.0, 1.0)]
+    radii = [0.5 * (outer - inner) + 4.0 * _EPS * (abs(theta) + outer)
+             for _, theta, outer in annuli for _ in range(2)]
+    certified = _screen(op, centres, radii).reshape(-1, 2).all(axis=1) if annuli else []
+    for (cluster, theta, outer), empty in zip(annuli, certified):
+        if not empty:
+            fallback.append(cluster)
+            continue
+        spread = np.concatenate([thetas[cluster] - drifts[cluster],
+                                 thetas[cluster] + drifts[cluster]])
+        steps = _inverse_steps(spread, np.arange(spread.size), theta,
+                               theta - outer, theta + outer, floor)
+        X, JX = _inverse_block(op, theta, cluster.size + 1, steps, floor)
+        results.factorizations += 1
+        svals = np.linalg.svd(JX - theta * X, compute_uv=False)
+        if not (svals[1] <= inner and svals[0] >= outer):
+            fallback.append(cluster)
+            continue
+        U, JU = _ritz(X[:, :-1], JX[:, :-1])
+        results.extend(_filtered_pairs(op, U, JU, theta, a_cut, window,
+                                       found.drift_tol, found.embed_tol, norm_scale))
+    if fallback:
+        near = eigenpairs_in_gap(op, found.gap, found.drift_tol, found.embed_tol,
+                                 near=thetas[np.concatenate(fallback)])
+        results.extend(near)
+        results.factorizations += near.factorizations
+        results.fallbacks = len(fallback)
     results.sort(key=lambda p: p.zeta)
     return results

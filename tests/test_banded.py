@@ -15,9 +15,16 @@ copy of the 40-step inverse power iteration it replaced, which it may never
 exceed; a real band takes that LU in real arithmetic, its gauge copy in
 complex arithmetic, with the same values.  A real symmetric sequence and its
 gauge copy, every A_k times e^{i phi}, whose bands are reduced in real and
-in complex arithmetic, give the same gap eigenpairs.  The 2N partner
-search (``near=``) gives every N pair the full search's partner, bit for
-bit.
+in complex arithmetic, give the same gap eigenpairs.  The ``near=`` search
+of the 2N section gives every N pair the full search's partner, bit for
+bit; the screened partner search (``partners_in_gap``), which reduces no
+2N band, finds a partner exactly when it does, with the same theta and block
+norms to rounding, and takes it as its fallback beside an extra 2N
+eigenvalue.  Every window the band Cholesky screen certifies holds no dense
+eigenvalue, and each screened shift gets the outcome it gets alone.  The
+eigen-search thresholds (the harness's drift tolerance, ``embed_tol``, the
+cluster tolerance and the window margin) each have a case on either side,
+on the screened partner path and on its fallback.
 """
 
 import json
@@ -42,7 +49,7 @@ from blockjacobi.harness import DRIFT_TOL, resolve_gap
 from blockjacobi.spectral import (RESIDUAL_TOL, SINGULARITY_TOL, _LANCZOS_STEPS,
                                   _CLUSTER_TOL, _INVERSE_STEPS, _SEED, _SHIFT_FLOOR_ULPS,
                                   _TINY, _band_storage, _hermitian_band,
-                                  _inverse_steps)
+                                  _inverse_steps, partners_in_gap)
 
 from dense import dense
 
@@ -687,16 +694,18 @@ def test_certificate_is_sound(case):
     # the band the certificate factors is (J - x)^2 - s^2 I to rounding
     op, shifts = case
     size, d = op.n_blocks * op.dim, op.dim
+    radius = 2.0 * SINGULARITY_TOL
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        band, s2 = spectral._normal_band(op, shifts)
-        certified = spectral._certified(op, shifts)
+        band, s2 = spectral._normal_band(op, shifts, radius)
+        certified = spectral._screen(op, shifts, radius)
+        alone = [spectral._screen(op, [x], radius)[0] for x in shifts]
     J = dense(op)
     vals = np.linalg.eigvalsh(J)
     dist = np.min(np.abs(vals[:, None] - np.array(shifts)), axis=0)
     assert np.all(dist[certified] >= 2.0 * SINGULARITY_TOL)
-    # the certified shifts are the segments before the first failing one
-    assert certified.tolist() == sorted(certified.tolist(), reverse=True)
+    # each shift is judged on its own: a failing segment declines no other
+    assert certified.tolist() == alone
     assert band.dtype == (np.float64 if spectral._real_band(op) else np.complex128)
     for k, x in enumerate(shifts):
         segment = dense_from_upper_band(band[:, k * size:(k + 1) * size])
@@ -708,6 +717,43 @@ def test_certificate_is_sound(case):
         C = J - x * np.eye(size)
         rounding = 4 * (3 * d + 4) * np.finfo(float).eps * (np.abs(C) @ np.abs(C))
         assert np.all(np.abs(segment - (C @ C - s2[k] * np.eye(size))) <= rounding)
+
+
+@st.composite
+def window_cases(draw):
+    """A random Hermitian operator (d = 1..4, N = 2..40; a real band or a
+    complex one) and one to four windows (centre, radius): centres at, near
+    or away from its dense eigenvalues, radii from 1e-8 up to its spectral
+    width."""
+    seeded = seeded_real_operator if draw(st.booleans()) else seeded_operator
+    op = seeded(draw(st.integers(1, 4)), draw(st.integers(2, 40)),
+                draw(st.integers(0, 2**32 - 1)))
+    vals = np.linalg.eigvalsh(dense(op))
+    width = max(float(vals[-1] - vals[0]), 1e-8)
+    at = st.sampled_from(vals.tolist())
+    near = st.builds(lambda x, p, sign: x + sign * 10.0 ** p, at, st.floats(-12.0, -1.0),
+                     st.sampled_from((-1.0, 1.0)))
+    radius = st.builds(lambda p: 10.0 ** p, st.floats(-8.0, math.log10(width)))
+    return op, draw(st.lists(st.tuples(at | near | st.floats(-6.0, 6.0), radius),
+                             min_size=1, max_size=4))
+
+
+@given(window_cases())
+@example((EXAMPLE2_61, [(0.0, 0.4), (0.5, 0.1)]))
+@example((isolated_blocks_operator(2, 12, 5, True)[0], [(0.1, 1e-8), (0.1, 2.0)]))
+def test_screened_windows_hold_no_dense_eigenvalue(case):
+    # every window the screen certifies is empty in the dense spectrum, and
+    # one that lies well clear of it (dist^2 >= 4 s^2) is certified
+    op, windows = case
+    centres, radii = (np.array(v) for v in zip(*windows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        certified = spectral._screen(op, centres, radii)
+        _, s2 = spectral._normal_band(op, centres, radii)
+    vals = np.linalg.eigvalsh(dense(op))
+    dist = np.min(np.abs(vals[:, None] - centres), axis=0)
+    assert np.all(dist[certified] >= radii[certified])
+    assert np.all(certified[dist ** 2 >= 4.0 * s2])
 
 
 def test_non_finite_zeta_is_a_parameter_error():
@@ -1209,3 +1255,167 @@ def test_eigvec_operator_resolves_its_tail(n):
     # one factorization per iterated cluster: the 2N search skips the
     # far-boundary artifact, which no N pair partners
     assert report.meta["counters"]["factorizations"] == 3
+
+
+def partner_of(pairs_2n, pair, drift_tol):
+    """The first 2N pair within drift_tol of ``pair``, as the harness takes it."""
+    return next((q for q in pairs_2n if abs(q.zeta - pair.zeta) < drift_tol), None)
+
+
+@pinned([(diagonal_sequence((0.0, 2.0, 4.0, 4.5)), 12, GapInterval(1.0, 3.0), DRIFT_TOL, 1e-6),
+         eigvec_case(200), eigvec_case(400)])
+@given(partner_cases())
+def test_partner_search_finds_the_near_search_partners(case):
+    # the screened partner search finds a partner for the same N pairs as
+    # the near= search of the 2N section, with the same theta and block
+    # norms to rounding on every block above the smallest normal float
+    seq, n, gap, drift_tol, embed_tol = case
+    pairs = eigenpairs_in_gap(assemble_truncation(seq, n), gap, drift_tol, embed_tol)
+    op_2n = assemble_truncation(seq, 2 * n)
+    near = eigenpairs_in_gap(op_2n, gap, drift_tol, embed_tol, near=[p.zeta for p in pairs])
+    got = partners_in_gap(op_2n, pairs)
+    scale = max(abs(near.lowest), abs(near.highest), 1.0)
+    for p in pairs:
+        want, have = partner_of(near, p, drift_tol), partner_of(got, p, drift_tol)
+        assert (have is None) == (want is None)
+        if want is None:
+            continue
+        assert abs(have.zeta - want.zeta) <= 1e-12 * scale
+        resolved = want.block_norms >= _TINY
+        np.testing.assert_allclose(have.block_norms[resolved], want.block_norms[resolved],
+                                   rtol=1e-12, atol=0)
+
+
+def test_partner_search_falls_back_beside_an_extra_eigenvalue():
+    # block 20 of the 2N section (N = 12), decoupled, holds 2 + 1e-7: within
+    # r = 2 drift_tol of the N pair at 2, which no screen of the annulus
+    # r <= |lambda - 2| <= h can see; the two-vector block at 2 then puts both
+    # Ritz values within r, and the cluster takes the near= search
+    gap = GapInterval(1.0, 3.0)
+    for extra, fallbacks in ((5.0, 0), (2.0 + 1e-7, 1)):
+        seq = diagonal_sequence((0.0, 2.0, 4.0, 4.5) + (5.0,) * 15 + (extra,))
+        pairs = eigenpairs_in_gap(assemble_truncation(seq, 12), gap)
+        op_2n = assemble_truncation(seq, 24)
+        got = partners_in_gap(op_2n, pairs)
+        near = eigenpairs_in_gap(op_2n, gap, near=[p.zeta for p in pairs])
+        assert len(pairs) == 1 and got.fallbacks == fallbacks
+        assert [p.zeta for p in got] == pytest.approx([p.zeta for p in near], abs=1e-14)
+        if fallbacks:
+            # the annulus was certified and the block iterated: one LU, then
+            # the near= search's, whose pairs come back bit for bit
+            assert got.factorizations == 1 + near.factorizations == 3
+            assert all(p.zeta == q.zeta and np.array_equal(p.blocks, q.blocks)
+                       for p, q in zip(got, near))
+        else:
+            assert got.factorizations == 1
+
+
+# ---------------------------------------------------------------------------
+# the eigen-search thresholds, one case on each side, on the screened
+# partner path and on its fallback (a screen that certifies nothing)
+
+PATHS = ("screened", "fallback")
+
+
+def take_path(monkeypatch, path):
+    """Route every partner search to ``path``: the fallback declines every window."""
+    if path == "fallback":
+        monkeypatch.setattr(spectral, "_screen",
+                            lambda op, centres, radii: np.zeros(len(centres), dtype=bool))
+
+
+def decay_chain(n, drift_n, drift_2n):
+    """A d = 1 chain (B_1 = 2, B_k = 5, A_k = 1) whose bound state near 5/3
+    decays from block 1, with A_N and A_2N set so that the N section's
+    eigenpair has drift ``drift_n`` and its 2N partner ``drift_2n``: A_N,
+    outside J_N, couples the N pair's block N across the cut, and A_2N,
+    outside J_2N, the partner's block 2N."""
+    def chain(s, t):
+        diagonal = [2.0] + [5.0] * (2 * n - 1)
+        couplings = [1.0] * (n - 1) + [s] + [1.0] * (n - 1) + [t]
+        return explicit_sequence([(np.array([[a]]), np.array([[b]]))
+                                  for a, b in zip(couplings, diagonal)],
+                                 tail=(np.ones((1, 1)), np.array([[5.0]])))
+
+    def last_entry(seq, m):
+        return abs(np.linalg.eigh(dense(assemble_truncation(seq, m)))[1][-1, 0])
+
+    s = drift_n / last_entry(chain(1.0, 1.0), n)
+    return chain(s, drift_2n / last_entry(chain(s, 1.0), 2 * n))
+
+
+CHAIN_GAP = GapInterval(0.0, 3.0)
+
+
+def chain_report(seq, n):
+    cfg = ExperimentConfig(operator=seq, gap={"source": "explicit", "r": 0.0, "s": 3.0},
+                           zetas=(1.6,), n_blocks=n, experiments=("eigenvector",))
+    return verify_eigenvector_bound(cfg).experiments
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_drift_tol_on_each_side(monkeypatch, path):
+    # the harness keeps an N pair whose drift is below DRIFT_TOL and takes a
+    # 2N pair as its partner only below it too
+    take_path(monkeypatch, path)
+    for drift_n, drift_2n, found, partnered in ((0.5e-6, 0.5e-6, True, True),
+                                                (2e-6, 0.5e-6, False, False),
+                                                (0.5e-6, 2e-6, True, False)):
+        [res] = chain_report(decay_chain(8, drift_n, drift_2n), 8)
+        assert res.name.startswith("eigenvector:zeta=") is found
+        if found:
+            assert res.details["drift"] == pytest.approx(drift_n, rel=1e-6)
+            assert res.details["stable_partner_found"] is partnered
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_embed_tol_on_each_side(monkeypatch, path):
+    # with the drift filter opened, the default embed_tol alone decides: an
+    # embedded residual at half of embed_tol ||J|| passes, at twice fails,
+    # in the N search and in the partner search
+    take_path(monkeypatch, path)
+    n = 8
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(dense(
+        assemble_truncation(decay_chain(n, 1e-8, 1e-8), 2 * n))))))
+    for side, kept in ((0.5, True), (2.0, False)):
+        residual = side * 1e-6 * scale
+        pairs = eigenpairs_in_gap(assemble_truncation(decay_chain(n, residual, 1e-8), n),
+                                  CHAIN_GAP, drift_tol=1e-4)
+        assert len(pairs) == kept
+        seq = decay_chain(n, 1e-8, residual)
+        pairs = eigenpairs_in_gap(assemble_truncation(seq, n), CHAIN_GAP, drift_tol=1e-4)
+        partners = partners_in_gap(assemble_truncation(seq, 2 * n), pairs)
+        assert len(pairs) == 1 and len(partners) == kept
+        assert partners.fallbacks == (path == "fallback")
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_cluster_tol_on_each_side(monkeypatch, path):
+    # eigenvalues 1e-9 apart form one cluster (one LU), 1e-7 apart two, in
+    # the N search and in the partner search; at 1e-7 (> r = 2e-8) each
+    # cluster of one is alone within r, but its annulus is far narrower than
+    # the screen's margin, so it takes the fallback
+    take_path(monkeypatch, path)
+    gap = GapInterval(1.0, 3.0)
+    for spacing, clusters, fallbacks in ((1e-9, 1, int(path == "fallback")), (1e-7, 2, 2)):
+        seq = diagonal_sequence((2.0, 2.0 + spacing, 4.0, 4.5))
+        pairs = eigenpairs_in_gap(assemble_truncation(seq, 12), gap, drift_tol=1e-8)
+        assert len(pairs) == 2 and pairs.factorizations == clusters
+        partners = partners_in_gap(assemble_truncation(seq, 24), pairs)
+        assert len(partners) == 2
+        assert partners.factorizations == clusters and partners.fallbacks == fallbacks
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_margin_frac_on_each_side(monkeypatch, path):
+    # the window is the gap (1, 3) less 2% of its width at each end: an
+    # eigenvalue 3% of the width inside is searched and partnered, one at 1%
+    # is not
+    take_path(monkeypatch, path)
+    gap = GapInterval(1.0, 3.0)
+    for share, found in ((0.03, 1), (0.01, 0)):
+        seq = diagonal_sequence((1.0 + share * gap.width, 4.0, 4.5))
+        pairs = eigenpairs_in_gap(assemble_truncation(seq, 12), gap)
+        partners = partners_in_gap(assemble_truncation(seq, 24), pairs)
+        assert len(pairs) == len(partners) == found
+        assert partners.fallbacks == (found and path == "fallback")

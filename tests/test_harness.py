@@ -361,13 +361,13 @@ def sigma_min_calls(monkeypatch):
 def certificate_calls(monkeypatch):
     """(shifts, N d) of every band Cholesky certificate made from now on."""
     calls = []
-    certify = spectral._certified
+    screen = spectral._screen
 
-    def spy(op, shifts):
-        calls.append((list(shifts), op.n_blocks * op.dim))
-        return certify(op, shifts)
+    def spy(op, centres, radii):
+        calls.append((list(centres), op.n_blocks * op.dim))
+        return screen(op, centres, radii)
 
-    monkeypatch.setattr(spectral, "_certified", spy)
+    monkeypatch.setattr(spectral, "_screen", spy)
     return calls
 
 

@@ -371,7 +371,7 @@ def normal_bands(draw):
     op = draw(st.one_of(hermitian_operators(), real_operators()))
     at = st.sampled_from(np.linalg.eigvalsh(dense(op)).tolist())
     shifts = draw(st.lists(at | st.floats(-4.0, 4.0), min_size=1, max_size=3))
-    return spectral._normal_band(op, shifts)[0]
+    return spectral._normal_band(op, shifts, 2.0 * spectral.SINGULARITY_TOL)[0]
 
 
 @given(normal_bands())

@@ -64,7 +64,8 @@ from pathlib import Path
 WORKLOADS = ("green-large", "sweep", "eigvec", "commuting")
 END_TO_END = ("wall_s", "peak_rss_mb", "setup_s")
 LADDER = {"green": (1200, 10_000, 100_000), "green-offaxis": (1200, 10_000, 100_000),
-          "eigenvector": (1000, 2000, 4000), "complex-eigenvector": (1000, 2000, 4000),
+          "eigenvector": (1000, 2000, 4000, 10_000),
+          "complex-eigenvector": (1000, 2000, 4000),
           "truncation-spectrum": (300, 600, 1200)}
 PAIRS = 10
 SECONDS = 5.0
